@@ -28,11 +28,15 @@ SWEEP_PARAMS = ("lambda", "cfg", "m", "wiring")
 
 
 def worker_count() -> int:
+    """Sweep worker pool size from ESCORE_THREADS (default 1)."""
     raw = os.environ.get("ESCORE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ConfigError(f"ESCORE_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def run_jobs(fn, arg_tuples: list[tuple]):

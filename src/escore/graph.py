@@ -8,6 +8,18 @@ forward-mode directional derivatives both consume that cache.
 
 All reductions use numpy's fixed summation order, so identical graphs and
 bindings produce bit-identical outputs and gradients.
+
+Node kinds (each with a forward, a reverse and a forward-mode rule):
+
+- sources: ``leaf`` (named binding), ``const``
+- linear algebra: ``matmul``, ``affine`` (``x @ w + b`` with the bias
+  broadcast over the leading axes; the fused form of matmul + broadcast + add,
+  bit-identical to it)
+- elementwise: ``add``, ``sub``, ``mul``, ``scale``, ``silu``
+- normalisation: ``layer_norm``, ``softmax``, ``row_norm``
+- reductions to a scalar: ``mean``, ``sum``, ``sum_sq``
+- shape: ``concat``, ``narrow``, ``broadcast``, ``reshape``, ``transpose``
+- ``stop_gradient`` (identity forward, zero gradient)
 """
 from __future__ import annotations
 
@@ -105,6 +117,17 @@ def matmul(a: Node, b: Node) -> Node:
         raise GraphError(f"matmul: batch dims differ, {a.shape} @ {b.shape}")
     shape = a.shape[:-1] + (b.shape[-1],)
     return a.graph._append("matmul", (a, b), shape)
+
+
+def affine(x: Node, w: Node, b: Node) -> Node:
+    """x @ w + b for a 2-d weight, with the bias broadcast over leading axes."""
+    if len(x.shape) < 2 or len(w.shape) != 2:
+        raise GraphError(f"affine: needs x >=2-d and a 2-d weight, got {x.shape} @ {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise GraphError(f"affine: inner dims differ, {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise GraphError(f"affine: bias shape {b.shape}, expected {(w.shape[1],)}")
+    return x.graph._append("affine", (x, w, b), x.shape[:-1] + (w.shape[1],))
 
 
 def _same_shape(kind: str, a: Node, b: Node) -> tuple[int, ...]:
@@ -232,6 +255,10 @@ def _ln_stats(x: np.ndarray, eps: float):
 
 
 def _forward(kind: str, vals: list[np.ndarray], attrs: dict, aux: dict) -> np.ndarray:
+    if kind == "affine":
+        out = vals[0] @ vals[1]
+        out += vals[2]
+        return out
     if kind == "matmul":
         return vals[0] @ vals[1]
     if kind == "add":
@@ -290,16 +317,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    ga = g @ np.swapaxes(b, -1, -2)
+    if b.ndim == 2 and a.ndim > 2:
+        gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    else:
+        gb = np.swapaxes(a, -1, -2) @ g
+    return [ga, gb]
+
+
 def _backward(kind: str, g: np.ndarray, vals: list[np.ndarray],
               out: np.ndarray, attrs: dict, aux: dict) -> list[np.ndarray | None]:
+    if kind == "affine":
+        return _matmul_grads(g, vals[0], vals[1]) + [_unbroadcast(g, vals[2].shape)]
     if kind == "matmul":
-        a, b = vals
-        ga = g @ np.swapaxes(b, -1, -2)
-        if b.ndim == 2 and a.ndim > 2:
-            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = np.swapaxes(a, -1, -2) @ g
-        return [ga, gb]
+        return _matmul_grads(g, vals[0], vals[1])
     if kind == "add":
         return [g, g]
     if kind == "sub":
@@ -356,6 +388,10 @@ def _backward(kind: str, g: np.ndarray, vals: list[np.ndarray],
 
 def _jvp_rule(kind: str, dv: list[np.ndarray], vals: list[np.ndarray],
               out: np.ndarray, attrs: dict, aux: dict) -> np.ndarray:
+    if kind == "affine":
+        t = dv[0] @ vals[1] + vals[0] @ dv[1]
+        t += dv[2]
+        return t
     if kind == "matmul":
         return dv[0] @ vals[1] + vals[0] @ dv[1]
     if kind == "add":

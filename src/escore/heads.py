@@ -275,6 +275,8 @@ class Head:
         if f"{prefix}.out.w" not in params:
             register_head(params, cfg, seed, prefix)
         self.params = params
+        # inference graphs declare, bind and check only this head's weights
+        self._own_params = params.subset(lambda name: name.startswith(prefix + "."))
         self.schedule = DiffusionSchedule(cfg.t_diff, cfg.beta_max) \
             if cfg.kind in ("diffusion",) else None
         self._eval_graphs: dict[int, G.Graph] = {}
@@ -285,7 +287,7 @@ class Head:
         g = self._eval_graphs.get(rows)
         if g is None:
             g = G.Graph()
-            leaves = self.params.declare_leaves(g, trainable=False)
+            leaves = self._own_params.declare_leaves(g, trainable=False)
             inp = g.leaf("inp", (rows, self.cfg.input_dim))
             cond = g.leaf("cond", (rows, self.cfg.cond_dim))
             g.set_output(build_head(self.cfg, leaves, self.prefix, inp, cond))
@@ -295,16 +297,13 @@ class Head:
     def forward_values(self, inp: np.ndarray, cond: np.ndarray) -> np.ndarray:
         g = self._eval_graph(len(inp))
         self.forward_rows += len(inp)
-        return G.evaluate(g, {"inp": inp, "cond": cond, **self.params.bindings()}).output
-
-    def forward_jvp(self, inp, cond, d_inp, d_cond) -> np.ndarray:
-        return self.forward_with_jvp(inp, cond, d_inp, d_cond)[1]
+        return G.evaluate(g, {"inp": inp, "cond": cond, **self._own_params.bindings()}).output
 
     def forward_with_jvp(self, inp, cond, d_inp, d_cond) -> tuple[np.ndarray, np.ndarray]:
         """(output, directional derivative) sharing one forward pass."""
         g = self._eval_graph(len(inp))
-        bindings = {"inp": inp, "cond": cond, **self.params.bindings()}
-        tangents = {name: np.zeros_like(p.value) for name, p in self.params.items()}
+        bindings = {"inp": inp, "cond": cond, **self._own_params.bindings()}
+        tangents = {name: np.zeros_like(p.value) for name, p in self._own_params.items()}
         tangents["inp"] = d_inp
         tangents["cond"] = d_cond
         run = G.evaluate(g, bindings)

@@ -211,6 +211,9 @@ class MarModel:
         self.backbone = Backbone(cfg, seed)
         self.backbone.register(self.params, seed)
         self.head = Head(cfg.head_config(), seed, prefix="head", params=self.params)
+        # backbone passes declare, bind and check only the backbone's weights
+        self._backbone_params = self.params.subset(
+            lambda name: name.startswith(self.backbone.prefix + "."))
         self._repr_graphs: dict[int, G.Graph] = {}
         self._train_graphs: dict = {}
         self.backbone_forwards = 0
@@ -221,7 +224,7 @@ class MarModel:
         if g is None:
             cfg = self.cfg
             g = G.Graph()
-            leaves = self.params.declare_leaves(g, trainable=False)
+            leaves = self._backbone_params.declare_leaves(g, trainable=False)
             latents = g.leaf("latents", (bsz, cfg.seq_len, cfg.latent_dim))
             mask = g.leaf("mask", (bsz, cfg.seq_len, 1))
             onehot = g.leaf("onehot", (bsz, cfg.n_classes + 1))
@@ -237,7 +240,7 @@ class MarModel:
         mask = masked.astype(np.float64)[..., None]
         bindings = {"latents": latents * (1.0 - mask), "mask": mask,
                     "onehot": one_hot_classes(class_ids, self.cfg.n_classes),
-                    **self.params.bindings()}
+                    **self._backbone_params.bindings()}
         self.backbone_forwards += 1
         label = None if len(set(class_ids.tolist())) != 1 else int(class_ids[0])
         h = G.evaluate(g, bindings).output

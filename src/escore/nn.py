@@ -70,13 +70,6 @@ class ParameterSet:
         return {name: g.leaf(name, p.value.shape, grad=trainable)
                 for name, p in self._params.items()}
 
-    def copy_values_from(self, other: "ParameterSet") -> None:
-        for name, p in self._params.items():
-            src = other[name]
-            if src.value.shape != p.value.shape:
-                raise ValueError(f"shape mismatch copying {name!r}")
-            p.value = src.value.copy()
-
     def subset(self, keep) -> "ParameterSet":
         """View over selected parameters (shared Parameter objects)."""
         sub = ParameterSet()
@@ -104,10 +97,7 @@ def add_linear(params: ParameterSet, seed: int, name: str, fan_in: int, fan_out:
 
 def linear(x: G.Node, w: G.Node, b: G.Node | None = None) -> G.Node:
     """x @ w + b with the bias broadcast over leading axes."""
-    out = G.matmul(x, w)
-    if b is not None:
-        out = out + G.broadcast_to(b, out.shape)
-    return out
+    return G.matmul(x, w) if b is None else G.affine(x, w, b)
 
 
 def build_linear(leaves: dict[str, G.Node], name: str, x: G.Node) -> G.Node:

@@ -106,11 +106,3 @@ class ToyHeadModel:
         for name, arr in values.items():
             model.params[name].value = arr
         return model
-
-
-def train_toy_head(method: str, seed: int, tcfg: ToyTrainConfig = ToyTrainConfig(),
-                   head_overrides: dict | None = None) -> tuple[ToyHeadModel, list]:
-    cfg = HeadConfig(kind=method, **(head_overrides or {}))
-    model = ToyHeadModel(cfg, seed)
-    history = model.train(tcfg)
-    return model, history

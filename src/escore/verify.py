@@ -71,9 +71,24 @@ def _primitive_cases():
 
         return build, point
 
+    def affine(x_shape, n=2):
+        w_shape, b_shape = (x_shape[-1], n), (n,)
+
+        def build(g, s):
+            return G.affine(g.leaf("x", x_shape, grad=True), g.leaf("w", w_shape, grad=True),
+                            g.leaf("b", b_shape, grad=True))
+
+        def point(s):
+            return {"x": s.child("x").normal(x_shape), "w": s.child("w").normal(w_shape),
+                    "b": s.child("b").normal(b_shape)}
+
+        return build, point
+
     away_from_zero = lambda x: x + 0.5 * np.sign(x) + np.where(x == 0, 0.5, 0.0)
     return {
         "matmul": binary(G.matmul, (3, 4), (4, 2)),
+        "affine(2-d)": affine((3, 4)),
+        "affine(3-d)": affine((2, 3, 4)),
         "add": binary(G.add),
         "subtract": binary(G.subtract),
         "multiply": binary(G.multiply),

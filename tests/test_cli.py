@@ -1,11 +1,13 @@
 import json
+import os
+import resource
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from escore import data
-from escore.cli import main
+from escore.cli import main, retain_freed_memory
 
 TINY_HEAD = ["--set", "train.steps=8", "--set", "train.batch=16",
              "--set", "head.width=16", "--set", "head.depth=1",
@@ -199,6 +201,7 @@ def test_gradcheck_smoke(capsys):
     assert rc == 0
     assert "all checks passed" in out
     assert "matmul" in out and "transformer-block" in out
+    assert "affine(2-d)" in out and "affine(3-d)" in out
 
 
 def test_compare_swissroll_tiny(tmp_path):
@@ -217,3 +220,63 @@ def test_compare_swissroll_tiny(tmp_path):
     assert (out / "swissroll_seed1.svg").exists()
     methods = {line.split(",")[0] for line in lines[1:]}
     assert methods == {"energy", "diffusion", "flow", "shortcut", "meanflow"}
+
+
+@pytest.mark.parametrize("param", ["backbone.block0.mlp1.w", "head.block0.fc1.w"])
+def test_decode_rejects_non_finite_weight_naming_the_leaf(tmp_path, capsys, param):
+    from escore.mar import MarConfig, MarModel
+    model = MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                               head_kind="diffusion", head_width=16, head_depth=1), 0)
+    model.params[param].value[0, 0] = np.nan
+    bad = tmp_path / "bad.ckpt"
+    model.save(bad)
+    rc = main(["decode", "--ckpt", str(bad), "--n", "2", "--iterations", "2",
+               "--head-steps", "2", "--out", str(tmp_path / "dec")])
+    assert rc == 2
+    assert param in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
+def test_bad_escore_threads_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("ESCORE_THREADS", value)
+    assert main(["gradcheck", "--points", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "ESCORE_THREADS" in err and repr(value) in err
+
+
+def test_valid_escore_threads_is_accepted(monkeypatch, tmp_path):
+    monkeypatch.setenv("ESCORE_THREADS", "2")
+    assert main(["train-head", "--method", "energy", "--out",
+                 str(tmp_path / "run")] + TINY_HEAD) == 0
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="mallopt is glibc's")
+def test_freed_buffers_are_reused_without_page_faults():
+    assert retain_freed_memory()
+
+    def rounds(n):
+        for _ in range(n):
+            live = [np.ones(1 << 17) for _ in range(10)]   # ten 1 MiB buffers at once
+            del live
+
+    rounds(1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rounds(20)
+    # glibc's defaults map and unmap these: about 50,000 faults
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+
+def test_allocator_tuning_yields_to_the_environment(monkeypatch):
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+    retain_freed_memory.cache_clear()
+    try:
+        assert retain_freed_memory() is False
+    finally:
+        retain_freed_memory.cache_clear()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escore import graph as G
+from escore import nn
 from escore.rng import Stream
 
 
@@ -255,3 +258,63 @@ def test_grad_check_on_random_graphs():
     for seed in range(10):
         g, pt = _random_composite(seed, fd_friendly=True)
         assert G.grad_check(g, pt, step=1e-6) <= 1e-5
+
+
+def _linear_graph(fused: bool, lead: tuple[int, ...], k: int, n: int, mix: np.ndarray):
+    """total((x @ w + b) * mix) as one affine node or as matmul+broadcast+add."""
+    g = G.Graph()
+    x = g.leaf("x", lead + (k,), grad=True)
+    w = g.leaf("w", (k, n), grad=True)
+    b = g.leaf("b", (n,), grad=True)
+    if fused:
+        out = G.affine(x, w, b)
+    else:
+        out = G.matmul(x, w) + G.broadcast_to(b, lead + (n,))
+    g.set_output(G.total(out * g.constant(mix)))
+    return g, out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(1, 5),
+       st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_affine_bitwise_equals_matmul_broadcast_add(lead, k, n, seed):
+    lead = tuple(lead)
+    s = Stream.from_seed(seed, "affine")
+    mix = s.child("mix").normal(lead + (n,))
+    pt = {"x": s.child("x").normal(lead + (k,)), "w": s.child("w").normal((k, n)),
+          "b": s.child("b").normal((n,))}
+    tangents = {name: s.child("tan/" + name).normal(v.shape) for name, v in pt.items()}
+    results = []
+    for fused in (True, False):
+        g, out = _linear_graph(fused, lead, k, n, mix)
+        run = G.evaluate(g, pt)
+        grads = G.backward(run)
+        results.append([run.value(out), run.output,
+                        grads["x"], grads["w"], grads["b"],
+                        G.jvp(g, pt, tangents, output=out, run=run),
+                        G.jvp(g, pt, tangents, run=run)])
+    for fused, triple in zip(*results):
+        assert fused.shape == triple.shape
+        assert fused.tobytes() == triple.tobytes()
+
+
+def test_affine_bad_shapes_fail_at_build_time():
+    g = G.Graph()
+    x2, x1 = g.leaf("x2", (4, 3)), g.leaf("x1", (3,))
+    w, w3 = g.leaf("w", (3, 2)), g.leaf("w3", (1, 3, 2))
+    b = g.leaf("b", (2,))
+    cases = [(x1, w, b), (x2, w3, b), (x2, g.leaf("wk", (5, 2)), b),
+             (x2, w, g.leaf("b3", (3,))), (x2, w, g.leaf("b12", (1, 2)))]
+    for args in cases:
+        with pytest.raises(G.GraphError, match="affine"):
+            G.affine(*args)
+    assert all(node.kind == "leaf" for node in g.nodes)   # nothing was appended
+
+
+def test_linear_emits_one_affine_node():
+    g = G.Graph()
+    x = g.leaf("x", (2, 4, 3))
+    out = nn.linear(x, g.leaf("w", (3, 5)), g.leaf("b", (5,)))
+    assert [n.kind for n in g.nodes[3:]] == ["affine"] and out.shape == (2, 4, 5)
+    nn.linear(x, g.leaf("w2", (3, 5)))
+    assert g.nodes[-1].kind == "matmul"

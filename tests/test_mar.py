@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,13 @@ def test_mar_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(back.params[name].value, p.value)
     manifest, _ = __import__("escore.nn", fromlist=["nn"]).load_checkpoint(path)
     assert manifest["extra"]["lambda"] == 2.0
+
+
+def test_inference_graphs_declare_only_their_own_parameters():
+    model = MarModel(dataclasses.replace(TINY, head_kind="diffusion"), seed=0)
+    head_leaves = set(model.head._eval_graph(5).leaves)
+    backbone_leaves = set(model._repr_graph(2).leaves)
+    assert not any(name.startswith("backbone.") for name in head_leaves)
+    assert not any(name.startswith("head.") for name in backbone_leaves)
+    # every parameter is still bound (and so checked) by one of the two graphs
+    assert set(model.params.names()) <= head_leaves | backbone_leaves

@@ -6,8 +6,17 @@ cached in a per-call :class:`Evaluation`, which keeps graphs freely
 shareable across threads/processes; reverse-mode gradients and
 forward-mode directional derivatives both consume that cache.
 
-All reductions use numpy's fixed summation order, so identical graphs and
-bindings produce bit-identical outputs and gradients.
+Inference uses the output-only mode, ``evaluate(..., keep=False)``: the same
+node loop, kernels and binding checks, but the kernels keep no backward
+caches and each value is dropped after its last reader (a per-output table
+cached on the graph). Its Evaluation holds the output alone, and
+:func:`backward` and :func:`jvp` refuse it.
+
+A kernel writes only into buffers it allocated itself, never into an input
+or a view of one, and finishing a result in place runs the same
+floating-point operations in the same order. All reductions use numpy's
+fixed summation order, so identical graphs and bindings produce
+bit-identical outputs and gradients in either mode.
 
 Node kinds (each with a forward, a reverse and a forward-mode rule):
 
@@ -74,6 +83,7 @@ class Graph:
         self.nodes: list[Node] = []
         self.leaves: dict[str, Node] = {}
         self.output: Node | None = None
+        self._release_plans: dict[int, list[tuple[int, ...]]] = {}
 
     def _append(self, kind: str, inputs: tuple[Node, ...], shape: tuple[int, ...],
                 attrs: dict | None = None, needs_grad: bool | None = None) -> Node:
@@ -242,19 +252,10 @@ def stop_gradient(a: Node) -> Node:
 # ---------------------------------------------------------------------------
 # kernels
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # overflow-free identity sigma(x) = (1 + tanh(x/2)) / 2
-    return 0.5 * np.tanh(0.5 * x) + 0.5
-
-
-def _ln_stats(x: np.ndarray, eps: float):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    return xc, inv
-
-
-def _forward(kind: str, vals: list[np.ndarray], attrs: dict, aux: dict) -> np.ndarray:
+def _forward(kind: str, vals: list[np.ndarray], attrs: dict,
+             aux: dict | None) -> np.ndarray:
+    """One node's value. ``aux`` None (output-only evaluation) means: keep no
+    backward cache and finish the result in the kernel's own buffer."""
     if kind == "affine":
         out = vals[0] @ vals[1]
         out += vals[2]
@@ -270,17 +271,30 @@ def _forward(kind: str, vals: list[np.ndarray], attrs: dict, aux: dict) -> np.nd
     if kind == "scale":
         return vals[0] * attrs["c"]
     if kind == "silu":
-        s = _sigmoid(vals[0])
+        # overflow-free identity sigma(x) = 0.5 * tanh(0.5 * x) + 0.5
+        s = np.multiply(vals[0], 0.5)
+        np.tanh(s, out=s)
+        s *= 0.5
+        s += 0.5
+        if aux is None:
+            s *= vals[0]
+            return s
         aux["sig"] = s
         return vals[0] * s
     if kind == "layer_norm":
-        xc, inv = _ln_stats(vals[0], attrs["eps"])
+        x = vals[0]
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + attrs["eps"])
+        if aux is None:
+            xc *= inv
+            return xc
         aux["xc"], aux["inv"] = xc, inv
         return xc * inv
     if kind == "softmax":
-        z = vals[0] - vals[0].max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
+        e = vals[0] - vals[0].max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+        return e
     if kind == "mean":
         return np.asarray(vals[0].mean())
     if kind == "sum":
@@ -442,12 +456,14 @@ def _jvp_rule(kind: str, dv: list[np.ndarray], vals: list[np.ndarray],
 # execution
 
 class Evaluation:
-    """Cached forward pass of one graph on one set of bindings."""
+    """Forward pass of one graph on one set of bindings: every node value and
+    the kernels' backward caches, or, from ``evaluate(..., keep=False)``, the
+    output value alone with ``aux`` None."""
 
     __slots__ = ("graph", "values", "aux", "output_node")
 
     def __init__(self, graph: Graph, values: list[np.ndarray],
-                 aux: list[dict], output_node: Node):
+                 aux: list[dict] | None, output_node: Node):
         self.graph = graph
         self.values = values
         self.aux = aux
@@ -458,7 +474,10 @@ class Evaluation:
         return self.values[self.output_node.nid]
 
     def value(self, node: Node) -> np.ndarray:
-        return self.values[node.nid]
+        v = self.values[node.nid]
+        if v is None:
+            raise GraphError(f"node #{node.nid} ({node.kind}) has no value in this evaluation")
+        return v
 
 
 def _check_binding(name: str, arr, shape: tuple[int, ...]) -> np.ndarray:
@@ -470,9 +489,36 @@ def _check_binding(name: str, arr, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
+def _release_plan(graph: Graph, out_node: Node) -> list[tuple[int, ...]]:
+    """Per node up to ``out_node``: the values no later node reads.
+
+    Computed once per (graph, output) and cached on the graph; nodes appended
+    later lie beyond the output and cannot change it.
+    """
+    plan = graph._release_plans.get(out_node.nid)
+    if plan is None:
+        last = list(range(out_node.nid + 1))
+        for node in graph.nodes[: out_node.nid + 1]:
+            for i in node.inputs:
+                last[i] = node.nid
+        free: list[list[int]] = [[] for _ in last]
+        for nid, at in enumerate(last):
+            if nid != out_node.nid:
+                free[at].append(nid)
+        plan = [tuple(f) for f in free]
+        graph._release_plans[out_node.nid] = plan
+    return plan
+
+
 def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
-             output: Node | None = None) -> Evaluation:
-    """Forward pass; returns the per-call cache needed by :func:`backward`."""
+             output: Node | None = None, *, keep: bool = True) -> Evaluation:
+    """Forward pass; returns the per-call cache needed by :func:`backward`.
+
+    ``keep=False`` is the output-only mode for inference: the same node loop,
+    kernels and binding checks, but no backward caches, and each value is
+    dropped after its last consumer. Its Evaluation holds only the output;
+    :func:`backward` and :func:`jvp` refuse it.
+    """
     out_node = output or graph.output
     if out_node is None:
         raise GraphError("graph has no output node set")
@@ -480,7 +526,8 @@ def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
     if missing:
         raise GraphError(f"missing bindings for leaves: {sorted(missing)}")
     values: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
-    aux: list[dict] = [None] * len(graph.nodes)  # type: ignore[list-item]
+    aux: list[dict] | None = [None] * len(graph.nodes) if keep else None  # type: ignore[list-item]
+    release = None if keep else _release_plan(graph, out_node)
     for node in graph.nodes[: out_node.nid + 1]:
         if node.kind == "leaf":
             values[node.nid] = _check_binding(node.attrs["name"],
@@ -488,17 +535,28 @@ def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
         elif node.kind == "const":
             values[node.nid] = node.attrs["value"]
         else:
-            a: dict = {}
+            a = None if aux is None else {}
             values[node.nid] = _forward(node.kind, [values[i] for i in node.inputs],
                                         node.attrs, a)
-            aux[node.nid] = a
+            if aux is not None:
+                aux[node.nid] = a
+        if release is not None:
+            for nid in release[node.nid]:
+                values[nid] = None
     if not np.all(np.isfinite(values[out_node.nid])):
         raise NonFiniteError(f"output of node #{out_node.nid} ({out_node.kind}) is non-finite")
     return Evaluation(graph, values, aux, out_node)
 
 
+def _require_retained(run: Evaluation, what: str) -> None:
+    if run.aux is None:
+        raise GraphError(f"{what} needs a retained evaluation; this one was "
+                         "made with keep=False and holds only the output")
+
+
 def backward(run: Evaluation) -> dict[str, np.ndarray]:
     """Reverse pass over a cached forward; gradients for every grad leaf."""
+    _require_retained(run, "backward")
     graph, out = run.graph, run.output_node
     if int(np.prod(out.shape, dtype=np.int64)) != 1:
         raise GraphError(f"backward needs a scalar output, got shape {out.shape}")
@@ -532,6 +590,7 @@ def jvp(graph: Graph, bindings: dict[str, np.ndarray],
         raise GraphError("graph has no output node set")
     if run is None:
         run = evaluate(graph, bindings, out_node)
+    _require_retained(run, "jvp")
     influencing = _ancestor_leaves(graph, out_node)
     missing = influencing - set(tangents)
     if missing:

@@ -115,12 +115,8 @@ def energy_loss_m(samples, y) -> float:
     return (2.0 / m) * attract - (2.0 / (m * (m - 1))) * repel
 
 
-def build_energy_rows_pair(x1: G.Node, x2: G.Node, y: G.Node) -> G.Node:
-    """Per-row pair loss node: shape (rows,)."""
-    return G.row_norm(x1 - y) + G.row_norm(x2 - y) - G.scale(G.row_norm(x1 - x2), 1.0)
-
-
 def build_energy_rows_m(samples: list[G.Node], y: G.Node) -> G.Node:
+    """Per-row loss node of :func:`energy_loss_m`: shape (rows,)."""
     m = len(samples)
     if m < 2:
         raise G.GraphError("energy loss needs at least 2 samples")
@@ -242,9 +238,7 @@ def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
         samples = [G.narrow(stacked, 0, i * n_rows, n_rows) for i in range(m)]
         for i, x in enumerate(samples):
             taps[f"x{i}"] = x
-        rows = build_energy_rows_m(samples, aux["y"]) if m > 2 \
-            else build_energy_rows_pair(samples[0], samples[1], aux["y"])
-        return rows, taps
+        return build_energy_rows_m(samples, aux["y"]), taps
 
     feats = [aux[n] for n in ("t0", "t1") if n in aux]
     cond = G.concat([context] + feats, axis=1)
@@ -297,7 +291,8 @@ class Head:
     def forward_values(self, inp: np.ndarray, cond: np.ndarray) -> np.ndarray:
         g = self._eval_graph(len(inp))
         self.forward_rows += len(inp)
-        return G.evaluate(g, {"inp": inp, "cond": cond, **self._own_params.bindings()}).output
+        return G.evaluate(g, {"inp": inp, "cond": cond, **self._own_params.bindings()},
+                          keep=False).output
 
     def forward_with_jvp(self, inp, cond, d_inp, d_cond) -> tuple[np.ndarray, np.ndarray]:
         """(output, directional derivative) sharing one forward pass."""

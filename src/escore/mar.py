@@ -17,14 +17,11 @@ from . import graph as G
 from . import nn
 from .data import N_CLASSES, conditional_sequences, stack_sequences
 from .heads import Head, HeadConfig, build_loss_rows, declare_loss_leaves
+from .nn import TrainingError
 from .rng import Stream
 
 NULL_CLASS = -1          # sentinel for the CFG unconditional pass
 PREFIX_TOKENS = 2        # conditioning rows prepended to the latent tokens
-
-
-class TrainingError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -243,7 +240,7 @@ class MarModel:
                     **self._backbone_params.bindings()}
         self.backbone_forwards += 1
         label = None if len(set(class_ids.tolist())) != 1 else int(class_ids[0])
-        h = G.evaluate(g, bindings).output
+        h = G.evaluate(g, bindings, keep=False).output
         return ContextualRepresentation(h, origin, label)
 
     # -- masked training ------------------------------------------------------

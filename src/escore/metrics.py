@@ -116,7 +116,8 @@ def gaussian_energy_oracle(mu: float) -> float:
 
 def median_pairwise_distance(points: np.ndarray) -> float:
     d = pdist(np.asarray(points, dtype=np.float64))
-    return float(np.median(d)) if d.size else 0.0
+    # d is this call's own buffer, so the median may partition it in place
+    return float(np.median(d, overwrite_input=True)) if d.size else 0.0
 
 
 def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:
@@ -141,10 +142,14 @@ def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:
         raise ValueError(f"degenerate kernel bandwidth {sigma!r} (pooled points "
                          "may be identical); pass an explicit bandwidth")
     inv = -0.5 / (sigma * sigma)
-    kxx = np.exp(inv * cdist(xp, xp, "sqeuclidean"))
-    kyy = np.exp(inv * cdist(yp, yp, "sqeuclidean"))
-    kxy = np.exp(inv * cdist(xp, yp, "sqeuclidean"))
-    return float(kxx.mean() + kyy.mean() - 2.0 * kxy.mean()), sigma
+
+    def kernel_mean(a: np.ndarray, b: np.ndarray) -> float:
+        k = cdist(a, b, "sqeuclidean")    # one buffer per kernel matrix
+        k *= inv
+        np.exp(k, out=k)
+        return k.mean()
+
+    return float(kernel_mean(xp, xp) + kernel_mean(yp, yp) - 2.0 * kernel_mean(xp, yp)), sigma
 
 
 def wasserstein_assignment(x, y, order: int = 1) -> float:

@@ -22,6 +22,11 @@ class NonFiniteGradientError(FloatingPointError):
     """Adam received a NaN/Inf gradient; carries the parameter name."""
 
 
+class TrainingError(RuntimeError):
+    """Non-finite loss or gradient in a training step; the message names the
+    head kind and the step."""
+
+
 @dataclass
 class Parameter:
     name: str

@@ -13,11 +13,8 @@ from . import data
 from . import graph as G
 from . import nn
 from .heads import Head, HeadConfig, build_loss_rows, declare_loss_leaves
+from .nn import TrainingError
 from .rng import Stream
-
-
-class TrainingError(RuntimeError):
-    """Non-finite loss or gradient; message carries (kind, step)."""
 
 
 @dataclass(frozen=True)

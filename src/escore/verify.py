@@ -13,8 +13,8 @@ import numpy as np
 
 from . import graph as G
 from . import nn
-from .heads import HEAD_KINDS, Head, HeadConfig, build_energy_rows_m, \
-    build_energy_rows_pair, build_loss_rows, declare_loss_leaves
+from .heads import HEAD_KINDS, Head, HeadConfig, build_energy_rows_m, build_loss_rows, \
+    declare_loss_leaves
 from .rng import Stream
 
 FD_TOL = 1e-5
@@ -180,7 +180,7 @@ def _composite_cases():
         x1 = g.leaf("x1", (2, 3), grad=True)
         x2 = g.leaf("x2", (2, 3), grad=True)
         y = g.leaf("y", (2, 3))
-        return G.total(build_energy_rows_pair(x1, x2, y))
+        return G.total(build_energy_rows_m([x1, x2], y))
 
     def energy_pair_point(s):
         return {"x1": s.child("x1").normal((2, 3)), "x2": s.child("x2").normal((2, 3)),

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escore import graph as G
-from escore import nn
+from escore import heads, nn, verify
+from escore.mar import MarConfig, MarModel
 from escore.rng import Stream
 
 
@@ -318,3 +319,169 @@ def test_linear_emits_one_affine_node():
     assert [n.kind for n in g.nodes[3:]] == ["affine"] and out.shape == (2, 4, 5)
     nn.linear(x, g.leaf("w2", (3, 5)))
     assert g.nodes[-1].kind == "matmul"
+
+
+# ---------------------------------------------------------------------------
+# output-only evaluation (keep=False)
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(verify._primitive_cases()))
+def test_output_only_equals_retained_on_primitive_cases(name):
+    build, point = verify._primitive_cases()[name]
+    for trial in range(5):
+        s = Stream.from_seed(trial, f"keep/{name}")
+        g = G.Graph()
+        out = build(g, s)
+        reduced = verify._mix_reduce(g, out, s)
+        pt = point(s)
+        for node in (out, reduced):
+            full = G.evaluate(g, pt, node).output
+            assert _same_bits(G.evaluate(g, pt, node, keep=False).output, full)
+
+
+def _randomize(params, seed: int) -> None:
+    s = Stream.from_seed(seed, "randomize")
+    for name, p in params.items():
+        p.value = 0.3 * s.child(name).normal(p.value.shape)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(heads.HEAD_KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_output_only_equals_retained_on_head_eval_graph(kind, rows, seed):
+    head = heads.Head(heads.HeadConfig(kind=kind, width=16, depth=2), seed=0)
+    _randomize(head.params, seed)
+    s = Stream.from_seed(seed, "inputs")
+    inp = s.child("inp").normal((rows, head.cfg.input_dim))
+    cond = s.child("cond").normal((rows, head.cfg.cond_dim))
+    full = G.evaluate(head._eval_graph(rows),
+                      {"inp": inp, "cond": cond, **head.params.bindings()}).output
+    assert _same_bits(head.forward_values(inp, cond), full)
+
+
+@pytest.mark.parametrize("bsz", [1, 3])
+def test_output_only_equals_retained_on_backbone_graph(bsz, monkeypatch):
+    cfg = MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                    head_width=16, head_depth=1)
+    model = MarModel(cfg, seed=bsz)
+    _randomize(model.params, bsz)
+    runs = []
+    real = G.evaluate
+
+    def spy(graph, bindings, output=None, *, keep=True):
+        run = real(graph, bindings, output, keep=keep)
+        runs.append((keep, run.output, real(graph, bindings, output).output))
+        return run
+
+    monkeypatch.setattr(G, "evaluate", spy)
+    s = Stream.from_seed(bsz, "batch")
+    latents = s.child("latents").normal((bsz, cfg.seq_len, cfg.latent_dim))
+    masked = s.child("mask").uniform((bsz, cfg.seq_len)) < 0.5
+    h = model.represent(latents, masked, np.arange(bsz) % cfg.n_classes).h
+    [(keep, out, full)] = runs
+    assert not keep and out is h
+    assert _same_bits(out, full)
+
+
+def _reference_layer_norm(x):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    return xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + G.LAYER_NORM_EPS))
+
+
+def _reference_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+REFERENCE_KERNELS = {
+    "silu": (G.silu, lambda x: x * (0.5 * np.tanh(0.5 * x) + 0.5)),
+    "layer_norm": (G.layer_norm, _reference_layer_norm),
+    "softmax": (G.softmax, _reference_softmax),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(REFERENCE_KERNELS)),
+       st.lists(st.integers(1, 6), min_size=1, max_size=3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_in_place_kernels_equal_their_reference_formulas(kind, shape, transposed, seed):
+    """Same operations in the same order, also on a non-contiguous (view) input."""
+    op, reference = REFERENCE_KERNELS[kind]
+    x = 3.0 * Stream.from_seed(seed, "x").normal(tuple(shape))
+    g = G.Graph()
+    node = g.leaf("x", x.shape)
+    if transposed:
+        node = G.transpose(node, tuple(reversed(range(x.ndim))))
+    g.set_output(op(node))
+    expect = reference(np.transpose(x) if transposed else x)
+    for keep in (True, False):
+        assert _same_bits(G.evaluate(g, {"x": x}, keep=keep).output, expect)
+
+
+def _layer_chain():
+    g = G.Graph()
+    x = g.leaf("x", (3, 5), grad=True)
+    h = G.scale(x, 1.3)
+    fed = [op(src) for src in (x, h) for op in (G.silu, G.layer_norm, G.softmax)]
+    fed.append(x * h)             # both sources are read again after the kernels
+    g.set_output(G.sum_sq(G.concat(fed, axis=1)))
+    return g, h
+
+
+def test_output_only_evaluation_holds_only_the_output():
+    g, h = _layer_chain()
+    pt = {"x": Stream.from_seed(0, "x").normal((3, 5))}
+    run = G.evaluate(g, pt, keep=False)
+    assert run.aux is None
+    assert [nid for nid, v in enumerate(run.values) if v is not None] == [g.output.nid]
+    assert _same_bits(run.output, G.evaluate(g, pt).output)
+    with pytest.raises(G.GraphError, match="no value"):
+        run.value(h)
+    with pytest.raises(G.GraphError, match="retained"):
+        G.backward(run)
+    with pytest.raises(G.GraphError, match="retained"):
+        G.jvp(g, pt, {"x": np.ones((3, 5))}, run=run)
+
+
+def test_release_plan_frees_each_value_after_its_last_reader():
+    g = G.Graph()
+    x = g.leaf("x", (2,))
+    y = G.silu(x)
+    z = x * y
+    G.scale(x, 2.0)               # read by nothing: freed right after it is made
+    g.set_output(G.total(z))
+    assert G._release_plan(g, g.output) == [(), (), (1,), (0, 3), (2,)]
+    assert G._release_plan(g, g.output) is G._release_plan(g, g.output)
+    assert G._release_plan(g, z) == [(), (), (0, 1)]
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_kernels_never_write_into_their_inputs(keep, monkeypatch):
+    g, _ = _layer_chain()
+    x = Stream.from_seed(1, "x").normal((3, 5))
+    x_before = x.copy()
+    produced = []
+    real = G._forward
+
+    def checked(kind, vals, attrs, aux):
+        before = [v.copy() for v in vals]
+        out = real(kind, vals, attrs, aux)
+        assert all(_same_bits(v, b) for v, b in zip(vals, before)), kind
+        produced.append((out.copy(), {k: v.copy() for k, v in (aux or {}).items()}))
+        return out
+
+    monkeypatch.setattr(G, "_forward", checked)
+    run = G.evaluate(g, {"x": x}, keep=keep)
+    assert _same_bits(x, x_before)
+    if keep:
+        G.backward(run)
+        G.jvp(g, {"x": x}, {"x": np.ones((3, 5))}, run=run)
+        computed = [n.nid for n in g.nodes if n.kind not in ("leaf", "const")]
+        assert len(computed) == len(produced)
+        for nid, (value, cache) in zip(computed, produced):
+            assert _same_bits(run.values[nid], value)
+            assert all(_same_bits(run.aux[nid][k], v) for k, v in cache.items())
+        assert _same_bits(run.values[0], x_before)

@@ -70,7 +70,7 @@ def test_energy_pair_gradient_matches_fd():
     x1 = g.leaf("x1", (1, 2), grad=True)
     x2 = g.leaf("x2", (1, 2), grad=True)
     y = g.leaf("y", (1, 2))
-    g.set_output(G.total(heads.build_energy_rows_pair(x1, x2, y)))
+    g.set_output(G.total(heads.build_energy_rows_m([x1, x2], y)))
     pt = {"x1": [[0.4, -1.2]], "x2": [[1.0, 0.7]], "y": [[-0.3, 0.2]]}
     assert G.grad_check(g, pt, step=1e-6) <= 1e-5
 

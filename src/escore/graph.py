@@ -6,6 +6,22 @@ cached in a per-call :class:`Evaluation`, which keeps graphs freely
 shareable across threads/processes; reverse-mode gradients and
 forward-mode directional derivatives both consume that cache.
 
+A retained evaluation (the default, ``keep=True``) keeps a value only while
+a rule still reads it. Each value is dropped after its last forward reader
+unless it is in the retention set (a per-output table cached on the graph):
+
+- leaves, consts, the output and every 0-d node;
+- the inputs of ``affine``, ``matmul``, ``mul``, ``sum_sq`` and ``row_norm``,
+  whose backward and jvp rules read them;
+- the outputs of ``softmax``, ``row_norm``, ``silu`` and ``layer_norm``,
+  whose rules read them (``layer_norm`` uses its output as ``xhat``).
+
+Every other rule needs at most a shape, which it takes from the graph. The
+kernel caches are ``silu``'s sigmoid and ``layer_norm``'s inverse standard
+deviation. :func:`backward` drops each non-leaf adjoint as soon as its node's
+rule has consumed it; it never writes into the Evaluation, so :func:`jvp` can
+reuse the same run afterwards.
+
 Inference uses the output-only mode, ``evaluate(..., keep=False)``: the same
 node loop, kernels and binding checks, but the kernels keep no backward
 caches and each value is dropped after its last reader (a per-output table
@@ -32,6 +48,7 @@ Node kinds (each with a forward, a reverse and a forward-mode rule):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -83,7 +100,7 @@ class Graph:
         self.nodes: list[Node] = []
         self.leaves: dict[str, Node] = {}
         self.output: Node | None = None
-        self._release_plans: dict[int, list[tuple[int, ...]]] = {}
+        self._release_plans: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
 
     def _append(self, kind: str, inputs: tuple[Node, ...], shape: tuple[int, ...],
                 attrs: dict | None = None, needs_grad: bool | None = None) -> Node:
@@ -285,11 +302,10 @@ def _forward(kind: str, vals: list[np.ndarray], attrs: dict,
         x = vals[0]
         xc = x - x.mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + attrs["eps"])
-        if aux is None:
-            xc *= inv
-            return xc
-        aux["xc"], aux["inv"] = xc, inv
-        return xc * inv
+        if aux is not None:
+            aux["inv"] = inv
+        xc *= inv
+        return xc
     if kind == "softmax":
         e = vals[0] - vals[0].max(axis=-1, keepdims=True)
         np.exp(e, out=e)
@@ -340,10 +356,17 @@ def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[np.ndarra
     return [ga, gb]
 
 
-def _backward(kind: str, g: np.ndarray, vals: list[np.ndarray],
-              out: np.ndarray, attrs: dict, aux: dict) -> list[np.ndarray | None]:
+def _input_shape(node: Node, i: int = 0) -> tuple[int, ...]:
+    return node.graph.nodes[node.inputs[i]].shape
+
+
+def _backward(node: Node, g: np.ndarray, vals: list[np.ndarray | None],
+              out: np.ndarray | None, aux: dict) -> list[np.ndarray | None]:
+    """Input adjoints of one node. ``vals`` and ``out`` hold only what
+    :func:`_retained` keeps; a rule that needs a shape takes it from the graph."""
+    kind, attrs = node.kind, node.attrs
     if kind == "affine":
-        return _matmul_grads(g, vals[0], vals[1]) + [_unbroadcast(g, vals[2].shape)]
+        return _matmul_grads(g, vals[0], vals[1]) + [_unbroadcast(g, _input_shape(node, 2))]
     if kind == "matmul":
         return _matmul_grads(g, vals[0], vals[1])
     if kind == "add":
@@ -356,9 +379,9 @@ def _backward(kind: str, g: np.ndarray, vals: list[np.ndarray],
         return [g * attrs["c"]]
     if kind == "silu":
         s = aux["sig"]
-        return [g * (s + vals[0] * s * (1.0 - s))]
+        return [g * (s + out * (1.0 - s))]
     if kind == "layer_norm":
-        xhat = aux["xc"] * aux["inv"]
+        xhat = out
         gm = g.mean(axis=-1, keepdims=True)
         gx = (g * xhat).mean(axis=-1, keepdims=True)
         return [(g - gm - xhat * gx) * aux["inv"]]
@@ -366,9 +389,10 @@ def _backward(kind: str, g: np.ndarray, vals: list[np.ndarray],
         dot = (g * out).sum(axis=-1, keepdims=True)
         return [out * (g - dot)]
     if kind == "mean":
-        return [np.full(vals[0].shape, float(g) / vals[0].size)]
+        shape = _input_shape(node)
+        return [np.full(shape, float(g) / math.prod(shape))]
     if kind == "sum":
-        return [np.full(vals[0].shape, float(g))]
+        return [np.full(_input_shape(node), float(g))]
     if kind == "sum_sq":
         return [2.0 * float(g) * vals[0]]
     if kind == "row_norm":
@@ -376,22 +400,23 @@ def _backward(kind: str, g: np.ndarray, vals: list[np.ndarray],
     if kind == "concat":
         axis = attrs["axis"]
         grads, start = [], 0
-        for v in vals:
+        for i in range(len(node.inputs)):
+            width = _input_shape(node, i)[axis]
             sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + v.shape[axis])
+            sl[axis] = slice(start, start + width)
             grads.append(g[tuple(sl)])
-            start += v.shape[axis]
+            start += width
         return grads
     if kind == "narrow":
-        gin = np.zeros_like(vals[0])
+        gin = np.zeros(_input_shape(node))
         sl = [slice(None)] * gin.ndim
         sl[attrs["axis"]] = slice(attrs["start"], attrs["start"] + attrs["length"])
         gin[tuple(sl)] = g
         return [gin]
     if kind == "broadcast":
-        return [_unbroadcast(g, vals[0].shape)]
+        return [_unbroadcast(g, _input_shape(node))]
     if kind == "reshape":
-        return [g.reshape(vals[0].shape)]
+        return [g.reshape(_input_shape(node))]
     if kind == "transpose":
         inv = np.argsort(attrs["axes"])
         return [np.transpose(g, inv)]
@@ -400,8 +425,10 @@ def _backward(kind: str, g: np.ndarray, vals: list[np.ndarray],
     raise GraphError(f"unknown node kind {kind!r}")
 
 
-def _jvp_rule(kind: str, dv: list[np.ndarray], vals: list[np.ndarray],
-              out: np.ndarray, attrs: dict, aux: dict) -> np.ndarray:
+def _jvp_rule(node: Node, dv: list[np.ndarray], vals: list[np.ndarray | None],
+              out: np.ndarray | None, aux: dict) -> np.ndarray:
+    """Output tangent of one node; reads the same retained values as :func:`_backward`."""
+    kind, attrs = node.kind, node.attrs
     if kind == "affine":
         t = dv[0] @ vals[1] + vals[0] @ dv[1]
         t += dv[2]
@@ -418,9 +445,9 @@ def _jvp_rule(kind: str, dv: list[np.ndarray], vals: list[np.ndarray],
         return dv[0] * attrs["c"]
     if kind == "silu":
         s = aux["sig"]
-        return dv[0] * (s + vals[0] * s * (1.0 - s))
+        return dv[0] * (s + out * (1.0 - s))
     if kind == "layer_norm":
-        xhat = aux["xc"] * aux["inv"]
+        xhat = out
         dm = dv[0].mean(axis=-1, keepdims=True)
         dx = (dv[0] * xhat).mean(axis=-1, keepdims=True)
         return (dv[0] - dm - xhat * dx) * aux["inv"]
@@ -448,7 +475,7 @@ def _jvp_rule(kind: str, dv: list[np.ndarray], vals: list[np.ndarray],
     if kind == "transpose":
         return np.transpose(dv[0], attrs["axes"]).copy()
     if kind == "stop_gradient":
-        return np.zeros_like(out)
+        return np.zeros(node.shape)
     raise GraphError(f"unknown node kind {kind!r}")
 
 
@@ -456,9 +483,9 @@ def _jvp_rule(kind: str, dv: list[np.ndarray], vals: list[np.ndarray],
 # execution
 
 class Evaluation:
-    """Forward pass of one graph on one set of bindings: every node value and
-    the kernels' backward caches, or, from ``evaluate(..., keep=False)``, the
-    output value alone with ``aux`` None."""
+    """Forward pass of one graph on one set of bindings: the retained values
+    (see the module docstring) and the kernels' backward caches, or, from
+    ``evaluate(..., keep=False)``, the output value alone with ``aux`` None."""
 
     __slots__ = ("graph", "values", "aux", "output_node")
 
@@ -489,24 +516,43 @@ def _check_binding(name: str, arr, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _release_plan(graph: Graph, out_node: Node) -> list[tuple[int, ...]]:
-    """Per node up to ``out_node``: the values no later node reads.
+# kinds whose backward and jvp rules read their inputs' values / their own output
+_READS_INPUTS = frozenset({"affine", "matmul", "mul", "sum_sq", "row_norm"})
+_READS_OUTPUT = frozenset({"softmax", "row_norm", "silu", "layer_norm"})
 
-    Computed once per (graph, output) and cached on the graph; nodes appended
-    later lie beyond the output and cannot change it.
+
+def _retained(graph: Graph, out_node: Node) -> set[int]:
+    """Ids of the values a retained evaluation keeps for :func:`backward` and
+    :func:`jvp` (the retention set of the module docstring)."""
+    held = {out_node.nid}
+    for node in graph.nodes[: out_node.nid + 1]:
+        if node.kind in ("leaf", "const") or not node.shape or node.kind in _READS_OUTPUT:
+            held.add(node.nid)
+        if node.kind in _READS_INPUTS:
+            held.update(node.inputs)
+    return held
+
+
+def _release_plan(graph: Graph, out_node: Node, keep: bool = False) -> list[tuple[int, ...]]:
+    """Per node up to ``out_node``: the values no later node reads, less the
+    output (and, with ``keep``, less the :func:`_retained` set).
+
+    Computed once per (graph, output, keep) and cached on the graph; nodes
+    appended later lie beyond the output and cannot change it.
     """
-    plan = graph._release_plans.get(out_node.nid)
+    plan = graph._release_plans.get((out_node.nid, keep))
     if plan is None:
+        held = _retained(graph, out_node) if keep else {out_node.nid}
         last = list(range(out_node.nid + 1))
         for node in graph.nodes[: out_node.nid + 1]:
             for i in node.inputs:
                 last[i] = node.nid
         free: list[list[int]] = [[] for _ in last]
         for nid, at in enumerate(last):
-            if nid != out_node.nid:
+            if nid not in held:
                 free[at].append(nid)
         plan = [tuple(f) for f in free]
-        graph._release_plans[out_node.nid] = plan
+        graph._release_plans[(out_node.nid, keep)] = plan
     return plan
 
 
@@ -514,9 +560,11 @@ def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
              output: Node | None = None, *, keep: bool = True) -> Evaluation:
     """Forward pass; returns the per-call cache needed by :func:`backward`.
 
+    Each value is dropped after its last consumer unless a rule of
+    :func:`backward` or :func:`jvp` reads it later (see :func:`_retained`).
     ``keep=False`` is the output-only mode for inference: the same node loop,
-    kernels and binding checks, but no backward caches, and each value is
-    dropped after its last consumer. Its Evaluation holds only the output;
+    kernels and binding checks, but no backward caches, and every value but
+    the output is dropped. Its Evaluation holds only the output;
     :func:`backward` and :func:`jvp` refuse it.
     """
     out_node = output or graph.output
@@ -527,7 +575,7 @@ def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
         raise GraphError(f"missing bindings for leaves: {sorted(missing)}")
     values: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
     aux: list[dict] | None = [None] * len(graph.nodes) if keep else None  # type: ignore[list-item]
-    release = None if keep else _release_plan(graph, out_node)
+    release = _release_plan(graph, out_node, keep)
     for node in graph.nodes[: out_node.nid + 1]:
         if node.kind == "leaf":
             values[node.nid] = _check_binding(node.attrs["name"],
@@ -540,9 +588,8 @@ def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
                                         node.attrs, a)
             if aux is not None:
                 aux[node.nid] = a
-        if release is not None:
-            for nid in release[node.nid]:
-                values[nid] = None
+        for nid in release[node.nid]:
+            values[nid] = None
     if not np.all(np.isfinite(values[out_node.nid])):
         raise NonFiniteError(f"output of node #{out_node.nid} ({out_node.kind}) is non-finite")
     return Evaluation(graph, values, aux, out_node)
@@ -555,7 +602,11 @@ def _require_retained(run: Evaluation, what: str) -> None:
 
 
 def backward(run: Evaluation) -> dict[str, np.ndarray]:
-    """Reverse pass over a cached forward; gradients for every grad leaf."""
+    """Reverse pass over a cached forward; gradients for every grad leaf.
+
+    Each non-leaf adjoint is dropped as soon as its node's rule has consumed
+    it, so the sweep holds only the adjoints still waiting for their node.
+    """
     _require_retained(run, "backward")
     graph, out = run.graph, run.output_node
     if int(np.prod(out.shape, dtype=np.int64)) != 1:
@@ -566,13 +617,15 @@ def backward(run: Evaluation) -> dict[str, np.ndarray]:
         g = adj[node.nid]
         if g is None or not node.inputs:
             continue
-        vals = [run.values[i] for i in node.inputs]
-        grads = _backward(node.kind, g, vals, run.values[node.nid], node.attrs,
-                          run.aux[node.nid])
+        adj[node.nid] = None
+        grads = _backward(node, g, [run.values[i] for i in node.inputs],
+                          run.values[node.nid], run.aux[node.nid])
+        del g   # the loop's own references would keep consumed adjoints alive
         for nid, gin in zip(node.inputs, grads):
             if gin is None or not graph.nodes[nid].needs_grad:
                 continue
             adj[nid] = gin if adj[nid] is None else adj[nid] + gin
+        del grads, gin
     out_grads = {}
     for name, leaf in graph.leaves.items():
         if leaf.needs_grad:
@@ -606,10 +659,9 @@ def jvp(graph: Graph, bindings: dict[str, np.ndarray],
         elif node.kind == "const":
             tans[node.nid] = np.zeros(node.shape)
         else:
-            tans[node.nid] = _jvp_rule(node.kind, [tans[i] for i in node.inputs],
+            tans[node.nid] = _jvp_rule(node, [tans[i] for i in node.inputs],
                                        [run.values[i] for i in node.inputs],
-                                       run.values[node.nid], node.attrs,
-                                       run.aux[node.nid])
+                                       run.values[node.nid], run.aux[node.nid])
     return tans[out_node.nid]
 
 

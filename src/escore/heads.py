@@ -224,9 +224,8 @@ def declare_loss_leaves(g: G.Graph, cfg: HeadConfig, rows: int,
 
 
 def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
-                    context: G.Node, aux: dict[str, G.Node]) -> tuple[G.Node, dict[str, G.Node]]:
-    """Per-row loss node (rows,) plus named intermediates (head samples)."""
-    taps: dict[str, G.Node] = {}
+                    context: G.Node, aux: dict[str, G.Node]) -> G.Node:
+    """Per-row loss node (rows,)."""
     if cfg.kind == "energy":
         # one stacked forward for all m samples (rows repeat per noise draw)
         m = cfg.m_samples
@@ -236,14 +235,11 @@ def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
             G.concat([context] * m, axis=0),
             G.concat([aux[f"n{i}"] for i in range(m)], axis=0))
         samples = [G.narrow(stacked, 0, i * n_rows, n_rows) for i in range(m)]
-        for i, x in enumerate(samples):
-            taps[f"x{i}"] = x
-        return build_energy_rows_m(samples, aux["y"]), taps
+        return build_energy_rows_m(samples, aux["y"])
 
     feats = [aux[n] for n in ("t0", "t1") if n in aux]
     cond = G.concat([context] + feats, axis=1)
     pred = build_head(cfg, leaves, prefix, aux["zt"], cond)
-    taps["pred"] = pred
     target = {"diffusion": "eps", "flow": "vel",
               "shortcut": "target", "meanflow": "target"}[cfg.kind]
     diff = pred - aux[target]
@@ -253,7 +249,7 @@ def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
     rows = G.scale(sq_rows, 1.0 / cfg.latent_dim)
     if "roww" in aux:
         rows = rows * aux["roww"]   # adaptive weights, constant to the gradient
-    return rows, taps
+    return rows
 
 
 class Head:
@@ -484,7 +480,5 @@ class Head:
         info = manifest["extra"]
         cfg = HeadConfig(**info["head_config"])
         head = cls(cfg, seed=manifest["seed"], prefix=info.get("prefix", "head"))
-        for name, arr in values.items():
-            if name in head.params:
-                head.params[name].value = arr
+        head.params.assign(values, path)
         return head

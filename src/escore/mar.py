@@ -270,7 +270,7 @@ class MarModel:
 
         h = self.backbone.build(leaves, latents, mask, onehot)
         h_rows = G.reshape(h, (rows, cfg.hidden_dim))
-        loss_rows, _ = build_loss_rows(self.head.cfg, leaves, "head", h_rows, aux)
+        loss_rows = build_loss_rows(self.head.cfg, leaves, "head", h_rows, aux)
         energy_term = G.total(loss_rows * weight) * winv
         nodes = {"energy": energy_term, "h": h}
         if with_teacher:
@@ -430,8 +430,7 @@ class MarModel:
         manifest, values = nn.load_checkpoint(path)
         cfg = MarConfig(**manifest["extra"]["mar_config"])
         model = cls(cfg, seed=manifest["seed"])
-        for name, arr in values.items():
-            model.params[name].value = arr
+        model.params.assign(values, path)
         return model
 
 

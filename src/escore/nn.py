@@ -75,6 +75,26 @@ class ParameterSet:
         return {name: g.leaf(name, p.value.shape, grad=trainable)
                 for name, p in self._params.items()}
 
+    def assign(self, values: dict[str, np.ndarray], source) -> None:
+        """Sets every parameter from a loaded checkpoint, strictly: the names
+        must match exactly and each shape must equal the registered one.
+        Raises ValueError naming ``source`` and the offending parameter."""
+        missing = [name for name in self._params if name not in values]
+        if missing:
+            raise ValueError(f"{source}: checkpoint has no value for parameter {missing[0]!r}"
+                             f" ({len(missing)} missing)")
+        unknown = [name for name in values if name not in self._params]
+        if unknown:
+            raise ValueError(f"{source}: checkpoint has unknown parameter {unknown[0]!r}"
+                             f" ({len(unknown)} unknown)")
+        for name, arr in values.items():
+            expected = self._params[name].value.shape
+            if arr.shape != expected:
+                raise ValueError(f"{source}: parameter {name!r} has shape {arr.shape}, "
+                                 f"expected {expected}")
+        for name, arr in values.items():
+            self._params[name].value = arr
+
     def subset(self, keep) -> "ParameterSet":
         """View over selected parameters (shared Parameter objects)."""
         sub = ParameterSet()
@@ -265,4 +285,6 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             if len(buf) != 8 * count:
                 raise ValueError(f"truncated payload for {entry['name']!r}")
             values[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last parameter")
     return manifest, values

@@ -53,7 +53,7 @@ class ToyHeadModel:
         leaves = self.params.declare_leaves(g, trainable=True)
         aux = declare_loss_leaves(g, self.cfg, batch)
         ctx = G.broadcast_to(leaves["context"], (batch, self.cfg.context_dim))
-        rows, _ = build_loss_rows(self.cfg, leaves, self.head.prefix, ctx, aux)
+        rows = build_loss_rows(self.cfg, leaves, self.head.prefix, ctx, aux)
         g.set_output(G.mean(rows))
         self._train_graph = (batch, g)
         return g
@@ -100,6 +100,5 @@ class ToyHeadModel:
         manifest, values = nn.load_checkpoint(path)
         cfg = HeadConfig(**manifest["extra"]["head_config"])
         model = cls(cfg, seed=manifest["seed"])
-        for name, arr in values.items():
-            model.params[name].value = arr
+        model.params.assign(values, path)
         return model

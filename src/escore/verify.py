@@ -258,7 +258,7 @@ def _head_loss_case(kind: str):
                   for name, p in head.params.items()}
         aux = declare_loss_leaves(g, cfg, 2)
         ctx = g.leaf("ctx", (2, 3), grad=True)
-        rows, _ = build_loss_rows(cfg, leaves, "head", ctx, aux)
+        rows = build_loss_rows(cfg, leaves, "head", ctx, aux)
         return G.mean(rows)
 
     def point(s):

@@ -204,16 +204,18 @@ def test_gradcheck_smoke(capsys):
     assert "affine(2-d)" in out and "affine(3-d)" in out
 
 
+TINY_COMPARE = ["--set", "compare.seeds=[1]",
+                "--set", 'compare.steps_by_method={"energy":6,"diffusion":6,'
+                         '"flow":6,"shortcut":6,"meanflow":6}',
+                "--set", "compare.sample_n=64",
+                "--set", "compare.multi_steps=[4,100]",
+                "--set", "head.width=16", "--set", "head.depth=1",
+                "--set", "train.batch=16", "--set", "data.pool=256"]
+
+
 def test_compare_swissroll_tiny(tmp_path):
     out = tmp_path / "cmp"
-    rc = main(["compare-swissroll", "--out", str(out),
-               "--set", "compare.seeds=[1]",
-               "--set", 'compare.steps_by_method={"energy":6,"diffusion":6,'
-                        '"flow":6,"shortcut":6,"meanflow":6}',
-               "--set", "compare.sample_n=64",
-               "--set", "compare.multi_steps=[4,100]",
-               "--set", "head.width=16", "--set", "head.depth=1",
-               "--set", "train.batch=16", "--set", "data.pool=256"])
+    rc = main(["compare-swissroll", "--out", str(out)] + TINY_COMPARE)
     assert rc == 0
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) - 1 == 9   # 5 one-step + diffusion/flow at 4 and 100 steps
@@ -236,6 +238,60 @@ def test_decode_rejects_non_finite_weight_naming_the_leaf(tmp_path, capsys, para
     assert param in capsys.readouterr().err
 
 
+BAD_CHECKPOINTS = {   # defect -> (edit of the saved values, cause printed)
+    "missing": (lambda values, name: {k: v for k, v in values.items() if k != name},
+                "no value for parameter {name!r}"),
+    "unknown": (lambda values, name: {**values, "stray.w": np.zeros(3)},
+                "unknown parameter 'stray.w'"),
+    "shape": (lambda values, name: {**values, name: np.zeros((2, 2))},
+              "parameter {name!r} has shape (2, 2)"),
+    "trailing": (None, "trailing bytes"),
+}
+
+
+def _spoil(path, defect, name):
+    """Saves the checkpoint again with one defect; returns the expected cause."""
+    from escore import nn
+    edit, cause = BAD_CHECKPOINTS[defect]
+    if edit is None:
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
+        return cause
+    manifest, values = nn.load_checkpoint(path)
+    params = nn.ParameterSet()
+    for key, arr in edit(values, name).items():
+        params.add(key, arr)
+    nn.save_checkpoint(path, params, config_digest=manifest["config_digest"],
+                       seed=manifest["seed"], step=manifest["step"], extra=manifest["extra"])
+    return cause.format(name=name)
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_CHECKPOINTS))
+def test_sample_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defect):
+    from escore.heads import HeadConfig
+    from escore.swiss import ToyHeadModel
+    ckpt = tmp_path / "head.ckpt"
+    ToyHeadModel(HeadConfig(kind="energy", width=8, depth=1), seed=0).save(ckpt)
+    cause = _spoil(ckpt, defect, "head.block0.fc1.w")
+    rc = main(["sample", "--ckpt", str(ckpt), "--steps", "1", "--n", "4",
+               "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_CHECKPOINTS))
+def test_decode_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defect):
+    from escore.mar import MarConfig, MarModel
+    ckpt = tmp_path / "mar.ckpt"
+    MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                       head_width=16, head_depth=1), 0).save(ckpt)
+    cause = _spoil(ckpt, defect, "backbone.block0.mlp1.w")
+    rc = main(["decode", "--ckpt", str(ckpt), "--n", "2", "--iterations", "2",
+               "--out", str(tmp_path / "dec")])
+    assert rc == 1 and cause in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
 def test_bad_escore_threads_is_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("ESCORE_THREADS", value)
@@ -248,6 +304,23 @@ def test_valid_escore_threads_is_accepted(monkeypatch, tmp_path):
     monkeypatch.setenv("ESCORE_THREADS", "2")
     assert main(["train-head", "--method", "energy", "--out",
                  str(tmp_path / "run")] + TINY_HEAD) == 0
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_compare_swissroll_output_does_not_depend_on_thread_count(monkeypatch, tmp_path):
+    trees = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ESCORE_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        assert main(["compare-swissroll", "--out", str(out)] + TINY_COMPARE) == 0
+        trees.append(_tree(out))
+    assert list(trees[0]) == list(trees[1]) and len(trees[0]) > 10
+    for name, blob in trees[0].items():
+        assert trees[1][name] == blob, name
 
 
 def _glibc() -> bool:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from escore import graph as G
 from escore import heads, nn, verify
 from escore.mar import MarConfig, MarModel
 from escore.rng import Stream
+from escore.swiss import ToyHeadModel
+
+import graph_reference as R
 
 
 def scalar_graph(build):
@@ -65,7 +70,7 @@ def test_stop_gradient_blocks_and_passes_values():
     g.set_output(G.total(blocked))
     arr = np.array([1.0, -2.0, 0.5, 3.0])
     run = G.evaluate(g, {"x": arr})
-    assert np.array_equal(run.value(blocked), arr * arr)
+    assert np.array_equal(G.evaluate(g, {"x": arr}, output=blocked).output, arr * arr)
     grads = G.backward(run)
     assert np.array_equal(grads["x"], np.zeros(4))
 
@@ -479,9 +484,153 @@ def test_kernels_never_write_into_their_inputs(keep, monkeypatch):
     if keep:
         G.backward(run)
         G.jvp(g, {"x": x}, {"x": np.ones((3, 5))}, run=run)
+        held = {nid for nid, v in enumerate(run.values) if v is not None}
+        assert held == G._retained(g, g.output)
         computed = [n.nid for n in g.nodes if n.kind not in ("leaf", "const")]
         assert len(computed) == len(produced)
         for nid, (value, cache) in zip(computed, produced):
-            assert _same_bits(run.values[nid], value)
+            if nid in held:
+                assert _same_bits(run.values[nid], value)
             assert all(_same_bits(run.aux[nid][k], v) for k, v in cache.items())
         assert _same_bits(run.values[0], x_before)
+
+
+# ---------------------------------------------------------------------------
+# lean retained evaluation and reverse sweep, against the retain-everything
+# reference in graph_reference.py
+
+def _assert_matches_reference(g, pt, tangents):
+    """Lean output, gradients and jvp equal the reference's, bit for bit."""
+    run = G.evaluate(g, pt)
+    values, aux = R.evaluate(g, pt)
+    assert _same_bits(run.output, values[g.output.nid])
+    grads, expect = G.backward(run), R.backward(g, values, aux)
+    assert sorted(grads) == sorted(expect)
+    for name in expect:
+        assert _same_bits(grads[name], expect[name]), name
+    assert _same_bits(G.jvp(g, pt, tangents, run=run), R.jvp(g, values, aux, tangents))
+
+
+def _tangents(pt, s):
+    return {k: s.child("tan/" + k).normal(np.shape(v)) for k, v in pt.items()}
+
+
+@pytest.mark.parametrize("name", sorted(verify._primitive_cases()))
+def test_lean_sweeps_equal_reference_on_primitive_cases(name):
+    build, point = verify._primitive_cases()[name]
+    for trial in range(3):
+        s = Stream.from_seed(trial, f"lean/{name}")
+        g = G.Graph()
+        g.set_output(verify._mix_reduce(g, build(g, s), s))
+        pt = point(s)
+        _assert_matches_reference(g, pt, _tangents(pt, s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_lean_sweeps_equal_reference_on_random_graphs(seed):
+    g, pt = _random_composite(seed)
+    _assert_matches_reference(g, pt, _tangents(pt, Stream.from_seed(seed, "lean")))
+
+
+@pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+def test_lean_sweeps_equal_reference_on_toy_train_graph(kind):
+    model = ToyHeadModel(heads.HeadConfig(kind=kind, width=16, depth=2), seed=1)
+    _randomize(model.params, 1)
+    s = Stream.from_seed(1, f"toy/{kind}")
+    y = s.child("y").normal((12, 2))
+    pt = {**model.params.bindings(),
+          **model.head.loss_bindings(y, s.child("loss"), context=model.context_rows(12))}
+    _assert_matches_reference(model._loss_graph(12), pt, _tangents(pt, s))
+
+
+def _mar_train_graph(head_kind="energy"):
+    """A distilled MAR train graph and the bindings of one student step."""
+    cfg = MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                    head_kind=head_kind, head_width=16, head_depth=1)
+    student, teacher = MarModel(cfg, seed=1), MarModel(cfg, seed=2)
+    _randomize(student.params, 1)
+    s = Stream.from_seed(3, "mar")
+    latents = s.child("latents").normal((3, cfg.seq_len, cfg.latent_dim))
+    bound = []
+    student.masked_training_step(latents, np.arange(3) % cfg.n_classes, s.child("step"),
+                                 lam=0.5, teacher=teacher, update=False,
+                                 bindings_hook=lambda b: bound.append(b) or b)
+    g, nodes = student._train_graph(3, True, 0.5, False)
+    return g, nodes, bound[0]
+
+
+@pytest.mark.parametrize("head_kind", ["energy", "diffusion"])
+def test_lean_sweeps_equal_reference_on_mar_train_graph(head_kind):
+    g, _, pt = _mar_train_graph(head_kind)
+    _assert_matches_reference(g, pt, _tangents(pt, Stream.from_seed(4, "mar")))
+
+
+def _expected_retained(g, out):
+    """The retention table, spelled out per node kind."""
+    held = set()
+    for node in g.nodes[: out.nid + 1]:
+        if (node.nid == out.nid or node.kind in ("leaf", "const") or node.shape == ()
+                or node.kind in ("softmax", "row_norm", "silu", "layer_norm")):
+            held.add(node.nid)
+        if node.kind in ("affine", "matmul", "mul", "sum_sq", "row_norm"):
+            held.update(node.inputs)
+    return held
+
+
+def _held(run):
+    return {nid for nid, v in enumerate(run.values) if v is not None}
+
+
+def test_retained_evaluation_holds_the_table_on_a_hand_graph():
+    g = G.Graph()
+    x = g.leaf("x", (2, 3), grad=True)           # 0   leaf
+    c = g.constant(np.ones((3, 3)))               # 1   const
+    h = G.scale(x, 2.0)                           # 2   read only by matmul
+    m = G.matmul(h, c)                            # 3   read only by silu
+    a = G.silu(m)                                 # 4   silu keeps its output
+    t = G.transpose(a, (1, 0))                    # 5   read only by reshape
+    r = G.reshape(t, (6,))                        # 6   read only by sum
+    n = G.row_norm(G.add(a, a))                   # 7 add (row_norm input), 8 row_norm
+    sq = G.sum_sq(G.stop_gradient(n))             # 9 stop_gradient (sum_sq input), 10
+    g.set_output(G.total(r) + sq)                 # 11 sum (0-d), 12 add (output)
+    pt = {"x": Stream.from_seed(0, "x").normal((2, 3))}
+    run = G.evaluate(g, pt)
+    assert _held(run) == {0, 1, 2, 4, 7, 8, 9, 10, 11, 12} == _expected_retained(g, g.output)
+    for dropped in (m, t, r):
+        with pytest.raises(G.GraphError, match="no value"):
+            run.value(dropped)
+    assert _held(G.evaluate(g, pt, r)) == {0, 1, 2, 4, 6}
+
+
+def test_retained_evaluation_holds_the_table_on_mar_train_graph():
+    g, nodes, pt = _mar_train_graph()
+    run = G.evaluate(g, pt)
+    held = _held(run)
+    assert held == _expected_retained(g, g.output)
+    assert {nodes["energy"].nid, nodes["distill"].nid} <= held
+    assert len(held) < len(g.nodes)
+    with pytest.raises(G.GraphError, match="no value"):
+        run.value(nodes["h"])
+
+
+def test_backward_peak_memory_does_not_grow_with_depth():
+    """Adjoints are freed as they are consumed: the reverse sweep over a
+    32-layer residual chain peaks at a few layer tensors, not one per layer."""
+    shape, depth = (256, 256), 32
+    g = G.Graph()
+    x = g.leaf("x", shape, grad=True)
+    h = x
+    for _ in range(depth):
+        h = h + G.silu(G.layer_norm(h))
+    g.set_output(G.mean(h))
+    run = G.evaluate(g, {"x": Stream.from_seed(0, "x").normal(shape)})
+    tensor = 8 * shape[0] * shape[1]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        G.backward(run)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * tensor, peak / tensor

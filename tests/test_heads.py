@@ -128,7 +128,7 @@ def test_perfect_prediction_gives_zero_loss(kind, target):
     leaves = head.params.declare_leaves(g)
     aux = heads.declare_loss_leaves(g, head.cfg, rows)
     ctx = g.leaf("ctx", (rows, 3))
-    loss_rows, _ = heads.build_loss_rows(head.cfg, leaves, "head", ctx, aux)
+    loss_rows = heads.build_loss_rows(head.cfg, leaves, "head", ctx, aux)
     g.set_output(G.mean(loss_rows))
     s = Stream.from_seed(9, "b")
     vals = s.child("v").normal((rows, 2))
@@ -150,7 +150,7 @@ def test_energy_train_step_value_matches_manual_recompute():
     leaves = head.params.declare_leaves(g)
     aux = heads.declare_loss_leaves(g, cfg, rows)
     ctx_node = g.leaf("ctx", (rows, 4))
-    loss_rows, _ = heads.build_loss_rows(cfg, leaves, "head", ctx_node, aux)
+    loss_rows = heads.build_loss_rows(cfg, leaves, "head", ctx_node, aux)
     g.set_output(G.mean(loss_rows))
 
     s = Stream.from_seed(11, "bind")
@@ -244,7 +244,7 @@ def test_loss_graphs_grad_check_all_kinds():
         leaves = head.params.declare_leaves(g)
         aux = heads.declare_loss_leaves(g, cfg, rows)
         ctx = g.leaf("ctx", (rows, 3), grad=True)
-        loss_rows, _ = heads.build_loss_rows(cfg, leaves, "head", ctx, aux)
+        loss_rows = heads.build_loss_rows(cfg, leaves, "head", ctx, aux)
         g.set_output(G.mean(loss_rows))
         y = s.child(kind + "y").normal((rows, 2))
         ctx_v = s.child(kind + "c").normal((rows, 3))

@@ -205,28 +205,25 @@ def run_compare(cfg: dict, out_dir) -> Path:
 # ---------------------------------------------------------------------------
 # MAR training / decoding
 
-def mar_config_from(cfg: dict, head_kind: str | None = None,
-                    m: int | None = None, wiring: str | None = None) -> MarConfig:
+def mar_config_from(cfg: dict, head_kind: str | None = None) -> MarConfig:
     m_ = cfg["mar"]
     return MarConfig(seq_len=m_["seq_len"], latent_dim=2, hidden_dim=m_["hidden_dim"],
                      n_blocks=m_["n_blocks"], n_heads=m_["n_heads"],
                      head_kind=head_kind or m_["head_kind"],
                      head_width=m_["head_width"], head_depth=m_["head_depth"],
-                     m_samples=m or m_["m"], wiring=wiring or m_["wiring"],
+                     m_samples=m_["m"], wiring=m_["wiring"],
                      mask_lo=m_["mask_lo"], mask_hi=m_["mask_hi"],
                      p_drop=m_["p_drop"])
 
 
 def train_mar_model(cfg: dict, *, role: str, seed: int,
-                    teacher: MarModel | None = None,
-                    m: int | None = None, wiring: str | None = None
-                    ) -> tuple[MarModel, list[dict]]:
+                    teacher: MarModel | None = None) -> tuple[MarModel, list[dict]]:
     t = cfg["mar_train"]
     lam = t["lambda"] if role == "student" else 0.0
     if lam > 0 and teacher is None:
         raise ConfigError("mar_train.lambda > 0 requires --teacher")
     kind = "diffusion" if role == "teacher" else None
-    model = MarModel(mar_config_from(cfg, head_kind=kind, m=m, wiring=wiring), seed)
+    model = MarModel(mar_config_from(cfg, head_kind=kind), seed)
     if role == "student" and teacher is not None and t["init_from_teacher"]:
         for name, p in model.params.items():
             if name.startswith("backbone.") and name in teacher.params:
@@ -369,7 +366,7 @@ def _sweep_cell_m(cfg: dict, seed: int, values: list[int], cell_dir: str) -> lis
     for m in values:
         sub = json.loads(json.dumps(cfg))
         sub["mar"]["m"] = int(m)
-        student, slog = train_mar_model(sub, role="student", seed=seed, m=int(m))
+        student, slog = train_mar_model(sub, role="student", seed=seed)
         student.save(out / f"student_m{m}.ckpt", config_digest=config_digest(sub),
                      step=len(slog), extra={"role": "student", "m": int(m),
                                             "lambda": 0.0})
@@ -388,7 +385,7 @@ def _sweep_cell_wiring(cfg: dict, seed: int, values: list[str],
     for wiring in values:
         sub = json.loads(json.dumps(cfg))
         sub["mar"]["wiring"] = wiring
-        student, slog = train_mar_model(sub, role="student", seed=seed, wiring=wiring)
+        student, slog = train_mar_model(sub, role="student", seed=seed)
         student.save(out / f"student_{wiring}.ckpt", config_digest=config_digest(sub),
                      step=len(slog), extra={"role": "student", "wiring": wiring})
         scores = decode_and_score(student, sub, sub["decode"]["cfg_scale"],

@@ -6,15 +6,23 @@ cached in a per-call :class:`Evaluation`, which keeps graphs freely
 shareable across threads/processes; reverse-mode gradients and
 forward-mode directional derivatives both consume that cache.
 
+Node kinds are the sources ``leaf`` (named binding) and ``const``, which
+:func:`evaluate` binds, and the keys of ``_RULES``: one entry per computed
+kind with its forward, reverse and forward-mode rules and two flags,
+``reads_inputs`` and ``reads_output``. The ten linear kinds (``add``, ``sub``,
+``scale``, ``mean``, ``sum``, ``concat``, ``narrow``, ``broadcast``,
+``reshape``, ``transpose``) have no tangent rule of their own: their jvp is
+their forward applied to the input tangents. ``affine`` (``x @ w + b`` with
+the bias broadcast over the leading axes) is the fused form of matmul +
+broadcast + add, bit-identical to it; ``stop_gradient`` is the identity with
+a zero gradient.
+
 A retained evaluation (the default, ``keep=True``) keeps a value only while
 a rule still reads it. Each value is dropped after its last forward reader
 unless it is in the retention set (a per-output table cached on the graph):
-
-- leaves, consts, the output and every 0-d node;
-- the inputs of ``affine``, ``matmul``, ``mul``, ``sum_sq`` and ``row_norm``,
-  whose backward and jvp rules read them;
-- the outputs of ``softmax``, ``row_norm``, ``silu`` and ``layer_norm``,
-  whose rules read them (``layer_norm`` uses its output as ``xhat``).
+leaves, consts, the output and every 0-d node, plus the inputs of every kind
+flagged ``reads_inputs`` and the output of every kind flagged
+``reads_output`` (``layer_norm`` uses its output as ``xhat``).
 
 Every other rule needs at most a shape, which it takes from the graph. The
 kernel caches are ``silu``'s sigmoid and ``layer_norm``'s inverse standard
@@ -28,29 +36,17 @@ caches and each value is dropped after its last reader (a per-output table
 cached on the graph). Its Evaluation holds the output alone, and
 :func:`backward` and :func:`jvp` refuse it.
 
-A kernel writes only into buffers it allocated itself, never into an input
-or a view of one, and finishing a result in place runs the same
-floating-point operations in the same order. All reductions use numpy's
-fixed summation order, so identical graphs and bindings produce
-bit-identical outputs and gradients in either mode.
-
-Node kinds (each with a forward, a reverse and a forward-mode rule):
-
-- sources: ``leaf`` (named binding), ``const``
-- linear algebra: ``matmul``, ``affine`` (``x @ w + b`` with the bias
-  broadcast over the leading axes; the fused form of matmul + broadcast + add,
-  bit-identical to it)
-- elementwise: ``add``, ``sub``, ``mul``, ``scale``, ``silu``
-- normalisation: ``layer_norm``, ``softmax``, ``row_norm``
-- reductions to a scalar: ``mean``, ``sum``, ``sum_sq``
-- shape: ``concat``, ``narrow``, ``broadcast``, ``reshape``, ``transpose``
-- ``stop_gradient`` (identity forward, zero gradient)
+A rule writes only into buffers it allocated itself, never into an input, a
+retained value, a cache, an adjoint or a tangent, or a view of one; finishing
+a result in place runs the same floating-point operations in the same order.
+All reductions use numpy's fixed summation order, so identical graphs and
+bindings produce bit-identical outputs and gradients in either mode.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -267,74 +263,30 @@ def stop_gradient(a: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# kernels: one rule table entry per computed node kind
 
-def _forward(kind: str, vals: list[np.ndarray], attrs: dict,
-             aux: dict | None) -> np.ndarray:
-    """One node's value. ``aux`` None (output-only evaluation) means: keep no
-    backward cache and finish the result in the kernel's own buffer."""
-    if kind == "affine":
-        out = vals[0] @ vals[1]
-        out += vals[2]
-        return out
-    if kind == "matmul":
-        return vals[0] @ vals[1]
-    if kind == "add":
-        return vals[0] + vals[1]
-    if kind == "sub":
-        return vals[0] - vals[1]
-    if kind == "mul":
-        return vals[0] * vals[1]
-    if kind == "scale":
-        return vals[0] * attrs["c"]
-    if kind == "silu":
-        # overflow-free identity sigma(x) = 0.5 * tanh(0.5 * x) + 0.5
-        s = np.multiply(vals[0], 0.5)
-        np.tanh(s, out=s)
-        s *= 0.5
-        s += 0.5
-        if aux is None:
-            s *= vals[0]
-            return s
-        aux["sig"] = s
-        return vals[0] * s
-    if kind == "layer_norm":
-        x = vals[0]
-        xc = x - x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + attrs["eps"])
-        if aux is not None:
-            aux["inv"] = inv
-        xc *= inv
-        return xc
-    if kind == "softmax":
-        e = vals[0] - vals[0].max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        e /= e.sum(axis=-1, keepdims=True)
-        return e
-    if kind == "mean":
-        return np.asarray(vals[0].mean())
-    if kind == "sum":
-        return np.asarray(vals[0].sum())
-    if kind == "sum_sq":
-        return np.asarray((vals[0] * vals[0]).sum())
-    if kind == "row_norm":
-        eps = attrs["eps"]
-        return np.sqrt((vals[0] * vals[0]).sum(axis=-1) + eps * eps)
-    if kind == "concat":
-        return np.concatenate(vals, axis=attrs["axis"])
-    if kind == "narrow":
-        sl = [slice(None)] * vals[0].ndim
-        sl[attrs["axis"]] = slice(attrs["start"], attrs["start"] + attrs["length"])
-        return vals[0][tuple(sl)]
-    if kind == "broadcast":
-        return np.broadcast_to(vals[0], attrs["shape"])
-    if kind == "reshape":
-        return vals[0].reshape(attrs["shape"])
-    if kind == "transpose":
-        return np.transpose(vals[0], attrs["axes"])
-    if kind == "stop_gradient":
-        return vals[0]
-    raise GraphError(f"unknown node kind {kind!r}")
+class _Rule(NamedTuple):
+    """The rules of one node kind.
+
+    ``forward(vals, attrs, aux)`` returns the node's value; ``aux`` None
+    (output-only evaluation) means: keep no backward cache and finish the
+    result in the kernel's own buffer. ``backward(node, g, vals, out, aux)``
+    returns the input adjoints, and ``jvp(node, dv, vals, out, aux)`` the
+    output tangent. Both see in ``vals`` and ``out`` only what
+    :func:`_retained` keeps: the inputs if ``reads_inputs``, the output if
+    ``reads_output`` (or if it is 0-d); a rule that needs a shape takes it from
+    the graph. ``jvp`` None marks a linear kind, whose tangent is its forward
+    applied to the input tangents.
+    """
+    forward: Callable
+    backward: Callable
+    jvp: Callable | None = None
+    reads_inputs: bool = False
+    reads_output: bool = False
+
+
+def _input_shape(node: Node, i: int = 0) -> tuple[int, ...]:
+    return node.graph.nodes[node.inputs[i]].shape
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -356,127 +308,159 @@ def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[np.ndarra
     return [ga, gb]
 
 
-def _input_shape(node: Node, i: int = 0) -> tuple[int, ...]:
-    return node.graph.nodes[node.inputs[i]].shape
+def _affine(vals, attrs, aux):
+    out = vals[0] @ vals[1]
+    out += vals[2]
+    return out
 
 
-def _backward(node: Node, g: np.ndarray, vals: list[np.ndarray | None],
-              out: np.ndarray | None, aux: dict) -> list[np.ndarray | None]:
-    """Input adjoints of one node. ``vals`` and ``out`` hold only what
-    :func:`_retained` keeps; a rule that needs a shape takes it from the graph."""
-    kind, attrs = node.kind, node.attrs
-    if kind == "affine":
-        return _matmul_grads(g, vals[0], vals[1]) + [_unbroadcast(g, _input_shape(node, 2))]
-    if kind == "matmul":
-        return _matmul_grads(g, vals[0], vals[1])
-    if kind == "add":
-        return [g, g]
-    if kind == "sub":
-        return [g, -g]
-    if kind == "mul":
-        return [g * vals[1], g * vals[0]]
-    if kind == "scale":
-        return [g * attrs["c"]]
-    if kind == "silu":
-        s = aux["sig"]
-        return [g * (s + out * (1.0 - s))]
-    if kind == "layer_norm":
-        xhat = out
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return [(g - gm - xhat * gx) * aux["inv"]]
-    if kind == "softmax":
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return [out * (g - dot)]
-    if kind == "mean":
-        shape = _input_shape(node)
-        return [np.full(shape, float(g) / math.prod(shape))]
-    if kind == "sum":
-        return [np.full(_input_shape(node), float(g))]
-    if kind == "sum_sq":
-        return [2.0 * float(g) * vals[0]]
-    if kind == "row_norm":
-        return [(g / out)[..., None] * vals[0]]
-    if kind == "concat":
-        axis = attrs["axis"]
-        grads, start = [], 0
-        for i in range(len(node.inputs)):
-            width = _input_shape(node, i)[axis]
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + width)
-            grads.append(g[tuple(sl)])
-            start += width
-        return grads
-    if kind == "narrow":
-        gin = np.zeros(_input_shape(node))
-        sl = [slice(None)] * gin.ndim
-        sl[attrs["axis"]] = slice(attrs["start"], attrs["start"] + attrs["length"])
-        gin[tuple(sl)] = g
-        return [gin]
-    if kind == "broadcast":
-        return [_unbroadcast(g, _input_shape(node))]
-    if kind == "reshape":
-        return [g.reshape(_input_shape(node))]
-    if kind == "transpose":
-        inv = np.argsort(attrs["axes"])
-        return [np.transpose(g, inv)]
-    if kind == "stop_gradient":
-        return [None]
-    raise GraphError(f"unknown node kind {kind!r}")
+def _affine_backward(node, g, vals, out, aux):
+    return _matmul_grads(g, vals[0], vals[1]) + [_unbroadcast(g, _input_shape(node, 2))]
 
 
-def _jvp_rule(node: Node, dv: list[np.ndarray], vals: list[np.ndarray | None],
-              out: np.ndarray | None, aux: dict) -> np.ndarray:
-    """Output tangent of one node; reads the same retained values as :func:`_backward`."""
-    kind, attrs = node.kind, node.attrs
-    if kind == "affine":
-        t = dv[0] @ vals[1] + vals[0] @ dv[1]
-        t += dv[2]
-        return t
-    if kind == "matmul":
-        return dv[0] @ vals[1] + vals[0] @ dv[1]
-    if kind == "add":
-        return dv[0] + dv[1]
-    if kind == "sub":
-        return dv[0] - dv[1]
-    if kind == "mul":
-        return dv[0] * vals[1] + vals[0] * dv[1]
-    if kind == "scale":
-        return dv[0] * attrs["c"]
-    if kind == "silu":
-        s = aux["sig"]
-        return dv[0] * (s + out * (1.0 - s))
-    if kind == "layer_norm":
-        xhat = out
-        dm = dv[0].mean(axis=-1, keepdims=True)
-        dx = (dv[0] * xhat).mean(axis=-1, keepdims=True)
-        return (dv[0] - dm - xhat * dx) * aux["inv"]
-    if kind == "softmax":
-        dot = (dv[0] * out).sum(axis=-1, keepdims=True)
-        return out * (dv[0] - dot)
-    if kind == "mean":
-        return np.asarray(dv[0].mean())
-    if kind == "sum":
-        return np.asarray(dv[0].sum())
-    if kind == "sum_sq":
-        return np.asarray(2.0 * (vals[0] * dv[0]).sum())
-    if kind == "row_norm":
-        return (vals[0] * dv[0]).sum(axis=-1) / out
-    if kind == "concat":
-        return np.concatenate(dv, axis=attrs["axis"])
-    if kind == "narrow":
-        sl = [slice(None)] * dv[0].ndim
-        sl[attrs["axis"]] = slice(attrs["start"], attrs["start"] + attrs["length"])
-        return dv[0][tuple(sl)].copy()
-    if kind == "broadcast":
-        return np.broadcast_to(dv[0], attrs["shape"]).copy()
-    if kind == "reshape":
-        return dv[0].reshape(attrs["shape"])
-    if kind == "transpose":
-        return np.transpose(dv[0], attrs["axes"]).copy()
-    if kind == "stop_gradient":
-        return np.zeros(node.shape)
-    raise GraphError(f"unknown node kind {kind!r}")
+def _affine_jvp(node, dv, vals, out, aux):
+    t = dv[0] @ vals[1] + vals[0] @ dv[1]
+    t += dv[2]
+    return t
+
+
+def _silu(vals, attrs, aux):
+    # overflow-free identity sigma(x) = 0.5 * tanh(0.5 * x) + 0.5
+    s = np.multiply(vals[0], 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    if aux is None:
+        s *= vals[0]
+        return s
+    aux["sig"] = s
+    return vals[0] * s
+
+
+def _silu_grad(g, out, aux):
+    """silu's derivative applied to an adjoint or a tangent ``g``."""
+    s = aux["sig"]
+    return g * (s + out * (1.0 - s))
+
+
+def _layer_norm(vals, attrs, aux):
+    x = vals[0]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + attrs["eps"])
+    if aux is not None:
+        aux["inv"] = inv
+    xc *= inv
+    return xc
+
+
+def _layer_norm_grad(g, xhat, aux):
+    """layer_norm's derivative applied to ``g``; the output is ``xhat``."""
+    gm = g.mean(axis=-1, keepdims=True)
+    gx = (g * xhat).mean(axis=-1, keepdims=True)
+    return (g - gm - xhat * gx) * aux["inv"]
+
+
+def _softmax(vals, attrs, aux):
+    e = vals[0] - vals[0].max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_grad(g, out):
+    """softmax's derivative applied to an adjoint or a tangent ``g``."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
+def _row_norm(vals, attrs, aux):
+    eps = attrs["eps"]
+    return np.sqrt((vals[0] * vals[0]).sum(axis=-1) + eps * eps)
+
+
+def _mean_backward(node, g, vals, out, aux):
+    shape = _input_shape(node)
+    return [np.full(shape, float(g) / math.prod(shape))]
+
+
+def _concat_backward(node, g, vals, out, aux):
+    axis = node.attrs["axis"]
+    grads, start = [], 0
+    for i in range(len(node.inputs)):
+        width = _input_shape(node, i)[axis]
+        sl = [slice(None)] * g.ndim
+        sl[axis] = slice(start, start + width)
+        grads.append(g[tuple(sl)])
+        start += width
+    return grads
+
+
+def _narrow_slice(attrs: dict, ndim: int) -> tuple[slice, ...]:
+    sl = [slice(None)] * ndim
+    sl[attrs["axis"]] = slice(attrs["start"], attrs["start"] + attrs["length"])
+    return tuple(sl)
+
+
+def _narrow_backward(node, g, vals, out, aux):
+    gin = np.zeros(_input_shape(node))
+    gin[_narrow_slice(node.attrs, gin.ndim)] = g
+    return [gin]
+
+
+_RULES: dict[str, _Rule] = {
+    "affine": _Rule(_affine, _affine_backward, _affine_jvp, reads_inputs=True),
+    "matmul": _Rule(lambda vals, attrs, aux: vals[0] @ vals[1],
+                    lambda node, g, vals, out, aux: _matmul_grads(g, vals[0], vals[1]),
+                    lambda node, dv, vals, out, aux: dv[0] @ vals[1] + vals[0] @ dv[1],
+                    reads_inputs=True),
+    "add": _Rule(lambda vals, attrs, aux: vals[0] + vals[1],
+                 lambda node, g, vals, out, aux: [g, g]),
+    "sub": _Rule(lambda vals, attrs, aux: vals[0] - vals[1],
+                 lambda node, g, vals, out, aux: [g, -g]),
+    "mul": _Rule(lambda vals, attrs, aux: vals[0] * vals[1],
+                 lambda node, g, vals, out, aux: [g * vals[1], g * vals[0]],
+                 lambda node, dv, vals, out, aux: dv[0] * vals[1] + vals[0] * dv[1],
+                 reads_inputs=True),
+    "scale": _Rule(lambda vals, attrs, aux: vals[0] * attrs["c"],
+                   lambda node, g, vals, out, aux: [g * node.attrs["c"]]),
+    "silu": _Rule(_silu,
+                  lambda node, g, vals, out, aux: [_silu_grad(g, out, aux)],
+                  lambda node, dv, vals, out, aux: _silu_grad(dv[0], out, aux),
+                  reads_output=True),
+    "layer_norm": _Rule(_layer_norm,
+                        lambda node, g, vals, out, aux: [_layer_norm_grad(g, out, aux)],
+                        lambda node, dv, vals, out, aux: _layer_norm_grad(dv[0], out, aux),
+                        reads_output=True),
+    "softmax": _Rule(_softmax,
+                     lambda node, g, vals, out, aux: [_softmax_grad(g, out)],
+                     lambda node, dv, vals, out, aux: _softmax_grad(dv[0], out),
+                     reads_output=True),
+    "mean": _Rule(lambda vals, attrs, aux: np.asarray(vals[0].mean()), _mean_backward),
+    "sum": _Rule(lambda vals, attrs, aux: np.asarray(vals[0].sum()),
+                 lambda node, g, vals, out, aux: [np.full(_input_shape(node), float(g))]),
+    "sum_sq": _Rule(lambda vals, attrs, aux: np.asarray((vals[0] * vals[0]).sum()),
+                    lambda node, g, vals, out, aux: [2.0 * float(g) * vals[0]],
+                    lambda node, dv, vals, out, aux: np.asarray(2.0 * (vals[0] * dv[0]).sum()),
+                    reads_inputs=True),
+    "row_norm": _Rule(_row_norm,
+                      lambda node, g, vals, out, aux: [(g / out)[..., None] * vals[0]],
+                      lambda node, dv, vals, out, aux: (vals[0] * dv[0]).sum(axis=-1) / out,
+                      reads_inputs=True, reads_output=True),
+    "concat": _Rule(lambda vals, attrs, aux: np.concatenate(vals, axis=attrs["axis"]),
+                    _concat_backward),
+    "narrow": _Rule(lambda vals, attrs, aux: vals[0][_narrow_slice(attrs, vals[0].ndim)],
+                    _narrow_backward),
+    "broadcast": _Rule(lambda vals, attrs, aux: np.broadcast_to(vals[0], attrs["shape"]),
+                       lambda node, g, vals, out, aux: [_unbroadcast(g, _input_shape(node))]),
+    "reshape": _Rule(lambda vals, attrs, aux: vals[0].reshape(attrs["shape"]),
+                     lambda node, g, vals, out, aux: [g.reshape(_input_shape(node))]),
+    "transpose": _Rule(lambda vals, attrs, aux: np.transpose(vals[0], attrs["axes"]),
+                       lambda node, g, vals, out, aux:
+                       [np.transpose(g, np.argsort(node.attrs["axes"]))]),
+    "stop_gradient": _Rule(lambda vals, attrs, aux: vals[0],
+                           lambda node, g, vals, out, aux: [None],
+                           lambda node, dv, vals, out, aux: np.zeros(node.shape)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +500,15 @@ def _check_binding(name: str, arr, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-# kinds whose backward and jvp rules read their inputs' values / their own output
-_READS_INPUTS = frozenset({"affine", "matmul", "mul", "sum_sq", "row_norm"})
-_READS_OUTPUT = frozenset({"softmax", "row_norm", "silu", "layer_norm"})
-
-
 def _retained(graph: Graph, out_node: Node) -> set[int]:
     """Ids of the values a retained evaluation keeps for :func:`backward` and
     :func:`jvp` (the retention set of the module docstring)."""
     held = {out_node.nid}
     for node in graph.nodes[: out_node.nid + 1]:
-        if node.kind in ("leaf", "const") or not node.shape or node.kind in _READS_OUTPUT:
+        rule = _RULES.get(node.kind)   # None for the sources, leaf and const
+        if rule is None or not node.shape or rule.reads_output:
             held.add(node.nid)
-        if node.kind in _READS_INPUTS:
+        if rule is not None and rule.reads_inputs:
             held.update(node.inputs)
     return held
 
@@ -584,8 +564,8 @@ def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
             values[node.nid] = node.attrs["value"]
         else:
             a = None if aux is None else {}
-            values[node.nid] = _forward(node.kind, [values[i] for i in node.inputs],
-                                        node.attrs, a)
+            values[node.nid] = _RULES[node.kind].forward([values[i] for i in node.inputs],
+                                                         node.attrs, a)
             if aux is not None:
                 aux[node.nid] = a
         for nid in release[node.nid]:
@@ -618,8 +598,8 @@ def backward(run: Evaluation) -> dict[str, np.ndarray]:
         if g is None or not node.inputs:
             continue
         adj[node.nid] = None
-        grads = _backward(node, g, [run.values[i] for i in node.inputs],
-                          run.values[node.nid], run.aux[node.nid])
+        grads = _RULES[node.kind].backward(node, g, [run.values[i] for i in node.inputs],
+                                           run.values[node.nid], run.aux[node.nid])
         del g   # the loop's own references would keep consumed adjoints alive
         for nid, gin in zip(node.inputs, grads):
             if gin is None or not graph.nodes[nid].needs_grad:
@@ -659,9 +639,13 @@ def jvp(graph: Graph, bindings: dict[str, np.ndarray],
         elif node.kind == "const":
             tans[node.nid] = np.zeros(node.shape)
         else:
-            tans[node.nid] = _jvp_rule(node, [tans[i] for i in node.inputs],
-                                       [run.values[i] for i in node.inputs],
-                                       run.values[node.nid], run.aux[node.nid])
+            rule = _RULES[node.kind]
+            dv = [tans[i] for i in node.inputs]
+            if rule.jvp is None:   # a linear kind: its forward, on the tangents
+                tans[node.nid] = rule.forward(dv, node.attrs, None)
+            else:
+                tans[node.nid] = rule.jvp(node, dv, [run.values[i] for i in node.inputs],
+                                          run.values[node.nid], run.aux[node.nid])
     return tans[out_node.nid]
 
 

@@ -477,8 +477,7 @@ class Head:
     @classmethod
     def load(cls, path) -> "Head":
         manifest, values = nn.load_checkpoint(path)
-        info = manifest["extra"]
-        cfg = HeadConfig(**info["head_config"])
-        head = cls(cfg, seed=manifest["seed"], prefix=info.get("prefix", "head"))
+        cfg = nn.config_from_manifest(HeadConfig, manifest, "head_config", path)
+        head = cls(cfg, seed=manifest["seed"], prefix=manifest["extra"].get("prefix", "head"))
         head.params.assign(values, path)
         return head

@@ -428,7 +428,7 @@ class MarModel:
     @classmethod
     def load(cls, path) -> "MarModel":
         manifest, values = nn.load_checkpoint(path)
-        cfg = MarConfig(**manifest["extra"]["mar_config"])
+        cfg = nn.config_from_manifest(MarConfig, manifest, "mar_config", path)
         model = cls(cfg, seed=manifest["seed"])
         model.params.assign(values, path)
         return model

@@ -8,7 +8,7 @@ function of (seed, parameter name).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -272,13 +272,24 @@ def save_checkpoint(path, params: ParameterSet, *, config_digest: str = "",
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(manifest, parameter values). Raises ValueError naming ``path`` when
+    the manifest, one of its ``params`` entries or the payload is malformed."""
     with open(path, "rb") as fh:
         header = fh.readline()
         manifest = json.loads(header.decode("utf-8"))
-        if manifest.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"not an escore checkpoint: {path}")
+        if not isinstance(manifest.get("params"), list):
+            raise ValueError(f"{path}: checkpoint manifest has no 'params' list")
+        if not isinstance(manifest.get("seed"), int):
+            raise ValueError(f"{path}: checkpoint manifest has no integer 'seed'")
         values = {}
-        for entry in manifest["params"]:
+        for i, entry in enumerate(manifest["params"]):
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                    and entry["name"] not in values and isinstance(entry.get("shape"), list)
+                    and all(isinstance(s, int) and s >= 0 for s in entry["shape"])):
+                raise ValueError(f"{path}: params entry {i} is not a new name with a "
+                                 f"list of sizes: {entry!r}")
             shape = tuple(entry["shape"])
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
             buf = fh.read(8 * count)
@@ -288,3 +299,21 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last parameter")
     return manifest, values
+
+
+def config_from_manifest(cls, manifest: dict, key: str, source):
+    """The config dataclass ``cls`` saved as ``manifest["extra"][key]``. It
+    must give every field of ``cls`` and no other; raises ValueError naming
+    ``source`` and the first unknown or missing field."""
+    extra = manifest.get("extra")
+    saved = extra.get(key) if isinstance(extra, dict) else None
+    if not isinstance(saved, dict):
+        raise ValueError(f"{source}: checkpoint manifest has no {key!r} object")
+    names = [f.name for f in fields(cls)]
+    unknown = [k for k in saved if k not in names]
+    if unknown:
+        raise ValueError(f"{source}: {key} has unknown field {unknown[0]!r}")
+    missing = [k for k in names if k not in saved]
+    if missing:
+        raise ValueError(f"{source}: {key} is missing field {missing[0]!r}")
+    return cls(**saved)

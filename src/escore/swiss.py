@@ -98,7 +98,7 @@ class ToyHeadModel:
     @classmethod
     def load(cls, path) -> "ToyHeadModel":
         manifest, values = nn.load_checkpoint(path)
-        cfg = HeadConfig(**manifest["extra"]["head_config"])
+        cfg = nn.config_from_manifest(HeadConfig, manifest, "head_config", path)
         model = cls(cfg, seed=manifest["seed"])
         model.params.assign(values, path)
         return model

@@ -24,7 +24,7 @@ def _forward(kind, vals, attrs, aux):
         inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + attrs["eps"])
         aux["xc"], aux["inv"] = xc, inv
         return xc * inv
-    return G._forward(kind, vals, attrs, None)
+    return G._RULES[kind].forward(vals, attrs, None)
 
 
 def _backward(kind, g, vals, out, attrs, aux):

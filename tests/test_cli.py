@@ -172,9 +172,13 @@ def test_student_lambda_requires_teacher(tmp_path, capsys):
     assert "teacher" in capsys.readouterr().err
 
 
-def test_sweep_m_grid_contract(tmp_path):
+@pytest.mark.parametrize("param, values, field, ckpt", [
+    ("m", ["2", "3"], "m_samples", "student_m{}.ckpt"),
+    ("wiring", ["noise_as_input", "noise_as_condition"], "wiring", "student_{}.ckpt"),
+], ids=["m", "wiring"])
+def test_sweep_m_grid_contract(tmp_path, param, values, field, ckpt):
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--param", "m", "--values", "2,3", "--out", str(out),
+    rc = main(["sweep", "--param", param, "--values", ",".join(values), "--out", str(out),
                "--set", "sweep.seeds=[1]", "--set", "sweep.eval_per_class=4"]
               + TINY_MAR)
     assert rc == 0
@@ -183,10 +187,9 @@ def test_sweep_m_grid_contract(tmp_path):
     assert len(rows) == 3
     assert all(row.split(",")[2] == "1" for row in rows[1:])
     from escore.nn import load_checkpoint
-    man2, _ = load_checkpoint(out / "cells" / "seed1" / "student_m2.ckpt")
-    man3, _ = load_checkpoint(out / "cells" / "seed1" / "student_m3.ckpt")
-    assert man2["extra"]["mar_config"]["m_samples"] == 2
-    assert man3["extra"]["mar_config"]["m_samples"] == 3
+    for value in values:
+        manifest, _ = load_checkpoint(out / "cells" / "seed1" / ckpt.format(value))
+        assert str(manifest["extra"]["mar_config"][field]) == value
 
 
 def test_sweep_unknown_param(tmp_path, capsys):
@@ -238,31 +241,53 @@ def test_decode_rejects_non_finite_weight_naming_the_leaf(tmp_path, capsys, para
     assert param in capsys.readouterr().err
 
 
-BAD_CHECKPOINTS = {   # defect -> (edit of the saved values, cause printed)
-    "missing": (lambda values, name: {k: v for k, v in values.items() if k != name},
+def _config_edit(change):
+    """A manifest edit applying ``change`` to the saved head or MAR config."""
+    def edit(manifest):
+        extra = manifest["extra"]
+        change(extra["mar_config" if "mar_config" in extra else "head_config"])
+    return edit
+
+
+BAD_CHECKPOINTS = {   # defect -> (part edited, its edit, cause printed)
+    "missing": ("values", lambda values, name: {k: v for k, v in values.items() if k != name},
                 "no value for parameter {name!r}"),
-    "unknown": (lambda values, name: {**values, "stray.w": np.zeros(3)},
+    "unknown": ("values", lambda values, name: {**values, "stray.w": np.zeros(3)},
                 "unknown parameter 'stray.w'"),
-    "shape": (lambda values, name: {**values, name: np.zeros((2, 2))},
+    "shape": ("values", lambda values, name: {**values, name: np.zeros((2, 2))},
               "parameter {name!r} has shape (2, 2)"),
-    "trailing": (None, "trailing bytes"),
+    "trailing": ("bytes", None, "trailing bytes"),
+    "config-unknown": ("manifest", _config_edit(lambda cfg: cfg.update(stray=1)),
+                       "has unknown field 'stray'"),
+    "config-missing": ("manifest", _config_edit(lambda cfg: cfg.pop("latent_dim")),
+                       "is missing field 'latent_dim'"),
+    "no-params": ("manifest", lambda manifest: manifest.pop("params"), "no 'params' list"),
+    "no-seed": ("manifest", lambda manifest: manifest.pop("seed"), "no integer 'seed'"),
+    "params-entry": ("manifest", lambda manifest: manifest["params"][1].pop("shape"),
+                     "params entry 1"),
 }
 
 
 def _spoil(path, defect, name):
     """Saves the checkpoint again with one defect; returns the expected cause."""
     from escore import nn
-    edit, cause = BAD_CHECKPOINTS[defect]
-    if edit is None:
+    part, edit, cause = BAD_CHECKPOINTS[defect]
+    if part == "bytes":
         with open(path, "ab") as fh:
             fh.write(b"\0" * 8)
-        return cause
-    manifest, values = nn.load_checkpoint(path)
-    params = nn.ParameterSet()
-    for key, arr in edit(values, name).items():
-        params.add(key, arr)
-    nn.save_checkpoint(path, params, config_digest=manifest["config_digest"],
-                       seed=manifest["seed"], step=manifest["step"], extra=manifest["extra"])
+    elif part == "manifest":
+        header, payload = Path(path).read_bytes().split(b"\n", 1)
+        manifest = json.loads(header)
+        edit(manifest)
+        Path(path).write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    else:
+        manifest, values = nn.load_checkpoint(path)
+        params = nn.ParameterSet()
+        for key, arr in edit(values, name).items():
+            params.add(key, arr)
+        nn.save_checkpoint(path, params, config_digest=manifest["config_digest"],
+                           seed=manifest["seed"], step=manifest["step"],
+                           extra=manifest["extra"])
     return cause.format(name=name)
 
 
@@ -289,7 +314,8 @@ def test_decode_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defe
     cause = _spoil(ckpt, defect, "backbone.block0.mlp1.w")
     rc = main(["decode", "--ckpt", str(ckpt), "--n", "2", "--iterations", "2",
                "--out", str(tmp_path / "dec")])
-    assert rc == 1 and cause in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])

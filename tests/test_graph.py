@@ -463,36 +463,87 @@ def test_release_plan_frees_each_value_after_its_last_reader():
     assert G._release_plan(g, z) == [(), (), (0, 1)]
 
 
+def _arrays(args):
+    """Every array among the arguments of a rule, inside lists and dicts too."""
+    for a in args:
+        if isinstance(a, np.ndarray):
+            yield a
+        elif isinstance(a, (list, tuple)):
+            yield from _arrays(a)
+        elif isinstance(a, dict):
+            yield from _arrays(a.values())
+
+
+def _write_checked_rules(monkeypatch):
+    """Wraps the forward, backward and jvp rule of every ``_RULES`` entry so
+    that each call asserts it left every array it was given unchanged: the
+    inputs of a forward; the adjoint or tangents, retained values and kernel
+    caches of a backward or jvp. Returns the (value, cache) copies the forwards
+    made, in call order, and the set of (kind, rule) pairs called."""
+    produced, called = [], set()
+
+    def checked(kind, part, rule):
+        def call(*args):
+            given = list(_arrays(args))
+            before = [a.copy() for a in given]
+            out = rule(*args)
+            assert all(_same_bits(a, b) for a, b in zip(given, before)), (kind, part)
+            called.add((kind, part))
+            if part == "forward":
+                produced.append((out.copy(), {k: v.copy() for k, v in (args[2] or {}).items()}))
+            return out
+        return call
+
+    for kind, rule in G._RULES.items():
+        monkeypatch.setitem(G._RULES, kind, rule._replace(**{
+            part: checked(kind, part, getattr(rule, part))
+            for part in ("forward", "backward", "jvp") if getattr(rule, part) is not None}))
+    return produced, called
+
+
 @pytest.mark.parametrize("keep", [True, False])
 def test_kernels_never_write_into_their_inputs(keep, monkeypatch):
     g, _ = _layer_chain()
     x = Stream.from_seed(1, "x").normal((3, 5))
     x_before = x.copy()
-    produced = []
-    real = G._forward
-
-    def checked(kind, vals, attrs, aux):
-        before = [v.copy() for v in vals]
-        out = real(kind, vals, attrs, aux)
-        assert all(_same_bits(v, b) for v, b in zip(vals, before)), kind
-        produced.append((out.copy(), {k: v.copy() for k, v in (aux or {}).items()}))
-        return out
-
-    monkeypatch.setattr(G, "_forward", checked)
+    produced, called = _write_checked_rules(monkeypatch)
     run = G.evaluate(g, {"x": x}, keep=keep)
     assert _same_bits(x, x_before)
+    computed = [n.nid for n in g.nodes if n.kind not in ("leaf", "const")]
+    assert len(computed) == len(produced)
     if keep:
         G.backward(run)
         G.jvp(g, {"x": x}, {"x": np.ones((3, 5))}, run=run)
+        assert {part for _, part in called} == {"forward", "backward", "jvp"}
         held = {nid for nid, v in enumerate(run.values) if v is not None}
         assert held == G._retained(g, g.output)
-        computed = [n.nid for n in g.nodes if n.kind not in ("leaf", "const")]
-        assert len(computed) == len(produced)
         for nid, (value, cache) in zip(computed, produced):
             if nid in held:
                 assert _same_bits(run.values[nid], value)
             assert all(_same_bits(run.aux[nid][k], v) for k, v in cache.items())
         assert _same_bits(run.values[0], x_before)
+
+
+def test_no_rule_writes_into_what_it_reads(monkeypatch):
+    """Every rule of every kind runs under the write check; a linear kind's
+    forward also runs on the tangents there, as its jvp."""
+    _, called = _write_checked_rules(monkeypatch)
+    graphs = []
+    for name, (build, point) in verify._primitive_cases().items():
+        s = Stream.from_seed(0, f"writes/{name}")
+        g = G.Graph()
+        g.set_output(verify._mix_reduce(g, build(g, s), s))
+        graphs.append((g, point(s), s))
+    # backward reaches a stop_gradient only when it is the output
+    g = G.Graph()
+    g.set_output(G.stop_gradient(G.sum_sq(g.leaf("x", (3,), grad=True))))
+    graphs.append((g, {"x": np.arange(3.0)}, Stream.from_seed(0, "writes/stop_gradient")))
+    for g, pt, s in graphs:
+        run = G.evaluate(g, pt)
+        G.backward(run)
+        G.jvp(g, pt, _tangents(pt, s), run=run)
+    assert called == {(kind, part) for kind, rule in G._RULES.items()
+                      for part in ("forward", "backward", "jvp") if getattr(rule, part)}
 
 
 # ---------------------------------------------------------------------------

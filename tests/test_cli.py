@@ -172,11 +172,8 @@ def test_student_lambda_requires_teacher(tmp_path, capsys):
     assert "teacher" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("param, values, field, ckpt", [
-    ("m", ["2", "3"], "m_samples", "student_m{}.ckpt"),
-    ("wiring", ["noise_as_input", "noise_as_condition"], "wiring", "student_{}.ckpt"),
-], ids=["m", "wiring"])
-def test_sweep_m_grid_contract(tmp_path, param, values, field, ckpt):
+def _check_sweep_grid(tmp_path, param, values, field, ckpt):
+    """Runs a one-seed sweep over ``values`` and checks the table and checkpoints."""
     out = tmp_path / "sweep"
     rc = main(["sweep", "--param", param, "--values", ",".join(values), "--out", str(out),
                "--set", "sweep.seeds=[1]", "--set", "sweep.eval_per_class=4"]
@@ -190,6 +187,15 @@ def test_sweep_m_grid_contract(tmp_path, param, values, field, ckpt):
     for value in values:
         manifest, _ = load_checkpoint(out / "cells" / "seed1" / ckpt.format(value))
         assert str(manifest["extra"]["mar_config"][field]) == value
+
+
+def test_sweep_m_grid_contract(tmp_path):
+    _check_sweep_grid(tmp_path, "m", ["2", "3"], "m_samples", "student_m{}.ckpt")
+
+
+def test_sweep_wiring_grid_contract(tmp_path):
+    _check_sweep_grid(tmp_path, "wiring", ["noise_as_input", "noise_as_condition"],
+                      "wiring", "student_{}.ckpt")
 
 
 def test_sweep_unknown_param(tmp_path, capsys):

@@ -64,6 +64,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(self.prog + ": error: " + message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file merged over defaults")
     p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -117,10 +127,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--class", dest="class_id", default="0",
                    help="class id, or 'null' for unconditional")
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--iterations", type=_positive_int)
     p.add_argument("--cfg", dest="cfg_scale", type=float)
     p.add_argument("--schedule", choices=["cosine", "uniform"])
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--head-steps", type=int, dest="head_steps",
                    help="per-position sampling steps (non-energy heads; "
@@ -185,7 +195,8 @@ def _dispatch(args) -> int:
         report = experiments.run_eval(args.generated, args.reference, args.out,
                                       args.method, args.steps, args.seed,
                                       bandwidth, names)
-        print(f"mmd={report.mmd!r} wsd={report.wsd!r} energy_v={report.energy_v!r}")
+        shown = {"mmd": report.mmd, "wsd": report.wsd, "energy_v": report.energy_v}
+        print(" ".join(f"{k}={v!r}" for k, v in shown.items() if v is not None))
         return 0
 
     if args.verb == "compare-swissroll":
@@ -205,13 +216,13 @@ def _dispatch(args) -> int:
         class_id = None if args.class_id == "null" else int(args.class_id)
         path = experiments.run_decode(
             args.ckpt, class_id,
-            iterations=args.iterations or d["iterations"],
+            iterations=d["iterations"] if args.iterations is None else args.iterations,
             cfg_scale=d["cfg_scale"] if args.cfg_scale is None else args.cfg_scale,
             schedule=args.schedule or d["schedule"],
             seed=args.seed,
             guided=not args.no_guidance,
             head_steps=args.head_steps,
-            n_seq=args.n or d["n_seq"],
+            n_seq=d["n_seq"] if args.n is None else args.n,
             out_dir=args.out)
         print(f"sequences written: {path}")
         return 0

@@ -129,17 +129,19 @@ def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv,
 
 def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
              seed: int, bandwidth="median",
-             metric_names: tuple[str, ...] = ("mmd", "wsd", "energy")) -> MetricsReport:
-    known = {"mmd", "wsd", "energy"}
-    bad = set(metric_names) - known
+             metric_names: tuple[str, ...] = metrics.METRIC_NAMES) -> MetricsReport:
+    known = sorted(metrics.METRIC_NAMES)
+    bad = set(metric_names) - set(known)
     if bad:
-        raise ConfigError(f"unknown metric name(s): {sorted(bad)}; known: {sorted(known)}")
+        raise ConfigError(f"unknown metric name(s): {sorted(bad)}; known: {known}")
+    if not metric_names:
+        raise ConfigError(f"no metric named; known: {known}")
     gen, _ = data.read_points_csv(generated_csv)
     ref, _ = data.read_points_csv(reference_csv)
     if gen.shape[1] != ref.shape[1]:
         raise ConfigError(f"dimension mismatch: generated has {gen.shape[1]} "
                           f"columns, reference has {ref.shape[1]}")
-    report = metrics.evaluate_samples(gen, ref, method, steps, seed, bandwidth)
+    report = metrics.evaluate_samples(gen, ref, method, steps, seed, bandwidth, metric_names)
     append_metrics_row(out_csv, report)
     return report
 

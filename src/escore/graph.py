@@ -3,8 +3,9 @@
 A :class:`Graph` is built once (shapes fixed at construction), then
 evaluated any number of times with fresh leaf bindings. Forward values are
 cached in a per-call :class:`Evaluation`, which keeps graphs freely
-shareable across threads/processes; reverse-mode gradients and
-forward-mode directional derivatives both consume that cache.
+shareable across threads/processes; reverse-mode gradients consume that
+cache, and :func:`jvp` carries tangents beside the values in a sweep of its
+own.
 
 Node kinds are the sources ``leaf`` (named binding) and ``const``, which
 :func:`evaluate` binds, and the keys of ``_RULES``: one entry per computed
@@ -17,24 +18,24 @@ the bias broadcast over the leading axes) is the fused form of matmul +
 broadcast + add, bit-identical to it; ``stop_gradient`` is the identity with
 a zero gradient.
 
-A retained evaluation (the default, ``keep=True``) keeps a value only while
-a rule still reads it. Each value is dropped after its last forward reader
-unless it is in the retention set (a per-output table cached on the graph):
+The graph chooses how :func:`evaluate` runs, once per (graph, output), and
+caches the choice with its release table. A run with a grad leaf at or before
+its output is retained: each value is dropped after its last forward reader
+unless :func:`backward` reads it, that is unless it is in the retention set:
 leaves, consts, the output and every 0-d node, plus the inputs of every kind
 flagged ``reads_inputs`` and the output of every kind flagged
-``reads_output`` (``layer_norm`` uses its output as ``xhat``).
+``reads_output`` (``layer_norm`` uses its output as ``xhat``). Any other run
+(inference) is output-only: the same node loop, kernels and binding checks,
+but the kernels keep no backward caches and each value is dropped after its
+last reader. Its Evaluation holds the output alone, and :func:`backward` has
+no adjoint to propagate through it.
 
-Every other rule needs at most a shape, which it takes from the graph. The
-kernel caches are ``silu``'s sigmoid and ``layer_norm``'s inverse standard
-deviation. :func:`backward` drops each non-leaf adjoint as soon as its node's
-rule has consumed it; it never writes into the Evaluation, so :func:`jvp` can
-reuse the same run afterwards.
-
-Inference uses the output-only mode, ``evaluate(..., keep=False)``: the same
-node loop, kernels and binding checks, but the kernels keep no backward
-caches and each value is dropped after its last reader (a per-output table
-cached on the graph). Its Evaluation holds the output alone, and
-:func:`backward` and :func:`jvp` refuse it.
+Every other backward rule needs at most a shape, which it takes from the
+graph. The kernel caches are ``silu``'s sigmoid and ``layer_norm``'s inverse
+standard deviation. :func:`backward` drops each non-leaf adjoint as soon as
+its node's rule has consumed it. :func:`jvp` runs each tangent rule right
+after its node's forward, so a kernel cache lives for one node only, and
+drops values and tangents after their last reader.
 
 A rule writes only into buffers it allocated itself, never into an input, a
 retained value, a cache, an adjoint or a tangent, or a view of one; finishing
@@ -96,7 +97,7 @@ class Graph:
         self.nodes: list[Node] = []
         self.leaves: dict[str, Node] = {}
         self.output: Node | None = None
-        self._release_plans: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
+        self._release_plans: dict[int, tuple] = {}   # output id -> (kept, free)
 
     def _append(self, kind: str, inputs: tuple[Node, ...], shape: tuple[int, ...],
                 attrs: dict | None = None, needs_grad: bool | None = None) -> Node:
@@ -271,12 +272,12 @@ class _Rule(NamedTuple):
     ``forward(vals, attrs, aux)`` returns the node's value; ``aux`` None
     (output-only evaluation) means: keep no backward cache and finish the
     result in the kernel's own buffer. ``backward(node, g, vals, out, aux)``
-    returns the input adjoints, and ``jvp(node, dv, vals, out, aux)`` the
-    output tangent. Both see in ``vals`` and ``out`` only what
+    returns the input adjoints; it sees in ``vals`` and ``out`` only what
     :func:`_retained` keeps: the inputs if ``reads_inputs``, the output if
-    ``reads_output`` (or if it is 0-d); a rule that needs a shape takes it from
-    the graph. ``jvp`` None marks a linear kind, whose tangent is its forward
-    applied to the input tangents.
+    ``reads_output`` (or if it is 0-d), and takes any other shape from the
+    graph. ``jvp(node, dv, vals, out, aux)`` returns the output tangent; it
+    runs right after the forward and sees all of it. ``jvp`` None marks a
+    linear kind, whose tangent is its forward applied to the input tangents.
     """
     forward: Callable
     backward: Callable
@@ -468,8 +469,8 @@ _RULES: dict[str, _Rule] = {
 
 class Evaluation:
     """Forward pass of one graph on one set of bindings: the retained values
-    (see the module docstring) and the kernels' backward caches, or, from
-    ``evaluate(..., keep=False)``, the output value alone with ``aux`` None."""
+    (see the module docstring) and the kernels' backward caches, or, from an
+    output-only run, the output value alone with ``aux`` None."""
 
     __slots__ = ("graph", "values", "aux", "output_node")
 
@@ -501,8 +502,8 @@ def _check_binding(name: str, arr, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _retained(graph: Graph, out_node: Node) -> set[int]:
-    """Ids of the values a retained evaluation keeps for :func:`backward` and
-    :func:`jvp` (the retention set of the module docstring)."""
+    """Ids of the values a retained evaluation keeps for :func:`backward`
+    (the retention set of the module docstring)."""
     held = {out_node.nid}
     for node in graph.nodes[: out_node.nid + 1]:
         rule = _RULES.get(node.kind)   # None for the sources, leaf and const
@@ -513,55 +514,62 @@ def _retained(graph: Graph, out_node: Node) -> set[int]:
     return held
 
 
-def _release_plan(graph: Graph, out_node: Node, keep: bool = False) -> list[tuple[int, ...]]:
-    """Per node up to ``out_node``: the values no later node reads, less the
-    output (and, with ``keep``, less the :func:`_retained` set).
+def _release_plan(graph: Graph, out_node: Node) -> tuple[list | None, list[tuple[int, ...]]]:
+    """Per node up to ``out_node``, the values to drop after it: ``(kept,
+    free)``. ``free`` drops each value but the output after its last reader.
+    ``kept`` is ``free`` less the :func:`_retained` set when a grad leaf lies
+    at or before the output, and None (an output-only run) otherwise.
 
-    Computed once per (graph, output, keep) and cached on the graph; nodes
-    appended later lie beyond the output and cannot change it.
+    Computed once per (graph, output) and cached on the graph; nodes appended
+    later lie beyond the output and cannot change it.
     """
-    plan = graph._release_plans.get((out_node.nid, keep))
-    if plan is None:
-        held = _retained(graph, out_node) if keep else {out_node.nid}
-        last = list(range(out_node.nid + 1))
-        for node in graph.nodes[: out_node.nid + 1]:
+    entry = graph._release_plans.get(out_node.nid)
+    if entry is None:
+        nodes = graph.nodes[: out_node.nid + 1]
+        last = list(range(len(nodes)))
+        for node in nodes:
             for i in node.inputs:
                 last[i] = node.nid
         free: list[list[int]] = [[] for _ in last]
         for nid, at in enumerate(last):
-            if nid not in held:
+            if nid != out_node.nid:
                 free[at].append(nid)
-        plan = [tuple(f) for f in free]
-        graph._release_plans[(out_node.nid, keep)] = plan
-    return plan
+        kept = None
+        if any(n.kind == "leaf" and n.needs_grad for n in nodes):
+            held = _retained(graph, out_node)
+            kept = [tuple(i for i in f if i not in held) for f in free]
+        entry = graph._release_plans[out_node.nid] = (kept, [tuple(f) for f in free])
+    return entry
 
 
-def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
-             output: Node | None = None, *, keep: bool = True) -> Evaluation:
-    """Forward pass; returns the per-call cache needed by :func:`backward`.
+def _source_value(node: Node, bindings: dict[str, np.ndarray]) -> np.ndarray:
+    if node.kind == "leaf":
+        return _check_binding(node.attrs["name"], bindings[node.attrs["name"]], node.shape)
+    return node.attrs["value"]
 
-    Each value is dropped after its last consumer unless a rule of
-    :func:`backward` or :func:`jvp` reads it later (see :func:`_retained`).
-    ``keep=False`` is the output-only mode for inference: the same node loop,
-    kernels and binding checks, but no backward caches, and every value but
-    the output is dropped. Its Evaluation holds only the output;
-    :func:`backward` and :func:`jvp` refuse it.
-    """
+
+def _start(graph: Graph, bindings: dict[str, np.ndarray], output: Node | None) -> Node:
     out_node = output or graph.output
     if out_node is None:
         raise GraphError("graph has no output node set")
     missing = set(graph.leaves) - set(bindings)
     if missing:
         raise GraphError(f"missing bindings for leaves: {sorted(missing)}")
+    return out_node
+
+
+def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
+             output: Node | None = None) -> Evaluation:
+    """Forward pass; returns the per-call cache needed by :func:`backward`,
+    retained or output-only as :func:`_release_plan` decides."""
+    out_node = _start(graph, bindings, output)
+    kept, free = _release_plan(graph, out_node)
+    release = free if kept is None else kept
     values: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
-    aux: list[dict] | None = [None] * len(graph.nodes) if keep else None  # type: ignore[list-item]
-    release = _release_plan(graph, out_node, keep)
+    aux: list | None = None if kept is None else [None] * len(graph.nodes)
     for node in graph.nodes[: out_node.nid + 1]:
-        if node.kind == "leaf":
-            values[node.nid] = _check_binding(node.attrs["name"],
-                                              bindings[node.attrs["name"]], node.shape)
-        elif node.kind == "const":
-            values[node.nid] = node.attrs["value"]
+        if not node.inputs:   # the sources, leaf and const
+            values[node.nid] = _source_value(node, bindings)
         else:
             a = None if aux is None else {}
             values[node.nid] = _RULES[node.kind].forward([values[i] for i in node.inputs],
@@ -575,24 +583,18 @@ def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
     return Evaluation(graph, values, aux, out_node)
 
 
-def _require_retained(run: Evaluation, what: str) -> None:
-    if run.aux is None:
-        raise GraphError(f"{what} needs a retained evaluation; this one was "
-                         "made with keep=False and holds only the output")
-
-
 def backward(run: Evaluation) -> dict[str, np.ndarray]:
     """Reverse pass over a cached forward; gradients for every grad leaf.
 
     Each non-leaf adjoint is dropped as soon as its node's rule has consumed
     it, so the sweep holds only the adjoints still waiting for their node.
     """
-    _require_retained(run, "backward")
     graph, out = run.graph, run.output_node
     if int(np.prod(out.shape, dtype=np.int64)) != 1:
         raise GraphError(f"backward needs a scalar output, got shape {out.shape}")
     adj: list[np.ndarray | None] = [None] * len(graph.nodes)
-    adj[out.nid] = np.ones(out.shape)
+    if run.aux is not None:   # an output-only run has no grad leaf up to its output
+        adj[out.nid] = np.ones(out.shape)
     for node in reversed(graph.nodes[: out.nid + 1]):
         g = adj[node.nid]
         if g is None or not node.inputs:
@@ -606,47 +608,42 @@ def backward(run: Evaluation) -> dict[str, np.ndarray]:
                 continue
             adj[nid] = gin if adj[nid] is None else adj[nid] + gin
         del grads, gin
-    out_grads = {}
-    for name, leaf in graph.leaves.items():
-        if leaf.needs_grad:
-            g = adj[leaf.nid]
-            out_grads[name] = np.zeros(leaf.shape) if g is None else g
-    return out_grads
+    return {name: np.zeros(leaf.shape) if adj[leaf.nid] is None else adj[leaf.nid]
+            for name, leaf in graph.leaves.items() if leaf.needs_grad}
 
 
-def jvp(graph: Graph, bindings: dict[str, np.ndarray],
-        tangents: dict[str, np.ndarray], output: Node | None = None,
-        run: Evaluation | None = None) -> np.ndarray:
-    """Directional derivative of the output along per-leaf tangents."""
-    out_node = output or graph.output
-    if out_node is None:
-        raise GraphError("graph has no output node set")
-    if run is None:
-        run = evaluate(graph, bindings, out_node)
-    _require_retained(run, "jvp")
-    influencing = _ancestor_leaves(graph, out_node)
-    missing = influencing - set(tangents)
+def jvp(graph: Graph, bindings: dict[str, np.ndarray], tangents: dict[str, np.ndarray],
+        output: Node | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(output, directional derivative along per-leaf tangents) in one sweep.
+
+    Each node's forward runs with a kernel cache and its tangent rule right
+    after (a linear kind's tangent is its forward on the input tangents); the
+    cache is dropped then, and values and tangents after their last reader.
+    """
+    out_node = _start(graph, bindings, output)
+    missing = _ancestor_leaves(graph, out_node) - set(tangents)
     if missing:
         raise GraphError(f"missing tangents for influencing leaves: {sorted(missing)}")
+    free = _release_plan(graph, out_node)[1]
+    values: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
     tans: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
     for node in graph.nodes[: out_node.nid + 1]:
-        if node.kind == "leaf":
-            name = node.attrs["name"]
-            if name in tangents:
-                tans[node.nid] = _check_binding(name, tangents[name], node.shape)
-            else:
-                tans[node.nid] = np.zeros(node.shape)
-        elif node.kind == "const":
-            tans[node.nid] = np.zeros(node.shape)
+        if not node.inputs:
+            values[node.nid] = _source_value(node, bindings)
+            name = node.attrs.get("name")   # None for a const
+            tans[node.nid] = (_check_binding(name, tangents[name], node.shape)
+                              if name in tangents else np.zeros(node.shape))
         else:
-            rule = _RULES[node.kind]
-            dv = [tans[i] for i in node.inputs]
-            if rule.jvp is None:   # a linear kind: its forward, on the tangents
-                tans[node.nid] = rule.forward(dv, node.attrs, None)
-            else:
-                tans[node.nid] = rule.jvp(node, dv, [run.values[i] for i in node.inputs],
-                                          run.values[node.nid], run.aux[node.nid])
-    return tans[out_node.nid]
+            rule, aux = _RULES[node.kind], {}
+            vals, dv = [values[i] for i in node.inputs], [tans[i] for i in node.inputs]
+            values[node.nid] = rule.forward(vals, node.attrs, aux)
+            tans[node.nid] = (rule.forward(dv, node.attrs, None) if rule.jvp is None
+                              else rule.jvp(node, dv, vals, values[node.nid], aux))
+        for nid in free[node.nid]:
+            values[nid] = tans[nid] = None
+    if not np.all(np.isfinite(values[out_node.nid])):
+        raise NonFiniteError(f"output of node #{out_node.nid} ({out_node.kind}) is non-finite")
+    return values[out_node.nid], tans[out_node.nid]
 
 
 def _ancestor_leaves(graph: Graph, node: Node) -> set[str]:

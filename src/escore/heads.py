@@ -287,18 +287,16 @@ class Head:
     def forward_values(self, inp: np.ndarray, cond: np.ndarray) -> np.ndarray:
         g = self._eval_graph(len(inp))
         self.forward_rows += len(inp)
-        return G.evaluate(g, {"inp": inp, "cond": cond, **self._own_params.bindings()},
-                          keep=False).output
+        return G.evaluate(g, {"inp": inp, "cond": cond, **self._own_params.bindings()}).output
 
     def forward_with_jvp(self, inp, cond, d_inp, d_cond) -> tuple[np.ndarray, np.ndarray]:
-        """(output, directional derivative) sharing one forward pass."""
+        """(output, directional derivative) from one forward sweep."""
         g = self._eval_graph(len(inp))
         bindings = {"inp": inp, "cond": cond, **self._own_params.bindings()}
         tangents = {name: np.zeros_like(p.value) for name, p in self._own_params.items()}
         tangents["inp"] = d_inp
         tangents["cond"] = d_cond
-        run = G.evaluate(g, bindings)
-        return run.output, G.jvp(g, bindings, tangents, run=run)
+        return G.jvp(g, bindings, tangents)
 
     # -- energy-head one-step latent (the spec'd single-sample entry point) --
     def energy_sample(self, context: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -473,11 +471,3 @@ class Head:
         nn.save_checkpoint(path, self.params, config_digest=config_digest,
                            seed=self.seed if seed is None else seed,
                            step=step, extra=info)
-
-    @classmethod
-    def load(cls, path) -> "Head":
-        manifest, values = nn.load_checkpoint(path)
-        cfg = nn.config_from_manifest(HeadConfig, manifest, "head_config", path)
-        head = cls(cfg, seed=manifest["seed"], prefix=manifest["extra"].get("prefix", "head"))
-        head.params.assign(values, path)
-        return head

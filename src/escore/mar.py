@@ -240,7 +240,7 @@ class MarModel:
                     **self._backbone_params.bindings()}
         self.backbone_forwards += 1
         label = None if len(set(class_ids.tolist())) != 1 else int(class_ids[0])
-        h = G.evaluate(g, bindings, keep=False).output
+        h = G.evaluate(g, bindings).output
         return ContextualRepresentation(h, origin, label)
 
     # -- masked training ------------------------------------------------------

@@ -15,6 +15,7 @@ from scipy.spatial.distance import cdist, pdist
 
 WASSERSTEIN_SIZE_CAP = 2048
 MEDIAN = "median"
+METRIC_NAMES = ("mmd", "wsd", "energy")   # energy gives energy_u and energy_v
 
 _CROSS_BLOCK = 4_000_000  # max pairwise entries materialized at once
 
@@ -178,39 +179,51 @@ def wasserstein_assignment(x, y, order: int = 1) -> float:
 
 @dataclass
 class MetricsReport:
-    """One evaluation row: generated-vs-reference distances plus provenance."""
+    """One evaluation row: generated-vs-reference distances plus provenance.
+
+    A metric the evaluation left out is None and an empty CSV cell;
+    ``bandwidth`` is the MMD's kernel bandwidth and goes with it.
+    """
     method: str
     steps: int
     seed: int
     n: int
-    mmd: float
-    wsd: float
-    energy_u: float
-    energy_v: float
-    bandwidth: float
+    mmd: float | None
+    wsd: float | None
+    energy_u: float | None
+    energy_v: float | None
+    bandwidth: float | None
 
     CSV_HEADER = "method,steps,seed,n,mmd,wsd,energy_u,energy_v,bandwidth"
+    VALUES = ("mmd", "wsd", "energy_u", "energy_v", "bandwidth")
 
     def __post_init__(self):
-        for name in ("mmd", "wsd", "energy_u", "energy_v", "bandwidth"):
-            if not np.isfinite(getattr(self, name)):
+        for name in self.VALUES:
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
                 raise ValueError(f"MetricsReport.{name} is not finite")
-        if self.bandwidth <= 0:
+        if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
 
     def csv_row(self) -> str:
-        return ",".join([self.method, str(self.steps), str(self.seed), str(self.n),
-                         repr(self.mmd), repr(self.wsd), repr(self.energy_u),
-                         repr(self.energy_v), repr(self.bandwidth)])
+        values = [getattr(self, name) for name in self.VALUES]
+        return ",".join([self.method, str(self.steps), str(self.seed), str(self.n)]
+                        + ["" if v is None else repr(v) for v in values])
 
 
 def evaluate_samples(generated, reference, method: str, steps: int, seed: int,
-                     bandwidth: float | str = MEDIAN) -> MetricsReport:
-    """Full report between generated points and a reference batch."""
+                     bandwidth: float | str = MEDIAN,
+                     names: tuple[str, ...] = METRIC_NAMES) -> MetricsReport:
+    """Report between generated points and a reference batch, computing only
+    the metrics in ``names`` (a subset of :data:`METRIC_NAMES`)."""
     gen = _as_points("generated", generated)
     ref = _as_points("reference", reference)
-    mmd2, sigma = mmd_gaussian(gen, ref, bandwidth)
-    wsd = wasserstein_assignment(gen, ref)
-    e_u = energy_statistic(gen, ref, EnergyEstimatorConfig(mode="u"))
-    e_v = energy_statistic(gen, ref, EnergyEstimatorConfig(mode="v"))
+    mmd2 = sigma = wsd = e_u = e_v = None
+    if "mmd" in names:
+        mmd2, sigma = mmd_gaussian(gen, ref, bandwidth)
+    if "wsd" in names:
+        wsd = wasserstein_assignment(gen, ref)
+    if "energy" in names:
+        e_u = energy_statistic(gen, ref, EnergyEstimatorConfig(mode="u"))
+        e_v = energy_statistic(gen, ref, EnergyEstimatorConfig(mode="v"))
     return MetricsReport(method, steps, seed, len(gen), mmd2, wsd, e_u, e_v, sigma)

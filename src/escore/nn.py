@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -301,10 +302,14 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return manifest, values
 
 
+_CONFIG_TYPES = {int: int, float: (int, float), str: str}   # field type -> saved JSON types
+
+
 def config_from_manifest(cls, manifest: dict, key: str, source):
     """The config dataclass ``cls`` saved as ``manifest["extra"][key]``. It
-    must give every field of ``cls`` and no other; raises ValueError naming
-    ``source`` and the first unknown or missing field."""
+    must give every field of ``cls`` and no other, each of its declared type
+    (an int for a float too, never a bool); raises ValueError naming
+    ``source`` and the first unknown, missing or mistyped field."""
     extra = manifest.get("extra")
     saved = extra.get(key) if isinstance(extra, dict) else None
     if not isinstance(saved, dict):
@@ -316,4 +321,9 @@ def config_from_manifest(cls, manifest: dict, key: str, source):
     missing = [k for k in names if k not in saved]
     if missing:
         raise ValueError(f"{source}: {key} is missing field {missing[0]!r}")
+    for name, kind in get_type_hints(cls).items():
+        value = saved[name]
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+            raise ValueError(f"{source}: {key} field {name!r} must be {kind.__name__}, "
+                             f"got {value!r}")
     return cls(**saved)

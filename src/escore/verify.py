@@ -297,7 +297,7 @@ def check_jvp_consistency(n_graphs: int = 100) -> CheckResult:
         grads = G.backward(run)
         tangents = {k: s.child("tan/" + k).normal(v.shape) for k, v in pt.items()}
         dot = sum(float((grads[k] * tangents[k]).sum()) for k in pt)
-        fwd = float(G.jvp(g, pt, tangents))
+        fwd = float(G.jvp(g, pt, tangents)[1])
         worst = max(worst, abs(dot - fwd) / max(abs(dot), abs(fwd), 1e-8))
     return CheckResult("jvp-backward-consistency", worst, JVP_TOL, n_graphs)
 

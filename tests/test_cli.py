@@ -128,6 +128,24 @@ def test_eval_unknown_metric_name(tmp_path, capsys):
     assert "frechet" in capsys.readouterr().err
 
 
+def test_eval_computes_only_the_named_metrics(tmp_path, capsys):
+    """Above the Wasserstein size cap, energy alone still scores."""
+    gen, ref = tmp_path / "g.csv", tmp_path / "r.csv"
+    data.write_points_csv(gen, data.gaussian_source(2049, 2, seed=1).points)
+    data.write_points_csv(ref, data.gaussian_source(2049, 2, seed=2).points)
+    out = tmp_path / "m.csv"
+    rc = main(["eval", "--generated", str(gen), "--reference", str(ref),
+               "--out", str(out), "--metrics", "energy"])
+    assert rc == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["mmd"] == cells["wsd"] == cells["bandwidth"] == ""
+    assert np.isfinite(float(cells["energy_u"])) and float(cells["energy_v"]) > 0
+    assert capsys.readouterr().out == f"energy_v={float(cells['energy_v'])!r}\n"
+    assert main(["eval", "--generated", str(gen), "--reference", str(ref),
+                 "--out", str(out), "--metrics", ","]) == 1
+
+
 def test_train_mar_and_decode_roundtrip(tmp_path):
     run = tmp_path / "teacher"
     rc = main(["train-mar", "--role", "teacher", "--seed", "2",
@@ -267,6 +285,8 @@ BAD_CHECKPOINTS = {   # defect -> (part edited, its edit, cause printed)
                        "has unknown field 'stray'"),
     "config-missing": ("manifest", _config_edit(lambda cfg: cfg.pop("latent_dim")),
                        "is missing field 'latent_dim'"),
+    "config-type": ("manifest", _config_edit(lambda cfg: cfg.update(latent_dim="2")),
+                    "field 'latent_dim' must be int"),
     "no-params": ("manifest", lambda manifest: manifest.pop("params"), "no 'params' list"),
     "no-seed": ("manifest", lambda manifest: manifest.pop("seed"), "no integer 'seed'"),
     "params-entry": ("manifest", lambda manifest: manifest["params"][1].pop("shape"),
@@ -322,6 +342,19 @@ def test_decode_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defe
                "--out", str(tmp_path / "dec")])
     err = capsys.readouterr().err
     assert rc == 1 and cause in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--iterations", "--n"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_decode_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    from escore.mar import MarConfig, MarModel
+    ckpt = tmp_path / "mar.ckpt"
+    MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                       head_width=16, head_depth=1), 0).save(ckpt)
+    rc = main(["decode", "--ckpt", str(ckpt), flag, value, "--out", str(tmp_path / "dec")])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "dec").exists()
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])

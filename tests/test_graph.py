@@ -104,8 +104,9 @@ def test_jvp_square():
     g = G.Graph()
     x = g.leaf("x", (1,), grad=True)
     g.set_output(G.sum_sq(x))
-    out = G.jvp(g, {"x": np.array([3.0])}, {"x": np.array([1.0])})
-    assert float(out) == pytest.approx(6.0, abs=1e-12)
+    out, tan = G.jvp(g, {"x": np.array([3.0])}, {"x": np.array([1.0])})
+    assert float(out) == 9.0
+    assert float(tan) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_jvp_linear_map():
@@ -114,16 +115,16 @@ def test_jvp_linear_map():
     a = g.constant(np.arange(9.0).reshape(3, 3))
     g.set_output(G.matmul(x, a))
     v = np.array([[1.0, -2.0, 0.5]])
-    out = G.jvp(g, {"x": np.zeros((1, 3))}, {"x": v})
-    assert np.allclose(out, v @ np.arange(9.0).reshape(3, 3), atol=1e-15)
+    _, tan = G.jvp(g, {"x": np.zeros((1, 3))}, {"x": v})
+    assert np.allclose(tan, v @ np.arange(9.0).reshape(3, 3), atol=1e-15)
 
 
 def test_jvp_row_norm_directional():
     g = G.Graph()
     x = g.leaf("x", (2,), grad=True)
     g.set_output(G.row_norm(x))
-    out = G.jvp(g, {"x": np.array([3.0, 4.0])}, {"x": np.array([1.0, 0.0])})
-    assert float(out) == pytest.approx(0.6, abs=1e-12)
+    _, tan = G.jvp(g, {"x": np.array([3.0, 4.0])}, {"x": np.array([1.0, 0.0])})
+    assert float(tan) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_jvp_missing_tangent_for_influencing_leaf():
@@ -255,7 +256,7 @@ def test_reverse_forward_consistency_on_random_graphs():
         tangents = {k: Stream.from_seed(seed, "tan/" + k).normal(v.shape)
                     for k, v in pt.items()}
         dot = sum(float((grads[k] * tangents[k]).sum()) for k in pt)
-        fwd = float(G.jvp(g, pt, tangents))
+        fwd = float(G.jvp(g, pt, tangents)[1])
         denom = max(abs(dot), abs(fwd), 1e-8)
         assert abs(dot - fwd) / denom <= 1e-8
 
@@ -297,8 +298,7 @@ def test_affine_bitwise_equals_matmul_broadcast_add(lead, k, n, seed):
         grads = G.backward(run)
         results.append([run.value(out), run.output,
                         grads["x"], grads["w"], grads["b"],
-                        G.jvp(g, pt, tangents, output=out, run=run),
-                        G.jvp(g, pt, tangents, run=run)])
+                        *G.jvp(g, pt, tangents, output=out), *G.jvp(g, pt, tangents)])
     for fused, triple in zip(*results):
         assert fused.shape == triple.shape
         assert fused.tobytes() == triple.tobytes()
@@ -327,11 +327,22 @@ def test_linear_emits_one_affine_node():
 
 
 # ---------------------------------------------------------------------------
-# output-only evaluation (keep=False)
+# output-only evaluation: graphs without grad leaves
 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class _NoGradGraph(G.Graph):
+    """A graph whose leaves never take a gradient, so its runs are output-only."""
+
+    def leaf(self, name, shape, grad=False):
+        return super().leaf(name, shape)
+
+
+def _reference_output(g, pt, output=None):
+    return R.evaluate(g, pt, output)[0][(output or g.output).nid]
 
 
 @pytest.mark.parametrize("name", sorted(verify._primitive_cases()))
@@ -339,13 +350,16 @@ def test_output_only_equals_retained_on_primitive_cases(name):
     build, point = verify._primitive_cases()[name]
     for trial in range(5):
         s = Stream.from_seed(trial, f"keep/{name}")
-        g = G.Graph()
-        out = build(g, s)
-        reduced = verify._mix_reduce(g, out, s)
         pt = point(s)
-        for node in (out, reduced):
-            full = G.evaluate(g, pt, node).output
-            assert _same_bits(G.evaluate(g, pt, node, keep=False).output, full)
+        graphs = []
+        for g in (G.Graph(), _NoGradGraph()):
+            out = build(g, s)
+            graphs.append((g, out, verify._mix_reduce(g, out, s)))
+        (full_g, *full_nodes), (lean_g, *lean_nodes) = graphs
+        for full_node, node in zip(full_nodes, lean_nodes):
+            run = G.evaluate(lean_g, pt, node)
+            assert run.aux is None
+            assert _same_bits(run.output, G.evaluate(full_g, pt, full_node).output)
 
 
 def _randomize(params, seed: int) -> None:
@@ -362,8 +376,8 @@ def test_output_only_equals_retained_on_head_eval_graph(kind, rows, seed):
     s = Stream.from_seed(seed, "inputs")
     inp = s.child("inp").normal((rows, head.cfg.input_dim))
     cond = s.child("cond").normal((rows, head.cfg.cond_dim))
-    full = G.evaluate(head._eval_graph(rows),
-                      {"inp": inp, "cond": cond, **head.params.bindings()}).output
+    full = _reference_output(head._eval_graph(rows),
+                             {"inp": inp, "cond": cond, **head.params.bindings()})
     assert _same_bits(head.forward_values(inp, cond), full)
 
 
@@ -376,9 +390,9 @@ def test_output_only_equals_retained_on_backbone_graph(bsz, monkeypatch):
     runs = []
     real = G.evaluate
 
-    def spy(graph, bindings, output=None, *, keep=True):
-        run = real(graph, bindings, output, keep=keep)
-        runs.append((keep, run.output, real(graph, bindings, output).output))
+    def spy(graph, bindings, output=None):
+        run = real(graph, bindings, output)
+        runs.append((run, _reference_output(graph, bindings, output)))
         return run
 
     monkeypatch.setattr(G, "evaluate", spy)
@@ -386,9 +400,9 @@ def test_output_only_equals_retained_on_backbone_graph(bsz, monkeypatch):
     latents = s.child("latents").normal((bsz, cfg.seq_len, cfg.latent_dim))
     masked = s.child("mask").uniform((bsz, cfg.seq_len)) < 0.5
     h = model.represent(latents, masked, np.arange(bsz) % cfg.n_classes).h
-    [(keep, out, full)] = runs
-    assert not keep and out is h
-    assert _same_bits(out, full)
+    [(run, full)] = runs
+    assert run.aux is None and run.output is h
+    assert _same_bits(h, full)
 
 
 def _reference_layer_norm(x):
@@ -416,19 +430,21 @@ def test_in_place_kernels_equal_their_reference_formulas(kind, shape, transposed
     """Same operations in the same order, also on a non-contiguous (view) input."""
     op, reference = REFERENCE_KERNELS[kind]
     x = 3.0 * Stream.from_seed(seed, "x").normal(tuple(shape))
-    g = G.Graph()
-    node = g.leaf("x", x.shape)
-    if transposed:
-        node = G.transpose(node, tuple(reversed(range(x.ndim))))
-    g.set_output(op(node))
     expect = reference(np.transpose(x) if transposed else x)
-    for keep in (True, False):
-        assert _same_bits(G.evaluate(g, {"x": x}, keep=keep).output, expect)
+    for grad in (True, False):
+        g = G.Graph()
+        node = g.leaf("x", x.shape, grad=grad)
+        if transposed:
+            node = G.transpose(node, tuple(reversed(range(x.ndim))))
+        g.set_output(op(node))
+        run = G.evaluate(g, {"x": x})
+        assert (run.aux is None) != grad
+        assert _same_bits(run.output, expect)
 
 
-def _layer_chain():
+def _layer_chain(grad: bool = True):
     g = G.Graph()
-    x = g.leaf("x", (3, 5), grad=True)
+    x = g.leaf("x", (3, 5), grad=grad)
     h = G.scale(x, 1.3)
     fed = [op(src) for src in (x, h) for op in (G.silu, G.layer_norm, G.softmax)]
     fed.append(x * h)             # both sources are read again after the kernels
@@ -437,18 +453,17 @@ def _layer_chain():
 
 
 def test_output_only_evaluation_holds_only_the_output():
-    g, h = _layer_chain()
+    g, h = _layer_chain(grad=False)
     pt = {"x": Stream.from_seed(0, "x").normal((3, 5))}
-    run = G.evaluate(g, pt, keep=False)
+    run = G.evaluate(g, pt)
     assert run.aux is None
     assert [nid for nid, v in enumerate(run.values) if v is not None] == [g.output.nid]
-    assert _same_bits(run.output, G.evaluate(g, pt).output)
+    assert _same_bits(run.output, G.evaluate(_layer_chain()[0], pt).output)
     with pytest.raises(G.GraphError, match="no value"):
         run.value(h)
-    with pytest.raises(G.GraphError, match="retained"):
-        G.backward(run)
-    with pytest.raises(G.GraphError, match="retained"):
-        G.jvp(g, pt, {"x": np.ones((3, 5))}, run=run)
+    assert G.backward(run) == {}
+    out, _ = G.jvp(g, pt, {"x": np.ones((3, 5))})
+    assert _same_bits(out, run.output)
 
 
 def test_release_plan_frees_each_value_after_its_last_reader():
@@ -458,9 +473,15 @@ def test_release_plan_frees_each_value_after_its_last_reader():
     z = x * y
     G.scale(x, 2.0)               # read by nothing: freed right after it is made
     g.set_output(G.total(z))
-    assert G._release_plan(g, g.output) == [(), (), (1,), (0, 3), (2,)]
+    assert G._release_plan(g, g.output) == (None, [(), (), (1,), (0, 3), (2,)])
     assert G._release_plan(g, g.output) is G._release_plan(g, g.output)
-    assert G._release_plan(g, z) == [(), (), (0, 1)]
+    assert G._release_plan(g, z) == (None, [(), (), (0, 1)])
+    g = G.Graph()
+    x = g.leaf("x", (2,), grad=True)
+    z = x * G.silu(x)             # mul keeps its inputs, silu its output
+    g.set_output(G.total(G.scale(z, 2.0)))
+    assert G._release_plan(g, g.output) == ([(), (), (), (2,), (3,)],
+                                            [(), (), (0, 1), (2,), (3,)])
 
 
 def _arrays(args):
@@ -501,19 +522,19 @@ def _write_checked_rules(monkeypatch):
     return produced, called
 
 
-@pytest.mark.parametrize("keep", [True, False])
-def test_kernels_never_write_into_their_inputs(keep, monkeypatch):
-    g, _ = _layer_chain()
+@pytest.mark.parametrize("grad", [True, False])
+def test_kernels_never_write_into_their_inputs(grad, monkeypatch):
+    g, _ = _layer_chain(grad)
     x = Stream.from_seed(1, "x").normal((3, 5))
     x_before = x.copy()
     produced, called = _write_checked_rules(monkeypatch)
-    run = G.evaluate(g, {"x": x}, keep=keep)
+    run = G.evaluate(g, {"x": x})
     assert _same_bits(x, x_before)
     computed = [n.nid for n in g.nodes if n.kind not in ("leaf", "const")]
     assert len(computed) == len(produced)
-    if keep:
+    if grad:
         G.backward(run)
-        G.jvp(g, {"x": x}, {"x": np.ones((3, 5))}, run=run)
+        G.jvp(g, {"x": x}, {"x": np.ones((3, 5))})
         assert {part for _, part in called} == {"forward", "backward", "jvp"}
         held = {nid for nid, v in enumerate(run.values) if v is not None}
         assert held == G._retained(g, g.output)
@@ -541,7 +562,7 @@ def test_no_rule_writes_into_what_it_reads(monkeypatch):
     for g, pt, s in graphs:
         run = G.evaluate(g, pt)
         G.backward(run)
-        G.jvp(g, pt, _tangents(pt, s), run=run)
+        G.jvp(g, pt, _tangents(pt, s))
     assert called == {(kind, part) for kind, rule in G._RULES.items()
                       for part in ("forward", "backward", "jvp") if getattr(rule, part)}
 
@@ -559,7 +580,9 @@ def _assert_matches_reference(g, pt, tangents):
     assert sorted(grads) == sorted(expect)
     for name in expect:
         assert _same_bits(grads[name], expect[name]), name
-    assert _same_bits(G.jvp(g, pt, tangents, run=run), R.jvp(g, values, aux, tangents))
+    out, tan = G.jvp(g, pt, tangents)
+    assert _same_bits(out, values[g.output.nid])
+    assert _same_bits(tan, R.jvp(g, values, aux, tangents))
 
 
 def _tangents(pt, s):
@@ -665,23 +688,73 @@ def test_retained_evaluation_holds_the_table_on_mar_train_graph():
         run.value(nodes["h"])
 
 
-def test_backward_peak_memory_does_not_grow_with_depth():
-    """Adjoints are freed as they are consumed: the reverse sweep over a
-    32-layer residual chain peaks at a few layer tensors, not one per layer."""
-    shape, depth = (256, 256), 32
+@pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+def test_graphs_choose_output_only_or_retained_runs(kind):
+    """Inference graphs (no grad leaf) run output-only; train graphs keep
+    exactly the retention set."""
+    model = ToyHeadModel(heads.HeadConfig(kind=kind, width=16, depth=2), seed=1)
+    s = Stream.from_seed(2, f"mode/{kind}")
+    head = model.head
+    run = G.evaluate(head._eval_graph(5), {"inp": s.child("inp").normal((5, head.cfg.input_dim)),
+                                           "cond": s.child("cond").normal((5, head.cfg.cond_dim)),
+                                           **head.params.bindings()})
+    assert run.aux is None and _held(run) == {run.output_node.nid}
+    y = s.child("y").normal((12, 2))
+    pt = {**model.params.bindings(),
+          **head.loss_bindings(y, s.child("loss"), context=model.context_rows(12))}
+    g = model._loss_graph(12)
+    run = G.evaluate(g, pt)
+    assert run.aux is not None and _held(run) == G._retained(g, g.output)
+
+
+def test_backbone_runs_output_only_and_mar_train_graph_retained():
+    cfg = MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                    head_width=16, head_depth=1)
+    model = MarModel(cfg, seed=0)
+    s = Stream.from_seed(0, "mode/mar")
+    g = model._repr_graph(2)
+    run = G.evaluate(g, {"latents": s.child("latents").normal((2, cfg.seq_len, cfg.latent_dim)),
+                         "mask": np.ones((2, cfg.seq_len, 1)),
+                         "onehot": np.eye(cfg.n_classes + 1)[:2],
+                         **model._backbone_params.bindings()})
+    assert run.aux is None and _held(run) == {g.output.nid}
+    g, _, pt = _mar_train_graph()
+    run = G.evaluate(g, pt)
+    assert run.aux is not None and _held(run) == G._retained(g, g.output)
+
+
+def _residual_chain(shape, depth=32):
     g = G.Graph()
-    x = g.leaf("x", shape, grad=True)
-    h = x
+    h = g.leaf("x", shape, grad=True)
     for _ in range(depth):
         h = h + G.silu(G.layer_norm(h))
     g.set_output(G.mean(h))
-    run = G.evaluate(g, {"x": Stream.from_seed(0, "x").normal(shape)})
-    tensor = 8 * shape[0] * shape[1]
+    return g
+
+
+def _peak_bytes(call):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        G.backward(run)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * tensor, peak / tensor
+
+
+def test_backward_peak_memory_does_not_grow_with_depth():
+    """Adjoints are freed as they are consumed: the reverse sweep over a
+    32-layer residual chain peaks at a few layer tensors, not one per layer."""
+    shape = (256, 256)
+    run = G.evaluate(_residual_chain(shape), {"x": Stream.from_seed(0, "x").normal(shape)})
+    peak = _peak_bytes(lambda: G.backward(run))
+    assert peak <= 8 * (8 * shape[0] * shape[1]), peak / (8 * shape[0] * shape[1])
+
+
+def test_jvp_peak_memory_does_not_grow_with_depth():
+    """jvp frees each value, tangent and kernel cache after its last reader,
+    also on a graph with grad leaves, whose evaluate would retain more."""
+    shape = (256, 256)
+    g, x = _residual_chain(shape), Stream.from_seed(0, "x").normal(shape)
+    peak = _peak_bytes(lambda: G.jvp(g, {"x": x}, {"x": x}))
+    assert peak <= 10 * (8 * shape[0] * shape[1]), peak / (8 * shape[0] * shape[1])

@@ -5,6 +5,7 @@ from escore import graph as G
 from escore import heads, nn
 from escore.heads import Head, HeadConfig, energy_loss_m, energy_loss_pair
 from escore.rng import Stream
+from escore.swiss import ToyHeadModel
 
 
 def test_head_config_validation():
@@ -254,10 +255,14 @@ def test_loss_graphs_grad_check_all_kinds():
 
 
 def test_checkpoint_roundtrip_with_kind(tmp_path):
-    head = _randomized_head(HeadConfig(kind="shortcut", width=8, depth=1), 17)
+    model = ToyHeadModel(HeadConfig(kind="shortcut", width=8, depth=1), seed=17)
+    s = Stream.from_seed(17, "randomize")
+    for name, p in model.params.items():
+        p.value = 0.3 * s.child(name).normal(p.value.shape)
     path = tmp_path / "head.ckpt"
-    head.save(path, config_digest="abc", step=3)
-    back = Head.load(path)
-    assert back.cfg == head.cfg
-    for name, p in head.params.items():
+    model.save(path, config_digest="abc", step=3)
+    back = ToyHeadModel.load(path)
+    assert back.cfg == model.cfg and back.seed == model.seed
+    assert sorted(back.params.bindings()) == sorted(model.params.bindings())
+    for name, p in model.params.items():
         assert np.array_equal(back.params[name].value, p.value)

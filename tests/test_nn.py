@@ -272,3 +272,25 @@ def test_checkpoint_bytes_deterministic(tmp_path):
         return path.read_bytes()
 
     assert write(tmp_path / "a.ckpt") == write(tmp_path / "b.ckpt")
+
+
+@pytest.mark.parametrize("field, value, ok", [
+    ("mask_hi", 1, True),          # `--set mar.mask_hi=1` saves an int
+    ("mask_hi", 0.9, True),
+    ("seq_len", 8.0, False),
+    ("seq_len", True, False),
+    ("mask_hi", False, False),
+    ("head_kind", 3, False),
+    ("n_heads", "2", False),
+])
+def test_config_from_manifest_checks_value_types(field, value, ok):
+    from dataclasses import asdict
+    from escore.mar import MarConfig
+    saved = {**asdict(MarConfig()), field: value}
+    manifest = {"extra": {"mar_config": saved}}
+    if ok:
+        assert getattr(nn.config_from_manifest(MarConfig, manifest, "mar_config", "ck"),
+                       field) == value
+    else:
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            nn.config_from_manifest(MarConfig, manifest, "mar_config", "ck")

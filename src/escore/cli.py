@@ -94,8 +94,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", help="draw points from a trained head")
     p.add_argument("--run", help="run directory containing head.ckpt")
     p.add_argument("--ckpt", help="explicit checkpoint path")
-    p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--n", type=int, default=2048)
+    p.add_argument("--steps", type=_positive_int, default=1)
+    p.add_argument("--n", type=_positive_int, default=2048)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output samples CSV")
     p.add_argument("--svg", help="optional scatter plot path")
@@ -132,7 +132,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--schedule", choices=["cosine", "uniform"])
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--head-steps", type=int, dest="head_steps",
+    p.add_argument("--head-steps", type=_positive_int, dest="head_steps",
                    help="per-position sampling steps (non-energy heads; "
                         "defaults to 1 for energy, the chain length otherwise)")
     p.add_argument("--no-guidance", action="store_true",

@@ -18,7 +18,7 @@ from . import nn
 from .data import N_CLASSES, conditional_sequences, stack_sequences
 from .heads import Head, HeadConfig, build_loss_rows, declare_loss_leaves
 from .nn import TrainingError
-from .rng import Stream
+from .rng import Stream, Streams
 
 NULL_CLASS = -1          # sentinel for the CFG unconditional pass
 PREFIX_TOKENS = 2        # conditioning rows prepended to the latent tokens
@@ -93,6 +93,23 @@ class DecodeConfig:
             raise ValueError("head_steps must be >= 1")
 
 
+def _draw_masks(streams: Streams, length: int,
+                rate_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """One mask per stream from its ``rate`` and ``positions`` children:
+    (..., L) bools with ceil(rate * L) positions set, and the rates."""
+    lo, hi = rate_range
+    if not 0.0 < lo <= hi <= 1.0:
+        raise ValueError(f"bad masking rate range [{lo}, {hi})")
+    rate = np.full(streams.keys.shape, lo) if hi == lo \
+        else lo + (hi - lo) * streams.child("rate").uniform()
+    count = np.minimum(length, np.ceil(rate * length))
+    # the first `count` entries of a uniform permutation are the masked set
+    order = streams.child("positions").permutation(length)
+    masked = np.empty(order.shape, dtype=bool)
+    np.put_along_axis(masked, order, np.arange(length) < count[..., None], axis=-1)
+    return masked, rate
+
+
 def apply_mask(latents: np.ndarray, rate_range: tuple[float, float],
                rng: Stream) -> tuple[np.ndarray, MaskPattern]:
     """Pick ceil(rate * L) positions to mask, rate ~ U[lo, hi).
@@ -100,17 +117,9 @@ def apply_mask(latents: np.ndarray, rate_range: tuple[float, float],
     Returns the latents with masked rows zeroed (the learned mask token is
     substituted inside the backbone) plus the pattern itself.
     """
-    lo, hi = rate_range
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ValueError(f"bad masking rate range [{lo}, {hi})")
-    length = len(latents)
-    rate = lo if hi == lo else lo + (hi - lo) * rng.child("rate").uniform()
-    count = min(length, math.ceil(rate * length))
-    idx = rng.child("positions").sample_without_replacement(length, count)
-    masked = np.zeros(length, dtype=bool)
-    masked[idx] = True
+    masked, rate = _draw_masks(Streams(rng.key), len(latents), rate_range)
     visible = latents * (~masked)[:, None]
-    return visible, MaskPattern(masked, rate)
+    return visible, MaskPattern(masked, float(rate))
 
 
 def cfg_combine(cond: ContextualRepresentation, uncond: ContextualRepresentation,
@@ -289,13 +298,11 @@ class MarModel:
         return g, nodes
 
     def mask_batch(self, latents: np.ndarray, rng: Stream) -> np.ndarray:
-        """Independent mask pattern per sequence; returns (B, L) bools."""
-        out = np.zeros(latents.shape[:2], dtype=bool)
-        for j in range(len(latents)):
-            _, pattern = apply_mask(latents[j], (self.cfg.mask_lo, self.cfg.mask_hi),
-                                    rng.child(f"seq/{j}"))
-            out[j] = pattern.masked
-        return out
+        """Independent mask pattern per sequence, drawn from its ``seq/{j}``
+        stream; returns (B, L) bools."""
+        seqs = Streams(rng.key).child([f"seq/{j}" for j in range(len(latents))])
+        masked, _ = _draw_masks(seqs, latents.shape[1], (self.cfg.mask_lo, self.cfg.mask_hi))
+        return masked
 
     def masked_training_step(self, latents: np.ndarray, class_ids: np.ndarray,
                              rng: Stream, *, lam: float = 0.0,
@@ -366,10 +373,24 @@ class MarModel:
 
     def decode(self, class_id: int | None, n_seq: int,
                dcfg: DecodeConfig) -> tuple[np.ndarray, dict]:
-        """Generate sequences by iterative parallel decoding with CFG."""
+        """Generate sequences by iterative parallel decoding with CFG.
+
+        Sequence j draws from its own stream chain: ``seq/{j}`` ->
+        ``iter/{k}/select`` picks its positions at iteration k, and
+        ``seq/{j}`` -> ``pos/{i}/noise`` is the energy-head noise of its
+        position i. Each is drawn for all sequences in one batched call.
+        """
         cfg = self.cfg
         counts = self._unmask_counts(dcfg)
+        energy = cfg.head_kind == "energy"
+        if energy and dcfg.head_steps != 1:
+            raise ValueError("energy heads sample in exactly one step")
         root = Stream.from_seed(dcfg.seed, "decode")
+        seqs = Streams(root.key).child([f"seq/{j}" for j in range(n_seq)])
+        if energy:
+            # each position is generated exactly once, so each draw is used once
+            noise = Streams(seqs.keys[:, None]).child(
+                [f"pos/{i}/noise" for i in range(cfg.seq_len)]).normal((cfg.latent_dim,))
         latents = np.zeros((n_seq, cfg.seq_len, cfg.latent_dim))
         generated = np.zeros((n_seq, cfg.seq_len), dtype=bool)
         ids = np.full(n_seq, NULL_CLASS if class_id is None else class_id)
@@ -378,35 +399,33 @@ class MarModel:
         times_generated = np.zeros((n_seq, cfg.seq_len), dtype=int)
 
         for k, n_k in enumerate(counts):
-            h_cond = self.represent(latents, ~generated, ids)
+            # every sequence starts all-masked with the same class, so the
+            # first iteration runs the backbone on one row and shares it
+            rows = 1 if k == 0 else n_seq
+            h_cond = self.represent(latents[:rows], ~generated[:rows], ids[:rows])
             if dcfg.guided:
-                h_null = self.represent(latents, ~generated,
-                                        np.full(n_seq, NULL_CLASS))
+                h_null = self.represent(latents[:rows], ~generated[:rows],
+                                        np.full(rows, NULL_CLASS))
                 h = cfg_combine(h_cond, h_null, dcfg.cfg_scale).h
             else:
                 h = h_cond.h
-            chosen: list[tuple[int, int]] = []
-            for j in range(n_seq):
-                open_pos = np.flatnonzero(~generated[j])
-                pick = root.child(f"seq/{j}").child(f"iter/{k}/select") \
-                    .sample_without_replacement(len(open_pos), n_k)
-                chosen.extend((j, int(open_pos[p])) for p in pick)
-            ctx = np.stack([h[j, i] for j, i in chosen])
-            if cfg.head_kind == "energy":
-                if dcfg.head_steps != 1:
-                    raise ValueError("energy heads sample in exactly one step")
-                noise = np.stack([
-                    root.child(f"seq/{j}").child(f"pos/{i}/noise")
-                    .normal((cfg.latent_dim,)) for j, i in chosen])
-                out = self.head.energy_sample(ctx, noise)
+            h = np.broadcast_to(h, (n_seq,) + h.shape[1:])
+            # every sequence has the same number of open positions
+            open_pos = np.nonzero(~generated)[1].reshape(n_seq, -1)
+            pick = seqs.child(f"iter/{k}/select") \
+                .sample_without_replacement(open_pos.shape[1], n_k)
+            seq_idx = np.repeat(np.arange(n_seq), n_k)
+            pos_idx = np.take_along_axis(open_pos, pick, axis=1).ravel()
+            ctx = h[seq_idx, pos_idx]
+            if energy:
+                out = self.head.energy_sample(ctx, noise[seq_idx, pos_idx])
             else:
                 out = self.head.sample(ctx, dcfg.head_steps,
                                        root.child(f"iter/{k}/head"))
             head_rows += len(out)
-            for row, (j, i) in enumerate(chosen):
-                latents[j, i] = out[row]
-                generated[j, i] = True
-                times_generated[j, i] += 1
+            latents[seq_idx, pos_idx] = out
+            generated[seq_idx, pos_idx] = True
+            np.add.at(times_generated, (seq_idx, pos_idx), 1)
 
         if not generated.all() or not np.all(times_generated == 1):
             raise RuntimeError("decode failed to cover every position exactly once")

@@ -3,8 +3,15 @@
 Every stream is a pure function of (master seed, label path, draw counter),
 so results never depend on the order in which unrelated streams are
 consumed. Normal variates come from Box-Muller over splitmix64 output.
+
+Because a draw depends only on (key, counter), many streams can be drawn in
+one vectorised call (Salmon et al. 2011, "Parallel Random Numbers: As Easy
+as 1, 2, 3"): ``Streams`` holds an array of keys and gives, in row r, the
+bits that ``Stream`` with key r gives. Both run the same array code below.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -17,24 +24,83 @@ _U53_INV = 1.0 / float(1 << 53)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer, vectorized over uint64 counters
+    # splitmix64 finalizer, vectorized over uint64 arrays (which wrap silently)
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
 
 
-def _mix_int(z: int) -> int:
-    # same finalizer in plain ints (no numpy overflow warnings)
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
+@functools.lru_cache(maxsize=1 << 14)
 def _fnv1a(label: str) -> int:
     h = 0xCBF29CE484222325
     for byte in label.encode("utf-8"):
         h = ((h ^ byte) * 0x100000001B3) & _MASK
     return h
+
+
+def _hashes(labels) -> np.ndarray:
+    """FNV-1a hashes of a str or an array of str, in its shape."""
+    labels = np.asarray(labels)
+    flat = [_fnv1a(label) for label in labels.ravel().tolist()]
+    return np.array(flat, dtype=np.uint64).reshape(labels.shape)
+
+
+def _child_keys(keys: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """Keys of the child streams, elementwise over uint64 arrays."""
+    return _mix64(_mix64(keys + _GOLDEN) ^ hashes)
+
+
+def _raw(keys: np.ndarray, counter: int, n: int) -> np.ndarray:
+    """(K, n) splitmix64 output at counters [counter, counter + n) of K keys."""
+    ctr = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    return _mix64(keys[:, None] + ctr * _GOLDEN)
+
+
+# Each draw below takes K keys at one counter and returns (K, n) values plus
+# the counter after the draw.
+
+def _uniform(keys: np.ndarray, counter: int, n: int) -> tuple[np.ndarray, int]:
+    u = (_raw(keys, counter, n) >> np.uint64(11)).astype(np.float64) * _U53_INV
+    return u, counter + n
+
+
+def _normal(keys: np.ndarray, counter: int, n: int) -> tuple[np.ndarray, int]:
+    """Box-Muller over 2 * ceil(n / 2) counters."""
+    m = (n + 1) // 2
+    raw = _raw(keys, counter, 2 * m)
+    # (0,1] for the log argument, [0,1) for the angle
+    u1 = ((raw[:, :m] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _U53_INV
+    u2 = (raw[:, m:] >> np.uint64(11)).astype(np.float64) * _U53_INV
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=1)[:, :n]
+    return z, counter + 2 * m
+
+
+def _permutation(keys: np.ndarray, counter: int, n: int) -> tuple[np.ndarray, int]:
+    """Fisher-Yates permutations of range(n) over n - 1 counters."""
+    perm = np.tile(np.arange(n, dtype=np.int64), (len(keys), 1))
+    if n < 2:
+        return perm, counter
+    # step t swaps position i = n - 1 - t with a uniform pick j in [0, i]
+    u, counter = _uniform(keys, counter, n - 1)
+    span = np.arange(n, 1, -1)
+    picks = np.minimum((u * span).astype(np.int64), span - 1)
+    rows = np.arange(len(keys))
+    for t, i in enumerate(range(n - 1, 0, -1)):
+        j = picks[:, t]
+        perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
+    return perm, counter
+
+
+def _size(shape: tuple[int, ...] | int) -> tuple[tuple[int, ...], int]:
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    return shape, int(np.prod(shape, dtype=np.int64)) if shape else 1
+
+
+def _check_subset(n: int, k: int) -> None:
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot draw {k} from {n}")
 
 
 class Stream:
@@ -48,39 +114,27 @@ class Stream:
 
     @classmethod
     def from_seed(cls, seed: int, label: str = "root") -> "Stream":
-        key = _mix_int((((seed % (1 << 64)) * 0x9E3779B97F4A7C15) + 1) & _MASK)
-        return cls(np.uint64(key)).child(label)
+        word = np.array([seed % (1 << 64)], dtype=np.uint64)
+        return cls(_mix64(word * _GOLDEN + np.uint64(1))[0]).child(label)
 
     def child(self, label: str) -> "Stream":
         # independent stream; does not advance this stream's counter
-        base = _mix_int((int(self.key) + 0x9E3779B97F4A7C15) & _MASK)
-        return Stream(np.uint64(_mix_int(base ^ _fnv1a(label))))
+        return Stream(_child_keys(self._keys(), np.uint64(_fnv1a(label)))[0])
 
-    def _raw(self, n: int) -> np.ndarray:
-        ctr = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        self.counter += n
-        return _mix64(self.key + (ctr + np.uint64(1)) * _GOLDEN)
+    def _keys(self) -> np.ndarray:
+        return np.array([self.key])
 
     def uniform(self, shape: tuple[int, ...] | int = ()) -> np.ndarray:
         """i.i.d. Uniform[0,1) with 53-bit resolution."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U53_INV
-        return u.reshape(shape) if shape else float(u[0])
+        shape, n = _size(shape)
+        u, self.counter = _uniform(self._keys(), self.counter, n)
+        return u[0].reshape(shape) if shape else float(u[0, 0])
 
     def normal(self, shape: tuple[int, ...] | int = ()) -> np.ndarray:
         """i.i.d. standard normal via Box-Muller."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        m = (n + 1) // 2
-        raw = self._raw(2 * m)
-        # (0,1] for the log argument, [0,1) for the angle
-        u1 = ((raw[:m] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _U53_INV
-        u2 = (raw[m:] >> np.uint64(11)).astype(np.float64) * _U53_INV
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return z.reshape(shape) if shape else float(z[0])
+        shape, n = _size(shape)
+        z, self.counter = _normal(self._keys(), self.counter, n)
+        return z[0].reshape(shape) if shape else float(z[0, 0])
 
     def integers(self, upper: int, shape: tuple[int, ...] | int = ()) -> np.ndarray:
         """i.i.d. integers in [0, upper); upper must be far below 2**53."""
@@ -93,17 +147,50 @@ class Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        if n < 2:
-            return perm
-        picks = self.uniform((n - 1,))
-        for i in range(n - 1, 0, -1):
-            j = min(int(picks[n - 1 - i] * (i + 1)), i)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        perm, self.counter = _permutation(self._keys(), self.counter, n)
+        return perm[0]
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), uniform over subsets, sorted."""
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot draw {k} from {n}")
+        _check_subset(n, k)
         return np.sort(self.permutation(n)[:k])
+
+
+class Streams:
+    """Many streams drawn in lockstep, one per element of ``keys``.
+
+    Every draw returns ``keys.shape + shape``; at index ``i`` it holds what
+    the same sequence of draws from ``Stream(keys[i])`` gives, bit for bit.
+    """
+
+    __slots__ = ("keys", "counter")
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=np.uint64)
+        self.counter = 0
+
+    def child(self, labels) -> "Streams":
+        """Child streams; labels is one str for every key, or an array of str
+        that broadcasts against ``keys`` (a (J, 1) key array with L labels
+        gives J x L children)."""
+        keys, hashes = np.broadcast_arrays(self.keys, _hashes(labels))
+        return Streams(_child_keys(keys.ravel(), hashes.ravel()).reshape(keys.shape))
+
+    def _draw(self, draw, n: int, shape: tuple[int, ...]) -> np.ndarray:
+        flat, self.counter = draw(self.keys.reshape(-1), self.counter, n)
+        return flat.reshape(self.keys.shape + shape)
+
+    def uniform(self, shape: tuple[int, ...] | int = ()) -> np.ndarray:
+        shape, n = _size(shape)
+        return self._draw(_uniform, n, shape)
+
+    def normal(self, shape: tuple[int, ...] | int = ()) -> np.ndarray:
+        shape, n = _size(shape)
+        return self._draw(_normal, n, shape)
+
+    def permutation(self, n: int) -> np.ndarray:
+        return self._draw(_permutation, n, (n,))
+
+    def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
+        _check_subset(n, k)
+        return np.sort(self.permutation(n)[..., :k], axis=-1)

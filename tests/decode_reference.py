@@ -1,0 +1,67 @@
+"""Reference MAR decode loop for the tests: one stream chain per draw.
+
+This is the loop ``MarModel.decode`` started from. Every iteration runs the
+backbone over all ``n_seq`` rows, every sequence draws its selection through
+its own ``seq/{j}`` -> ``iter/{k}/select`` chain, and every generated
+position draws its energy-head noise through ``seq/{j}`` ->
+``pos/{i}/noise``, all from the one-key reference streams. The batched
+decode must return the same latents and stats, bit for bit.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from escore.mar import NULL_CLASS, DecodeConfig, MarModel, cfg_combine
+
+from rng_reference import Stream
+
+
+def decode(model: MarModel, class_id: int | None, n_seq: int,
+           dcfg: DecodeConfig) -> tuple[np.ndarray, dict]:
+    cfg = model.cfg
+    counts = model._unmask_counts(dcfg)
+    root = Stream.from_seed(dcfg.seed, "decode")
+    latents = np.zeros((n_seq, cfg.seq_len, cfg.latent_dim))
+    generated = np.zeros((n_seq, cfg.seq_len), dtype=bool)
+    ids = np.full(n_seq, NULL_CLASS if class_id is None else class_id)
+    backbone_before = model.backbone_forwards
+    head_rows = 0
+    times_generated = np.zeros((n_seq, cfg.seq_len), dtype=int)
+
+    for k, n_k in enumerate(counts):
+        h_cond = model.represent(latents, ~generated, ids)
+        if dcfg.guided:
+            h_null = model.represent(latents, ~generated, np.full(n_seq, NULL_CLASS))
+            h = cfg_combine(h_cond, h_null, dcfg.cfg_scale).h
+        else:
+            h = h_cond.h
+        chosen: list[tuple[int, int]] = []
+        for j in range(n_seq):
+            open_pos = np.flatnonzero(~generated[j])
+            pick = root.child(f"seq/{j}").child(f"iter/{k}/select") \
+                .sample_without_replacement(len(open_pos), n_k)
+            chosen.extend((j, int(open_pos[p])) for p in pick)
+        ctx = np.stack([h[j, i] for j, i in chosen])
+        if cfg.head_kind == "energy":
+            if dcfg.head_steps != 1:
+                raise ValueError("energy heads sample in exactly one step")
+            noise = np.stack([
+                root.child(f"seq/{j}").child(f"pos/{i}/noise")
+                .normal((cfg.latent_dim,)) for j, i in chosen])
+            out = model.head.energy_sample(ctx, noise)
+        else:
+            out = model.head.sample(ctx, dcfg.head_steps, root.child(f"iter/{k}/head"))
+        head_rows += len(out)
+        for row, (j, i) in enumerate(chosen):
+            latents[j, i] = out[row]
+            generated[j, i] = True
+            times_generated[j, i] += 1
+
+    if not generated.all() or not np.all(times_generated == 1):
+        raise RuntimeError("decode failed to cover every position exactly once")
+    stats = {
+        "backbone_forwards": model.backbone_forwards - backbone_before,
+        "head_rows": head_rows,
+        "per_iteration": counts,
+    }
+    return latents, stats

@@ -344,7 +344,7 @@ def test_decode_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defe
     assert rc == 1 and cause in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--iterations", "--n"])
+@pytest.mark.parametrize("flag", ["--iterations", "--n", "--head-steps"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_decode_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
     from escore.mar import MarConfig, MarModel
@@ -355,6 +355,21 @@ def test_decode_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
     assert rc == 1
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "dec").exists()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--steps"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_sample_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
+    from escore.heads import HeadConfig
+    from escore.swiss import ToyHeadModel
+    ckpt = tmp_path / "head.ckpt"
+    ToyHeadModel(HeadConfig(kind="diffusion", width=8, depth=1), seed=0).save(ckpt)
+    argv = {"--n": "4", "--steps": "2", flag: value}
+    rc = main(["sample", "--ckpt", str(ckpt), "--out", str(tmp_path / "s.csv")]
+              + [part for item in argv.items() for part in item])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])

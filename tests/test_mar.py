@@ -1,8 +1,13 @@
 import dataclasses
+import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
 
+import decode_reference
+import rng_reference as R
 from escore import mar
 from escore.mar import (ContextualRepresentation, DecodeConfig, MarConfig, MarModel,
                         apply_mask, cfg_combine, distillation_loss, one_hot_classes)
@@ -227,6 +232,71 @@ def test_decode_scale_one_equals_unguided_bitwise():
     plain, _ = model.decode(1, 3, DecodeConfig(iterations=4, cfg_scale=1.0, seed=2,
                                                guided=False))
     assert np.array_equal(guided, plain)
+
+
+@pytest.mark.parametrize("rate_range", [(0.7, 1.0), (0.5, 0.5), (0.01, 0.2)])
+def test_mask_batch_matches_per_sequence_reference(rate_range):
+    """One batched draw gives each sequence the mask of its own stream chain."""
+    model = MarModel(dataclasses.replace(TINY, mask_lo=rate_range[0],
+                                         mask_hi=rate_range[1]), seed=1)
+    got = model.mask_batch(np.zeros((9, TINY.seq_len, 2)), Stream.from_seed(6, "mask"))
+    lo, hi = rate_range
+    length = TINY.seq_len
+    want = np.zeros((9, length), dtype=bool)
+    for j in range(9):
+        seq = R.Stream.from_seed(6, "mask").child(f"seq/{j}")
+        rate = lo if hi == lo else lo + (hi - lo) * seq.child("rate").uniform()
+        count = min(length, math.ceil(rate * length))
+        want[j, seq.child("positions").sample_without_replacement(length, count)] = True
+    assert np.array_equal(got, want)
+
+
+@functools.cache
+def _reference_model(kind: str) -> MarModel:
+    """A model whose every weight is random, so that each latent depends on
+    its context and noise (a fresh head's zero-initialised output would not)."""
+    model = MarModel(dataclasses.replace(TINY, head_kind=kind), seed=21)
+    for name, p in model.params.items():
+        p.value[...] = 0.1 * Stream.from_seed(21, name).normal(p.value.shape)
+    return model
+
+
+@pytest.mark.parametrize("kind,class_id,guided,schedule,iters,n_seq", list(itertools.product(
+    ("energy", "diffusion", "flow"), (None, 1), (True, False), ("cosine", "uniform"),
+    (1, 3, 8), (1, 3))))
+def test_decode_matches_reference(kind, class_id, guided, schedule, iters, n_seq):
+    """Batched draws and the shared first pass give the per-sequence loop's bits."""
+    model = _reference_model(kind)
+    dcfg = DecodeConfig(iterations=iters, cfg_scale=2.5, schedule=schedule, seed=4,
+                        guided=guided, head_steps=1 if kind == "energy" else 3)
+    want, want_stats = decode_reference.decode(model, class_id, n_seq, dcfg)
+    got, got_stats = model.decode(class_id, n_seq, dcfg)
+    assert got.tobytes() == want.tobytes()
+    assert got_stats == want_stats
+
+
+@pytest.mark.parametrize("class_id", [0, 2, mar.NULL_CLASS])
+@pytest.mark.parametrize("cfg,n", [(TINY, 7), (MarConfig(), 40)], ids=["tiny", "default"])
+def test_represent_one_row_equals_every_row_of_a_batch_when_all_masked(cfg, n, class_id):
+    """The shared first decode iteration rests on this: on an all-masked input
+    with one class, a batch-1 backbone pass gives each row of a batch-n pass."""
+    model = MarModel(cfg, seed=5)
+    latents = np.zeros((n, cfg.seq_len, cfg.latent_dim))
+    masked = np.ones((n, cfg.seq_len), dtype=bool)
+    ids = np.full(n, class_id)
+    one = model.represent(latents[:1], masked[:1], ids[:1]).h
+    many = model.represent(latents, masked, ids).h
+    for row in many:
+        assert row.tobytes() == one[0].tobytes()
+
+
+def test_energy_decode_with_head_steps_fails_before_any_backbone_pass(monkeypatch):
+    model = MarModel(TINY, seed=11)
+    calls = []
+    monkeypatch.setattr(model, "represent", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="exactly one step"):
+        model.decode(0, 2, DecodeConfig(iterations=2, head_steps=2))
+    assert calls == []
 
 
 def test_train_mar_smoke_and_log_schema():

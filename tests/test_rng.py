@@ -1,6 +1,9 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from escore.rng import Stream
+import rng_reference as R
+from escore.rng import Stream, Streams
 
 
 def test_same_seed_reproduces():
@@ -60,3 +63,44 @@ def test_sample_without_replacement():
     assert len(idx) == 12 and len(set(idx.tolist())) == 12
     assert np.all(idx[:-1] < idx[1:])
     assert idx.min() >= 0 and idx.max() < 16
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=12), st.integers(1, 700),
+       st.integers(1, 33), st.data())
+def test_one_key_and_batched_draws_match_reference(seed, label, n_keys, n, data):
+    """Stream and Streams give the pre-change one-key bits, draw after draw."""
+    k = data.draw(st.integers(0, n), label="k")
+    ref_root = R.Stream.from_seed(seed, label)
+    root = Stream.from_seed(seed, label)
+    assert root.key == ref_root.key
+    labels = [f"{label}/{r}" for r in range(n_keys)]
+    refs = [ref_root.child(name) for name in labels]
+    ones = [root.child(name) for name in labels]
+    many = Streams(root.key).child(labels)
+    assert many.keys.tolist() == [int(s.key) for s in refs]
+    assert [s.key for s in ones] == [s.key for s in refs]
+
+    # the same sequence of draws on every stream exercises the counters too
+    draws = [("normal", (n,)), ("uniform", (n,)), ("permutation", (n,)),
+             ("sample_without_replacement", (n, k)), ("normal", ((2, n),)),
+             ("normal", ()), ("uniform", ())]
+    for name, args in draws:
+        want = np.stack([getattr(s, name)(*args) for s in refs])
+        assert np.stack([getattr(s, name)(*args) for s in ones]).tobytes() == want.tobytes()
+        assert getattr(many, name)(*args).tobytes() == want.tobytes()
+    assert many.counter == refs[0].counter == ones[0].counter
+
+
+def test_batched_children_broadcast_keys_against_labels():
+    root = Stream.from_seed(3, "decode")
+    seqs = Streams(root.key).child([f"seq/{j}" for j in range(4)])
+    grid = Streams(seqs.keys[:, None]).child(["a", "b", "c"])
+    assert grid.keys.shape == (4, 3)
+    noise = grid.normal((2,))
+    assert noise.shape == (4, 3, 2)
+    for j in range(4):
+        for i, name in enumerate("abc"):
+            want = root.child(f"seq/{j}").child(name).normal((2,))
+            assert noise[j, i].tobytes() == want.tobytes()
+    assert Streams(root.key).child("x").keys == root.child("x").key

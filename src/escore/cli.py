@@ -74,6 +74,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _number_or(word: str, value, number=float):
+    """Argument type: ``value`` for the text ``word``, else a parsed number."""
+    def parse(text: str):
+        try:
+            return value if text == word else number(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be {word!r} or {number.__name__}, got {text!r}") from None
+    return parse
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file merged over defaults")
     p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -107,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", default="unknown")
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bandwidth", default="median")
+    p.add_argument("--bandwidth", type=_number_or("median", "median"), default="median")
     p.add_argument("--metrics", default="mmd,wsd,energy",
                    help="comma list from {mmd,wsd,energy}")
 
@@ -125,8 +136,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decode", help="iterative parallel decoding from a checkpoint")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--class", dest="class_id", default="0",
-                   help="class id, or 'null' for unconditional")
+    p.add_argument("--class", dest="class_id", type=_number_or("null", None, int),
+                   default="0", help="class id, or 'null' for unconditional")
     p.add_argument("--iterations", type=_positive_int)
     p.add_argument("--cfg", dest="cfg_scale", type=float)
     p.add_argument("--schedule", choices=["cosine", "uniform"])
@@ -147,7 +158,7 @@ def _build_parser() -> _Parser:
     _add_config_flags(p)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--points", type=int, default=verify.N_POINTS)
+    p.add_argument("--points", type=_positive_int, default=verify.N_POINTS)
     return parser
 
 
@@ -163,10 +174,13 @@ def _resolved(args, **extra) -> dict:
 
 def _parse_values(param: str, text: str) -> list:
     items = [v.strip() for v in text.split(",") if v.strip()]
-    if param in ("lambda", "cfg"):
-        return [float(v) for v in items]
-    if param == "m":
-        return [int(v) for v in items]
+    number = {"lambda": float, "cfg": float, "m": int}.get(param)
+    if number is not None:
+        try:
+            return [number(v) for v in items]
+        except ValueError:
+            raise ConfigError(f"--values for --param {param} must be "
+                              f"{number.__name__}s, got {text!r}") from None
     for v in items:
         if v not in ("noise_as_input", "noise_as_condition"):
             raise ConfigError(f"unknown wiring {v!r}")
@@ -191,10 +205,9 @@ def _dispatch(args) -> int:
 
     if args.verb == "eval":
         names = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-        bandwidth = args.bandwidth if args.bandwidth == "median" else float(args.bandwidth)
         report = experiments.run_eval(args.generated, args.reference, args.out,
                                       args.method, args.steps, args.seed,
-                                      bandwidth, names)
+                                      args.bandwidth, names)
         shown = {"mmd": report.mmd, "wsd": report.wsd, "energy_v": report.energy_v}
         print(" ".join(f"{k}={v!r}" for k, v in shown.items() if v is not None))
         return 0
@@ -213,9 +226,8 @@ def _dispatch(args) -> int:
     if args.verb == "decode":
         cfg = _resolved(args)
         d = cfg["decode"]
-        class_id = None if args.class_id == "null" else int(args.class_id)
         path = experiments.run_decode(
-            args.ckpt, class_id,
+            args.ckpt, args.class_id,
             iterations=d["iterations"] if args.iterations is None else args.iterations,
             cfg_scale=d["cfg_scale"] if args.cfg_scale is None else args.cfg_scale,
             schedule=args.schedule or d["schedule"],

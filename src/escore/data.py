@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Stream, Streams
+from .rng import Stream
 
 SWISS_ROLL_T_MIN = 1.5 * np.pi
 SWISS_ROLL_T_MAX = 4.5 * np.pi
@@ -94,8 +94,7 @@ def conditional_sequences(class_id: int, count: int, length: int, seed: int = 0,
     root = Stream.from_seed(seed, f"cond_seq/class{class_id}")
     phases = root.child("rotation").uniform((count,)) * 2.0 * np.pi
     if jitter > 0:
-        noise = Streams(root.key).child([f"jitter/{j}" for j in range(count)]) \
-            .normal((length, 2))
+        noise = root.child([f"jitter/{j}" for j in range(count)]).normal((length, 2))
     out = []
     for j in range(count):
         c, s = np.cos(phases[j]), np.sin(phases[j])

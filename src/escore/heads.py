@@ -320,8 +320,9 @@ class Head:
         f = cfg.time_feat_dim
         out: dict[str, np.ndarray] = {ns + "y": y}
         if cfg.kind == "energy":
-            for i in range(cfg.m_samples):
-                out[f"{ns}n{i}"] = rng.child(f"noise{i}").normal((rows, cfg.noise_dim))
+            noise = rng.child([f"noise{i}" for i in range(cfg.m_samples)]) \
+                .normal((rows, cfg.noise_dim))
+            out.update((f"{ns}n{i}", z) for i, z in enumerate(noise))
             return out
         if cfg.kind == "diffusion":
             t = 1 + rng.child("t").integers(cfg.t_diff, (rows,))
@@ -444,6 +445,10 @@ class Head:
         rows, d, f = len(context), cfg.latent_dim, cfg.time_feat_dim
         taus = sched.respaced(steps)
         z = rng.child("z0").normal((rows, d))
+        # step k's noise comes from its own step{k} stream; the last step adds
+        # none. Rewrapping the key also takes the tests' one-key reference streams.
+        noise = Stream(rng.key).child([f"step{k}" for k in range(len(taus) - 1)]) \
+            .normal((rows, d))
         for k, tau in enumerate(taus):
             lo = taus[k + 1] if k + 1 < len(taus) else 0
             ab_hi = sched.alphabar[tau]
@@ -459,7 +464,7 @@ class Head:
             var = (1.0 - ab_lo) / (1.0 - ab_hi) * beta_eff
             z = mean
             if lo > 0 and var > 0:
-                z = z + np.sqrt(var) * rng.child(f"step{k}").normal((rows, d))
+                z = z + np.sqrt(var) * noise[k]
         return z
 
     # -- checkpoint -----------------------------------------------------------

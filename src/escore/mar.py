@@ -18,7 +18,7 @@ from . import nn
 from .data import N_CLASSES, conditional_sequences, stack_sequences
 from .heads import Head, HeadConfig, build_loss_rows, declare_loss_leaves
 from .nn import TrainingError
-from .rng import Stream, Streams
+from .rng import Stream
 
 NULL_CLASS = -1          # sentinel for the CFG unconditional pass
 PREFIX_TOKENS = 2        # conditioning rows prepended to the latent tokens
@@ -93,14 +93,14 @@ class DecodeConfig:
             raise ValueError("head_steps must be >= 1")
 
 
-def _draw_masks(streams: Streams, length: int,
+def _draw_masks(streams: Stream, length: int,
                 rate_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """One mask per stream from its ``rate`` and ``positions`` children:
     (..., L) bools with ceil(rate * L) positions set, and the rates."""
     lo, hi = rate_range
     if not 0.0 < lo <= hi <= 1.0:
         raise ValueError(f"bad masking rate range [{lo}, {hi})")
-    rate = np.full(streams.keys.shape, lo) if hi == lo \
+    rate = np.full(streams.key.shape, lo) if hi == lo \
         else lo + (hi - lo) * streams.child("rate").uniform()
     count = np.minimum(length, np.ceil(rate * length))
     # the first `count` entries of a uniform permutation are the masked set
@@ -117,7 +117,7 @@ def apply_mask(latents: np.ndarray, rate_range: tuple[float, float],
     Returns the latents with masked rows zeroed (the learned mask token is
     substituted inside the backbone) plus the pattern itself.
     """
-    masked, rate = _draw_masks(Streams(rng.key), len(latents), rate_range)
+    masked, rate = _draw_masks(rng, len(latents), rate_range)
     visible = latents * (~masked)[:, None]
     return visible, MaskPattern(masked, float(rate))
 
@@ -300,7 +300,7 @@ class MarModel:
     def mask_batch(self, latents: np.ndarray, rng: Stream) -> np.ndarray:
         """Independent mask pattern per sequence, drawn from its ``seq/{j}``
         stream; returns (B, L) bools."""
-        seqs = Streams(rng.key).child([f"seq/{j}" for j in range(len(latents))])
+        seqs = rng.child([f"seq/{j}" for j in range(len(latents))])
         masked, _ = _draw_masks(seqs, latents.shape[1], (self.cfg.mask_lo, self.cfg.mask_hi))
         return masked
 
@@ -386,10 +386,10 @@ class MarModel:
         if energy and dcfg.head_steps != 1:
             raise ValueError("energy heads sample in exactly one step")
         root = Stream.from_seed(dcfg.seed, "decode")
-        seqs = Streams(root.key).child([f"seq/{j}" for j in range(n_seq)])
+        seqs = root.child([f"seq/{j}" for j in range(n_seq)])
         if energy:
             # each position is generated exactly once, so each draw is used once
-            noise = Streams(seqs.keys[:, None]).child(
+            noise = Stream(seqs.key[:, None]).child(
                 [f"pos/{i}/noise" for i in range(cfg.seq_len)]).normal((cfg.latent_dim,))
         latents = np.zeros((n_seq, cfg.seq_len, cfg.latent_dim))
         generated = np.zeros((n_seq, cfg.seq_len), dtype=bool)
@@ -472,13 +472,14 @@ def train_mar(model: MarModel, *, steps: int, batch: int, lr: float = 1e-3,
     """Training driver; returns one log record per step."""
     latents, ids = class_pools(model.cfg, model.seed, per_class, jitter)
     root = Stream.from_seed(model.seed, f"train_mar/{model.cfg.head_kind}")
+    step_rngs = root.child([f"step/{t}" for t in range(1, steps + 1)])
+    batches = step_rngs.child("batch").integers(len(latents), (batch,))
     log = []
     for t in range(1, steps + 1):
-        step_rng = root.child(f"step/{t}")
-        idx = step_rng.child("batch").integers(len(latents), (batch,))
+        idx = batches[t - 1]
         cur_lr = lr * min(1.0, t / max(warmup, 1))
         breakdown = model.masked_training_step(
-            latents[idx], ids[idx], step_rng, lam=lam, teacher=teacher,
+            latents[idx], ids[idx], Stream(step_rngs.key[t - 1]), lam=lam, teacher=teacher,
             lr=cur_lr, step_index=t, weight_decay=weight_decay,
             frozen_backbone=frozen_backbone)
         log.append({"step": t, "energy": breakdown.energy,

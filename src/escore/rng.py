@@ -6,18 +6,22 @@ consumed. Normal variates come from Box-Muller over splitmix64 output.
 
 Because a draw depends only on (key, counter), many streams can be drawn in
 one vectorised call (Salmon et al. 2011, "Parallel Random Numbers: As Easy
-as 1, 2, 3"): ``Streams`` holds an array of keys and gives, in row r, the
-bits that ``Stream`` with key r gives. Both run the same array code below.
+as 1, 2, 3"). So a ``Stream`` holds a uint64 key array of any shape: 0-d for
+one stream, as ``from_seed`` returns, or one key per element. Element i of
+every draw holds what the one-key stream with key i gives, bit for bit.
 """
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# the finalizer's shifts, built once: a one-key child spends most of its time here
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 _MASK = (1 << 64) - 1
 _U53_INV = 1.0 / float(1 << 53)
@@ -25,9 +29,9 @@ _U53_INV = 1.0 / float(1 << 53)
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     # splitmix64 finalizer, vectorized over uint64 arrays (which wrap silently)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -39,8 +43,8 @@ def _fnv1a(label: str) -> int:
 
 
 def _hashes(labels) -> np.ndarray:
-    """FNV-1a hashes of a str or an array of str, in its shape."""
-    labels = np.asarray(labels)
+    """FNV-1a hashes of an array of str, in its shape."""
+    labels = np.asarray(labels, dtype=object)   # a numpy str array drops trailing NULs
     flat = [_fnv1a(label) for label in labels.ravel().tolist()]
     return np.array(flat, dtype=np.uint64).reshape(labels.shape)
 
@@ -93,104 +97,70 @@ def _permutation(keys: np.ndarray, counter: int, n: int) -> tuple[np.ndarray, in
     return perm, counter
 
 
-def _size(shape: tuple[int, ...] | int) -> tuple[tuple[int, ...], int]:
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    return shape, int(np.prod(shape, dtype=np.int64)) if shape else 1
-
-
-def _check_subset(n: int, k: int) -> None:
-    if not 0 <= k <= n:
-        raise ValueError(f"cannot draw {k} from {n}")
+def _scalar(out: np.ndarray) -> np.ndarray | float | int:
+    """A 0-d draw as a Python float or int; any other draw as it is."""
+    return out.item() if out.ndim == 0 else out
 
 
 class Stream:
-    """One named random stream; deterministic in (key, counter)."""
+    """Random streams, one per element of the uint64 array ``key``, drawn in
+    lockstep; deterministic in (key, counter).
+
+    Every draw returns ``key.shape + shape``. A 0-d stream's scalar draw is a
+    Python float (an int from ``integers``).
+    """
 
     __slots__ = ("key", "counter")
 
-    def __init__(self, key: np.uint64, counter: int = 0):
-        self.key = np.uint64(key)
-        self.counter = counter
+    def __init__(self, key):
+        self.key = np.asarray(key, dtype=np.uint64)
+        self.counter = 0
 
     @classmethod
     def from_seed(cls, seed: int, label: str = "root") -> "Stream":
         word = np.array([seed % (1 << 64)], dtype=np.uint64)
-        return cls(_mix64(word * _GOLDEN + np.uint64(1))[0]).child(label)
+        return cls(_mix64(word * _GOLDEN + np.uint64(1)).reshape(())).child(label)
 
-    def child(self, label: str) -> "Stream":
-        # independent stream; does not advance this stream's counter
-        return Stream(_child_keys(self._keys(), np.uint64(_fnv1a(label)))[0])
+    def child(self, label) -> "Stream":
+        """Independent child streams; does not advance this stream's counter.
 
-    def _keys(self) -> np.ndarray:
-        return np.array([self.key])
+        ``label`` is one str for every key, or an array of str that
+        broadcasts against ``key`` (a (J, 1) key array with L labels gives
+        J x L children)."""
+        if isinstance(label, str):
+            keys, hashes = self.key, np.uint64(_fnv1a(label))
+        else:
+            keys, hashes = np.broadcast_arrays(self.key, _hashes(label))
+            hashes = hashes.reshape(-1)
+        # 1-d keys: uint64 arrays wrap silently where numpy scalars warn
+        return Stream(_child_keys(keys.reshape(-1), hashes).reshape(keys.shape))
 
-    def uniform(self, shape: tuple[int, ...] | int = ()) -> np.ndarray:
+    def _draw(self, draw, shape: tuple[int, ...] | int) -> np.ndarray:
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        flat, self.counter = draw(self.key.reshape(-1), self.counter, math.prod(shape))
+        return flat.reshape(self.key.shape + shape)
+
+    def uniform(self, shape: tuple[int, ...] | int = ()) -> np.ndarray | float:
         """i.i.d. Uniform[0,1) with 53-bit resolution."""
-        shape, n = _size(shape)
-        u, self.counter = _uniform(self._keys(), self.counter, n)
-        return u[0].reshape(shape) if shape else float(u[0, 0])
+        return _scalar(self._draw(_uniform, shape))
 
-    def normal(self, shape: tuple[int, ...] | int = ()) -> np.ndarray:
+    def normal(self, shape: tuple[int, ...] | int = ()) -> np.ndarray | float:
         """i.i.d. standard normal via Box-Muller."""
-        shape, n = _size(shape)
-        z, self.counter = _normal(self._keys(), self.counter, n)
-        return z[0].reshape(shape) if shape else float(z[0, 0])
+        return _scalar(self._draw(_normal, shape))
 
-    def integers(self, upper: int, shape: tuple[int, ...] | int = ()) -> np.ndarray:
+    def integers(self, upper: int, shape: tuple[int, ...] | int = ()) -> np.ndarray | int:
         """i.i.d. integers in [0, upper); upper must be far below 2**53."""
         if upper <= 0:
             raise ValueError("upper must be positive")
-        u = self.uniform(shape if shape != () else (1,))
-        out = np.minimum((np.asarray(u) * upper).astype(np.int64), upper - 1)
-        return out.reshape(shape) if isinstance(shape, tuple) and shape else (
-            out if isinstance(shape, int) else int(out[0]))
+        u = self._draw(_uniform, shape)
+        return _scalar(np.minimum((u * upper).astype(np.int64), upper - 1))
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm, self.counter = _permutation(self._keys(), self.counter, n)
-        return perm[0]
+        return self._draw(_permutation, n)
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), uniform over subsets, sorted."""
-        _check_subset(n, k)
-        return np.sort(self.permutation(n)[:k])
-
-
-class Streams:
-    """Many streams drawn in lockstep, one per element of ``keys``.
-
-    Every draw returns ``keys.shape + shape``; at index ``i`` it holds what
-    the same sequence of draws from ``Stream(keys[i])`` gives, bit for bit.
-    """
-
-    __slots__ = ("keys", "counter")
-
-    def __init__(self, keys):
-        self.keys = np.asarray(keys, dtype=np.uint64)
-        self.counter = 0
-
-    def child(self, labels) -> "Streams":
-        """Child streams; labels is one str for every key, or an array of str
-        that broadcasts against ``keys`` (a (J, 1) key array with L labels
-        gives J x L children)."""
-        keys, hashes = np.broadcast_arrays(self.keys, _hashes(labels))
-        return Streams(_child_keys(keys.ravel(), hashes.ravel()).reshape(keys.shape))
-
-    def _draw(self, draw, n: int, shape: tuple[int, ...]) -> np.ndarray:
-        flat, self.counter = draw(self.keys.reshape(-1), self.counter, n)
-        return flat.reshape(self.keys.shape + shape)
-
-    def uniform(self, shape: tuple[int, ...] | int = ()) -> np.ndarray:
-        shape, n = _size(shape)
-        return self._draw(_uniform, n, shape)
-
-    def normal(self, shape: tuple[int, ...] | int = ()) -> np.ndarray:
-        shape, n = _size(shape)
-        return self._draw(_normal, n, shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._draw(_permutation, n, (n,))
-
-    def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
-        _check_subset(n, k)
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot draw {k} from {n}")
         return np.sort(self.permutation(n)[..., :k], axis=-1)

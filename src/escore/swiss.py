@@ -78,12 +78,13 @@ class ToyHeadModel:
         """Full run over fresh Swiss-roll minibatches; returns (step, loss) log."""
         pool = data.swiss_roll(tcfg.pool, tcfg.noise_sigma, seed=self.seed).points
         root = Stream.from_seed(self.seed, f"train/{self.cfg.kind}")
+        step_rngs = root.child([f"step/{t}" for t in range(1, tcfg.steps + 1)])
+        batches = step_rngs.child("batch").integers(len(pool), (tcfg.batch,))
         history = []
         for t in range(1, tcfg.steps + 1):
-            step_rng = root.child(f"step/{t}")
-            idx = step_rng.child("batch").integers(len(pool), (tcfg.batch,))
             lr = tcfg.lr * min(1.0, t / max(tcfg.warmup, 1))
-            loss = self.train_step(pool[idx], step_rng, lr, t, tcfg.weight_decay)
+            loss = self.train_step(pool[batches[t - 1]], Stream(step_rngs.key[t - 1]), lr, t,
+                                   tcfg.weight_decay)
             history.append((t, loss))
         return history
 

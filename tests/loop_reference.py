@@ -1,0 +1,97 @@
+"""Reference per-step loops for the tests: one stream chain per draw.
+
+These are the loops that the batched draws in ``escore.heads``,
+``escore.swiss`` and ``escore.mar`` replaced. The diffusion sampler draws
+step k's noise from its own ``step{k}`` stream, the energy loss draws sample
+i's noise from ``noise{i}``, and both training drivers walk ``step/{t}`` ->
+``batch`` one step at a time, all from the one-key reference streams. The
+batched code must give the same bits.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from escore import data, nn, rng
+from escore import graph as G
+from escore.heads import time_features
+from escore.mar import class_pools
+
+from rng_reference import Stream
+
+
+def sample_diffusion(head, context: np.ndarray, steps: int, stream: Stream) -> np.ndarray:
+    """``Head.sample`` for a diffusion head."""
+    cfg, sched = head.cfg, head.schedule
+    rows, d, f = len(context), cfg.latent_dim, cfg.time_feat_dim
+    taus = sched.respaced(steps)
+    z = stream.child("z0").normal((rows, d))
+    for k, tau in enumerate(taus):
+        lo = taus[k + 1] if k + 1 < len(taus) else 0
+        ab_hi = sched.alphabar[tau]
+        ab_lo = sched.alphabar[lo]
+        feats = time_features(np.full(rows, tau / cfg.t_diff), f)
+        eps_hat = head.forward_values(z, np.concatenate([context, feats], axis=1))
+        x0 = (z - np.sqrt(1.0 - ab_hi) * eps_hat) / np.sqrt(ab_hi)
+        x0 = np.clip(x0, -cfg.x0_clip, cfg.x0_clip)
+        alpha_eff = ab_hi / ab_lo
+        beta_eff = 1.0 - alpha_eff
+        mean = (np.sqrt(ab_lo) * beta_eff / (1.0 - ab_hi)) * x0 \
+            + (np.sqrt(alpha_eff) * (1.0 - ab_lo) / (1.0 - ab_hi)) * z
+        var = (1.0 - ab_lo) / (1.0 - ab_hi) * beta_eff
+        z = mean
+        if lo > 0 and var > 0:
+            z = z + np.sqrt(var) * stream.child(f"step{k}").normal((rows, d))
+    return z
+
+
+def energy_noise(head, rows: int, stream: Stream) -> dict[str, np.ndarray]:
+    """The noise bindings of an energy head's loss."""
+    return {f"n{i}": stream.child(f"noise{i}").normal((rows, head.cfg.noise_dim))
+            for i in range(head.cfg.m_samples)}
+
+
+def toy_train(model, tcfg) -> list[tuple[int, float]]:
+    """``ToyHeadModel.train``."""
+    pool = data.swiss_roll(tcfg.pool, tcfg.noise_sigma, seed=model.seed).points
+    root = Stream.from_seed(model.seed, f"train/{model.cfg.kind}")
+    history = []
+    for t in range(1, tcfg.steps + 1):
+        step = root.child(f"step/{t}")
+        y = pool[step.child("batch").integers(len(pool), (tcfg.batch,))]
+        if model.cfg.kind == "energy":
+            aux = {"y": y, **energy_noise(model.head, len(y), step)}
+        else:
+            aux = model.head.loss_bindings(y, step, context=model.context_rows(len(y)))
+        run = G.evaluate(model._loss_graph(len(y)), {**model.params.bindings(), **aux})
+        lr = tcfg.lr * min(1.0, t / max(tcfg.warmup, 1))
+        nn.adam_step(model.params, G.backward(run), lr=lr,
+                     weight_decay=tcfg.weight_decay, t=t)
+        history.append((t, float(run.output)))
+    return history
+
+
+def train_mar(model, *, steps: int, batch: int, lr: float, warmup: int,
+              per_class: int) -> list[dict]:
+    """``mar.train_mar`` without a teacher; each step's masks and dropout
+    come from ``masked_training_step`` on that step's key."""
+    latents, ids = class_pools(model.cfg, model.seed, per_class, 0.02)
+    root = Stream.from_seed(model.seed, f"train_mar/{model.cfg.head_kind}")
+    log = []
+    for t in range(1, steps + 1):
+        step = root.child(f"step/{t}")
+        idx = step.child("batch").integers(len(latents), (batch,))
+
+        def head_noise(bindings, step=step):
+            if model.cfg.head_kind == "energy":
+                bindings.update(energy_noise(model.head, len(bindings["y"]),
+                                             step.child("head")))
+            return bindings
+
+        cur_lr = lr * min(1.0, t / max(warmup, 1))
+        breakdown = model.masked_training_step(
+            latents[idx], ids[idx], rng.Stream(step.key), lr=cur_lr, step_index=t,
+            bindings_hook=head_noise)
+        log.append({"step": t, "energy": breakdown.energy,
+                    "distill": breakdown.distill, "total": breakdown.total,
+                    "lambda": 0.0, "lr": cur_lr, "seed": model.seed})
+    return log

@@ -231,6 +231,30 @@ def test_gradcheck_smoke(capsys):
     assert "affine(2-d)" in out and "affine(3-d)" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_gradcheck_points_below_one_is_usage_error(capsys, value):
+    assert main(["gradcheck", "--points", value]) == 1
+    captured = capsys.readouterr()
+    assert "--points" in captured.err
+    assert "all checks passed" not in captured.out
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["decode", "--ckpt", "{tmp}/mar.ckpt", "--class", "abc"], "--class"),
+    (["eval", "--generated", "{tmp}/g.csv", "--reference", "{tmp}/r.csv",
+      "--bandwidth", "foo"], "--bandwidth"),
+    (["sweep", "--param", "lambda", "--values", "a,b"], "--values"),
+    (["sweep", "--param", "m", "--values", "2,2.5"], "--values"),
+], ids=["decode-class", "eval-bandwidth", "sweep-lambda", "sweep-m"])
+def test_bad_flag_value_names_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
 TINY_COMPARE = ["--set", "compare.seeds=[1]",
                 "--set", 'compare.steps_by_method={"energy":6,"diffusion":6,'
                          '"flow":6,"shortcut":6,"meanflow":6}',

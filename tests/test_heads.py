@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import loop_reference
+import rng_reference as R
 from escore import graph as G
 from escore import heads, nn
 from escore.heads import Head, HeadConfig, energy_loss_m, energy_loss_pair
 from escore.rng import Stream
-from escore.swiss import ToyHeadModel
+from escore.swiss import ToyHeadModel, ToyTrainConfig
 
 
 def test_head_config_validation():
@@ -233,6 +235,36 @@ def test_diffusion_sampler_deterministic_and_shaped():
     b = head.sample(ctx, 4, Stream.from_seed(5, "s"))
     assert a.shape == (6, 2)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 7, 100])
+def test_diffusion_sample_matches_per_step_reference(steps):
+    """One batched draw of every step's noise gives the per-step chain's bits."""
+    head = _randomized_head(HeadConfig(kind="diffusion", width=16, depth=2,
+                                       context_dim=3), 18)
+    ctx = Stream.from_seed(19, "ctx").normal((5, 3))
+    want = loop_reference.sample_diffusion(head, ctx, steps, R.Stream.from_seed(6, "s"))
+    got = head.sample(ctx, steps, Stream.from_seed(6, "s"))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["energy", "diffusion"])
+def test_toy_train_matches_per_step_reference(kind):
+    """Step chains drawn up front, and the energy loss's batched noise, give
+    the per-step loop's losses and weights."""
+    cfg = HeadConfig(kind=kind, width=16, depth=2, m_samples=3)
+    tcfg = ToyTrainConfig(steps=4, batch=16, warmup=2, pool=256)
+    models = []
+    for _ in range(2):
+        model = ToyHeadModel(cfg, seed=8)
+        s = Stream.from_seed(8, "randomize")
+        for name, p in model.params.items():
+            p.value = 0.3 * s.child(name).normal(p.value.shape)
+        models.append(model)
+    want = loop_reference.toy_train(models[0], tcfg)
+    assert models[1].train(tcfg) == want
+    for name, p in models[1].params.items():
+        assert p.value.tobytes() == models[0].params[name].value.tobytes(), name
 
 
 def test_loss_graphs_grad_check_all_kinds():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import decode_reference
+import loop_reference
 import rng_reference as R
 from escore import mar
 from escore.mar import (ContextualRepresentation, DecodeConfig, MarConfig, MarModel,
@@ -306,6 +307,18 @@ def test_train_mar_smoke_and_log_schema():
     assert list(log[0]) == ["step", "energy", "distill", "total", "lambda", "lr", "seed"]
     assert all(np.isfinite(row["total"]) for row in log)
     assert log[0]["step"] == 1 and log[-1]["step"] == 5
+
+
+@pytest.mark.parametrize("kind", ["energy", "diffusion"])
+def test_train_mar_matches_per_step_reference(kind):
+    """Step chains drawn up front give the per-step loop's log and weights."""
+    budget = {"steps": 3, "batch": 4, "lr": 1e-3, "warmup": 2, "per_class": 8}
+    # fresh copies: training must not touch the cached decode models
+    ref, model = (_reference_model.__wrapped__(kind) for _ in range(2))
+    want = loop_reference.train_mar(ref, **budget)
+    assert mar.train_mar(model, **budget) == want
+    for name, p in model.params.items():
+        assert p.value.tobytes() == ref.params[name].value.tobytes(), name
 
 
 def test_mar_checkpoint_roundtrip(tmp_path):

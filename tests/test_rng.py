@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rng_reference as R
-from escore.rng import Stream, Streams
+from escore.rng import Stream
 
 
 def test_same_seed_reproduces():
@@ -69,38 +69,58 @@ def test_sample_without_replacement():
 @given(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=12), st.integers(1, 700),
        st.integers(1, 33), st.data())
 def test_one_key_and_batched_draws_match_reference(seed, label, n_keys, n, data):
-    """Stream and Streams give the pre-change one-key bits, draw after draw."""
+    """0-d, 1-d and 2-d key arrays give the pre-change one-key bits, draw
+    after draw."""
     k = data.draw(st.integers(0, n), label="k")
     ref_root = R.Stream.from_seed(seed, label)
     root = Stream.from_seed(seed, label)
-    assert root.key == ref_root.key
+    assert root.key.shape == () and root.key == ref_root.key
     labels = [f"{label}/{r}" for r in range(n_keys)]
     refs = [ref_root.child(name) for name in labels]
     ones = [root.child(name) for name in labels]
-    many = Streams(root.key).child(labels)
-    assert many.keys.tolist() == [int(s.key) for s in refs]
+    row = root.child(labels)
+    # the second row runs the labels backwards
+    grid = root.child(np.array([labels, labels[::-1]]))
+    assert row.key.tolist() == [int(s.key) for s in refs]
     assert [s.key for s in ones] == [s.key for s in refs]
+    assert grid.key.shape == (2, n_keys)
 
     # the same sequence of draws on every stream exercises the counters too
     draws = [("normal", (n,)), ("uniform", (n,)), ("permutation", (n,)),
              ("sample_without_replacement", (n, k)), ("normal", ((2, n),)),
-             ("normal", ()), ("uniform", ())]
+             ("normal", ()), ("uniform", ()), ("integers", (n, ())),
+             ("integers", (n + 3, (2, n)))]
     for name, args in draws:
         want = np.stack([getattr(s, name)(*args) for s in refs])
         assert np.stack([getattr(s, name)(*args) for s in ones]).tobytes() == want.tobytes()
-        assert getattr(many, name)(*args).tobytes() == want.tobytes()
-    assert many.counter == refs[0].counter == ones[0].counter
+        assert getattr(row, name)(*args).tobytes() == want.tobytes()
+        assert getattr(grid, name)(*args).tobytes() == np.stack([want, want[::-1]]).tobytes()
+    assert row.counter == grid.counter == refs[0].counter == ones[0].counter
+
+
+def test_one_key_scalar_draws_are_python_numbers():
+    s = Stream.from_seed(8, "scalar")
+    ref = R.Stream.from_seed(8, "scalar")
+    for name, args, kind in [("uniform", (), float), ("normal", (), float),
+                             ("integers", (9,), int)]:
+        got = getattr(s, name)(*args)
+        assert type(got) is kind and got == getattr(ref, name)(*args)
+    # a batched stream's scalar draw is one value per key
+    assert s.child(["a", "b"]).normal().shape == (2,)
 
 
 def test_batched_children_broadcast_keys_against_labels():
     root = Stream.from_seed(3, "decode")
-    seqs = Streams(root.key).child([f"seq/{j}" for j in range(4)])
-    grid = Streams(seqs.keys[:, None]).child(["a", "b", "c"])
-    assert grid.keys.shape == (4, 3)
+    seqs = root.child([f"seq/{j}" for j in range(4)])
+    grid = Stream(seqs.key[:, None]).child(["a", "b", "c"])
+    assert grid.key.shape == (4, 3)
     noise = grid.normal((2,))
     assert noise.shape == (4, 3, 2)
     for j in range(4):
         for i, name in enumerate("abc"):
             want = root.child(f"seq/{j}").child(name).normal((2,))
             assert noise[j, i].tobytes() == want.tobytes()
-    assert Streams(root.key).child("x").keys == root.child("x").key
+    # a str label and an array of str take different paths to the same key
+    assert root.child(np.array("x")).key.shape == ()
+    assert root.child(np.array("x")).key == root.child(["x"]).key[0] == root.child("x").key
+    assert root.child(["x\x00"]).key[0] == root.child("x\x00").key != root.child("x").key

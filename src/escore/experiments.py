@@ -18,13 +18,18 @@ from . import data, mar, metrics, svg
 from .config import ConfigError, config_digest, write_run_config
 from .heads import HEAD_KINDS, HeadConfig
 from .mar import DecodeConfig, MarConfig, MarModel, train_mar
-from .metrics import EnergyEstimatorConfig, MetricsReport, energy_statistic
-from .rng import Stream
+from .metrics import MetricsReport
 from .swiss import ToyHeadModel, ToyTrainConfig
 
 PLOT_REFERENCE_SEED = 7777
 LOSS_HEADER = ["step", "energy", "distill", "total", "lambda", "lr", "seed"]
-SWEEP_PARAMS = ("lambda", "cfg", "m", "wiring")
+SWEEP_PARAMS = {   # --param -> (config key each grid value sets, student checkpoint name)
+    "lambda": ("mar_train.lambda", "student_lambda{:g}"),
+    "cfg": ("decode.cfg_scale", "student"),
+    "m": ("mar.m", "student_m{}"),
+    "wiring": ("mar.wiring", "student_{}"),
+}
+SCORES = ("mmd", "wsd", "energy_u", "energy_v")
 
 
 def worker_count() -> int:
@@ -49,12 +54,14 @@ def run_jobs(fn, arg_tuples: list[tuple]):
         return [f.result() for f in futures]
 
 
-def fresh_dir(out_dir) -> Path:
+def fresh_dir(out_dir, cfg: dict | None = None) -> Path:
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise ConfigError(f"output directory {out} is not empty; completed runs "
                           "are immutable")
     out.mkdir(parents=True, exist_ok=True)
+    if cfg is not None:
+        write_run_config(out, cfg)
     return out
 
 
@@ -80,37 +87,33 @@ def append_metrics_row(path, report: MetricsReport) -> None:
 # ---------------------------------------------------------------------------
 # toy heads
 
-def head_config_from(cfg: dict, method: str) -> HeadConfig:
-    h = cfg["head"]
-    return HeadConfig(kind=method, latent_dim=2, noise_dim=h["noise_dim"],
-                      width=h["width"], depth=h["depth"],
-                      context_dim=h["context_dim"], wiring=h["wiring"],
-                      m_samples=h["m"], t_diff=h["t_diff"])
-
-
-def toy_train_config_from(cfg: dict, steps: int | None = None) -> ToyTrainConfig:
-    t = cfg["train"]
-    return ToyTrainConfig(steps=steps or t["steps"], batch=t["batch"], lr=t["lr"],
-                          warmup=t["warmup"], weight_decay=t["weight_decay"],
-                          pool=cfg["data"]["pool"],
-                          noise_sigma=cfg["data"]["noise_sigma"])
+def _train_toy_head(cfg: dict, method: str, seed: int, out: Path,
+                    steps: int | None = None) -> ToyHeadModel:
+    """Trains one toy head and writes its loss.csv and head.ckpt into ``out``."""
+    h, t = cfg["head"], cfg["train"]
+    model = ToyHeadModel(HeadConfig(kind=method, latent_dim=2, noise_dim=h["noise_dim"],
+                                    width=h["width"], depth=h["depth"],
+                                    context_dim=h["context_dim"], wiring=h["wiring"],
+                                    m_samples=h["m"], t_diff=h["t_diff"]), seed)
+    history = model.train(ToyTrainConfig(steps=steps or t["steps"], batch=t["batch"],
+                                         lr=t["lr"], warmup=t["warmup"],
+                                         weight_decay=t["weight_decay"],
+                                         pool=cfg["data"]["pool"],
+                                         noise_sigma=cfg["data"]["noise_sigma"]))
+    write_loss_csv(out / "loss.csv", [
+        {"step": s, "energy": v, "distill": 0.0, "total": v, "lambda": 0.0,
+         "lr": t["lr"], "seed": seed} for s, v in history])
+    model.save(out / "head.ckpt", config_digest=config_digest(cfg), step=len(history))
+    return model
 
 
 def run_train_head(cfg: dict, out_dir) -> Path:
     method = cfg["head"]["method"]
     if method not in HEAD_KINDS:
         raise ConfigError(f"head.method must be one of {HEAD_KINDS}, got {method!r}")
-    out = fresh_dir(out_dir)
-    digest = write_run_config(out, cfg)
-    seed = cfg["seed"]
-    model = ToyHeadModel(head_config_from(cfg, method), seed)
-    history = model.train(toy_train_config_from(cfg))
-    write_loss_csv(out / "loss.csv", [
-        {"step": s, "energy": v, "distill": 0.0, "total": v, "lambda": 0.0,
-         "lr": cfg["train"]["lr"], "seed": seed} for s, v in history])
-    ckpt = out / "head.ckpt"
-    model.save(ckpt, config_digest=digest, step=len(history))
-    return ckpt
+    out = fresh_dir(out_dir, cfg)
+    _train_toy_head(cfg, method, cfg["seed"], out)
+    return out / "head.ckpt"
 
 
 def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv,
@@ -153,13 +156,8 @@ def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[dict
     """Train one head on one seed; sample and score it. Returns metric rows."""
     out = Path(cell_dir)
     out.mkdir(parents=True, exist_ok=True)
-    steps_budget = cfg["compare"]["steps_by_method"][method]
-    model = ToyHeadModel(head_config_from(cfg, method), seed)
-    history = model.train(toy_train_config_from(cfg, steps=steps_budget))
-    write_loss_csv(out / "loss.csv", [
-        {"step": s, "energy": v, "distill": 0.0, "total": v, "lambda": 0.0,
-         "lr": cfg["train"]["lr"], "seed": seed} for s, v in history])
-    model.save(out / "head.ckpt", config_digest=config_digest(cfg), step=len(history))
+    model = _train_toy_head(cfg, method, seed, out,
+                            steps=cfg["compare"]["steps_by_method"][method])
 
     n = cfg["compare"]["sample_n"]
     reference = data.swiss_roll(n, cfg["data"]["noise_sigma"], seed=10_000 + seed).points
@@ -177,8 +175,7 @@ def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[dict
 
 
 def run_compare(cfg: dict, out_dir) -> Path:
-    out = fresh_dir(out_dir)
-    write_run_config(out, cfg)
+    out = fresh_dir(out_dir, cfg)
     seeds = cfg["compare"]["seeds"]
     jobs = [(cfg, method, seed, str(out / "cells" / f"{method}_seed{seed}"))
             for seed in seeds for method in HEAD_KINDS]
@@ -218,10 +215,17 @@ def mar_config_from(cfg: dict, head_kind: str | None = None) -> MarConfig:
                      p_drop=m_["p_drop"])
 
 
+def _student_lambda(cfg: dict) -> float:
+    lam = cfg["mar_train"]["lambda"]
+    if not isinstance(lam, (int, float)) or not lam >= 0:
+        raise ConfigError(f"mar_train.lambda must be a number >= 0, got {lam!r}")
+    return lam
+
+
 def train_mar_model(cfg: dict, *, role: str, seed: int,
                     teacher: MarModel | None = None) -> tuple[MarModel, list[dict]]:
     t = cfg["mar_train"]
-    lam = t["lambda"] if role == "student" else 0.0
+    lam = _student_lambda(cfg) if role == "student" else 0.0
     if lam > 0 and teacher is None:
         raise ConfigError("mar_train.lambda > 0 requires --teacher")
     kind = "diffusion" if role == "teacher" else None
@@ -239,25 +243,29 @@ def train_mar_model(cfg: dict, *, role: str, seed: int,
     return model, log
 
 
+def _train_mar(cfg: dict, role: str, seed: int, teacher: MarModel | None,
+               ckpt: Path, loss_csv: Path) -> MarModel:
+    """Trains a MAR teacher or student and writes its loss log and checkpoint."""
+    model, log = train_mar_model(cfg, role=role, seed=seed, teacher=teacher)
+    write_loss_csv(loss_csv, log)
+    model.save(ckpt, config_digest=config_digest(cfg), step=len(log),
+               extra={"role": role, "lambda": cfg["mar_train"]["lambda"],
+                      "m": model.cfg.m_samples, "wiring": model.cfg.wiring})
+    return model
+
+
 def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None) -> Path:
     if role not in ("teacher", "student"):
         raise ConfigError(f"--role must be teacher or student, got {role!r}")
-    out = fresh_dir(out_dir)
-    digest = write_run_config(out, cfg)
+    out = fresh_dir(out_dir, cfg)
     teacher = MarModel.load(teacher_ckpt) if teacher_ckpt else None
-    model, log = train_mar_model(cfg, role=role, seed=cfg["seed"], teacher=teacher)
-    write_loss_csv(out / "loss.csv", log)
-    ckpt = out / "mar.ckpt"
-    model.save(ckpt, config_digest=digest, step=len(log),
-               extra={"role": role, "lambda": cfg["mar_train"]["lambda"],
-                      "m": model.cfg.m_samples, "wiring": model.cfg.wiring})
-    return ckpt
+    _train_mar(cfg, role, cfg["seed"], teacher, out / "mar.ckpt", out / "loss.csv")
+    return out / "mar.ckpt"
 
 
 def run_decode(ckpt_path, class_id: int | None, *, iterations: int,
                cfg_scale: float, schedule: str, seed: int, guided: bool,
                n_seq: int, out_dir, head_steps: int | None = None) -> Path:
-    out = fresh_dir(out_dir)
     model = MarModel.load(ckpt_path)
     if head_steps is None:
         head_steps = 1 if model.cfg.head_kind == "energy" \
@@ -265,6 +273,8 @@ def run_decode(ckpt_path, class_id: int | None, *, iterations: int,
     dcfg = DecodeConfig(iterations=iterations, cfg_scale=cfg_scale,
                         schedule=schedule, seed=seed, guided=guided,
                         head_steps=head_steps)
+    model.check_decode(class_id, dcfg)
+    out = fresh_dir(out_dir)
     latents, stats = model.decode(class_id, n_seq, dcfg)
     seq_csv = out / "sequences.csv"
     length = model.cfg.seq_len
@@ -291,146 +301,91 @@ def heldout_pools(mcfg: MarConfig, eval_per_class: int, jitter: float) -> dict[i
             .reshape(-1, mcfg.latent_dim) for c in range(mcfg.n_classes)}
 
 
-def decode_and_score(model: MarModel, cfg: dict, cfg_scale: float, seed: int,
-                     eval_per_class: int) -> dict[str, float]:
-    """Decode every class and score pooled points against held-out pools."""
-    d = cfg["decode"]
+def decode_and_score(model: MarModel, cfg: dict, seed: int) -> dict[str, float]:
+    """Decode every class as ``cfg`` says; mean scores against held-out pools."""
+    d, eval_per_class = cfg["decode"], cfg["sweep"]["eval_per_class"]
     pools = heldout_pools(model.cfg, eval_per_class, cfg["data"]["jitter"])
-    agg = {"mmd": 0.0, "wsd": 0.0, "energy_u": 0.0, "energy_v": 0.0}
-    n_total = 0
+    reports = []
     for c in range(model.cfg.n_classes):
-        dcfg = DecodeConfig(iterations=d["iterations"], cfg_scale=cfg_scale,
+        dcfg = DecodeConfig(iterations=d["iterations"], cfg_scale=d["cfg_scale"],
                             schedule=d["schedule"], seed=40_000 + 97 * seed + c,
                             guided=d["guided"])
         latents, _ = model.decode(c, eval_per_class, dcfg)
-        gen = latents.reshape(-1, model.cfg.latent_dim)
-        ref = pools[c]
-        mmd2, _ = metrics.mmd_gaussian(gen, ref, cfg["metrics"]["bandwidth"])
-        agg["mmd"] += mmd2
-        agg["wsd"] += metrics.wasserstein_assignment(gen, ref)
-        agg["energy_u"] += energy_statistic(gen, ref, EnergyEstimatorConfig(mode="u"))
-        agg["energy_v"] += energy_statistic(gen, ref, EnergyEstimatorConfig(mode="v"))
-        n_total += len(gen)
-    out = {k: v / model.cfg.n_classes for k, v in agg.items()}
-    out["n"] = n_total
+        reports.append(metrics.evaluate_samples(
+            latents.reshape(-1, model.cfg.latent_dim), pools[c], model.cfg.head_kind,
+            1, seed, cfg["metrics"]["bandwidth"]))
+    out = {k: sum(getattr(r, k) for r in reports) / model.cfg.n_classes
+           for k in SCORES}
+    out["n"] = sum(r.n for r in reports)
     return out
 
 
-def _sweep_cell_lambda(cfg: dict, seed: int, values: list[float],
-                       cell_dir: str) -> list[dict]:
+def _grid_config(cfg: dict, param: str, value) -> dict:
+    """``cfg`` with ``param``'s key set to a value the student can train with."""
+    sub = json.loads(json.dumps(cfg))
+    section, name = SWEEP_PARAMS[param][0].split(".")
+    sub[section][name] = value
+    try:
+        mar_config_from(sub).head_config()
+        _student_lambda(sub)
+    except ValueError as exc:
+        raise ConfigError(f"--values {value!r}: {exc}") from None
+    return sub
+
+
+def _sweep_cell(cfg: dict, param: str, seed: int, values: list,
+                cell_dir: str) -> list[dict]:
+    """One seed of a sweep: each grid value sets ``param``'s key, trains the
+    student it names (the decode-only ``cfg`` values share one) and scores
+    it. Students with lambda > 0 distil from one teacher trained on ``cfg``."""
     out = Path(cell_dir)
     out.mkdir(parents=True, exist_ok=True)
-    teacher, tlog = train_mar_model(cfg, role="teacher", seed=seed)
-    teacher.save(out / "teacher.ckpt", config_digest=config_digest(cfg),
-                 step=len(tlog), extra={"role": "teacher"})
-    eval_n = cfg["sweep"]["eval_per_class"]
+    teacher = student = trained = None
     rows = []
-    for lam in values:
-        sub = json.loads(json.dumps(cfg))
-        sub["mar_train"]["lambda"] = lam
-        student, slog = train_mar_model(sub, role="student", seed=seed,
-                                        teacher=teacher if lam > 0 else None)
-        tag = f"student_lambda{lam:g}"
-        write_loss_csv(out / f"{tag}.loss.csv", slog)
-        student.save(out / f"{tag}.ckpt", config_digest=config_digest(sub),
-                     step=len(slog), extra={"role": "student", "lambda": lam,
-                                            "m": student.cfg.m_samples})
-        scores = decode_and_score(student, cfg, cfg["decode"]["cfg_scale"],
-                                  seed, eval_n)
-        rows.append({"param": "lambda", "value": lam, "seed": seed, **scores})
+    for value in values:
+        sub = _grid_config(cfg, param, value)
+        tag = SWEEP_PARAMS[param][1].format(value)
+        if tag != trained:
+            lam = sub["mar_train"]["lambda"]
+            if lam > 0 and teacher is None:
+                teacher = _train_mar(cfg, "teacher", seed, None, out / "teacher.ckpt",
+                                     out / "teacher.loss.csv")
+            student = _train_mar(sub, "student", seed, teacher if lam > 0 else None,
+                                 out / f"{tag}.ckpt", out / f"{tag}.loss.csv")
+            trained = tag
+        scores = decode_and_score(student, sub, seed)
+        rows.append({"param": param, "value": value, "seed": seed, **scores})
     return rows
-
-
-def _sweep_cell_cfg(cfg: dict, seed: int, values: list[float],
-                    cell_dir: str) -> list[dict]:
-    out = Path(cell_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lam = cfg["mar_train"]["lambda"]
-    teacher = None
-    if lam > 0:
-        teacher, _ = train_mar_model(cfg, role="teacher", seed=seed)
-    student, slog = train_mar_model(cfg, role="student", seed=seed, teacher=teacher)
-    student.save(out / "student.ckpt", config_digest=config_digest(cfg),
-                 step=len(slog), extra={"role": "student", "lambda": lam})
-    eval_n = cfg["sweep"]["eval_per_class"]
-    rows = []
-    for scale in values:
-        scores = decode_and_score(student, cfg, scale, seed, eval_n)
-        rows.append({"param": "cfg", "value": scale, "seed": seed, **scores})
-    return rows
-
-
-def _sweep_cell_m(cfg: dict, seed: int, values: list[int], cell_dir: str) -> list[dict]:
-    out = Path(cell_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    eval_n = cfg["sweep"]["eval_per_class"]
-    rows = []
-    for m in values:
-        sub = json.loads(json.dumps(cfg))
-        sub["mar"]["m"] = int(m)
-        student, slog = train_mar_model(sub, role="student", seed=seed)
-        student.save(out / f"student_m{m}.ckpt", config_digest=config_digest(sub),
-                     step=len(slog), extra={"role": "student", "m": int(m),
-                                            "lambda": 0.0})
-        scores = decode_and_score(student, sub, sub["decode"]["cfg_scale"],
-                                  seed, eval_n)
-        rows.append({"param": "m", "value": int(m), "seed": seed, **scores})
-    return rows
-
-
-def _sweep_cell_wiring(cfg: dict, seed: int, values: list[str],
-                       cell_dir: str) -> list[dict]:
-    out = Path(cell_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    eval_n = cfg["sweep"]["eval_per_class"]
-    rows = []
-    for wiring in values:
-        sub = json.loads(json.dumps(cfg))
-        sub["mar"]["wiring"] = wiring
-        student, slog = train_mar_model(sub, role="student", seed=seed)
-        student.save(out / f"student_{wiring}.ckpt", config_digest=config_digest(sub),
-                     step=len(slog), extra={"role": "student", "wiring": wiring})
-        scores = decode_and_score(student, sub, sub["decode"]["cfg_scale"],
-                                  seed, eval_n)
-        rows.append({"param": "wiring", "value": wiring, "seed": seed, **scores})
-    return rows
-
-
-SWEEP_CELLS = {"lambda": _sweep_cell_lambda, "cfg": _sweep_cell_cfg,
-               "m": _sweep_cell_m, "wiring": _sweep_cell_wiring}
 
 
 def run_sweep(cfg: dict, out_dir, param: str, values: list) -> Path:
     if param not in SWEEP_PARAMS:
-        raise ConfigError(f"--param must be one of {SWEEP_PARAMS}, got {param!r}")
+        raise ConfigError(f"--param must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
     if not values:
         raise ConfigError("--values must list at least one grid point")
-    out = fresh_dir(out_dir)
-    write_run_config(out, cfg)
+    for value in values:   # a value that cannot train fails before any output
+        _grid_config(cfg, param, value)
+    out = fresh_dir(out_dir, cfg)
     seeds = cfg["sweep"]["seeds"]
-    fn = SWEEP_CELLS[param]
-    jobs = [(cfg, seed, values, str(out / "cells" / f"seed{seed}")) for seed in seeds]
-    per_seed = run_jobs(fn, jobs)
+    jobs = [(cfg, param, seed, values, str(out / "cells" / f"seed{seed}"))
+            for seed in seeds]
+    per_seed = run_jobs(_sweep_cell, jobs)
 
     cell_rows = [row for rows in per_seed for row in rows]
     cell_rows.sort(key=lambda r: (str(r["value"]), r["seed"]))
     with open(out / "sweep_cells.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["param", "value", "seed", "n", "mmd", "wsd",
-                         "energy_u", "energy_v"])
+        writer.writerow(["param", "value", "seed", "n", *SCORES])
         for r in cell_rows:
-            writer.writerow([r["param"], r["value"], r["seed"], r["n"],
-                             repr(r["mmd"]), repr(r["wsd"]),
-                             repr(r["energy_u"]), repr(r["energy_v"])])
+            writer.writerow([r["param"], r["value"], r["seed"], r["n"]]
+                            + [repr(r[k]) for k in SCORES])
 
     seed_tag = "|".join(str(s) for s in seeds)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["param", "value", "seeds", "n", "mmd", "wsd",
-                         "energy_u", "energy_v"])
+        writer.writerow(["param", "value", "seeds", "n", *SCORES])
         for value in values:
             rows = [r for r in cell_rows if r["value"] == value]
             writer.writerow([param, value, seed_tag, rows[0]["n"]] + [
-                repr(float(np.mean([r[k] for r in rows])))
-                for k in ("mmd", "wsd", "energy_u", "energy_v")])
+                repr(float(np.mean([r[k] for r in rows]))) for k in SCORES])
     return out / "sweep.csv"

@@ -355,11 +355,22 @@ class MarModel:
         return LossBreakdown(energy, distill, lam)
 
     # -- iterative parallel decoding -------------------------------------------
+    def check_decode(self, class_id: int | None, dcfg: DecodeConfig) -> None:
+        """Rejects a class, iteration count or head step count this model
+        cannot decode with, before any work is done."""
+        cfg = self.cfg
+        if class_id is not None and not 0 <= class_id < cfg.n_classes:
+            raise ValueError(f"class id must be in [0, {cfg.n_classes}) or null, "
+                             f"got {class_id}")
+        if not 1 <= dcfg.iterations <= cfg.seq_len:
+            raise ValueError(f"iterations must be in [1, {cfg.seq_len}], "
+                             f"got {dcfg.iterations}")
+        if cfg.head_kind == "energy" and dcfg.head_steps != 1:
+            raise ValueError("energy heads sample in exactly one step")
+
     def _unmask_counts(self, dcfg: DecodeConfig) -> list[int]:
         """Positions generated per iteration; covers all L exactly once."""
         length, iters = self.cfg.seq_len, dcfg.iterations
-        if not 1 <= iters <= length:
-            raise ValueError(f"iterations must be in [1, {length}], got {iters}")
         remaining = [length]
         for k in range(1, iters + 1):
             if dcfg.schedule == "cosine":
@@ -381,10 +392,9 @@ class MarModel:
         position i. Each is drawn for all sequences in one batched call.
         """
         cfg = self.cfg
+        self.check_decode(class_id, dcfg)
         counts = self._unmask_counts(dcfg)
         energy = cfg.head_kind == "energy"
-        if energy and dcfg.head_steps != 1:
-            raise ValueError("energy heads sample in exactly one step")
         root = Stream.from_seed(dcfg.seed, "decode")
         seqs = root.child([f"seq/{j}" for j in range(n_seq)])
         if energy:

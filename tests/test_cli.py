@@ -190,30 +190,120 @@ def test_student_lambda_requires_teacher(tmp_path, capsys):
     assert "teacher" in capsys.readouterr().err
 
 
-def _check_sweep_grid(tmp_path, param, values, field, ckpt):
-    """Runs a one-seed sweep over ``values`` and checks the table and checkpoints."""
+def test_negative_student_lambda_is_usage_error_naming_the_key(tmp_path, capsys):
+    rc = main(["train-mar", "--role", "student", "--out", str(tmp_path / "s"),
+               "--set", "mar_train.lambda=-0.5"] + TINY_MAR)
+    assert rc == 1
+    assert "mar_train.lambda must be a number >= 0" in capsys.readouterr().err
+
+
+def _check_sweep_grid(tmp_path, param, values, ckpt, field=(), extra=()):
+    """Runs a one-seed sweep over ``values`` and checks its table. Each value's
+    student checkpoint must exist and, given a ``field`` path into the
+    manifest's extra, record the value there. Returns the cell directory."""
+    from escore.nn import load_checkpoint
     out = tmp_path / "sweep"
     rc = main(["sweep", "--param", param, "--values", ",".join(values), "--out", str(out),
                "--set", "sweep.seeds=[1]", "--set", "sweep.eval_per_class=4"]
-              + TINY_MAR)
+              + TINY_MAR + list(extra))
     assert rc == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "param,value,seeds,n,mmd,wsd,energy_u,energy_v"
-    assert len(rows) == 3
+    assert len(rows) == len(values) + 1
     assert all(row.split(",")[2] == "1" for row in rows[1:])
-    from escore.nn import load_checkpoint
+    cell = out / "cells" / "seed1"
     for value in values:
-        manifest, _ = load_checkpoint(out / "cells" / "seed1" / ckpt.format(value))
-        assert str(manifest["extra"]["mar_config"][field]) == value
+        manifest, _ = load_checkpoint(cell / ckpt.format(value))
+        recorded = manifest["extra"]
+        for key in field:
+            recorded = recorded[key]
+        assert not field or str(recorded) == value
+    return cell
 
 
 def test_sweep_m_grid_contract(tmp_path):
-    _check_sweep_grid(tmp_path, "m", ["2", "3"], "m_samples", "student_m{}.ckpt")
+    _check_sweep_grid(tmp_path, "m", ["2", "3"], "student_m{}.ckpt", ("mar_config", "m_samples"))
 
 
 def test_sweep_wiring_grid_contract(tmp_path):
     _check_sweep_grid(tmp_path, "wiring", ["noise_as_input", "noise_as_condition"],
-                      "wiring", "student_{}.ckpt")
+                      "student_{}.ckpt", ("mar_config", "wiring"))
+
+
+def test_sweep_lambda_grid_contract(tmp_path):
+    cell = _check_sweep_grid(tmp_path, "lambda", ["0.25", "0.5"], "student_lambda{}.ckpt",
+                             ("lambda",))
+    assert (cell / "teacher.ckpt").exists()
+
+
+def test_sweep_cfg_grid_trains_one_student(tmp_path):
+    cell = _check_sweep_grid(tmp_path, "cfg", ["1.0", "3.0"], "student.ckpt")
+    assert sorted(p.name for p in cell.glob("*.ckpt")) == ["student.ckpt"]
+
+
+@pytest.mark.parametrize("param,values,ckpt", [
+    ("m", ["2", "3"], "student_m{}.ckpt"),
+    ("wiring", ["noise_as_input", "noise_as_condition"], "student_{}.ckpt"),
+], ids=["m", "wiring"])
+def test_sweep_distills_every_student_under_a_positive_lambda(tmp_path, param, values, ckpt):
+    from escore.nn import load_checkpoint
+    cell = _check_sweep_grid(tmp_path, param, values, ckpt,
+                             extra=["--set", "mar_train.lambda=0.1"])
+    assert (cell / "teacher.ckpt").exists()
+    for value in values:
+        manifest, _ = load_checkpoint(cell / ckpt.format(value))
+        assert manifest["extra"]["lambda"] == 0.1
+
+
+SWEEP_GRIDS = {   # id -> (--param, grid values, extra overrides)
+    "lambda": ("lambda", [0.0, 0.5], []),
+    "cfg": ("cfg", [1.0, 3.0], []),
+    "cfg-distilled": ("cfg", [1.0, 3.0], ["mar_train.lambda=0.2"]),
+    "m": ("m", [2, 3], []),
+    "wiring": ("wiring", ["noise_as_input", "noise_as_condition"], []),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SWEEP_GRIDS))
+def test_sweep_matches_per_parameter_reference(tmp_path, grid):
+    """The one sweep cell writes the tables and trains the models that the
+    four per-parameter cells did, over two seeds."""
+    import sweep_reference
+    from escore.config import resolve_config
+    from escore.nn import load_checkpoint
+    param, values, extra = SWEEP_GRIDS[grid]
+    overrides = TINY_MAR[1::2] + ["sweep.seeds=[1,2]", "sweep.eval_per_class=4"] + extra
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    assert main(["sweep", "--param", param, "--values", ",".join(map(str, values)),
+                 "--out", str(new)] + [a for o in overrides for a in ("--set", o)]) == 0
+    sweep_reference.run_sweep(resolve_config(overrides), ref, param, values)
+    for table in ("sweep.csv", "sweep_cells.csv"):
+        assert (new / table).read_bytes() == (ref / table).read_bytes(), table
+    ckpts = sorted(ref.rglob("*.ckpt"))
+    assert len(ckpts) >= 2
+    for path in ckpts:
+        _, want = load_checkpoint(path)
+        _, got = load_checkpoint(new / path.relative_to(ref))
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want), path.name
+    for path in ref.rglob("*.loss.csv"):
+        assert (new / path.relative_to(ref)).read_bytes() == path.read_bytes()
+    distilled = grid in ("lambda", "cfg-distilled")
+    assert (new / "cells" / "seed1" / "teacher.ckpt").exists() == distilled
+
+
+@pytest.mark.parametrize("param,values,cause", [
+    ("m", "2,1", "m_samples must be >= 2"),
+    ("lambda", "0,-0.5", "mar_train.lambda must be a number >= 0"),
+    ("wiring", "noise_as_input,bogus", "unknown wiring 'bogus'"),
+], ids=["m", "lambda", "wiring"])
+def test_sweep_rejects_an_untrainable_value_before_any_output(tmp_path, capsys, param,
+                                                               values, cause):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--param", param, "--values", values, "--out", str(out)] + TINY_MAR)
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "--values" in err
+    assert not out.exists()
 
 
 def test_sweep_unknown_param(tmp_path, capsys):
@@ -243,9 +333,12 @@ def test_gradcheck_points_below_one_is_usage_error(capsys, value):
     (["decode", "--ckpt", "{tmp}/mar.ckpt", "--class", "abc"], "--class"),
     (["eval", "--generated", "{tmp}/g.csv", "--reference", "{tmp}/r.csv",
       "--bandwidth", "foo"], "--bandwidth"),
+    *[(["eval", "--generated", "{tmp}/g.csv", "--reference", "{tmp}/r.csv",
+        "--bandwidth", value], "--bandwidth") for value in ("-1", "0", "nan", "inf")],
     (["sweep", "--param", "lambda", "--values", "a,b"], "--values"),
     (["sweep", "--param", "m", "--values", "2,2.5"], "--values"),
-], ids=["decode-class", "eval-bandwidth", "sweep-lambda", "sweep-m"])
+], ids=["decode-class", "eval-bandwidth", "eval-bandwidth-negative", "eval-bandwidth-zero",
+        "eval-bandwidth-nan", "eval-bandwidth-inf", "sweep-lambda", "sweep-m"])
 def test_bad_flag_value_names_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]
@@ -379,6 +472,24 @@ def test_decode_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
     assert rc == 1
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "dec").exists()
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["--class", "99"], "class id must be in [0, 3) or null, got 99"),
+    (["--iterations", "9"], "iterations must be in [1, 8], got 9"),
+    (["--head-steps", "3"], "energy heads sample in exactly one step"),
+], ids=["class", "iterations", "head-steps"])
+def test_decode_rejects_inputs_before_creating_the_run_directory(tmp_path, capsys, argv,
+                                                                 cause):
+    from escore.mar import MarConfig, MarModel
+    ckpt = tmp_path / "mar.ckpt"
+    MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                       head_width=16, head_depth=1), 0).save(ckpt)
+    out = tmp_path / "dec"
+    rc = main(["decode", "--ckpt", str(ckpt), "--n", "2", "--out", str(out)] + argv)
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--n", "--steps"])

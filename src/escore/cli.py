@@ -21,7 +21,6 @@ from . import experiments, verify
 from .config import ConfigError, resolve_config
 from .graph import NonFiniteError
 from .heads import HEAD_KINDS
-from .mar import DecodeConfig
 from .nn import NonFiniteGradientError
 
 USAGE_EXIT = 1

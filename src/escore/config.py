@@ -114,6 +114,42 @@ def _merge_checked(base: dict, update: dict, prefix: str = "") -> None:
             base[key] = value
 
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", list: "a list"}
+
+
+def _has_type_of(value, default) -> bool:
+    """Whether ``value`` may stand where ``default`` does: the same type, an
+    int for a float too, never a bool for a number, and for a list the type of
+    its first item in every item."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_type_of(v, default[0]) for v in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
+    """Every value of ``cfg`` has the type of its default (``metrics.bandwidth``
+    takes ``"median"`` or a number); a table has exactly its default's keys."""
+    for key, default in defaults.items():
+        dotted, value = prefix + key, cfg[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict) or set(value) != set(default):
+                raise ConfigError(f"config key {dotted!r} expects a table with the keys "
+                                  f"{sorted(default)}, got {value!r}")
+            _check_types(value, default, dotted + ".")
+        elif dotted == "metrics.bandwidth":
+            if value != "median" and not _has_type_of(value, 1.0):
+                raise ConfigError(f"config key {dotted!r} must be 'median' or a number, "
+                                  f"got {value!r}")
+        elif not _has_type_of(value, default):
+            raise ConfigError(f"config key {dotted!r} must be {_KINDS[type(default)]} "
+                              f"like its default {default!r}, got {value!r}")
+
+
 def parse_override(text: str) -> tuple[str, object]:
     """'a.b=value' with the value parsed as JSON, falling back to a string."""
     if "=" not in text:
@@ -128,7 +164,8 @@ def parse_override(text: str) -> tuple[str, object]:
 
 def resolve_config(overrides: list[str] | None = None,
                    config_file: str | None = None) -> dict:
-    """Defaults <- file <- --set overrides; unknown keys are rejected."""
+    """Defaults <- file <- --set overrides; unknown keys and values of another
+    type than their default's are rejected."""
     cfg = copy.deepcopy(DEFAULTS)
     if config_file:
         loaded = json.loads(Path(config_file).read_text())
@@ -138,6 +175,7 @@ def resolve_config(overrides: list[str] | None = None,
     for text in overrides or []:
         key, value = parse_override(text)
         _walk_assign(cfg, DEFAULTS, key, value)
+    _check_types(cfg, DEFAULTS)
     return cfg
 
 

@@ -55,13 +55,6 @@ def swiss_roll(n: int, noise_sigma: float = 0.03, seed: int = 0) -> SampleBatch:
     return SampleBatch(pts, "data", seed)
 
 
-def gaussian_source(n: int, d: int, seed: int = 0, label: str = "noise") -> SampleBatch:
-    """i.i.d. standard normal points from the named stream."""
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    return SampleBatch(Stream.from_seed(seed, label).normal((n, d)), "noise", seed)
-
-
 def _class_trace(class_id: int, length: int) -> np.ndarray:
     """Canonical (unrotated, noise-free) trace of one class, within [-1, 1]^2."""
     i = np.arange(length) / max(length - 1, 1)

@@ -87,14 +87,18 @@ def append_metrics_row(path, report: MetricsReport) -> None:
 # ---------------------------------------------------------------------------
 # toy heads
 
-def _train_toy_head(cfg: dict, method: str, seed: int, out: Path,
+def _toy_model(cfg: dict, method: str, seed: int) -> ToyHeadModel:
+    h = cfg["head"]
+    return ToyHeadModel(HeadConfig(kind=method, latent_dim=2, noise_dim=h["noise_dim"],
+                                   width=h["width"], depth=h["depth"],
+                                   context_dim=h["context_dim"], wiring=h["wiring"],
+                                   m_samples=h["m"], t_diff=h["t_diff"]), seed)
+
+
+def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path,
                     steps: int | None = None) -> ToyHeadModel:
     """Trains one toy head and writes its loss.csv and head.ckpt into ``out``."""
-    h, t = cfg["head"], cfg["train"]
-    model = ToyHeadModel(HeadConfig(kind=method, latent_dim=2, noise_dim=h["noise_dim"],
-                                    width=h["width"], depth=h["depth"],
-                                    context_dim=h["context_dim"], wiring=h["wiring"],
-                                    m_samples=h["m"], t_diff=h["t_diff"]), seed)
+    t = cfg["train"]
     history = model.train(ToyTrainConfig(steps=steps or t["steps"], batch=t["batch"],
                                          lr=t["lr"], warmup=t["warmup"],
                                          weight_decay=t["weight_decay"],
@@ -102,7 +106,7 @@ def _train_toy_head(cfg: dict, method: str, seed: int, out: Path,
                                          noise_sigma=cfg["data"]["noise_sigma"]))
     write_loss_csv(out / "loss.csv", [
         {"step": s, "energy": v, "distill": 0.0, "total": v, "lambda": 0.0,
-         "lr": t["lr"], "seed": seed} for s, v in history])
+         "lr": t["lr"], "seed": model.seed} for s, v in history])
     model.save(out / "head.ckpt", config_digest=config_digest(cfg), step=len(history))
     return model
 
@@ -111,8 +115,9 @@ def run_train_head(cfg: dict, out_dir) -> Path:
     method = cfg["head"]["method"]
     if method not in HEAD_KINDS:
         raise ConfigError(f"head.method must be one of {HEAD_KINDS}, got {method!r}")
+    model = _toy_model(cfg, method, cfg["seed"])   # checks the head config first
     out = fresh_dir(out_dir, cfg)
-    _train_toy_head(cfg, method, cfg["seed"], out)
+    _train_toy_head(model, cfg, out)
     return out / "head.ckpt"
 
 
@@ -156,7 +161,7 @@ def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[dict
     """Train one head on one seed; sample and score it. Returns metric rows."""
     out = Path(cell_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = _train_toy_head(cfg, method, seed, out,
+    model = _train_toy_head(_toy_model(cfg, method, seed), cfg, out,
                             steps=cfg["compare"]["steps_by_method"][method])
 
     n = cfg["compare"]["sample_n"]
@@ -222,31 +227,33 @@ def _student_lambda(cfg: dict) -> float:
     return lam
 
 
-def train_mar_model(cfg: dict, *, role: str, seed: int,
-                    teacher: MarModel | None = None) -> tuple[MarModel, list[dict]]:
-    t = cfg["mar_train"]
-    lam = _student_lambda(cfg) if role == "student" else 0.0
-    if lam > 0 and teacher is None:
+def build_mar_model(cfg: dict, role: str, seed: int,
+                    teacher: MarModel | None = None) -> MarModel:
+    """The untrained MAR teacher or student of ``cfg``; a student takes the
+    teacher's backbone under ``mar_train.init_from_teacher``."""
+    if role == "student" and _student_lambda(cfg) > 0 and teacher is None:
         raise ConfigError("mar_train.lambda > 0 requires --teacher")
     kind = "diffusion" if role == "teacher" else None
     model = MarModel(mar_config_from(cfg, head_kind=kind), seed)
-    if role == "student" and teacher is not None and t["init_from_teacher"]:
+    if role == "student" and teacher is not None and cfg["mar_train"]["init_from_teacher"]:
         for name, p in model.params.items():
             if name.startswith("backbone.") and name in teacher.params:
                 p.value = teacher.params[name].value.copy()
+    return model
+
+
+def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
+               ckpt: Path, loss_csv: Path) -> MarModel:
+    """Trains a model from :func:`build_mar_model` and writes its loss log and
+    checkpoint."""
+    t = cfg["mar_train"]
     log = train_mar(model, steps=t["steps"], batch=t["batch"], lr=t["lr"],
-                    warmup=t["warmup"], lam=lam, teacher=teacher,
-                    per_class=cfg["data"]["per_class"],
+                    warmup=t["warmup"],
+                    lam=_student_lambda(cfg) if role == "student" else 0.0,
+                    teacher=teacher, per_class=cfg["data"]["per_class"],
                     weight_decay=t["weight_decay"],
                     frozen_backbone=t["frozen_backbone"],
                     jitter=cfg["data"]["jitter"])
-    return model, log
-
-
-def _train_mar(cfg: dict, role: str, seed: int, teacher: MarModel | None,
-               ckpt: Path, loss_csv: Path) -> MarModel:
-    """Trains a MAR teacher or student and writes its loss log and checkpoint."""
-    model, log = train_mar_model(cfg, role=role, seed=seed, teacher=teacher)
     write_loss_csv(loss_csv, log)
     model.save(ckpt, config_digest=config_digest(cfg), step=len(log),
                extra={"role": role, "lambda": cfg["mar_train"]["lambda"],
@@ -257,9 +264,10 @@ def _train_mar(cfg: dict, role: str, seed: int, teacher: MarModel | None,
 def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None) -> Path:
     if role not in ("teacher", "student"):
         raise ConfigError(f"--role must be teacher or student, got {role!r}")
-    out = fresh_dir(out_dir, cfg)
     teacher = MarModel.load(teacher_ckpt) if teacher_ckpt else None
-    _train_mar(cfg, role, cfg["seed"], teacher, out / "mar.ckpt", out / "loss.csv")
+    model = build_mar_model(cfg, role, cfg["seed"], teacher)
+    out = fresh_dir(out_dir, cfg)
+    _train_mar(cfg, role, model, teacher, out / "mar.ckpt", out / "loss.csv")
     return out / "mar.ckpt"
 
 
@@ -348,10 +356,12 @@ def _sweep_cell(cfg: dict, param: str, seed: int, values: list,
         if tag != trained:
             lam = sub["mar_train"]["lambda"]
             if lam > 0 and teacher is None:
-                teacher = _train_mar(cfg, "teacher", seed, None, out / "teacher.ckpt",
-                                     out / "teacher.loss.csv")
-            student = _train_mar(sub, "student", seed, teacher if lam > 0 else None,
-                                 out / f"{tag}.ckpt", out / f"{tag}.loss.csv")
+                teacher = _train_mar(cfg, "teacher", build_mar_model(cfg, "teacher", seed),
+                                     None, out / "teacher.ckpt", out / "teacher.loss.csv")
+            distil_from = teacher if lam > 0 else None
+            student = _train_mar(sub, "student",
+                                 build_mar_model(sub, "student", seed, distil_from),
+                                 distil_from, out / f"{tag}.ckpt", out / f"{tag}.loss.csv")
             trained = tag
         scores = decode_and_score(student, sub, seed)
         rows.append({"param": param, "value": value, "seed": seed, **scores})

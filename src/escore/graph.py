@@ -8,15 +8,16 @@ cache, and :func:`jvp` carries tangents beside the values in a sweep of its
 own.
 
 Node kinds are the sources ``leaf`` (named binding) and ``const``, which
-:func:`evaluate` binds, and the keys of ``_RULES``: one entry per computed
+:func:`evaluate` binds, and the 17 keys of ``_RULES``: one entry per computed
 kind with its forward, reverse and forward-mode rules and two flags,
-``reads_inputs`` and ``reads_output``. The ten linear kinds (``add``, ``sub``,
-``scale``, ``mean``, ``sum``, ``concat``, ``narrow``, ``broadcast``,
-``reshape``, ``transpose``) have no tangent rule of their own: their jvp is
-their forward applied to the input tangents. ``affine`` (``x @ w + b`` with
-the bias broadcast over the leading axes) is the fused form of matmul +
-broadcast + add, bit-identical to it; ``stop_gradient`` is the identity with
-a zero gradient.
+``reads_inputs`` and ``reads_output``. The seven kinds with a tangent rule
+are ``affine``, ``matmul``, ``mul``, ``silu``, ``layer_norm``, ``softmax``
+and ``row_norm``. The ten linear kinds (``add``, ``sub``, ``scale``,
+``mean``, ``sum``, ``concat``, ``narrow``, ``broadcast``, ``reshape``,
+``transpose``) have none of their own: their jvp is their forward applied to
+the input tangents. ``affine`` (``x @ w + b`` with the bias broadcast over
+the leading axes) is the fused form of matmul + broadcast + add,
+bit-identical to it.
 
 The graph chooses how :func:`evaluate` runs, once per (graph, output), and
 caches the choice with its release table. A run with a grad leaf at or before
@@ -200,10 +201,6 @@ def total(a: Node) -> Node:
     return a.graph._append("sum", (a,), ())
 
 
-def sum_sq(a: Node) -> Node:
-    return a.graph._append("sum_sq", (a,), ())
-
-
 def row_norm(a: Node, eps: float = ROW_NORM_EPS) -> Node:
     if not a.shape:
         raise GraphError("row_norm: needs at least one axis")
@@ -257,10 +254,6 @@ def transpose(a: Node, axes: tuple[int, ...]) -> Node:
         raise GraphError(f"transpose: bad axes {axes} for shape {a.shape}")
     shape = tuple(a.shape[i] for i in axes)
     return a.graph._append("transpose", (a,), shape, {"axes": tuple(axes)})
-
-
-def stop_gradient(a: Node) -> Node:
-    return a.graph._append("stop_gradient", (a,), a.shape, needs_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +432,6 @@ _RULES: dict[str, _Rule] = {
     "mean": _Rule(lambda vals, attrs, aux: np.asarray(vals[0].mean()), _mean_backward),
     "sum": _Rule(lambda vals, attrs, aux: np.asarray(vals[0].sum()),
                  lambda node, g, vals, out, aux: [np.full(_input_shape(node), float(g))]),
-    "sum_sq": _Rule(lambda vals, attrs, aux: np.asarray((vals[0] * vals[0]).sum()),
-                    lambda node, g, vals, out, aux: [2.0 * float(g) * vals[0]],
-                    lambda node, dv, vals, out, aux: np.asarray(2.0 * (vals[0] * dv[0]).sum()),
-                    reads_inputs=True),
     "row_norm": _Rule(_row_norm,
                       lambda node, g, vals, out, aux: [(g / out)[..., None] * vals[0]],
                       lambda node, dv, vals, out, aux: (vals[0] * dv[0]).sum(axis=-1) / out,
@@ -458,9 +447,6 @@ _RULES: dict[str, _Rule] = {
     "transpose": _Rule(lambda vals, attrs, aux: np.transpose(vals[0], attrs["axes"]),
                        lambda node, g, vals, out, aux:
                        [np.transpose(g, np.argsort(node.attrs["axes"]))]),
-    "stop_gradient": _Rule(lambda vals, attrs, aux: vals[0],
-                           lambda node, g, vals, out, aux: [None],
-                           lambda node, dv, vals, out, aux: np.zeros(node.shape)),
 }
 
 
@@ -604,7 +590,7 @@ def backward(run: Evaluation) -> dict[str, np.ndarray]:
                                            run.values[node.nid], run.aux[node.nid])
         del g   # the loop's own references would keep consumed adjoints alive
         for nid, gin in zip(node.inputs, grads):
-            if gin is None or not graph.nodes[nid].needs_grad:
+            if not graph.nodes[nid].needs_grad:
                 continue
             adj[nid] = gin if adj[nid] is None else adj[nid] + gin
         del grads, gin

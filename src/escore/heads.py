@@ -84,39 +84,11 @@ def time_features_dt(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# energy-distance losses (numpy scalar forms, plus graph builders)
-
-def _smooth_norm(v: np.ndarray) -> np.ndarray:
-    eps = G.ROW_NORM_EPS
-    return np.sqrt(np.sum(v * v, axis=-1) + eps * eps)
-
-
-def energy_loss_pair(x1, x2, y) -> float:
-    """||x1 - y|| + ||x2 - y|| - ||x1 - x2|| with smoothed norms."""
-    x1, x2, y = (np.asarray(a, dtype=np.float64) for a in (x1, x2, y))
-    if not x1.shape == x2.shape == y.shape:
-        raise ValueError("energy_loss_pair: shapes must match")
-    return float(np.sum(_smooth_norm(x1 - y) + _smooth_norm(x2 - y)
-                        - _smooth_norm(x1 - x2)))
-
-
-def energy_loss_m(samples, y) -> float:
-    """(2/m) sum_i ||x_i - y|| - (1/(m(m-1))) sum_{i != j} ||x_i - x_j||."""
-    xs = [np.asarray(a, dtype=np.float64) for a in samples]
-    y = np.asarray(y, dtype=np.float64)
-    m = len(xs)
-    if m < 2:
-        raise ValueError("energy_loss_m needs at least 2 samples")
-    attract = sum(float(np.sum(_smooth_norm(x - y))) for x in xs)
-    repel = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            repel += float(np.sum(_smooth_norm(xs[i] - xs[j])))
-    return (2.0 / m) * attract - (2.0 / (m * (m - 1))) * repel
-
+# energy-distance loss
 
 def build_energy_rows_m(samples: list[G.Node], y: G.Node) -> G.Node:
-    """Per-row loss node of :func:`energy_loss_m`: shape (rows,)."""
+    """Per-row m-sample energy loss, shape (rows,): (2/m) sum_i ||x_i - y||
+    - (2/(m(m-1))) sum_{i<j} ||x_i - x_j||, with smoothed norms."""
     m = len(samples)
     if m < 2:
         raise G.GraphError("energy loss needs at least 2 samples")

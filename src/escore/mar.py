@@ -9,7 +9,7 @@ linearly before the head ever runs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,35 +48,6 @@ class MarConfig:
                           wiring=self.wiring, m_samples=self.m_samples)
 
 
-@dataclass
-class MaskPattern:
-    masked: np.ndarray        # bool per position, True = masked
-    rate: float               # realized masking rate
-
-    def __post_init__(self):
-        self.masked = np.asarray(self.masked, dtype=bool)
-        if not self.masked.any():
-            raise ValueError("mask pattern must cover at least one position")
-
-
-@dataclass
-class ContextualRepresentation:
-    h: np.ndarray             # (L, D) or (B, L, D)
-    origin: str               # teacher | student
-    conditioning: int | None  # class id or None for the null pass
-
-
-@dataclass
-class LossBreakdown:
-    energy: float
-    distill: float
-    lam: float
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        self.total = self.energy + self.lam * self.distill
-
-
 @dataclass(frozen=True)
 class DecodeConfig:
     iterations: int = 8
@@ -93,60 +64,15 @@ class DecodeConfig:
             raise ValueError("head_steps must be >= 1")
 
 
-def _draw_masks(streams: Stream, length: int,
-                rate_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """One mask per stream from its ``rate`` and ``positions`` children:
-    (..., L) bools with ceil(rate * L) positions set, and the rates."""
-    lo, hi = rate_range
-    if not 0.0 < lo <= hi <= 1.0:
-        raise ValueError(f"bad masking rate range [{lo}, {hi})")
-    rate = np.full(streams.key.shape, lo) if hi == lo \
-        else lo + (hi - lo) * streams.child("rate").uniform()
-    count = np.minimum(length, np.ceil(rate * length))
-    # the first `count` entries of a uniform permutation are the masked set
-    order = streams.child("positions").permutation(length)
-    masked = np.empty(order.shape, dtype=bool)
-    np.put_along_axis(masked, order, np.arange(length) < count[..., None], axis=-1)
-    return masked, rate
-
-
-def apply_mask(latents: np.ndarray, rate_range: tuple[float, float],
-               rng: Stream) -> tuple[np.ndarray, MaskPattern]:
-    """Pick ceil(rate * L) positions to mask, rate ~ U[lo, hi).
-
-    Returns the latents with masked rows zeroed (the learned mask token is
-    substituted inside the backbone) plus the pattern itself.
-    """
-    masked, rate = _draw_masks(rng, len(latents), rate_range)
-    visible = latents * (~masked)[:, None]
-    return visible, MaskPattern(masked, float(rate))
-
-
-def cfg_combine(cond: ContextualRepresentation, uncond: ContextualRepresentation,
-                scale: float) -> ContextualRepresentation:
+def cfg_combine(cond: np.ndarray, uncond: np.ndarray, scale: float) -> np.ndarray:
     """scale * h_cond + (1 - scale) * h_uncond; exact passthrough at 0 and 1."""
-    if cond.h.shape != uncond.h.shape:
-        raise ValueError(f"shape mismatch: {cond.h.shape} vs {uncond.h.shape}")
-    if cond.origin != uncond.origin:
-        raise ValueError(f"origin mismatch: {cond.origin} vs {uncond.origin}")
+    if cond.shape != uncond.shape:
+        raise ValueError(f"shape mismatch: {cond.shape} vs {uncond.shape}")
     if scale == 1.0:
-        h = cond.h.copy()
-    elif scale == 0.0:
-        h = uncond.h.copy()
-    else:
-        h = scale * cond.h + (1.0 - scale) * uncond.h
-    return ContextualRepresentation(h, cond.origin, cond.conditioning)
-
-
-def distillation_loss(h_student: np.ndarray, h_teacher: np.ndarray) -> float:
-    """Mean over positions of the squared Euclidean row distance."""
-    h_student = np.asarray(h_student, dtype=np.float64)
-    h_teacher = np.asarray(h_teacher, dtype=np.float64)
-    if h_student.shape != h_teacher.shape:
-        raise ValueError(f"shape mismatch: {h_student.shape} vs {h_teacher.shape}")
-    diff = h_student - h_teacher
-    sq = (diff * diff).sum(axis=-1)
-    return float(sq.mean())
+        return cond.copy()
+    if scale == 0.0:
+        return uncond.copy()
+    return scale * cond + (1.0 - scale) * uncond
 
 
 class Backbone:
@@ -239,7 +165,7 @@ class MarModel:
         return g
 
     def represent(self, latents: np.ndarray, masked: np.ndarray,
-                  class_ids: np.ndarray, origin: str = "student") -> ContextualRepresentation:
+                  class_ids: np.ndarray) -> np.ndarray:
         """Run the backbone; latents at masked positions are ignored."""
         bsz = len(latents)
         g = self._repr_graph(bsz)
@@ -248,9 +174,7 @@ class MarModel:
                     "onehot": one_hot_classes(class_ids, self.cfg.n_classes),
                     **self._backbone_params.bindings()}
         self.backbone_forwards += 1
-        label = None if len(set(class_ids.tolist())) != 1 else int(class_ids[0])
-        h = G.evaluate(g, bindings).output
-        return ContextualRepresentation(h, origin, label)
+        return G.evaluate(g, bindings).output
 
     # -- masked training ------------------------------------------------------
     def _train_graph(self, bsz: int, with_teacher: bool, lam: float,
@@ -299,23 +223,28 @@ class MarModel:
 
     def mask_batch(self, latents: np.ndarray, rng: Stream) -> np.ndarray:
         """Independent mask pattern per sequence, drawn from its ``seq/{j}``
-        stream; returns (B, L) bools."""
+        stream: (B, L) bools with ceil(rate * L) positions set, the rate
+        drawn from its ``rate`` child ~ U[mask_lo, mask_hi)."""
+        lo, hi = self.cfg.mask_lo, self.cfg.mask_hi
+        if not 0.0 < lo <= hi <= 1.0:
+            raise ValueError(f"bad masking rate range [{lo}, {hi})")
+        length = latents.shape[1]
         seqs = rng.child([f"seq/{j}" for j in range(len(latents))])
-        masked, _ = _draw_masks(seqs, latents.shape[1], (self.cfg.mask_lo, self.cfg.mask_hi))
+        rate = np.full(seqs.key.shape, lo) if hi == lo \
+            else lo + (hi - lo) * seqs.child("rate").uniform()
+        count = np.minimum(length, np.ceil(rate * length))
+        # the first `count` entries of a uniform permutation are the masked set
+        order = seqs.child("positions").permutation(length)
+        masked = np.empty(order.shape, dtype=bool)
+        np.put_along_axis(masked, order, np.arange(length) < count[..., None], axis=-1)
         return masked
 
-    def masked_training_step(self, latents: np.ndarray, class_ids: np.ndarray,
-                             rng: Stream, *, lam: float = 0.0,
-                             teacher: "MarModel | None" = None,
-                             lr: float = 1e-3, step_index: int = 1,
-                             weight_decay: float = 0.0,
-                             frozen_backbone: bool = False,
-                             update: bool = True,
-                             bindings_hook=None) -> LossBreakdown:
-        """One optimization step over a batch of conditional sequences."""
+    def step_bindings(self, latents: np.ndarray, class_ids: np.ndarray, rng: Stream,
+                      teacher: "MarModel | None" = None) -> dict[str, np.ndarray]:
+        """Every leaf value of one step's :meth:`_train_graph`: the weights,
+        the masked batch with dropped-out class labels, the head's loss
+        inputs and, given a teacher, its representation of the batch."""
         cfg = self.cfg
-        if teacher is None and lam != 0.0:
-            raise ValueError("distillation weight requires a teacher")
         bsz = len(latents)
         rows = bsz * cfg.seq_len
         masked = self.mask_batch(latents, rng.child("mask"))
@@ -335,24 +264,33 @@ class MarModel:
         y_rows = latents.reshape(rows, cfg.latent_dim)
         bindings.update(self.head.loss_bindings(y_rows, rng.child("head")))
         if teacher is not None:
-            rep = teacher.represent(latents, masked, ids, origin="teacher")
-            bindings["h_teacher"] = rep.h
-        if bindings_hook is not None:
-            bindings = bindings_hook(bindings)
-        g, nodes = self._train_graph(bsz, teacher is not None, lam, frozen_backbone)
+            bindings["h_teacher"] = teacher.represent(latents, masked, ids)
+        return bindings
+
+    def masked_training_step(self, latents: np.ndarray, class_ids: np.ndarray,
+                             rng: Stream, *, lam: float = 0.0,
+                             teacher: "MarModel | None" = None,
+                             lr: float = 1e-3, step_index: int = 1,
+                             weight_decay: float = 0.0,
+                             frozen_backbone: bool = False) -> tuple[float, float]:
+        """One optimization step over a batch of conditional sequences;
+        returns its (energy, distill) loss terms, distill 0.0 without a teacher."""
+        if teacher is None and lam != 0.0:
+            raise ValueError("distillation weight requires a teacher")
+        bindings = self.step_bindings(latents, class_ids, rng, teacher)
+        g, nodes = self._train_graph(len(latents), teacher is not None, lam, frozen_backbone)
         try:
             run = G.evaluate(g, bindings)
             energy = float(run.value(nodes["energy"]))
             distill = float(run.value(nodes["distill"])) if teacher is not None else 0.0
-            if update:
-                grads = G.backward(run)
-                opt = self.params.subset(
-                    lambda n: not (frozen_backbone and n.startswith("backbone.")))
-                nn.adam_step(opt, grads, lr=lr, weight_decay=weight_decay, t=step_index)
+            grads = G.backward(run)
+            opt = self.params.subset(
+                lambda n: not (frozen_backbone and n.startswith("backbone.")))
+            nn.adam_step(opt, grads, lr=lr, weight_decay=weight_decay, t=step_index)
         except (G.NonFiniteError, nn.NonFiniteGradientError) as exc:
-            raise TrainingError(f"{cfg.head_kind}: non-finite loss at step "
+            raise TrainingError(f"{self.cfg.head_kind}: non-finite loss at step "
                                 f"{step_index}: {exc}") from exc
-        return LossBreakdown(energy, distill, lam)
+        return energy, distill
 
     # -- iterative parallel decoding -------------------------------------------
     def check_decode(self, class_id: int | None, dcfg: DecodeConfig) -> None:
@@ -416,9 +354,9 @@ class MarModel:
             if dcfg.guided:
                 h_null = self.represent(latents[:rows], ~generated[:rows],
                                         np.full(rows, NULL_CLASS))
-                h = cfg_combine(h_cond, h_null, dcfg.cfg_scale).h
+                h = cfg_combine(h_cond, h_null, dcfg.cfg_scale)
             else:
-                h = h_cond.h
+                h = h_cond
             h = np.broadcast_to(h, (n_seq,) + h.shape[1:])
             # every sequence has the same number of open positions
             open_pos = np.nonzero(~generated)[1].reshape(n_seq, -1)
@@ -488,11 +426,11 @@ def train_mar(model: MarModel, *, steps: int, batch: int, lr: float = 1e-3,
     for t in range(1, steps + 1):
         idx = batches[t - 1]
         cur_lr = lr * min(1.0, t / max(warmup, 1))
-        breakdown = model.masked_training_step(
+        energy, distill = model.masked_training_step(
             latents[idx], ids[idx], Stream(step_rngs.key[t - 1]), lam=lam, teacher=teacher,
             lr=cur_lr, step_index=t, weight_decay=weight_decay,
             frozen_backbone=frozen_backbone)
-        log.append({"step": t, "energy": breakdown.energy,
-                    "distill": breakdown.distill, "total": breakdown.total,
+        log.append({"step": t, "energy": energy,
+                    "distill": distill, "total": energy + lam * distill,
                     "lambda": lam, "lr": cur_lr, "seed": model.seed})
     return log

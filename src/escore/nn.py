@@ -196,8 +196,7 @@ class TransformerBlock:
         b = G.broadcast_to(leaves[f"{self.name}.{tag}.b"], ln.shape)
         return ln * g + b
 
-    def build(self, leaves: dict[str, G.Node], x: G.Node,
-              taps: dict[str, G.Node] | None = None) -> G.Node:
+    def build(self, leaves: dict[str, G.Node], x: G.Node) -> G.Node:
         if len(x.shape) != 3 or x.shape[-1] != self.dim:
             raise G.GraphError(f"{self.name}: expected (batch, seq, {self.dim}), "
                                f"got {x.shape}")
@@ -213,8 +212,6 @@ class TransformerBlock:
         v = split_heads(build_linear(leaves, f"{self.name}.wv", a))
         scores = G.scale(G.matmul(q, G.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         attn = G.softmax(scores)
-        if taps is not None:
-            taps[f"{self.name}.attn"] = attn
         mixed = G.reshape(G.transpose(G.matmul(attn, v), (0, 2, 1, 3)), (bsz, seq, self.dim))
         x = x + build_linear(leaves, f"{self.name}.wo", mixed)
         m = self._affine_ln(leaves, "ln2", x)

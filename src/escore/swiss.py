@@ -5,7 +5,7 @@ can be compared head-to-head on the Swiss roll under identical budgets.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -32,9 +32,9 @@ def decode(model: MarModel, class_id: int | None, n_seq: int,
         h_cond = model.represent(latents, ~generated, ids)
         if dcfg.guided:
             h_null = model.represent(latents, ~generated, np.full(n_seq, NULL_CLASS))
-            h = cfg_combine(h_cond, h_null, dcfg.cfg_scale).h
+            h = cfg_combine(h_cond, h_null, dcfg.cfg_scale)
         else:
-            h = h_cond.h
+            h = h_cond
         chosen: list[tuple[int, int]] = []
         for j in range(n_seq):
             open_pos = np.flatnonzero(~generated[j])

@@ -55,8 +55,6 @@ def _backward(kind, g, vals, out, attrs, aux):
         return [np.full(vals[0].shape, float(g) / vals[0].size)]
     if kind == "sum":
         return [np.full(vals[0].shape, float(g))]
-    if kind == "sum_sq":
-        return [2.0 * float(g) * vals[0]]
     if kind == "row_norm":
         return [(g / out)[..., None] * vals[0]]
     if kind == "concat":
@@ -79,8 +77,6 @@ def _backward(kind, g, vals, out, attrs, aux):
         return [g.reshape(vals[0].shape)]
     if kind == "transpose":
         return [np.transpose(g, np.argsort(attrs["axes"]))]
-    if kind == "stop_gradient":
-        return [None]
     raise AssertionError(kind)
 
 
@@ -114,8 +110,6 @@ def _jvp_rule(kind, dv, vals, out, attrs, aux):
         return np.asarray(dv[0].mean())
     if kind == "sum":
         return np.asarray(dv[0].sum())
-    if kind == "sum_sq":
-        return np.asarray(2.0 * (vals[0] * dv[0]).sum())
     if kind == "row_norm":
         return (vals[0] * dv[0]).sum(axis=-1) / out
     if kind == "concat":
@@ -130,8 +124,6 @@ def _jvp_rule(kind, dv, vals, out, attrs, aux):
         return dv[0].reshape(attrs["shape"])
     if kind == "transpose":
         return np.transpose(dv[0], attrs["axes"]).copy()
-    if kind == "stop_gradient":
-        return np.zeros_like(out)
     raise AssertionError(kind)
 
 
@@ -162,7 +154,7 @@ def backward(graph, values, aux, output=None):
         grads = _backward(node.kind, g, [values[i] for i in node.inputs],
                           values[node.nid], node.attrs, aux[node.nid])
         for nid, gin in zip(node.inputs, grads):
-            if gin is None or not graph.nodes[nid].needs_grad:
+            if not graph.nodes[nid].needs_grad:
                 continue
             adj[nid] = gin if adj[nid] is None else adj[nid] + gin
     return {name: np.zeros(leaf.shape) if adj[leaf.nid] is None else adj[leaf.nid]

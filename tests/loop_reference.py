@@ -73,25 +73,21 @@ def toy_train(model, tcfg) -> list[tuple[int, float]]:
 def train_mar(model, *, steps: int, batch: int, lr: float, warmup: int,
               per_class: int) -> list[dict]:
     """``mar.train_mar`` without a teacher; each step's masks and dropout
-    come from ``masked_training_step`` on that step's key."""
+    come from ``step_bindings`` on that step's key."""
     latents, ids = class_pools(model.cfg, model.seed, per_class, 0.02)
     root = Stream.from_seed(model.seed, f"train_mar/{model.cfg.head_kind}")
     log = []
     for t in range(1, steps + 1):
         step = root.child(f"step/{t}")
         idx = step.child("batch").integers(len(latents), (batch,))
-
-        def head_noise(bindings, step=step):
-            if model.cfg.head_kind == "energy":
-                bindings.update(energy_noise(model.head, len(bindings["y"]),
-                                             step.child("head")))
-            return bindings
-
+        bindings = model.step_bindings(latents[idx], ids[idx], rng.Stream(step.key))
+        if model.cfg.head_kind == "energy":
+            bindings.update(energy_noise(model.head, len(bindings["y"]), step.child("head")))
+        g, nodes = model._train_graph(batch, False, 0.0, False)
+        run = G.evaluate(g, bindings)
         cur_lr = lr * min(1.0, t / max(warmup, 1))
-        breakdown = model.masked_training_step(
-            latents[idx], ids[idx], rng.Stream(step.key), lr=cur_lr, step_index=t,
-            bindings_hook=head_noise)
-        log.append({"step": t, "energy": breakdown.energy,
-                    "distill": breakdown.distill, "total": breakdown.total,
+        nn.adam_step(model.params, G.backward(run), lr=cur_lr, weight_decay=0.0, t=t)
+        energy = float(run.value(nodes["energy"]))
+        log.append({"step": t, "energy": energy, "distill": 0.0, "total": energy,
                     "lambda": 0.0, "lr": cur_lr, "seed": model.seed})
     return log

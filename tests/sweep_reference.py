@@ -17,9 +17,22 @@ import numpy as np
 
 from escore import metrics
 from escore.config import config_digest
-from escore.experiments import heldout_pools, train_mar_model, write_loss_csv
-from escore.mar import DecodeConfig, MarModel
+from escore.experiments import build_mar_model, heldout_pools, write_loss_csv
+from escore.mar import DecodeConfig, MarModel, train_mar
 from escore.metrics import EnergyEstimatorConfig, energy_statistic
+
+
+def train_mar_model(cfg: dict, *, role: str, seed: int,
+                    teacher: MarModel | None = None) -> tuple[MarModel, list[dict]]:
+    """The trained MAR teacher or student of ``cfg`` and its loss log."""
+    model = build_mar_model(cfg, role, seed, teacher)
+    t = cfg["mar_train"]
+    log = train_mar(model, steps=t["steps"], batch=t["batch"], lr=t["lr"],
+                    warmup=t["warmup"], lam=t["lambda"] if role == "student" else 0.0,
+                    teacher=teacher, per_class=cfg["data"]["per_class"],
+                    weight_decay=t["weight_decay"], frozen_backbone=t["frozen_backbone"],
+                    jitter=cfg["data"]["jitter"])
+    return model, log
 
 
 def decode_and_score(model: MarModel, cfg: dict, cfg_scale: float, seed: int,

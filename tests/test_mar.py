@@ -9,57 +9,57 @@ import pytest
 import decode_reference
 import loop_reference
 import rng_reference as R
+from escore import graph as G
 from escore import mar
-from escore.mar import (ContextualRepresentation, DecodeConfig, MarConfig, MarModel,
-                        apply_mask, cfg_combine, distillation_loss, one_hot_classes)
+from escore.mar import DecodeConfig, MarConfig, MarModel, cfg_combine, one_hot_classes
 from escore.rng import Stream
+from oracles import distillation_loss
 
 TINY = MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
                  head_width=16, head_depth=1)
 
 
 def test_apply_mask_counts():
-    latents = np.zeros((16, 2))
-    _, pattern = apply_mask(latents, (0.75, 0.75), Stream.from_seed(0, "m"))
-    assert pattern.masked.sum() == 12
-    _, pattern = apply_mask(latents, (0.999, 1.0), Stream.from_seed(1, "m"))
-    assert pattern.masked.sum() == 16
+    """Masks come from MarModel.mask_batch: ceil(rate * L) positions each."""
+    latents = np.zeros((3, 16, 2))
+    for (lo, hi), count in [((0.75, 0.75), 12), ((0.999, 1.0), 16)]:
+        model = MarModel(dataclasses.replace(TINY, seq_len=16, mask_lo=lo, mask_hi=hi), seed=0)
+        masked = model.mask_batch(latents, Stream.from_seed(1, "m"))
+        assert masked.shape == (3, 16) and masked.sum(axis=1).tolist() == [count] * 3
 
 
 def test_apply_mask_deterministic_and_zeroes_masked():
-    latents = Stream.from_seed(2, "x").normal((16, 2))
-    v1, p1 = apply_mask(latents, (0.7, 1.0), Stream.from_seed(3, "m"))
-    v2, p2 = apply_mask(latents, (0.7, 1.0), Stream.from_seed(3, "m"))
-    assert np.array_equal(p1.masked, p2.masked)
-    assert np.array_equal(v1, v2)
-    assert np.all(v1[p1.masked] == 0.0)
-    assert np.array_equal(v1[~p1.masked], latents[~p1.masked])
+    """A training step's bindings zero the latents its mask_batch draw masks."""
+    model = MarModel(TINY, seed=0)
+    latents, ids = _batch(model, 4)
+    rng = Stream.from_seed(3, "step")
+    masked = model.mask_batch(latents, rng.child("mask"))
+    assert np.array_equal(masked, model.mask_batch(latents, rng.child("mask")))
+    bindings = model.step_bindings(latents, ids, rng)
+    assert np.array_equal(bindings["mask"][..., 0], masked)
+    assert np.all(bindings["latents"][masked] == 0.0)
+    assert np.array_equal(bindings["latents"][~masked], latents[~masked])
 
 
 def test_apply_mask_bad_range():
-    with pytest.raises(ValueError):
-        apply_mask(np.zeros((4, 2)), (0.0, 0.5), Stream.from_seed(0, "m"))
+    model = MarModel(dataclasses.replace(TINY, mask_lo=0.0, mask_hi=0.5), seed=0)
+    with pytest.raises(ValueError, match="masking rate range"):
+        model.mask_batch(np.zeros((4, TINY.seq_len, 2)), Stream.from_seed(0, "m"))
 
 
 def test_cfg_combine_identities_and_arithmetic():
-    a = ContextualRepresentation(Stream.from_seed(0, "a").normal((4, 3)), "student", 1)
-    b = ContextualRepresentation(Stream.from_seed(0, "b").normal((4, 3)), "student", None)
-    assert np.array_equal(cfg_combine(a, b, 1.0).h, a.h)
-    assert np.array_equal(cfg_combine(a, b, 0.0).h, b.h)
-    c = cfg_combine(ContextualRepresentation(np.array([[1.0, 0.0]]), "student", 0),
-                    ContextualRepresentation(np.array([[0.0, 1.0]]), "student", None),
-                    4.0)
-    assert np.allclose(c.h, [[4.0, -3.0]], atol=1e-15)
+    a = Stream.from_seed(0, "a").normal((4, 3))
+    b = Stream.from_seed(0, "b").normal((4, 3))
+    assert np.array_equal(cfg_combine(a, b, 1.0), a)
+    assert np.array_equal(cfg_combine(a, b, 0.0), b)
+    assert cfg_combine(a, b, 1.0) is not a and cfg_combine(a, b, 0.0) is not b
+    c = cfg_combine(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 4.0)
+    assert np.allclose(c, [[4.0, -3.0]], atol=1e-15)
 
 
 def test_cfg_combine_mismatch_errors():
-    a = ContextualRepresentation(np.zeros((2, 3)), "student", 0)
-    b = ContextualRepresentation(np.zeros((3, 3)), "student", None)
-    with pytest.raises(ValueError):
-        cfg_combine(a, b, 2.0)
-    c = ContextualRepresentation(np.zeros((2, 3)), "teacher", None)
-    with pytest.raises(ValueError):
-        cfg_combine(a, c, 2.0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cfg_combine(np.zeros((2, 3)), np.zeros((3, 3)), 2.0)
 
 
 def test_distillation_loss_values():
@@ -96,10 +96,10 @@ def test_backbone_representation_contract():
     null_ids = np.full(3, mar.NULL_CLASS)
     rep1 = model.represent(latents, masked, null_ids)
     rep2 = model.represent(latents, masked, null_ids)
-    assert rep1.h.shape == (3, TINY.seq_len, TINY.hidden_dim)
-    assert np.array_equal(rep1.h, rep2.h)
+    assert rep1.shape == (3, TINY.seq_len, TINY.hidden_dim)
+    assert np.array_equal(rep1, rep2)
     rep_cls = model.represent(latents, masked, np.full(3, 1))
-    assert not np.allclose(rep1.h, rep_cls.h)
+    assert not np.allclose(rep1, rep_cls)
 
 
 def test_masked_latents_do_not_leak_into_representation():
@@ -111,7 +111,17 @@ def test_masked_latents_do_not_leak_into_representation():
     corrupted = latents.copy()
     corrupted[:, 1::2] = 123.0
     rep_b = model.represent(corrupted, masked, ids)
-    assert np.array_equal(rep_a.h, rep_b.h)
+    assert np.array_equal(rep_a, rep_b)
+
+
+def _step_terms(model, latents, ids, rng, lam=0.0, teacher=None):
+    """(energy, distill, total, h) of one step's train graph, without an update."""
+    g, nodes = model._train_graph(len(latents), teacher is not None, lam, False)
+    bindings = model.step_bindings(latents, ids, rng, teacher)
+    run = G.evaluate(g, bindings)
+    distill = float(run.value(nodes["distill"])) if teacher is not None else 0.0
+    h = G.evaluate(g, bindings, nodes["h"]).output
+    return float(run.value(nodes["energy"])), distill, float(run.output), h
 
 
 def test_training_step_breakdown_identities():
@@ -119,19 +129,30 @@ def test_training_step_breakdown_identities():
     teacher = MarModel(MarConfig(**{**TINY.__dict__, "head_kind": "diffusion"}), seed=4)
     latents, ids = _batch(student, 4)
     rng = Stream.from_seed(5, "step")
-    out = student.masked_training_step(latents, ids, rng, update=False)
-    assert out.distill == 0.0 and out.total == out.energy
+    energy, distill, total, _ = _step_terms(student, latents, ids, rng)
+    assert distill == 0.0 and total == energy
 
-    out2 = student.masked_training_step(latents, ids, rng, lam=0.5,
-                                        teacher=teacher, update=False)
-    assert out2.total == pytest.approx(out2.energy + 0.5 * out2.distill, abs=1e-12)
-    assert out2.distill > 0.0
+    energy, distill, total, h = _step_terms(student, latents, ids, rng, 0.5, teacher)
+    assert total == pytest.approx(energy + 0.5 * distill, abs=1e-12)
+    assert distill > 0.0
+    h_teacher = student.step_bindings(latents, ids, rng, teacher)["h_teacher"]
+    flat = (-1, TINY.hidden_dim)
+    assert distill == pytest.approx(
+        distillation_loss(h.reshape(flat), h_teacher.reshape(flat)), rel=1e-12)
 
     # self-distillation: teacher sharing the student's backbone weights
     twin = MarModel(TINY, seed=3)
-    out3 = student.masked_training_step(latents, ids, rng, lam=1.0,
-                                        teacher=twin, update=False)
-    assert out3.distill == pytest.approx(0.0, abs=1e-20)
+    assert _step_terms(student, latents, ids, rng, 1.0, twin)[1] == pytest.approx(0.0, abs=1e-20)
+
+
+def test_training_step_returns_its_energy_and_distill_terms():
+    student = MarModel(TINY, seed=3)
+    teacher = MarModel(MarConfig(**{**TINY.__dict__, "head_kind": "diffusion"}), seed=4)
+    latents, ids = _batch(student, 4)
+    want = _step_terms(student, latents, ids, Stream.from_seed(5, "step"), 0.5, teacher)[:2]
+    got = student.masked_training_step(latents, ids, Stream.from_seed(5, "step"),
+                                       lam=0.5, teacher=teacher)
+    assert got == want
 
 
 def test_lambda_without_teacher_rejected():
@@ -144,33 +165,16 @@ def test_lambda_without_teacher_rejected():
 def test_energy_term_ignores_head_outputs_at_unmasked_positions():
     model = MarModel(TINY, seed=6)
     latents, ids = _batch(model, 3)
-    rng = Stream.from_seed(7, "step")
-    seen = {}
-
-    def capture(bindings):
-        seen.update(bindings)
-        return bindings
-
-    base = model.masked_training_step(latents, ids, rng, update=False,
-                                      bindings_hook=capture)
-
-    def perturb(bindings):
-        weight = seen["weight"]
-        for key in ("n0", "n1"):
-            noise = seen[key].copy()
-            noise[weight == 0.0] += 7.5   # changes head output only there
-            bindings[key] = noise
-        bindings["mask"] = seen["mask"]
-        bindings["latents"] = seen["latents"]
-        bindings["onehot"] = seen["onehot"]
-        bindings["weight"] = seen["weight"]
-        bindings["weight_inv"] = seen["weight_inv"]
-        return bindings
-
-    rng2 = Stream.from_seed(7, "step")
-    perturbed = model.masked_training_step(latents, ids, rng2, update=False,
-                                           bindings_hook=perturb)
-    assert perturbed.energy == base.energy
+    bindings = model.step_bindings(latents, ids, Stream.from_seed(7, "step"))
+    g, nodes = model._train_graph(3, False, 0.0, False)
+    base = float(G.evaluate(g, bindings).value(nodes["energy"]))
+    unmasked = bindings["weight"] == 0.0
+    assert unmasked.any()
+    for key in ("n0", "n1"):
+        noise = bindings[key].copy()
+        noise[unmasked] += 7.5   # changes head output only there
+        bindings[key] = noise
+    assert float(G.evaluate(g, bindings).value(nodes["energy"])) == base
 
 
 def test_teacher_parameters_frozen_during_student_training():
@@ -285,8 +289,8 @@ def test_represent_one_row_equals_every_row_of_a_batch_when_all_masked(cfg, n, c
     latents = np.zeros((n, cfg.seq_len, cfg.latent_dim))
     masked = np.ones((n, cfg.seq_len), dtype=bool)
     ids = np.full(n, class_id)
-    one = model.represent(latents[:1], masked[:1], ids[:1]).h
-    many = model.represent(latents, masked, ids).h
+    one = model.represent(latents[:1], masked[:1], ids[:1])
+    many = model.represent(latents, masked, ids)
     for row in many:
         assert row.tobytes() == one[0].tobytes()
 

@@ -104,9 +104,9 @@ def _tiny_transformer(seed=0, dim=8, heads=2, seq=4, batch=2):
     g = G.Graph()
     leaves = params.declare_leaves(g)
     x = g.leaf("x", (batch, seq, dim))
-    taps = {}
-    g.set_output(block.build(leaves, x, taps=taps))
-    return params, g, taps
+    g.set_output(block.build(leaves, x))
+    [attn] = [n for n in g.nodes if n.kind == "softmax"]
+    return params, g, attn
 
 
 def test_transformer_dim_head_mismatch_is_config_error():
@@ -115,18 +115,18 @@ def test_transformer_dim_head_mismatch_is_config_error():
 
 
 def test_transformer_single_token_attends_itself():
-    params, g, taps = _tiny_transformer(seq=1, batch=1)
+    params, g, attn_node = _tiny_transformer(seq=1, batch=1)
     x = Stream.from_seed(5, "x").normal((1, 1, 8))
-    run = G.evaluate(g, {"x": x, **params.bindings()})
-    attn = run.value(taps["tb.attn"])
+    attn = G.evaluate(g, {"x": x, **params.bindings()}, attn_node).output
+    assert attn.shape == (1, 2, 1, 1)
     assert np.allclose(attn, 1.0, atol=1e-15)
 
 
 def test_transformer_attention_rows_sum_to_one():
-    params, g, taps = _tiny_transformer(seq=5, batch=3)
+    params, g, attn_node = _tiny_transformer(seq=5, batch=3)
     x = Stream.from_seed(6, "x").normal((3, 5, 8))
-    run = G.evaluate(g, {"x": x, **params.bindings()})
-    attn = run.value(taps["tb.attn"])
+    attn = G.evaluate(g, {"x": x, **params.bindings()}, attn_node).output
+    assert attn.shape == (3, 2, 5, 5)
     assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
 

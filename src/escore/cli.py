@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     try:
         experiments.worker_count()   # a bad ESCORE_THREADS fails every verb, not just sweeps
         return _dispatch(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:   # OSError: a file that cannot be read
         print(f"escore: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (NonFiniteError, NonFiniteGradientError, FloatingPointError,

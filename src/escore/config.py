@@ -116,6 +116,9 @@ def _merge_checked(base: dict, update: dict, prefix: str = "") -> None:
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a number",
           str: "a string", list: "a list"}
+# an integer value is a count (>= 1) but for these
+_ANY_INT = {"seed", "compare.seeds", "sweep.seeds"}
+_NON_NEGATIVE = {"train.warmup", "mar_train.warmup"}
 
 
 def _has_type_of(value, default) -> bool:
@@ -131,9 +134,18 @@ def _has_type_of(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _below(value, default, low: int) -> bool:
+    """Whether an integer ``value`` (or an item of an integer list) is below
+    ``low``; the value has the type of its default."""
+    if isinstance(default, list):
+        return any(_below(v, default[0], low) for v in value)
+    return type(default) is int and value < low
+
+
 def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
     """Every value of ``cfg`` has the type of its default (``metrics.bandwidth``
-    takes ``"median"`` or a number); a table has exactly its default's keys."""
+    takes ``"median"`` or a number); a table has exactly its default's keys.
+    An integer is >= 1, any integer for a seed, >= 0 for a warmup."""
     for key, default in defaults.items():
         dotted, value = prefix + key, cfg[key]
         if isinstance(default, dict):
@@ -148,6 +160,12 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
         elif not _has_type_of(value, default):
             raise ConfigError(f"config key {dotted!r} must be {_KINDS[type(default)]} "
                               f"like its default {default!r}, got {value!r}")
+        elif dotted not in _ANY_INT:
+            low = 0 if dotted in _NON_NEGATIVE else 1
+            if _below(value, default, low):
+                what = "integers" if isinstance(value, list) else "an integer"
+                raise ConfigError(f"config key {dotted!r} must be {what} >= {low}, "
+                                  f"got {value!r}")
 
 
 def parse_override(text: str) -> tuple[str, object]:
@@ -164,11 +182,14 @@ def parse_override(text: str) -> tuple[str, object]:
 
 def resolve_config(overrides: list[str] | None = None,
                    config_file: str | None = None) -> dict:
-    """Defaults <- file <- --set overrides; unknown keys and values of another
-    type than their default's are rejected."""
+    """Defaults <- file <- --set overrides; unknown keys, values of another
+    type than their default's and counts out of range are rejected."""
     cfg = copy.deepcopy(DEFAULTS)
     if config_file:
-        loaded = json.loads(Path(config_file).read_text())
+        try:
+            loaded = json.loads(Path(config_file).read_bytes().decode("utf-8"))
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise ConfigError(f"{config_file}: not a JSON config file: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_file}: top level must be an object")
         _merge_checked(cfg, loaded)

@@ -1,11 +1,14 @@
 """Static differentiable computation graphs over float64 numpy arrays.
 
 A :class:`Graph` is built once (shapes fixed at construction), then
-evaluated any number of times with fresh leaf bindings. Forward values are
-cached in a per-call :class:`Evaluation`, which keeps graphs freely
-shareable across threads/processes; reverse-mode gradients consume that
-cache, and :func:`jvp` carries tangents beside the values in a sweep of its
-own.
+evaluated any number of times with fresh leaf bindings. Loss and training
+graphs are declared from the bindings of the first call that runs them:
+:func:`declare` makes one leaf per binding, named by its key and shaped like
+its value, so a graph's inputs are listed only where their values are
+computed. Forward values are cached in a per-call :class:`Evaluation`, which
+keeps graphs freely shareable across threads/processes; reverse-mode
+gradients consume that cache, and :func:`jvp` carries tangents beside the
+values in a sweep of its own.
 
 Node kinds are the sources ``leaf`` (named binding) and ``const``, which
 :func:`evaluate` binds, and the 17 keys of ``_RULES``: one entry per computed
@@ -128,6 +131,12 @@ class Graph:
             raise GraphError("output node belongs to a different graph")
         self.output = node
         return node
+
+
+def declare(g: Graph, values: dict, grad: bool = False) -> dict[str, Node]:
+    """One leaf per entry of a bindings dict, named by its key and shaped like
+    its value, in the dict's order."""
+    return {name: g.leaf(name, np.shape(value), grad=grad) for name, value in values.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -163,41 +163,14 @@ def build_energy_head(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
 # ---------------------------------------------------------------------------
 # per-kind loss graphs
 
-LOSS_AUX = {
-    "energy": (),                     # noise leaves are added per sample index
-    "diffusion": ("zt", "eps", "t0"),
-    "flow": ("zt", "vel", "t0"),
-    "shortcut": ("zt", "target", "t0", "t1"),
-    "meanflow": ("zt", "target", "t0", "t1", "roww"),
-}
-
 MEANFLOW_WEIGHT_P = 0.5      # adaptive row weight (msq + c)^-p, stop-gradient
 MEANFLOW_WEIGHT_C = 1e-3
 
 
-def declare_loss_leaves(g: G.Graph, cfg: HeadConfig, rows: int,
-                        ns: str = "") -> dict[str, G.Node]:
-    """Data leaves (everything except parameters and context) for one kind."""
-    d, f = cfg.latent_dim, cfg.time_feat_dim
-    out = {"y": g.leaf(ns + "y", (rows, d))}
-    if cfg.kind == "energy":
-        for i in range(cfg.m_samples):
-            out[f"n{i}"] = g.leaf(f"{ns}n{i}", (rows, cfg.noise_dim))
-        return out
-    for name in LOSS_AUX[cfg.kind]:
-        if name == "roww":
-            shape = (rows,)
-        elif name in ("t0", "t1"):
-            shape = (rows, f)
-        else:
-            shape = (rows, d)
-        out[name] = g.leaf(ns + name, shape)
-    return out
-
-
 def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
                     context: G.Node, aux: dict[str, G.Node]) -> G.Node:
-    """Per-row loss node (rows,)."""
+    """Per-row loss node (rows,) over the data leaves ``aux``, declared from
+    :meth:`Head.loss_bindings`."""
     if cfg.kind == "energy":
         # one stacked forward for all m samples (rows repeat per noise draw)
         m = cfg.m_samples
@@ -249,7 +222,7 @@ class Head:
         g = self._eval_graphs.get(rows)
         if g is None:
             g = G.Graph()
-            leaves = self._own_params.declare_leaves(g, trainable=False)
+            leaves = G.declare(g, self._own_params.bindings())
             inp = g.leaf("inp", (rows, self.cfg.input_dim))
             cond = g.leaf("cond", (rows, self.cfg.cond_dim))
             g.set_output(build_head(self.cfg, leaves, self.prefix, inp, cond))
@@ -280,8 +253,7 @@ class Head:
 
     # -- loss bindings (numpy side of the training step) ---------------------
     def loss_bindings(self, y: np.ndarray, rng: Stream,
-                      context: np.ndarray | None = None,
-                      ns: str = "") -> dict[str, np.ndarray]:
+                      context: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Per-step leaf values for this kind's loss graph.
 
         `context` is required for shortcut/mean-flow targets (the head is
@@ -290,33 +262,33 @@ class Head:
         cfg = self.cfg
         rows, d = y.shape
         f = cfg.time_feat_dim
-        out: dict[str, np.ndarray] = {ns + "y": y}
+        out: dict[str, np.ndarray] = {"y": y}
         if cfg.kind == "energy":
             noise = rng.child([f"noise{i}" for i in range(cfg.m_samples)]) \
                 .normal((rows, cfg.noise_dim))
-            out.update((f"{ns}n{i}", z) for i, z in enumerate(noise))
+            out.update((f"n{i}", z) for i, z in enumerate(noise))
             return out
         if cfg.kind == "diffusion":
             t = 1 + rng.child("t").integers(cfg.t_diff, (rows,))
             eps = rng.child("eps").normal((rows, d))
-            out[ns + "zt"] = self.schedule.noisy_sample(y, t, eps)
-            out[ns + "eps"] = eps
-            out[ns + "t0"] = time_features(t / cfg.t_diff, f)
+            out["zt"] = self.schedule.noisy_sample(y, t, eps)
+            out["eps"] = eps
+            out["t0"] = time_features(t / cfg.t_diff, f)
             return out
         if cfg.kind == "flow":
             t = rng.child("t").uniform((rows,))
             x0 = rng.child("x0").normal((rows, d))
-            out[ns + "zt"] = (1.0 - t[:, None]) * x0 + t[:, None] * y
-            out[ns + "vel"] = y - x0
-            out[ns + "t0"] = time_features(t, f)
+            out["zt"] = (1.0 - t[:, None]) * x0 + t[:, None] * y
+            out["vel"] = y - x0
+            out["t0"] = time_features(t, f)
             return out
         if context is None:
             raise ValueError(f"{cfg.kind} loss bindings need the context rows")
         if cfg.kind == "shortcut":
-            return self._shortcut_bindings(y, rng, context, ns)
-        return self._meanflow_bindings(y, rng, context, ns)
+            return self._shortcut_bindings(y, rng, context)
+        return self._meanflow_bindings(y, rng, context)
 
-    def _shortcut_bindings(self, y, rng, context, ns):
+    def _shortcut_bindings(self, y, rng, context):
         """First n_cons rows train self-consistency at token 2d; the rest
         train the flow-matching term at the d=0 token."""
         cfg = self.cfg
@@ -346,10 +318,10 @@ class Head:
                 [hc, time_features(tc + dc, f), time_features(dc, f)], axis=1))
             target = target.copy()
             target[:n_cons] = 0.5 * (s1 + s2)
-        return {ns + "y": y, ns + "zt": zt, ns + "target": target,
-                ns + "t0": time_features(t, f), ns + "t1": time_features(dtok, f)}
+        return {"y": y, "zt": zt, "target": target,
+                "t0": time_features(t, f), "t1": time_features(dtok, f)}
 
-    def _meanflow_bindings(self, y, rng, context, ns):
+    def _meanflow_bindings(self, y, rng, context):
         cfg = self.cfg
         rows, d = y.shape
         f = cfg.time_feat_dim
@@ -368,9 +340,8 @@ class Head:
         # bootstrapped targets explode under plain MSE; damp rows adaptively
         msq = ((u_pred - target) ** 2).mean(axis=1)
         roww = (msq + MEANFLOW_WEIGHT_C) ** -MEANFLOW_WEIGHT_P
-        return {ns + "y": y, ns + "zt": zt, ns + "target": target,
-                ns + "t0": time_features(r, f), ns + "t1": time_features(t, f),
-                ns + "roww": roww}
+        return {"y": y, "zt": zt, "target": target,
+                "t0": time_features(r, f), "t1": time_features(t, f), "roww": roww}
 
     # -- sampling -------------------------------------------------------------
     def sample(self, context: np.ndarray, steps: int, rng: Stream) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from . import graph as G
 from . import nn
 from .data import N_CLASSES, conditional_sequences, stack_sequences
-from .heads import Head, HeadConfig, build_loss_rows, declare_loss_leaves
+from .heads import Head, HeadConfig, build_loss_rows
 from .nn import TrainingError
 from .rng import Stream
 
@@ -156,7 +156,7 @@ class MarModel:
         if g is None:
             cfg = self.cfg
             g = G.Graph()
-            leaves = self._backbone_params.declare_leaves(g, trainable=False)
+            leaves = G.declare(g, self._backbone_params.bindings())
             latents = g.leaf("latents", (bsz, cfg.seq_len, cfg.latent_dim))
             mask = g.leaf("mask", (bsz, cfg.seq_len, 1))
             onehot = g.leaf("onehot", (bsz, cfg.n_classes + 1))
@@ -177,8 +177,12 @@ class MarModel:
         return G.evaluate(g, bindings).output
 
     # -- masked training ------------------------------------------------------
-    def _train_graph(self, bsz: int, with_teacher: bool, lam: float,
+    def _train_graph(self, bindings: dict[str, np.ndarray], lam: float,
                      frozen_backbone: bool) -> tuple[G.Graph, dict]:
+        """The loss graph of a training step, declared from the first step's
+        :meth:`step_bindings` and cached per batch size, teacher, lambda and
+        freeze: the weights first, then the data in binding order."""
+        bsz, with_teacher = len(bindings["latents"]), "h_teacher" in bindings
         key = (bsz, with_teacher, lam, frozen_backbone)
         cached = self._train_graphs.get(key)
         if cached is not None:
@@ -186,29 +190,16 @@ class MarModel:
         cfg = self.cfg
         rows = bsz * cfg.seq_len
         g = G.Graph()
-
-        def trainable(name: str) -> bool:
-            if frozen_backbone and name.startswith("backbone."):
-                return False
-            return True
-
-        leaves = {name: g.leaf(name, p.value.shape, grad=trainable(name))
-                  for name, p in self.params.items()}
-        latents = g.leaf("latents", (bsz, cfg.seq_len, cfg.latent_dim))
-        mask = g.leaf("mask", (bsz, cfg.seq_len, 1))
-        onehot = g.leaf("onehot", (bsz, cfg.n_classes + 1))
-        weight = g.leaf("weight", (rows,))
-        winv = g.leaf("weight_inv", ())
-        aux = declare_loss_leaves(g, self.head.cfg, rows)
-
-        h = self.backbone.build(leaves, latents, mask, onehot)
+        leaves = {**G.declare(g, self._backbone_params.bindings(), grad=not frozen_backbone),
+                  **G.declare(g, self.head._own_params.bindings(), grad=True)}
+        data = G.declare(g, {k: v for k, v in bindings.items() if k not in leaves})
+        h = self.backbone.build(leaves, data["latents"], data["mask"], data["onehot"])
         h_rows = G.reshape(h, (rows, cfg.hidden_dim))
-        loss_rows = build_loss_rows(self.head.cfg, leaves, "head", h_rows, aux)
-        energy_term = G.total(loss_rows * weight) * winv
+        loss_rows = build_loss_rows(self.head.cfg, leaves, "head", h_rows, data)
+        energy_term = G.total(loss_rows * data["weight"]) * data["weight_inv"]
         nodes = {"energy": energy_term, "h": h}
         if with_teacher:
-            h_teacher = g.leaf("h_teacher", (bsz, cfg.seq_len, cfg.hidden_dim))
-            diff = h - h_teacher
+            diff = h - data["h_teacher"]
             ones = g.constant(np.ones((cfg.hidden_dim, 1)))
             sq = G.matmul(G.reshape(diff * diff, (rows, cfg.hidden_dim)), ones)
             distill = G.scale(G.total(sq), 1.0 / rows)
@@ -278,15 +269,14 @@ class MarModel:
         if teacher is None and lam != 0.0:
             raise ValueError("distillation weight requires a teacher")
         bindings = self.step_bindings(latents, class_ids, rng, teacher)
-        g, nodes = self._train_graph(len(latents), teacher is not None, lam, frozen_backbone)
+        g, nodes = self._train_graph(bindings, lam, frozen_backbone)
         try:
             run = G.evaluate(g, bindings)
             energy = float(run.value(nodes["energy"]))
             distill = float(run.value(nodes["distill"])) if teacher is not None else 0.0
             grads = G.backward(run)
-            opt = self.params.subset(
-                lambda n: not (frozen_backbone and n.startswith("backbone.")))
-            nn.adam_step(opt, grads, lr=lr, weight_decay=weight_decay, t=step_index)
+            nn.adam_step(self.head._own_params if frozen_backbone else self.params, grads,
+                         lr=lr, weight_decay=weight_decay, t=step_index)
         except (G.NonFiniteError, nn.NonFiniteGradientError) as exc:
             raise TrainingError(f"{self.cfg.head_kind}: non-finite loss at step "
                                 f"{step_index}: {exc}") from exc

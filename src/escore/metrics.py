@@ -26,11 +26,8 @@ class EnergyEstimatorConfig:
 
     mode "u": 1/(m(m-1)) over i != j (unbiased); needs both sets >= 2.
     mode "v": 1/m^2 including the zero diagonal (nonnegative statistic).
-    include_constant: whether the Y-Y' term enters (drop it to get the
-    training-style objective that ignores the data-only constant).
     """
     mode: str = "v"
-    include_constant: bool = True
 
     def __post_init__(self):
         if self.mode not in ("u", "v"):
@@ -94,8 +91,7 @@ def energy_statistic(x, y, cfg: EnergyEstimatorConfig = EnergyEstimatorConfig())
         raise ValueError("U-mode estimator needs at least 2 points per set")
     value = 2.0 * _cross_sum(xp, yp) / (m * n)
     value -= _within_sum(xp) / (m * (m - 1) if cfg.mode == "u" else m * m)
-    if cfg.include_constant:
-        value -= _within_sum(yp) / (n * (n - 1) if cfg.mode == "u" else n * n)
+    value -= _within_sum(yp) / (n * (n - 1) if cfg.mode == "u" else n * n)
     return value
 
 
@@ -153,12 +149,10 @@ def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:
     return float(kernel_mean(xp, xp) + kernel_mean(yp, yp) - 2.0 * kernel_mean(xp, yp)), sigma
 
 
-def wasserstein_assignment(x, y, order: int = 1) -> float:
-    """Exact optimal-assignment Wasserstein distance between equal-size sets.
-
-    order 1: mean matched Euclidean distance; order 2: root mean matched
-    squared distance. Sizes are capped to keep the dense assignment cheap.
-    """
+def wasserstein_assignment(x, y) -> float:
+    """Exact optimal-assignment Wasserstein-1 distance between equal-size
+    sets: the mean matched Euclidean distance. Sizes are capped to keep the
+    dense assignment cheap."""
     xp = _as_points("X", x)
     yp = _as_points("Y", y)
     if xp.shape[1] != yp.shape[1]:
@@ -167,12 +161,7 @@ def wasserstein_assignment(x, y, order: int = 1) -> float:
         raise ValueError(f"set sizes differ: {len(xp)} vs {len(yp)}")
     if len(xp) > WASSERSTEIN_SIZE_CAP:
         raise ValueError(f"size {len(xp)} exceeds cap {WASSERSTEIN_SIZE_CAP}")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     cost = cdist(xp, yp)
-    if order == 2:
-        rows, cols = linear_sum_assignment(cost * cost)
-        return float(np.sqrt((cost[rows, cols] ** 2).mean()))
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
 

@@ -1,9 +1,10 @@
 """Neural building blocks on top of the graph engine.
 
-Parameters live in a :class:`ParameterSet` (values + Adam moments) and are
-bound into graphs as named grad-enabled leaves, so one set of weights can
-drive any number of differently-shaped graphs. Initialization is a pure
-function of (seed, parameter name).
+Parameters live in a :class:`ParameterSet` (values + Adam moments); a graph
+declares them as named leaves from :meth:`ParameterSet.bindings`
+(:func:`graph.declare`), so one set of weights can drive any number of
+differently-shaped graphs. Initialization is a pure function of (seed,
+parameter name).
 """
 from __future__ import annotations
 
@@ -71,10 +72,6 @@ class ParameterSet:
 
     def bindings(self) -> dict[str, np.ndarray]:
         return {name: p.value for name, p in self._params.items()}
-
-    def declare_leaves(self, g: G.Graph, trainable: bool = True) -> dict[str, G.Node]:
-        return {name: g.leaf(name, p.value.shape, grad=trainable)
-                for name, p in self._params.items()}
 
     def assign(self, values: dict[str, np.ndarray], source) -> None:
         """Sets every parameter from a loaded checkpoint, strictly: the names
@@ -273,8 +270,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """(manifest, parameter values). Raises ValueError naming ``path`` when
     the manifest, one of its ``params`` entries or the payload is malformed."""
     with open(path, "rb") as fh:
-        header = fh.readline()
-        manifest = json.loads(header.decode("utf-8"))
+        try:
+            manifest = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise ValueError(f"{path}: checkpoint header is not a JSON manifest: {exc}") from None
         if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"not an escore checkpoint: {path}")
         if not isinstance(manifest.get("params"), list):
@@ -292,7 +291,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
             buf = fh.read(8 * count)
             if len(buf) != 8 * count:
-                raise ValueError(f"truncated payload for {entry['name']!r}")
+                raise ValueError(f"{path}: truncated payload for {entry['name']!r}")
             values[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last parameter")

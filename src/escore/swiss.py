@@ -12,7 +12,7 @@ import numpy as np
 from . import data
 from . import graph as G
 from . import nn
-from .heads import Head, HeadConfig, build_loss_rows, declare_loss_leaves
+from .heads import Head, HeadConfig, build_loss_rows
 from .nn import TrainingError
 from .rng import Stream
 
@@ -46,22 +46,25 @@ class ToyHeadModel:
     def context_rows(self, n: int) -> np.ndarray:
         return np.broadcast_to(self.params["context"].value, (n, self.cfg.context_dim)).copy()
 
-    def _loss_graph(self, batch: int) -> G.Graph:
+    def _loss_graph(self, aux: dict[str, np.ndarray]) -> G.Graph:
+        """The mean loss over one step's :meth:`Head.loss_bindings`; built from
+        the first step's and cached per batch size."""
+        batch = len(aux["y"])
         if self._train_graph is not None and self._train_graph[0] == batch:
             return self._train_graph[1]
         g = G.Graph()
-        leaves = self.params.declare_leaves(g, trainable=True)
-        aux = declare_loss_leaves(g, self.cfg, batch)
+        leaves = G.declare(g, self.params.bindings(), grad=True)
+        data = G.declare(g, aux)
         ctx = G.broadcast_to(leaves["context"], (batch, self.cfg.context_dim))
-        rows = build_loss_rows(self.cfg, leaves, self.head.prefix, ctx, aux)
+        rows = build_loss_rows(self.cfg, leaves, self.head.prefix, ctx, data)
         g.set_output(G.mean(rows))
         self._train_graph = (batch, g)
         return g
 
     def train_step(self, y: np.ndarray, rng: Stream, lr: float, step_index: int,
                    weight_decay: float = 0.0) -> float:
-        g = self._loss_graph(len(y))
         aux = self.head.loss_bindings(y, rng, context=self.context_rows(len(y)))
+        g = self._loss_graph(aux)
         try:
             run = G.evaluate(g, {**self.params.bindings(), **aux})
             loss = float(run.output)

@@ -13,8 +13,7 @@ import numpy as np
 
 from . import graph as G
 from . import nn
-from .heads import HEAD_KINDS, Head, HeadConfig, build_energy_rows_m, build_loss_rows, \
-    declare_loss_leaves
+from .heads import HEAD_KINDS, Head, HeadConfig, build_energy_rows_m, build_loss_rows
 from .rng import Stream
 
 FD_TOL = 1e-5
@@ -49,40 +48,33 @@ def _mix_reduce(g: G.Graph, node: G.Node, s: Stream) -> G.Node:
 
 
 def _primitive_cases():
-    """name -> (builder(g, s) -> output node, point maker(s) -> bindings)."""
+    """name -> (builder(g, point) -> output node, point maker(s) -> bindings);
+    every binding of a primitive case is a grad leaf."""
+
+    def grad_leaves(op):
+        return lambda g, pt: op(*G.declare(g, pt, grad=True).values())
 
     def unary(op, shape=(3, 4), transform=None):
-        def build(g, s):
-            x = g.leaf("x", shape, grad=True)
-            return op(x)
-
         def point(s):
             x = s.child("x").normal(shape)
             return {"x": transform(x) if transform else x}
 
-        return build, point
+        return grad_leaves(op), point
 
     def binary(op, sa=(3, 4), sb=(3, 4)):
-        def build(g, s):
-            return op(g.leaf("a", sa, grad=True), g.leaf("b", sb, grad=True))
-
         def point(s):
             return {"a": s.child("a").normal(sa), "b": s.child("b").normal(sb)}
 
-        return build, point
+        return grad_leaves(op), point
 
     def affine(x_shape, n=2):
         w_shape, b_shape = (x_shape[-1], n), (n,)
-
-        def build(g, s):
-            return G.affine(g.leaf("x", x_shape, grad=True), g.leaf("w", w_shape, grad=True),
-                            g.leaf("b", b_shape, grad=True))
 
         def point(s):
             return {"x": s.child("x").normal(x_shape), "w": s.child("w").normal(w_shape),
                     "b": s.child("b").normal(b_shape)}
 
-        return build, point
+        return grad_leaves(G.affine), point
 
     away_from_zero = lambda x: x + 0.5 * np.sign(x) + np.where(x == 0, 0.5, 0.0)
     return {
@@ -111,10 +103,10 @@ def _check_case(name, build, point, n_points, tol) -> CheckResult:
     worst = 0.0
     for trial in range(n_points):
         s = Stream.from_seed(trial, f"gradcheck/{name}")
+        pt = point(s)
         g = G.Graph()
-        out = build(g, s)
-        g.set_output(_mix_reduce(g, out, s))
-        worst = max(worst, G.grad_check(g, point(s), step=FD_STEP))
+        g.set_output(_mix_reduce(g, build(g, pt), s))
+        worst = max(worst, G.grad_check(g, pt, step=FD_STEP))
     return CheckResult(name, worst, tol, n_points)
 
 
@@ -129,10 +121,9 @@ def _check_case_directional(name, build, point, n_points, tol,
     worst = 0.0
     for trial in range(n_points):
         s = Stream.from_seed(trial, f"gradcheck/{name}")
-        g = G.Graph()
-        out = build(g, s)
-        g.set_output(_mix_reduce(g, out, s))
         pt = {k: np.asarray(v, dtype=np.float64) for k, v in point(s).items()}
+        g = G.Graph()
+        g.set_output(_mix_reduce(g, build(g, pt), s))
         run = G.evaluate(g, pt)
         grads = G.backward(run)
         for k_dir in range(n_dirs):
@@ -153,44 +144,40 @@ def check_primitives(n_points: int = N_POINTS) -> list[CheckResult]:
             for name, (build, point) in _primitive_cases().items()]
 
 
+def _declare(g: G.Graph, pt: dict, data=()) -> dict[str, G.Node]:
+    """The leaves of a check point: one grad leaf per binding, but a plain one
+    for each binding named in ``data``."""
+    leaves = G.declare(g, {k: v for k, v in pt.items() if k not in data}, grad=True)
+    leaves.update(G.declare(g, {k: pt[k] for k in data}))
+    return leaves
+
+
 def _composite_cases():
+    """name -> (builder(g, point) -> output node, point maker(s) -> bindings)."""
     cases = {}
 
-    def energy_pair(g, s):
-        x1 = g.leaf("x1", (2, 3), grad=True)
-        x2 = g.leaf("x2", (2, 3), grad=True)
-        y = g.leaf("y", (2, 3))
-        return G.total(build_energy_rows_m([x1, x2], y))
+    def energy_loss(names):
+        def build(g, pt):
+            leaves = _declare(g, pt, data=("y",))
+            return G.total(build_energy_rows_m([leaves[n] for n in names], leaves["y"]))
 
-    def energy_pair_point(s):
-        return {"x1": s.child("x1").normal((2, 3)), "x2": s.child("x2").normal((2, 3)),
-                "y": s.child("y").normal((2, 3))}
+        def point(s):
+            pt = {n: s.child(n).normal((2, 3)) for n in names}
+            pt["y"] = s.child("y").normal((2, 3))
+            return pt
 
-    cases["energy-loss(m=2)"] = (energy_pair, energy_pair_point)
+        return build, point
 
-    def energy_m(g, s):
-        xs = [g.leaf(f"x{i}", (2, 3), grad=True) for i in range(3)]
-        y = g.leaf("y", (2, 3))
-        return G.total(build_energy_rows_m(xs, y))
-
-    def energy_m_point(s):
-        pt = {f"x{i}": s.child(f"x{i}").normal((2, 3)) for i in range(3)}
-        pt["y"] = s.child("y").normal((2, 3))
-        return pt
-
-    cases["energy-loss(m=3)"] = (energy_m, energy_m_point)
+    cases["energy-loss(m=2)"] = energy_loss(("x1", "x2"))
+    cases["energy-loss(m=3)"] = energy_loss(("x0", "x1", "x2"))
 
     adaln_params = nn.ParameterSet()
     adaln = nn.AdaLnResBlock("blk", width=4, cond_dim=3)
     adaln.register(adaln_params, seed=0)
 
-    def adaln_build(g, s):
-        leaves = {}
-        for name, p in adaln_params.items():
-            leaves[name] = g.leaf(name, p.value.shape, grad=True)
-        x = g.leaf("x", (2, 4), grad=True)
-        cond = g.leaf("cond", (2, 3), grad=True)
-        return adaln.build(leaves, x, cond)
+    def adaln_build(g, pt):
+        leaves = _declare(g, pt)
+        return adaln.build(leaves, leaves["x"], leaves["cond"])
 
     def adaln_point(s):
         pt = {name: 0.4 * s.child(name).normal(p.value.shape)
@@ -205,11 +192,9 @@ def _composite_cases():
     tf = nn.TransformerBlock("tb", dim=4, n_heads=2, mlp_ratio=2)
     tf.register(tf_params, seed=0)
 
-    def tf_build(g, s):
-        leaves = {name: g.leaf(name, p.value.shape, grad=True)
-                  for name, p in tf_params.items()}
-        x = g.leaf("x", (1, 3, 4), grad=True)
-        return tf.build(leaves, x)
+    def tf_build(g, pt):
+        leaves = _declare(g, pt)
+        return tf.build(leaves, leaves["x"])
 
     def tf_point(s):
         pt = {name: 0.4 * s.child(name).normal(p.value.shape)
@@ -233,21 +218,15 @@ def _head_loss_case(kind: str):
     for name, p in head.params.items():
         p.value = 0.4 * s0.child(name).normal(p.value.shape)
 
-    def build(g, s):
-        leaves = {name: g.leaf(name, p.value.shape, grad=True)
-                  for name, p in head.params.items()}
-        aux = declare_loss_leaves(g, cfg, 2)
-        ctx = g.leaf("ctx", (2, 3), grad=True)
-        rows = build_loss_rows(cfg, leaves, "head", ctx, aux)
-        return G.mean(rows)
+    def build(g, pt):
+        leaves = _declare(g, pt, data=[k for k in pt if k not in head.params and k != "ctx"])
+        return G.mean(build_loss_rows(cfg, leaves, "head", leaves["ctx"], leaves))
 
     def point(s):
-        pt = dict(head.params.bindings())
         ctx = s.child("ctx").normal((2, 3))
         y = s.child("y").normal((2, 2))
-        pt["ctx"] = ctx
-        pt.update(head.loss_bindings(y, s.child("loss"), context=ctx))
-        return pt
+        return {**head.params.bindings(), "ctx": ctx,
+                **head.loss_bindings(y, s.child("loss"), context=ctx)}
 
     return build, point
 

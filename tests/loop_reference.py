@@ -62,7 +62,7 @@ def toy_train(model, tcfg) -> list[tuple[int, float]]:
             aux = {"y": y, **energy_noise(model.head, len(y), step)}
         else:
             aux = model.head.loss_bindings(y, step, context=model.context_rows(len(y)))
-        run = G.evaluate(model._loss_graph(len(y)), {**model.params.bindings(), **aux})
+        run = G.evaluate(model._loss_graph(aux), {**model.params.bindings(), **aux})
         lr = tcfg.lr * min(1.0, t / max(tcfg.warmup, 1))
         nn.adam_step(model.params, G.backward(run), lr=lr,
                      weight_decay=tcfg.weight_decay, t=t)
@@ -83,7 +83,7 @@ def train_mar(model, *, steps: int, batch: int, lr: float, warmup: int,
         bindings = model.step_bindings(latents[idx], ids[idx], rng.Stream(step.key))
         if model.cfg.head_kind == "energy":
             bindings.update(energy_noise(model.head, len(bindings["y"]), step.child("head")))
-        g, nodes = model._train_graph(batch, False, 0.0, False)
+        g, nodes = model._train_graph(bindings, 0.0, False)
         run = G.evaluate(g, bindings)
         cur_lr = lr * min(1.0, t / max(warmup, 1))
         nn.adam_step(model.params, G.backward(run), lr=cur_lr, weight_decay=0.0, t=t)

@@ -211,6 +211,33 @@ def test_mistyped_config_value_fails_before_any_output(tmp_path, capsys, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override,cause", [
+    ("head.width=0", "config key 'head.width' must be an integer >= 1, got 0"),
+    ("train.batch=0", "config key 'train.batch' must be an integer >= 1, got 0"),
+    ("train.warmup=-1", "config key 'train.warmup' must be an integer >= 0, got -1"),
+    ("compare.multi_steps=[4,0]", "'compare.multi_steps' must be integers >= 1, got [4, 0]"),
+    ("compare.steps_by_method.flow=0",
+     "config key 'compare.steps_by_method.flow' must be an integer >= 1, got 0"),
+], ids=["width", "batch", "warmup", "list-item", "nested-table"])
+def test_out_of_range_config_value_fails_before_any_output(tmp_path, capsys, override, cause):
+    out = tmp_path / "run"
+    rc = main(["train-head", "--method", "energy", "--out", str(out)] + TINY_HEAD
+              + ["--set", override])
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_counts_are_at_least_one_but_seeds_and_warmups():
+    from escore.config import DEFAULTS, resolve_config
+    assert resolve_config() == DEFAULTS
+    cfg = resolve_config(["seed=-3", "sweep.seeds=[0,-1]", "compare.seeds=[-5]",
+                          "train.warmup=0", "mar_train.warmup=0", "mar_train.lambda=0",
+                          "decode.cfg_scale=0"])
+    assert (cfg["seed"], cfg["sweep"]["seeds"], cfg["compare"]["seeds"]) == (-3, [0, -1], [-5])
+    assert cfg["train"]["warmup"] == cfg["mar_train"]["warmup"] == 0
+
+
 def test_config_values_take_the_type_of_their_default(tmp_path):
     from escore.config import ConfigError, resolve_config
     cfg = resolve_config(["train.lr=1", "metrics.bandwidth=0.5", "sweep.seeds=[2]"])
@@ -460,7 +487,12 @@ BAD_CHECKPOINTS = {   # defect -> (part edited, its edit, cause printed)
                 "unknown parameter 'stray.w'"),
     "shape": ("values", lambda values, name: {**values, name: np.zeros((2, 2))},
               "parameter {name!r} has shape (2, 2)"),
-    "trailing": ("bytes", None, "trailing bytes"),
+    "trailing": ("bytes", lambda data: data + b"\0" * 8, "{path}: trailing bytes"),
+    "truncated": ("bytes", lambda data: data[:-8], "{path}: truncated payload for"),
+    "not-json": ("bytes", lambda data: b"escore\n" + data.split(b"\n", 1)[1],
+                 "{path}: checkpoint header is not a JSON manifest"),
+    "not-utf8": ("bytes", lambda data: b"\xff" + data,
+                 "{path}: checkpoint header is not a JSON manifest"),
     "config-unknown": ("manifest", _config_edit(lambda cfg: cfg.update(stray=1)),
                        "has unknown field 'stray'"),
     "config-missing": ("manifest", _config_edit(lambda cfg: cfg.pop("latent_dim")),
@@ -479,8 +511,7 @@ def _spoil(path, defect, name):
     from escore import nn
     part, edit, cause = BAD_CHECKPOINTS[defect]
     if part == "bytes":
-        with open(path, "ab") as fh:
-            fh.write(b"\0" * 8)
+        Path(path).write_bytes(edit(Path(path).read_bytes()))
     elif part == "manifest":
         header, payload = Path(path).read_bytes().split(b"\n", 1)
         manifest = json.loads(header)
@@ -494,7 +525,7 @@ def _spoil(path, defect, name):
         nn.save_checkpoint(path, params, config_digest=manifest["config_digest"],
                            seed=manifest["seed"], step=manifest["step"],
                            extra=manifest["extra"])
-    return cause.format(name=name)
+    return cause.format(name=name, path=path)
 
 
 @pytest.mark.parametrize("defect", sorted(BAD_CHECKPOINTS))
@@ -522,6 +553,29 @@ def test_decode_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defe
                "--out", str(tmp_path / "dec")])
     err = capsys.readouterr().err
     assert rc == 1 and cause in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["sample", "--ckpt", "{tmp}/absent.ckpt", "--out", "{tmp}/out.csv"], "absent.ckpt"),
+    (["decode", "--ckpt", "{tmp}/absent.ckpt", "--out", "{tmp}/out"], "absent.ckpt"),
+    (["train-mar", "--role", "student", "--teacher", "{tmp}/absent.ckpt", "--out", "{tmp}/out"],
+     "absent.ckpt"),
+    (["eval", "--generated", "{tmp}/absent.csv", "--reference", "{tmp}/points.csv",
+      "--out", "{tmp}/out.csv"], "absent.csv"),
+    (["eval", "--generated", "{tmp}/points.csv", "--reference", "{tmp}/absent.csv",
+      "--out", "{tmp}/out.csv"], "absent.csv"),
+    (["train-head", "--method", "energy", "--config", "{tmp}/absent.json", "--out", "{tmp}/out"],
+     "absent.json"),
+    (["train-head", "--method", "energy", "--config", "{tmp}/points.csv", "--out", "{tmp}/out"],
+     "points.csv: not a JSON config file"),
+], ids=["sample-ckpt", "decode-ckpt", "train-mar-teacher", "eval-generated",
+        "eval-reference", "config", "config-not-json"])
+def test_unreadable_input_file_is_usage_error_naming_it(tmp_path, capsys, argv, named):
+    data.write_points_csv(tmp_path / "points.csv", np.zeros((4, 2)))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path}/{named}" in err and "Traceback" not in err
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag", ["--iterations", "--n", "--head-steps"])

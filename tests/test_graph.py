@@ -334,7 +334,7 @@ def test_output_only_equals_retained_on_primitive_cases(name):
         pt = point(s)
         graphs = []
         for g in (G.Graph(), _NoGradGraph()):
-            out = build(g, s)
+            out = build(g, pt)
             graphs.append((g, out, verify._mix_reduce(g, out, s)))
         (full_g, *full_nodes), (lean_g, *lean_nodes) = graphs
         for full_node, node in zip(full_nodes, lean_nodes):
@@ -533,9 +533,9 @@ def test_no_rule_writes_into_what_it_reads(monkeypatch):
     _, called = _write_checked_rules(monkeypatch)
     for name, (build, point) in verify._primitive_cases().items():
         s = Stream.from_seed(0, f"writes/{name}")
-        g = G.Graph()
-        g.set_output(verify._mix_reduce(g, build(g, s), s))
         pt = point(s)
+        g = G.Graph()
+        g.set_output(verify._mix_reduce(g, build(g, pt), s))
         run = G.evaluate(g, pt)
         G.backward(run)
         G.jvp(g, pt, _tangents(pt, s))
@@ -570,9 +570,9 @@ def test_lean_sweeps_equal_reference_on_primitive_cases(name):
     build, point = verify._primitive_cases()[name]
     for trial in range(3):
         s = Stream.from_seed(trial, f"lean/{name}")
-        g = G.Graph()
-        g.set_output(verify._mix_reduce(g, build(g, s), s))
         pt = point(s)
+        g = G.Graph()
+        g.set_output(verify._mix_reduce(g, build(g, pt), s))
         _assert_matches_reference(g, pt, _tangents(pt, s))
 
 
@@ -589,9 +589,9 @@ def test_lean_sweeps_equal_reference_on_toy_train_graph(kind):
     _randomize(model.params, 1)
     s = Stream.from_seed(1, f"toy/{kind}")
     y = s.child("y").normal((12, 2))
-    pt = {**model.params.bindings(),
-          **model.head.loss_bindings(y, s.child("loss"), context=model.context_rows(12))}
-    _assert_matches_reference(model._loss_graph(12), pt, _tangents(pt, s))
+    aux = model.head.loss_bindings(y, s.child("loss"), context=model.context_rows(12))
+    pt = {**model.params.bindings(), **aux}
+    _assert_matches_reference(model._loss_graph(aux), pt, _tangents(pt, s))
 
 
 def _mar_train_graph(head_kind="energy"):
@@ -604,7 +604,7 @@ def _mar_train_graph(head_kind="energy"):
     latents = s.child("latents").normal((3, cfg.seq_len, cfg.latent_dim))
     bindings = student.step_bindings(latents, np.arange(3) % cfg.n_classes,
                                      s.child("step"), teacher)
-    g, nodes = student._train_graph(3, True, 0.5, False)
+    g, nodes = student._train_graph(bindings, 0.5, False)
     return g, nodes, bindings
 
 
@@ -674,9 +674,9 @@ def test_graphs_choose_output_only_or_retained_runs(kind):
                                            **head.params.bindings()})
     assert run.aux is None and _held(run) == {run.output_node.nid}
     y = s.child("y").normal((12, 2))
-    pt = {**model.params.bindings(),
-          **head.loss_bindings(y, s.child("loss"), context=model.context_rows(12))}
-    g = model._loss_graph(12)
+    aux = head.loss_bindings(y, s.child("loss"), context=model.context_rows(12))
+    pt = {**model.params.bindings(), **aux}
+    g = model._loss_graph(aux)
     run = G.evaluate(g, pt)
     assert run.aux is not None and _held(run) == G._retained(g, g.output)
 
@@ -695,6 +695,82 @@ def test_backbone_runs_output_only_and_mar_train_graph_retained():
     g, _, pt = _mar_train_graph()
     run = G.evaluate(g, pt)
     assert run.aux is not None and _held(run) == G._retained(g, g.output)
+
+
+def test_declare_makes_one_leaf_per_binding():
+    g = G.Graph()
+    leaves = G.declare(g, {"w": np.zeros((2, 3)), "s": np.asarray(0.5)}, grad=True)
+    leaves.update(G.declare(g, {"x": [[1.0, 2.0]]}))
+    assert list(leaves) == list(g.leaves) == ["w", "s", "x"]
+    assert [(n.shape, n.needs_grad) for n in leaves.values()] == [
+        ((2, 3), True), ((), True), ((1, 2), False)]
+    with pytest.raises(G.GraphError, match="duplicate leaf name 'x'"):
+        G.declare(g, {"x": np.zeros(1)})
+
+
+def _record_training(monkeypatch):
+    """Lists of (graph, bindings) per ``evaluate`` and of the parameter names
+    per ``adam_step``, appended as a training step makes those calls."""
+    runs, updated = [], []
+    evaluate, adam_step = G.evaluate, nn.adam_step
+
+    def recording_evaluate(graph, bindings, output=None):
+        runs.append((graph, bindings))
+        return evaluate(graph, bindings, output)
+
+    def recording_adam_step(params, grads, **kwargs):
+        updated.append(params.names())
+        return adam_step(params, grads, **kwargs)
+
+    monkeypatch.setattr(G, "evaluate", recording_evaluate)
+    monkeypatch.setattr(nn, "adam_step", recording_adam_step)
+    return runs, updated
+
+
+def _assert_declared_from_bindings(g, runs, trained):
+    """``g``'s leaves are the bindings it ran with, named and shaped alike,
+    and its grad leaves are the weights the step updated."""
+    [bindings] = [b for graph, b in runs if graph is g]
+    assert sorted(g.leaves) == sorted(bindings)
+    for name, leaf in g.leaves.items():
+        assert leaf.shape == np.shape(bindings[name]), name
+    assert [name for name, leaf in g.leaves.items() if leaf.needs_grad] == trained
+
+
+@pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+def test_toy_loss_graph_declares_the_bindings_it_runs_with(monkeypatch, kind):
+    model = ToyHeadModel(heads.HeadConfig(kind=kind, width=16, depth=2), seed=1)
+    runs, updated = _record_training(monkeypatch)
+    model.train_step(Stream.from_seed(1, "y").normal((12, 2)), Stream.from_seed(1, "step"),
+                     lr=1e-3, step_index=1)
+    [trained] = updated
+    assert trained == model.params.names()
+    _assert_declared_from_bindings(model._train_graph[1], runs, trained)
+
+
+# shortcut and mean-flow loss bindings need numpy context rows, which a MAR
+# step has only inside its graph, so MAR trains the other three kinds
+@pytest.mark.parametrize("head_kind", ["energy", "diffusion", "flow"])
+def test_mar_train_graphs_declare_the_bindings_they_run_with(monkeypatch, head_kind):
+    cfg = MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                    head_kind=head_kind, head_width=16, head_depth=1)
+    student, teacher = MarModel(cfg, seed=1), MarModel(cfg, seed=2)
+    latents = Stream.from_seed(3, "latents").normal((3, cfg.seq_len, cfg.latent_dim))
+    ids = np.arange(3) % cfg.n_classes
+    head_only = [n for n in student.params.names() if n.startswith("head.")]
+    for with_teacher in (False, True):
+        for frozen in (False, True):
+            runs, updated = _record_training(monkeypatch)
+            student.masked_training_step(
+                latents, ids, Stream.from_seed(4, "step"), lam=0.5 if with_teacher else 0.0,
+                teacher=teacher if with_teacher else None, frozen_backbone=frozen)
+            [trained] = updated
+            assert trained == (head_only if frozen else student.params.names())
+            g, _ = student._train_graphs[(3, with_teacher, 0.5 if with_teacher else 0.0,
+                                          frozen)]
+            _assert_declared_from_bindings(g, runs, trained)
+            assert ("h_teacher" in g.leaves) == with_teacher
+    assert len(student._train_graphs) == 4
 
 
 def _residual_chain(shape, depth=32):

@@ -115,6 +115,17 @@ def test_wirings_are_distinct_functions():
     assert not np.allclose(hb.energy_sample(ctx, noise), ha.energy_sample(ctx, noise))
 
 
+def _mean_loss_graph(head: Head, aux: dict, ctx_grad: bool = False) -> G.Graph:
+    """The head's mean loss over context rows "ctx" and the loss inputs
+    ``aux``, with grad weights."""
+    g = G.Graph()
+    leaves = G.declare(g, head.params.bindings(), grad=True)
+    ctx = g.leaf("ctx", (len(aux["y"]), head.cfg.context_dim), grad=ctx_grad)
+    rows = heads.build_loss_rows(head.cfg, leaves, "head", ctx, G.declare(g, aux))
+    g.set_output(G.mean(rows))
+    return g
+
+
 def _identity_head(kind: str) -> Head:
     """depth-0 head computing pred == zt exactly (identity projections)."""
     cfg = HeadConfig(kind=kind, width=2, depth=0, context_dim=3)
@@ -128,21 +139,12 @@ def _identity_head(kind: str) -> Head:
 def test_perfect_prediction_gives_zero_loss(kind, target):
     head = _identity_head(kind)
     rows = 6
-    g = G.Graph()
-    leaves = head.params.declare_leaves(g)
-    aux = heads.declare_loss_leaves(g, head.cfg, rows)
-    ctx = g.leaf("ctx", (rows, 3))
-    loss_rows = heads.build_loss_rows(head.cfg, leaves, "head", ctx, aux)
-    g.set_output(G.mean(loss_rows))
     s = Stream.from_seed(9, "b")
     vals = s.child("v").normal((rows, 2))
-    bindings = {**head.params.bindings(),
-                "ctx": s.child("c").normal((rows, 3)),
-                "y": s.child("y").normal((rows, 2)),
-                "zt": vals, target: vals,
-                "t0": heads.time_features(s.child("t").uniform((rows,)), 16)}
-    if kind == "shortcut":
-        bindings["t1"] = heads.time_features(np.zeros(rows), 16)
+    aux = {"y": s.child("y").normal((rows, 2)), "zt": vals, target: vals,
+           "t0": heads.time_features(s.child("t").uniform((rows,)), 16)}
+    bindings = {**head.params.bindings(), "ctx": s.child("c").normal((rows, 3)), **aux}
+    g = _mean_loss_graph(head, aux)
     assert float(G.evaluate(g, bindings).output) == pytest.approx(0.0, abs=1e-24)
 
 
@@ -150,17 +152,11 @@ def test_energy_train_step_value_matches_manual_recompute():
     cfg = HeadConfig(kind="energy", width=16, depth=2, context_dim=4)
     head = _randomized_head(cfg, 10)
     rows = 5
-    g = G.Graph()
-    leaves = head.params.declare_leaves(g)
-    aux = heads.declare_loss_leaves(g, cfg, rows)
-    ctx_node = g.leaf("ctx", (rows, 4))
-    loss_rows = heads.build_loss_rows(cfg, leaves, "head", ctx_node, aux)
-    g.set_output(G.mean(loss_rows))
-
     s = Stream.from_seed(11, "bind")
     ctx = s.child("ctx").normal((rows, 4))
     y = s.child("y").normal((rows, 2))
     bindings = head.loss_bindings(y, s.child("loss"), context=ctx)
+    g = _mean_loss_graph(head, bindings)
     value = float(G.evaluate(g, {**head.params.bindings(), "ctx": ctx, **bindings}).output)
 
     x1 = head.energy_sample(ctx, bindings["n0"])
@@ -274,15 +270,10 @@ def test_loss_graphs_grad_check_all_kinds():
         cfg = HeadConfig(kind=kind, width=4, depth=1, context_dim=3, time_feat_dim=4)
         head = _randomized_head(cfg, 16)
         rows = 2
-        g = G.Graph()
-        leaves = head.params.declare_leaves(g)
-        aux = heads.declare_loss_leaves(g, cfg, rows)
-        ctx = g.leaf("ctx", (rows, 3), grad=True)
-        loss_rows = heads.build_loss_rows(cfg, leaves, "head", ctx, aux)
-        g.set_output(G.mean(loss_rows))
         y = s.child(kind + "y").normal((rows, 2))
         ctx_v = s.child(kind + "c").normal((rows, 3))
         bind = head.loss_bindings(y, s.child(kind), context=ctx_v)
+        g = _mean_loss_graph(head, bind, ctx_grad=True)
         assert G.grad_check(g, {**head.params.bindings(), "ctx": ctx_v, **bind},
                             step=1e-6) <= 1e-5, kind
 

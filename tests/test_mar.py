@@ -116,8 +116,8 @@ def test_masked_latents_do_not_leak_into_representation():
 
 def _step_terms(model, latents, ids, rng, lam=0.0, teacher=None):
     """(energy, distill, total, h) of one step's train graph, without an update."""
-    g, nodes = model._train_graph(len(latents), teacher is not None, lam, False)
     bindings = model.step_bindings(latents, ids, rng, teacher)
+    g, nodes = model._train_graph(bindings, lam, False)
     run = G.evaluate(g, bindings)
     distill = float(run.value(nodes["distill"])) if teacher is not None else 0.0
     h = G.evaluate(g, bindings, nodes["h"]).output
@@ -166,7 +166,7 @@ def test_energy_term_ignores_head_outputs_at_unmasked_positions():
     model = MarModel(TINY, seed=6)
     latents, ids = _batch(model, 3)
     bindings = model.step_bindings(latents, ids, Stream.from_seed(7, "step"))
-    g, nodes = model._train_graph(3, False, 0.0, False)
+    g, nodes = model._train_graph(bindings, 0.0, False)
     base = float(G.evaluate(g, bindings).value(nodes["energy"]))
     unmasked = bindings["weight"] == 0.0
     assert unmasked.any()

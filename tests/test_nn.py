@@ -6,10 +6,6 @@ from escore import nn
 from escore.rng import Stream
 
 
-def _leaves_and_bindings(params, g, trainable=True):
-    return params.declare_leaves(g, trainable), params.bindings()
-
-
 def test_linear_zero_weight_gives_bias_rows():
     g = G.Graph()
     x = g.leaf("x", (4, 3))
@@ -43,7 +39,7 @@ def test_adaln_zero_init_is_bitwise_identity():
     block = nn.AdaLnResBlock("blk", width=8, cond_dim=3)
     block.register(params, seed=0)
     g = G.Graph()
-    leaves = params.declare_leaves(g)
+    leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (5, 8))
     cond = g.leaf("cond", (5, 3))
     g.set_output(block.build(leaves, x, cond))
@@ -60,7 +56,7 @@ def test_adaln_nonzero_cond_changes_output():
     params["blk.fc2.w"].value = nn.kaiming_uniform(9, "w2", (8, 8), 8)
     params["blk.cond.w"].value = nn.kaiming_uniform(9, "wc", (3, 16), 3)
     g = G.Graph()
-    leaves = params.declare_leaves(g)
+    leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (5, 8))
     cond = g.leaf("cond", (5, 3))
     g.set_output(block.build(leaves, x, cond))
@@ -83,7 +79,7 @@ def test_adaln_scalar_hand_evaluation():
     params["blk.cond.w"].value = np.array([[0.3, 0.7]])   # -> (gamma, beta)
     params["blk.cond.b"].value = np.array([0.0, 0.1])
     g = G.Graph()
-    leaves = params.declare_leaves(g)
+    leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (1, 1))
     cond = g.leaf("cond", (1, 1))
     g.set_output(block.build(leaves, x, cond))
@@ -102,7 +98,7 @@ def _tiny_transformer(seed=0, dim=8, heads=2, seq=4, batch=2):
     block = nn.TransformerBlock("tb", dim=dim, n_heads=heads)
     block.register(params, seed=seed)
     g = G.Graph()
-    leaves = params.declare_leaves(g)
+    leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (batch, seq, dim))
     g.set_output(block.build(leaves, x))
     [attn] = [n for n in g.nodes if n.kind == "softmax"]
@@ -136,7 +132,7 @@ def test_transformer_zero_out_proj_leaves_mlp_residual_only():
     block.register(params, seed=0)
     params["tb.wo.w"].value = np.zeros((8, 8))
     g = G.Graph()
-    leaves = params.declare_leaves(g)
+    leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (2, 4, 8))
     g.set_output(block.build(leaves, x))
     xa = Stream.from_seed(7, "x").normal((2, 4, 8))
@@ -171,7 +167,7 @@ def test_adaln_and_transformer_pass_grad_check():
     params["blk.fc2.w"].value = nn.kaiming_uniform(11, "a", (4, 4), 4)
     params["blk.cond.w"].value = nn.kaiming_uniform(12, "b", (2, 8), 2)
     g = G.Graph()
-    leaves = params.declare_leaves(g)
+    leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (3, 4), grad=True)
     cond = g.leaf("cond", (3, 2), grad=True)
     mix = g.constant(Stream.from_seed(13, "mix").normal((4, 1)))
@@ -182,7 +178,7 @@ def test_adaln_and_transformer_pass_grad_check():
 
     tparams, tg, _ = _tiny_transformer(seed=2, dim=4, heads=2, seq=3, batch=1)
     tg2 = G.Graph()
-    leaves2 = tparams.declare_leaves(tg2)
+    leaves2 = G.declare(tg2, tparams.bindings(), grad=True)
     x2 = tg2.leaf("x", (1, 3, 4), grad=True)
     blk = nn.TransformerBlock("tb", dim=4, n_heads=2)
     mix2 = tg2.constant(Stream.from_seed(15, "mix").normal((4, 1)))

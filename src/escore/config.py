@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
 
@@ -119,6 +120,23 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a number",
 # an integer value is a count (>= 1) but for these
 _ANY_INT = {"seed", "compare.seeds", "sweep.seeds"}
 _NON_NEGATIVE = {"train.warmup", "mar_train.warmup"}
+# float key -> (whether a finite value is in range, the range in words)
+_FLOAT_RANGES = {
+    "data.noise_sigma": (lambda v: v >= 0, ">= 0"),
+    "data.jitter": (lambda v: v >= 0, ">= 0"),
+    "train.lr": (lambda v: v > 0, "> 0"),
+    "train.weight_decay": (lambda v: v >= 0, ">= 0"),
+    "mar.mask_lo": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "mar.mask_hi": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "mar.p_drop": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "mar_train.lr": (lambda v: v > 0, "> 0"),
+    "mar_train.weight_decay": (lambda v: v >= 0, ">= 0"),
+    "mar_train.lambda": (lambda v: v >= 0, ">= 0"),
+    "decode.cfg_scale": (lambda v: True, ""),
+}
+# shortcut and mean-flow targets evaluate the head on numpy context rows,
+# which a MAR step has only inside its graph
+MAR_HEAD_KINDS = ("energy", "diffusion", "flow")
 
 
 def _has_type_of(value, default) -> bool:
@@ -168,6 +186,25 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
                                   f"got {value!r}")
 
 
+def check_ranges(cfg: dict) -> None:
+    """Every float value of :data:`_FLOAT_RANGES` is finite and in its range,
+    ``mar.mask_lo <= mar.mask_hi``, and MAR can train ``mar.head_kind``."""
+    for key, (in_range, words) in _FLOAT_RANGES.items():
+        section, name = key.split(".")
+        value = cfg[section][name]
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        if not in_range(value):
+            raise ConfigError(f"{key} must be a number {words}, got {value!r}")
+    m = cfg["mar"]
+    if m["mask_lo"] > m["mask_hi"]:
+        raise ConfigError(f"mar.mask_lo must be <= mar.mask_hi, got {m['mask_lo']!r} > "
+                          f"{m['mask_hi']!r}")
+    if m["head_kind"] not in MAR_HEAD_KINDS:
+        raise ConfigError(f"mar.head_kind must be one of {MAR_HEAD_KINDS}, the head kinds "
+                          f"MAR can train, got {m['head_kind']!r}")
+
+
 def parse_override(text: str) -> tuple[str, object]:
     """'a.b=value' with the value parsed as JSON, falling back to a string."""
     if "=" not in text:
@@ -183,7 +220,7 @@ def parse_override(text: str) -> tuple[str, object]:
 def resolve_config(overrides: list[str] | None = None,
                    config_file: str | None = None) -> dict:
     """Defaults <- file <- --set overrides; unknown keys, values of another
-    type than their default's and counts out of range are rejected."""
+    type than their default's and values out of range are rejected."""
     cfg = copy.deepcopy(DEFAULTS)
     if config_file:
         try:
@@ -197,6 +234,7 @@ def resolve_config(overrides: list[str] | None = None,
         key, value = parse_override(text)
         _walk_assign(cfg, DEFAULTS, key, value)
     _check_types(cfg, DEFAULTS)
+    check_ranges(cfg)
     return cfg
 
 

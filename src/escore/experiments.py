@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, mar, metrics, svg
-from .config import ConfigError, config_digest, write_run_config
+from .config import ConfigError, check_ranges, config_digest, write_run_config
 from .heads import HEAD_KINDS, HeadConfig
 from .mar import DecodeConfig, MarConfig, MarModel, train_mar
 from .metrics import MetricsReport
@@ -220,18 +220,11 @@ def mar_config_from(cfg: dict, head_kind: str | None = None) -> MarConfig:
                      p_drop=m_["p_drop"])
 
 
-def _student_lambda(cfg: dict) -> float:
-    lam = cfg["mar_train"]["lambda"]
-    if not isinstance(lam, (int, float)) or not lam >= 0:
-        raise ConfigError(f"mar_train.lambda must be a number >= 0, got {lam!r}")
-    return lam
-
-
 def build_mar_model(cfg: dict, role: str, seed: int,
                     teacher: MarModel | None = None) -> MarModel:
     """The untrained MAR teacher or student of ``cfg``; a student takes the
     teacher's backbone under ``mar_train.init_from_teacher``."""
-    if role == "student" and _student_lambda(cfg) > 0 and teacher is None:
+    if role == "student" and cfg["mar_train"]["lambda"] > 0 and teacher is None:
         raise ConfigError("mar_train.lambda > 0 requires --teacher")
     kind = "diffusion" if role == "teacher" else None
     model = MarModel(mar_config_from(cfg, head_kind=kind), seed)
@@ -249,7 +242,7 @@ def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
     t = cfg["mar_train"]
     log = train_mar(model, steps=t["steps"], batch=t["batch"], lr=t["lr"],
                     warmup=t["warmup"],
-                    lam=_student_lambda(cfg) if role == "student" else 0.0,
+                    lam=cfg["mar_train"]["lambda"] if role == "student" else 0.0,
                     teacher=teacher, per_class=cfg["data"]["per_class"],
                     weight_decay=t["weight_decay"],
                     frozen_backbone=t["frozen_backbone"],
@@ -334,8 +327,8 @@ def _grid_config(cfg: dict, param: str, value) -> dict:
     section, name = SWEEP_PARAMS[param][0].split(".")
     sub[section][name] = value
     try:
+        check_ranges(sub)
         mar_config_from(sub).head_config()
-        _student_lambda(sub)
     except ValueError as exc:
         raise ConfigError(f"--values {value!r}: {exc}") from None
     return sub

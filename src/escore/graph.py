@@ -1,38 +1,40 @@
 """Static differentiable computation graphs over float64 numpy arrays.
 
 A :class:`Graph` is built once (shapes fixed at construction), then
-evaluated any number of times with fresh leaf bindings. Loss and training
-graphs are declared from the bindings of the first call that runs them:
-:func:`declare` makes one leaf per binding, named by its key and shaped like
-its value, so a graph's inputs are listed only where their values are
-computed. Forward values are cached in a per-call :class:`Evaluation`, which
-keeps graphs freely shareable across threads/processes; reverse-mode
-gradients consume that cache, and :func:`jvp` carries tangents beside the
-values in a sweep of its own.
+evaluated any number of times with fresh leaf bindings. :func:`declare`
+makes one leaf per binding, so loss and training graphs are declared from
+the bindings of the first call that runs them. Forward values are cached in
+a per-call :class:`Evaluation`, which keeps graphs freely shareable across
+threads/processes; reverse-mode gradients consume that cache, and
+:func:`jvp` carries tangents beside the values in a sweep of its own.
 
-Node kinds are the sources ``leaf`` (named binding) and ``const``, which
-:func:`evaluate` binds, and the 17 keys of ``_RULES``: one entry per computed
-kind with its forward, reverse and forward-mode rules and two flags,
-``reads_inputs`` and ``reads_output``. The seven kinds with a tangent rule
-are ``affine``, ``matmul``, ``mul``, ``silu``, ``layer_norm``, ``softmax``
-and ``row_norm``. The ten linear kinds (``add``, ``sub``, ``scale``,
-``mean``, ``sum``, ``concat``, ``narrow``, ``broadcast``, ``reshape``,
-``transpose``) have none of their own: their jvp is their forward applied to
-the input tangents. ``affine`` (``x @ w + b`` with the bias broadcast over
-the leading axes) is the fused form of matmul + broadcast + add,
-bit-identical to it.
+Node kinds are the sources ``leaf`` and ``const`` and the 17 keys of
+``_RULES``, each with its forward, reverse and forward-mode rules and the
+flags ``reads_inputs`` and ``reads_output``. ``affine``, ``matmul``,
+``mul``, ``silu``, ``layer_norm``, ``softmax`` and ``row_norm`` have a
+tangent rule; the ten linear kinds take their forward on the input tangents.
+``affine`` (``x @ w + b``, the bias broadcast over the leading axes) is the
+fused form of matmul + broadcast + add, bit-identical to it.
 
-The graph chooses how :func:`evaluate` runs, once per (graph, output), and
-caches the choice with its release table. A run with a grad leaf at or before
+A leaf declared from a parameter set is a weight leaf, whose value the set
+checks for NaN/Inf where it is written; a run checks a weight binding's
+shape only, a data leaf's shape and finiteness, and its output. In
+:func:`jvp` a weight leaf or a const without a tangent has a structural zero
+one (None): a node whose input tangents are all zero has one too, and the
+rules skip the terms of a zero input tangent.
+
+Each (graph, output) compiles once into a cached plan, which
+:func:`evaluate`, :func:`backward` and :func:`jvp` all run: the sources to
+bind, then one step per computed node with its slot, rule, input slots,
+attrs and the slots to drop after it. A plan with a grad leaf at or before
 its output is retained: each value is dropped after its last forward reader
 unless :func:`backward` reads it, that is unless it is in the retention set:
-leaves, consts, the output and every 0-d node, plus the inputs of every kind
-flagged ``reads_inputs`` and the output of every kind flagged
-``reads_output`` (``layer_norm`` uses its output as ``xhat``). Any other run
-(inference) is output-only: the same node loop, kernels and binding checks,
-but the kernels keep no backward caches and each value is dropped after its
-last reader. Its Evaluation holds the output alone, and :func:`backward` has
-no adjoint to propagate through it.
+leaves, consts, the output and every 0-d node, plus the inputs of every
+kind flagged ``reads_inputs`` and the output of every kind flagged
+``reads_output`` (``layer_norm`` uses its output as ``xhat``). Any other
+plan (inference) is output-only: the kernels keep no backward caches and
+each value is dropped after its last reader. Its Evaluation holds the
+output alone, and :func:`backward` has no adjoint to propagate through it.
 
 Every other backward rule needs at most a shape, which it takes from the
 graph. The kernel caches are ``silu``'s sigmoid and ``layer_norm``'s inverse
@@ -50,6 +52,7 @@ bindings produce bit-identical outputs and gradients in either mode.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -101,7 +104,7 @@ class Graph:
         self.nodes: list[Node] = []
         self.leaves: dict[str, Node] = {}
         self.output: Node | None = None
-        self._release_plans: dict[int, tuple] = {}   # output id -> (kept, free)
+        self._plans: dict[int, "_Plan"] = {}   # output id -> its compiled plan
 
     def _append(self, kind: str, inputs: tuple[Node, ...], shape: tuple[int, ...],
                 attrs: dict | None = None, needs_grad: bool | None = None) -> Node:
@@ -115,10 +118,12 @@ class Graph:
         self.nodes.append(node)
         return node
 
-    def leaf(self, name: str, shape: tuple[int, ...], grad: bool = False) -> Node:
+    def leaf(self, name: str, shape: tuple[int, ...], grad: bool = False,
+             weight: bool = False) -> Node:
         if name in self.leaves:
             raise GraphError(f"duplicate leaf name {name!r}")
-        node = self._append("leaf", (), shape, {"name": name}, needs_grad=grad)
+        node = self._append("leaf", (), shape, {"name": name, "weight": weight},
+                            needs_grad=grad)
         self.leaves[name] = node
         return node
 
@@ -133,10 +138,13 @@ class Graph:
         return node
 
 
-def declare(g: Graph, values: dict, grad: bool = False) -> dict[str, Node]:
-    """One leaf per entry of a bindings dict, named by its key and shaped like
-    its value, in the dict's order."""
-    return {name: g.leaf(name, np.shape(value), grad=grad) for name, value in values.items()}
+def declare(g: Graph, values, grad: bool = False) -> dict[str, Node]:
+    """One leaf per binding, named by its key and shaped like its value, in
+    order: data leaves from a bindings dict, weight leaves from a parameter
+    set (``nn.ParameterSet``)."""
+    weight = not isinstance(values, dict)
+    return {name: g.leaf(name, np.shape(value), grad=grad, weight=weight)
+            for name, value in (values.bindings() if weight else values).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +282,11 @@ class _Rule(NamedTuple):
     ``forward(vals, attrs, aux)`` returns the node's value; ``aux`` None
     (output-only evaluation) means: keep no backward cache and finish the
     result in the kernel's own buffer. ``backward(node, g, vals, out, aux)``
-    returns the input adjoints; it sees in ``vals`` and ``out`` only what
-    :func:`_retained` keeps: the inputs if ``reads_inputs``, the output if
-    ``reads_output`` (or if it is 0-d), and takes any other shape from the
-    graph. ``jvp(node, dv, vals, out, aux)`` returns the output tangent; it
-    runs right after the forward and sees all of it. ``jvp`` None marks a
-    linear kind, whose tangent is its forward applied to the input tangents.
+    returns the input adjoints from what a retained run keeps (the inputs if
+    ``reads_inputs``, the output if ``reads_output`` or 0-d) and shapes from
+    the graph. ``jvp(node, dv, vals, out, aux)`` returns the output tangent
+    right after the forward; a None in ``dv`` is a zero tangent. ``jvp`` None
+    marks a linear kind, whose tangent is its forward on the input tangents.
     """
     forward: Callable
     backward: Callable
@@ -321,9 +328,18 @@ def _affine_backward(node, g, vals, out, aux):
     return _matmul_grads(g, vals[0], vals[1]) + [_unbroadcast(g, _input_shape(node, 2))]
 
 
+def _product_jvp(prod, dv, vals, shape):
+    """``da * b + a * db`` for a bilinear ``prod``, less a zero (None) term."""
+    t = np.zeros(shape) if dv[0] is None else prod(dv[0], vals[1])
+    if dv[1] is not None:
+        t += prod(vals[0], dv[1])
+    return t
+
+
 def _affine_jvp(node, dv, vals, out, aux):
-    t = dv[0] @ vals[1] + vals[0] @ dv[1]
-    t += dv[2]
+    t = _product_jvp(np.matmul, dv, vals, out.shape)
+    if dv[2] is not None:
+        t += dv[2]
     return t
 
 
@@ -347,9 +363,9 @@ def _silu_grad(g, out, aux):
 
 
 def _layer_norm(vals, attrs, aux):
-    x = vals[0]
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + attrs["eps"])
+    x, n = vals[0], vals[0].shape[-1]   # the means as ndarray.mean takes them
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + attrs["eps"])
     if aux is not None:
         aux["inv"] = inv
     xc *= inv
@@ -388,14 +404,8 @@ def _mean_backward(node, g, vals, out, aux):
 
 def _concat_backward(node, g, vals, out, aux):
     axis = node.attrs["axis"]
-    grads, start = [], 0
-    for i in range(len(node.inputs)):
-        width = _input_shape(node, i)[axis]
-        sl = [slice(None)] * g.ndim
-        sl[axis] = slice(start, start + width)
-        grads.append(g[tuple(sl)])
-        start += width
-    return grads
+    ends = np.cumsum([_input_shape(node, i)[axis] for i in range(len(node.inputs))])
+    return np.split(g, ends[:-1], axis=axis)
 
 
 def _narrow_slice(attrs: dict, ndim: int) -> tuple[slice, ...]:
@@ -414,7 +424,7 @@ _RULES: dict[str, _Rule] = {
     "affine": _Rule(_affine, _affine_backward, _affine_jvp, reads_inputs=True),
     "matmul": _Rule(lambda vals, attrs, aux: vals[0] @ vals[1],
                     lambda node, g, vals, out, aux: _matmul_grads(g, vals[0], vals[1]),
-                    lambda node, dv, vals, out, aux: dv[0] @ vals[1] + vals[0] @ dv[1],
+                    lambda node, dv, vals, out, aux: _product_jvp(np.matmul, dv, vals, out.shape),
                     reads_inputs=True),
     "add": _Rule(lambda vals, attrs, aux: vals[0] + vals[1],
                  lambda node, g, vals, out, aux: [g, g]),
@@ -422,7 +432,7 @@ _RULES: dict[str, _Rule] = {
                  lambda node, g, vals, out, aux: [g, -g]),
     "mul": _Rule(lambda vals, attrs, aux: vals[0] * vals[1],
                  lambda node, g, vals, out, aux: [g * vals[1], g * vals[0]],
-                 lambda node, dv, vals, out, aux: dv[0] * vals[1] + vals[0] * dv[1],
+                 lambda node, dv, vals, out, aux: _product_jvp(np.multiply, dv, vals, out.shape),
                  reads_inputs=True),
     "scale": _Rule(lambda vals, attrs, aux: vals[0] * attrs["c"],
                    lambda node, g, vals, out, aux: [g * node.attrs["c"]]),
@@ -460,21 +470,68 @@ _RULES: dict[str, _Rule] = {
 
 
 # ---------------------------------------------------------------------------
-# execution
+# execution: one compiled plan per (graph, output)
+
+# one computed node (``node`` for the backward rules that take a shape from it);
+# jvp and output-only runs drop ``free`` after it, this plan's evaluate ``kept``
+_Step = namedtuple("_Step", "slot rule ins attrs node free kept")
+
+
+# ``leaves`` holds (slot, name, shape, weight) per leaf, ``consts`` (slot, value)
+# per const and ``data`` the names of the data leaves the output depends on
+_Plan = namedtuple("_Plan", "out leaves consts steps retained data")
+
+
+def _plan(graph: Graph, output: Node | None) -> _Plan:
+    """The plan of ``graph`` up to ``output`` (default: the graph's output),
+    compiled on first use; nodes appended later cannot change it."""
+    out = output or graph.output
+    if out is None:
+        raise GraphError("graph has no output node set")
+    plan = graph._plans.get(out.nid)
+    if plan is not None:
+        return plan
+    nodes = graph.nodes[: out.nid + 1]
+    last, reach, step = {}, {out.nid}, out.nid   # reach: the output and its ancestors
+    for node in reversed(nodes):
+        step = node.nid if node.inputs else step
+        for i in node.inputs:
+            last.setdefault(i, node.nid)   # the last step that reads i
+        last.setdefault(node.nid, step)    # read by none: dropped after the next step
+        if node.nid in reach:
+            reach.update(node.inputs)
+    free: list[list[int]] = [[] for _ in nodes]
+    for node in nodes[:-1]:
+        free[last[node.nid]].append(node.nid)
+    retained = any(n.kind == "leaf" and n.needs_grad for n in nodes)
+    held = {out.nid} if retained else set()   # the retention set
+    for node in nodes if retained else ():
+        rule = _RULES.get(node.kind)   # None for the sources, leaf and const
+        if rule is None or not node.shape or rule.reads_output:
+            held.add(node.nid)
+        if rule is not None and rule.reads_inputs:
+            held.update(node.inputs)
+    leaves = [(n.nid, n.attrs["name"], n.shape, n.attrs["weight"])
+              for n in nodes if n.kind == "leaf"]
+    plan = graph._plans[out.nid] = _Plan(
+        out, tuple(leaves), tuple((n.nid, n.attrs["value"]) for n in nodes if n.kind == "const"),
+        tuple(_Step(n.nid, _RULES[n.kind], n.inputs, n.attrs, n, tuple(free[n.nid]),
+                    tuple(i for i in free[n.nid] if i not in held))
+              for n in nodes if n.inputs),
+        retained, frozenset(name for nid, name, _, w in leaves if nid in reach and not w))
+    return plan
+
 
 class Evaluation:
     """Forward pass of one graph on one set of bindings: the retained values
     (see the module docstring) and the kernels' backward caches, or, from an
     output-only run, the output value alone with ``aux`` None."""
 
-    __slots__ = ("graph", "values", "aux", "output_node")
+    __slots__ = ("plan", "graph", "output_node", "values", "aux")
 
-    def __init__(self, graph: Graph, values: list[np.ndarray],
-                 aux: list[dict] | None, output_node: Node):
-        self.graph = graph
-        self.values = values
-        self.aux = aux
-        self.output_node = output_node
+    def __init__(self, plan: _Plan, values: list[np.ndarray], aux: list[dict] | None):
+        self.plan, self.graph, self.output_node = plan, plan.out.graph, plan.out
+        self.values, self.aux = values, aux
 
     @property
     def output(self) -> np.ndarray:
@@ -487,95 +544,50 @@ class Evaluation:
         return v
 
 
-def _check_binding(name: str, arr, shape: tuple[int, ...]) -> np.ndarray:
+def _check_binding(name: str, arr, shape: tuple[int, ...], weight: bool = False) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.shape != shape:
         raise GraphError(f"leaf {name!r}: bound shape {arr.shape}, declared {shape}")
-    if not np.all(np.isfinite(arr)):
+    if not weight and not np.isfinite(arr).all():
         raise NonFiniteError(f"leaf {name!r}: non-finite binding")
     return arr
 
 
-def _retained(graph: Graph, out_node: Node) -> set[int]:
-    """Ids of the values a retained evaluation keeps for :func:`backward`
-    (the retention set of the module docstring)."""
-    held = {out_node.nid}
-    for node in graph.nodes[: out_node.nid + 1]:
-        rule = _RULES.get(node.kind)   # None for the sources, leaf and const
-        if rule is None or not node.shape or rule.reads_output:
-            held.add(node.nid)
-        if rule is not None and rule.reads_inputs:
-            held.update(node.inputs)
-    return held
-
-
-def _release_plan(graph: Graph, out_node: Node) -> tuple[list | None, list[tuple[int, ...]]]:
-    """Per node up to ``out_node``, the values to drop after it: ``(kept,
-    free)``. ``free`` drops each value but the output after its last reader.
-    ``kept`` is ``free`` less the :func:`_retained` set when a grad leaf lies
-    at or before the output, and None (an output-only run) otherwise.
-
-    Computed once per (graph, output) and cached on the graph; nodes appended
-    later lie beyond the output and cannot change it.
-    """
-    entry = graph._release_plans.get(out_node.nid)
-    if entry is None:
-        nodes = graph.nodes[: out_node.nid + 1]
-        last = list(range(len(nodes)))
-        for node in nodes:
-            for i in node.inputs:
-                last[i] = node.nid
-        free: list[list[int]] = [[] for _ in last]
-        for nid, at in enumerate(last):
-            if nid != out_node.nid:
-                free[at].append(nid)
-        kept = None
-        if any(n.kind == "leaf" and n.needs_grad for n in nodes):
-            held = _retained(graph, out_node)
-            kept = [tuple(i for i in f if i not in held) for f in free]
-        entry = graph._release_plans[out_node.nid] = (kept, [tuple(f) for f in free])
-    return entry
-
-
-def _source_value(node: Node, bindings: dict[str, np.ndarray]) -> np.ndarray:
-    if node.kind == "leaf":
-        return _check_binding(node.attrs["name"], bindings[node.attrs["name"]], node.shape)
-    return node.attrs["value"]
-
-
-def _start(graph: Graph, bindings: dict[str, np.ndarray], output: Node | None) -> Node:
-    out_node = output or graph.output
-    if out_node is None:
-        raise GraphError("graph has no output node set")
-    missing = set(graph.leaves) - set(bindings)
+def _bind(graph: Graph, plan: _Plan, bindings: dict[str, np.ndarray]) -> list:
+    """A run's value list with the sources of ``plan`` bound and checked."""
+    missing = graph.leaves.keys() - bindings.keys()
     if missing:
         raise GraphError(f"missing bindings for leaves: {sorted(missing)}")
-    return out_node
+    values: list = [None] * len(graph.nodes)
+    for slot, name, shape, weight in plan.leaves:
+        values[slot] = _check_binding(name, bindings[name], shape, weight)
+    for slot, value in plan.consts:
+        values[slot] = value
+    return values
+
+
+def _check_output(out: Node, value: np.ndarray) -> np.ndarray:
+    if not np.isfinite(value).all():
+        raise NonFiniteError(f"output of node #{out.nid} ({out.kind}) is non-finite")
+    return value
 
 
 def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
              output: Node | None = None) -> Evaluation:
     """Forward pass; returns the per-call cache needed by :func:`backward`,
-    retained or output-only as :func:`_release_plan` decides."""
-    out_node = _start(graph, bindings, output)
-    kept, free = _release_plan(graph, out_node)
-    release = free if kept is None else kept
-    values: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
-    aux: list | None = None if kept is None else [None] * len(graph.nodes)
-    for node in graph.nodes[: out_node.nid + 1]:
-        if not node.inputs:   # the sources, leaf and const
-            values[node.nid] = _source_value(node, bindings)
-        else:
-            a = None if aux is None else {}
-            values[node.nid] = _RULES[node.kind].forward([values[i] for i in node.inputs],
-                                                         node.attrs, a)
-            if aux is not None:
-                aux[node.nid] = a
-        for nid in release[node.nid]:
-            values[nid] = None
-    if not np.all(np.isfinite(values[out_node.nid])):
-        raise NonFiniteError(f"output of node #{out_node.nid} ({out_node.kind}) is non-finite")
-    return Evaluation(graph, values, aux, out_node)
+    retained or output-only as the plan decides."""
+    plan = _plan(graph, output)
+    values = _bind(graph, plan, bindings)
+    aux: list | None = [None] * len(values) if plan.retained else None
+    for slot, rule, ins, attrs, _, _, kept in plan.steps:
+        a = None if aux is None else {}
+        values[slot] = rule.forward([values[i] for i in ins], attrs, a)
+        if a is not None:
+            aux[slot] = a
+        for i in kept:
+            values[i] = None
+    _check_output(plan.out, values[plan.out.nid])
+    return Evaluation(plan, values, aux)
 
 
 def backward(run: Evaluation) -> dict[str, np.ndarray]:
@@ -584,75 +596,60 @@ def backward(run: Evaluation) -> dict[str, np.ndarray]:
     Each non-leaf adjoint is dropped as soon as its node's rule has consumed
     it, so the sweep holds only the adjoints still waiting for their node.
     """
-    graph, out = run.graph, run.output_node
+    out, values, nodes = run.output_node, run.values, run.graph.nodes
     if int(np.prod(out.shape, dtype=np.int64)) != 1:
         raise GraphError(f"backward needs a scalar output, got shape {out.shape}")
-    adj: list[np.ndarray | None] = [None] * len(graph.nodes)
+    adj: list[np.ndarray | None] = [None] * len(values)
     if run.aux is not None:   # an output-only run has no grad leaf up to its output
         adj[out.nid] = np.ones(out.shape)
-    for node in reversed(graph.nodes[: out.nid + 1]):
-        g = adj[node.nid]
-        if g is None or not node.inputs:
+    for slot, rule, ins, _, node, _, _ in reversed(run.plan.steps):
+        g = adj[slot]
+        if g is None:
             continue
-        adj[node.nid] = None
-        grads = _RULES[node.kind].backward(node, g, [run.values[i] for i in node.inputs],
-                                           run.values[node.nid], run.aux[node.nid])
+        adj[slot] = None
+        grads = rule.backward(node, g, [values[i] for i in ins], values[slot], run.aux[slot])
         del g   # the loop's own references would keep consumed adjoints alive
-        for nid, gin in zip(node.inputs, grads):
-            if not graph.nodes[nid].needs_grad:
-                continue
-            adj[nid] = gin if adj[nid] is None else adj[nid] + gin
+        for i, gin in zip(ins, grads):
+            if nodes[i].needs_grad:
+                adj[i] = gin if adj[i] is None else adj[i] + gin
         del grads, gin
     return {name: np.zeros(leaf.shape) if adj[leaf.nid] is None else adj[leaf.nid]
-            for name, leaf in graph.leaves.items() if leaf.needs_grad}
+            for name, leaf in run.graph.leaves.items() if leaf.needs_grad}
 
 
 def jvp(graph: Graph, bindings: dict[str, np.ndarray], tangents: dict[str, np.ndarray],
         output: Node | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(output, directional derivative along per-leaf tangents) in one sweep.
 
-    Each node's forward runs with a kernel cache and its tangent rule right
-    after (a linear kind's tangent is its forward on the input tangents); the
-    cache is dropped then, and values and tangents after their last reader.
+    Every data leaf the output depends on needs a tangent; a weight leaf
+    without one has a zero tangent. Each node's forward runs with a kernel
+    cache and its tangent rule right after; the cache is dropped then, and
+    values and tangents after their last reader.
     """
-    out_node = _start(graph, bindings, output)
-    missing = _ancestor_leaves(graph, out_node) - set(tangents)
+    plan = _plan(graph, output)
+    missing = plan.data - tangents.keys()
     if missing:
         raise GraphError(f"missing tangents for influencing leaves: {sorted(missing)}")
-    free = _release_plan(graph, out_node)[1]
-    values: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
-    tans: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
-    for node in graph.nodes[: out_node.nid + 1]:
-        if not node.inputs:
-            values[node.nid] = _source_value(node, bindings)
-            name = node.attrs.get("name")   # None for a const
-            tans[node.nid] = (_check_binding(name, tangents[name], node.shape)
-                              if name in tangents else np.zeros(node.shape))
-        else:
-            rule, aux = _RULES[node.kind], {}
-            vals, dv = [values[i] for i in node.inputs], [tans[i] for i in node.inputs]
-            values[node.nid] = rule.forward(vals, node.attrs, aux)
-            tans[node.nid] = (rule.forward(dv, node.attrs, None) if rule.jvp is None
-                              else rule.jvp(node, dv, vals, values[node.nid], aux))
-        for nid in free[node.nid]:
-            values[nid] = tans[nid] = None
-    if not np.all(np.isfinite(values[out_node.nid])):
-        raise NonFiniteError(f"output of node #{out_node.nid} ({out_node.kind}) is non-finite")
-    return values[out_node.nid], tans[out_node.nid]
-
-
-def _ancestor_leaves(graph: Graph, node: Node) -> set[str]:
-    reach = np.zeros(len(graph.nodes), dtype=bool)
-    reach[node.nid] = True
-    names: set[str] = set()
-    for n in reversed(graph.nodes[: node.nid + 1]):
-        if not reach[n.nid]:
-            continue
-        if n.kind == "leaf":
-            names.add(n.attrs["name"])
-        for i in n.inputs:
-            reach[i] = True
-    return names
+    values = _bind(graph, plan, bindings)
+    tans: list = [None] * len(values)
+    for slot, name, shape, _ in plan.leaves:
+        if name in tangents:
+            tans[slot] = _check_binding(name, tangents[name], shape)
+    for slot, rule, ins, attrs, node, free, _ in plan.steps:
+        vals, dv, aux = [values[i] for i in ins], [tans[i] for i in ins], {}
+        values[slot] = rule.forward(vals, attrs, aux)
+        if any(t is not None for t in dv):
+            if rule.jvp is None:
+                dv = [np.zeros(graph.nodes[i].shape) if t is None else t
+                      for i, t in zip(ins, dv)]
+                tans[slot] = rule.forward(dv, attrs, None)
+            else:
+                tans[slot] = rule.jvp(node, dv, vals, values[slot], aux)
+        for i in free:
+            values[i] = tans[i] = None
+    out = plan.out
+    return (_check_output(out, values[out.nid]),
+            np.zeros(out.shape) if tans[out.nid] is None else tans[out.nid])
 
 
 def grad_check(graph: Graph, point: dict[str, np.ndarray], step: float = 1e-6,

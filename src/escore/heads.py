@@ -210,7 +210,7 @@ class Head:
         if f"{prefix}.out.w" not in params:
             register_head(params, cfg, seed, prefix)
         self.params = params
-        # inference graphs declare, bind and check only this head's weights
+        # inference graphs declare and bind only this head's weights
         self._own_params = params.subset(lambda name: name.startswith(prefix + "."))
         self.schedule = DiffusionSchedule(cfg.t_diff, cfg.beta_max) \
             if cfg.kind in ("diffusion",) else None
@@ -222,7 +222,7 @@ class Head:
         g = self._eval_graphs.get(rows)
         if g is None:
             g = G.Graph()
-            leaves = G.declare(g, self._own_params.bindings())
+            leaves = G.declare(g, self._own_params)
             inp = g.leaf("inp", (rows, self.cfg.input_dim))
             cond = g.leaf("cond", (rows, self.cfg.cond_dim))
             g.set_output(build_head(self.cfg, leaves, self.prefix, inp, cond))
@@ -235,13 +235,11 @@ class Head:
         return G.evaluate(g, {"inp": inp, "cond": cond, **self._own_params.bindings()}).output
 
     def forward_with_jvp(self, inp, cond, d_inp, d_cond) -> tuple[np.ndarray, np.ndarray]:
-        """(output, directional derivative) from one forward sweep."""
+        """(output, directional derivative along the inputs, the weights held
+        fixed) from one forward sweep."""
         g = self._eval_graph(len(inp))
         bindings = {"inp": inp, "cond": cond, **self._own_params.bindings()}
-        tangents = {name: np.zeros_like(p.value) for name, p in self._own_params.items()}
-        tangents["inp"] = d_inp
-        tangents["cond"] = d_cond
-        return G.jvp(g, bindings, tangents)
+        return G.jvp(g, bindings, {"inp": d_inp, "cond": d_cond})
 
     # -- energy-head one-step latent (the spec'd single-sample entry point) --
     def energy_sample(self, context: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -392,12 +390,16 @@ class Head:
         # none. Rewrapping the key also takes the tests' one-key reference streams.
         noise = Stream(rng.key).child([f"step{k}" for k in range(len(taus) - 1)]) \
             .normal((rows, d))
+        # [context | time features]: every row has the same step time
+        cond = np.empty((rows, cfg.cond_dim))
+        cond[:, :-f] = context
+        feats = time_features(taus / cfg.t_diff, f)   # one row per step
         for k, tau in enumerate(taus):
             lo = taus[k + 1] if k + 1 < len(taus) else 0
             ab_hi = sched.alphabar[tau]
             ab_lo = sched.alphabar[lo]
-            feats = time_features(np.full(rows, tau / cfg.t_diff), f)
-            eps_hat = self.forward_values(z, np.concatenate([context, feats], axis=1))
+            cond[:, -f:] = feats[k]
+            eps_hat = self.forward_values(z, cond)
             x0 = (z - np.sqrt(1.0 - ab_hi) * eps_hat) / np.sqrt(ab_hi)
             x0 = np.clip(x0, -cfg.x0_clip, cfg.x0_clip)
             alpha_eff = ab_hi / ab_lo

@@ -143,7 +143,7 @@ class MarModel:
         self.backbone = Backbone(cfg, seed)
         self.backbone.register(self.params, seed)
         self.head = Head(cfg.head_config(), seed, prefix="head", params=self.params)
-        # backbone passes declare, bind and check only the backbone's weights
+        # backbone passes declare and bind only the backbone's weights
         self._backbone_params = self.params.subset(
             lambda name: name.startswith(self.backbone.prefix + "."))
         self._repr_graphs: dict[int, G.Graph] = {}
@@ -156,7 +156,7 @@ class MarModel:
         if g is None:
             cfg = self.cfg
             g = G.Graph()
-            leaves = G.declare(g, self._backbone_params.bindings())
+            leaves = G.declare(g, self._backbone_params)
             latents = g.leaf("latents", (bsz, cfg.seq_len, cfg.latent_dim))
             mask = g.leaf("mask", (bsz, cfg.seq_len, 1))
             onehot = g.leaf("onehot", (bsz, cfg.n_classes + 1))
@@ -190,8 +190,8 @@ class MarModel:
         cfg = self.cfg
         rows = bsz * cfg.seq_len
         g = G.Graph()
-        leaves = {**G.declare(g, self._backbone_params.bindings(), grad=not frozen_backbone),
-                  **G.declare(g, self.head._own_params.bindings(), grad=True)}
+        leaves = {**G.declare(g, self._backbone_params, grad=not frozen_backbone),
+                  **G.declare(g, self.head._own_params, grad=True)}
         data = G.declare(g, {k: v for k, v in bindings.items() if k not in leaves})
         h = self.backbone.build(leaves, data["latents"], data["mask"], data["onehot"])
         h_rows = G.reshape(h, (rows, cfg.hidden_dim))

@@ -10,8 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist, pdist
+
+# scipy is imported by the functions that use it: importing it costs most of
+# the import time of escore.cli, and most verbs never score
 
 WASSERSTEIN_SIZE_CAP = 2048
 MEDIAN = "median"
@@ -62,6 +63,7 @@ def _cross_sum(x: np.ndarray, y: np.ndarray) -> float:
     """Sum of Euclidean distances over all (i, j) pairs, in fixed block order."""
     if x.shape[1] == 1:
         return _pair_sum_1d(x[:, 0], y[:, 0])
+    from scipy.spatial.distance import cdist
     rows = max(1, _CROSS_BLOCK // max(len(y), 1))
     totals = 0.0
     for start in range(0, len(x), rows):
@@ -76,22 +78,32 @@ def _within_sum(x: np.ndarray) -> float:
     if x.shape[1] == 1:
         return _within_sum_1d(x[:, 0])
     if len(x) * len(x) <= _CROSS_BLOCK:
+        from scipy.spatial.distance import pdist
         return 2.0 * float(pdist(x).sum())
     return _cross_sum(x, x)   # diagonal contributes zeros
 
 
-def energy_statistic(x, y, cfg: EnergyEstimatorConfig = EnergyEstimatorConfig()) -> float:
-    """Plug-in energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| between samples."""
-    xp = _as_points("X", x)
-    yp = _as_points("Y", y)
+def _energy_values(xp: np.ndarray, yp: np.ndarray, modes: tuple[str, ...]) -> list[float]:
+    """The energy statistic in each of ``modes``, from one computation of its
+    three pair sums."""
     if xp.shape[1] != yp.shape[1]:
         raise ValueError(f"dimension mismatch: {xp.shape[1]} vs {yp.shape[1]}")
     m, n = len(xp), len(yp)
-    if cfg.mode == "u" and (m < 2 or n < 2):
+    if "u" in modes and (m < 2 or n < 2):
         raise ValueError("U-mode estimator needs at least 2 points per set")
-    value = 2.0 * _cross_sum(xp, yp) / (m * n)
-    value -= _within_sum(xp) / (m * (m - 1) if cfg.mode == "u" else m * m)
-    value -= _within_sum(yp) / (n * (n - 1) if cfg.mode == "u" else n * n)
+    cross, within_x, within_y = _cross_sum(xp, yp), _within_sum(xp), _within_sum(yp)
+    values = []
+    for mode in modes:
+        value = 2.0 * cross / (m * n)
+        value -= within_x / (m * (m - 1) if mode == "u" else m * m)
+        value -= within_y / (n * (n - 1) if mode == "u" else n * n)
+        values.append(value)
+    return values
+
+
+def energy_statistic(x, y, cfg: EnergyEstimatorConfig = EnergyEstimatorConfig()) -> float:
+    """Plug-in energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| between samples."""
+    [value] = _energy_values(_as_points("X", x), _as_points("Y", y), (cfg.mode,))
     return value
 
 
@@ -112,6 +124,7 @@ def gaussian_energy_oracle(mu: float) -> float:
 
 
 def median_pairwise_distance(points: np.ndarray) -> float:
+    from scipy.spatial.distance import pdist
     d = pdist(np.asarray(points, dtype=np.float64))
     # d is this call's own buffer, so the median may partition it in place
     return float(np.median(d, overwrite_input=True)) if d.size else 0.0
@@ -124,6 +137,7 @@ def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:
     pooled set. Returns (mmd2, bandwidth_used). Symmetric in its arguments
     by canonical internal ordering.
     """
+    from scipy.spatial.distance import cdist
     xp = _as_points("X", x)
     yp = _as_points("Y", y)
     if xp.shape[1] != yp.shape[1]:
@@ -161,6 +175,8 @@ def wasserstein_assignment(x, y) -> float:
         raise ValueError(f"set sizes differ: {len(xp)} vs {len(yp)}")
     if len(xp) > WASSERSTEIN_SIZE_CAP:
         raise ValueError(f"size {len(xp)} exceeds cap {WASSERSTEIN_SIZE_CAP}")
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
     cost = cdist(xp, yp)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
@@ -213,6 +229,5 @@ def evaluate_samples(generated, reference, method: str, steps: int, seed: int,
     if "wsd" in names:
         wsd = wasserstein_assignment(gen, ref)
     if "energy" in names:
-        e_u = energy_statistic(gen, ref, EnergyEstimatorConfig(mode="u"))
-        e_v = energy_statistic(gen, ref, EnergyEstimatorConfig(mode="v"))
+        e_u, e_v = _energy_values(gen, ref, ("u", "v"))
     return MetricsReport(method, steps, seed, len(gen), mmd2, wsd, e_u, e_v, sigma)

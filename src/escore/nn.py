@@ -1,15 +1,15 @@
 """Neural building blocks on top of the graph engine.
 
 Parameters live in a :class:`ParameterSet` (values + Adam moments); a graph
-declares them as named leaves from :meth:`ParameterSet.bindings`
-(:func:`graph.declare`), so one set of weights can drive any number of
-differently-shaped graphs. Initialization is a pure function of (seed,
-parameter name).
+declares them as named weight leaves (:func:`graph.declare`), so one set of
+weights can drive any number of differently-shaped graphs. A weight is
+checked for NaN/Inf where it is written, not by every graph run that reads
+it. Initialization is a pure function of (seed, parameter name).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -29,17 +29,28 @@ class TrainingError(RuntimeError):
     head kind and the step."""
 
 
-@dataclass
 class Parameter:
-    name: str
-    value: np.ndarray
-    m: np.ndarray = field(default=None)  # type: ignore[assignment]
-    v: np.ndarray = field(default=None)  # type: ignore[assignment]
+    """One weight and its Adam moments. Assigning a value checks it: a NaN or
+    Inf raises :class:`graph.NonFiniteError` naming the parameter."""
 
-    def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=np.float64)
-        self.m = np.zeros_like(self.value)
-        self.v = np.zeros_like(self.value)
+    __slots__ = ("name", "_value", "m", "v")
+
+    def __init__(self, name: str, value: np.ndarray):
+        self.name = name
+        self.value = value
+        self.m = np.zeros_like(self._value)
+        self.v = np.zeros_like(self._value)
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._value
+
+    @value.setter
+    def value(self, value) -> None:
+        value = np.asarray(value, dtype=np.float64)
+        if not np.isfinite(value).all():
+            raise G.NonFiniteError(f"parameter {self.name!r} is non-finite")
+        self._value = value
 
 
 class ParameterSet:
@@ -76,7 +87,8 @@ class ParameterSet:
     def assign(self, values: dict[str, np.ndarray], source) -> None:
         """Sets every parameter from a loaded checkpoint, strictly: the names
         must match exactly and each shape must equal the registered one.
-        Raises ValueError naming ``source`` and the offending parameter."""
+        Raises ValueError naming ``source`` and the offending parameter, or
+        graph.NonFiniteError naming a parameter whose value is non-finite."""
         missing = [name for name in self._params if name not in values]
         if missing:
             raise ValueError(f"{source}: checkpoint has no value for parameter {missing[0]!r}"
@@ -91,7 +103,10 @@ class ParameterSet:
                 raise ValueError(f"{source}: parameter {name!r} has shape {arr.shape}, "
                                  f"expected {expected}")
         for name, arr in values.items():
-            self._params[name].value = arr
+            try:
+                self._params[name].value = arr
+            except G.NonFiniteError as exc:
+                raise G.NonFiniteError(f"{source}: {exc}") from None
 
     def subset(self, keep) -> "ParameterSet":
         """View over selected parameters (shared Parameter objects)."""
@@ -222,7 +237,9 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], lr: float,
               weight_decay: float = 0.01, t: int = 1) -> None:
     """Bias-corrected Adam with decoupled weight decay, in place.
 
-    Aborts (leaving parameters untouched) if any gradient is non-finite.
+    Aborts (leaving parameters untouched) if any gradient is non-finite, and
+    raises :class:`graph.NonFiniteError` naming the first parameter whose
+    update overflowed.
     """
     if t < 1:
         raise ValueError("step index t must be >= 1")
@@ -243,9 +260,11 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], lr: float,
         p.v += (1.0 - beta2) * (g * g)
         denom = np.sqrt(p.v / c2)
         denom += eps
+        value = p.value
         if weight_decay:
-            p.value *= 1.0 - lr * weight_decay
-        p.value -= (lr / c1) * (p.m / denom)
+            value *= 1.0 - lr * weight_decay
+        value -= (lr / c1) * (p.m / denom)
+        p.value = value   # the finiteness check
 
 
 def save_checkpoint(path, params: ParameterSet, *, config_digest: str = "",

@@ -53,7 +53,7 @@ class ToyHeadModel:
         if self._train_graph is not None and self._train_graph[0] == batch:
             return self._train_graph[1]
         g = G.Graph()
-        leaves = G.declare(g, self.params.bindings(), grad=True)
+        leaves = G.declare(g, self.params, grad=True)
         data = G.declare(g, aux)
         ctx = G.broadcast_to(leaves["context"], (batch, self.cfg.context_dim))
         rows = build_loss_rows(self.cfg, leaves, self.head.prefix, ctx, data)

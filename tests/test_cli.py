@@ -218,7 +218,23 @@ def test_mistyped_config_value_fails_before_any_output(tmp_path, capsys, overrid
     ("compare.multi_steps=[4,0]", "'compare.multi_steps' must be integers >= 1, got [4, 0]"),
     ("compare.steps_by_method.flow=0",
      "config key 'compare.steps_by_method.flow' must be an integer >= 1, got 0"),
-], ids=["width", "batch", "warmup", "list-item", "nested-table"])
+    ("train.lr=-1", "train.lr must be a number > 0, got -1"),
+    ("mar_train.lr=0", "mar_train.lr must be a number > 0, got 0"),
+    ("train.lr=NaN", "train.lr must be a finite number, got nan"),
+    ("train.weight_decay=-0.1", "train.weight_decay must be a number >= 0, got -0.1"),
+    ("mar_train.weight_decay=-1", "mar_train.weight_decay must be a number >= 0, got -1"),
+    ("mar.p_drop=1.5", "mar.p_drop must be a number in [0, 1), got 1.5"),
+    ("mar.p_drop=1", "mar.p_drop must be a number in [0, 1), got 1"),
+    ("mar.mask_lo=0", "mar.mask_lo must be a number in (0, 1], got 0"),
+    ("mar.mask_hi=1.2", "mar.mask_hi must be a number in (0, 1], got 1.2"),
+    ("mar.mask_hi=0.5", "mar.mask_lo must be <= mar.mask_hi, got 0.7 > 0.5"),
+    ("mar_train.lambda=-0.5", "mar_train.lambda must be a number >= 0, got -0.5"),
+    ("decode.cfg_scale=Infinity", "decode.cfg_scale must be a finite number, got inf"),
+    ("data.noise_sigma=-0.01", "data.noise_sigma must be a number >= 0, got -0.01"),
+    ("data.jitter=-1", "data.jitter must be a number >= 0, got -1"),
+], ids=["width", "batch", "warmup", "list-item", "nested-table", "lr", "mar-lr", "lr-nan",
+        "weight-decay", "mar-weight-decay", "p-drop", "p-drop-one", "mask-lo", "mask-hi",
+        "mask-lo-above-hi", "lambda", "cfg-scale-inf", "noise-sigma", "jitter"])
 def test_out_of_range_config_value_fails_before_any_output(tmp_path, capsys, override, cause):
     out = tmp_path / "run"
     rc = main(["train-head", "--method", "energy", "--out", str(out)] + TINY_HEAD
@@ -226,6 +242,28 @@ def test_out_of_range_config_value_fails_before_any_output(tmp_path, capsys, ove
     err = capsys.readouterr().err
     assert rc == 1 and cause in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["shortcut", "meanflow"])
+def test_mar_head_kind_that_cannot_train_fails_before_any_output(tmp_path, capsys, kind):
+    out = tmp_path / "run"
+    rc = main(["train-mar", "--role", "student", "--out", str(out), "--set",
+               f"mar.head_kind={kind}"] + TINY_MAR)
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert (f"mar.head_kind must be one of ('energy', 'diffusion', 'flow'), the head kinds "
+            f"MAR can train, got '{kind}'") in err
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    import subprocess
+    import sys
+    code = "import sys, escore.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_config_counts_are_at_least_one_but_seeds_and_warmups():

@@ -318,8 +318,8 @@ def _same_bits(a, b) -> bool:
 class _NoGradGraph(G.Graph):
     """A graph whose leaves never take a gradient, so its runs are output-only."""
 
-    def leaf(self, name, shape, grad=False):
-        return super().leaf(name, shape)
+    def leaf(self, name, shape, grad=False, weight=False):
+        return super().leaf(name, shape, weight=weight)
 
 
 def _reference_output(g, pt, output=None):
@@ -448,6 +448,17 @@ def test_output_only_evaluation_holds_only_the_output():
     assert _same_bits(out, run.output)
 
 
+def _release_lists(g, out):
+    """Per node up to ``out``, the slots its plan drops after it: ``(kept,
+    free)``, ``kept`` None for an output-only plan."""
+    plan = G._plan(g, out)
+    free, kept = [()] * (out.nid + 1), [()] * (out.nid + 1)
+    for step in plan.steps:
+        assert step.rule is G._RULES[step.node.kind] and step.ins == step.node.inputs
+        free[step.slot], kept[step.slot] = step.free, step.kept
+    return (kept if plan.retained else None), free
+
+
 def test_release_plan_frees_each_value_after_its_last_reader():
     g = G.Graph()
     x = g.leaf("x", (2,))
@@ -455,15 +466,15 @@ def test_release_plan_frees_each_value_after_its_last_reader():
     z = x * y
     G.scale(x, 2.0)               # read by nothing: freed right after it is made
     g.set_output(G.total(z))
-    assert G._release_plan(g, g.output) == (None, [(), (), (1,), (0, 3), (2,)])
-    assert G._release_plan(g, g.output) is G._release_plan(g, g.output)
-    assert G._release_plan(g, z) == (None, [(), (), (0, 1)])
+    assert _release_lists(g, g.output) == (None, [(), (), (1,), (0, 3), (2,)])
+    assert G._plan(g, g.output) is G._plan(g, g.output)
+    assert _release_lists(g, z) == (None, [(), (), (0, 1)])
     g = G.Graph()
     x = g.leaf("x", (2,), grad=True)
     z = x * G.silu(x)             # mul keeps its inputs, silu its output
     g.set_output(G.total(G.scale(z, 2.0)))
-    assert G._release_plan(g, g.output) == ([(), (), (), (2,), (3,)],
-                                            [(), (), (0, 1), (2,), (3,)])
+    assert _release_lists(g, g.output) == ([(), (), (), (2,), (3,)],
+                                           [(), (), (0, 1), (2,), (3,)])
 
 
 def _arrays(args):
@@ -519,7 +530,7 @@ def test_kernels_never_write_into_their_inputs(grad, monkeypatch):
         G.jvp(g, {"x": x}, {"x": np.ones((3, 5))})
         assert {part for _, part in called} == {"forward", "backward", "jvp"}
         held = {nid for nid, v in enumerate(run.values) if v is not None}
-        assert held == G._retained(g, g.output)
+        assert held == _expected_retained(g, g.output)
         for nid, (value, cache) in zip(computed, produced):
             if nid in held:
                 assert _same_bits(run.values[nid], value)
@@ -614,6 +625,99 @@ def test_lean_sweeps_equal_reference_on_mar_train_graph(head_kind):
     _assert_matches_reference(g, pt, _tangents(pt, Stream.from_seed(4, "mar")))
 
 
+# ---------------------------------------------------------------------------
+# weight leaves: checked where they are written, with zero tangents in jvp
+
+def _head_point(kind, rows, seed):
+    """A head with random weights, its eval graph and a binding of each leaf."""
+    head = heads.Head(heads.HeadConfig(kind=kind, width=16, depth=2), seed=0)
+    _randomize(head.params, seed)
+    s = Stream.from_seed(seed, f"point/{kind}")
+    pt = {"inp": s.child("inp").normal((rows, head.cfg.input_dim)),
+          "cond": s.child("cond").normal((rows, head.cfg.cond_dim)), **head.params.bindings()}
+    return head, head._eval_graph(rows), pt
+
+
+def test_inference_evaluate_checks_finiteness_on_data_leaves_only():
+    _, g, pt = _head_point("diffusion", 4, 0)
+    assert [n for n, leaf in g.leaves.items() if not leaf.attrs["weight"]] == ["inp", "cond"]
+    weight = pt["head.block0.fc1.w"].copy()
+    weight[0, 0] = np.nan
+    # a NaN weight shows only in the output: no run checks a weight's values
+    with pytest.raises(G.NonFiniteError, match=r"output of node #\d+ \(affine\)"):
+        G.evaluate(g, {**pt, "head.block0.fc1.w": weight})
+    with pytest.raises(G.GraphError, match="leaf 'head.block0.fc1.w': bound shape"):
+        G.evaluate(g, {**pt, "head.block0.fc1.w": weight[:1]})
+    for name in ("inp", "cond"):
+        bad = pt[name].copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(G.NonFiniteError, match=f"leaf '{name}': non-finite binding"):
+            G.evaluate(g, {**pt, name: bad})
+
+
+@pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+def test_jvp_without_weight_tangents_equals_explicit_zero_tangents(kind):
+    head, g, pt = _head_point(kind, 5, 1)
+    s = Stream.from_seed(1, f"tangent/{kind}")
+    tangents = {k: s.child(k).normal(pt[k].shape) for k in ("inp", "cond")}
+    zeros = {name: np.zeros_like(v) for name, v in head.params.bindings().items()}
+    out, tan = G.jvp(g, pt, tangents)
+    out0, tan0 = G.jvp(g, pt, {**tangents, **zeros})
+    assert _same_bits(out, out0) and _same_bits(tan, tan0)
+    values, aux = R.evaluate(g, pt)
+    assert _same_bits(tan, R.jvp(g, values, aux, {**tangents, **zeros}))
+    with pytest.raises(G.GraphError, match="missing tangents for influencing leaves: .'cond'."):
+        G.jvp(g, pt, {"inp": tangents["inp"]})
+
+
+ZERO_TANGENT_OPS = {   # name -> (op, shape of a, shape of b)
+    "matmul": (G.matmul, (3, 4), (4, 2)),
+    "multiply": (G.multiply, (3, 4), (3, 4)),
+    "add": (G.add, (3, 4), (3, 4)),
+    "concatenate": (lambda a, b: G.concat([a, b], axis=1), (3, 2), (3, 3)),
+    "affine": (lambda a, b: G.affine(a, b, b.graph.leaves["bias"]), (3, 4), (4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TANGENT_OPS))
+@pytest.mark.parametrize("weights", [("a",), ("b",), ("a", "b")])
+def test_jvp_skips_the_terms_of_weights_without_tangents(name, weights):
+    """A weight on either side (for affine, and the bias) with its tangent
+    omitted gives the bits of an explicit zero tangent."""
+    op, sa, sb = ZERO_TANGENT_OPS[name]
+    s = Stream.from_seed(2, f"zero/{name}")
+    pt = {"a": s.child("a").normal(sa), "b": s.child("b").normal(sb),
+          "bias": s.child("bias").normal((sb[-1],))}
+    params = nn.ParameterSet()
+    for w in weights + ("bias",):
+        params.add(w, pt[w])
+    g = G.Graph()
+    leaves = {**G.declare(g, {k: v for k, v in pt.items() if k not in params}),
+              **G.declare(g, params)}
+    g.set_output(verify._mix_reduce(g, op(leaves["a"], leaves["b"]), s))
+    tangents = {k: s.child("tan/" + k).normal(v.shape) for k, v in pt.items()
+                if k not in params}
+    zeros = {k: np.zeros_like(pt[k]) for k in params.names()}
+    out, tan = G.jvp(g, pt, tangents)
+    out0, tan0 = G.jvp(g, pt, {**tangents, **zeros})
+    assert _same_bits(out, out0) and _same_bits(tan, tan0)
+    if not tangents:   # every leaf is a weight: the tangent is a structural zero
+        assert _same_bits(tan, np.zeros(()))
+
+
+def test_forward_with_jvp_binds_no_weight_tangents(monkeypatch):
+    head, _, pt = _head_point("meanflow", 3, 2)
+    bound, jvp = [], G.jvp
+
+    def spy(graph, bindings, tangents, output=None):
+        bound.append(sorted(tangents))
+        return jvp(graph, bindings, tangents, output)
+
+    monkeypatch.setattr(G, "jvp", spy)
+    head.forward_with_jvp(pt["inp"], pt["cond"], pt["inp"], pt["cond"])
+    assert bound == [["cond", "inp"]]
+
+
 def _expected_retained(g, out):
     """The retention table, spelled out per node kind."""
     held = set()
@@ -678,7 +782,7 @@ def test_graphs_choose_output_only_or_retained_runs(kind):
     pt = {**model.params.bindings(), **aux}
     g = model._loss_graph(aux)
     run = G.evaluate(g, pt)
-    assert run.aux is not None and _held(run) == G._retained(g, g.output)
+    assert run.aux is not None and _held(run) == _expected_retained(g, g.output)
 
 
 def test_backbone_runs_output_only_and_mar_train_graph_retained():
@@ -694,7 +798,7 @@ def test_backbone_runs_output_only_and_mar_train_graph_retained():
     assert run.aux is None and _held(run) == {g.output.nid}
     g, _, pt = _mar_train_graph()
     run = G.evaluate(g, pt)
-    assert run.aux is not None and _held(run) == G._retained(g, g.output)
+    assert run.aux is not None and _held(run) == _expected_retained(g, g.output)
 
 
 def test_declare_makes_one_leaf_per_binding():

@@ -248,3 +248,20 @@ def test_metrics_report_csv_row():
     assert len(fields) == len(metrics.MetricsReport.CSV_HEADER.split(","))
     assert fields[0] == "energy" and fields[1] == "1" and fields[2] == "7"
     assert float(fields[4]) == rep.mmd   # shortest round-trip decimals
+
+
+@pytest.mark.parametrize("shape", [(40, 2), (40, 1)])
+def test_eval_computes_the_energy_pair_sums_once(monkeypatch, shape):
+    gen = Stream.from_seed(3, "g").normal(shape)
+    ref = Stream.from_seed(3, "r").normal(shape) + 0.5
+    expect = [energy_statistic(gen, ref, cfg) for cfg in (U_CFG, V_CFG)]
+    calls, cross_sum = [], metrics._cross_sum
+
+    def counted(x, y):
+        calls.append(len(x))
+        return cross_sum(x, y)
+
+    monkeypatch.setattr(metrics, "_cross_sum", counted)
+    rep = metrics.evaluate_samples(gen, ref, "energy", 1, 0, names=("energy",))
+    assert [repr(rep.energy_u), repr(rep.energy_v)] == list(map(repr, expect))   # bit for bit
+    assert calls == [40]

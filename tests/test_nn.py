@@ -245,6 +245,39 @@ def test_adam_non_finite_gradient_aborts_with_name():
     assert np.array_equal(params["bad"].value, before)
 
 
+def test_adam_update_that_overflows_fails_naming_the_parameter():
+    params = nn.ParameterSet()
+    params.add("ok", np.ones(2))
+    params.add("huge", np.array([-1.79e308, 1.0]))
+    with np.errstate(over="ignore"), pytest.raises(G.NonFiniteError, match="parameter 'huge'"):
+        nn.adam_step(params, {"ok": np.zeros(2), "huge": np.ones(2)}, lr=1e307,
+                     weight_decay=0.0, t=1)   # a step of -1e307 past the largest float
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weight_writers_reject_non_finite_values_naming_the_parameter(bad):
+    params = nn.ParameterSet()
+    with pytest.raises(G.NonFiniteError, match="parameter 'w'"):
+        params.add("w", np.array([1.0, bad]))
+    params.add("v", np.ones(2))
+    with pytest.raises(G.NonFiniteError, match="parameter 'v'"):
+        params["v"].value = np.array([bad, 0.0])
+    with pytest.raises(G.NonFiniteError, match="ck: parameter 'v'"):
+        params.assign({"v": np.array([0.0, bad])}, "ck")
+    assert np.array_equal(params["v"].value, np.ones(2))
+
+
+def test_loading_a_checkpoint_with_a_nan_weight_fails_naming_it(tmp_path):
+    from escore.heads import HeadConfig
+    from escore.swiss import ToyHeadModel
+    model = ToyHeadModel(HeadConfig(kind="flow", width=8, depth=1), seed=0)
+    model.params["head.block0.fc1.w"].value[1, 2] = np.nan   # in place: not checked
+    path = tmp_path / "head.ckpt"
+    model.save(path)
+    with pytest.raises(G.NonFiniteError, match=f"{path}: parameter 'head.block0.fc1.w'"):
+        ToyHeadModel.load(path)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     params = nn.ParameterSet()
     params.add("a.w", Stream.from_seed(0, "a").normal((3, 2)))

@@ -129,16 +129,27 @@ def _format_cell(v) -> str:
 
 
 def read_points_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Returns the x* columns as an (n, d) array plus the full header."""
+    """Returns the x* columns as an (n, d) array plus the full header.
+
+    A file without data rows, or with a NaN or infinite cell, is a ValueError
+    naming the file (and the row), so no caller has to guess at the cause.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = list(reader)
     dims = [i for i, name in enumerate(header) if name.startswith("x") and name[1:].isdigit()]
     if not dims:
         raise ValueError(f"{path}: no x0,x1,... columns in header {header}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
     try:
         pts = np.array([[float(row[i]) for i in dims] for row in rows], dtype=np.float64)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: malformed row ({exc})") from None
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{path}: non-finite value in data row {row + 1} (line {row + 2}): "
+                         f"{rows[row]}")
     return pts, header

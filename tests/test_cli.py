@@ -120,6 +120,36 @@ def test_eval_malformed_csv_names_problem(tmp_path, capsys):
     assert "x0" in capsys.readouterr().err
 
 
+def test_eval_header_only_csv_exits_1_naming_the_file(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x0,x1\n")
+    good = tmp_path / "good.csv"
+    data.write_points_csv(good, np.zeros((4, 2)))
+    rc = main(["eval", "--generated", str(empty), "--reference", str(good),
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    assert f"{empty}: no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metrics_flag", ["mmd", "wsd", "energy", "mmd,wsd,energy"])
+@pytest.mark.parametrize("bad_side", ["--generated", "--reference"])
+def test_eval_non_finite_cell_is_blamed_on_its_file(tmp_path, capsys, metrics_flag, bad_side):
+    good = tmp_path / "good.csv"
+    data.write_points_csv(good, gaussian_source(8, 2, seed=1).points)
+    bad = tmp_path / "bad.csv"
+    pts = gaussian_source(8, 2, seed=2).points
+    pts[5, 1] = np.nan
+    data.write_points_csv(bad, pts)
+    files = {"--generated": good, "--reference": good, bad_side: bad}
+    out = tmp_path / "m.csv"
+    rc = main(["eval", "--generated", str(files["--generated"]),
+               "--reference", str(files["--reference"]), "--out", str(out),
+               "--metrics", metrics_flag])
+    assert rc == 1
+    assert f"{bad}: non-finite value in data row 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_unknown_metric_name(tmp_path, capsys):
     good = tmp_path / "g.csv"
     data.write_points_csv(good, np.zeros((4, 2)))

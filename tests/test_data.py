@@ -105,3 +105,19 @@ def test_csv_malformed_reports(tmp_path):
     path.write_text("x0,x1\n1.0,2.0\n3.0,oops\n")
     with pytest.raises(ValueError):
         data.read_points_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "x0,x1\n"])
+def test_csv_without_data_rows_names_the_file(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="empty.csv"):
+        data.read_points_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_csv_non_finite_cell_names_file_and_row(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x0,x1\n1.0,2.0\n3.0,{cell}\n5.0,6.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: non-finite value in data row 2 \(line 3\)"):
+        data.read_points_csv(path)

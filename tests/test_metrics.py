@@ -235,6 +235,79 @@ def test_wasserstein_errors():
         metrics.wasserstein_assignment(big, big)
 
 
+def _corners(n, seed, scale=4.0):
+    """n points drawn from the four corners (+-scale, +-scale): exact repeats,
+    as clipped one-step diffusion samples give."""
+    signs = np.where(Stream.from_seed(seed, "corners").uniform((n, 2)) < 0.5, -1.0, 1.0)
+    return scale * signs
+
+
+def test_wasserstein_with_repeats_matches_exhaustive_search():
+    s = Stream.from_seed(7, "pts")
+    for trial in range(30):
+        n = 2 + trial % 5
+        x = _corners(n, trial, scale=1.0)
+        y = s.child(f"y{trial}").normal((n, 2))
+        if trial % 3 == 0:
+            y[1:] = y[0]   # both sets repeat
+        for a, b in ((x, y), (y, x)):
+            assert metrics.wasserstein_assignment(a, b) == pytest.approx(
+                brute_wasserstein(a, b), abs=1e-12)
+
+
+def test_wasserstein_with_repeats_matches_plain_solve_at_n512():
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+    x = _corners(512, 1)
+    y = Stream.from_seed(1, "y").normal((512, 2))
+    assert len(np.unique(x, axis=0)) == 4
+    cost = cdist(x, y)
+    plain = cost[linear_sum_assignment(cost)].mean()
+    assert metrics.wasserstein_assignment(x, y) == pytest.approx(plain, rel=1e-12, abs=0)
+    assert metrics.wasserstein_assignment(y, x) == pytest.approx(plain, rel=1e-12, abs=0)
+
+
+def test_wasserstein_is_exactly_symmetric_when_distinct_counts_differ():
+    for seed in range(5):
+        x = _corners(64, seed)
+        x[:8] = Stream.from_seed(seed, "x").normal((8, 2))
+        y = Stream.from_seed(seed, "y").normal((64, 2))
+        assert metrics.wasserstein_assignment(x, y) == metrics.wasserstein_assignment(y, x)
+
+
+@pytest.mark.parametrize("first", ["repeated", "distinct"])
+def test_wasserstein_solves_with_repeated_set_in_columns(monkeypatch, first):
+    import scipy.optimize
+    from scipy.spatial.distance import cdist
+    rep = _corners(48, 2)
+    pts = Stream.from_seed(2, "pts").normal((48, 2))
+    seen, solve = [], scipy.optimize.linear_sum_assignment
+
+    def spy(cost):
+        seen.append(cost)
+        return solve(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    args = (rep, pts) if first == "repeated" else (pts, rep)
+    metrics.wasserstein_assignment(*args)
+    [cost] = seen
+    assert cost.flags.c_contiguous
+    assert np.array_equal(cost, cdist(pts, rep))   # distinct rows, repeated columns
+
+
+def test_eval_checks_wasserstein_sizes_before_any_metric(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed a metric for a pair the solve rejects")
+
+    monkeypatch.setattr(metrics, "mmd_gaussian", unreachable)
+    monkeypatch.setattr(metrics, "_energy_values", unreachable)
+    big = np.zeros((metrics.WASSERSTEIN_SIZE_CAP + 1, 2))
+    pairs = [(np.zeros((6, 2)), np.ones((7, 2)), "sizes differ"), (big, big, "exceeds cap")]
+    for gen, ref, cause in pairs:
+        with pytest.raises(ValueError, match=cause):
+            metrics.evaluate_samples(gen, ref, "m", 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # report row
 

@@ -129,24 +129,38 @@ def _format_cell(v) -> str:
 
 
 def read_points_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Returns the x* columns as an (n, d) array plus the full header.
+    """Returns the columns x0..x{d-1}, in that order wherever the header puts
+    them, as an (n, d) array plus the full header.
 
-    A file without data rows, or with a NaN or infinite cell, is a ValueError
-    naming the file (and the row), so no caller has to guess at the cause.
+    A header whose x columns repeat or skip an index, a file without data
+    rows, a row with more or fewer cells than the header (a blank line has
+    none), or a cell that is not a finite number is a ValueError naming the
+    file (and the row and line), so no caller has to guess at the cause.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = list(reader)
-    dims = [i for i, name in enumerate(header) if name.startswith("x") and name[1:].isdigit()]
+    dims = sorted((int(name[1:]), i) for i, name in enumerate(header)
+                  if name.startswith("x") and name[1:].isdecimal())
     if not dims:
         raise ValueError(f"{path}: no x0,x1,... columns in header {header}")
+    if [k for k, _ in dims] != list(range(len(dims))):
+        raise ValueError(f"{path}: header {header} must name x0..x{len(dims) - 1} once each")
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
-    try:
-        pts = np.array([[float(row[i]) for i in dims] for row in rows], dtype=np.float64)
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed row ({exc})") from None
+    columns = [i for _, i in dims]
+    values = []
+    for k, row in enumerate(rows):
+        where = f"data row {k + 1} (line {k + 2})"
+        if len(row) != len(header):
+            raise ValueError(f"{path}: {where} has {len(row)} cells, expected "
+                             f"{len(header)}: {row}")
+        try:
+            values.append([float(row[i]) for i in columns])
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric value in {where} ({exc})") from None
+    pts = np.array(values, dtype=np.float64)
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))

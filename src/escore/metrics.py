@@ -19,6 +19,8 @@ MEDIAN = "median"
 METRIC_NAMES = ("mmd", "wsd", "energy")   # energy gives energy_u and energy_v
 
 _CROSS_BLOCK = 4_000_000  # max pairwise entries materialized at once
+_MEDIAN_BLOCK = 1 << 18   # about the max pairwise distances the median holds at once
+_INF_KEY = 0x7FF0         # top 16 bits of +inf's bit pattern
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,62 @@ def gaussian_energy_oracle(mu: float) -> float:
     return 2.0 * folded_mean(abs(mu)) - 2.0 * folded_mean(0.0)
 
 
+def _distance_blocks(p: np.ndarray):
+    """The multiset of ``pdist(p)`` in blocks of about _MEDIAN_BLOCK distances:
+    for each row block, its distances to the later rows, then those within it.
+    scipy's pdist values equal cdist's bit for bit, so no block is masked."""
+    from scipy.spatial.distance import cdist, pdist
+    rows = max(1, _MEDIAN_BLOCK // max(len(p), 1))
+    for start in range(0, len(p), rows):
+        end = start + rows
+        yield cdist(p[start:end], p[end:]).ravel()
+        yield pdist(p[start:end])
+
+
 def median_pairwise_distance(points: np.ndarray) -> float:
-    from scipy.spatial.distance import pdist
-    d = pdist(np.asarray(points, dtype=np.float64))
-    # d is this call's own buffer, so the median may partition it in place
-    return float(np.median(d, overwrite_input=True)) if d.size else 0.0
+    """Median of the pairwise distances, bit for bit
+    ``float(np.median(pdist(points)))``, holding one block of distances at a
+    time instead of all n(n-1)/2 of them.
+
+    For non-negative doubles, the order of the bit patterns is the order of
+    the values. Pass 1 counts the distances of every block by the top 16 bits
+    of their patterns; the cumulative counts name the bins that hold the two
+    middle ranks. Pass 2 recomputes the blocks and keeps only the distances in
+    those bins. Partitioning the kept values at the two ranks, shifted by the
+    count below them, gives the exact middle values, averaged as np.median
+    averages them (one value when the count is odd). Fewer than two points
+    give 0.0, and a NaN distance gives NaN, as np.median does.
+    """
+    p = np.asarray(points, dtype=np.float64)
+    total = len(p) * (len(p) - 1) // 2
+    if total == 0:
+        return 0.0
+    counts = np.zeros(1 << 16, dtype=np.int64)
+    for d in _distance_blocks(p):
+        key = d.view(np.uint64)
+        key >>= 48   # in place: pass 1 needs only the keys
+        counts += np.bincount(key.view(np.int64), minlength=1 << 16)
+    # distances come out of arithmetic, so a NaN is quiet: its key is above +inf's
+    if counts[_INF_KEY + 1:].any():
+        return math.nan
+    cum = np.cumsum(counts)
+    ranks = ((total - 1) // 2, total // 2)
+    first, last = (int(b) for b in np.searchsorted(cum, ranks, side="right"))
+    below = int(cum[first - 1]) if first else 0
+    # the values of bins first..last; the +inf bin holds +inf alone
+    lo, hi = np.array([first << 48, min(((last + 1) << 48) - 1, _INF_KEY << 48)],
+                      dtype=np.uint64).view(np.float64)
+    kept = np.empty(int(cum[last]) - below)
+    filled = 0
+    for d in _distance_blocks(p):
+        inside = d >= lo
+        inside &= d <= hi
+        values = d[inside]
+        kept[filled:filled + len(values)] = values
+        filled += len(values)
+    i, j = ranks[0] - below, ranks[1] - below
+    kept.partition((i, j))
+    return float(np.mean(kept[i:j + 1]))
 
 
 def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:

@@ -131,6 +131,32 @@ def test_eval_header_only_csv_exits_1_naming_the_file(tmp_path, capsys):
     assert f"{empty}: no data rows" in capsys.readouterr().err
 
 
+def test_eval_blank_row_names_the_file_row_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x0,x1\n1,2\n\n3,4\n")
+    good = tmp_path / "good.csv"
+    data.write_points_csv(good, np.zeros((3, 2)))
+    rc = main(["eval", "--generated", str(bad), "--reference", str(good),
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    assert f"{bad}: data row 2 (line 3) has 0 cells, expected 2" in capsys.readouterr().err
+
+
+def test_eval_reads_point_columns_by_index(tmp_path, capsys):
+    swapped, plain = tmp_path / "swapped.csv", tmp_path / "plain.csv"
+    swapped.write_text("x1,x0\n2,1\n4,3\n6,5\n")
+    plain.write_text("x0,x1\n1,2\n3,4\n5,6\n")
+    rc = main(["eval", "--generated", str(swapped), "--reference", str(plain),
+               "--out", str(tmp_path / "m.csv"), "--metrics", "wsd"])
+    assert rc == 0
+    assert capsys.readouterr().out == "wsd=0.0\n"
+    swapped.write_text("x0,x0\n1,2\n")
+    rc = main(["eval", "--generated", str(swapped), "--reference", str(plain),
+               "--out", str(tmp_path / "m.csv"), "--metrics", "wsd"])
+    assert rc == 1
+    assert f"{swapped}: header ['x0', 'x0']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("metrics_flag", ["mmd", "wsd", "energy", "mmd,wsd,energy"])
 @pytest.mark.parametrize("bad_side", ["--generated", "--reference"])
 def test_eval_non_finite_cell_is_blamed_on_its_file(tmp_path, capsys, metrics_flag, bad_side):

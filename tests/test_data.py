@@ -103,7 +103,32 @@ def test_csv_extra_columns(tmp_path):
 def test_csv_malformed_reports(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x0,x1\n1.0,2.0\n3.0,oops\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad\.csv: non-numeric value in data row 2 \(line 3\)"):
+        data.read_points_csv(path)
+
+
+@pytest.mark.parametrize("row,cells", [("", 0), ("3.0", 1), ("3.0,4.0,", 3)])
+def test_csv_row_of_wrong_width_names_file_row_and_line(tmp_path, row, cells):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x0,x1\n1.0,2.0\n{row}\n5.0,6.0\n")
+    with pytest.raises(ValueError, match=rf"bad\.csv: data row 2 \(line 3\) has {cells} "
+                                         "cells, expected 2"):
+        data.read_points_csv(path)
+
+
+def test_csv_columns_are_read_in_index_order(tmp_path):
+    path = tmp_path / "swapped.csv"
+    path.write_text("position,x1,x0\n0,2.0,1.0\n1,4.0,3.0\n")
+    pts, header = data.read_points_csv(path)
+    assert np.array_equal(pts, [[1.0, 2.0], [3.0, 4.0]])
+    assert header == ["position", "x1", "x0"]
+
+
+@pytest.mark.parametrize("header", ["x0,x0", "x0,x2", "x1,x2"])
+def test_csv_header_must_name_each_index_once(tmp_path, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n1.0,2.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: header \[.*\] must name x0\.\.x1 once each"):
         data.read_points_csv(path)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_mmd_median_bandwidth_value():
     _, sigma = metrics.mmd_gaussian(x, y)
     pooled = np.concatenate([x, y])
     dists = [np.linalg.norm(a - b) for a, b in itertools.combinations(pooled, 2)]
-    assert sigma == pytest.approx(np.median(dists), abs=1e-15)
+    assert sigma == np.median(dists)
 
 
 def test_mmd_degenerate_bandwidth_errors():
@@ -306,6 +307,92 @@ def test_eval_checks_wasserstein_sizes_before_any_metric(monkeypatch):
     for gen, ref, cause in pairs:
         with pytest.raises(ValueError, match=cause):
             metrics.evaluate_samples(gen, ref, "m", 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# median bandwidth
+
+def numpy_median_distance(points):
+    from scipy.spatial.distance import pdist
+    return float(np.median(pdist(points)))
+
+
+@st.composite
+def median_cases(draw):
+    """Point sets of 1..300 points in 1-3 dimensions, spread, with exact
+    repeats or on a line, and a block size from one row to the default."""
+    n, d = draw(st.integers(1, 300)), draw(st.integers(1, 3))
+    pts = Stream.from_seed(draw(st.integers(0, 2 ** 32 - 1)), "pts").normal((n, d))
+    pts *= draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    shape = draw(st.sampled_from(["spread", "repeats", "collinear"]))
+    if shape == "repeats":
+        pts = pts[np.arange(n) % draw(st.integers(1, 8))]
+    elif shape == "collinear":
+        pts = pts[:, :1] * np.arange(1.0, d + 1.0) + 0.5
+    return pts, draw(st.sampled_from([1, 7, 64, metrics._MEDIAN_BLOCK]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(median_cases())
+def test_median_pairwise_distance_equals_numpy_median(case):
+    pts, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_MEDIAN_BLOCK", block)
+        value = metrics.median_pairwise_distance(pts)
+    expect = numpy_median_distance(pts) if len(pts) > 1 else 0.0
+    assert value == expect and type(value) is float
+
+
+def _pooled_4096(kind):
+    ref = Stream.from_seed(11, "ref").normal((2048, 2))
+    if kind == "near":
+        gen = ref[::-1] + 0.1 * Stream.from_seed(11, "gen").normal((2048, 2))
+    else:   # 29 distinct points, almost all on four corners
+        gen = _corners(2048, 11)
+        gen[:25] = Stream.from_seed(11, "gen").normal((25, 2))
+        assert len(np.unique(gen, axis=0)) == 29
+    return np.concatenate([gen, ref])
+
+
+@pytest.mark.parametrize("kind", ["near", "repeated"])
+def test_median_pairwise_distance_at_4096_points_equals_numpy_median(kind):
+    pts = _pooled_4096(kind)
+    assert metrics.median_pairwise_distance(pts) == numpy_median_distance(pts)
+
+
+def test_median_pairwise_distance_of_non_finite_points_is_numpy_median():
+    pts = Stream.from_seed(12, "pts").normal((9, 2))
+    with np.errstate(invalid="ignore"):
+        for bad, rows in (([np.nan, 0.0], [1]), ([np.inf, 0.0], [1, 4])):   # inf - inf is NaN
+            nan_set = pts.copy()
+            nan_set[rows] = bad
+            assert np.isnan(numpy_median_distance(nan_set))
+            assert np.isnan(metrics.median_pairwise_distance(nan_set))
+            with pytest.raises(ValueError, match="degenerate kernel bandwidth nan"):
+                metrics.mmd_gaussian(nan_set[:4], nan_set[4:])
+    for n in (9, 3):   # one inf point: 8 of 36 distances are inf, then 2 of 3
+        far = pts[:n].copy()
+        far[0, 0] = np.inf
+        assert metrics.median_pairwise_distance(far) == numpy_median_distance(far)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_holds_no_buffer_beyond_the_solve_cost():
+    """The median holds one block of distances at a time, so eval's largest
+    buffer is the n x n cost of the Wasserstein solve (32 MiB at the cap)."""
+    pts = _pooled_4096("repeated")
+    gen, ref = pts[:2048], pts[2048:]
+    metrics.evaluate_samples(gen[:8], ref[:8], "m", 1, 0)   # imports scipy before tracing
+    assert _traced_peak(metrics.median_pairwise_distance, pts) < 32 * 2 ** 20
+    assert _traced_peak(metrics.evaluate_samples, gen, ref, "m", 1, 0) < 40 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from . import experiments, verify
+from . import experiments, metrics, verify
 from .config import ConfigError, resolve_config
 from .graph import NonFiniteError
 from .heads import HEAD_KINDS
@@ -85,12 +85,27 @@ def _number_or(word: str, value, number=float):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _bandwidth(text: str):
-    """Argument type of ``eval --bandwidth``: 'median' or a finite number > 0."""
+    """Argument type of ``eval --bandwidth``: 'median' or a finite number > 0
+    whose kernel factor -0.5 / bandwidth**2 is finite."""
     value = _number_or("median", "median")(text)
-    if value != "median" and not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be 'median' or a finite number > 0, got {text!r}")
+    if value != "median":
+        try:
+            metrics.kernel_factor(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be 'median' or a finite number > 0 with a finite "
+                f"-0.5 / bandwidth**2, got {text!r}") from None
     return value
 
 
@@ -148,7 +163,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--class", dest="class_id", type=_number_or("null", None, int),
                    default="0", help="class id, or 'null' for unconditional")
     p.add_argument("--iterations", type=_positive_int)
-    p.add_argument("--cfg", dest="cfg_scale", type=float)
+    p.add_argument("--cfg", dest="cfg_scale", type=_finite_float)
     p.add_argument("--schedule", choices=["cosine", "uniform"])
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)

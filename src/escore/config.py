@@ -7,6 +7,8 @@ import json
 import math
 from pathlib import Path
 
+from .metrics import kernel_factor
+
 
 class ConfigError(ValueError):
     """Unknown key or malformed override; message names the offender."""
@@ -188,6 +190,7 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
 
 def check_ranges(cfg: dict) -> None:
     """Every float value of :data:`_FLOAT_RANGES` is finite and in its range,
+    a numeric ``metrics.bandwidth`` has a finite kernel factor,
     ``mar.mask_lo <= mar.mask_hi``, and MAR can train ``mar.head_kind``."""
     for key, (in_range, words) in _FLOAT_RANGES.items():
         section, name = key.split(".")
@@ -196,6 +199,12 @@ def check_ranges(cfg: dict) -> None:
             raise ConfigError(f"{key} must be a finite number, got {value!r}")
         if not in_range(value):
             raise ConfigError(f"{key} must be a number {words}, got {value!r}")
+    bandwidth = cfg["metrics"]["bandwidth"]
+    if bandwidth != "median":
+        try:
+            kernel_factor(bandwidth)
+        except ValueError as exc:
+            raise ConfigError(f"metrics.bandwidth: {exc}") from None
     m = cfg["mar"]
     if m["mask_lo"] > m["mask_hi"]:
         raise ConfigError(f"mar.mask_lo must be <= mar.mask_hi, got {m['mask_lo']!r} > "

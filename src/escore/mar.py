@@ -5,6 +5,16 @@ at exactly those positions; decoding fills a fully-masked sequence over
 several parallel iterations. Classifier-free guidance happens at the
 representation level: conditional and null backbone outputs are combined
 linearly before the head ever runs.
+
+A decode iteration reads the backbone only at the positions it samples. Every
+token is a key and a value, so each pass runs every token up to the last
+block's attention mix; the last block's output half (its output projection,
+LN2 and MLP) then runs on the sampled rows only, one to three of each
+sequence's 18 tokens at the default sizes. Each of those rows is bit for bit
+the row a pass over every token gives, because a product of two or more rows
+rounds each row as the per-sequence product does. A one-row product takes
+BLAS's matrix-vector path and rounds differently, so a single row runs beside
+a copy of itself.
 """
 from __future__ import annotations
 
@@ -72,7 +82,8 @@ def cfg_combine(cond: np.ndarray, uncond: np.ndarray, scale: float) -> np.ndarra
         return cond.copy()
     if scale == 0.0:
         return uncond.copy()
-    return scale * cond + (1.0 - scale) * uncond
+    with np.errstate(over="ignore", invalid="ignore"):   # the caller checks the result
+        return scale * cond + (1.0 - scale) * uncond
 
 
 class Backbone:
@@ -104,6 +115,14 @@ class Backbone:
     def build(self, leaves: dict[str, G.Node], latents: G.Node, mask: G.Node,
               onehot: G.Node) -> G.Node:
         """(B, L, d) latents + (B, L, 1) mask + (B, C+1) one-hot -> (B, L, D)."""
+        x, mixed = self.attend(leaves, latents, mask, onehot)
+        return G.narrow(self.blocks[-1].finish(leaves, x, mixed), 1, PREFIX_TOKENS,
+                        self.cfg.seq_len)
+
+    def attend(self, leaves: dict[str, G.Node], latents: G.Node, mask: G.Node,
+               onehot: G.Node) -> tuple[G.Node, G.Node]:
+        """Every token up to the last block's attention mix: the residual
+        entering the last block and the mix, each (B, P + L, D)."""
         cfg, pre = self.cfg, self.prefix
         bsz, seq_len, _ = latents.shape
         dim = cfg.hidden_dim
@@ -118,9 +137,9 @@ class Backbone:
         x = G.concat([prefix, tok], axis=1)
         x = x + G.broadcast_to(leaves[f"{pre}.pos_embed"],
                                (bsz, seq_len + PREFIX_TOKENS, dim))
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block.build(leaves, x)
-        return G.narrow(x, 1, PREFIX_TOKENS, seq_len)
+        return x, self.blocks[-1].attend(leaves, x)
 
 
 def one_hot_classes(ids: np.ndarray, n_classes: int) -> np.ndarray:
@@ -143,16 +162,22 @@ class MarModel:
         self.backbone = Backbone(cfg, seed)
         self.backbone.register(self.params, seed)
         self.head = Head(cfg.head_config(), seed, prefix="head", params=self.params)
-        # backbone passes declare and bind only the backbone's weights
+        # backbone passes declare and bind only the backbone's weights, and
+        # the last block's output half only that block's
         self._backbone_params = self.params.subset(
             lambda name: name.startswith(self.backbone.prefix + "."))
-        self._repr_graphs: dict[int, G.Graph] = {}
+        last = self.backbone.blocks[-1].name + "."
+        self._finish_params = self.params.subset(lambda name: name.startswith(last))
+        self._front_graphs: dict[int, G.Graph] = {}
+        self._finish_graphs: dict[int, G.Graph] = {}
         self._train_graphs: dict = {}
         self.backbone_forwards = 0
 
     # -- backbone evaluation (no grad) ---------------------------------------
-    def _repr_graph(self, bsz: int) -> G.Graph:
-        g = self._repr_graphs.get(bsz)
+    def _front_graph(self, bsz: int) -> G.Graph:
+        """Latent tokens through the last block's attention: (B, L, 2D), the
+        residual and the mix side by side."""
+        g = self._front_graphs.get(bsz)
         if g is None:
             cfg = self.cfg
             g = G.Graph()
@@ -160,21 +185,48 @@ class MarModel:
             latents = g.leaf("latents", (bsz, cfg.seq_len, cfg.latent_dim))
             mask = g.leaf("mask", (bsz, cfg.seq_len, 1))
             onehot = g.leaf("onehot", (bsz, cfg.n_classes + 1))
-            g.set_output(self.backbone.build(leaves, latents, mask, onehot))
-            self._repr_graphs[bsz] = g
+            both = self.backbone.attend(leaves, latents, mask, onehot)
+            g.set_output(G.concat([G.narrow(n, 1, PREFIX_TOKENS, cfg.seq_len) for n in both],
+                                  axis=-1))
+            self._front_graphs[bsz] = g
         return g
 
-    def represent(self, latents: np.ndarray, masked: np.ndarray,
-                  class_ids: np.ndarray) -> np.ndarray:
-        """Run the backbone; latents at masked positions are ignored."""
+    def _finish_graph(self, rows: int) -> G.Graph:
+        """The last block's output half on (rows, 2D) front rows -> (rows, D)."""
+        g = self._finish_graphs.get(rows)
+        if g is None:
+            dim = self.cfg.hidden_dim
+            g = G.Graph()
+            leaves = G.declare(g, self._finish_params)
+            front = g.leaf("front", (rows, 2 * dim))
+            g.set_output(self.backbone.blocks[-1].finish(
+                leaves, G.narrow(front, 1, 0, dim), G.narrow(front, 1, dim, dim)))
+            self._finish_graphs[rows] = g
+        return g
+
+    def represent(self, latents: np.ndarray, masked: np.ndarray, class_ids: np.ndarray,
+                  positions: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """Run the backbone; latents at masked positions are ignored. Returns
+        (B, L, D) at every position, or (R, D) at the R (sequence, position)
+        pairs of the index arrays ``positions``: every token is a key and a
+        value, so all run up to the last block's attention mix, and the output
+        half runs on the returned rows only."""
         bsz = len(latents)
-        g = self._repr_graph(bsz)
         mask = masked.astype(np.float64)[..., None]
-        bindings = {"latents": latents * (1.0 - mask), "mask": mask,
-                    "onehot": one_hot_classes(class_ids, self.cfg.n_classes),
-                    **self._backbone_params.bindings()}
+        front = G.evaluate(self._front_graph(bsz), {
+            "latents": latents * (1.0 - mask), "mask": mask,
+            "onehot": one_hot_classes(class_ids, self.cfg.n_classes),
+            **self._backbone_params.bindings()}).output
+        rows = front.reshape(-1, front.shape[-1]) if positions is None else front[positions]
+        n = len(rows)
+        if n == 1:
+            # a one-row product takes BLAS's matrix-vector path, which rounds
+            # differently from the rows of a larger product: run a copy beside it
+            rows = np.repeat(rows, 2, axis=0)
+        out = G.evaluate(self._finish_graph(len(rows)),
+                         {"front": rows, **self._finish_params.bindings()}).output[:n]
         self.backbone_forwards += 1
-        return G.evaluate(g, bindings).output
+        return out.reshape(bsz, self.cfg.seq_len, -1) if positions is None else out
 
     # -- masked training ------------------------------------------------------
     def _train_graph(self, bindings: dict[str, np.ndarray], lam: float,
@@ -337,24 +389,26 @@ class MarModel:
         times_generated = np.zeros((n_seq, cfg.seq_len), dtype=int)
 
         for k, n_k in enumerate(counts):
-            # every sequence starts all-masked with the same class, so the
-            # first iteration runs the backbone on one row and shares it
-            rows = 1 if k == 0 else n_seq
-            h_cond = self.represent(latents[:rows], ~generated[:rows], ids[:rows])
-            if dcfg.guided:
-                h_null = self.represent(latents[:rows], ~generated[:rows],
-                                        np.full(rows, NULL_CLASS))
-                h = cfg_combine(h_cond, h_null, dcfg.cfg_scale)
-            else:
-                h = h_cond
-            h = np.broadcast_to(h, (n_seq,) + h.shape[1:])
             # every sequence has the same number of open positions
             open_pos = np.nonzero(~generated)[1].reshape(n_seq, -1)
             pick = seqs.child(f"iter/{k}/select") \
                 .sample_without_replacement(open_pos.shape[1], n_k)
             seq_idx = np.repeat(np.arange(n_seq), n_k)
             pos_idx = np.take_along_axis(open_pos, pick, axis=1).ravel()
-            ctx = h[seq_idx, pos_idx]
+            # every sequence starts all-masked with the same class, so the
+            # first iteration runs the backbone on one sequence and shares it;
+            # later ones finish the backbone at the picked positions only
+            rows = 1 if k == 0 else n_seq
+            at = None if k == 0 else (seq_idx, pos_idx)
+            h = self.represent(latents[:rows], ~generated[:rows], ids[:rows], at)
+            if dcfg.guided:
+                h_null = self.represent(latents[:rows], ~generated[:rows],
+                                        np.full(rows, NULL_CLASS), at)
+                h = cfg_combine(h, h_null, dcfg.cfg_scale)
+                if not np.isfinite(h).all():
+                    raise G.NonFiniteError(f"CFG scale {dcfg.cfg_scale!r} gives a non-finite "
+                                           f"guided representation at iteration {k}")
+            ctx = h[0, pos_idx] if k == 0 else h
             if energy:
                 out = self.head.energy_sample(ctx, noise[seq_idx, pos_idx])
             else:

@@ -183,6 +183,17 @@ def median_pairwise_distance(points: np.ndarray) -> float:
     return float(np.mean(kept[i:j + 1]))
 
 
+def kernel_factor(sigma: float) -> float:
+    """-0.5 / sigma**2, the factor of the RBF kernel's exponent. Raises
+    ValueError naming ``sigma`` unless it is a finite number > 0 whose factor
+    is finite too, which takes sigma above about 5.3e-155."""
+    if not (math.isfinite(sigma) and sigma > 0 and sigma * sigma > 0
+            and math.isfinite(-0.5 / (sigma * sigma))):
+        raise ValueError(f"kernel bandwidth {sigma!r} is not a finite number > 0 "
+                         "with a finite -0.5 / bandwidth**2")
+    return -0.5 / (sigma * sigma)
+
+
 def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:
     """Biased (V-statistic) squared MMD with RBF kernel exp(-r^2 / 2 sigma^2).
 
@@ -205,11 +216,12 @@ def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"degenerate kernel bandwidth {sigma!r} (pooled points "
                          "may be identical); pass an explicit bandwidth")
-    inv = -0.5 / (sigma * sigma)
+    inv = kernel_factor(sigma)
 
     def kernel_mean(a: np.ndarray, b: np.ndarray) -> float:
         k = cdist(a, b, "sqeuclidean")    # one buffer per kernel matrix
-        k *= inv
+        with np.errstate(over="ignore"):  # -inf where exp gives 0 anyway
+            k *= inv
         np.exp(k, out=k)
         return k.mean()
 

@@ -174,7 +174,11 @@ class AdaLnResBlock:
 
 @dataclass(frozen=True)
 class TransformerBlock:
-    """Pre-norm bidirectional attention + MLP residual block."""
+    """Pre-norm bidirectional attention + MLP residual block.
+
+    :meth:`build` is :meth:`finish` applied to :meth:`attend`. The output half
+    works row by row, so a caller that reads some tokens only can run it on
+    those rows alone."""
     name: str
     dim: int
     n_heads: int
@@ -209,6 +213,11 @@ class TransformerBlock:
         return ln * g + b
 
     def build(self, leaves: dict[str, G.Node], x: G.Node) -> G.Node:
+        return self.finish(leaves, x, self.attend(leaves, x))
+
+    def attend(self, leaves: dict[str, G.Node], x: G.Node) -> G.Node:
+        """The attention half: LN1, the q/k/v projections, softmax and the mix
+        of the values, (batch, seq, dim) -> (batch, seq, dim)."""
         if len(x.shape) != 3 or x.shape[-1] != self.dim:
             raise G.GraphError(f"{self.name}: expected (batch, seq, {self.dim}), "
                                f"got {x.shape}")
@@ -224,7 +233,11 @@ class TransformerBlock:
         v = split_heads(build_linear(leaves, f"{self.name}.wv", a))
         scores = G.scale(G.matmul(q, G.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         attn = G.softmax(scores)
-        mixed = G.reshape(G.transpose(G.matmul(attn, v), (0, 2, 1, 3)), (bsz, seq, self.dim))
+        return G.reshape(G.transpose(G.matmul(attn, v), (0, 2, 1, 3)), (bsz, seq, self.dim))
+
+    def finish(self, leaves: dict[str, G.Node], x: G.Node, mixed: G.Node) -> G.Node:
+        """The output half, row by row on any leading shape: the residual
+        ``x + wo(mixed)``, then LN2 and the MLP with their residual."""
         x = x + build_linear(leaves, f"{self.name}.wo", mixed)
         m = self._affine_ln(leaves, "ln2", x)
         mlp = build_linear(leaves, f"{self.name}.mlp2",

@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,9 +289,12 @@ def test_mistyped_config_value_fails_before_any_output(tmp_path, capsys, overrid
     ("decode.cfg_scale=Infinity", "decode.cfg_scale must be a finite number, got inf"),
     ("data.noise_sigma=-0.01", "data.noise_sigma must be a number >= 0, got -0.01"),
     ("data.jitter=-1", "data.jitter must be a number >= 0, got -1"),
+    ("metrics.bandwidth=-1", "metrics.bandwidth: kernel bandwidth -1 is not a finite number"),
+    ("metrics.bandwidth=1e-160", "metrics.bandwidth: kernel bandwidth 1e-160 is not a finite"),
 ], ids=["width", "batch", "warmup", "list-item", "nested-table", "lr", "mar-lr", "lr-nan",
         "weight-decay", "mar-weight-decay", "p-drop", "p-drop-one", "mask-lo", "mask-hi",
-        "mask-lo-above-hi", "lambda", "cfg-scale-inf", "noise-sigma", "jitter"])
+        "mask-lo-above-hi", "lambda", "cfg-scale-inf", "noise-sigma", "jitter",
+        "bandwidth-negative", "bandwidth-tiny"])
 def test_out_of_range_config_value_fails_before_any_output(tmp_path, capsys, override, cause):
     out = tmp_path / "run"
     rc = main(["train-head", "--method", "energy", "--out", str(out)] + TINY_HEAD
@@ -518,11 +522,16 @@ def test_gradcheck_points_below_one_is_usage_error(capsys, value):
     (["eval", "--generated", "{tmp}/g.csv", "--reference", "{tmp}/r.csv",
       "--bandwidth", "foo"], "--bandwidth"),
     *[(["eval", "--generated", "{tmp}/g.csv", "--reference", "{tmp}/r.csv",
-        "--bandwidth", value], "--bandwidth") for value in ("-1", "0", "nan", "inf")],
+        "--bandwidth", value], "--bandwidth")
+      for value in ("-1", "0", "nan", "inf", "1e-300", "1e-160")],
     (["sweep", "--param", "lambda", "--values", "a,b"], "--values"),
     (["sweep", "--param", "m", "--values", "2,2.5"], "--values"),
+    *[(["decode", "--ckpt", "{tmp}/mar.ckpt", "--cfg", value], "--cfg")
+      for value in ("nan", "inf", "-inf", "four")],
 ], ids=["decode-class", "eval-bandwidth", "eval-bandwidth-negative", "eval-bandwidth-zero",
-        "eval-bandwidth-nan", "eval-bandwidth-inf", "sweep-lambda", "sweep-m"])
+        "eval-bandwidth-nan", "eval-bandwidth-inf", "eval-bandwidth-underflow",
+        "eval-bandwidth-factor-overflow", "sweep-lambda", "sweep-m", "decode-cfg-nan",
+        "decode-cfg-inf", "decode-cfg-minus-inf", "decode-cfg-word"])
 def test_bad_flag_value_names_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(out)]
@@ -564,6 +573,24 @@ def test_decode_rejects_non_finite_weight_naming_the_leaf(tmp_path, capsys, para
                "--head-steps", "2", "--out", str(tmp_path / "dec")])
     assert rc == 2
     assert param in capsys.readouterr().err
+
+
+def test_decode_cfg_overflow_is_a_runtime_failure_naming_the_scale(tmp_path, capsys):
+    from escore.mar import MarConfig, MarModel
+    from escore.rng import Stream
+    model = MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                               head_width=16, head_depth=1), 0)
+    for name, p in model.params.items():
+        p.value = p.value + Stream.from_seed(0, name).normal(p.value.shape)
+    ckpt = tmp_path / "mar.ckpt"
+    model.save(ckpt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's overflow warnings are not printed
+        rc = main(["decode", "--ckpt", str(ckpt), "--n", "2", "--iterations", "2",
+                   "--cfg", "1e308", "--out", str(tmp_path / "dec")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "runtime failure: CFG scale 1e+308 gives a non-finite guided representation" in err
 
 
 def _config_edit(change):

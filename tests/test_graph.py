@@ -381,9 +381,10 @@ def test_output_only_equals_retained_on_backbone_graph(bsz, monkeypatch):
     latents = s.child("latents").normal((bsz, cfg.seq_len, cfg.latent_dim))
     masked = s.child("mask").uniform((bsz, cfg.seq_len)) < 0.5
     h = model.represent(latents, masked, np.arange(bsz) % cfg.n_classes)
-    [(run, full)] = runs
-    assert run.aux is None and run.output is h
-    assert _same_bits(h, full)
+    [(front, front_full), (run, full)] = runs   # the front, then the last block's output half
+    assert front.aux is None and _same_bits(front.output, front_full)
+    assert run.aux is None and _same_bits(run.output, full)
+    assert _same_bits(h.reshape(run.output.shape), full)
 
 
 def _reference_layer_norm(x):
@@ -790,11 +791,14 @@ def test_backbone_runs_output_only_and_mar_train_graph_retained():
                     head_width=16, head_depth=1)
     model = MarModel(cfg, seed=0)
     s = Stream.from_seed(0, "mode/mar")
-    g = model._repr_graph(2)
+    g = model._front_graph(2)
     run = G.evaluate(g, {"latents": s.child("latents").normal((2, cfg.seq_len, cfg.latent_dim)),
                          "mask": np.ones((2, cfg.seq_len, 1)),
                          "onehot": np.eye(cfg.n_classes + 1)[:2],
                          **model._backbone_params.bindings()})
+    assert run.aux is None and _held(run) == {g.output.nid}
+    g = model._finish_graph(3)
+    run = G.evaluate(g, {"front": run.output[0, :3], **model._finish_params.bindings()})
     assert run.aux is None and _held(run) == {g.output.nid}
     g, _, pt = _mar_train_graph()
     run = G.evaluate(g, pt)

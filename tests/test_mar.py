@@ -295,6 +295,51 @@ def test_represent_one_row_equals_every_row_of_a_batch_when_all_masked(cfg, n, c
         assert row.tobytes() == one[0].tobytes()
 
 
+@pytest.mark.parametrize("cfg,n,per_seq,class_id", [
+    (MarConfig(), 40, 1, 0), (MarConfig(), 40, 2, 1), (MarConfig(), 40, 3, 2),
+    (TINY, 1, 1, 0), (MarConfig(), 40, 2, mar.NULL_CLASS)],
+    ids=["default-1", "default-2", "default-3", "tiny-one-row", "default-null"])
+def test_represent_at_positions_equals_rows_of_every_position(cfg, n, per_seq, class_id):
+    """A decode iteration finishes the backbone at the positions it samples
+    only; each row must carry the bits of the same row of a pass at every
+    position, also when one row is asked for (a one-row product would take
+    BLAS's matrix-vector path and round differently)."""
+    model = MarModel(cfg, seed=6)
+    for name, p in model.params.items():
+        p.value = p.value + 0.1 * Stream.from_seed(6, name).normal(p.value.shape)
+    s = Stream.from_seed(per_seq, "positions")
+    latents = s.child("latents").normal((n, cfg.seq_len, cfg.latent_dim))
+    masked = s.child("mask").uniform((n, cfg.seq_len)) < 0.6
+    ids = np.full(n, class_id)
+    picks = s.child([f"seq/{j}" for j in range(n)]).sample_without_replacement(
+        cfg.seq_len, per_seq)
+    at = (np.repeat(np.arange(n), per_seq), picks.ravel())
+    rows = model.represent(latents, masked, ids, at)
+    every = model.represent(latents, masked, ids)
+    assert rows.shape == (n * per_seq, cfg.hidden_dim)
+    assert rows.tobytes() == every[at].tobytes()
+
+
+def test_decode_passes_the_sampled_positions_from_the_second_iteration_on(monkeypatch):
+    model = _reference_model("energy")
+    dcfg = DecodeConfig(iterations=8, cfg_scale=2.0, seed=1)
+    calls = []
+    real = model.represent
+
+    def spy(latents, masked, class_ids, positions=None):
+        calls.append((len(latents), positions))
+        return real(latents, masked, class_ids, positions)
+
+    monkeypatch.setattr(model, "represent", spy)
+    _, stats = model.decode(1, 5, dcfg)
+    assert len(calls) == stats["backbone_forwards"] == 2 * dcfg.iterations
+    assert calls[:2] == [(1, None), (1, None)]   # the shared first pass
+    counts = model._unmask_counts(dcfg)
+    for k in range(1, dcfg.iterations):
+        for bsz, (seq_idx, pos_idx) in calls[2 * k:2 * k + 2]:
+            assert bsz == 5 and len(seq_idx) == len(pos_idx) == 5 * counts[k]
+
+
 def test_energy_decode_with_head_steps_fails_before_any_backbone_pass(monkeypatch):
     model = MarModel(TINY, seed=11)
     calls = []
@@ -342,7 +387,7 @@ def test_mar_checkpoint_roundtrip(tmp_path):
 def test_inference_graphs_declare_only_their_own_parameters():
     model = MarModel(dataclasses.replace(TINY, head_kind="diffusion"), seed=0)
     head_leaves = set(model.head._eval_graph(5).leaves)
-    backbone_leaves = set(model._repr_graph(2).leaves)
+    backbone_leaves = set(model._front_graph(2).leaves) | set(model._finish_graph(3).leaves)
     assert not any(name.startswith("backbone.") for name in head_leaves)
     assert not any(name.startswith("head.") for name in backbone_leaves)
     # every parameter is still bound (and so checked) by one of the two graphs

@@ -188,6 +188,16 @@ def test_mmd_degenerate_bandwidth_errors():
         metrics.mmd_gaussian(pts, pts)
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160, 5.2e-155])
+def test_mmd_bandwidth_with_an_infinite_kernel_factor_errors(sigma):
+    """sigma**2 underflows to 0, or -0.5 / sigma**2 overflows to -inf (whose
+    0 * inf on the kernel's diagonal would give NaN): named, not computed."""
+    x = Stream.from_seed(4, "x").normal((6, 2))
+    with pytest.raises(ValueError, match=f"kernel bandwidth {sigma!r} is not a finite"):
+        metrics.mmd_gaussian(x, x + 1.0, bandwidth=sigma)
+    assert np.isfinite(metrics.mmd_gaussian(x, x + 1.0, bandwidth=5.3e-155)[0])
+
+
 # ---------------------------------------------------------------------------
 # Wasserstein
 

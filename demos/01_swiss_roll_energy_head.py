@@ -37,5 +37,5 @@ print(f"  W1     {report.wsd:.4f}   (fresh-data floor {floor.wsd:.4f})")
 print(f"  energy {report.energy_v:.6f} (fresh-data floor {floor.energy_v:.6f})")
 
 plot = OUT / "energy_one_step.svg"
-svg.scatter_svg(plot, reference, samples, title="energy head, 1 step")
+svg.panel_grid_svg(plot, [("energy head, 1 step", reference, samples)], cols=1)
 print(f"Wrote {plot} (data in blue, samples in orange).")

@@ -253,7 +253,7 @@ def _dispatch(args) -> int:
             cfg_scale=d["cfg_scale"] if args.cfg_scale is None else args.cfg_scale,
             schedule=args.schedule or d["schedule"],
             seed=args.seed,
-            guided=not args.no_guidance,
+            guided=d["guided"] and not args.no_guidance,
             head_steps=args.head_steps,
             n_seq=d["n_seq"] if args.n is None else args.n,
             out_dir=args.out)

@@ -195,7 +195,11 @@ def check_ranges(cfg: dict) -> None:
     for key, (in_range, words) in _FLOAT_RANGES.items():
         section, name = key.split(".")
         value = cfg[section][name]
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:   # an integer past float range
+            finite = False
+        if not finite:
             raise ConfigError(f"{key} must be a finite number, got {value!r}")
         if not in_range(value):
             raise ConfigError(f"{key} must be a number {words}, got {value!r}")
@@ -203,7 +207,7 @@ def check_ranges(cfg: dict) -> None:
     if bandwidth != "median":
         try:
             kernel_factor(bandwidth)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"metrics.bandwidth: {exc}") from None
     m = cfg["mar"]
     if m["mask_lo"] > m["mask_hi"]:

@@ -54,11 +54,17 @@ def run_jobs(fn, arg_tuples: list[tuple]):
         return [f.result() for f in futures]
 
 
-def fresh_dir(out_dir, cfg: dict | None = None) -> Path:
+def _refuse_nonempty(out_dir) -> Path:
+    """``out_dir`` as a path, unless it is a directory with something in it."""
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise ConfigError(f"output directory {out} is not empty; completed runs "
                           "are immutable")
+    return out
+
+
+def fresh_dir(out_dir, cfg: dict | None = None) -> Path:
+    out = _refuse_nonempty(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg is not None:
         write_run_config(out, cfg)
@@ -130,8 +136,8 @@ def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv,
     data.write_points_csv(out_csv, samples)
     if svg_path:
         ref = data.swiss_roll(n, noise_sigma, seed=PLOT_REFERENCE_SEED).points
-        svg.scatter_svg(svg_path, ref, samples,
-                        title=f"{model.cfg.kind} ({steps} step{'s' if steps > 1 else ''})")
+        title = f"{model.cfg.kind} ({steps} step{'s' if steps > 1 else ''})"
+        svg.panel_grid_svg(svg_path, [(title, ref, samples)], cols=1)
     return samples
 
 
@@ -275,8 +281,9 @@ def run_decode(ckpt_path, class_id: int | None, *, iterations: int,
                         schedule=schedule, seed=seed, guided=guided,
                         head_steps=head_steps)
     model.check_decode(class_id, dcfg)
-    out = fresh_dir(out_dir)
+    _refuse_nonempty(out_dir)   # a decode that fails leaves no run directory
     latents, stats = model.decode(class_id, n_seq, dcfg)
+    out = fresh_dir(out_dir)
     seq_csv = out / "sequences.csv"
     length = model.cfg.seq_len
     flat = latents.reshape(n_seq * length, model.cfg.latent_dim)

@@ -8,7 +8,7 @@ fixed here.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .rng import Stream
 HEAD_KINDS = ("energy", "diffusion", "flow", "shortcut", "meanflow")
 WIRING_NOISE_AS_INPUT = "noise_as_input"
 WIRING_NOISE_AS_CONDITION = "noise_as_condition"
+HEAD_PREFIX = "head"   # the head's parameter names start "head."
 
 
 @dataclass(frozen=True)
@@ -57,16 +58,20 @@ class HeadConfig:
     @property
     def input_dim(self) -> int:
         if self.kind == "energy":
-            return self.noise_dim if self.wiring == WIRING_NOISE_AS_INPUT \
-                else self.context_dim
+            return energy_inputs(self, self.context_dim, self.noise_dim)[0]
         return self.latent_dim
 
     @property
     def cond_dim(self) -> int:
         if self.kind == "energy":
-            return self.context_dim if self.wiring == WIRING_NOISE_AS_INPUT \
-                else self.noise_dim
+            return energy_inputs(self, self.context_dim, self.noise_dim)[1]
         return self.context_dim + self.n_time_inputs * self.time_feat_dim
+
+
+def energy_inputs(cfg: HeadConfig, context, noise) -> tuple:
+    """The energy head's (block input, condition) under ``cfg.wiring``, from
+    its context and noise: graph nodes, arrays or widths alike."""
+    return (noise, context) if cfg.wiring == WIRING_NOISE_AS_INPUT else (context, noise)
 
 
 def time_features(t: np.ndarray, dim: int) -> np.ndarray:
@@ -134,30 +139,22 @@ class DiffusionSchedule:
 # ---------------------------------------------------------------------------
 # head network
 
-def register_head(params: nn.ParameterSet, cfg: HeadConfig, seed: int,
-                  prefix: str = "head") -> None:
-    nn.add_linear(params, seed, f"{prefix}.inp", cfg.input_dim, cfg.width)
+def register_head(params: nn.ParameterSet, cfg: HeadConfig, seed: int) -> None:
+    nn.add_linear(params, seed, f"{HEAD_PREFIX}.inp", cfg.input_dim, cfg.width)
     for k in range(cfg.depth):
-        nn.AdaLnResBlock(f"{prefix}.block{k}", cfg.width, cfg.cond_dim).register(params, seed)
-    nn.add_linear(params, seed, f"{prefix}.out", cfg.width, cfg.latent_dim, zero=True)
+        nn.AdaLnResBlock(f"{HEAD_PREFIX}.block{k}", cfg.width,
+                         cfg.cond_dim).register(params, seed)
+    nn.add_linear(params, seed, f"{HEAD_PREFIX}.out", cfg.width, cfg.latent_dim, zero=True)
 
 
-def build_head(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
-               inp: G.Node, cond: G.Node) -> G.Node:
+def build_head(cfg: HeadConfig, leaves: dict[str, G.Node], inp: G.Node,
+               cond: G.Node) -> G.Node:
     """Input projection -> depth AdaLN blocks -> output projection."""
-    x = nn.build_linear(leaves, f"{prefix}.inp", inp)
+    x = nn.build_linear(leaves, f"{HEAD_PREFIX}.inp", inp)
     for k in range(cfg.depth):
-        block = nn.AdaLnResBlock(f"{prefix}.block{k}", cfg.width, cfg.cond_dim)
+        block = nn.AdaLnResBlock(f"{HEAD_PREFIX}.block{k}", cfg.width, cfg.cond_dim)
         x = block.build(leaves, x, cond)
-    return nn.build_linear(leaves, f"{prefix}.out", x)
-
-
-def build_energy_head(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
-                      context: G.Node, noise: G.Node) -> G.Node:
-    """Wiring-aware energy head: which of (noise, context) is block input."""
-    if cfg.wiring == WIRING_NOISE_AS_INPUT:
-        return build_head(cfg, leaves, prefix, noise, context)
-    return build_head(cfg, leaves, prefix, context, noise)
+    return nn.build_linear(leaves, f"{HEAD_PREFIX}.out", x)
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +164,23 @@ MEANFLOW_WEIGHT_P = 0.5      # adaptive row weight (msq + c)^-p, stop-gradient
 MEANFLOW_WEIGHT_C = 1e-3
 
 
-def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
-                    context: G.Node, aux: dict[str, G.Node]) -> G.Node:
+def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], context: G.Node,
+                    aux: dict[str, G.Node]) -> G.Node:
     """Per-row loss node (rows,) over the data leaves ``aux``, declared from
     :meth:`Head.loss_bindings`."""
     if cfg.kind == "energy":
         # one stacked forward for all m samples (rows repeat per noise draw)
         m = cfg.m_samples
         n_rows = aux["y"].shape[0]
-        stacked = build_energy_head(
-            cfg, leaves, prefix,
-            G.concat([context] * m, axis=0),
-            G.concat([aux[f"n{i}"] for i in range(m)], axis=0))
+        stacked = build_head(cfg, leaves, *energy_inputs(
+            cfg, G.concat([context] * m, axis=0),
+            G.concat([aux[f"n{i}"] for i in range(m)], axis=0)))
         samples = [G.narrow(stacked, 0, i * n_rows, n_rows) for i in range(m)]
         return build_energy_rows_m(samples, aux["y"])
 
     feats = [aux[n] for n in ("t0", "t1") if n in aux]
     cond = G.concat([context] + feats, axis=1)
-    pred = build_head(cfg, leaves, prefix, aux["zt"], cond)
+    pred = build_head(cfg, leaves, aux["zt"], cond)
     target = {"diffusion": "eps", "flow": "vel",
               "shortcut": "target", "meanflow": "target"}[cfg.kind]
     diff = pred - aux[target]
@@ -200,18 +196,13 @@ def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], prefix: str,
 class Head:
     """Owns one head's parameters plus cached evaluation graphs."""
 
-    def __init__(self, cfg: HeadConfig, seed: int, prefix: str = "head",
-                 params: nn.ParameterSet | None = None):
+    def __init__(self, cfg: HeadConfig, seed: int, params: nn.ParameterSet | None = None):
         self.cfg = cfg
-        self.prefix = prefix
-        self.seed = seed
-        if params is None:
-            params = nn.ParameterSet()
-        if f"{prefix}.out.w" not in params:
-            register_head(params, cfg, seed, prefix)
-        self.params = params
+        self.params = nn.ParameterSet() if params is None else params
+        register_head(self.params, cfg, seed)
         # inference graphs declare and bind only this head's weights
-        self._own_params = params.subset(lambda name: name.startswith(prefix + "."))
+        self._own_params = self.params.subset(
+            lambda name: name.startswith(HEAD_PREFIX + "."))
         self.schedule = DiffusionSchedule(cfg.t_diff, cfg.beta_max) \
             if cfg.kind in ("diffusion",) else None
         self._eval_graphs: dict[int, G.Graph] = {}
@@ -225,7 +216,7 @@ class Head:
             leaves = G.declare(g, self._own_params)
             inp = g.leaf("inp", (rows, self.cfg.input_dim))
             cond = g.leaf("cond", (rows, self.cfg.cond_dim))
-            g.set_output(build_head(self.cfg, leaves, self.prefix, inp, cond))
+            g.set_output(build_head(self.cfg, leaves, inp, cond))
             self._eval_graphs[rows] = g
         return g
 
@@ -245,9 +236,7 @@ class Head:
     def energy_sample(self, context: np.ndarray, noise: np.ndarray) -> np.ndarray:
         if self.cfg.kind != "energy":
             raise ValueError("energy_sample requires an energy head")
-        if self.cfg.wiring == WIRING_NOISE_AS_INPUT:
-            return self.forward_values(noise, context)
-        return self.forward_values(context, noise)
+        return self.forward_values(*energy_inputs(self.cfg, context, noise))
 
     # -- loss bindings (numpy side of the training step) ---------------------
     def loss_bindings(self, y: np.ndarray, rng: Stream,
@@ -411,13 +400,3 @@ class Head:
             if lo > 0 and var > 0:
                 z = z + np.sqrt(var) * noise[k]
         return z
-
-    # -- checkpoint -----------------------------------------------------------
-    def save(self, path, *, config_digest: str = "", seed: int | None = None,
-             step: int = 0, extra: dict | None = None) -> None:
-        info = {"kind": self.cfg.kind, "head_config": asdict(self.cfg),
-                "prefix": self.prefix}
-        info.update(extra or {})
-        nn.save_checkpoint(path, self.params, config_digest=config_digest,
-                           seed=self.seed if seed is None else seed,
-                           step=step, extra=info)

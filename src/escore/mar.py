@@ -27,11 +27,11 @@ from . import graph as G
 from . import nn
 from .data import N_CLASSES, conditional_sequences, stack_sequences
 from .heads import Head, HeadConfig, build_loss_rows
-from .nn import TrainingError
 from .rng import Stream
 
 NULL_CLASS = -1          # sentinel for the CFG unconditional pass
 PREFIX_TOKENS = 2        # conditioning rows prepended to the latent tokens
+BACKBONE_PREFIX = "backbone"   # the backbone's parameter names start "backbone."
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,13 @@ def cfg_combine(cond: np.ndarray, uncond: np.ndarray, scale: float) -> np.ndarra
 class Backbone:
     """Bidirectional transformer over [class tokens | latent tokens]."""
 
-    def __init__(self, cfg: MarConfig, seed: int, prefix: str = "backbone"):
+    def __init__(self, cfg: MarConfig):
         self.cfg = cfg
-        self.prefix = prefix
-        self.blocks = [nn.TransformerBlock(f"{prefix}.block{k}", cfg.hidden_dim,
+        self.blocks = [nn.TransformerBlock(f"{BACKBONE_PREFIX}.block{k}", cfg.hidden_dim,
                                            cfg.n_heads) for k in range(cfg.n_blocks)]
 
     def register(self, params: nn.ParameterSet, seed: int) -> None:
-        cfg, pre = self.cfg, self.prefix
+        cfg, pre = self.cfg, BACKBONE_PREFIX
         nn.add_linear(params, seed, f"{pre}.latent_in", cfg.latent_dim, cfg.hidden_dim)
         params.add(f"{pre}.mask_token",
                    nn.kaiming_uniform(seed, f"{pre}.mask_token", (cfg.hidden_dim,),
@@ -123,7 +122,7 @@ class Backbone:
                onehot: G.Node) -> tuple[G.Node, G.Node]:
         """Every token up to the last block's attention mix: the residual
         entering the last block and the mix, each (B, P + L, D)."""
-        cfg, pre = self.cfg, self.prefix
+        cfg, pre = self.cfg, BACKBONE_PREFIX
         bsz, seq_len, _ = latents.shape
         dim = cfg.hidden_dim
         tok = nn.build_linear(leaves, f"{pre}.latent_in", latents)
@@ -159,13 +158,13 @@ class MarModel:
         self.cfg = cfg
         self.seed = seed
         self.params = nn.ParameterSet()
-        self.backbone = Backbone(cfg, seed)
+        self.backbone = Backbone(cfg)
         self.backbone.register(self.params, seed)
-        self.head = Head(cfg.head_config(), seed, prefix="head", params=self.params)
+        self.head = Head(cfg.head_config(), seed, params=self.params)
         # backbone passes declare and bind only the backbone's weights, and
         # the last block's output half only that block's
         self._backbone_params = self.params.subset(
-            lambda name: name.startswith(self.backbone.prefix + "."))
+            lambda name: name.startswith(BACKBONE_PREFIX + "."))
         last = self.backbone.blocks[-1].name + "."
         self._finish_params = self.params.subset(lambda name: name.startswith(last))
         self._front_graphs: dict[int, G.Graph] = {}
@@ -247,7 +246,7 @@ class MarModel:
         data = G.declare(g, {k: v for k, v in bindings.items() if k not in leaves})
         h = self.backbone.build(leaves, data["latents"], data["mask"], data["onehot"])
         h_rows = G.reshape(h, (rows, cfg.hidden_dim))
-        loss_rows = build_loss_rows(self.head.cfg, leaves, "head", h_rows, data)
+        loss_rows = build_loss_rows(self.head.cfg, leaves, h_rows, data)
         energy_term = G.total(loss_rows * data["weight"]) * data["weight_inv"]
         nodes = {"energy": energy_term, "h": h}
         if with_teacher:
@@ -322,17 +321,11 @@ class MarModel:
             raise ValueError("distillation weight requires a teacher")
         bindings = self.step_bindings(latents, class_ids, rng, teacher)
         g, nodes = self._train_graph(bindings, lam, frozen_backbone)
-        try:
-            run = G.evaluate(g, bindings)
-            energy = float(run.value(nodes["energy"]))
-            distill = float(run.value(nodes["distill"])) if teacher is not None else 0.0
-            grads = G.backward(run)
-            nn.adam_step(self.head._own_params if frozen_backbone else self.params, grads,
-                         lr=lr, weight_decay=weight_decay, t=step_index)
-        except (G.NonFiniteError, nn.NonFiniteGradientError) as exc:
-            raise TrainingError(f"{self.cfg.head_kind}: non-finite loss at step "
-                                f"{step_index}: {exc}") from exc
-        return energy, distill
+        run = nn.descend(g, bindings, self.head._own_params if frozen_backbone else self.params,
+                         self.cfg.head_kind, lr=lr, weight_decay=weight_decay, t=step_index)
+        # both terms are 0-d nodes, which a retained run keeps
+        distill = float(run.value(nodes["distill"])) if teacher is not None else 0.0
+        return float(run.value(nodes["energy"])), distill
 
     # -- iterative parallel decoding -------------------------------------------
     def check_decode(self, class_id: int | None, dcfg: DecodeConfig) -> None:
@@ -438,11 +431,7 @@ class MarModel:
 
     @classmethod
     def load(cls, path) -> "MarModel":
-        manifest, values = nn.load_checkpoint(path)
-        cfg = nn.config_from_manifest(MarConfig, manifest, "mar_config", path)
-        model = cls(cfg, seed=manifest["seed"])
-        model.params.assign(values, path)
-        return model
+        return nn.load_model(cls, MarConfig, "mar_config", path)
 
 
 def class_pools(cfg: MarConfig, seed: int, per_class: int,
@@ -463,18 +452,14 @@ def train_mar(model: MarModel, *, steps: int, batch: int, lr: float = 1e-3,
               jitter: float = 0.02) -> list[dict]:
     """Training driver; returns one log record per step."""
     latents, ids = class_pools(model.cfg, model.seed, per_class, jitter)
-    root = Stream.from_seed(model.seed, f"train_mar/{model.cfg.head_kind}")
-    step_rngs = root.child([f"step/{t}" for t in range(1, steps + 1)])
-    batches = step_rngs.child("batch").integers(len(latents), (batch,))
-    log = []
-    for t in range(1, steps + 1):
-        idx = batches[t - 1]
-        cur_lr = lr * min(1.0, t / max(warmup, 1))
+
+    def step(idx, rng, cur_lr, t):
         energy, distill = model.masked_training_step(
-            latents[idx], ids[idx], Stream(step_rngs.key[t - 1]), lam=lam, teacher=teacher,
-            lr=cur_lr, step_index=t, weight_decay=weight_decay,
-            frozen_backbone=frozen_backbone)
-        log.append({"step": t, "energy": energy,
-                    "distill": distill, "total": energy + lam * distill,
-                    "lambda": lam, "lr": cur_lr, "seed": model.seed})
-    return log
+            latents[idx], ids[idx], rng, lam=lam, teacher=teacher, lr=cur_lr, step_index=t,
+            weight_decay=weight_decay, frozen_backbone=frozen_backbone)
+        return {"step": t, "energy": energy, "distill": distill,
+                "total": energy + lam * distill, "lambda": lam, "lr": cur_lr,
+                "seed": model.seed}
+
+    return nn.train_loop(model.seed, f"train_mar/{model.cfg.head_kind}", len(latents),
+                         steps=steps, batch=batch, lr=lr, warmup=warmup, step=step)

@@ -1,4 +1,6 @@
-"""Neural building blocks on top of the graph engine.
+"""Neural building blocks on top of the graph engine, and the model
+lifecycle both model families share: the step loop, the descent step and
+the checkpoint loader.
 
 Parameters live in a :class:`ParameterSet` (values + Adam moments); a graph
 declares them as named weight leaves (:func:`graph.declare`), so one set of
@@ -280,6 +282,33 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], lr: float,
         p.value = value   # the finiteness check
 
 
+def descend(graph: G.Graph, bindings: dict[str, np.ndarray], params: ParameterSet,
+            what: str, *, lr: float, weight_decay: float, t: int) -> G.Evaluation:
+    """Forward and backward pass of ``graph``'s scalar loss, then an Adam step
+    on ``params``; returns the forward run. A NaN or Inf raises
+    :class:`TrainingError` naming ``what`` and step ``t``, without numpy's
+    overflow warnings."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = G.evaluate(graph, bindings)
+            adam_step(params, G.backward(run), lr=lr, weight_decay=weight_decay, t=t)
+    except (G.NonFiniteError, NonFiniteGradientError) as exc:
+        raise TrainingError(f"{what}: non-finite loss or gradient at step {t}: {exc}") from exc
+    return run
+
+
+def train_loop(seed: int, label: str, pool_size: int, *, steps: int, batch: int,
+               lr: float, warmup: int, step) -> list:
+    """``[step(idx, rng, lr_t, t) for t in 1..steps]``: ``rng`` is the
+    ``label`` -> ``step/{t}`` stream of ``seed``, ``idx`` the ``batch`` pool
+    indices its ``batch`` child draws (for every step in one call), and
+    ``lr_t`` warms up linearly to ``lr`` over ``warmup`` steps."""
+    step_rngs = Stream.from_seed(seed, label).child([f"step/{t}" for t in range(1, steps + 1)])
+    batches = step_rngs.child("batch").integers(pool_size, (batch,))
+    return [step(batches[t - 1], Stream(step_rngs.key[t - 1]),
+                 lr * min(1.0, t / max(warmup, 1)), t) for t in range(1, steps + 1)]
+
+
 def save_checkpoint(path, params: ParameterSet, *, config_digest: str = "",
                     seed: int = 0, step: int = 0, extra: dict | None = None) -> None:
     """JSON manifest line + little-endian float64 payload in manifest order."""
@@ -355,3 +384,12 @@ def config_from_manifest(cls, manifest: dict, key: str, source):
             raise ValueError(f"{source}: {key} field {name!r} must be {kind.__name__}, "
                              f"got {value!r}")
     return cls(**saved)
+
+
+def load_model(cls, config_cls, key: str, path):
+    """``cls(config, seed=...)`` with the weights of the checkpoint at
+    ``path``, its config the ``config_cls`` saved as ``extra[key]``."""
+    manifest, values = load_checkpoint(path)
+    model = cls(config_from_manifest(config_cls, manifest, key, path), seed=manifest["seed"])
+    model.params.assign(values, path)
+    return model

@@ -34,16 +34,6 @@ def _panel_elements(layers, x0: float, y0: float, size: int, title: str = "") ->
     return parts
 
 
-def scatter_svg(path, data_points: np.ndarray, sample_points: np.ndarray | None = None,
-                title: str = "") -> None:
-    """One panel: reference data in blue, generated samples in orange."""
-    layers = [(data_points, DATA_COLOR)]
-    if sample_points is not None:
-        layers.append((sample_points, SAMPLE_COLOR))
-    body = _panel_elements(layers, 0, 0, PANEL_SIZE, title)
-    _write(path, PANEL_SIZE, PANEL_SIZE, body)
-
-
 def panel_grid_svg(path, panels: list[tuple[str, np.ndarray, np.ndarray]],
                    cols: int = 3) -> None:
     """Grid of (title, data, samples) panels, filled row-major."""

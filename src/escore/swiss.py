@@ -5,15 +5,14 @@ can be compared head-to-head on the Swiss roll under identical budgets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import data
 from . import graph as G
 from . import nn
-from .heads import Head, HeadConfig, build_loss_rows
-from .nn import TrainingError
+from .heads import HEAD_PREFIX, Head, HeadConfig, build_loss_rows
 from .rng import Stream
 
 
@@ -56,7 +55,7 @@ class ToyHeadModel:
         leaves = G.declare(g, self.params, grad=True)
         data = G.declare(g, aux)
         ctx = G.broadcast_to(leaves["context"], (batch, self.cfg.context_dim))
-        rows = build_loss_rows(self.cfg, leaves, self.head.prefix, ctx, data)
+        rows = build_loss_rows(self.cfg, leaves, ctx, data)
         g.set_output(G.mean(rows))
         self._train_graph = (batch, g)
         return g
@@ -64,45 +63,29 @@ class ToyHeadModel:
     def train_step(self, y: np.ndarray, rng: Stream, lr: float, step_index: int,
                    weight_decay: float = 0.0) -> float:
         aux = self.head.loss_bindings(y, rng, context=self.context_rows(len(y)))
-        g = self._loss_graph(aux)
-        try:
-            run = G.evaluate(g, {**self.params.bindings(), **aux})
-            loss = float(run.output)
-            grads = G.backward(run)
-            nn.adam_step(self.params, grads, lr=lr, weight_decay=weight_decay,
-                         t=step_index)
-        except (G.NonFiniteError, nn.NonFiniteGradientError) as exc:
-            raise TrainingError(
-                f"{self.cfg.kind}: non-finite loss/grad at step {step_index}: {exc}"
-            ) from exc
-        return loss
+        run = nn.descend(self._loss_graph(aux), {**self.params.bindings(), **aux}, self.params,
+                         self.cfg.kind, lr=lr, weight_decay=weight_decay, t=step_index)
+        return float(run.output)
 
     def train(self, tcfg: ToyTrainConfig) -> list[tuple[int, float]]:
         """Full run over fresh Swiss-roll minibatches; returns (step, loss) log."""
         pool = data.swiss_roll(tcfg.pool, tcfg.noise_sigma, seed=self.seed).points
-        root = Stream.from_seed(self.seed, f"train/{self.cfg.kind}")
-        step_rngs = root.child([f"step/{t}" for t in range(1, tcfg.steps + 1)])
-        batches = step_rngs.child("batch").integers(len(pool), (tcfg.batch,))
-        history = []
-        for t in range(1, tcfg.steps + 1):
-            lr = tcfg.lr * min(1.0, t / max(tcfg.warmup, 1))
-            loss = self.train_step(pool[batches[t - 1]], Stream(step_rngs.key[t - 1]), lr, t,
-                                   tcfg.weight_decay)
-            history.append((t, loss))
-        return history
+        return nn.train_loop(
+            self.seed, f"train/{self.cfg.kind}", len(pool), steps=tcfg.steps,
+            batch=tcfg.batch, lr=tcfg.lr, warmup=tcfg.warmup,
+            step=lambda idx, rng, lr, t: (t, self.train_step(pool[idx], rng, lr, t,
+                                                             tcfg.weight_decay)))
 
     def sample(self, n: int, steps: int, seed: int) -> np.ndarray:
         rng = Stream.from_seed(seed, f"sample/{self.cfg.kind}")
         return self.head.sample(self.context_rows(n), steps, rng)
 
     def save(self, path, *, config_digest: str = "", step: int = 0) -> None:
-        self.head.save(path, config_digest=config_digest, seed=self.seed, step=step,
-                       extra={"model": "toy_head"})
+        nn.save_checkpoint(path, self.params, config_digest=config_digest, seed=self.seed,
+                           step=step, extra={"kind": self.cfg.kind, "model": "toy_head",
+                                             "head_config": asdict(self.cfg),
+                                             "prefix": HEAD_PREFIX})
 
     @classmethod
     def load(cls, path) -> "ToyHeadModel":
-        manifest, values = nn.load_checkpoint(path)
-        cfg = nn.config_from_manifest(HeadConfig, manifest, "head_config", path)
-        model = cls(cfg, seed=manifest["seed"])
-        model.params.assign(values, path)
-        return model
+        return nn.load_model(cls, HeadConfig, "head_config", path)

@@ -220,7 +220,7 @@ def _head_loss_case(kind: str):
 
     def build(g, pt):
         leaves = _declare(g, pt, data=[k for k in pt if k not in head.params and k != "ctx"])
-        return G.mean(build_loss_rows(cfg, leaves, "head", leaves["ctx"], leaves))
+        return G.mean(build_loss_rows(cfg, leaves, leaves["ctx"], leaves))
 
     def point(s):
         ctx = s.child("ctx").normal((2, 3))

@@ -241,6 +241,18 @@ def test_decode_scale_one_matches_no_guidance(tmp_path):
     assert stats_a["backbone_forwards"] == 2 * stats_b["backbone_forwards"]
 
 
+def test_decode_reads_the_guided_config_key(tmp_path):
+    run = tmp_path / "student"
+    assert main(["train-mar", "--role", "student", "--seed", "4",
+                 "--out", str(run)] + TINY_MAR) == 0
+    dec = tmp_path / "dec"
+    assert main(["decode", "--ckpt", str(run / "mar.ckpt"), "--n", "2", "--out", str(dec),
+                 "--set", "decode.guided=false"] + TINY_MAR) == 0
+    stats = json.loads((dec / "decode_stats.json").read_text())
+    assert stats["guided"] is False
+    assert stats["backbone_forwards"] == stats["iterations"] == 4
+
+
 def test_student_lambda_requires_teacher(tmp_path, capsys):
     rc = main(["train-mar", "--role", "student", "--out", str(tmp_path / "s"),
                "--set", "mar_train.lambda=0.5"] + TINY_MAR)
@@ -291,10 +303,13 @@ def test_mistyped_config_value_fails_before_any_output(tmp_path, capsys, overrid
     ("data.jitter=-1", "data.jitter must be a number >= 0, got -1"),
     ("metrics.bandwidth=-1", "metrics.bandwidth: kernel bandwidth -1 is not a finite number"),
     ("metrics.bandwidth=1e-160", "metrics.bandwidth: kernel bandwidth 1e-160 is not a finite"),
+    ("train.lr=1" + "0" * 400, "train.lr must be a finite number, got 1000"),
+    ("metrics.bandwidth=1" + "0" * 400, "metrics.bandwidth: int too large to convert to float"),
 ], ids=["width", "batch", "warmup", "list-item", "nested-table", "lr", "mar-lr", "lr-nan",
         "weight-decay", "mar-weight-decay", "p-drop", "p-drop-one", "mask-lo", "mask-hi",
         "mask-lo-above-hi", "lambda", "cfg-scale-inf", "noise-sigma", "jitter",
-        "bandwidth-negative", "bandwidth-tiny"])
+        "bandwidth-negative", "bandwidth-tiny", "lr-int-past-float",
+        "bandwidth-int-past-float"])
 def test_out_of_range_config_value_fails_before_any_output(tmp_path, capsys, override, cause):
     out = tmp_path / "run"
     rc = main(["train-head", "--method", "energy", "--out", str(out)] + TINY_HEAD
@@ -591,6 +606,22 @@ def test_decode_cfg_overflow_is_a_runtime_failure_naming_the_scale(tmp_path, cap
     err = capsys.readouterr().err
     assert rc == 2
     assert "runtime failure: CFG scale 1e+308 gives a non-finite guided representation" in err
+    assert not (tmp_path / "dec").exists()
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["train-head", "--method", "energy", "--set", "train.lr=1e300"] + TINY_HEAD,
+     "runtime failure: energy: non-finite loss or gradient at step 2: "),
+    (["train-mar", "--role", "teacher", "--set", "mar_train.lr=1e300"] + TINY_MAR,
+     "runtime failure: diffusion: non-finite loss or gradient at step 2: "),
+], ids=["train-head", "train-mar"])
+def test_diverging_training_run_exits_2_naming_the_kind_and_the_step(tmp_path, capsys, argv,
+                                                                     cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's overflow warnings are not printed
+        rc = main(argv + ["--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2 and cause in err and "Traceback" not in err
 
 
 def _config_edit(change):

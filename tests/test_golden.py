@@ -2,22 +2,25 @@
 
 Every artifact below comes from `escore.cli.main` with only sizes and step
 budgets shrunk through `--set`. The sha256 values were recorded once and are
-never edited: a change to the graph engine, the layers or the runners that
-alters a single bit of a checkpoint, loss log, sample file or decode output
-fails here. A change that is meant to alter numerics must say so and why.
+never edited: a change to the graph engine, the layers, the metrics or the
+runners that alters a single bit of a checkpoint, loss log, sample file,
+decode output or metrics CSV fails here. A change that is meant to alter
+numerics must say so and why.
 
 ``GOLDEN`` holds one table per numpy dispatch path. numpy 2.4.6 rounds
 float64 ``exp``, ``log`` and ``power`` differently in its AVX-512
 (``X86_V4``) loops and its AVX2 (``X86_V3``) loops (``tanh``, ``sin``,
-``cos``, ``sqrt``, matmul and the reductions agree), so five digests differ
+``cos``, ``sqrt``, matmul and the reductions agree), so six digests differ
 between the tables: both MAR checkpoints, the student's loss log, the
-mean-flow head and the energy decode's sequences. The AVX2 table was
+mean-flow head, the energy decode's sequences and the compare metrics (the
+last bits of the energy head's MMD). The AVX2 table was
 recorded on an AVX-512 host with
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``, which is how
 an AVX-512 host checks it. A path with no table fails every digest test
 with a message naming the path; it is never skipped.
 """
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -52,6 +55,7 @@ KINDS = ("energy", "diffusion", "flow", "shortcut", "meanflow")
 
 GOLDEN = {
     "AVX-512": {
+        "compare/metrics.csv": "167135af80a92c20e5e9236c7203c7ea555b6f15ed82ef73db56897e1992f356",
         "decode_diffusion/decode_stats.json": "7be0db79d42953832875a55e5774247d69d530f5329cefb25fdcdaa0beefcabd",
         "decode_diffusion/sequences.csv": "de243d6a3a61c20075d32ef92b49534c6a8fac1af7bcc48f19500e738337232e",
         "decode_energy/decode_stats.json": "cc203d6fcaa85c94a0d7d8934b01bf19ad44736ede55ac3c36404a0af79840a3",
@@ -60,6 +64,7 @@ GOLDEN = {
         "diffusion/loss.csv": "9b1db0ef19ee137d1cbb6567aa1ab61430ba861491b541157e78fced3a6911f3",
         "energy/head.ckpt": "183bb35cafd1d74aa0fa0cb619512517491e944c557d6b5ecd616423cca0f981",
         "energy/loss.csv": "66e3c2a2b96b22f8e4baa2501b9ead03ac8f797b66f7df738bd297ff79bd3935",
+        "eval.csv": "657907e360a42b1fd29dee8489b04fb0e08362f08a42b6b478421f343cf99563",
         "flow/head.ckpt": "8af55da5c02038efb14ecacd225c34dedb3981d5e2f95ef8bf78fa29114c3873",
         "flow/loss.csv": "745cf89960e27b70b14395f5d2df0633f535ba908eb41409a5258ae044d78ba6",
         "meanflow/head.ckpt": "8cd39cf41b0b02cc8c4bba90aa0289c603e67ba8ad159771243ab2fc562a91b4",
@@ -73,6 +78,7 @@ GOLDEN = {
         "teacher/mar.ckpt": "27cecccf4967e2774e4b1dd5c920c76ff5ac4c159c4f98ed0225c379eb4e2fd7",
     },
     "AVX2": {
+        "compare/metrics.csv": "c8e01a12d3f357d649d35cb0201ab41f061aac9efb3def0a582130431ff9c55c",
         "decode_diffusion/decode_stats.json": "7be0db79d42953832875a55e5774247d69d530f5329cefb25fdcdaa0beefcabd",
         "decode_diffusion/sequences.csv": "de243d6a3a61c20075d32ef92b49534c6a8fac1af7bcc48f19500e738337232e",
         "decode_energy/decode_stats.json": "cc203d6fcaa85c94a0d7d8934b01bf19ad44736ede55ac3c36404a0af79840a3",
@@ -81,6 +87,7 @@ GOLDEN = {
         "diffusion/loss.csv": "9b1db0ef19ee137d1cbb6567aa1ab61430ba861491b541157e78fced3a6911f3",
         "energy/head.ckpt": "183bb35cafd1d74aa0fa0cb619512517491e944c557d6b5ecd616423cca0f981",
         "energy/loss.csv": "66e3c2a2b96b22f8e4baa2501b9ead03ac8f797b66f7df738bd297ff79bd3935",
+        "eval.csv": "657907e360a42b1fd29dee8489b04fb0e08362f08a42b6b478421f343cf99563",
         "flow/head.ckpt": "8af55da5c02038efb14ecacd225c34dedb3981d5e2f95ef8bf78fa29114c3873",
         "flow/loss.csv": "745cf89960e27b70b14395f5d2df0633f535ba908eb41409a5258ae044d78ba6",
         "meanflow/head.ckpt": "d3763ad7f4d4f284f8cdb1ac21d8431d49d0a3995251382cfb1082309b43b1b2",
@@ -117,6 +124,16 @@ def _run_all(root) -> dict[str, str]:
     run(["decode", "--ckpt", str(root / "teacher" / "mar.ckpt"), "--class", "2",
          "--iterations", "4", "--cfg", "2.0", "--n", "3", "--seed", "9",
          "--head-steps", "5", "--out", str(root / "decode_diffusion")])
+    run(["sample", "--run", str(root / "energy"), "--n", "32", "--seed", "6",
+         "--out", str(root / "reference.csv")])
+    run(["eval", "--generated", str(root / "samples.csv"),
+         "--reference", str(root / "reference.csv"), "--method", "diffusion",
+         "--steps", "4", "--seed", "5", "--out", str(root / "eval.csv")])
+    run(["compare-swissroll", "--out", str(root / "compare"),
+         "--set", "compare.seeds=[1]", "--set", "compare.sample_n=32",
+         "--set", "compare.multi_steps=[2]",
+         "--set", "compare.steps_by_method=" + json.dumps(dict.fromkeys(KINDS, 6))]
+        + TINY_HEAD)
 
     artifacts = [f"{kind}/{name}" for kind in KINDS for name in ("head.ckpt", "loss.csv")]
     artifacts += ["samples.csv"]
@@ -124,6 +141,7 @@ def _run_all(root) -> dict[str, str]:
                   for name in ("mar.ckpt", "loss.csv")]
     artifacts += [f"{run_dir}/{name}" for run_dir in ("decode_energy", "decode_diffusion")
                   for name in ("sequences.csv", "decode_stats.json")]
+    artifacts += ["eval.csv", "compare/metrics.csv"]
     return {a: hashlib.sha256((root / a).read_bytes()).hexdigest() for a in artifacts}
 
 

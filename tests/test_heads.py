@@ -121,7 +121,7 @@ def _mean_loss_graph(head: Head, aux: dict, ctx_grad: bool = False) -> G.Graph:
     g = G.Graph()
     leaves = G.declare(g, head.params.bindings(), grad=True)
     ctx = g.leaf("ctx", (len(aux["y"]), head.cfg.context_dim), grad=ctx_grad)
-    rows = heads.build_loss_rows(head.cfg, leaves, "head", ctx, G.declare(g, aux))
+    rows = heads.build_loss_rows(head.cfg, leaves, ctx, G.declare(g, aux))
     g.set_output(G.mean(rows))
     return g
 

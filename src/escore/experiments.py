@@ -103,13 +103,15 @@ def _toy_model(cfg: dict, method: str, seed: int) -> ToyHeadModel:
 
 def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path,
                     steps: int | None = None) -> ToyHeadModel:
-    """Trains one toy head and writes its loss.csv and head.ckpt into ``out``."""
+    """Trains one toy head, then creates ``out`` and writes its loss.csv and
+    head.ckpt there: a run that fails leaves no directory."""
     t = cfg["train"]
     history = model.train(ToyTrainConfig(steps=steps or t["steps"], batch=t["batch"],
                                          lr=t["lr"], warmup=t["warmup"],
                                          weight_decay=t["weight_decay"],
                                          pool=cfg["data"]["pool"],
                                          noise_sigma=cfg["data"]["noise_sigma"]))
+    out.mkdir(parents=True, exist_ok=True)
     write_loss_csv(out / "loss.csv", [
         {"step": s, "energy": v, "distill": 0.0, "total": v, "lambda": 0.0,
          "lr": t["lr"], "seed": model.seed} for s, v in history])
@@ -122,8 +124,9 @@ def run_train_head(cfg: dict, out_dir) -> Path:
     if method not in HEAD_KINDS:
         raise ConfigError(f"head.method must be one of {HEAD_KINDS}, got {method!r}")
     model = _toy_model(cfg, method, cfg["seed"])   # checks the head config first
-    out = fresh_dir(out_dir, cfg)
+    out = _refuse_nonempty(out_dir)
     _train_toy_head(model, cfg, out)
+    write_run_config(out, cfg)
     return out / "head.ckpt"
 
 
@@ -166,7 +169,6 @@ def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
 def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[dict]:
     """Train one head on one seed; sample and score it. Returns metric rows."""
     out = Path(cell_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model = _train_toy_head(_toy_model(cfg, method, seed), cfg, out,
                             steps=cfg["compare"]["steps_by_method"][method])
 
@@ -243,8 +245,8 @@ def build_mar_model(cfg: dict, role: str, seed: int,
 
 def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
                ckpt: Path, loss_csv: Path) -> MarModel:
-    """Trains a model from :func:`build_mar_model` and writes its loss log and
-    checkpoint."""
+    """Trains a model from :func:`build_mar_model`, then writes its loss log
+    and checkpoint, creating their directory: a run that fails leaves none."""
     t = cfg["mar_train"]
     log = train_mar(model, steps=t["steps"], batch=t["batch"], lr=t["lr"],
                     warmup=t["warmup"],
@@ -253,6 +255,7 @@ def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
                     weight_decay=t["weight_decay"],
                     frozen_backbone=t["frozen_backbone"],
                     jitter=cfg["data"]["jitter"])
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
     write_loss_csv(loss_csv, log)
     model.save(ckpt, config_digest=config_digest(cfg), step=len(log),
                extra={"role": role, "lambda": cfg["mar_train"]["lambda"],
@@ -265,8 +268,9 @@ def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None) -> Path:
         raise ConfigError(f"--role must be teacher or student, got {role!r}")
     teacher = MarModel.load(teacher_ckpt) if teacher_ckpt else None
     model = build_mar_model(cfg, role, cfg["seed"], teacher)
-    out = fresh_dir(out_dir, cfg)
+    out = _refuse_nonempty(out_dir)
     _train_mar(cfg, role, model, teacher, out / "mar.ckpt", out / "loss.csv")
+    write_run_config(out, cfg)
     return out / "mar.ckpt"
 
 
@@ -347,7 +351,6 @@ def _sweep_cell(cfg: dict, param: str, seed: int, values: list,
     student it names (the decode-only ``cfg`` values share one) and scores
     it. Students with lambda > 0 distil from one teacher trained on ``cfg``."""
     out = Path(cell_dir)
-    out.mkdir(parents=True, exist_ok=True)
     teacher = student = trained = None
     rows = []
     for value in values:

@@ -21,6 +21,10 @@ METRIC_NAMES = ("mmd", "wsd", "energy")   # energy gives energy_u and energy_v
 _CROSS_BLOCK = 4_000_000  # max pairwise entries materialized at once
 _MEDIAN_BLOCK = 1 << 18   # about the max pairwise distances the median holds at once
 _INF_KEY = 0x7FF0         # top 16 bits of +inf's bit pattern
+_MATCH_BLOCK = 64         # rows per block of the matched-distance read-out
+# coordinate-ascent sweeps of the solve's point prices: at the size cap, one-step
+# diffusion samples on about 40 points solve as fast after 12 to 24 sweeps
+_PRICE_SWEEPS = 16
 
 
 @dataclass(frozen=True)
@@ -239,6 +243,48 @@ def _check_assignable(xp: np.ndarray, yp: np.ndarray) -> None:
         raise ValueError(f"size {len(xp)} exceeds cap {WASSERSTEIN_SIZE_CAP}")
 
 
+def _point_prices(rows: np.ndarray, points: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Approximate transportation duals: one price per distinct column point,
+    such that about ``counts[j]`` rows prefer point j at distance less price.
+
+    Each of _PRICE_SWEEPS coordinate-ascent sweeps visits the points in turn
+    and sets point j's price midway between the ``counts[j]``-th and the next
+    row threshold, where row i prefers j once the price passes
+    ``d[j, i] - min over l != j of (d[l, i] - price[l])``: then exactly
+    ``counts[j]`` rows prefer j given the other prices. The minimum over the
+    other points is that over the points before j, at their new prices, and
+    over those after j, at the prices the sweep began with, so a sweep costs
+    a few passes over the k x n distances. Non-finite distances give zero
+    prices, which leave the solve's input as it was.
+    """
+    from scipy.spatial.distance import cdist
+    d = cdist(points, rows)
+    prices = np.zeros(len(points))
+    if not np.isfinite(d).all():
+        return prices
+    for _ in range(_PRICE_SWEEPS):
+        reduced = d - prices[:, None]
+        after = np.minimum.accumulate(reduced[::-1], axis=0)[::-1]   # after[j]: over points >= j
+        before = np.full(len(rows), np.inf)
+        for j, m in enumerate(counts):
+            other = np.minimum(before, after[j + 1]) if j + 1 < len(d) else before
+            thresholds = np.partition(d[j] - other, (m - 1, m))
+            prices[j] = 0.5 * (thresholds[m - 1] + thresholds[m])
+            np.minimum(before, d[j] - prices[j], out=before)
+    return prices
+
+
+def _matched_distances(rows: np.ndarray, matched: np.ndarray) -> np.ndarray:
+    """``cdist(rows, matched)``'s diagonal, bit for bit, one row block at a
+    time: the distance of each row to its own match."""
+    from scipy.spatial.distance import cdist
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), _MATCH_BLOCK):
+        end = start + _MATCH_BLOCK
+        out[start:end] = cdist(rows[start:end], matched[start:end]).diagonal()
+    return out
+
+
 def wasserstein_assignment(x, y) -> float:
     """Exact optimal-assignment Wasserstein-1 distance between equal-size
     sets: the mean matched Euclidean distance.
@@ -250,17 +296,38 @@ def wasserstein_assignment(x, y) -> float:
     corners, cost little as columns and a lot as rows: at the size cap such a
     set solves several times faster in the columns. The rule also makes the
     value symmetric bit for bit whenever the counts differ.
+
+    When the columns hold few distinct points (more than one, and at most an
+    eighth of the set), each point gets a price (see :func:`_point_prices`)
+    and every column of the cost matrix is lowered, in place, by its point's
+    price before the solve. The prices are near the transportation problem's
+    optimal duals, so most rows take a free copy of their preferred point and
+    the solver's augmenting paths stay short (Jonker & Volgenant, 1987): a
+    one-step diffusion sample on about 40 points solves several times faster
+    at the size cap. The solve stays exact: every full assignment takes each
+    point exactly as often as it repeats, so the shift lowers the total of
+    every assignment by the same constant and leaves the optimum where it
+    was. The value is read from distances recomputed for the matched pairs,
+    which equal the unshifted cost entries bit for bit.
     """
     xp = _as_points("X", x)
     yp = _as_points("Y", y)
     _check_assignable(xp, yp)
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
-    if len(np.unique(yp, axis=0)) > len(np.unique(xp, axis=0)):
-        xp, yp = yp, xp
+    x_points = np.unique(xp, axis=0, return_inverse=True, return_counts=True)
+    y_points = np.unique(yp, axis=0, return_inverse=True, return_counts=True)
+    if len(y_points[0]) > len(x_points[0]):
+        xp, yp, y_points = yp, xp, x_points
+    points, inverse, counts = y_points
+    # priced before the cost is built, so that the prices' k x n buffers are freed by then
+    shift = _point_prices(xp, points, counts)[inverse] if 1 < len(points) <= len(yp) // 8 \
+        else None
     cost = cdist(xp, yp)   # built in the solve's orientation: scipy copies a transposed view
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    if shift is not None:
+        cost -= shift
+    _, cols = linear_sum_assignment(cost)   # rows come back as 0..n-1
+    return float(_matched_distances(xp, yp[cols]).mean())
 
 
 @dataclass

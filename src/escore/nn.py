@@ -11,6 +11,7 @@ it. Initialization is a pure function of (seed, parameter name).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -282,18 +283,26 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], lr: float,
         p.value = value   # the finiteness check
 
 
+@contextmanager
+def step_guard(what: str, t: int):
+    """Runs part of training step ``t`` without numpy's overflow warnings; a
+    NaN or Inf in a graph run or a gradient raises :class:`TrainingError`
+    naming ``what`` and the step."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except (G.NonFiniteError, NonFiniteGradientError) as exc:
+        raise TrainingError(f"{what}: non-finite loss or gradient at step {t}: {exc}") from exc
+
+
 def descend(graph: G.Graph, bindings: dict[str, np.ndarray], params: ParameterSet,
             what: str, *, lr: float, weight_decay: float, t: int) -> G.Evaluation:
     """Forward and backward pass of ``graph``'s scalar loss, then an Adam step
-    on ``params``; returns the forward run. A NaN or Inf raises
-    :class:`TrainingError` naming ``what`` and step ``t``, without numpy's
-    overflow warnings."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            run = G.evaluate(graph, bindings)
-            adam_step(params, G.backward(run), lr=lr, weight_decay=weight_decay, t=t)
-    except (G.NonFiniteError, NonFiniteGradientError) as exc:
-        raise TrainingError(f"{what}: non-finite loss or gradient at step {t}: {exc}") from exc
+    on ``params``, under :func:`step_guard` ``what`` ``t``; returns the
+    forward run."""
+    with step_guard(what, t):
+        run = G.evaluate(graph, bindings)
+        adam_step(params, G.backward(run), lr=lr, weight_decay=weight_decay, t=t)
     return run
 
 

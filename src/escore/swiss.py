@@ -62,7 +62,8 @@ class ToyHeadModel:
 
     def train_step(self, y: np.ndarray, rng: Stream, lr: float, step_index: int,
                    weight_decay: float = 0.0) -> float:
-        aux = self.head.loss_bindings(y, rng, context=self.context_rows(len(y)))
+        with nn.step_guard(self.cfg.kind, step_index):   # targets run the head too
+            aux = self.head.loss_bindings(y, rng, context=self.context_rows(len(y)))
         run = nn.descend(self._loss_graph(aux), {**self.params.bindings(), **aux}, self.params,
                          self.cfg.kind, lr=lr, weight_decay=weight_decay, t=step_index)
         return float(run.output)

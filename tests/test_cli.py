@@ -609,19 +609,24 @@ def test_decode_cfg_overflow_is_a_runtime_failure_naming_the_scale(tmp_path, cap
     assert not (tmp_path / "dec").exists()
 
 
-@pytest.mark.parametrize("argv,cause", [
-    (["train-head", "--method", "energy", "--set", "train.lr=1e300"] + TINY_HEAD,
-     "runtime failure: energy: non-finite loss or gradient at step 2: "),
-    (["train-mar", "--role", "teacher", "--set", "mar_train.lr=1e300"] + TINY_MAR,
+@pytest.mark.parametrize("argv,diverge,cause", [
+    (["train-head", "--method", kind] + TINY_HEAD, ["--set", "train.lr=1e300"],
+     f"runtime failure: {kind}: non-finite loss or gradient at step 2: ")
+    for kind in ("energy", "shortcut", "meanflow")
+] + [
+    (["train-mar", "--role", "teacher"] + TINY_MAR, ["--set", "mar_train.lr=1e300"],
      "runtime failure: diffusion: non-finite loss or gradient at step 2: "),
-], ids=["train-head", "train-mar"])
+], ids=["train-head", "train-head-shortcut", "train-head-meanflow", "train-mar"])
 def test_diverging_training_run_exits_2_naming_the_kind_and_the_step(tmp_path, capsys, argv,
-                                                                     cause):
+                                                                     diverge, cause):
+    out = ["--out", str(tmp_path / "run")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # numpy's overflow warnings are not printed
-        rc = main(argv + ["--out", str(tmp_path / "run")])
+        rc = main(argv + diverge + out)
     err = capsys.readouterr().err
-    assert rc == 2 and cause in err and "Traceback" not in err
+    assert rc == 2 and cause in err and "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "run").exists()   # so a sane rerun can use the same --out
+    assert main(argv + out) == 0
 
 
 def _config_edit(change):

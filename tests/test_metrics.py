@@ -303,7 +303,87 @@ def test_wasserstein_solves_with_repeated_set_in_columns(monkeypatch, first):
     metrics.wasserstein_assignment(*args)
     [cost] = seen
     assert cost.flags.c_contiguous
-    assert np.array_equal(cost, cdist(pts, rep))   # distinct rows, repeated columns
+    # distinct rows, repeated columns, each lowered by its point's price
+    points, inverse, counts = np.unique(rep, axis=0, return_inverse=True, return_counts=True)
+    prices = metrics._point_prices(pts, points, counts)
+    assert np.all(prices != 0.0)
+    assert np.array_equal(cost, cdist(pts, rep) - prices[inverse])
+
+
+def _repeats(k, n, seed):
+    """n points on k distinct points, each used at least once and in uneven
+    counts: corners of a square for k <= 4, else normals clipped to a box,
+    as a one-step diffusion head's samples repeat."""
+    s = Stream.from_seed(seed, "repeats")
+    if k <= 4:
+        points = 4.0 * np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])[:k]
+    else:
+        points = np.clip(s.normal((k, 2)), -1.5, 1.5)
+    pick = np.concatenate([np.arange(k), s.integers(k, n - k)])
+    rep = points[pick[s.permutation(n)]]
+    assert len(np.unique(rep, axis=0)) == k
+    return rep
+
+
+def _plain_solve(x, y):
+    """The matched distance of each row of scipy's solve of the unshifted
+    cost, with the repeated set ``y`` in the columns."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+    cost = cdist(x, y)
+    return cost[linear_sum_assignment(cost)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 40])
+@pytest.mark.parametrize("first", ["repeated", "distinct"])
+def test_priced_solve_equals_plain_solve_bit_for_bit(monkeypatch, k, first):
+    """Distinct rows against k repeated points: every row's matched distance,
+    and so the value, equals the plain solve's, and the read-out equals the
+    unshifted distances of the pairs the priced solve matched."""
+    import scipy.optimize
+    from scipy.spatial.distance import cdist
+    n = 512
+    rep = _repeats(k, n, seed=k)
+    pts = 2.0 * Stream.from_seed(k, "pts").normal((n, 2))
+    plain = _plain_solve(pts, rep)
+    solved, read_out = [], []
+    solve, read = scipy.optimize.linear_sum_assignment, metrics._matched_distances
+
+    def spy_solve(cost):
+        solved.append(solve(cost))
+        return solved[-1]
+
+    def spy_read(rows, matched):
+        read_out.append(read(rows, matched))
+        return read_out[-1]
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy_solve)
+    monkeypatch.setattr(metrics, "_matched_distances", spy_read)
+    value = metrics.wasserstein_assignment(*((rep, pts) if first == "repeated" else (pts, rep)))
+    [(rows, cols)], [matched] = solved, read_out
+    assert np.array_equal(matched, cdist(pts, rep)[rows, cols])
+    assert np.array_equal(matched, plain)
+    assert value == float(plain.mean())
+
+
+def test_priced_solve_with_both_sets_repeated_matches_plain_solve():
+    for seed, k in enumerate((4, 40)):
+        cols = _repeats(k, 512, seed)
+        rows = _repeats(96, 512, seed + 10)
+        plain = float(_plain_solve(rows, cols).mean())
+        for args in ((rows, cols), (cols, rows)):
+            assert metrics.wasserstein_assignment(*args) == pytest.approx(plain, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("bad, cause", [(np.inf, "infeasible"),
+                                        (np.nan, "invalid numeric entries")])
+def test_priced_solve_of_a_non_finite_point_fails_as_the_plain_solve(bad, cause):
+    rep = _repeats(4, 48, seed=5)
+    pts = Stream.from_seed(5, "pts").normal((48, 2))
+    pts[3, 0] = bad
+    for args in ((pts, rep), (rep, pts)):
+        with pytest.raises(ValueError, match=cause):
+            metrics.wasserstein_assignment(*args)
 
 
 def test_eval_checks_wasserstein_sizes_before_any_metric(monkeypatch):

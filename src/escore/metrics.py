@@ -1,8 +1,10 @@
 """Two-sample distribution distances: energy statistic, MMD, Wasserstein.
 
 These are evaluation-side metrics: pairwise distances are exact Euclidean
-norms (no smoothing). Pairwise sums run in a fixed order, so every value
-here is deterministic.
+norms (no smoothing), which the energy sums, the MMD kernel sums and the
+median bandwidth read block by block from :func:`_pair_distances` (1-column
+energy sums use sorted prefix sums; the Wasserstein solve has its own cost
+matrix). Pairwise sums run in a fixed order, so every value is deterministic.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ WASSERSTEIN_SIZE_CAP = 2048
 MEDIAN = "median"
 METRIC_NAMES = ("mmd", "wsd", "energy")   # energy gives energy_u and energy_v
 
-_CROSS_BLOCK = 4_000_000  # max pairwise entries materialized at once
-_MEDIAN_BLOCK = 1 << 18   # about the max pairwise distances the median holds at once
+_PAIR_BLOCK = 1 << 18     # about the max pairwise distances the metrics hold at once
 _INF_KEY = 0x7FF0         # top 16 bits of +inf's bit pattern
 _MATCH_BLOCK = 64         # rows per block of the matched-distance read-out
 # coordinate-ascent sweeps of the solve's point prices: at the size cap, one-step
@@ -41,11 +42,15 @@ class EnergyEstimatorConfig:
             raise ValueError(f"mode must be 'u' or 'v', got {self.mode!r}")
 
 
-def _as_points(tag: str, arr) -> np.ndarray:
-    pts = np.asarray(getattr(arr, "points", arr), dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"{tag}: expected (n, d) points, got shape {pts.shape}")
-    return pts
+def _as_points(x, y, tags: tuple[str, str] = ("X", "Y")) -> tuple[np.ndarray, np.ndarray]:
+    """Both sets as float64 (n, d) arrays of at least one point and one dimension d."""
+    pair = [np.asarray(getattr(a, "points", a), dtype=np.float64) for a in (x, y)]
+    for tag, pts in zip(tags, pair):
+        if pts.ndim != 2 or pts.shape[0] < 1:
+            raise ValueError(f"{tag}: expected (n, d) points, got shape {pts.shape}")
+    if pair[0].shape[1] != pair[1].shape[1]:
+        raise ValueError(f"dimension mismatch: {pair[0].shape[1]} vs {pair[1].shape[1]}")
+    return pair[0], pair[1]
 
 
 def _pair_sum_1d(x: np.ndarray, y: np.ndarray) -> float:
@@ -65,39 +70,49 @@ def _within_sum_1d(x: np.ndarray) -> float:
     return 2.0 * float(np.sum((2.0 * idx - len(xs) + 1.0) * xs))
 
 
-def _cross_sum(x: np.ndarray, y: np.ndarray) -> float:
-    """Sum of Euclidean distances over all (i, j) pairs, in fixed block order."""
-    if x.shape[1] == 1:
-        return _pair_sum_1d(x[:, 0], y[:, 0])
-    from scipy.spatial.distance import cdist
-    rows = max(1, _CROSS_BLOCK // max(len(y), 1))
-    totals = 0.0
-    for start in range(0, len(x), rows):
-        totals += float(cdist(x[start:start + rows], y).sum())
-    return totals
+def _pair_distances(a: np.ndarray, b: np.ndarray | None = None):
+    """Euclidean distances in flat blocks of about _PAIR_BLOCK: of every pair
+    (a_i, b_j), one row block of ``a`` at a time, or without ``b`` the
+    multiset of ``pdist(a)``, the pairs i < j: for each row block, its
+    distances to the later rows, then those within it. scipy's pdist values
+    equal cdist's bit for bit, so no block is masked. Every block is a new
+    array that the caller may overwrite."""
+    from scipy.spatial.distance import cdist, pdist
+    rows = max(1, _PAIR_BLOCK // max(len(a) if b is None else len(b), 1))
+    for start in range(0, len(a), rows):
+        end = start + rows
+        if b is not None:
+            yield cdist(a[start:end], b).ravel()
+        else:
+            yield cdist(a[start:end], a[end:]).ravel()
+            yield pdist(a[start:end])
 
 
-def _within_sum(x: np.ndarray) -> float:
-    """Sum over ordered pairs (i != j) of pairwise distances within one set."""
-    if len(x) < 2:
-        return 0.0
-    if x.shape[1] == 1:
-        return _within_sum_1d(x[:, 0])
-    if len(x) * len(x) <= _CROSS_BLOCK:
-        from scipy.spatial.distance import pdist
-        return 2.0 * float(pdist(x).sum())
-    return _cross_sum(x, x)   # diagonal contributes zeros
+def _pair_sum(a: np.ndarray, b: np.ndarray | None = None, inv: float | None = None) -> float:
+    """Sum over the distances d that ``_pair_distances(a, b)`` yields, block
+    by block, of d, or given ``inv`` of the RBF kernel exp(inv * d**2)."""
+    total = 0.0
+    for d in _pair_distances(a, b):
+        if inv is not None:
+            with np.errstate(over="ignore"):   # -inf where exp gives 0 anyway
+                d *= d
+                d *= inv
+            np.exp(d, out=d)
+        total += float(d.sum())
+    return total
 
 
 def _energy_values(xp: np.ndarray, yp: np.ndarray, modes: tuple[str, ...]) -> list[float]:
     """The energy statistic in each of ``modes``, from one computation of its
     three pair sums."""
-    if xp.shape[1] != yp.shape[1]:
-        raise ValueError(f"dimension mismatch: {xp.shape[1]} vs {yp.shape[1]}")
     m, n = len(xp), len(yp)
     if "u" in modes and (m < 2 or n < 2):
         raise ValueError("U-mode estimator needs at least 2 points per set")
-    cross, within_x, within_y = _cross_sum(xp, yp), _within_sum(xp), _within_sum(yp)
+    if xp.shape[1] == 1:   # O(n log n): what makes 10^5-point sets feasible
+        x, y = xp[:, 0], yp[:, 0]
+        cross, within_x, within_y = _pair_sum_1d(x, y), _within_sum_1d(x), _within_sum_1d(y)
+    else:
+        cross, within_x, within_y = _pair_sum(xp, yp), 2.0 * _pair_sum(xp), 2.0 * _pair_sum(yp)
     values = []
     for mode in modes:
         value = 2.0 * cross / (m * n)
@@ -109,7 +124,7 @@ def _energy_values(xp: np.ndarray, yp: np.ndarray, modes: tuple[str, ...]) -> li
 
 def energy_statistic(x, y, cfg: EnergyEstimatorConfig = EnergyEstimatorConfig()) -> float:
     """Plug-in energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| between samples."""
-    [value] = _energy_values(_as_points("X", x), _as_points("Y", y), (cfg.mode,))
+    [value] = _energy_values(*_as_points(x, y), (cfg.mode,))
     return value
 
 
@@ -127,18 +142,6 @@ def gaussian_energy_oracle(mu: float) -> float:
             + m * (1.0 - 2.0 * phi)
 
     return 2.0 * folded_mean(abs(mu)) - 2.0 * folded_mean(0.0)
-
-
-def _distance_blocks(p: np.ndarray):
-    """The multiset of ``pdist(p)`` in blocks of about _MEDIAN_BLOCK distances:
-    for each row block, its distances to the later rows, then those within it.
-    scipy's pdist values equal cdist's bit for bit, so no block is masked."""
-    from scipy.spatial.distance import cdist, pdist
-    rows = max(1, _MEDIAN_BLOCK // max(len(p), 1))
-    for start in range(0, len(p), rows):
-        end = start + rows
-        yield cdist(p[start:end], p[end:]).ravel()
-        yield pdist(p[start:end])
 
 
 def median_pairwise_distance(points: np.ndarray) -> float:
@@ -160,7 +163,7 @@ def median_pairwise_distance(points: np.ndarray) -> float:
     if total == 0:
         return 0.0
     counts = np.zeros(1 << 16, dtype=np.int64)
-    for d in _distance_blocks(p):
+    for d in _pair_distances(p):
         key = d.view(np.uint64)
         key >>= 48   # in place: pass 1 needs only the keys
         counts += np.bincount(key.view(np.int64), minlength=1 << 16)
@@ -176,7 +179,7 @@ def median_pairwise_distance(points: np.ndarray) -> float:
                       dtype=np.uint64).view(np.float64)
     kept = np.empty(int(cum[last]) - below)
     filled = 0
-    for d in _distance_blocks(p):
+    for d in _pair_distances(p):
         inside = d >= lo
         inside &= d <= hi
         values = d[inside]
@@ -202,41 +205,36 @@ def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:
     """Biased (V-statistic) squared MMD with RBF kernel exp(-r^2 / 2 sigma^2).
 
     bandwidth MEDIAN resolves sigma to the median pairwise distance of the
-    pooled set. Returns (mmd2, bandwidth_used). Symmetric in its arguments
-    by canonical internal ordering.
+    pooled set; an explicit one must pass :func:`kernel_factor`. Returns
+    (mmd2, bandwidth_used). A within-set kernel mean is (2 * sum over i < j
+    + m) / m**2. Symmetric in its arguments by canonical internal ordering.
     """
-    from scipy.spatial.distance import cdist
-    xp = _as_points("X", x)
-    yp = _as_points("Y", y)
-    if xp.shape[1] != yp.shape[1]:
-        raise ValueError(f"dimension mismatch: {xp.shape[1]} vs {yp.shape[1]}")
+    xp, yp = _as_points(x, y)
     # canonical order makes mmd(X, Y) == mmd(Y, X) bit-for-bit
     if (len(xp), xp.tobytes()) > (len(yp), yp.tobytes()):
         xp, yp = yp, xp
-    if bandwidth == MEDIAN:
-        sigma = median_pairwise_distance(np.concatenate([xp, yp], axis=0))
-    else:
+    if bandwidth != MEDIAN:
         sigma = float(bandwidth)
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"degenerate kernel bandwidth {sigma!r} (pooled points "
-                         "may be identical); pass an explicit bandwidth")
-    inv = kernel_factor(sigma)
-
-    def kernel_mean(a: np.ndarray, b: np.ndarray) -> float:
-        k = cdist(a, b, "sqeuclidean")    # one buffer per kernel matrix
-        with np.errstate(over="ignore"):  # -inf where exp gives 0 anyway
-            k *= inv
-        np.exp(k, out=k)
-        return k.mean()
-
-    return float(kernel_mean(xp, xp) + kernel_mean(yp, yp) - 2.0 * kernel_mean(xp, yp)), sigma
+        inv = kernel_factor(sigma)
+    else:
+        sigma = median_pairwise_distance(np.concatenate([xp, yp], axis=0))
+        try:
+            inv = kernel_factor(sigma)
+        except ValueError:
+            cause = ("at least half of the pooled pairs are (nearly) identical points"
+                     if math.isfinite(sigma) else "a pooled point is not finite or too large")
+            raise ValueError(f"degenerate kernel bandwidth {sigma!r} from the median pooled "
+                             f"distance: {cause}; pass an explicit bandwidth") from None
+    m, n = len(xp), len(yp)
+    within_x = (2.0 * _pair_sum(xp, inv=inv) + m) / (m * m)
+    within_y = (2.0 * _pair_sum(yp, inv=inv) + n) / (n * n)
+    cross = _pair_sum(xp, yp, inv) / (m * n)
+    return float(within_x + within_y - 2.0 * cross), sigma
 
 
 def _check_assignable(xp: np.ndarray, yp: np.ndarray) -> None:
-    """The Wasserstein solve's preconditions: same dimension, equal sizes, and
-    at most WASSERSTEIN_SIZE_CAP points (the solve is dense and cubic)."""
-    if xp.shape[1] != yp.shape[1]:
-        raise ValueError(f"dimension mismatch: {xp.shape[1]} vs {yp.shape[1]}")
+    """The Wasserstein solve's preconditions beyond :func:`_as_points`: equal
+    sizes, and at most WASSERSTEIN_SIZE_CAP points (the solve is dense and cubic)."""
     if len(xp) != len(yp):
         raise ValueError(f"set sizes differ: {len(xp)} vs {len(yp)}")
     if len(xp) > WASSERSTEIN_SIZE_CAP:
@@ -310,8 +308,7 @@ def wasserstein_assignment(x, y) -> float:
     was. The value is read from distances recomputed for the matched pairs,
     which equal the unshifted cost entries bit for bit.
     """
-    xp = _as_points("X", x)
-    yp = _as_points("Y", y)
+    xp, yp = _as_points(x, y)
     _check_assignable(xp, yp)
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
@@ -369,8 +366,7 @@ def evaluate_samples(generated, reference, method: str, steps: int, seed: int,
                      names: tuple[str, ...] = METRIC_NAMES) -> MetricsReport:
     """Report between generated points and a reference batch, computing only
     the metrics in ``names`` (a subset of :data:`METRIC_NAMES`)."""
-    gen = _as_points("generated", generated)
-    ref = _as_points("reference", reference)
+    gen, ref = _as_points(generated, reference, ("generated", "reference"))
     if "wsd" in names:
         _check_assignable(gen, ref)   # a pair the solve rejects fails before any work
     mmd2 = sigma = wsd = e_u = e_v = None

@@ -10,10 +10,11 @@ numerics must say so and why.
 ``GOLDEN`` holds one table per numpy dispatch path. numpy 2.4.6 rounds
 float64 ``exp``, ``log`` and ``power`` differently in its AVX-512
 (``X86_V4``) loops and its AVX2 (``X86_V3``) loops (``tanh``, ``sin``,
-``cos``, ``sqrt``, matmul and the reductions agree), so six digests differ
+``cos``, ``sqrt``, matmul and the reductions agree), so seven digests differ
 between the tables: both MAR checkpoints, the student's loss log, the
-mean-flow head, the energy decode's sequences and the compare metrics (the
-last bits of the energy head's MMD). The AVX2 table was
+mean-flow head, the energy decode's sequences and both metrics CSVs (the
+last bits of the eval's MMD and of the energy head's MMD in the compare
+CSV). The AVX2 table was
 recorded on an AVX-512 host with
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``, which is how
 an AVX-512 host checks it. A path with no table fails every digest test
@@ -55,7 +56,7 @@ KINDS = ("energy", "diffusion", "flow", "shortcut", "meanflow")
 
 GOLDEN = {
     "AVX-512": {
-        "compare/metrics.csv": "167135af80a92c20e5e9236c7203c7ea555b6f15ed82ef73db56897e1992f356",
+        "compare/metrics.csv": "7756e998e8320873161047ad99f642c495c1bd4b481af7e0a361a1af1407e0f1",
         "decode_diffusion/decode_stats.json": "7be0db79d42953832875a55e5774247d69d530f5329cefb25fdcdaa0beefcabd",
         "decode_diffusion/sequences.csv": "de243d6a3a61c20075d32ef92b49534c6a8fac1af7bcc48f19500e738337232e",
         "decode_energy/decode_stats.json": "cc203d6fcaa85c94a0d7d8934b01bf19ad44736ede55ac3c36404a0af79840a3",
@@ -78,7 +79,7 @@ GOLDEN = {
         "teacher/mar.ckpt": "27cecccf4967e2774e4b1dd5c920c76ff5ac4c159c4f98ed0225c379eb4e2fd7",
     },
     "AVX2": {
-        "compare/metrics.csv": "c8e01a12d3f357d649d35cb0201ab41f061aac9efb3def0a582130431ff9c55c",
+        "compare/metrics.csv": "78f00db5e50ab9fddf2ad082ebe1ab11d0c7fb62f925e30173fd569ff6d174a7",
         "decode_diffusion/decode_stats.json": "7be0db79d42953832875a55e5774247d69d530f5329cefb25fdcdaa0beefcabd",
         "decode_diffusion/sequences.csv": "de243d6a3a61c20075d32ef92b49534c6a8fac1af7bcc48f19500e738337232e",
         "decode_energy/decode_stats.json": "cc203d6fcaa85c94a0d7d8934b01bf19ad44736ede55ac3c36404a0af79840a3",
@@ -87,7 +88,7 @@ GOLDEN = {
         "diffusion/loss.csv": "9b1db0ef19ee137d1cbb6567aa1ab61430ba861491b541157e78fced3a6911f3",
         "energy/head.ckpt": "183bb35cafd1d74aa0fa0cb619512517491e944c557d6b5ecd616423cca0f981",
         "energy/loss.csv": "66e3c2a2b96b22f8e4baa2501b9ead03ac8f797b66f7df738bd297ff79bd3935",
-        "eval.csv": "657907e360a42b1fd29dee8489b04fb0e08362f08a42b6b478421f343cf99563",
+        "eval.csv": "2a4b1694c84a933c2dc4498fb3a85044ed12a08dd91e8d499b0c56ea56cc942d",
         "flow/head.ckpt": "8af55da5c02038efb14ecacd225c34dedb3981d5e2f95ef8bf78fa29114c3873",
         "flow/loss.csv": "745cf89960e27b70b14395f5d2df0633f535ba908eb41409a5258ae044d78ba6",
         "meanflow/head.ckpt": "d3763ad7f4d4f284f8cdb1ac21d8431d49d0a3995251382cfb1082309b43b1b2",

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -184,8 +185,21 @@ def test_mmd_median_bandwidth_value():
 
 def test_mmd_degenerate_bandwidth_errors():
     pts = np.zeros((4, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"degenerate kernel bandwidth 0\.0 from the median "
+                       r"pooled distance: at least half of the pooled pairs are \(nearly\) "
+                       r"identical points; pass an explicit bandwidth"):
         metrics.mmd_gaussian(pts, pts)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf])
+def test_mmd_explicit_degenerate_bandwidth_names_the_bandwidth(bandwidth):
+    """A bandwidth the caller passed is checked by kernel_factor alone: the
+    error names it and gives no advice about identical points."""
+    x = Stream.from_seed(4, "x").normal((6, 2))
+    with pytest.raises(ValueError, match=f"^kernel bandwidth {re.escape(repr(bandwidth))} "
+                       "is not a finite number > 0") as err:
+        metrics.mmd_gaussian(x, x + 1.0, bandwidth=bandwidth)
+    assert "identical" not in str(err.value)
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 5.2e-155])
@@ -419,7 +433,7 @@ def median_cases(draw):
         pts = pts[np.arange(n) % draw(st.integers(1, 8))]
     elif shape == "collinear":
         pts = pts[:, :1] * np.arange(1.0, d + 1.0) + 0.5
-    return pts, draw(st.sampled_from([1, 7, 64, metrics._MEDIAN_BLOCK]))
+    return pts, draw(st.sampled_from([1, 7, 64, metrics._PAIR_BLOCK]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -427,7 +441,7 @@ def median_cases(draw):
 def test_median_pairwise_distance_equals_numpy_median(case):
     pts, block = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_MEDIAN_BLOCK", block)
+        mp.setattr(metrics, "_PAIR_BLOCK", block)
         value = metrics.median_pairwise_distance(pts)
     expect = numpy_median_distance(pts) if len(pts) > 1 else 0.0
     assert value == expect and type(value) is float
@@ -458,7 +472,8 @@ def test_median_pairwise_distance_of_non_finite_points_is_numpy_median():
             nan_set[rows] = bad
             assert np.isnan(numpy_median_distance(nan_set))
             assert np.isnan(metrics.median_pairwise_distance(nan_set))
-            with pytest.raises(ValueError, match="degenerate kernel bandwidth nan"):
+            with pytest.raises(ValueError, match="degenerate kernel bandwidth nan from the "
+                               "median pooled distance: a pooled point is not finite"):
                 metrics.mmd_gaussian(nan_set[:4], nan_set[4:])
     for n in (9, 3):   # one inf point: 8 of 36 distances are inf, then 2 of 3
         far = pts[:n].copy()
@@ -476,8 +491,9 @@ def _traced_peak(fn, *args):
 
 
 def test_eval_holds_no_buffer_beyond_the_solve_cost():
-    """The median holds one block of distances at a time, so eval's largest
-    buffer is the n x n cost of the Wasserstein solve (32 MiB at the cap)."""
+    """The median and the pair sums hold one block of distances at a time, so
+    eval's largest buffer is the n x n cost of the Wasserstein solve (32 MiB
+    at the cap)."""
     pts = _pooled_4096("repeated")
     gen, ref = pts[:2048], pts[2048:]
     metrics.evaluate_samples(gen[:8], ref[:8], "m", 1, 0)   # imports scipy before tracing
@@ -502,16 +518,70 @@ def test_metrics_report_csv_row():
 
 @pytest.mark.parametrize("shape", [(40, 2), (40, 1)])
 def test_eval_computes_the_energy_pair_sums_once(monkeypatch, shape):
+    """Energy alone walks each pair once (three walks in 2-D, none for a
+    1-column set, which takes the sorted sums) and computes no median. All
+    three metrics add the median's two walks over the pooled pairs and the
+    kernel sums' three walks. Both energy modes stay energy_statistic's bit
+    for bit."""
     gen = Stream.from_seed(3, "g").normal(shape)
     ref = Stream.from_seed(3, "r").normal(shape) + 0.5
     expect = [energy_statistic(gen, ref, cfg) for cfg in (U_CFG, V_CFG)]
-    calls, cross_sum = [], metrics._cross_sum
+    walks, pair_distances = [], metrics._pair_distances
 
-    def counted(x, y):
-        calls.append(len(x))
-        return cross_sum(x, y)
+    def counted(a, b=None):
+        walks.append(0)
+        for d in pair_distances(a, b):
+            walks[-1] += len(d)
+            yield d
 
-    monkeypatch.setattr(metrics, "_cross_sum", counted)
-    rep = metrics.evaluate_samples(gen, ref, "energy", 1, 0, names=("energy",))
+    def unreachable(points):
+        raise AssertionError("energy alone computed a median")
+
+    monkeypatch.setattr(metrics, "_pair_distances", counted)
+    with monkeypatch.context() as mp:
+        mp.setattr(metrics, "median_pairwise_distance", unreachable)
+        rep = metrics.evaluate_samples(gen, ref, "energy", 1, 0, names=("energy",))
     assert [repr(rep.energy_u), repr(rep.energy_v)] == list(map(repr, expect))   # bit for bit
-    assert calls == [40]
+    energy_walks = [40 * 40, 40 * 39 // 2, 40 * 39 // 2] if shape[1] == 2 else []
+    assert walks == energy_walks
+    walks.clear()
+    full = metrics.evaluate_samples(gen, ref, "energy", 1, 0)
+    assert [repr(full.energy_u), repr(full.energy_v)] == list(map(repr, expect))
+    assert walks == [80 * 79 // 2] * 2 + [40 * 39 // 2] * 2 + [40 * 40] + energy_walks
+
+
+def brute_sigma(x, y):
+    from scipy.spatial.distance import pdist
+    return float(np.median(pdist(np.concatenate([x, y]))))
+
+
+@st.composite
+def unequal_pairs(draw):
+    """Two point sets of unequal sizes (2..16 points against more), in 1-3
+    dimensions, spread or with exact repeats, and a block size from one
+    distance to the default."""
+    m, d = draw(st.integers(2, 16)), draw(st.integers(1, 3))
+    n = m + draw(st.integers(1, 8))
+    s = Stream.from_seed(draw(st.integers(0, 2 ** 32 - 1)), "pair")
+    x, y = s.child("x").normal((m, d)), s.child("y").normal((n, d)) + 0.5
+    if draw(st.booleans()):   # on 2 or more points, so that the median stays > 0
+        y = y[np.arange(n) % draw(st.integers(2, 4))]
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y, draw(st.sampled_from([1, 7, 64, metrics._PAIR_BLOCK]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(unequal_pairs())
+def test_blockwise_metrics_match_brute_force_at_every_block_size(case):
+    x, y, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_PAIR_BLOCK", block)
+        energy = [energy_statistic(x, y, cfg) for cfg in (U_CFG, V_CFG)]
+        mmd2, sigma = metrics.mmd_gaussian(x, y)
+        swapped = metrics.mmd_gaussian(y, x)
+    assert energy == pytest.approx([brute_energy(x, y, "u"), brute_energy(x, y, "v")],
+                                   abs=1e-12)
+    assert sigma == brute_sigma(x, y)
+    assert mmd2 == pytest.approx(brute_mmd(x, y, sigma), abs=1e-12)
+    assert swapped == (mmd2, sigma)

@@ -377,6 +377,11 @@ class MarModel:
         latents = np.zeros((n_seq, cfg.seq_len, cfg.latent_dim))
         generated = np.zeros((n_seq, cfg.seq_len), dtype=bool)
         ids = np.full(n_seq, NULL_CLASS if class_id is None else class_id)
+        # cfg_combine returns the conditional pass unchanged at scale 1 and the
+        # null pass at 0, so a guided decode at those scales runs that pass alone
+        two_passes = dcfg.guided and dcfg.cfg_scale not in (0.0, 1.0)
+        if dcfg.guided and dcfg.cfg_scale == 0.0:
+            ids[:] = NULL_CLASS
         backbone_before = self.backbone_forwards
         head_rows = 0
         times_generated = np.zeros((n_seq, cfg.seq_len), dtype=int)
@@ -394,13 +399,13 @@ class MarModel:
             rows = 1 if k == 0 else n_seq
             at = None if k == 0 else (seq_idx, pos_idx)
             h = self.represent(latents[:rows], ~generated[:rows], ids[:rows], at)
-            if dcfg.guided:
+            if two_passes:
                 h_null = self.represent(latents[:rows], ~generated[:rows],
                                         np.full(rows, NULL_CLASS), at)
                 h = cfg_combine(h, h_null, dcfg.cfg_scale)
-                if not np.isfinite(h).all():
-                    raise G.NonFiniteError(f"CFG scale {dcfg.cfg_scale!r} gives a non-finite "
-                                           f"guided representation at iteration {k}")
+            if dcfg.guided and not np.isfinite(h).all():
+                raise G.NonFiniteError(f"CFG scale {dcfg.cfg_scale!r} gives a non-finite "
+                                       f"guided representation at iteration {k}")
             ctx = h[0, pos_idx] if k == 0 else h
             if energy:
                 out = self.head.energy_sample(ctx, noise[seq_idx, pos_idx])

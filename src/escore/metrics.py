@@ -4,7 +4,9 @@ These are evaluation-side metrics: pairwise distances are exact Euclidean
 norms (no smoothing), which the energy sums, the MMD kernel sums and the
 median bandwidth read block by block from :func:`_pair_distances` (1-column
 energy sums use sorted prefix sums; the Wasserstein solve has its own cost
-matrix). Pairwise sums run in a fixed order, so every value is deterministic.
+matrix, whose columns it first lowers by prices that leave its optimum and
+value exact). Pairwise sums run in a fixed order, so every value is
+deterministic.
 """
 from __future__ import annotations
 
@@ -26,6 +28,10 @@ _MATCH_BLOCK = 64         # rows per block of the matched-distance read-out
 # coordinate-ascent sweeps of the solve's point prices: at the size cap, one-step
 # diffusion samples on about 40 points solve as fast after 12 to 24 sweeps
 _PRICE_SWEEPS = 16
+# the all-distinct solve's prices come from an exact solve of every 4th row
+# and column, from this many points on
+_SAMPLE_STRIDE = 4
+_SAMPLED_PRICES_MIN = 256
 
 
 @dataclass(frozen=True)
@@ -272,6 +278,76 @@ def _point_prices(rows: np.ndarray, points: np.ndarray, counts: np.ndarray) -> n
     return prices
 
 
+def _column_duals(cost: np.ndarray, cols: np.ndarray, max_rounds: int) -> np.ndarray | None:
+    """Column duals v of the square ``cost``'s optimal assignment, row i to
+    column ``cols[i]``, by Bellman-Ford on its exchange graph: from v = 0,
+    ``v_j <- min(v_j, min_i(v[cols[i]] - cost[i, cols[i]] + cost[i, j]))``
+    until nothing moves, relaxing each round only the rows whose column moved
+    in the last one. Then the row duals ``u_i = min_j(cost[i, j] - v_j)``
+    satisfy ``cost - u - v >= 0`` with equality on the matched pairs (to
+    rounding). None when a move remains after ``max_rounds`` rounds."""
+    matched = cost[np.arange(len(cost)), cols]
+    duals = np.zeros(len(cost))
+    moved_rows = np.arange(len(cost))
+    for _ in range(max_rounds):
+        through = duals[cols[moved_rows]] - matched[moved_rows]
+        lowest = (cost[moved_rows] + through[:, None]).min(axis=0)
+        moved = lowest < duals
+        if not moved.any():
+            return duals
+        duals[moved] = lowest[moved]
+        moved_rows = np.flatnonzero(moved[cols])
+    return None
+
+
+def _sampled_prices(rows: np.ndarray, columns: np.ndarray) -> np.ndarray | None:
+    """Approximate assignment duals of the columns, one price each, from an
+    exact solve of every _SAMPLE_STRIDE-th row against every
+    _SAMPLE_STRIDE-th column (a coarse level, as in Mérigot 2011), or None
+    when they would not help.
+
+    The sub-solve's column duals come from :func:`_column_duals` (at most m
+    rounds for m sampled columns), its row duals u from a c-transform, and
+    every column's price from a second c-transform over the sampled rows,
+    ``v_j = min_i(d(row_i, column_j) - u_i)``. The prices are kept only if
+    fewer rows then share a preferred column, ``argmin_j(d_ij - v_j)``, than
+    with no prices. None too when a distance is not finite or the duals do
+    not converge. No buffer holds more than the sub-solve's m x m cost or a
+    block of about _PAIR_BLOCK distances (2 MiB each at the size cap), and
+    all are freed on return."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+    n = len(columns)
+    m = n // _SAMPLE_STRIDE
+    pick = np.arange(m) * _SAMPLE_STRIDE
+    sampled = rows[pick]
+    sub = cdist(sampled, columns[pick])
+    if not np.isfinite(sub).all():
+        return None
+    _, cols = linear_sum_assignment(sub)
+    duals = _column_duals(sub, cols, m)
+    if duals is None:
+        return None
+    sub -= duals
+    row_duals = sub.min(axis=1)
+    del sub
+    prices, start = np.full(n, np.inf), 0
+    for d in _pair_distances(sampled, columns):
+        d = d.reshape(-1, n)
+        d -= row_duals[start:start + len(d), None]
+        np.minimum(prices, d.min(axis=0), out=prices)
+        start += len(d)
+    plain, priced = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for d in _pair_distances(rows, columns):
+        d = d.reshape(-1, n)
+        if not np.isfinite(d).all():
+            return None
+        plain += np.bincount(d.argmin(axis=1), minlength=n)
+        d -= prices
+        priced += np.bincount(d.argmin(axis=1), minlength=n)
+    return prices if priced[priced > 1].sum() < plain[plain > 1].sum() else None
+
+
 def _matched_distances(rows: np.ndarray, matched: np.ndarray) -> np.ndarray:
     """``cdist(rows, matched)``'s diagonal, bit for bit, one row block at a
     time: the distance of each row to its own match."""
@@ -295,18 +371,27 @@ def wasserstein_assignment(x, y) -> float:
     set solves several times faster in the columns. The rule also makes the
     value symmetric bit for bit whenever the counts differ.
 
-    When the columns hold few distinct points (more than one, and at most an
-    eighth of the set), each point gets a price (see :func:`_point_prices`)
-    and every column of the cost matrix is lowered, in place, by its point's
-    price before the solve. The prices are near the transportation problem's
-    optimal duals, so most rows take a free copy of their preferred point and
-    the solver's augmenting paths stay short (Jonker & Volgenant, 1987): a
-    one-step diffusion sample on about 40 points solves several times faster
-    at the size cap. The solve stays exact: every full assignment takes each
-    point exactly as often as it repeats, so the shift lowers the total of
-    every assignment by the same constant and leaves the optimum where it
-    was. The value is read from distances recomputed for the matched pairs,
-    which equal the unshifted cost entries bit for bit.
+    Every column of the cost matrix is lowered, in place, by a price near the
+    problem's optimal dual before the solve, so most rows take a free column
+    they prefer and the solver's augmenting paths stay short (Jonker &
+    Volgenant, 1987). The prices depend on the columns:
+
+    - few distinct points (more than one, and at most an eighth of the set):
+      one price per point by coordinate ascent (:func:`_point_prices`); a
+      one-step diffusion sample on about 40 points solves several times
+      faster at the size cap;
+    - more distinct points, from _SAMPLED_PRICES_MIN points on: the duals of
+      an exact solve of every 4th row and column, extended to every column
+      (:func:`_sampled_prices`), or none when they would leave more rows
+      sharing a preferred column than no prices do; a one-step energy
+      sample near its reference solves about a third faster at the size cap;
+    - one distinct point, or a set too small: no prices.
+
+    The solve stays exact: every full assignment takes each column once, so
+    the shift moves the total of every assignment by the same constant and
+    leaves the optimum where it was. The value is read from distances
+    recomputed for the matched pairs, which equal the unshifted cost entries
+    bit for bit.
     """
     xp, yp = _as_points(x, y)
     _check_assignable(xp, yp)
@@ -317,9 +402,13 @@ def wasserstein_assignment(x, y) -> float:
     if len(y_points[0]) > len(x_points[0]):
         xp, yp, y_points = yp, xp, x_points
     points, inverse, counts = y_points
-    # priced before the cost is built, so that the prices' k x n buffers are freed by then
-    shift = _point_prices(xp, points, counts)[inverse] if 1 < len(points) <= len(yp) // 8 \
-        else None
+    # priced before the cost is built, so that the prices' buffers are freed by then
+    if 1 < len(points) <= len(yp) // 8:
+        shift = _point_prices(xp, points, counts)[inverse]
+    elif len(points) > len(yp) // 8 and len(yp) >= _SAMPLED_PRICES_MIN:
+        shift = _sampled_prices(xp, yp)
+    else:
+        shift = None
     cost = cdist(xp, yp)   # built in the solve's orientation: scipy copies a transposed view
     if shift is not None:
         cost -= shift

@@ -239,6 +239,26 @@ def test_decode_scale_one_equals_unguided_bitwise():
     assert np.array_equal(guided, plain)
 
 
+@pytest.mark.parametrize("kind", ["energy", "diffusion"])
+@pytest.mark.parametrize("scale, class_id", [(1.0, 1), (0.0, None)])
+def test_guided_decode_at_scale_one_or_zero_runs_the_kept_pass_alone(kind, scale, class_id):
+    """cfg_combine keeps the conditional pass at scale 1 and the null pass at
+    0, so a guided decode there is the unguided decode of that class (None is
+    the null class), bit for bit, with half the backbone passes of a guided
+    decode at another scale."""
+    model = _reference_model(kind)
+    steps = 1 if kind == "energy" else 3
+    guided, stats = model.decode(1, 3, DecodeConfig(iterations=4, cfg_scale=scale, seed=2,
+                                                    head_steps=steps))
+    plain, plain_stats = model.decode(class_id, 3, DecodeConfig(
+        iterations=4, cfg_scale=scale, seed=2, guided=False, head_steps=steps))
+    _, mixed_stats = model.decode(1, 3, DecodeConfig(iterations=4, cfg_scale=2.0, seed=2,
+                                                     head_steps=steps))
+    assert guided.tobytes() == plain.tobytes()
+    assert stats == plain_stats
+    assert 2 * stats["backbone_forwards"] == mixed_stats["backbone_forwards"] == 8
+
+
 @pytest.mark.parametrize("rate_range", [(0.7, 1.0), (0.5, 0.5), (0.01, 0.2)])
 def test_mask_batch_matches_per_sequence_reference(rate_range):
     """One batched draw gives each sequence the mask of its own stream chain."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escore import metrics
+from escore import data, metrics
 from escore.metrics import EnergyEstimatorConfig, energy_statistic
 from escore.rng import Stream
 
@@ -389,8 +389,10 @@ def test_priced_solve_with_both_sets_repeated_matches_plain_solve():
             assert metrics.wasserstein_assignment(*args) == pytest.approx(plain, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("bad, cause", [(np.inf, "infeasible"),
-                                        (np.nan, "invalid numeric entries")])
+NON_FINITE = [(np.inf, "infeasible"), (np.nan, "invalid numeric entries")]
+
+
+@pytest.mark.parametrize("bad, cause", NON_FINITE)
 def test_priced_solve_of_a_non_finite_point_fails_as_the_plain_solve(bad, cause):
     rep = _repeats(4, 48, seed=5)
     pts = Stream.from_seed(5, "pts").normal((48, 2))
@@ -398,6 +400,138 @@ def test_priced_solve_of_a_non_finite_point_fails_as_the_plain_solve(bad, cause)
     for args in ((pts, rep), (rep, pts)):
         with pytest.raises(ValueError, match=cause):
             metrics.wasserstein_assignment(*args)
+
+
+@pytest.mark.parametrize("bad, cause", NON_FINITE)
+@pytest.mark.parametrize("at", [3, 4])
+@pytest.mark.filterwarnings("error")
+def test_sampled_prices_of_a_non_finite_point_fail_as_the_plain_solve(bad, cause, at):
+    """All-distinct sets from the size where the sub-solve prices start, with
+    the bad point outside the sub-solve's sample (row 3) or in it (row 4):
+    no price is computed from a non-finite distance, so numpy warns of no
+    invalid operation."""
+    n = metrics._SAMPLED_PRICES_MIN
+    far = _far_pair(n)[1]
+    pts = Stream.from_seed(5, "pts").normal((n, 2))
+    pts[at, 0] = bad
+    for args in ((pts, far), (far, pts)):
+        with pytest.raises(ValueError, match=cause):
+            metrics.wasserstein_assignment(*args)
+
+
+def _near_pair(n, seed=3):
+    """All-distinct near sets: a Swiss roll against a blurred one, as a
+    one-step energy head's samples lie about the reference."""
+    x = data.swiss_roll(n, 0.1, seed=seed).points
+    y = data.swiss_roll(n, 0.1, seed=seed + 100).points
+    return x, y + 0.2 * Stream.from_seed(seed, "blur").normal((n, 2))
+
+
+def _far_pair(n, seed=1):
+    """All-distinct far sets: two unit normals 3 apart on each axis."""
+    return (Stream.from_seed(seed, "x").normal((n, 2)),
+            3.0 + Stream.from_seed(seed, "y").normal((n, 2)))
+
+
+def _spy_solves(monkeypatch):
+    """Every (cost, solution) that linear_sum_assignment sees, in call order."""
+    import scipy.optimize
+    seen, solve = [], scipy.optimize.linear_sum_assignment
+
+    def spy(cost):
+        seen.append((cost.copy(), solve(cost)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    return seen
+
+
+@pytest.mark.parametrize("pair", ["near", "far"])
+@pytest.mark.parametrize("swap", [False, True])
+def test_sampled_prices_solve_equals_plain_solve_bit_for_bit(monkeypatch, pair, swap):
+    """All-distinct sets above the sub-solve size: the solve takes the cost
+    lowered by the sampled prices, and every row's matched distance, and so
+    the value, equals scipy's solve of the unshifted cost."""
+    from scipy.spatial.distance import cdist
+    x, y = (_near_pair if pair == "near" else _far_pair)(512)
+    if swap:
+        x, y = y, x
+    plain = _plain_solve(x, y)
+    seen = _spy_solves(monkeypatch)
+    value = metrics.wasserstein_assignment(x, y)
+    [(sub, _), (cost, (rows, cols))] = seen
+    assert sub.shape == (512 // metrics._SAMPLE_STRIDE,) * 2
+    prices = metrics._sampled_prices(x, y)
+    assert prices is not None and np.array_equal(cost, cdist(x, y) - prices)
+    assert np.array_equal(cdist(x, y)[rows, cols], plain)
+    assert value == float(plain.mean())
+
+
+def _grid(n, seed):
+    """Integer points on a 4 x 4 grid: exact distance ties and repeats."""
+    return np.floor(4.0 * Stream.from_seed(seed, "grid").uniform((n, 2)))
+
+
+@pytest.mark.parametrize("kind", ["normal", "grid", "repeats"])
+def test_column_duals_are_feasible_and_tight_on_the_matched_pairs(kind):
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+    m = 40
+    for seed in range(5):
+        if kind == "normal":
+            x, y = _far_pair(m, seed)
+            y -= 2.5
+        elif kind == "grid":
+            x, y = _grid(m, seed), _grid(m, seed + 10)
+        else:
+            x, y = _repeats(5, m, seed), _repeats(7, m, seed + 10)
+        cost = cdist(x, y)
+        _, cols = linear_sum_assignment(cost)
+        duals = metrics._column_duals(cost, cols, m)
+        assert duals is not None
+        # row duals tight on the matched pairs; feasible elsewhere, to rounding
+        matched = cost[np.arange(m), cols] - duals[cols]
+        reduced = cost - matched[:, None] - duals
+        assert reduced.min() >= -1e-12 * cost.max()
+        # so they are the c-transform the prices take
+        assert np.allclose((cost - duals).min(axis=1), matched, rtol=0, atol=1e-12 * cost.max())
+
+
+@pytest.mark.parametrize("pair, shifted", [("swiss", False), ("far", True)])
+@pytest.mark.parametrize("swap", [False, True])
+def test_sampled_prices_are_kept_only_when_fewer_rows_share_a_preferred_column(
+        monkeypatch, pair, shifted, swap):
+    """Two Swiss rolls drawn alike already prefer nearly distinct columns,
+    and the prices would add clashes: the solve takes the unshifted cost."""
+    from scipy.spatial.distance import cdist
+    if pair == "swiss":
+        x, y = data.swiss_roll(512, 0.1, seed=3).points, data.swiss_roll(512, 0.1, seed=4).points
+    else:
+        x, y = _far_pair(512)
+    if swap:
+        x, y = y, x
+    seen = _spy_solves(monkeypatch)
+    metrics.wasserstein_assignment(x, y)
+    [_, (cost, _)] = seen   # the sub-solve ran either way
+    assert np.array_equal(cost, cdist(x, y)) != shifted
+
+
+def test_sampled_prices_fall_back_when_the_duals_do_not_converge(monkeypatch):
+    from scipy.spatial.distance import cdist
+    duals, capped = metrics._column_duals, []
+
+    def one_round(cost, cols, max_rounds):
+        capped.append(duals(cost, cols, 1))
+        return capped[-1]
+
+    monkeypatch.setattr(metrics, "_column_duals", one_round)
+    x, y = _far_pair(metrics._SAMPLED_PRICES_MIN)
+    seen = _spy_solves(monkeypatch)
+    value = metrics.wasserstein_assignment(x, y)
+    assert capped == [None]
+    [_, (cost, _)] = seen
+    assert np.array_equal(cost, cdist(x, y))
+    assert value == float(_plain_solve(x, y).mean())
 
 
 def test_eval_checks_wasserstein_sizes_before_any_metric(monkeypatch):

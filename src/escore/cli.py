@@ -121,7 +121,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train-head", help="train one sampling head on a 2-D toy")
     p.add_argument("--method", required=True, choices=HEAD_KINDS)
-    p.add_argument("--dataset", default="swissroll", choices=["swissroll"])
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     _add_config_flags(p)
@@ -171,7 +170,7 @@ def _build_parser() -> _Parser:
                    help="per-position sampling steps (non-energy heads; "
                         "defaults to 1 for energy, the chain length otherwise)")
     p.add_argument("--no-guidance", action="store_true",
-                   help="single conditional pass, no null combination")
+                   help="decode at CFG scale 1, the conditional pass alone")
     p.add_argument("--out", required=True)
     _add_config_flags(p)
 
@@ -245,18 +244,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "decode":
-        cfg = _resolved(args)
-        d = cfg["decode"]
-        path = experiments.run_decode(
-            args.ckpt, args.class_id,
-            iterations=d["iterations"] if args.iterations is None else args.iterations,
-            cfg_scale=d["cfg_scale"] if args.cfg_scale is None else args.cfg_scale,
-            schedule=args.schedule or d["schedule"],
-            seed=args.seed,
-            guided=d["guided"] and not args.no_guidance,
-            head_steps=args.head_steps,
-            n_seq=d["n_seq"] if args.n is None else args.n,
-            out_dir=args.out)
+        flags = {"decode.iterations": args.iterations, "decode.cfg_scale": args.cfg_scale,
+                 "decode.schedule": args.schedule, "decode.n_seq": args.n,
+                 "decode.guided": False if args.no_guidance else None}
+        cfg = _resolved(args, **{k: v for k, v in flags.items() if v is not None})
+        path = experiments.run_decode(cfg, args.ckpt, args.class_id, args.out,
+                                      head_steps=args.head_steps)
         print(f"sequences written: {path}")
         return 0
 

@@ -81,13 +81,14 @@ def write_loss_csv(path, rows: list[dict]) -> None:
                              repr(row["lr"]), row["seed"]])
 
 
-def append_metrics_row(path, report: MetricsReport) -> None:
+def append_metrics_rows(path, reports: list[MetricsReport]) -> None:
+    """One CSV row per report, after the header when ``path`` is new."""
     path = Path(path)
     new = not path.exists()
     with open(path, "a", newline="") as fh:
         if new:
             fh.write(MetricsReport.CSV_HEADER + "\n")
-        fh.write(report.csv_row() + "\n")
+        fh.writelines(report.csv_row() + "\n" for report in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +160,15 @@ def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
         raise ConfigError(f"dimension mismatch: generated has {gen.shape[1]} "
                           f"columns, reference has {ref.shape[1]}")
     report = metrics.evaluate_samples(gen, ref, method, steps, seed, bandwidth, metric_names)
-    append_metrics_row(out_csv, report)
+    append_metrics_rows(out_csv, [report])
     return report
 
 
 # ---------------------------------------------------------------------------
 # compare-swissroll (the five-way one-step comparison)
 
-def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[dict]:
-    """Train one head on one seed; sample and score it. Returns metric rows."""
+def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[MetricsReport]:
+    """Train one head on one seed; sample and score it at each step count."""
     out = Path(cell_dir)
     model = _train_toy_head(_toy_model(cfg, method, seed), cfg, out,
                             steps=cfg["compare"]["steps_by_method"][method])
@@ -177,14 +178,13 @@ def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[dict
     step_grid = [1]
     if method in ("diffusion", "flow"):
         step_grid += list(cfg["compare"]["multi_steps"])
-    rows = []
+    reports = []
     for steps in step_grid:
         samples = model.sample(n, steps, seed=20_000 + seed)
         data.write_points_csv(out / f"samples_step{steps}.csv", samples)
-        rep = metrics.evaluate_samples(samples, reference, method, steps, seed,
-                                       cfg["metrics"]["bandwidth"])
-        rows.append(rep.__dict__.copy())
-    return rows
+        reports.append(metrics.evaluate_samples(samples, reference, method, steps, seed,
+                                                cfg["metrics"]["bandwidth"]))
+    return reports
 
 
 def run_compare(cfg: dict, out_dir) -> Path:
@@ -192,15 +192,10 @@ def run_compare(cfg: dict, out_dir) -> Path:
     seeds = cfg["compare"]["seeds"]
     jobs = [(cfg, method, seed, str(out / "cells" / f"{method}_seed{seed}"))
             for seed in seeds for method in HEAD_KINDS]
-    results = run_jobs(_compare_cell, jobs)
-
-    all_rows = [row for rows in results for row in rows]
-    all_rows.sort(key=lambda r: (r["seed"], r["method"], r["steps"]))
+    reports = [rep for cell in run_jobs(_compare_cell, jobs) for rep in cell]
+    reports.sort(key=lambda r: (r.seed, r.method, r.steps))
     metrics_path = out / "metrics.csv"
-    with open(metrics_path, "w", newline="") as fh:
-        fh.write(MetricsReport.CSV_HEADER + "\n")
-        for row in all_rows:
-            fh.write(MetricsReport(**row).csv_row() + "\n")
+    append_metrics_rows(metrics_path, reports)
 
     n = cfg["compare"]["sample_n"]
     for seed in seeds:
@@ -274,16 +269,29 @@ def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None) -> Path:
     return out / "mar.ckpt"
 
 
-def run_decode(ckpt_path, class_id: int | None, *, iterations: int,
-               cfg_scale: float, schedule: str, seed: int, guided: bool,
-               n_seq: int, out_dir, head_steps: int | None = None) -> Path:
-    model = MarModel.load(ckpt_path)
+def decode_config(cfg: dict, model: MarModel, seed: int,
+                  head_steps: int | None = None) -> DecodeConfig:
+    """The decode ``cfg["decode"]`` asks of ``model``: scale 1 (the
+    conditional pass alone) when ``decode.guided`` is false, and unless
+    ``head_steps`` is given, one head step for an energy head and the chain
+    length for any other."""
+    d = cfg["decode"]
     if head_steps is None:
-        head_steps = 1 if model.cfg.head_kind == "energy" \
-            else model.head.cfg.t_diff
-    dcfg = DecodeConfig(iterations=iterations, cfg_scale=cfg_scale,
-                        schedule=schedule, seed=seed, guided=guided,
-                        head_steps=head_steps)
+        head_steps = 1 if model.cfg.head_kind == "energy" else model.head.cfg.t_diff
+    return DecodeConfig(iterations=d["iterations"],
+                        cfg_scale=d["cfg_scale"] if d["guided"] else 1.0,
+                        schedule=d["schedule"], seed=seed, head_steps=head_steps)
+
+
+def run_decode(cfg: dict, ckpt_path, class_id: int | None, out_dir,
+               head_steps: int | None = None) -> Path:
+    """Decodes ``decode.n_seq`` sequences of ``class_id`` with the seed
+    ``cfg["seed"]``; writes sequences.csv and decode_stats.json, which
+    records the requested ``cfg_scale`` and ``guided`` of the config."""
+    model = MarModel.load(ckpt_path)
+    d = cfg["decode"]
+    n_seq = d["n_seq"]
+    dcfg = decode_config(cfg, model, cfg["seed"], head_steps)
     model.check_decode(class_id, dcfg)
     _refuse_nonempty(out_dir)   # a decode that fails leaves no run directory
     latents, stats = model.decode(class_id, n_seq, dcfg)
@@ -294,7 +302,7 @@ def run_decode(ckpt_path, class_id: int | None, *, iterations: int,
     positions = np.tile(np.arange(length), n_seq)
     data.write_points_csv(seq_csv, flat, extra={"position": positions})
     stats_out = {"class_id": class_id, "n_seq": n_seq, "iterations": dcfg.iterations,
-                 "cfg_scale": dcfg.cfg_scale, "guided": dcfg.guided,
+                 "cfg_scale": d["cfg_scale"], "guided": d["guided"],
                  "schedule": dcfg.schedule, "seed": dcfg.seed,
                  "head_steps": dcfg.head_steps, **stats}
     (out / "decode_stats.json").write_text(json.dumps(stats_out, sort_keys=True,
@@ -314,14 +322,13 @@ def heldout_pools(mcfg: MarConfig, eval_per_class: int, jitter: float) -> dict[i
 
 
 def decode_and_score(model: MarModel, cfg: dict, seed: int) -> dict[str, float]:
-    """Decode every class as ``cfg`` says; mean scores against held-out pools."""
-    d, eval_per_class = cfg["decode"], cfg["sweep"]["eval_per_class"]
+    """Decode every class as :func:`decode_config` reads ``cfg``, each from
+    its own seed; mean scores against held-out pools."""
+    eval_per_class = cfg["sweep"]["eval_per_class"]
     pools = heldout_pools(model.cfg, eval_per_class, cfg["data"]["jitter"])
     reports = []
     for c in range(model.cfg.n_classes):
-        dcfg = DecodeConfig(iterations=d["iterations"], cfg_scale=d["cfg_scale"],
-                            schedule=d["schedule"], seed=40_000 + 97 * seed + c,
-                            guided=d["guided"])
+        dcfg = decode_config(cfg, model, 40_000 + 97 * seed + c)
         latents, _ = model.decode(c, eval_per_class, dcfg)
         reports.append(metrics.evaluate_samples(
             latents.reshape(-1, model.cfg.latent_dim), pools[c], model.cfg.head_kind,

@@ -23,7 +23,8 @@ shape only, a data leaf's shape and finiteness, and its output. In
 one (None): a node whose input tangents are all zero has one too, and the
 rules skip the terms of a zero input tangent.
 
-Each (graph, output) compiles once into a cached plan, which
+Each graph compiles once, up to its output, into a cached plan (a new
+:meth:`Graph.set_output` compiles it afresh), which
 :func:`evaluate`, :func:`backward` and :func:`jvp` all run: the sources to
 bind, then one step per computed node with its slot, rule, input slots,
 attrs and the slots to drop after it. A plan with a grad leaf at or before
@@ -104,7 +105,7 @@ class Graph:
         self.nodes: list[Node] = []
         self.leaves: dict[str, Node] = {}
         self.output: Node | None = None
-        self._plans: dict[int, "_Plan"] = {}   # output id -> its compiled plan
+        self._compiled: "_Plan | None" = None   # the plan up to ``output``
 
     def _append(self, kind: str, inputs: tuple[Node, ...], shape: tuple[int, ...],
                 attrs: dict | None = None, needs_grad: bool | None = None) -> Node:
@@ -134,7 +135,7 @@ class Graph:
     def set_output(self, node: Node) -> Node:
         if node.graph is not self:
             raise GraphError("output node belongs to a different graph")
-        self.output = node
+        self.output, self._compiled = node, None
         return node
 
 
@@ -470,7 +471,7 @@ _RULES: dict[str, _Rule] = {
 
 
 # ---------------------------------------------------------------------------
-# execution: one compiled plan per (graph, output)
+# execution: one compiled plan per graph
 
 # one computed node (``node`` for the backward rules that take a shape from it);
 # jvp and output-only runs drop ``free`` after it, this plan's evaluate ``kept``
@@ -482,15 +483,14 @@ _Step = namedtuple("_Step", "slot rule ins attrs node free kept")
 _Plan = namedtuple("_Plan", "out leaves consts steps retained data")
 
 
-def _plan(graph: Graph, output: Node | None) -> _Plan:
-    """The plan of ``graph`` up to ``output`` (default: the graph's output),
-    compiled on first use; nodes appended later cannot change it."""
-    out = output or graph.output
+def _plan(graph: Graph) -> _Plan:
+    """The plan of ``graph`` up to its output, compiled on first use and again
+    after :meth:`Graph.set_output`; nodes appended later cannot change it."""
+    if graph._compiled is not None:
+        return graph._compiled
+    out = graph.output
     if out is None:
         raise GraphError("graph has no output node set")
-    plan = graph._plans.get(out.nid)
-    if plan is not None:
-        return plan
     nodes = graph.nodes[: out.nid + 1]
     last, reach, step = {}, {out.nid}, out.nid   # reach: the output and its ancestors
     for node in reversed(nodes):
@@ -513,7 +513,7 @@ def _plan(graph: Graph, output: Node | None) -> _Plan:
             held.update(node.inputs)
     leaves = [(n.nid, n.attrs["name"], n.shape, n.attrs["weight"])
               for n in nodes if n.kind == "leaf"]
-    plan = graph._plans[out.nid] = _Plan(
+    plan = graph._compiled = _Plan(
         out, tuple(leaves), tuple((n.nid, n.attrs["value"]) for n in nodes if n.kind == "const"),
         tuple(_Step(n.nid, _RULES[n.kind], n.inputs, n.attrs, n, tuple(free[n.nid]),
                     tuple(i for i in free[n.nid] if i not in held))
@@ -572,11 +572,10 @@ def _check_output(out: Node, value: np.ndarray) -> np.ndarray:
     return value
 
 
-def evaluate(graph: Graph, bindings: dict[str, np.ndarray],
-             output: Node | None = None) -> Evaluation:
+def evaluate(graph: Graph, bindings: dict[str, np.ndarray]) -> Evaluation:
     """Forward pass; returns the per-call cache needed by :func:`backward`,
     retained or output-only as the plan decides."""
-    plan = _plan(graph, output)
+    plan = _plan(graph)
     values = _bind(graph, plan, bindings)
     aux: list | None = [None] * len(values) if plan.retained else None
     for slot, rule, ins, attrs, _, _, kept in plan.steps:
@@ -617,8 +616,8 @@ def backward(run: Evaluation) -> dict[str, np.ndarray]:
             for name, leaf in run.graph.leaves.items() if leaf.needs_grad}
 
 
-def jvp(graph: Graph, bindings: dict[str, np.ndarray], tangents: dict[str, np.ndarray],
-        output: Node | None = None) -> tuple[np.ndarray, np.ndarray]:
+def jvp(graph: Graph, bindings: dict[str, np.ndarray],
+        tangents: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(output, directional derivative along per-leaf tangents) in one sweep.
 
     Every data leaf the output depends on needs a tangent; a weight leaf
@@ -626,7 +625,7 @@ def jvp(graph: Graph, bindings: dict[str, np.ndarray], tangents: dict[str, np.nd
     cache and its tangent rule right after; the cache is dropped then, and
     values and tangents after their last reader.
     """
-    plan = _plan(graph, output)
+    plan = _plan(graph)
     missing = plan.data - tangents.keys()
     if missing:
         raise GraphError(f"missing tangents for influencing leaves: {sorted(missing)}")
@@ -652,8 +651,7 @@ def jvp(graph: Graph, bindings: dict[str, np.ndarray], tangents: dict[str, np.nd
             np.zeros(out.shape) if tans[out.nid] is None else tans[out.nid])
 
 
-def grad_check(graph: Graph, point: dict[str, np.ndarray], step: float = 1e-6,
-               output: Node | None = None) -> float:
+def grad_check(graph: Graph, point: dict[str, np.ndarray], step: float = 1e-6) -> float:
     """Max relative error of reverse-mode grads vs central finite differences.
 
     Relative error uses denominator max(|analytic|, |numeric|, 1e-8),
@@ -661,8 +659,7 @@ def grad_check(graph: Graph, point: dict[str, np.ndarray], step: float = 1e-6,
     """
     if step <= 0:
         raise GraphError("grad_check: step must be positive")
-    out_node = output or graph.output
-    run = evaluate(graph, point, out_node)
+    run = evaluate(graph, point)
     analytic = backward(run)
     worst = 0.0
     base = {k: np.asarray(v, dtype=np.float64).copy() for k, v in point.items()}
@@ -673,9 +670,9 @@ def grad_check(graph: Graph, point: dict[str, np.ndarray], step: float = 1e-6,
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            up = float(evaluate(graph, base, out_node).output)
+            up = float(evaluate(graph, base).output)
             flat[i] = keep - step
-            dn = float(evaluate(graph, base, out_node).output)
+            dn = float(evaluate(graph, base).output)
             flat[i] = keep
             numeric = (up - dn) / (2.0 * step)
             denom = max(abs(gflat[i]), abs(numeric), 1e-8)

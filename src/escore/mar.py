@@ -60,11 +60,13 @@ class MarConfig:
 
 @dataclass(frozen=True)
 class DecodeConfig:
+    """One decode's settings. The CFG scale alone picks the backbone passes:
+    the null pass alone at 0, the conditional pass alone at 1, both combined
+    at any other scale."""
     iterations: int = 8
     cfg_scale: float = 1.0
     schedule: str = "cosine"   # cosine | uniform
     seed: int = 0
-    guided: bool = True
     head_steps: int = 1        # per-position sampling steps (non-energy heads)
 
     def __post_init__(self):
@@ -75,13 +77,9 @@ class DecodeConfig:
 
 
 def cfg_combine(cond: np.ndarray, uncond: np.ndarray, scale: float) -> np.ndarray:
-    """scale * h_cond + (1 - scale) * h_uncond; exact passthrough at 0 and 1."""
+    """scale * h_cond + (1 - scale) * h_uncond, which may be non-finite."""
     if cond.shape != uncond.shape:
         raise ValueError(f"shape mismatch: {cond.shape} vs {uncond.shape}")
-    if scale == 1.0:
-        return cond.copy()
-    if scale == 0.0:
-        return uncond.copy()
     with np.errstate(over="ignore", invalid="ignore"):   # the caller checks the result
         return scale * cond + (1.0 - scale) * uncond
 
@@ -359,6 +357,11 @@ class MarModel:
                dcfg: DecodeConfig) -> tuple[np.ndarray, dict]:
         """Generate sequences by iterative parallel decoding with CFG.
 
+        At scale 1 each iteration runs the conditional backbone pass alone
+        and at scale 0 the null pass alone; at any other scale it runs both
+        and combines them with :func:`cfg_combine`, a non-finite result being
+        a :class:`graph.NonFiniteError`.
+
         Sequence j draws from its own stream chain: ``seq/{j}`` ->
         ``iter/{k}/select`` picks its positions at iteration k, and
         ``seq/{j}`` -> ``pos/{i}/noise`` is the energy-head noise of its
@@ -376,12 +379,9 @@ class MarModel:
                 [f"pos/{i}/noise" for i in range(cfg.seq_len)]).normal((cfg.latent_dim,))
         latents = np.zeros((n_seq, cfg.seq_len, cfg.latent_dim))
         generated = np.zeros((n_seq, cfg.seq_len), dtype=bool)
-        ids = np.full(n_seq, NULL_CLASS if class_id is None else class_id)
-        # cfg_combine returns the conditional pass unchanged at scale 1 and the
-        # null pass at 0, so a guided decode at those scales runs that pass alone
-        two_passes = dcfg.guided and dcfg.cfg_scale not in (0.0, 1.0)
-        if dcfg.guided and dcfg.cfg_scale == 0.0:
-            ids[:] = NULL_CLASS
+        null = class_id is None or dcfg.cfg_scale == 0.0
+        ids = np.full(n_seq, NULL_CLASS if null else class_id)
+        two_passes = dcfg.cfg_scale not in (0.0, 1.0)
         backbone_before = self.backbone_forwards
         head_rows = 0
         times_generated = np.zeros((n_seq, cfg.seq_len), dtype=int)
@@ -403,9 +403,9 @@ class MarModel:
                 h_null = self.represent(latents[:rows], ~generated[:rows],
                                         np.full(rows, NULL_CLASS), at)
                 h = cfg_combine(h, h_null, dcfg.cfg_scale)
-            if dcfg.guided and not np.isfinite(h).all():
-                raise G.NonFiniteError(f"CFG scale {dcfg.cfg_scale!r} gives a non-finite "
-                                       f"guided representation at iteration {k}")
+                if not np.isfinite(h).all():
+                    raise G.NonFiniteError(f"CFG scale {dcfg.cfg_scale!r} gives a non-finite "
+                                           f"guided representation at iteration {k}")
             ctx = h[0, pos_idx] if k == 0 else h
             if energy:
                 out = self.head.energy_sample(ctx, noise[seq_idx, pos_idx])

@@ -136,13 +136,9 @@ def add_linear(params: ParameterSet, seed: int, name: str, fan_in: int, fan_out:
     params.add(name + ".b", np.zeros(fan_out))
 
 
-def linear(x: G.Node, w: G.Node, b: G.Node | None = None) -> G.Node:
-    """x @ w + b with the bias broadcast over leading axes."""
-    return G.matmul(x, w) if b is None else G.affine(x, w, b)
-
-
 def build_linear(leaves: dict[str, G.Node], name: str, x: G.Node) -> G.Node:
-    return linear(x, leaves[name + ".w"], leaves[name + ".b"])
+    """x @ w + b with the bias broadcast over leading axes, one affine node."""
+    return G.affine(x, leaves[name + ".w"], leaves[name + ".b"])
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ This is the loop ``MarModel.decode`` started from. Every iteration runs the
 backbone over all ``n_seq`` rows, every sequence draws its selection through
 its own ``seq/{j}`` -> ``iter/{k}/select`` chain, and every generated
 position draws its energy-head noise through ``seq/{j}`` ->
-``pos/{i}/noise``, all from the one-key reference streams. The batched
-decode must return the same latents and stats, bit for bit.
+``pos/{i}/noise``, all from the one-key reference streams. At CFG scale 1
+it runs the conditional pass alone, at 0 the null pass alone, and at any
+other scale both, combined. The batched decode must return the same latents
+and stats, bit for bit.
 """
 from __future__ import annotations
 
@@ -29,12 +31,14 @@ def decode(model: MarModel, class_id: int | None, n_seq: int,
     times_generated = np.zeros((n_seq, cfg.seq_len), dtype=int)
 
     for k, n_k in enumerate(counts):
-        h_cond = model.represent(latents, ~generated, ids)
-        if dcfg.guided:
-            h_null = model.represent(latents, ~generated, np.full(n_seq, NULL_CLASS))
-            h = cfg_combine(h_cond, h_null, dcfg.cfg_scale)
+        null_ids = np.full(n_seq, NULL_CLASS)
+        if dcfg.cfg_scale == 1.0:
+            h = model.represent(latents, ~generated, ids)
+        elif dcfg.cfg_scale == 0.0:
+            h = model.represent(latents, ~generated, null_ids)
         else:
-            h = h_cond
+            h = cfg_combine(model.represent(latents, ~generated, ids),
+                            model.represent(latents, ~generated, null_ids), dcfg.cfg_scale)
         chosen: list[tuple[int, int]] = []
         for j in range(n_seq):
             open_pos = np.flatnonzero(~generated[j])

@@ -127,11 +127,10 @@ def _jvp_rule(kind, dv, vals, out, attrs, aux):
     raise AssertionError(kind)
 
 
-def evaluate(graph, bindings, output=None):
+def evaluate(graph, bindings):
     """(every node value, every kernel cache) up to the output."""
-    out_node = output or graph.output
     values, aux = [None] * len(graph.nodes), [None] * len(graph.nodes)
-    for node in graph.nodes[: out_node.nid + 1]:
+    for node in graph.nodes[: graph.output.nid + 1]:
         if node.kind == "leaf":
             values[node.nid] = np.asarray(bindings[node.attrs["name"]], dtype=np.float64)
         elif node.kind == "const":
@@ -143,8 +142,8 @@ def evaluate(graph, bindings, output=None):
     return values, aux
 
 
-def backward(graph, values, aux, output=None):
-    out = output or graph.output
+def backward(graph, values, aux):
+    out = graph.output
     adj = [None] * len(graph.nodes)
     adj[out.nid] = np.ones(out.shape)
     for node in reversed(graph.nodes[: out.nid + 1]):
@@ -161,10 +160,9 @@ def backward(graph, values, aux, output=None):
             for name, leaf in graph.leaves.items() if leaf.needs_grad}
 
 
-def jvp(graph, values, aux, tangents, output=None):
-    out_node = output or graph.output
+def jvp(graph, values, aux, tangents):
     tans = [None] * len(graph.nodes)
-    for node in graph.nodes[: out_node.nid + 1]:
+    for node in graph.nodes[: graph.output.nid + 1]:
         if node.kind == "leaf":
             name = node.attrs["name"]
             tans[node.nid] = (np.asarray(tangents[name], dtype=np.float64)
@@ -175,4 +173,4 @@ def jvp(graph, values, aux, tangents, output=None):
             tans[node.nid] = _jvp_rule(node.kind, [tans[i] for i in node.inputs],
                                        [values[i] for i in node.inputs],
                                        values[node.nid], node.attrs, aux[node.nid])
-    return tans[out_node.nid]
+    return tans[graph.output.nid]

@@ -24,8 +24,8 @@ TINY_MAR = ["--set", "mar.hidden_dim=16", "--set", "mar.n_blocks=2",
 
 def test_train_head_run_dir(tmp_path):
     out = tmp_path / "run"
-    rc = main(["train-head", "--method", "energy", "--dataset", "swissroll",
-               "--seed", "7", "--out", str(out)] + TINY_HEAD)
+    rc = main(["train-head", "--method", "energy", "--seed", "7",
+               "--out", str(out)] + TINY_HEAD)
     assert rc == 0
     assert (out / "head.ckpt").exists()
     assert (out / "config.json").exists()
@@ -226,20 +226,24 @@ def test_train_mar_and_decode_roundtrip(tmp_path):
 
 
 def test_decode_scale_one_matches_no_guidance(tmp_path):
+    """--no-guidance decodes at scale 1 whatever --cfg says, and the stats
+    record the scale and guidance that were asked for."""
     run = tmp_path / "student"
-    main(["train-mar", "--role", "student", "--seed", "4",
-          "--out", str(run)] + TINY_MAR)
+    assert main(["train-mar", "--role", "student", "--seed", "4",
+                 "--out", str(run)] + TINY_MAR) == 0
     ckpt = run / "mar.ckpt"
     a, b = tmp_path / "a", tmp_path / "b"
-    main(["decode", "--ckpt", str(ckpt), "--class", "0", "--cfg", "1.0",
-          "--n", "2", "--seed", "3", "--out", str(a)] + TINY_MAR)
-    main(["decode", "--ckpt", str(ckpt), "--class", "0", "--cfg", "1.0",
-          "--no-guidance", "--n", "2", "--seed", "3", "--out", str(b)] + TINY_MAR)
+    assert main(["decode", "--ckpt", str(ckpt), "--class", "0", "--cfg", "1",
+                 "--n", "2", "--seed", "3", "--out", str(a)] + TINY_MAR) == 0
+    assert main(["decode", "--ckpt", str(ckpt), "--class", "0", "--cfg", "4",
+                 "--no-guidance", "--n", "2", "--seed", "3", "--out", str(b)] + TINY_MAR) == 0
     assert (a / "sequences.csv").read_bytes() == (b / "sequences.csv").read_bytes()
     stats_a = json.loads((a / "decode_stats.json").read_text())
     stats_b = json.loads((b / "decode_stats.json").read_text())
     # scale 1 keeps the conditional pass alone, so no null pass runs
-    assert stats_a["backbone_forwards"] == stats_b["backbone_forwards"]
+    assert stats_a["backbone_forwards"] == stats_b["backbone_forwards"] == 4
+    assert (stats_a["cfg_scale"], stats_a["guided"]) == (1.0, True)
+    assert (stats_b["cfg_scale"], stats_b["guided"]) == (4.0, False)
 
 
 def test_decode_reads_the_guided_config_key(tmp_path):
@@ -494,6 +498,30 @@ def test_sweep_matches_per_parameter_reference(tmp_path, grid):
         assert (new / path.relative_to(ref)).read_bytes() == path.read_bytes()
     distilled = grid in ("lambda", "cfg-distilled")
     assert (new / "cells" / "seed1" / "teacher.ckpt").exists() == distilled
+
+
+@pytest.mark.parametrize("kind,steps", [("energy", 1), ("diffusion", 100)])
+def test_sweep_cell_decodes_with_the_head_steps_decode_uses(tmp_path, monkeypatch,
+                                                            kind, steps):
+    """A sweep cell reads cfg["decode"] through the builder that decode uses,
+    so a diffusion student samples with its chain length."""
+    from escore import experiments
+    from escore.config import resolve_config
+    from escore.mar import MarModel
+    from escore.rng import Stream
+    seen = []
+
+    def spy(model, class_id, n_seq, dcfg):
+        seen.append(dcfg)
+        s = Stream.from_seed(class_id, "fake")
+        return s.normal((n_seq, model.cfg.seq_len, model.cfg.latent_dim)), {}
+
+    monkeypatch.setattr(MarModel, "decode", spy)
+    cfg = resolve_config(TINY_MAR[1::2] + [f"mar.head_kind={kind}",
+                                           "sweep.eval_per_class=4"])
+    experiments._sweep_cell(cfg, "cfg", 1, [2.0], str(tmp_path / "cell"))
+    assert len(seen) == 3   # one decode per class
+    assert {(d.head_steps, d.cfg_scale, d.iterations) for d in seen} == {(steps, 2.0, 4)}
 
 
 @pytest.mark.parametrize("param,values,cause", [

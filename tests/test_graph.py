@@ -277,9 +277,10 @@ def test_affine_bitwise_equals_matmul_broadcast_add(lead, k, n, seed):
         g, out = _linear_graph(fused, lead, k, n, mix)
         run = G.evaluate(g, pt)
         grads = G.backward(run)
-        results.append([run.value(out), run.output,
-                        grads["x"], grads["w"], grads["b"],
-                        *G.jvp(g, pt, tangents, output=out), *G.jvp(g, pt, tangents)])
+        total_jvp = G.jvp(g, pt, tangents)
+        g.set_output(out)   # the jvp at the affine node itself
+        results.append([run.value(out), run.output, grads["x"], grads["w"], grads["b"],
+                        *G.jvp(g, pt, tangents), *total_jvp])
     for fused, triple in zip(*results):
         assert fused.shape == triple.shape
         assert fused.tobytes() == triple.tobytes()
@@ -301,10 +302,21 @@ def test_affine_bad_shapes_fail_at_build_time():
 def test_linear_emits_one_affine_node():
     g = G.Graph()
     x = g.leaf("x", (2, 4, 3))
-    out = nn.linear(x, g.leaf("w", (3, 5)), g.leaf("b", (5,)))
+    out = nn.build_linear({"l.w": g.leaf("w", (3, 5)), "l.b": g.leaf("b", (5,))}, "l", x)
     assert [n.kind for n in g.nodes[3:]] == ["affine"] and out.shape == (2, 4, 5)
-    nn.linear(x, g.leaf("w2", (3, 5)))
-    assert g.nodes[-1].kind == "matmul"
+
+
+def test_set_output_after_a_run_compiles_the_plan_of_the_new_output():
+    g = G.Graph()
+    x = g.leaf("x", (3,), grad=True)
+    sq = x * x
+    g.set_output(G.total(sq))
+    pt = {"x": np.array([1.0, 2.0, 3.0])}
+    assert float(G.evaluate(g, pt).output) == 14.0
+    g.set_output(sq)
+    run = G.evaluate(g, pt)
+    assert run.output_node is sq and np.array_equal(run.output, [1.0, 4.0, 9.0])
+    assert np.array_equal(G.jvp(g, pt, {"x": np.ones(3)})[1], [2.0, 4.0, 6.0])
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +334,8 @@ class _NoGradGraph(G.Graph):
         return super().leaf(name, shape, weight=weight)
 
 
-def _reference_output(g, pt, output=None):
-    return R.evaluate(g, pt, output)[0][(output or g.output).nid]
+def _reference_output(g, pt):
+    return R.evaluate(g, pt)[0][g.output.nid]
 
 
 @pytest.mark.parametrize("name", sorted(verify._primitive_cases()))
@@ -338,9 +350,11 @@ def test_output_only_equals_retained_on_primitive_cases(name):
             graphs.append((g, out, verify._mix_reduce(g, out, s)))
         (full_g, *full_nodes), (lean_g, *lean_nodes) = graphs
         for full_node, node in zip(full_nodes, lean_nodes):
-            run = G.evaluate(lean_g, pt, node)
+            full_g.set_output(full_node)
+            lean_g.set_output(node)
+            run = G.evaluate(lean_g, pt)
             assert run.aux is None
-            assert _same_bits(run.output, G.evaluate(full_g, pt, full_node).output)
+            assert _same_bits(run.output, G.evaluate(full_g, pt).output)
 
 
 def _randomize(params, seed: int) -> None:
@@ -371,9 +385,9 @@ def test_output_only_equals_retained_on_backbone_graph(bsz, monkeypatch):
     runs = []
     real = G.evaluate
 
-    def spy(graph, bindings, output=None):
-        run = real(graph, bindings, output)
-        runs.append((run, _reference_output(graph, bindings, output)))
+    def spy(graph, bindings):
+        run = real(graph, bindings)
+        runs.append((run, _reference_output(graph, bindings)))
         return run
 
     monkeypatch.setattr(G, "evaluate", spy)
@@ -450,9 +464,10 @@ def test_output_only_evaluation_holds_only_the_output():
 
 
 def _release_lists(g, out):
-    """Per node up to ``out``, the slots its plan drops after it: ``(kept,
-    free)``, ``kept`` None for an output-only plan."""
-    plan = G._plan(g, out)
+    """Per node up to ``out``, made the output of ``g``, the slots its plan
+    drops after it: ``(kept, free)``, ``kept`` None for an output-only plan."""
+    g.set_output(out)
+    plan = G._plan(g)
     free, kept = [()] * (out.nid + 1), [()] * (out.nid + 1)
     for step in plan.steps:
         assert step.rule is G._RULES[step.node.kind] and step.ins == step.node.inputs
@@ -468,7 +483,7 @@ def test_release_plan_frees_each_value_after_its_last_reader():
     G.scale(x, 2.0)               # read by nothing: freed right after it is made
     g.set_output(G.total(z))
     assert _release_lists(g, g.output) == (None, [(), (), (1,), (0, 3), (2,)])
-    assert G._plan(g, g.output) is G._plan(g, g.output)
+    assert G._plan(g) is G._plan(g)
     assert _release_lists(g, z) == (None, [(), (), (0, 1)])
     g = G.Graph()
     x = g.leaf("x", (2,), grad=True)
@@ -710,9 +725,9 @@ def test_forward_with_jvp_binds_no_weight_tangents(monkeypatch):
     head, _, pt = _head_point("meanflow", 3, 2)
     bound, jvp = [], G.jvp
 
-    def spy(graph, bindings, tangents, output=None):
+    def spy(graph, bindings, tangents):
         bound.append(sorted(tangents))
-        return jvp(graph, bindings, tangents, output)
+        return jvp(graph, bindings, tangents)
 
     monkeypatch.setattr(G, "jvp", spy)
     head.forward_with_jvp(pt["inp"], pt["cond"], pt["inp"], pt["cond"])
@@ -753,7 +768,8 @@ def test_retained_evaluation_holds_the_table_on_a_hand_graph():
     for dropped in (m, t, r, sq):
         with pytest.raises(G.GraphError, match="no value"):
             run.value(dropped)
-    assert _held(G.evaluate(g, pt, r)) == {0, 1, 2, 4, 6}
+    g.set_output(r)
+    assert _held(G.evaluate(g, pt)) == {0, 1, 2, 4, 6}
 
 
 def test_retained_evaluation_holds_the_table_on_mar_train_graph():
@@ -822,9 +838,9 @@ def _record_training(monkeypatch):
     runs, updated = [], []
     evaluate, adam_step = G.evaluate, nn.adam_step
 
-    def recording_evaluate(graph, bindings, output=None):
+    def recording_evaluate(graph, bindings):
         runs.append((graph, bindings))
-        return evaluate(graph, bindings, output)
+        return evaluate(graph, bindings)
 
     def recording_adam_step(params, grads, **kwargs):
         updated.append(params.names())

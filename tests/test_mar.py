@@ -52,7 +52,6 @@ def test_cfg_combine_identities_and_arithmetic():
     b = Stream.from_seed(0, "b").normal((4, 3))
     assert np.array_equal(cfg_combine(a, b, 1.0), a)
     assert np.array_equal(cfg_combine(a, b, 0.0), b)
-    assert cfg_combine(a, b, 1.0) is not a and cfg_combine(a, b, 0.0) is not b
     c = cfg_combine(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 4.0)
     assert np.allclose(c, [[4.0, -3.0]], atol=1e-15)
 
@@ -120,7 +119,9 @@ def _step_terms(model, latents, ids, rng, lam=0.0, teacher=None):
     g, nodes = model._train_graph(bindings, lam, False)
     run = G.evaluate(g, bindings)
     distill = float(run.value(nodes["distill"])) if teacher is not None else 0.0
-    h = G.evaluate(g, bindings, nodes["h"]).output
+    onehot = bindings["onehot"]   # the step's class ids after label dropout
+    step_ids = np.where(onehot[:, -1] == 1.0, mar.NULL_CLASS, onehot.argmax(axis=1))
+    h = model.represent(latents, bindings["mask"][..., 0] == 1.0, step_ids)
     return float(run.value(nodes["energy"])), distill, float(run.output), h
 
 
@@ -218,7 +219,7 @@ def test_decode_contracts():
 
 def test_decode_unguided_counts_single_backbone_pass():
     model = MarModel(TINY, seed=11)
-    dcfg = DecodeConfig(iterations=4, guided=False, seed=5)
+    dcfg = DecodeConfig(iterations=4, cfg_scale=1.0, seed=5)
     _, stats = model.decode(2, 2, dcfg)
     assert stats["backbone_forwards"] == 4
 
@@ -232,26 +233,44 @@ def test_decode_deterministic():
 
 
 def test_decode_scale_one_equals_unguided_bitwise():
-    model = MarModel(TINY, seed=13)
-    guided, _ = model.decode(1, 3, DecodeConfig(iterations=4, cfg_scale=1.0, seed=2))
-    plain, _ = model.decode(1, 3, DecodeConfig(iterations=4, cfg_scale=1.0, seed=2,
-                                               guided=False))
-    assert np.array_equal(guided, plain)
+    """At scale 1 the null class plays no part: a new null embedding leaves
+    the decode's bits as they were, and moves a decode at scale 2."""
+    decodes = []
+    for shift in (0.0, 1.0):
+        model = _reference_model.__wrapped__("energy")   # a fresh copy to change
+        model.params["backbone.class_embed"].value[-1] += shift
+        decodes.append([model.decode(1, 3, DecodeConfig(iterations=4, cfg_scale=scale,
+                                                        seed=2))[0].tobytes()
+                        for scale in (1.0, 2.0)])
+    (one, two), (one_moved, two_moved) = decodes
+    assert one == one_moved and two != two_moved
 
 
 @pytest.mark.parametrize("kind", ["energy", "diffusion"])
 @pytest.mark.parametrize("scale, class_id", [(1.0, 1), (0.0, None)])
-def test_guided_decode_at_scale_one_or_zero_runs_the_kept_pass_alone(kind, scale, class_id):
-    """cfg_combine keeps the conditional pass at scale 1 and the null pass at
-    0, so a guided decode there is the unguided decode of that class (None is
-    the null class), bit for bit, with half the backbone passes of a guided
-    decode at another scale."""
+def test_guided_decode_at_scale_one_or_zero_runs_the_kept_pass_alone(kind, scale, class_id,
+                                                                    monkeypatch):
+    """scale * h_cond + (1 - scale) * h_null keeps the conditional pass at
+    scale 1 and the null pass at 0, so a decode of class 1 there runs that
+    pass alone: it is the scale-1 decode of that class (None is the null
+    class), bit for bit, with half the backbone passes of a decode at
+    another scale."""
     model = _reference_model(kind)
     steps = 1 if kind == "energy" else 3
+    passes = []
+    real = model.represent
+
+    def spy(latents, masked, class_ids, positions=None):
+        passes.append(set(class_ids.tolist()))
+        return real(latents, masked, class_ids, positions)
+
+    monkeypatch.setattr(model, "represent", spy)
     guided, stats = model.decode(1, 3, DecodeConfig(iterations=4, cfg_scale=scale, seed=2,
                                                     head_steps=steps))
+    kept = {mar.NULL_CLASS if class_id is None else class_id}
+    assert passes == [kept] * 4
     plain, plain_stats = model.decode(class_id, 3, DecodeConfig(
-        iterations=4, cfg_scale=scale, seed=2, guided=False, head_steps=steps))
+        iterations=4, cfg_scale=1.0, seed=2, head_steps=steps))
     _, mixed_stats = model.decode(1, 3, DecodeConfig(iterations=4, cfg_scale=2.0, seed=2,
                                                      head_steps=steps))
     assert guided.tobytes() == plain.tobytes()
@@ -290,10 +309,12 @@ def _reference_model(kind: str) -> MarModel:
     ("energy", "diffusion", "flow"), (None, 1), (True, False), ("cosine", "uniform"),
     (1, 3, 8), (1, 3))))
 def test_decode_matches_reference(kind, class_id, guided, schedule, iters, n_seq):
-    """Batched draws and the shared first pass give the per-sequence loop's bits."""
+    """Batched draws and the shared first pass give the per-sequence loop's
+    bits. ``guided`` is the ``decode.guided`` config value: true decodes at
+    scale 2.5 (both passes), false at scale 1 (the conditional pass alone)."""
     model = _reference_model(kind)
-    dcfg = DecodeConfig(iterations=iters, cfg_scale=2.5, schedule=schedule, seed=4,
-                        guided=guided, head_steps=1 if kind == "energy" else 3)
+    dcfg = DecodeConfig(iterations=iters, cfg_scale=2.5 if guided else 1.0,
+                        schedule=schedule, seed=4, head_steps=1 if kind == "energy" else 3)
     want, want_stats = decode_reference.decode(model, class_id, n_seq, dcfg)
     got, got_stats = model.decode(class_id, n_seq, dcfg)
     assert got.tobytes() == want.tobytes()
@@ -412,3 +433,39 @@ def test_inference_graphs_declare_only_their_own_parameters():
     assert not any(name.startswith("head.") for name in backbone_leaves)
     # every parameter is still bound (and so checked) by one of the two graphs
     assert set(model.params.names()) <= head_leaves | backbone_leaves
+
+
+_BLAS_RUN = """
+import hashlib
+from escore.mar import DecodeConfig, MarConfig, MarModel, class_pools
+from escore.rng import Stream
+model = MarModel(MarConfig(), seed=1)
+latents, ids = class_pools(model.cfg, 1, per_class=8)
+model.masked_training_step(latents[:32], ids[:32], Stream.from_seed(1, "step"), lr=1e-3)
+out, _ = model.decode(0, 48, DecodeConfig(iterations=8, cfg_scale=4.0, seed=3))
+digest = hashlib.sha256(out.tobytes())
+for _, p in model.params.items():
+    digest.update(p.value.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_step_and_decode_do_not_depend_on_the_blas_thread_count():
+    """A default-size MAR training step and energy decode give the same bytes
+    under one and two BLAS threads; the two runs go side by side."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [subprocess.Popen([sys.executable, "-c", _BLAS_RUN], stdout=subprocess.PIPE,
+                             text=True, env={**os.environ, "PYTHONPATH": src,
+                                             "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    try:
+        digests = [run.communicate(timeout=300)[0].strip() for run in runs]
+    finally:
+        for run in runs:
+            run.kill()
+    assert [run.returncode for run in runs] == [0, 0]
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

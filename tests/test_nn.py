@@ -11,7 +11,7 @@ def test_linear_zero_weight_gives_bias_rows():
     x = g.leaf("x", (4, 3))
     w = g.constant(np.zeros((3, 2)))
     b = g.constant(np.array([5.0, -1.0]))
-    g.set_output(nn.linear(x, w, b))
+    g.set_output(nn.build_linear({"l.w": w, "l.b": b}, "l", x))
     out = G.evaluate(g, {"x": Stream.from_seed(0, "x").normal((4, 3))}).output
     assert np.array_equal(out, np.tile([5.0, -1.0], (4, 1)))
 
@@ -19,7 +19,8 @@ def test_linear_zero_weight_gives_bias_rows():
 def test_linear_identity():
     g = G.Graph()
     x = g.leaf("x", (4, 3))
-    g.set_output(nn.linear(x, g.constant(np.eye(3)), g.constant(np.zeros(3))))
+    g.set_output(nn.build_linear({"l.w": g.constant(np.eye(3)),
+                                  "l.b": g.constant(np.zeros(3))}, "l", x))
     arr = Stream.from_seed(1, "x").normal((4, 3))
     assert np.array_equal(G.evaluate(g, {"x": arr}).output, arr)
 
@@ -29,7 +30,7 @@ def test_linear_hand_value():
     x = g.leaf("x", (1, 2))
     w = g.constant(np.array([[1.0, 0.0], [0.0, 2.0]]))
     b = g.constant(np.array([1.0, 1.0]))
-    g.set_output(nn.linear(x, w, b))
+    g.set_output(nn.build_linear({"l.w": w, "l.b": b}, "l", x))
     out = G.evaluate(g, {"x": np.array([[1.0, 2.0]])}).output
     assert np.array_equal(out, [[2.0, 5.0]])
 
@@ -113,7 +114,8 @@ def test_transformer_dim_head_mismatch_is_config_error():
 def test_transformer_single_token_attends_itself():
     params, g, attn_node = _tiny_transformer(seq=1, batch=1)
     x = Stream.from_seed(5, "x").normal((1, 1, 8))
-    attn = G.evaluate(g, {"x": x, **params.bindings()}, attn_node).output
+    g.set_output(attn_node)
+    attn = G.evaluate(g, {"x": x, **params.bindings()}).output
     assert attn.shape == (1, 2, 1, 1)
     assert np.allclose(attn, 1.0, atol=1e-15)
 
@@ -121,7 +123,8 @@ def test_transformer_single_token_attends_itself():
 def test_transformer_attention_rows_sum_to_one():
     params, g, attn_node = _tiny_transformer(seq=5, batch=3)
     x = Stream.from_seed(6, "x").normal((3, 5, 8))
-    attn = G.evaluate(g, {"x": x, **params.bindings()}, attn_node).output
+    g.set_output(attn_node)
+    attn = G.evaluate(g, {"x": x, **params.bindings()}).output
     assert attn.shape == (3, 2, 5, 5)
     assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 

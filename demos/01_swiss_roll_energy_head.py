@@ -21,9 +21,9 @@ OUT.mkdir(parents=True, exist_ok=True)
 print("Training a small energy-scoring head (width 128, 600 steps)...")
 t0 = time.perf_counter()
 model = ToyHeadModel(HeadConfig(kind="energy", width=128), seed=7)
-history = model.train(ToyTrainConfig(steps=600, batch=128))
+log = model.train(ToyTrainConfig(steps=600, batch=128))
 print(f"  done in {time.perf_counter() - t0:.1f}s; "
-      f"loss {history[0][1]:.3f} -> {history[-1][1]:.3f}")
+      f"loss {log[0]['total']:.3f} -> {log[-1]['total']:.3f}")
 
 print("Sampling 2048 points in ONE forward pass per point...")
 samples = model.sample(2048, steps=1, seed=123)

@@ -165,12 +165,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--cfg", dest="cfg_scale", type=_finite_float)
     p.add_argument("--schedule", choices=["cosine", "uniform"])
     p.add_argument("--n", type=_positive_int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--head-steps", type=_positive_int, dest="head_steps",
                    help="per-position sampling steps (non-energy heads; "
                         "defaults to 1 for energy, the chain length otherwise)")
-    p.add_argument("--no-guidance", action="store_true",
-                   help="decode at CFG scale 1, the conditional pass alone")
     p.add_argument("--out", required=True)
     _add_config_flags(p)
 
@@ -245,8 +243,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "decode":
         flags = {"decode.iterations": args.iterations, "decode.cfg_scale": args.cfg_scale,
-                 "decode.schedule": args.schedule, "decode.n_seq": args.n,
-                 "decode.guided": False if args.no_guidance else None}
+                 "decode.schedule": args.schedule, "decode.n_seq": args.n}
         cfg = _resolved(args, **{k: v for k, v in flags.items() if v is not None})
         path = experiments.run_decode(cfg, args.ckpt, args.class_id, args.out,
                                       head_steps=args.head_steps)

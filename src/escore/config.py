@@ -68,10 +68,8 @@ DEFAULTS: dict = {
         "cfg_scale": 4.0,
         "schedule": "cosine",
         "n_seq": 48,
-        "guided": True,
     },
     "metrics": {
-        "n": 2048,
         "bandwidth": "median",
     },
     "compare": {

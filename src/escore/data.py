@@ -36,13 +36,6 @@ class SampleBatch:
             raise ValueError("points contain non-finite values")
 
 
-@dataclass
-class ConditionalSequenceSample:
-    """Ordered L-point trace with its class id (None = the CFG null token)."""
-    latents: np.ndarray          # (L, d)
-    class_id: int | None
-
-
 def swiss_roll(n: int, noise_sigma: float = 0.03, seed: int = 0) -> SampleBatch:
     """2-turn spiral t -> (t cos t, t sin t)/s, t ~ U[1.5pi, 4.5pi], plus noise."""
     if n < 1 or noise_sigma < 0:
@@ -77,8 +70,9 @@ def _class_trace(class_id: int, length: int) -> np.ndarray:
 
 
 def conditional_sequences(class_id: int, count: int, length: int, seed: int = 0,
-                          jitter: float = 0.02) -> list[ConditionalSequenceSample]:
-    """Rotated + jittered traces of one class; rotation makes context informative."""
+                          jitter: float = 0.02) -> np.ndarray:
+    """(count, length, 2) rotated + jittered traces of one class; rotation
+    makes context informative."""
     if not 0 <= class_id < N_CLASSES:
         raise ValueError(f"unknown class_id {class_id}; have {N_CLASSES} classes")
     if count < 1 or length < 1:
@@ -88,21 +82,13 @@ def conditional_sequences(class_id: int, count: int, length: int, seed: int = 0,
     phases = root.child("rotation").uniform((count,)) * 2.0 * np.pi
     if jitter > 0:
         noise = root.child([f"jitter/{j}" for j in range(count)]).normal((length, 2))
-    out = []
+    out = np.empty((count, length, 2))
     for j in range(count):
         c, s = np.cos(phases[j]), np.sin(phases[j])
-        rot = base @ np.array([[c, s], [-s, c]])
+        out[j] = base @ np.array([[c, s], [-s, c]])
         if jitter > 0:
-            rot = rot + jitter * noise[j]
-        out.append(ConditionalSequenceSample(rot, class_id))
+            out[j] += jitter * noise[j]
     return out
-
-
-def stack_sequences(samples: list[ConditionalSequenceSample]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, L, d) latents plus int class ids (-1 marks the null sentinel)."""
-    latents = np.stack([s.latents for s in samples])
-    ids = np.array([-1 if s.class_id is None else s.class_id for s in samples])
-    return latents, ids
 
 
 # ---------------------------------------------------------------------------

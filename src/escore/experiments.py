@@ -107,16 +107,14 @@ def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path,
     """Trains one toy head, then creates ``out`` and writes its loss.csv and
     head.ckpt there: a run that fails leaves no directory."""
     t = cfg["train"]
-    history = model.train(ToyTrainConfig(steps=steps or t["steps"], batch=t["batch"],
-                                         lr=t["lr"], warmup=t["warmup"],
-                                         weight_decay=t["weight_decay"],
-                                         pool=cfg["data"]["pool"],
-                                         noise_sigma=cfg["data"]["noise_sigma"]))
+    log = model.train(ToyTrainConfig(steps=steps or t["steps"], batch=t["batch"],
+                                     lr=t["lr"], warmup=t["warmup"],
+                                     weight_decay=t["weight_decay"],
+                                     pool=cfg["data"]["pool"],
+                                     noise_sigma=cfg["data"]["noise_sigma"]))
     out.mkdir(parents=True, exist_ok=True)
-    write_loss_csv(out / "loss.csv", [
-        {"step": s, "energy": v, "distill": 0.0, "total": v, "lambda": 0.0,
-         "lr": t["lr"], "seed": model.seed} for s, v in history])
-    model.save(out / "head.ckpt", config_digest=config_digest(cfg), step=len(history))
+    write_loss_csv(out / "loss.csv", log)
+    model.save(out / "head.ckpt", config_digest=config_digest(cfg), step=len(log))
     return model
 
 
@@ -253,8 +251,7 @@ def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     write_loss_csv(loss_csv, log)
     model.save(ckpt, config_digest=config_digest(cfg), step=len(log),
-               extra={"role": role, "lambda": cfg["mar_train"]["lambda"],
-                      "m": model.cfg.m_samples, "wiring": model.cfg.wiring})
+               extra={"role": role, "lambda": cfg["mar_train"]["lambda"]})
     return model
 
 
@@ -271,26 +268,24 @@ def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None) -> Path:
 
 def decode_config(cfg: dict, model: MarModel, seed: int,
                   head_steps: int | None = None) -> DecodeConfig:
-    """The decode ``cfg["decode"]`` asks of ``model``: scale 1 (the
-    conditional pass alone) when ``decode.guided`` is false, and unless
-    ``head_steps`` is given, one head step for an energy head and the chain
-    length for any other."""
+    """The decode ``cfg["decode"]`` asks of ``model``, at its ``cfg_scale``
+    (1 runs the conditional pass alone). Unless ``head_steps`` is given, an
+    energy head takes one head step and any other the chain length."""
     d = cfg["decode"]
     if head_steps is None:
         head_steps = 1 if model.cfg.head_kind == "energy" else model.head.cfg.t_diff
-    return DecodeConfig(iterations=d["iterations"],
-                        cfg_scale=d["cfg_scale"] if d["guided"] else 1.0,
+    return DecodeConfig(iterations=d["iterations"], cfg_scale=d["cfg_scale"],
                         schedule=d["schedule"], seed=seed, head_steps=head_steps)
 
 
 def run_decode(cfg: dict, ckpt_path, class_id: int | None, out_dir,
                head_steps: int | None = None) -> Path:
     """Decodes ``decode.n_seq`` sequences of ``class_id`` with the seed
-    ``cfg["seed"]``; writes sequences.csv and decode_stats.json, which
-    records the requested ``cfg_scale`` and ``guided`` of the config."""
+    ``cfg["seed"]`` as :func:`decode_config` reads ``cfg``; writes
+    sequences.csv and decode_stats.json, which records the settings and the
+    backbone and head work of the decode."""
     model = MarModel.load(ckpt_path)
-    d = cfg["decode"]
-    n_seq = d["n_seq"]
+    n_seq = cfg["decode"]["n_seq"]
     dcfg = decode_config(cfg, model, cfg["seed"], head_steps)
     model.check_decode(class_id, dcfg)
     _refuse_nonempty(out_dir)   # a decode that fails leaves no run directory
@@ -302,8 +297,7 @@ def run_decode(cfg: dict, ckpt_path, class_id: int | None, out_dir,
     positions = np.tile(np.arange(length), n_seq)
     data.write_points_csv(seq_csv, flat, extra={"position": positions})
     stats_out = {"class_id": class_id, "n_seq": n_seq, "iterations": dcfg.iterations,
-                 "cfg_scale": d["cfg_scale"], "guided": d["guided"],
-                 "schedule": dcfg.schedule, "seed": dcfg.seed,
+                 "cfg_scale": dcfg.cfg_scale, "schedule": dcfg.schedule, "seed": dcfg.seed,
                  "head_steps": dcfg.head_steps, **stats}
     (out / "decode_stats.json").write_text(json.dumps(stats_out, sort_keys=True,
                                                       indent=2) + "\n")

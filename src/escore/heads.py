@@ -20,10 +20,17 @@ HEAD_KINDS = ("energy", "diffusion", "flow", "shortcut", "meanflow")
 WIRING_NOISE_AS_INPUT = "noise_as_input"
 WIRING_NOISE_AS_CONDITION = "noise_as_condition"
 HEAD_PREFIX = "head"   # the head's parameter names start "head."
+BETA_MAX = 0.999             # clip of the diffusion schedule's per-step betas
+SHORTCUT_LEVELS = 7          # dyadic step grid {1, 1/2, ..., 1/2^(levels-1)}
+CONSISTENCY_FRAC = 0.25      # share of shortcut rows trained for self-consistency
+R_EQ_T_PROB = 0.75           # share of mean-flow rows drawn with r = t
 
 
 @dataclass(frozen=True)
 class HeadConfig:
+    """One head's shape and sampler settings, saved whole in its checkpoint.
+    The training mixes of the shortcut and mean-flow losses and the diffusion
+    schedule's beta clip are module constants, not fields."""
     kind: str
     latent_dim: int = 2
     noise_dim: int = 2           # defaults to the latent dim's one-to-one mapping
@@ -33,11 +40,7 @@ class HeadConfig:
     wiring: str = WIRING_NOISE_AS_INPUT   # energy only; Figure-style (a)/(b) choice
     m_samples: int = 2           # model samples per target in the energy loss
     t_diff: int = 100            # diffusion chain length
-    beta_max: float = 0.999
     x0_clip: float = 4.0         # denoised-estimate clamp during sampling
-    shortcut_levels: int = 7     # dyadic step grid {1, 1/2, ..., 1/2^(levels-1)}
-    consistency_frac: float = 0.25
-    r_eq_t_prob: float = 0.75
     time_feat_dim: int = 16
 
     def __post_init__(self):
@@ -116,11 +119,11 @@ def build_energy_rows_m(samples: list[G.Node], y: G.Node) -> G.Node:
 class DiffusionSchedule:
     """Cosine alpha-bar schedule with clipped per-step betas."""
 
-    def __init__(self, t_diff: int = 100, beta_max: float = 0.999, shift: float = 0.008):
+    def __init__(self, t_diff: int = 100, shift: float = 0.008):
         t = np.arange(t_diff + 1, dtype=np.float64)
         f = np.cos(((t / t_diff + shift) / (1.0 + shift)) * np.pi / 2.0) ** 2
         raw = f / f[0]
-        betas = np.clip(1.0 - raw[1:] / raw[:-1], 1e-8, beta_max)
+        betas = np.clip(1.0 - raw[1:] / raw[:-1], 1e-8, BETA_MAX)
         self.t_diff = t_diff
         self.betas = betas
         self.alphabar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
@@ -203,8 +206,7 @@ class Head:
         # inference graphs declare and bind only this head's weights
         self._own_params = self.params.subset(
             lambda name: name.startswith(HEAD_PREFIX + "."))
-        self.schedule = DiffusionSchedule(cfg.t_diff, cfg.beta_max) \
-            if cfg.kind in ("diffusion",) else None
+        self.schedule = DiffusionSchedule(cfg.t_diff) if cfg.kind == "diffusion" else None
         self._eval_graphs: dict[int, G.Graph] = {}
         self.forward_rows = 0   # instrumented row count through the head
 
@@ -281,14 +283,14 @@ class Head:
         cfg = self.cfg
         rows, d = y.shape
         f = cfg.time_feat_dim
-        n_cons = int(round(rows * cfg.consistency_frac))
+        n_cons = int(round(rows * CONSISTENCY_FRAC))
         x0 = rng.child("x0").normal((rows, d))
         u = rng.child("t").uniform((rows,))
         t = u.copy()
         dtok = np.zeros(rows)
         if n_cons:
             # half-step d from the dyadic grid; t on the 2d-aligned slots
-            lv = 1 + rng.child("lvl").integers(cfg.shortcut_levels - 1, (n_cons,))
+            lv = 1 + rng.child("lvl").integers(SHORTCUT_LEVELS - 1, (n_cons,))
             dc = 0.5 ** lv
             slots = np.round(1.0 / (2.0 * dc)).astype(int)
             t[:n_cons] = np.minimum(2.0 * dc * np.floor(u[:n_cons] * slots), 1.0 - 2.0 * dc)
@@ -313,7 +315,7 @@ class Head:
         rows, d = y.shape
         f = cfg.time_feat_dim
         t = rng.child("t").uniform((rows,))
-        r = np.where(rng.child("coin").uniform((rows,)) < cfg.r_eq_t_prob,
+        r = np.where(rng.child("coin").uniform((rows,)) < R_EQ_T_PROB,
                      t, t * rng.child("r").uniform((rows,)))
         eps = rng.child("eps").normal((rows, d))
         # data at time 0, noise at time 1

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import graph as G
 from . import nn
-from .data import N_CLASSES, conditional_sequences, stack_sequences
+from .data import N_CLASSES, conditional_sequences
 from .heads import Head, HeadConfig, build_loss_rows
 from .rng import Stream
 
@@ -441,13 +441,14 @@ class MarModel:
 
 def class_pools(cfg: MarConfig, seed: int, per_class: int,
                 jitter: float = 0.02, tag: str = "train") -> tuple[np.ndarray, np.ndarray]:
-    """Stacked dataset of all classes: (n, L, d) latents + class ids."""
-    samples = []
+    """Stacked dataset of all classes: (n, L, d) latents + class ids, each
+    class's ``per_class`` sequences in a row."""
+    latents = np.empty((cfg.n_classes * per_class, cfg.seq_len, cfg.latent_dim))
     for c in range(cfg.n_classes):
         sub_seed = int(Stream.from_seed(seed, f"pool/{tag}/class{c}").key % (1 << 62))
-        samples.extend(conditional_sequences(c, per_class, cfg.seq_len,
-                                             seed=sub_seed, jitter=jitter))
-    return stack_sequences(samples)
+        latents[c * per_class:(c + 1) * per_class] = conditional_sequences(
+            c, per_class, cfg.seq_len, seed=sub_seed, jitter=jitter)
+    return latents, np.repeat(np.arange(cfg.n_classes), per_class)
 
 
 def train_mar(model: MarModel, *, steps: int, batch: int, lr: float = 1e-3,

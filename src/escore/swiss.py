@@ -12,7 +12,7 @@ import numpy as np
 from . import data
 from . import graph as G
 from . import nn
-from .heads import HEAD_PREFIX, Head, HeadConfig, build_loss_rows
+from .heads import Head, HeadConfig, build_loss_rows
 from .rng import Stream
 
 
@@ -68,14 +68,20 @@ class ToyHeadModel:
                          self.cfg.kind, lr=lr, weight_decay=weight_decay, t=step_index)
         return float(run.output)
 
-    def train(self, tcfg: ToyTrainConfig) -> list[tuple[int, float]]:
-        """Full run over fresh Swiss-roll minibatches; returns (step, loss) log."""
+    def train(self, tcfg: ToyTrainConfig) -> list[dict]:
+        """Full run over fresh Swiss-roll minibatches; returns one log record
+        per step, as ``mar.train_mar`` does: the kind's loss is the energy and
+        total column, ``lr`` the step's warmed-up rate."""
         pool = data.swiss_roll(tcfg.pool, tcfg.noise_sigma, seed=self.seed).points
-        return nn.train_loop(
-            self.seed, f"train/{self.cfg.kind}", len(pool), steps=tcfg.steps,
-            batch=tcfg.batch, lr=tcfg.lr, warmup=tcfg.warmup,
-            step=lambda idx, rng, lr, t: (t, self.train_step(pool[idx], rng, lr, t,
-                                                             tcfg.weight_decay)))
+
+        def step(idx, rng, lr, t):
+            loss = self.train_step(pool[idx], rng, lr, t, tcfg.weight_decay)
+            return {"step": t, "energy": loss, "distill": 0.0, "total": loss,
+                    "lambda": 0.0, "lr": lr, "seed": self.seed}
+
+        return nn.train_loop(self.seed, f"train/{self.cfg.kind}", len(pool),
+                             steps=tcfg.steps, batch=tcfg.batch, lr=tcfg.lr,
+                             warmup=tcfg.warmup, step=step)
 
     def sample(self, n: int, steps: int, seed: int) -> np.ndarray:
         rng = Stream.from_seed(seed, f"sample/{self.cfg.kind}")
@@ -83,9 +89,8 @@ class ToyHeadModel:
 
     def save(self, path, *, config_digest: str = "", step: int = 0) -> None:
         nn.save_checkpoint(path, self.params, config_digest=config_digest, seed=self.seed,
-                           step=step, extra={"kind": self.cfg.kind, "model": "toy_head",
-                                             "head_config": asdict(self.cfg),
-                                             "prefix": HEAD_PREFIX})
+                           step=step, extra={"model": "toy_head",
+                                             "head_config": asdict(self.cfg)})
 
     @classmethod
     def load(cls, path) -> "ToyHeadModel":

@@ -50,11 +50,11 @@ def energy_noise(head, rows: int, stream: Stream) -> dict[str, np.ndarray]:
             for i in range(head.cfg.m_samples)}
 
 
-def toy_train(model, tcfg) -> list[tuple[int, float]]:
+def toy_train(model, tcfg) -> list[dict]:
     """``ToyHeadModel.train``."""
     pool = data.swiss_roll(tcfg.pool, tcfg.noise_sigma, seed=model.seed).points
     root = Stream.from_seed(model.seed, f"train/{model.cfg.kind}")
-    history = []
+    log = []
     for t in range(1, tcfg.steps + 1):
         step = root.child(f"step/{t}")
         y = pool[step.child("batch").integers(len(pool), (tcfg.batch,))]
@@ -66,8 +66,10 @@ def toy_train(model, tcfg) -> list[tuple[int, float]]:
         lr = tcfg.lr * min(1.0, t / max(tcfg.warmup, 1))
         nn.adam_step(model.params, G.backward(run), lr=lr,
                      weight_decay=tcfg.weight_decay, t=t)
-        history.append((t, float(run.output)))
-    return history
+        loss = float(run.output)
+        log.append({"step": t, "energy": loss, "distill": 0.0, "total": loss,
+                    "lambda": 0.0, "lr": lr, "seed": model.seed})
+    return log
 
 
 def train_mar(model, *, steps: int, batch: int, lr: float, warmup: int,

@@ -3,8 +3,8 @@
 These are the four per-parameter cells that ``experiments._sweep_cell``
 replaced, with the ``decode_and_score`` they scored through and the table
 writer of ``run_sweep``, run serially. Their decodes read ``cfg["decode"]``
-as ``experiments.decode_config`` does: scale 1 when ``decode.guided`` is
-false, and the chain length as head steps for a non-energy student. On the grids they could run (the m
+as ``experiments.decode_config`` does, with the chain length as head steps
+for a non-energy student. On the grids they could run (the m
 and wiring cells trained no teacher, so only at lambda = 0), the single
 cell must write the same ``sweep.csv`` and ``sweep_cells.csv`` bytes and
 checkpoints with the same parameter values.
@@ -45,8 +45,7 @@ def decode_and_score(model: MarModel, cfg: dict, cfg_scale: float, seed: int,
     agg = {"mmd": 0.0, "wsd": 0.0, "energy_u": 0.0, "energy_v": 0.0}
     n_total = 0
     for c in range(model.cfg.n_classes):
-        dcfg = DecodeConfig(iterations=d["iterations"],
-                            cfg_scale=cfg_scale if d["guided"] else 1.0,
+        dcfg = DecodeConfig(iterations=d["iterations"], cfg_scale=cfg_scale,
                             schedule=d["schedule"], seed=40_000 + 97 * seed + c,
                             head_steps=head_steps)
         latents, _ = model.decode(c, eval_per_class, dcfg)

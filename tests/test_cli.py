@@ -225,37 +225,96 @@ def test_train_mar_and_decode_roundtrip(tmp_path):
     assert stats["head_rows"] == 3 * 16
 
 
-def test_decode_scale_one_matches_no_guidance(tmp_path):
-    """--no-guidance decodes at scale 1 whatever --cfg says, and the stats
-    record the scale and guidance that were asked for."""
-    run = tmp_path / "student"
+@pytest.fixture(scope="module")
+def tiny_student(tmp_path_factory):
+    """A checkpoint of a tiny energy student, trained once for the module."""
+    run = tmp_path_factory.mktemp("student") / "run"
     assert main(["train-mar", "--role", "student", "--seed", "4",
                  "--out", str(run)] + TINY_MAR) == 0
-    ckpt = run / "mar.ckpt"
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["decode", "--ckpt", str(ckpt), "--class", "0", "--cfg", "1",
-                 "--n", "2", "--seed", "3", "--out", str(a)] + TINY_MAR) == 0
-    assert main(["decode", "--ckpt", str(ckpt), "--class", "0", "--cfg", "4",
-                 "--no-guidance", "--n", "2", "--seed", "3", "--out", str(b)] + TINY_MAR) == 0
-    assert (a / "sequences.csv").read_bytes() == (b / "sequences.csv").read_bytes()
-    stats_a = json.loads((a / "decode_stats.json").read_text())
-    stats_b = json.loads((b / "decode_stats.json").read_text())
-    # scale 1 keeps the conditional pass alone, so no null pass runs
-    assert stats_a["backbone_forwards"] == stats_b["backbone_forwards"] == 4
-    assert (stats_a["cfg_scale"], stats_a["guided"]) == (1.0, True)
-    assert (stats_b["cfg_scale"], stats_b["guided"]) == (4.0, False)
+    return run / "mar.ckpt"
 
 
-def test_decode_reads_the_guided_config_key(tmp_path):
-    run = tmp_path / "student"
-    assert main(["train-mar", "--role", "student", "--seed", "4",
-                 "--out", str(run)] + TINY_MAR) == 0
-    dec = tmp_path / "dec"
-    assert main(["decode", "--ckpt", str(run / "mar.ckpt"), "--n", "2", "--out", str(dec),
-                 "--set", "decode.guided=false"] + TINY_MAR) == 0
-    stats = json.loads((dec / "decode_stats.json").read_text())
-    assert stats["guided"] is False
+def _decode_stats(ckpt, out, *argv) -> dict:
+    assert main(["decode", "--ckpt", str(ckpt), "--n", "2", "--out", str(out),
+                 *argv] + TINY_MAR) == 0
+    return json.loads((out / "decode_stats.json").read_text())
+
+
+def test_decode_takes_the_config_seed_unless_given_one(tmp_path, tiny_student):
+    """Without --seed a decode uses the config's seed (default 1), so a
+    --set or --config seed takes effect; --seed overrides either."""
+    config = tmp_path / "cfg.json"
+    config.write_text('{"seed": 6}')
+    runs = {"default": [], "set": ["--set", "seed=5"], "config": ["--config", str(config)],
+            "flag": ["--seed", "5"], "both": ["--seed", "2", "--set", "seed=5"]}
+    seeds = {name: _decode_stats(tiny_student, tmp_path / name, *argv)["seed"]
+             for name, argv in runs.items()}
+    assert seeds == {"default": 1, "set": 5, "config": 6, "flag": 5, "both": 2}
+    assert ((tmp_path / "set" / "sequences.csv").read_bytes()
+            == (tmp_path / "flag" / "sequences.csv").read_bytes())
+
+
+def test_decode_at_scale_one_runs_the_conditional_pass_alone(tmp_path, tiny_student):
+    stats = _decode_stats(tiny_student, tmp_path / "dec", "--cfg", "1")
+    assert stats["cfg_scale"] == 1.0 and "guided" not in stats
     assert stats["backbone_forwards"] == stats["iterations"] == 4
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["decode", "--ckpt", "absent.ckpt", "--set", "decode.guided=false"],
+     "unknown config key 'decode.guided'"),
+    (["decode", "--ckpt", "absent.ckpt", "--no-guidance"],
+     "unrecognized arguments: --no-guidance"),
+    (["train-head", "--method", "energy", "--set", "metrics.n=7"],
+     "unknown config key 'metrics.n'"),
+], ids=["decode.guided", "no-guidance", "metrics.n"])
+def test_removed_setting_is_a_usage_error_naming_it(tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_toy_loss_log_records_the_warmed_up_rate(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train-head", "--method", "flow", "--out", str(out), "--set", "train.lr=0.003",
+                 "--set", "train.warmup=3"] + TINY_HEAD) == 0
+    lines = (out / "loss.csv").read_text().splitlines()
+    lr = [float(line.split(",")[5]) for line in lines[1:]]
+    assert lr == [0.003 * min(1.0, t / 3) for t in range(1, 9)]
+
+
+@pytest.mark.parametrize("argv,ckpt,keys", [
+    (["train-head", "--method", "energy"] + TINY_HEAD, "head.ckpt", {"model", "head_config"}),
+    (["train-mar", "--role", "student"] + TINY_MAR, "mar.ckpt",
+     {"model", "mar_config", "role", "lambda"}),
+], ids=["toy", "mar"])
+def test_checkpoint_extra_records_each_fact_once(tmp_path, argv, ckpt, keys):
+    from escore import nn
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    manifest, _ = nn.load_checkpoint(tmp_path / "run" / ckpt)
+    assert set(manifest["extra"]) == keys
+
+
+@pytest.mark.parametrize("field", ["beta_max", "shortcut_levels", "consistency_frac",
+                                   "r_eq_t_prob"])
+def test_checkpoint_with_a_retired_head_field_is_a_usage_error(tmp_path, capsys, field):
+    """The four head settings that became module constants are unknown
+    fields of a saved head config."""
+    from escore.heads import HeadConfig
+    from escore.swiss import ToyHeadModel
+    ckpt = tmp_path / "head.ckpt"
+    ToyHeadModel(HeadConfig(kind="diffusion", width=8, depth=1), seed=0).save(ckpt)
+    header, payload = ckpt.read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    manifest["extra"]["head_config"][field] = 1
+    ckpt.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    rc = main(["sample", "--ckpt", str(ckpt), "--steps", "1", "--n", "4",
+               "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and f"head_config has unknown field {field!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "s.csv").exists()
 
 
 def test_student_lambda_requires_teacher(tmp_path, capsys):

@@ -53,31 +53,20 @@ def test_gaussian_source_moments():
 
 
 def test_conditional_sequences_circle_radius():
-    samples = data.conditional_sequences(1, count=8, length=16, seed=4, jitter=0.0)
-    for s in samples:
-        assert np.max(np.abs(np.linalg.norm(s.latents, axis=1) - data.CIRCLE_RADIUS)) <= 1e-12
+    traces = data.conditional_sequences(1, count=8, length=16, seed=4, jitter=0.0)
+    assert np.max(np.abs(np.linalg.norm(traces, axis=2) - data.CIRCLE_RADIUS)) <= 1e-12
 
 
 def test_conditional_sequences_shape_and_determinism():
     a = data.conditional_sequences(0, count=3, length=16, seed=7)
     b = data.conditional_sequences(0, count=3, length=16, seed=7)
-    assert all(s.latents.shape == (16, 2) for s in a)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.latents, y.latents)
-        assert x.class_id == 0
+    assert a.shape == (3, 16, 2)
+    assert np.array_equal(a, b)
 
 
 def test_conditional_sequences_unknown_class():
     with pytest.raises(ValueError):
         data.conditional_sequences(data.N_CLASSES, count=1, length=8, seed=0)
-
-
-def test_stack_sequences_null_sentinel():
-    samples = data.conditional_sequences(2, count=2, length=8, seed=0)
-    samples.append(data.ConditionalSequenceSample(np.zeros((8, 2)), None))
-    latents, ids = data.stack_sequences(samples)
-    assert latents.shape == (3, 8, 2)
-    assert ids.tolist() == [2, 2, -1]
 
 
 def test_csv_roundtrip_17_digits(tmp_path):

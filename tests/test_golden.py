@@ -19,6 +19,19 @@ recorded on an AVX-512 host with
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``, which is how
 an AVX-512 host checks it. A path with no table fails every digest test
 with a message naming the path; it is never skipped.
+
+Both tables were recorded again, once, when the run surface dropped the
+settings that chose nothing and the recorded facts that repeated others;
+no parameter value, loss, sample, decode or score changed. Fourteen
+artifacts moved in each table: the five toy ``head.ckpt`` (their manifest
+``extra`` lost ``kind`` and ``prefix``, their ``head_config`` lost four
+fields that became module constants, and the config digest lost
+``decode.guided`` and ``metrics.n``), the five toy ``loss.csv`` (the ``lr``
+column now holds the step's warmed-up rate, as the MAR logs do, so the
+warm-up rows changed), both ``mar.ckpt`` (the config digest, and ``extra``
+lost ``m`` and ``wiring``, which repeat ``mar_config``) and both
+``decode_stats.json`` (the ``guided`` entry is gone). Running this file as
+a script prints the current path's table.
 """
 import hashlib
 import json
@@ -57,49 +70,49 @@ KINDS = ("energy", "diffusion", "flow", "shortcut", "meanflow")
 GOLDEN = {
     "AVX-512": {
         "compare/metrics.csv": "7756e998e8320873161047ad99f642c495c1bd4b481af7e0a361a1af1407e0f1",
-        "decode_diffusion/decode_stats.json": "7be0db79d42953832875a55e5774247d69d530f5329cefb25fdcdaa0beefcabd",
+        "decode_diffusion/decode_stats.json": "c5421a35b22b4e2f755a47cc6d8d1782bbdf2494dc1298295267a0b223516796",
         "decode_diffusion/sequences.csv": "de243d6a3a61c20075d32ef92b49534c6a8fac1af7bcc48f19500e738337232e",
-        "decode_energy/decode_stats.json": "cc203d6fcaa85c94a0d7d8934b01bf19ad44736ede55ac3c36404a0af79840a3",
+        "decode_energy/decode_stats.json": "34d82d2f6b85919dee6785f81657a871fe8380312682856c7233c8d5b8733de8",
         "decode_energy/sequences.csv": "71d5d112b9c191730daf04e1d950624711c98f929d5f81f8a7e150c080ed4da4",
-        "diffusion/head.ckpt": "729cff662fc41d8cda41dab036d3c3b24c473686a8d9d53f407021a9f86c4728",
-        "diffusion/loss.csv": "9b1db0ef19ee137d1cbb6567aa1ab61430ba861491b541157e78fced3a6911f3",
-        "energy/head.ckpt": "183bb35cafd1d74aa0fa0cb619512517491e944c557d6b5ecd616423cca0f981",
-        "energy/loss.csv": "66e3c2a2b96b22f8e4baa2501b9ead03ac8f797b66f7df738bd297ff79bd3935",
+        "diffusion/head.ckpt": "64c98c03271b95b2846ba12f5bf05ed304c49aa0c292bdcd46b46ed7f892da54",
+        "diffusion/loss.csv": "9895388f3bb74646b7818b09f95cb8ec3603bd81522adcebf3d80f9786dded7a",
+        "energy/head.ckpt": "10505758c8c86ad511167307a562548e904a8f61ca3de968d1f4081eb362a647",
+        "energy/loss.csv": "cdbb2e4c4895e8d065b2b37231b9ffc0b3dd31a86445bab822e52448660b5c4a",
         "eval.csv": "657907e360a42b1fd29dee8489b04fb0e08362f08a42b6b478421f343cf99563",
-        "flow/head.ckpt": "8af55da5c02038efb14ecacd225c34dedb3981d5e2f95ef8bf78fa29114c3873",
-        "flow/loss.csv": "745cf89960e27b70b14395f5d2df0633f535ba908eb41409a5258ae044d78ba6",
-        "meanflow/head.ckpt": "8cd39cf41b0b02cc8c4bba90aa0289c603e67ba8ad159771243ab2fc562a91b4",
-        "meanflow/loss.csv": "e1c4e3f51217e8748dbad61f5dce426c7e5b4ea9da68d9089f826b63f840f1a8",
+        "flow/head.ckpt": "859bf55162c8deef7f519204841a2d3ec03a051e795b3ae5c881f9c9e63e17e1",
+        "flow/loss.csv": "079aadb69a040a891aa93ef356f61a1e923a9097ba8428143d0f51e5d4528498",
+        "meanflow/head.ckpt": "34d6be7669c3ef0aacb458627f1aac5259a9af6d2b04c8b6ff93bec37617d3dd",
+        "meanflow/loss.csv": "0ac0f0467fd4bbc0a1f3dade73da9e89d14a16591a87c93c44b8ce5261481f36",
         "samples.csv": "965c26e44f07a87dad22a0aec6cf5136ad479e70a90e337a83517a23f9cbcb7a",
-        "shortcut/head.ckpt": "fcb1c42de4ca98689a93cb07453665b1fc61fddbca8219c6b976e50673ca5cbd",
-        "shortcut/loss.csv": "31c79e1860ab9b3096ac3486df3e1902fd27fb9e8b1266444b895af92f52468b",
+        "shortcut/head.ckpt": "4129e47042740c9ae3b5e38d57a6f37923588cfc8ec689ca0b0cf17f93cce712",
+        "shortcut/loss.csv": "31fa1224459641d88d6f2cbfb9b3bdfbedcabcffe629c600b3c23040da8ee4f8",
         "student/loss.csv": "e66e5bc44b8ad9ebfb8a84f2dc40302c1390a2e20a5ca0051254988423e3de3b",
-        "student/mar.ckpt": "aefaafe06d3e4a6f273bfac586db83793cdc64356fc6988e8b76d8f2ad8afb32",
+        "student/mar.ckpt": "95b1320938c0cfaafc3693297c6c2beace060dc8f5fc5c4b560783413e7e6e6d",
         "teacher/loss.csv": "404a4e7b4e976583941b18d0ed6d64d4f20ea6108ef993956b57199cbdba13b4",
-        "teacher/mar.ckpt": "27cecccf4967e2774e4b1dd5c920c76ff5ac4c159c4f98ed0225c379eb4e2fd7",
+        "teacher/mar.ckpt": "170f4f088244eeff2211027d438cb98173c03dc22db4109cb7b3813f3d51b617",
     },
     "AVX2": {
         "compare/metrics.csv": "78f00db5e50ab9fddf2ad082ebe1ab11d0c7fb62f925e30173fd569ff6d174a7",
-        "decode_diffusion/decode_stats.json": "7be0db79d42953832875a55e5774247d69d530f5329cefb25fdcdaa0beefcabd",
+        "decode_diffusion/decode_stats.json": "c5421a35b22b4e2f755a47cc6d8d1782bbdf2494dc1298295267a0b223516796",
         "decode_diffusion/sequences.csv": "de243d6a3a61c20075d32ef92b49534c6a8fac1af7bcc48f19500e738337232e",
-        "decode_energy/decode_stats.json": "cc203d6fcaa85c94a0d7d8934b01bf19ad44736ede55ac3c36404a0af79840a3",
+        "decode_energy/decode_stats.json": "34d82d2f6b85919dee6785f81657a871fe8380312682856c7233c8d5b8733de8",
         "decode_energy/sequences.csv": "606e36466d1848e06b7bec1012d18876d001b57b7f7e24653e35abd72a7220cf",
-        "diffusion/head.ckpt": "729cff662fc41d8cda41dab036d3c3b24c473686a8d9d53f407021a9f86c4728",
-        "diffusion/loss.csv": "9b1db0ef19ee137d1cbb6567aa1ab61430ba861491b541157e78fced3a6911f3",
-        "energy/head.ckpt": "183bb35cafd1d74aa0fa0cb619512517491e944c557d6b5ecd616423cca0f981",
-        "energy/loss.csv": "66e3c2a2b96b22f8e4baa2501b9ead03ac8f797b66f7df738bd297ff79bd3935",
+        "diffusion/head.ckpt": "64c98c03271b95b2846ba12f5bf05ed304c49aa0c292bdcd46b46ed7f892da54",
+        "diffusion/loss.csv": "9895388f3bb74646b7818b09f95cb8ec3603bd81522adcebf3d80f9786dded7a",
+        "energy/head.ckpt": "10505758c8c86ad511167307a562548e904a8f61ca3de968d1f4081eb362a647",
+        "energy/loss.csv": "cdbb2e4c4895e8d065b2b37231b9ffc0b3dd31a86445bab822e52448660b5c4a",
         "eval.csv": "2a4b1694c84a933c2dc4498fb3a85044ed12a08dd91e8d499b0c56ea56cc942d",
-        "flow/head.ckpt": "8af55da5c02038efb14ecacd225c34dedb3981d5e2f95ef8bf78fa29114c3873",
-        "flow/loss.csv": "745cf89960e27b70b14395f5d2df0633f535ba908eb41409a5258ae044d78ba6",
-        "meanflow/head.ckpt": "d3763ad7f4d4f284f8cdb1ac21d8431d49d0a3995251382cfb1082309b43b1b2",
-        "meanflow/loss.csv": "e1c4e3f51217e8748dbad61f5dce426c7e5b4ea9da68d9089f826b63f840f1a8",
+        "flow/head.ckpt": "859bf55162c8deef7f519204841a2d3ec03a051e795b3ae5c881f9c9e63e17e1",
+        "flow/loss.csv": "079aadb69a040a891aa93ef356f61a1e923a9097ba8428143d0f51e5d4528498",
+        "meanflow/head.ckpt": "c99828a9245978214db21068ab668b316e702a7f8784f44f7cb96a343bfc9d27",
+        "meanflow/loss.csv": "0ac0f0467fd4bbc0a1f3dade73da9e89d14a16591a87c93c44b8ce5261481f36",
         "samples.csv": "965c26e44f07a87dad22a0aec6cf5136ad479e70a90e337a83517a23f9cbcb7a",
-        "shortcut/head.ckpt": "fcb1c42de4ca98689a93cb07453665b1fc61fddbca8219c6b976e50673ca5cbd",
-        "shortcut/loss.csv": "31c79e1860ab9b3096ac3486df3e1902fd27fb9e8b1266444b895af92f52468b",
+        "shortcut/head.ckpt": "4129e47042740c9ae3b5e38d57a6f37923588cfc8ec689ca0b0cf17f93cce712",
+        "shortcut/loss.csv": "31fa1224459641d88d6f2cbfb9b3bdfbedcabcffe629c600b3c23040da8ee4f8",
         "student/loss.csv": "ba8a182d8c14f2a1beb0474149ddff4185b2f0e84e6d12a12071687f79c200d8",
-        "student/mar.ckpt": "64dc8ecf9e21ac1dbb0ba478654e79fa16c4dcc71a722b5df3828f36230c0284",
+        "student/mar.ckpt": "f809b119bd2db9dd4d47e2c3dfc249c8d345edc031669d9a8f74f113d509e6f3",
         "teacher/loss.csv": "404a4e7b4e976583941b18d0ed6d64d4f20ea6108ef993956b57199cbdba13b4",
-        "teacher/mar.ckpt": "534000e0f95461fca67863dce9ca5fc0a61685280a4f6520ec9c721fe263030e",
+        "teacher/mar.ckpt": "6dc6fe05fc4022f3790180d03c7ed8c44fdb6e0d94780daaa6e3bbf99ce26b10",
     },
 }
 
@@ -168,3 +181,20 @@ def test_golden_set_is_complete(digests):
 def test_golden_digest(digests, artifact):
     assert digests[artifact] == _table()[artifact], (
         f"digest on numpy dispatch path {PATH} differs from that path's table")
+
+
+if __name__ == "__main__":
+    # prints this dispatch path's table, ready to paste into GOLDEN:
+    #   PYTHONPATH=src python tests/test_golden.py
+    import contextlib
+    import pathlib
+    import sys
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        current = _run_all(pathlib.Path(tmp))
+    print(f"# numpy dispatch path: {PATH}")
+    print("{")
+    for artifact in sorted(current):
+        print(f'    "{artifact}": "{current[artifact]}",')
+    print("}")

@@ -165,8 +165,9 @@ def test_energy_train_step_value_matches_manual_recompute():
     assert value == pytest.approx(manual, abs=1e-12)
 
 
-def test_meanflow_target_equals_velocity_when_r_is_t():
-    cfg = HeadConfig(kind="meanflow", width=16, depth=1, context_dim=3, r_eq_t_prob=1.0)
+def test_meanflow_target_equals_velocity_when_r_is_t(monkeypatch):
+    monkeypatch.setattr(heads, "R_EQ_T_PROB", 1.0)
+    cfg = HeadConfig(kind="meanflow", width=16, depth=1, context_dim=3)
     head = _randomized_head(cfg, 12)
     s = Stream.from_seed(13, "mf")
     y = s.child("y").normal((8, 2))

@@ -310,8 +310,8 @@ def _reference_model(kind: str) -> MarModel:
     (1, 3, 8), (1, 3))))
 def test_decode_matches_reference(kind, class_id, guided, schedule, iters, n_seq):
     """Batched draws and the shared first pass give the per-sequence loop's
-    bits. ``guided`` is the ``decode.guided`` config value: true decodes at
-    scale 2.5 (both passes), false at scale 1 (the conditional pass alone)."""
+    bits. A ``guided`` decode runs at scale 2.5 (both passes), any other at
+    scale 1 (the conditional pass alone)."""
     model = _reference_model(kind)
     dcfg = DecodeConfig(iterations=iters, cfg_scale=2.5 if guided else 1.0,
                         schedule=schedule, seed=4, head_steps=1 if kind == "energy" else 3)

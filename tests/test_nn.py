@@ -287,11 +287,11 @@ def test_checkpoint_roundtrip(tmp_path):
     params.add("a.b", Stream.from_seed(0, "b").normal((2,)))
     path = tmp_path / "model.ckpt"
     nn.save_checkpoint(path, params, config_digest="deadbeef", seed=7, step=42,
-                       extra={"kind": "energy"})
+                       extra={"head_config": {"kind": "energy"}})
     manifest, values = nn.load_checkpoint(path)
     assert manifest["config_digest"] == "deadbeef"
     assert manifest["seed"] == 7 and manifest["step"] == 42
-    assert manifest["extra"]["kind"] == "energy"
+    assert manifest["extra"]["head_config"] == {"kind": "energy"}
     assert np.array_equal(values["a.w"], params["a.w"].value)
     assert np.array_equal(values["a.b"], params["a.b"].value)
 

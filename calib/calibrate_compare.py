@@ -1,7 +1,7 @@
 """Calibration: five-way swiss-roll comparison quality at default budgets."""
 import sys, time
 import numpy as np
-from escore.swiss import ToyHeadModel, ToyTrainConfig
+from escore.swiss import ToyHeadModel
 from escore import data, metrics
 from escore.heads import HeadConfig
 
@@ -14,7 +14,7 @@ for seed in seeds:
     for kind, steps in budgets.items():
         t0 = time.perf_counter()
         model = ToyHeadModel(HeadConfig(kind=kind), seed)
-        model.train(ToyTrainConfig(steps=steps, batch=128))
+        model.train(steps=steps, batch=128)
         train_t = time.perf_counter() - t0
         out = {}
         for s in ([1, 4, 100] if kind in ("diffusion", "flow") else [1]):

@@ -7,7 +7,7 @@ import numpy as np
 from escore import metrics
 from escore.heads import HeadConfig
 from escore.mar import DecodeConfig, MarConfig, MarModel, class_pools, train_mar
-from escore.metrics import EnergyEstimatorConfig, energy_statistic
+from escore.metrics import energy_statistic
 
 SEEDS = [int(s) for s in sys.argv[1].split(",")] if len(sys.argv) > 1 else [1]
 STEPS = int(sys.argv[2]) if len(sys.argv) > 2 else 700
@@ -32,7 +32,7 @@ def score(model, scale, seed, head_steps=1):
                             head_steps=head_steps)
         latents, _ = model.decode(c, EVAL_N, dcfg)
         gen = latents.reshape(-1, 2)
-        vals["energy_v"] += energy_statistic(gen, POOLS[c], EnergyEstimatorConfig("v")) / 3
+        vals["energy_v"] += energy_statistic(gen, POOLS[c], mode="v") / 3
         vals["mmd"] += metrics.mmd_gaussian(gen, POOLS[c])[0] / 3
         vals["wsd"] += metrics.wasserstein_assignment(gen, POOLS[c]) / 3
     return vals

@@ -3,14 +3,14 @@ import time
 
 from escore import data, metrics
 from escore.heads import HeadConfig
-from escore.swiss import ToyHeadModel, ToyTrainConfig
+from escore.swiss import ToyHeadModel
 
 
 def trial(kind, seed, steps, batch, width=192, lr=1e-3, x0_clip=4.0, extra_steps=()):
     cfg = HeadConfig(kind=kind, width=width, x0_clip=x0_clip)
     t0 = time.perf_counter()
     model = ToyHeadModel(cfg, seed)
-    model.train(ToyTrainConfig(steps=steps, batch=batch, lr=lr))
+    model.train(steps=steps, batch=batch, lr=lr)
     dt = time.perf_counter() - t0
     ref = data.swiss_roll(2048, 0.03, seed=10_000 + seed).points
     line = f"{kind:9s} seed{seed} w{width} b{batch} s{steps}: {dt:6.1f}s"

@@ -1,7 +1,7 @@
 """Try budget variants per method; print time and 1-step quality."""
 import time
 import numpy as np
-from escore.swiss import ToyHeadModel, ToyTrainConfig
+from escore.swiss import ToyHeadModel
 from escore.heads import HeadConfig
 from escore import data, metrics
 
@@ -9,7 +9,7 @@ def trial(kind, seed, steps, batch, lr=1e-3, warmup=200, hv=None):
     cfg = HeadConfig(kind=kind, **(hv or {}))
     t0 = time.perf_counter()
     model = ToyHeadModel(cfg, seed)
-    model.train(ToyTrainConfig(steps=steps, batch=batch, lr=lr, warmup=warmup))
+    model.train(steps=steps, batch=batch, lr=lr, warmup=warmup)
     dt = time.perf_counter() - t0
     ref = data.swiss_roll(2048, 0.03, seed=10_000 + seed).points
     s = model.sample(2048, 1, seed=20_000 + seed)

@@ -13,7 +13,7 @@ import time
 
 from escore import data, metrics, svg
 from escore.heads import HeadConfig
-from escore.swiss import ToyHeadModel, ToyTrainConfig
+from escore.swiss import ToyHeadModel
 
 OUT = pathlib.Path(__file__).with_suffix("") / "out"
 OUT.mkdir(parents=True, exist_ok=True)
@@ -21,7 +21,7 @@ OUT.mkdir(parents=True, exist_ok=True)
 print("Training a small energy-scoring head (width 128, 600 steps)...")
 t0 = time.perf_counter()
 model = ToyHeadModel(HeadConfig(kind="energy", width=128), seed=7)
-log = model.train(ToyTrainConfig(steps=600, batch=128))
+log = model.train(steps=600, batch=128)
 print(f"  done in {time.perf_counter() - t0:.1f}s; "
       f"loss {log[0]['total']:.3f} -> {log[-1]['total']:.3f}")
 

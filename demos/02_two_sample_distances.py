@@ -9,7 +9,7 @@ Run:  python3 demos/02_two_sample_distances.py
 import numpy as np
 
 from escore import metrics
-from escore.metrics import EnergyEstimatorConfig, energy_statistic
+from escore.metrics import energy_statistic
 from escore.rng import Stream
 
 print("Energy distance vs the closed-form Gaussian oracle")
@@ -17,14 +17,14 @@ print(f"{'mu':>4} {'estimate':>10} {'oracle':>10}")
 x = Stream.from_seed(0, "demo/x").normal((100_000, 1))
 base = Stream.from_seed(0, "demo/y").normal((100_000, 1))
 for mu in (0.0, 0.5, 1.0, 2.0):
-    est = energy_statistic(x, base + mu, EnergyEstimatorConfig(mode="u"))
+    est = energy_statistic(x, base + mu, mode="u")
     print(f"{mu:4.1f} {est:10.4f} {metrics.gaussian_energy_oracle(mu):10.4f}")
 
 print("\nV-mode statistic is nonnegative and zero only on equal multisets:")
 pts = Stream.from_seed(1, "demo/pts").normal((64, 2))
 perm = Stream.from_seed(2, "demo/perm").permutation(64)
-same = energy_statistic(pts, pts[perm], EnergyEstimatorConfig(mode="v"))
-moved = energy_statistic(pts, pts + 0.05, EnergyEstimatorConfig(mode="v"))
+same = energy_statistic(pts, pts[perm], mode="v")
+moved = energy_statistic(pts, pts + 0.05, mode="v")
 print(f"  permuted copy: {same:.2e}   shifted copy: {moved:.2e}")
 
 print("\nMMD^2 (RBF, median-heuristic bandwidth) and exact W1 assignment:")

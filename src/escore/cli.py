@@ -19,9 +19,7 @@ import sys
 
 from . import experiments, metrics, verify
 from .config import ConfigError, resolve_config
-from .graph import NonFiniteError
 from .heads import HEAD_KINDS
-from .nn import NonFiniteGradientError
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -258,7 +256,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "gradcheck":
-        results = verify.run_suite(n_points=args.points, composite_points=args.points)
+        results = verify.run_suite(n_points=args.points)
         print(verify.format_table(results))
         if all(r.passed for r in results):
             print("gradcheck: all checks passed")
@@ -285,8 +283,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:   # OSError: a file that cannot be read
         print(f"escore: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (NonFiniteError, NonFiniteGradientError, FloatingPointError,
-            RuntimeError) as exc:
+    except (FloatingPointError, RuntimeError) as exc:   # graph.NonFiniteError among them
         print(f"escore: runtime failure: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

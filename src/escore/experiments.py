@@ -19,7 +19,7 @@ from .config import ConfigError, check_ranges, config_digest, write_run_config
 from .heads import HEAD_KINDS, HeadConfig
 from .mar import DecodeConfig, MarConfig, MarModel, train_mar
 from .metrics import MetricsReport
-from .swiss import ToyHeadModel, ToyTrainConfig
+from .swiss import ToyHeadModel
 
 PLOT_REFERENCE_SEED = 7777
 LOSS_HEADER = ["step", "energy", "distill", "total", "lambda", "lr", "seed"]
@@ -107,11 +107,9 @@ def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path,
     """Trains one toy head, then creates ``out`` and writes its loss.csv and
     head.ckpt there: a run that fails leaves no directory."""
     t = cfg["train"]
-    log = model.train(ToyTrainConfig(steps=steps or t["steps"], batch=t["batch"],
-                                     lr=t["lr"], warmup=t["warmup"],
-                                     weight_decay=t["weight_decay"],
-                                     pool=cfg["data"]["pool"],
-                                     noise_sigma=cfg["data"]["noise_sigma"]))
+    log = model.train(steps=steps or t["steps"], batch=t["batch"], lr=t["lr"],
+                      warmup=t["warmup"], weight_decay=t["weight_decay"],
+                      pool=cfg["data"]["pool"], noise_sigma=cfg["data"]["noise_sigma"])
     out.mkdir(parents=True, exist_ok=True)
     write_loss_csv(out / "loss.csv", log)
     model.save(out / "head.ckpt", config_digest=config_digest(cfg), step=len(log))
@@ -224,11 +222,18 @@ def mar_config_from(cfg: dict, head_kind: str | None = None) -> MarConfig:
 def build_mar_model(cfg: dict, role: str, seed: int,
                     teacher: MarModel | None = None) -> MarModel:
     """The untrained MAR teacher or student of ``cfg``; a student takes the
-    teacher's backbone under ``mar_train.init_from_teacher``."""
+    teacher's backbone under ``mar_train.init_from_teacher``. A given teacher
+    must share the sequence length and width whose representations the
+    student is trained against."""
     if role == "student" and cfg["mar_train"]["lambda"] > 0 and teacher is None:
         raise ConfigError("mar_train.lambda > 0 requires --teacher")
     kind = "diffusion" if role == "teacher" else None
-    model = MarModel(mar_config_from(cfg, head_kind=kind), seed)
+    mcfg = mar_config_from(cfg, head_kind=kind)
+    for key in ("seq_len", "hidden_dim") if teacher is not None else ():
+        mine, theirs = getattr(mcfg, key), getattr(teacher.cfg, key)
+        if mine != theirs:
+            raise ConfigError(f"mar.{key}={mine} differs from the teacher's {theirs}")
+    model = MarModel(mcfg, seed)
     if role == "student" and teacher is not None and cfg["mar_train"]["init_from_teacher"]:
         for name, p in model.params.items():
             if name.startswith("backbone.") and name in teacher.params:

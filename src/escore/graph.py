@@ -1,9 +1,10 @@
 """Static differentiable computation graphs over float64 numpy arrays.
 
 A :class:`Graph` is built once (shapes fixed at construction), then
-evaluated any number of times with fresh leaf bindings. :func:`declare`
-makes one leaf per binding, so loss and training graphs are declared from
-the bindings of the first call that runs them. Forward values are cached in
+evaluated any number of times with fresh data bindings. :func:`declare`
+makes one data leaf per binding, so loss and training graphs are declared
+from the bindings of the first call that runs them, and one weight leaf per
+parameter of a parameter set. Forward values are cached in
 a per-call :class:`Evaluation`, which keeps graphs freely shareable across
 threads/processes; reverse-mode gradients consume that cache, and
 :func:`jvp` carries tangents beside the values in a sweep of its own.
@@ -16,12 +17,16 @@ tangent rule; the ten linear kinds take their forward on the input tangents.
 ``affine`` (``x @ w + b``, the bias broadcast over the leading axes) is the
 fused form of matmul + broadcast + add, bit-identical to it.
 
-A leaf declared from a parameter set is a weight leaf, whose value the set
-checks for NaN/Inf where it is written; a run checks a weight binding's
-shape only, a data leaf's shape and finiteness, and its output. In
-:func:`jvp` a weight leaf or a const without a tangent has a structural zero
-one (None): a node whose input tangents are all zero has one too, and the
-rules skip the terms of a zero input tangent.
+A leaf declared from a parameter set is a weight leaf: it reads its
+``nn.Parameter``'s current value at every run, so a run binds data leaves
+only, and binding a weight leaf is a :class:`GraphError`. It refers to the
+parameter weakly: a graph is a reference cycle, which would otherwise keep a
+dropped model's weights until the cyclic collector runs. A weight's shape and
+finiteness are checked where it is written; a run checks a data leaf's shape
+and finiteness, and its output. In :func:`jvp` a weight leaf or a const
+without a tangent has a structural zero one (None): a node whose input
+tangents are all zero has one too, and the rules skip the terms of a zero
+input tangent.
 
 Each graph compiles once, up to its output, into a cached plan (a new
 :meth:`Graph.set_output` compiles it afresh), which
@@ -53,6 +58,7 @@ bindings produce bit-identical outputs and gradients in either mode.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -120,10 +126,13 @@ class Graph:
         return node
 
     def leaf(self, name: str, shape: tuple[int, ...], grad: bool = False,
-             weight: bool = False) -> Node:
+             param=None) -> Node:
+        """A data leaf, bound by each run, or with ``param`` (an
+        ``nn.Parameter``) a weight leaf whose attrs refer to it weakly."""
         if name in self.leaves:
             raise GraphError(f"duplicate leaf name {name!r}")
-        node = self._append("leaf", (), shape, {"name": name, "weight": weight},
+        ref = None if param is None else weakref.ref(param)
+        node = self._append("leaf", (), shape, {"name": name, "param": ref},
                             needs_grad=grad)
         self.leaves[name] = node
         return node
@@ -140,12 +149,12 @@ class Graph:
 
 
 def declare(g: Graph, values, grad: bool = False) -> dict[str, Node]:
-    """One leaf per binding, named by its key and shaped like its value, in
+    """One leaf per entry, named by its key and shaped like its value, in
     order: data leaves from a bindings dict, weight leaves from a parameter
-    set (``nn.ParameterSet``)."""
-    weight = not isinstance(values, dict)
-    return {name: g.leaf(name, np.shape(value), grad=grad, weight=weight)
-            for name, value in (values.bindings() if weight else values).items()}
+    set (``nn.ParameterSet``), each reading its parameter at every run."""
+    if isinstance(values, dict):
+        return {name: g.leaf(name, np.shape(value), grad=grad) for name, value in values.items()}
+    return {name: g.leaf(name, p.shape, grad=grad, param=p) for name, p in values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +487,11 @@ _RULES: dict[str, _Rule] = {
 _Step = namedtuple("_Step", "slot rule ins attrs node free kept")
 
 
-# ``leaves`` holds (slot, name, shape, weight) per leaf, ``consts`` (slot, value)
-# per const and ``data`` the names of the data leaves the output depends on
-_Plan = namedtuple("_Plan", "out leaves consts steps retained data")
+# ``leaves`` holds (slot, name, shape, param) per leaf, param a weight leaf's
+# weak reference or None; ``consts`` (slot, value) per const; ``inputs`` and
+# ``weights`` name the data and weight leaves, ``data`` the data leaves the
+# output depends on
+_Plan = namedtuple("_Plan", "out leaves consts steps retained inputs weights data")
 
 
 def _plan(graph: Graph) -> _Plan:
@@ -511,14 +522,16 @@ def _plan(graph: Graph) -> _Plan:
             held.add(node.nid)
         if rule is not None and rule.reads_inputs:
             held.update(node.inputs)
-    leaves = [(n.nid, n.attrs["name"], n.shape, n.attrs["weight"])
+    leaves = [(n.nid, n.attrs["name"], n.shape, n.attrs["param"])
               for n in nodes if n.kind == "leaf"]
     plan = graph._compiled = _Plan(
         out, tuple(leaves), tuple((n.nid, n.attrs["value"]) for n in nodes if n.kind == "const"),
         tuple(_Step(n.nid, _RULES[n.kind], n.inputs, n.attrs, n, tuple(free[n.nid]),
                     tuple(i for i in free[n.nid] if i not in held))
               for n in nodes if n.inputs),
-        retained, frozenset(name for nid, name, _, w in leaves if nid in reach and not w))
+        retained, frozenset(name for _, name, _, p in leaves if p is None),
+        frozenset(name for _, name, _, p in leaves if p is not None),
+        frozenset(name for nid, name, _, p in leaves if nid in reach and p is None))
     return plan
 
 
@@ -544,23 +557,32 @@ class Evaluation:
         return v
 
 
-def _check_binding(name: str, arr, shape: tuple[int, ...], weight: bool = False) -> np.ndarray:
+def _check_binding(name: str, arr, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.shape != shape:
         raise GraphError(f"leaf {name!r}: bound shape {arr.shape}, declared {shape}")
-    if not weight and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"leaf {name!r}: non-finite binding")
     return arr
 
 
 def _bind(graph: Graph, plan: _Plan, bindings: dict[str, np.ndarray]) -> list:
-    """A run's value list with the sources of ``plan`` bound and checked."""
-    missing = graph.leaves.keys() - bindings.keys()
+    """A run's value list with the sources of ``plan`` bound: each weight leaf
+    reads its parameter, each data leaf its checked binding."""
+    bound = plan.weights.intersection(bindings)
+    if bound:
+        raise GraphError(f"weight leaves read their parameters, not bindings: {sorted(bound)}")
+    missing = plan.inputs - bindings.keys()
     if missing:
         raise GraphError(f"missing bindings for leaves: {sorted(missing)}")
     values: list = [None] * len(graph.nodes)
-    for slot, name, shape, weight in plan.leaves:
-        values[slot] = _check_binding(name, bindings[name], shape, weight)
+    for slot, name, shape, param in plan.leaves:
+        if param is None:
+            values[slot] = _check_binding(name, bindings[name], shape)
+        elif (p := param()) is not None:
+            values[slot] = p.value
+        else:
+            raise GraphError(f"weight leaf {name!r}: its parameter no longer exists")
     for slot, value in plan.consts:
         values[slot] = value
     return values
@@ -573,8 +595,8 @@ def _check_output(out: Node, value: np.ndarray) -> np.ndarray:
 
 
 def evaluate(graph: Graph, bindings: dict[str, np.ndarray]) -> Evaluation:
-    """Forward pass; returns the per-call cache needed by :func:`backward`,
-    retained or output-only as the plan decides."""
+    """Forward pass on the data ``bindings``; returns the per-call cache
+    needed by :func:`backward`, retained or output-only as the plan decides."""
     plan = _plan(graph)
     values = _bind(graph, plan, bindings)
     aux: list | None = [None] * len(values) if plan.retained else None
@@ -620,8 +642,8 @@ def jvp(graph: Graph, bindings: dict[str, np.ndarray],
         tangents: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(output, directional derivative along per-leaf tangents) in one sweep.
 
-    Every data leaf the output depends on needs a tangent; a weight leaf
-    without one has a zero tangent. Each node's forward runs with a kernel
+    ``bindings`` holds the data leaves. Every data leaf the output depends
+    on needs a tangent; a weight leaf without one has a zero tangent. Each node's forward runs with a kernel
     cache and its tangent rule right after; the cache is dropped then, and
     values and tangents after their last reader.
     """
@@ -655,7 +677,8 @@ def grad_check(graph: Graph, point: dict[str, np.ndarray], step: float = 1e-6) -
     """Max relative error of reverse-mode grads vs central finite differences.
 
     Relative error uses denominator max(|analytic|, |numeric|, 1e-8),
-    checked component-wise over every grad-enabled leaf.
+    checked component-wise over every grad-enabled leaf, each a data leaf
+    that ``point`` binds (a graph declared from dicts, as ``verify`` builds).
     """
     if step <= 0:
         raise GraphError("grad_check: step must be positive")

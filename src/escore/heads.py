@@ -203,7 +203,7 @@ class Head:
         self.cfg = cfg
         self.params = nn.ParameterSet() if params is None else params
         register_head(self.params, cfg, seed)
-        # inference graphs declare and bind only this head's weights
+        # inference graphs declare only this head's weights
         self._own_params = self.params.subset(
             lambda name: name.startswith(HEAD_PREFIX + "."))
         self.schedule = DiffusionSchedule(cfg.t_diff) if cfg.kind == "diffusion" else None
@@ -225,14 +225,13 @@ class Head:
     def forward_values(self, inp: np.ndarray, cond: np.ndarray) -> np.ndarray:
         g = self._eval_graph(len(inp))
         self.forward_rows += len(inp)
-        return G.evaluate(g, {"inp": inp, "cond": cond, **self._own_params.bindings()}).output
+        return G.evaluate(g, {"inp": inp, "cond": cond}).output
 
     def forward_with_jvp(self, inp, cond, d_inp, d_cond) -> tuple[np.ndarray, np.ndarray]:
         """(output, directional derivative along the inputs, the weights held
         fixed) from one forward sweep."""
-        g = self._eval_graph(len(inp))
-        bindings = {"inp": inp, "cond": cond, **self._own_params.bindings()}
-        return G.jvp(g, bindings, {"inp": d_inp, "cond": d_cond})
+        return G.jvp(self._eval_graph(len(inp)), {"inp": inp, "cond": cond},
+                     {"inp": d_inp, "cond": d_cond})
 
     # -- energy-head one-step latent (the spec'd single-sample entry point) --
     def energy_sample(self, context: np.ndarray, noise: np.ndarray) -> np.ndarray:

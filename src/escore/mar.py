@@ -159,7 +159,7 @@ class MarModel:
         self.backbone = Backbone(cfg)
         self.backbone.register(self.params, seed)
         self.head = Head(cfg.head_config(), seed, params=self.params)
-        # backbone passes declare and bind only the backbone's weights, and
+        # backbone passes declare only the backbone's weights, and
         # the last block's output half only that block's
         self._backbone_params = self.params.subset(
             lambda name: name.startswith(BACKBONE_PREFIX + "."))
@@ -212,16 +212,14 @@ class MarModel:
         mask = masked.astype(np.float64)[..., None]
         front = G.evaluate(self._front_graph(bsz), {
             "latents": latents * (1.0 - mask), "mask": mask,
-            "onehot": one_hot_classes(class_ids, self.cfg.n_classes),
-            **self._backbone_params.bindings()}).output
+            "onehot": one_hot_classes(class_ids, self.cfg.n_classes)}).output
         rows = front.reshape(-1, front.shape[-1]) if positions is None else front[positions]
         n = len(rows)
         if n == 1:
             # a one-row product takes BLAS's matrix-vector path, which rounds
             # differently from the rows of a larger product: run a copy beside it
             rows = np.repeat(rows, 2, axis=0)
-        out = G.evaluate(self._finish_graph(len(rows)),
-                         {"front": rows, **self._finish_params.bindings()}).output[:n]
+        out = G.evaluate(self._finish_graph(len(rows)), {"front": rows}).output[:n]
         self.backbone_forwards += 1
         return out.reshape(bsz, self.cfg.seq_len, -1) if positions is None else out
 
@@ -241,7 +239,7 @@ class MarModel:
         g = G.Graph()
         leaves = {**G.declare(g, self._backbone_params, grad=not frozen_backbone),
                   **G.declare(g, self.head._own_params, grad=True)}
-        data = G.declare(g, {k: v for k, v in bindings.items() if k not in leaves})
+        data = G.declare(g, bindings)
         h = self.backbone.build(leaves, data["latents"], data["mask"], data["onehot"])
         h_rows = G.reshape(h, (rows, cfg.hidden_dim))
         loss_rows = build_loss_rows(self.head.cfg, leaves, h_rows, data)
@@ -281,9 +279,10 @@ class MarModel:
 
     def step_bindings(self, latents: np.ndarray, class_ids: np.ndarray, rng: Stream,
                       teacher: "MarModel | None" = None) -> dict[str, np.ndarray]:
-        """Every leaf value of one step's :meth:`_train_graph`: the weights,
-        the masked batch with dropped-out class labels, the head's loss
-        inputs and, given a teacher, its representation of the batch."""
+        """Every data leaf value of one step's :meth:`_train_graph` (its weight
+        leaves read the parameters): the masked batch with dropped-out class
+        labels, the head's loss inputs and, given a teacher, its
+        representation of the batch."""
         cfg = self.cfg
         bsz = len(latents)
         rows = bsz * cfg.seq_len
@@ -299,7 +298,6 @@ class MarModel:
             "onehot": one_hot_classes(ids, cfg.n_classes),
             "weight": weight,
             "weight_inv": np.asarray(1.0 / weight.sum()),
-            **self.params.bindings(),
         }
         y_rows = latents.reshape(rows, cfg.latent_dim)
         bindings.update(self.head.loss_bindings(y_rows, rng.child("head")))

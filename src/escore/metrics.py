@@ -34,20 +34,6 @@ _SAMPLE_STRIDE = 4
 _SAMPLED_PRICES_MIN = 256
 
 
-@dataclass(frozen=True)
-class EnergyEstimatorConfig:
-    """Within-term convention for the plug-in energy statistic.
-
-    mode "u": 1/(m(m-1)) over i != j (unbiased); needs both sets >= 2.
-    mode "v": 1/m^2 including the zero diagonal (nonnegative statistic).
-    """
-    mode: str = "v"
-
-    def __post_init__(self):
-        if self.mode not in ("u", "v"):
-            raise ValueError(f"mode must be 'u' or 'v', got {self.mode!r}")
-
-
 def _as_points(x, y, tags: tuple[str, str] = ("X", "Y")) -> tuple[np.ndarray, np.ndarray]:
     """Both sets as float64 (n, d) arrays of at least one point and one dimension d."""
     pair = [np.asarray(getattr(a, "points", a), dtype=np.float64) for a in (x, y)]
@@ -128,9 +114,13 @@ def _energy_values(xp: np.ndarray, yp: np.ndarray, modes: tuple[str, ...]) -> li
     return values
 
 
-def energy_statistic(x, y, cfg: EnergyEstimatorConfig = EnergyEstimatorConfig()) -> float:
-    """Plug-in energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| between samples."""
-    [value] = _energy_values(*_as_points(x, y), (cfg.mode,))
+def energy_statistic(x, y, mode: str = "v") -> float:
+    """Plug-in energy distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| between samples;
+    ``mode`` "u" takes the within-set terms 1/(m(m-1)) over i != j (unbiased;
+    needs both sets >= 2), "v" 1/m^2 with the zero diagonal (nonnegative)."""
+    if mode not in ("u", "v"):
+        raise ValueError(f"mode must be 'u' or 'v', got {mode!r}")
+    [value] = _energy_values(*_as_points(x, y), (mode,))
     return value
 
 

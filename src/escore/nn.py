@@ -3,10 +3,11 @@ lifecycle both model families share: the step loop, the descent step and
 the checkpoint loader.
 
 Parameters live in a :class:`ParameterSet` (values + Adam moments); a graph
-declares them as named weight leaves (:func:`graph.declare`), so one set of
-weights can drive any number of differently-shaped graphs. A weight is
-checked for NaN/Inf where it is written, not by every graph run that reads
-it. Initialization is a pure function of (seed, parameter name).
+declares them as named weight leaves (:func:`graph.declare`), each reading
+its parameter's current value at every run, so one set of weights can drive
+any number of differently-shaped graphs and no run binds a weight. A weight's
+shape and finiteness are checked where it is written, not by every graph run
+that reads it. Initialization is a pure function of (seed, parameter name).
 """
 from __future__ import annotations
 
@@ -23,26 +24,23 @@ from .rng import Stream
 CHECKPOINT_FORMAT = "escore-ckpt-v1"
 
 
-class NonFiniteGradientError(FloatingPointError):
-    """Adam received a NaN/Inf gradient; carries the parameter name."""
-
-
 class TrainingError(RuntimeError):
     """Non-finite loss or gradient in a training step; the message names the
     head kind and the step."""
 
 
 class Parameter:
-    """One weight and its Adam moments. Assigning a value checks it: a NaN or
-    Inf raises :class:`graph.NonFiniteError` naming the parameter."""
+    """One weight, its registered shape and its Adam moments. Assigning a
+    value checks it: another shape raises ValueError and a NaN or Inf
+    :class:`graph.NonFiniteError`, each naming the parameter."""
 
-    __slots__ = ("name", "_value", "m", "v")
+    __slots__ = ("name", "shape", "_value", "m", "v", "__weakref__")   # graphs refer weakly
 
     def __init__(self, name: str, value: np.ndarray):
-        self.name = name
+        self.name, self.shape = name, np.shape(value)
         self.value = value
-        self.m = np.zeros_like(self._value)
-        self.v = np.zeros_like(self._value)
+        self.m = np.zeros(self.shape)
+        self.v = np.zeros(self.shape)
 
     @property
     def value(self) -> np.ndarray:
@@ -51,6 +49,9 @@ class Parameter:
     @value.setter
     def value(self, value) -> None:
         value = np.asarray(value, dtype=np.float64)
+        if value.shape != self.shape:
+            raise ValueError(f"parameter {self.name!r} has shape {value.shape}, "
+                             f"expected {self.shape}")
         if not np.isfinite(value).all():
             raise G.NonFiniteError(f"parameter {self.name!r} is non-finite")
         self._value = value
@@ -89,7 +90,7 @@ class ParameterSet:
 
     def assign(self, values: dict[str, np.ndarray], source) -> None:
         """Sets every parameter from a loaded checkpoint, strictly: the names
-        must match exactly and each shape must equal the registered one.
+        must match exactly, and each value passes its parameter's checks.
         Raises ValueError naming ``source`` and the offending parameter, or
         graph.NonFiniteError naming a parameter whose value is non-finite."""
         missing = [name for name in self._params if name not in values]
@@ -101,15 +102,10 @@ class ParameterSet:
             raise ValueError(f"{source}: checkpoint has unknown parameter {unknown[0]!r}"
                              f" ({len(unknown)} unknown)")
         for name, arr in values.items():
-            expected = self._params[name].value.shape
-            if arr.shape != expected:
-                raise ValueError(f"{source}: parameter {name!r} has shape {arr.shape}, "
-                                 f"expected {expected}")
-        for name, arr in values.items():
             try:
                 self._params[name].value = arr
-            except G.NonFiniteError as exc:
-                raise G.NonFiniteError(f"{source}: {exc}") from None
+            except (ValueError, G.NonFiniteError) as exc:
+                raise type(exc)(f"{source}: {exc}") from None
 
     def subset(self, keep) -> "ParameterSet":
         """View over selected parameters (shared Parameter objects)."""
@@ -249,16 +245,16 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], lr: float,
               weight_decay: float = 0.01, t: int = 1) -> None:
     """Bias-corrected Adam with decoupled weight decay, in place.
 
-    Aborts (leaving parameters untouched) if any gradient is non-finite, and
-    raises :class:`graph.NonFiniteError` naming the first parameter whose
-    update overflowed.
+    Raises :class:`graph.NonFiniteError` naming the first parameter whose
+    gradient is non-finite (leaving every parameter untouched) or whose update
+    overflowed.
     """
     if t < 1:
         raise ValueError("step index t must be >= 1")
     for name in params.names():
         g = grads.get(name)
         if g is not None and not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(name)
+            raise G.NonFiniteError(f"gradient of {name!r} is non-finite")
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     for name, p in params.items():
@@ -276,7 +272,7 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], lr: float,
         if weight_decay:
             value *= 1.0 - lr * weight_decay
         value -= (lr / c1) * (p.m / denom)
-        p.value = value   # the finiteness check
+        p.value = value   # the shape and finiteness checks
 
 
 @contextmanager
@@ -287,7 +283,7 @@ def step_guard(what: str, t: int):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
-    except (G.NonFiniteError, NonFiniteGradientError) as exc:
+    except G.NonFiniteError as exc:
         raise TrainingError(f"{what}: non-finite loss or gradient at step {t}: {exc}") from exc
 
 
@@ -322,7 +318,7 @@ def save_checkpoint(path, params: ParameterSet, *, config_digest: str = "",
         "config_digest": config_digest,
         "seed": int(seed),
         "step": int(step),
-        "params": [{"name": n, "shape": list(p.value.shape)} for n, p in params.items()],
+        "params": [{"name": n, "shape": list(p.shape)} for n, p in params.items()],
         "extra": extra or {},
     }
     with open(path, "wb") as fh:

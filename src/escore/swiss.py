@@ -5,7 +5,7 @@ can be compared head-to-head on the Swiss roll under identical budgets.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -14,17 +14,6 @@ from . import graph as G
 from . import nn
 from .heads import Head, HeadConfig, build_loss_rows
 from .rng import Stream
-
-
-@dataclass(frozen=True)
-class ToyTrainConfig:
-    steps: int = 1600
-    batch: int = 128
-    lr: float = 1e-3
-    warmup: int = 200
-    weight_decay: float = 0.0
-    pool: int = 16384
-    noise_sigma: float = 0.03
 
 
 class ToyHeadModel:
@@ -64,24 +53,25 @@ class ToyHeadModel:
                    weight_decay: float = 0.0) -> float:
         with nn.step_guard(self.cfg.kind, step_index):   # targets run the head too
             aux = self.head.loss_bindings(y, rng, context=self.context_rows(len(y)))
-        run = nn.descend(self._loss_graph(aux), {**self.params.bindings(), **aux}, self.params,
-                         self.cfg.kind, lr=lr, weight_decay=weight_decay, t=step_index)
+        run = nn.descend(self._loss_graph(aux), aux, self.params, self.cfg.kind,
+                         lr=lr, weight_decay=weight_decay, t=step_index)
         return float(run.output)
 
-    def train(self, tcfg: ToyTrainConfig) -> list[dict]:
-        """Full run over fresh Swiss-roll minibatches; returns one log record
-        per step, as ``mar.train_mar`` does: the kind's loss is the energy and
-        total column, ``lr`` the step's warmed-up rate."""
-        pool = data.swiss_roll(tcfg.pool, tcfg.noise_sigma, seed=self.seed).points
+    def train(self, *, steps: int, batch: int, lr: float = 1e-3, warmup: int = 200,
+              weight_decay: float = 0.0, pool: int = 16384,
+              noise_sigma: float = 0.03) -> list[dict]:
+        """Full run over minibatches of a ``pool``-point Swiss roll; returns
+        one log record per step, as ``mar.train_mar`` does: the kind's loss is
+        the energy and total column, ``lr`` the step's warmed-up rate."""
+        points = data.swiss_roll(pool, noise_sigma, seed=self.seed).points
 
-        def step(idx, rng, lr, t):
-            loss = self.train_step(pool[idx], rng, lr, t, tcfg.weight_decay)
+        def step(idx, rng, lr_t, t):
+            loss = self.train_step(points[idx], rng, lr_t, t, weight_decay)
             return {"step": t, "energy": loss, "distill": 0.0, "total": loss,
-                    "lambda": 0.0, "lr": lr, "seed": self.seed}
+                    "lambda": 0.0, "lr": lr_t, "seed": self.seed}
 
-        return nn.train_loop(self.seed, f"train/{self.cfg.kind}", len(pool),
-                             steps=tcfg.steps, batch=tcfg.batch, lr=tcfg.lr,
-                             warmup=tcfg.warmup, step=step)
+        return nn.train_loop(self.seed, f"train/{self.cfg.kind}", len(points),
+                             steps=steps, batch=batch, lr=lr, warmup=warmup, step=step)
 
     def sample(self, n: int, steps: int, seed: int) -> np.ndarray:
         rng = Stream.from_seed(seed, f"sample/{self.cfg.kind}")

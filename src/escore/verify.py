@@ -260,10 +260,9 @@ def check_jvp_consistency(n_graphs: int = 100) -> CheckResult:
     return CheckResult("jvp-backward-consistency", worst, JVP_TOL, n_graphs)
 
 
-def run_suite(n_points: int = N_POINTS,
-              composite_points: int = N_POINTS) -> list[CheckResult]:
+def run_suite(n_points: int = N_POINTS) -> list[CheckResult]:
     results = check_primitives(n_points)
-    results.extend(check_composites(composite_points))
+    results.extend(check_composites(n_points))
     results.append(check_jvp_consistency(100))
     return results
 

@@ -131,8 +131,10 @@ def evaluate(graph, bindings):
     """(every node value, every kernel cache) up to the output."""
     values, aux = [None] * len(graph.nodes), [None] * len(graph.nodes)
     for node in graph.nodes[: graph.output.nid + 1]:
-        if node.kind == "leaf":
-            values[node.nid] = np.asarray(bindings[node.attrs["name"]], dtype=np.float64)
+        if node.kind == "leaf":   # a weight leaf reads its parameter, as the engine does
+            param = node.attrs["param"]
+            values[node.nid] = np.asarray(bindings[node.attrs["name"]], dtype=np.float64) \
+                if param is None else param().value
         elif node.kind == "const":
             values[node.nid] = node.attrs["value"]
         else:

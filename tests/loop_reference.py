@@ -50,25 +50,26 @@ def energy_noise(head, rows: int, stream: Stream) -> dict[str, np.ndarray]:
             for i in range(head.cfg.m_samples)}
 
 
-def toy_train(model, tcfg) -> list[dict]:
+def toy_train(model, *, steps: int, batch: int, lr: float = 1e-3, warmup: int = 200,
+              weight_decay: float = 0.0, pool: int = 16384,
+              noise_sigma: float = 0.03) -> list[dict]:
     """``ToyHeadModel.train``."""
-    pool = data.swiss_roll(tcfg.pool, tcfg.noise_sigma, seed=model.seed).points
+    points = data.swiss_roll(pool, noise_sigma, seed=model.seed).points
     root = Stream.from_seed(model.seed, f"train/{model.cfg.kind}")
     log = []
-    for t in range(1, tcfg.steps + 1):
+    for t in range(1, steps + 1):
         step = root.child(f"step/{t}")
-        y = pool[step.child("batch").integers(len(pool), (tcfg.batch,))]
+        y = points[step.child("batch").integers(len(points), (batch,))]
         if model.cfg.kind == "energy":
             aux = {"y": y, **energy_noise(model.head, len(y), step)}
         else:
             aux = model.head.loss_bindings(y, step, context=model.context_rows(len(y)))
-        run = G.evaluate(model._loss_graph(aux), {**model.params.bindings(), **aux})
-        lr = tcfg.lr * min(1.0, t / max(tcfg.warmup, 1))
-        nn.adam_step(model.params, G.backward(run), lr=lr,
-                     weight_decay=tcfg.weight_decay, t=t)
+        run = G.evaluate(model._loss_graph(aux), aux)
+        lr_t = lr * min(1.0, t / max(warmup, 1))
+        nn.adam_step(model.params, G.backward(run), lr=lr_t, weight_decay=weight_decay, t=t)
         loss = float(run.output)
         log.append({"step": t, "energy": loss, "distill": 0.0, "total": loss,
-                    "lambda": 0.0, "lr": lr, "seed": model.seed})
+                    "lambda": 0.0, "lr": lr_t, "seed": model.seed})
     return log
 
 

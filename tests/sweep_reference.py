@@ -21,7 +21,7 @@ from escore import metrics
 from escore.config import config_digest
 from escore.experiments import build_mar_model, heldout_pools, write_loss_csv
 from escore.mar import DecodeConfig, MarModel, train_mar
-from escore.metrics import EnergyEstimatorConfig, energy_statistic
+from escore.metrics import energy_statistic
 
 
 def train_mar_model(cfg: dict, *, role: str, seed: int,
@@ -54,8 +54,8 @@ def decode_and_score(model: MarModel, cfg: dict, cfg_scale: float, seed: int,
         mmd2, _ = metrics.mmd_gaussian(gen, ref, cfg["metrics"]["bandwidth"])
         agg["mmd"] += mmd2
         agg["wsd"] += metrics.wasserstein_assignment(gen, ref)
-        agg["energy_u"] += energy_statistic(gen, ref, EnergyEstimatorConfig(mode="u"))
-        agg["energy_v"] += energy_statistic(gen, ref, EnergyEstimatorConfig(mode="v"))
+        agg["energy_u"] += energy_statistic(gen, ref, mode="u")
+        agg["energy_v"] += energy_statistic(gen, ref, mode="v")
         n_total += len(gen)
     out = {k: v / model.cfg.n_classes for k, v in agg.items()}
     out["n"] = n_total

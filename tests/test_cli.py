@@ -324,6 +324,23 @@ def test_student_lambda_requires_teacher(tmp_path, capsys):
     assert "teacher" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,cause", [
+    (["mar.hidden_dim=8", "mar_train.init_from_teacher=true"],
+     "mar.hidden_dim=8 differs from the teacher's 16"),
+    (["mar.hidden_dim=8", "mar_train.lambda=0.1"], "mar.hidden_dim=8 differs from the teacher's 16"),
+    (["mar.seq_len=8"], "mar.seq_len=8 differs from the teacher's 16"),
+], ids=["init-from-teacher", "distill", "seq-len"])
+def test_student_rejects_a_teacher_of_another_shape_naming_the_key(tmp_path, capsys, tiny_student,
+                                                                    override, cause):
+    """Any MAR checkpoint can teach; the tiny one has width 16 and 16 tokens."""
+    out = tmp_path / "s"
+    argv = ["train-mar", "--role", "student", "--teacher", str(tiny_student), "--out", str(out)]
+    rc = main(argv + TINY_MAR + [arg for kv in override for arg in ("--set", kv)])
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_negative_student_lambda_is_usage_error_naming_the_key(tmp_path, capsys):
     rc = main(["train-mar", "--role", "student", "--out", str(tmp_path / "s"),
                "--set", "mar_train.lambda=-0.5"] + TINY_MAR)
@@ -531,6 +548,7 @@ SWEEP_GRIDS = {   # id -> (--param, grid values, extra overrides)
 }
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("grid", sorted(SWEEP_GRIDS))
 def test_sweep_matches_per_parameter_reference(tmp_path, grid):
     """The one sweep cell writes the tables and trains the models that the

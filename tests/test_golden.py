@@ -41,6 +41,8 @@ import pytest
 
 from escore.cli import main
 
+pytestmark = pytest.mark.dispatch_path   # the CI reruns every test here on the AVX2 path
+
 
 def _dispatch_path() -> str:
     """The numpy float64 loops this process runs: AVX-512, AVX2 or neither."""

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -330,8 +331,8 @@ def _same_bits(a, b) -> bool:
 class _NoGradGraph(G.Graph):
     """A graph whose leaves never take a gradient, so its runs are output-only."""
 
-    def leaf(self, name, shape, grad=False, weight=False):
-        return super().leaf(name, shape, weight=weight)
+    def leaf(self, name, shape, grad=False, param=None):
+        return super().leaf(name, shape, param=param)
 
 
 def _reference_output(g, pt):
@@ -371,8 +372,7 @@ def test_output_only_equals_retained_on_head_eval_graph(kind, rows, seed):
     s = Stream.from_seed(seed, "inputs")
     inp = s.child("inp").normal((rows, head.cfg.input_dim))
     cond = s.child("cond").normal((rows, head.cfg.cond_dim))
-    full = _reference_output(head._eval_graph(rows),
-                             {"inp": inp, "cond": cond, **head.params.bindings()})
+    full = _reference_output(head._eval_graph(rows), {"inp": inp, "cond": cond})
     assert _same_bits(head.forward_values(inp, cond), full)
 
 
@@ -592,6 +592,13 @@ def _tangents(pt, s):
     return {k: s.child("tan/" + k).normal(np.shape(v)) for k, v in pt.items()}
 
 
+def _weights(g):
+    """The current value of each weight leaf of ``g``, by name."""
+    return {name: leaf.attrs["param"]().value for name, leaf in g.leaves.items()
+            if leaf.attrs["param"] is not None}
+
+
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("name", sorted(verify._primitive_cases()))
 def test_lean_sweeps_equal_reference_on_primitive_cases(name):
     build, point = verify._primitive_cases()[name]
@@ -617,12 +624,13 @@ def test_lean_sweeps_equal_reference_on_toy_train_graph(kind):
     s = Stream.from_seed(1, f"toy/{kind}")
     y = s.child("y").normal((12, 2))
     aux = model.head.loss_bindings(y, s.child("loss"), context=model.context_rows(12))
-    pt = {**model.params.bindings(), **aux}
-    _assert_matches_reference(model._loss_graph(aux), pt, _tangents(pt, s))
+    g = model._loss_graph(aux)
+    _assert_matches_reference(g, aux, _tangents({**aux, **_weights(g)}, s))
 
 
 def _mar_train_graph(head_kind="energy"):
-    """A distilled MAR train graph and the bindings of one student step."""
+    """A distilled MAR student, its train graph and the bindings of one step;
+    the graph reads the student's weights while the caller keeps the student."""
     cfg = MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
                     head_kind=head_kind, head_width=16, head_depth=1)
     student, teacher = MarModel(cfg, seed=1), MarModel(cfg, seed=2)
@@ -632,38 +640,67 @@ def _mar_train_graph(head_kind="energy"):
     bindings = student.step_bindings(latents, np.arange(3) % cfg.n_classes,
                                      s.child("step"), teacher)
     g, nodes = student._train_graph(bindings, 0.5, False)
-    return g, nodes, bindings
+    return student, g, nodes, bindings
 
 
 @pytest.mark.parametrize("head_kind", ["energy", "diffusion"])
 def test_lean_sweeps_equal_reference_on_mar_train_graph(head_kind):
-    g, _, pt = _mar_train_graph(head_kind)
-    _assert_matches_reference(g, pt, _tangents(pt, Stream.from_seed(4, "mar")))
+    student, g, _, pt = _mar_train_graph(head_kind)
+    _assert_matches_reference(g, pt, _tangents({**pt, **_weights(g)}, Stream.from_seed(4, "mar")))
 
 
 # ---------------------------------------------------------------------------
-# weight leaves: checked where they are written, with zero tangents in jvp
+# weight leaves: read from their parameters, checked where they are written,
+# with zero tangents in jvp
 
 def _head_point(kind, rows, seed):
-    """A head with random weights, its eval graph and a binding of each leaf."""
+    """A head with random weights, its eval graph and a binding of each data leaf."""
     head = heads.Head(heads.HeadConfig(kind=kind, width=16, depth=2), seed=0)
     _randomize(head.params, seed)
     s = Stream.from_seed(seed, f"point/{kind}")
     pt = {"inp": s.child("inp").normal((rows, head.cfg.input_dim)),
-          "cond": s.child("cond").normal((rows, head.cfg.cond_dim)), **head.params.bindings()}
+          "cond": s.child("cond").normal((rows, head.cfg.cond_dim))}
     return head, head._eval_graph(rows), pt
 
 
+def test_a_cached_graph_reads_each_weight_write():
+    head, g, pt = _head_point("flow", 4, 3)
+    first = G.evaluate(g, pt).output
+    p = head.params["head.block1.fc1.w"]
+    p.value = p.value + 0.25   # a new array, which no run binds
+    second = G.evaluate(g, pt).output
+    assert not _same_bits(first, second)
+    fresh = heads.Head(head.cfg, seed=0)
+    for name, q in fresh.params.items():
+        q.value = head.params[name].value.copy()
+    assert _same_bits(second, fresh.forward_values(pt["inp"], pt["cond"]))
+
+
+def test_binding_a_weight_leaf_is_an_error_naming_it():
+    head, g, pt = _head_point("energy", 3, 4)
+    bound = {**pt, "head.out.b": head.params["head.out.b"].value}
+    with pytest.raises(G.GraphError, match=r"not bindings: \['head.out.b'\]"):
+        G.evaluate(g, bound)
+    with pytest.raises(G.GraphError, match=r"not bindings: \['head.out.b'\]"):
+        G.jvp(g, bound, pt)
+
+
+def test_a_graph_does_not_keep_its_weights_alive():
+    """A graph is a reference cycle, freed only by the cyclic collector; the
+    weights it reads go with their model."""
+    head, g, pt = _head_point("energy", 3, 5)
+    weight = weakref.ref(head.params["head.inp.w"])
+    del head
+    assert weight() is None
+    with pytest.raises(G.GraphError, match="weight leaf 'head.inp.w': its parameter no longer"):
+        G.evaluate(g, pt)
+
+
 def test_inference_evaluate_checks_finiteness_on_data_leaves_only():
-    _, g, pt = _head_point("diffusion", 4, 0)
-    assert [n for n, leaf in g.leaves.items() if not leaf.attrs["weight"]] == ["inp", "cond"]
-    weight = pt["head.block0.fc1.w"].copy()
-    weight[0, 0] = np.nan
-    # a NaN weight shows only in the output: no run checks a weight's values
-    with pytest.raises(G.NonFiniteError, match=r"output of node #\d+ \(affine\)"):
-        G.evaluate(g, {**pt, "head.block0.fc1.w": weight})
-    with pytest.raises(G.GraphError, match="leaf 'head.block0.fc1.w': bound shape"):
-        G.evaluate(g, {**pt, "head.block0.fc1.w": weight[:1]})
+    head, g, pt = _head_point("diffusion", 4, 0)
+    assert [n for n, leaf in g.leaves.items() if leaf.attrs["param"] is None] == ["inp", "cond"]
+    assert [n for n, leaf in g.leaves.items() if leaf.attrs["param"] is not None] \
+        == head.params.names()
     for name in ("inp", "cond"):
         bad = pt[name].copy()
         bad[0, 0] = np.inf
@@ -671,12 +708,26 @@ def test_inference_evaluate_checks_finiteness_on_data_leaves_only():
             G.evaluate(g, {**pt, name: bad})
 
 
+def test_a_weight_is_checked_where_it_is_written():
+    """The faults no run looks for in a weight: its parameter rejects them."""
+    head, g, pt = _head_point("diffusion", 4, 0)
+    p = head.params["head.block0.fc1.w"]
+    weight = p.value.copy()
+    weight[0, 0] = np.nan
+    with pytest.raises(G.NonFiniteError, match="parameter 'head.block0.fc1.w' is non-finite"):
+        p.value = weight
+    with pytest.raises(ValueError, match="parameter 'head.block0.fc1.w' has shape"):
+        p.value = weight[:1]
+    assert _same_bits(G.evaluate(g, pt).output, _reference_output(g, pt))
+
+
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("kind", heads.HEAD_KINDS)
 def test_jvp_without_weight_tangents_equals_explicit_zero_tangents(kind):
     head, g, pt = _head_point(kind, 5, 1)
     s = Stream.from_seed(1, f"tangent/{kind}")
     tangents = {k: s.child(k).normal(pt[k].shape) for k in ("inp", "cond")}
-    zeros = {name: np.zeros_like(v) for name, v in head.params.bindings().items()}
+    zeros = {name: np.zeros_like(v) for name, v in _weights(g).items()}
     out, tan = G.jvp(g, pt, tangents)
     out0, tan0 = G.jvp(g, pt, {**tangents, **zeros})
     assert _same_bits(out, out0) and _same_bits(tan, tan0)
@@ -695,6 +746,7 @@ ZERO_TANGENT_OPS = {   # name -> (op, shape of a, shape of b)
 }
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("name", sorted(ZERO_TANGENT_OPS))
 @pytest.mark.parametrize("weights", [("a",), ("b",), ("a", "b")])
 def test_jvp_skips_the_terms_of_weights_without_tangents(name, weights):
@@ -707,15 +759,14 @@ def test_jvp_skips_the_terms_of_weights_without_tangents(name, weights):
     params = nn.ParameterSet()
     for w in weights + ("bias",):
         params.add(w, pt[w])
+    data = {k: v for k, v in pt.items() if k not in params}
     g = G.Graph()
-    leaves = {**G.declare(g, {k: v for k, v in pt.items() if k not in params}),
-              **G.declare(g, params)}
+    leaves = {**G.declare(g, data), **G.declare(g, params)}
     g.set_output(verify._mix_reduce(g, op(leaves["a"], leaves["b"]), s))
-    tangents = {k: s.child("tan/" + k).normal(v.shape) for k, v in pt.items()
-                if k not in params}
+    tangents = {k: s.child("tan/" + k).normal(v.shape) for k, v in data.items()}
     zeros = {k: np.zeros_like(pt[k]) for k in params.names()}
-    out, tan = G.jvp(g, pt, tangents)
-    out0, tan0 = G.jvp(g, pt, {**tangents, **zeros})
+    out, tan = G.jvp(g, data, tangents)
+    out0, tan0 = G.jvp(g, data, {**tangents, **zeros})
     assert _same_bits(out, out0) and _same_bits(tan, tan0)
     if not tangents:   # every leaf is a weight: the tangent is a structural zero
         assert _same_bits(tan, np.zeros(()))
@@ -773,7 +824,7 @@ def test_retained_evaluation_holds_the_table_on_a_hand_graph():
 
 
 def test_retained_evaluation_holds_the_table_on_mar_train_graph():
-    g, nodes, pt = _mar_train_graph()
+    student, g, nodes, pt = _mar_train_graph()
     run = G.evaluate(g, pt)
     held = _held(run)
     assert held == _expected_retained(g, g.output)
@@ -791,14 +842,12 @@ def test_graphs_choose_output_only_or_retained_runs(kind):
     s = Stream.from_seed(2, f"mode/{kind}")
     head = model.head
     run = G.evaluate(head._eval_graph(5), {"inp": s.child("inp").normal((5, head.cfg.input_dim)),
-                                           "cond": s.child("cond").normal((5, head.cfg.cond_dim)),
-                                           **head.params.bindings()})
+                                           "cond": s.child("cond").normal((5, head.cfg.cond_dim))})
     assert run.aux is None and _held(run) == {run.output_node.nid}
     y = s.child("y").normal((12, 2))
     aux = head.loss_bindings(y, s.child("loss"), context=model.context_rows(12))
-    pt = {**model.params.bindings(), **aux}
     g = model._loss_graph(aux)
-    run = G.evaluate(g, pt)
+    run = G.evaluate(g, aux)
     assert run.aux is not None and _held(run) == _expected_retained(g, g.output)
 
 
@@ -810,13 +859,12 @@ def test_backbone_runs_output_only_and_mar_train_graph_retained():
     g = model._front_graph(2)
     run = G.evaluate(g, {"latents": s.child("latents").normal((2, cfg.seq_len, cfg.latent_dim)),
                          "mask": np.ones((2, cfg.seq_len, 1)),
-                         "onehot": np.eye(cfg.n_classes + 1)[:2],
-                         **model._backbone_params.bindings()})
+                         "onehot": np.eye(cfg.n_classes + 1)[:2]})
     assert run.aux is None and _held(run) == {g.output.nid}
     g = model._finish_graph(3)
-    run = G.evaluate(g, {"front": run.output[0, :3], **model._finish_params.bindings()})
+    run = G.evaluate(g, {"front": run.output[0, :3]})
     assert run.aux is None and _held(run) == {g.output.nid}
-    g, _, pt = _mar_train_graph()
+    student, g, _, pt = _mar_train_graph()
     run = G.evaluate(g, pt)
     assert run.aux is not None and _held(run) == _expected_retained(g, g.output)
 
@@ -851,13 +899,17 @@ def _record_training(monkeypatch):
     return runs, updated
 
 
-def _assert_declared_from_bindings(g, runs, trained):
-    """``g``'s leaves are the bindings it ran with, named and shaped alike,
-    and its grad leaves are the weights the step updated."""
+def _assert_declared_from_bindings(g, runs, params, trained):
+    """``g``'s data leaves are the bindings it ran with, named and shaped
+    alike, its weight leaves the parameters of ``params``, and its grad
+    leaves the weights the step updated."""
     [bindings] = [b for graph, b in runs if graph is g]
-    assert sorted(g.leaves) == sorted(bindings)
-    for name, leaf in g.leaves.items():
+    data = {name: leaf for name, leaf in g.leaves.items() if leaf.attrs["param"] is None}
+    assert sorted(data) == sorted(bindings)
+    for name, leaf in data.items():
         assert leaf.shape == np.shape(bindings[name]), name
+    assert [(name, leaf.attrs["param"]()) for name, leaf in g.leaves.items()
+            if name not in data] == list(params.items())
     assert [name for name, leaf in g.leaves.items() if leaf.needs_grad] == trained
 
 
@@ -869,7 +921,7 @@ def test_toy_loss_graph_declares_the_bindings_it_runs_with(monkeypatch, kind):
                      lr=1e-3, step_index=1)
     [trained] = updated
     assert trained == model.params.names()
-    _assert_declared_from_bindings(model._train_graph[1], runs, trained)
+    _assert_declared_from_bindings(model._train_graph[1], runs, model.params, trained)
 
 
 # shortcut and mean-flow loss bindings need numpy context rows, which a MAR
@@ -892,7 +944,7 @@ def test_mar_train_graphs_declare_the_bindings_they_run_with(monkeypatch, head_k
             assert trained == (head_only if frozen else student.params.names())
             g, _ = student._train_graphs[(3, with_teacher, 0.5 if with_teacher else 0.0,
                                           frozen)]
-            _assert_declared_from_bindings(g, runs, trained)
+            _assert_declared_from_bindings(g, runs, student.params, trained)
             assert ("h_teacher" in g.leaves) == with_teacher
     assert len(student._train_graphs) == 4
 

@@ -8,7 +8,7 @@ from escore import graph as G
 from escore import heads
 from escore.heads import Head, HeadConfig
 from escore.rng import Stream
-from escore.swiss import ToyHeadModel, ToyTrainConfig
+from escore.swiss import ToyHeadModel
 
 
 def test_head_config_validation():
@@ -235,6 +235,7 @@ def test_diffusion_sampler_deterministic_and_shaped():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("steps", [1, 3, 7, 100])
 def test_diffusion_sample_matches_per_step_reference(steps):
     """One batched draw of every step's noise gives the per-step chain's bits."""
@@ -246,12 +247,13 @@ def test_diffusion_sample_matches_per_step_reference(steps):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("kind", ["energy", "diffusion"])
 def test_toy_train_matches_per_step_reference(kind):
     """Step chains drawn up front, and the energy loss's batched noise, give
     the per-step loop's losses and weights."""
     cfg = HeadConfig(kind=kind, width=16, depth=2, m_samples=3)
-    tcfg = ToyTrainConfig(steps=4, batch=16, warmup=2, pool=256)
+    run = dict(steps=4, batch=16, warmup=2, pool=256)
     models = []
     for _ in range(2):
         model = ToyHeadModel(cfg, seed=8)
@@ -259,8 +261,8 @@ def test_toy_train_matches_per_step_reference(kind):
         for name, p in model.params.items():
             p.value = 0.3 * s.child(name).normal(p.value.shape)
         models.append(model)
-    want = loop_reference.toy_train(models[0], tcfg)
-    assert models[1].train(tcfg) == want
+    want = loop_reference.toy_train(models[0], **run)
+    assert models[1].train(**run) == want
     for name, p in models[1].params.items():
         assert p.value.tobytes() == models[0].params[name].value.tobytes(), name
 

@@ -305,6 +305,7 @@ def _reference_model(kind: str) -> MarModel:
     return model
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("kind,class_id,guided,schedule,iters,n_seq", list(itertools.product(
     ("energy", "diffusion", "flow"), (None, 1), (True, False), ("cosine", "uniform"),
     (1, 3, 8), (1, 3))))
@@ -321,6 +322,7 @@ def test_decode_matches_reference(kind, class_id, guided, schedule, iters, n_seq
     assert got_stats == want_stats
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("class_id", [0, 2, mar.NULL_CLASS])
 @pytest.mark.parametrize("cfg,n", [(TINY, 7), (MarConfig(), 40)], ids=["tiny", "default"])
 def test_represent_one_row_equals_every_row_of_a_batch_when_all_masked(cfg, n, class_id):
@@ -336,6 +338,7 @@ def test_represent_one_row_equals_every_row_of_a_batch_when_all_masked(cfg, n, c
         assert row.tobytes() == one[0].tobytes()
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("cfg,n,per_seq,class_id", [
     (MarConfig(), 40, 1, 0), (MarConfig(), 40, 2, 1), (MarConfig(), 40, 3, 2),
     (TINY, 1, 1, 0), (MarConfig(), 40, 2, mar.NULL_CLASS)],
@@ -399,6 +402,7 @@ def test_train_mar_smoke_and_log_schema():
     assert log[0]["step"] == 1 and log[-1]["step"] == 5
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("kind", ["energy", "diffusion"])
 def test_train_mar_matches_per_step_reference(kind):
     """Step chains drawn up front give the per-step loop's log and weights."""

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escore import data, metrics
-from escore.metrics import EnergyEstimatorConfig, energy_statistic
+from escore.metrics import energy_statistic
 from escore.rng import Stream
 
-V_CFG = EnergyEstimatorConfig(mode="v")
-U_CFG = EnergyEstimatorConfig(mode="u")
 
 
 def brute_energy(x, y, mode="v"):
@@ -29,34 +27,38 @@ def brute_energy(x, y, mode="v"):
 
 def test_identical_sets_v_mode_zero():
     x = Stream.from_seed(0, "x").normal((20, 3))
-    assert abs(energy_statistic(x, x.copy(), V_CFG)) <= 1e-12
+    assert abs(energy_statistic(x, x.copy(), "v")) <= 1e-12
 
 
 def test_singleton_hand_value():
     x = np.array([[0.0, 0.0]])
     y = np.array([[3.0, 4.0]])
-    assert energy_statistic(x, y, V_CFG) == pytest.approx(10.0, abs=1e-12)
+    assert energy_statistic(x, y, "v") == pytest.approx(10.0, abs=1e-12)
 
 
 def test_u_mode_rejects_singletons():
     with pytest.raises(ValueError):
-        energy_statistic(np.zeros((1, 2)), np.ones((4, 2)), U_CFG)
+        energy_statistic(np.zeros((1, 2)), np.ones((4, 2)), "u")
+
+
+def test_unknown_mode_is_rejected():
+    with pytest.raises(ValueError, match="mode must be 'u' or 'v', got 'w'"):
+        energy_statistic(np.zeros((3, 2)), np.ones((4, 2)), "w")
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        energy_statistic(np.zeros((3, 2)), np.zeros((3, 3)), V_CFG)
+        energy_statistic(np.zeros((3, 2)), np.zeros((3, 3)), "v")
 
 
 @pytest.mark.parametrize("mode", ["u", "v"])
 def test_matches_brute_force_multidim(mode):
     s = Stream.from_seed(5, "pts")
-    cfg = EnergyEstimatorConfig(mode=mode)
     for trial in range(10):
         m, n, d = 2 + trial, 3 + trial % 4, 1 + trial % 3
         x = s.child(f"x{trial}").normal((m, d))
         y = s.child(f"y{trial}").normal((n, d))
-        assert energy_statistic(x, y, cfg) == pytest.approx(
+        assert energy_statistic(x, y, mode) == pytest.approx(
             brute_energy(x, y, mode), abs=1e-10)
 
 
@@ -64,9 +66,9 @@ def test_1d_fast_path_matches_brute_force():
     s = Stream.from_seed(6, "pts")
     x = s.child("x").normal((37, 1))
     y = s.child("y").normal((23, 1))
-    for cfg in (U_CFG, V_CFG):
-        assert energy_statistic(x, y, cfg) == pytest.approx(
-            brute_energy(x, y, cfg.mode), abs=1e-10)
+    for mode in ("u", "v"):
+        assert energy_statistic(x, y, mode) == pytest.approx(
+            brute_energy(x, y, mode), abs=1e-10)
 
 
 def test_closed_form_oracle_values():
@@ -83,7 +85,7 @@ def test_u_statistic_matches_oracle_and_monotone():
     base = Stream.from_seed(0, "oracle/y").normal((n, 1))
     values = []
     for mu in (0.0, 0.5, 1.0, 2.0):
-        stat = energy_statistic(x, base + mu, U_CFG)
+        stat = energy_statistic(x, base + mu, "u")
         assert stat == pytest.approx(metrics.gaussian_energy_oracle(mu), abs=0.02)
         values.append(stat)
     assert values == sorted(values)
@@ -97,7 +99,7 @@ def test_v_mode_nonnegativity_random_pairs():
         d = 1 + int(s.child(f"d{trial}").integers(8))
         x = s.child(f"x{trial}").normal((m, d))
         y = s.child(f"y{trial}").normal((n, d))
-        assert energy_statistic(x, y, V_CFG) >= -1e-12
+        assert energy_statistic(x, y, "v") >= -1e-12
 
 
 def test_v_mode_zero_iff_equal_multisets():
@@ -105,10 +107,10 @@ def test_v_mode_zero_iff_equal_multisets():
     for trial in range(50):
         x = s.child(f"x{trial}").normal((12, 3))
         perm = s.child(f"p{trial}").permutation(12)
-        assert abs(energy_statistic(x, x[perm], V_CFG)) <= 1e-12
+        assert abs(energy_statistic(x, x[perm], "v")) <= 1e-12
         y = x.copy()
         y[0] += 0.01
-        assert energy_statistic(x, y, V_CFG) > 1e-12
+        assert energy_statistic(x, y, "v") > 1e-12
 
 
 def test_strict_negative_definiteness_spot_check():
@@ -132,7 +134,7 @@ def test_translation_shifts_leave_vmode_nonnegative(seed, dx, dy):
     s = Stream.from_seed(seed, "hyp")
     x = s.child("x").normal((8, 2))
     y = s.child("y").normal((8, 2)) + np.array([dx, dy])
-    assert energy_statistic(x, y, V_CFG) >= -1e-12
+    assert energy_statistic(x, y, "v") >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +350,7 @@ def _plain_solve(x, y):
     return cost[linear_sum_assignment(cost)]
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("k", [1, 2, 4, 40])
 @pytest.mark.parametrize("first", ["repeated", "distinct"])
 def test_priced_solve_equals_plain_solve_bit_for_bit(monkeypatch, k, first):
@@ -380,6 +383,7 @@ def test_priced_solve_equals_plain_solve_bit_for_bit(monkeypatch, k, first):
     assert value == float(plain.mean())
 
 
+@pytest.mark.dispatch_path
 def test_priced_solve_with_both_sets_repeated_matches_plain_solve():
     for seed, k in enumerate((4, 40)):
         cols = _repeats(k, 512, seed)
@@ -446,6 +450,7 @@ def _spy_solves(monkeypatch):
     return seen
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("pair", ["near", "far"])
 @pytest.mark.parametrize("swap", [False, True])
 def test_sampled_prices_solve_equals_plain_solve_bit_for_bit(monkeypatch, pair, swap):
@@ -570,6 +575,7 @@ def median_cases(draw):
     return pts, draw(st.sampled_from([1, 7, 64, metrics._PAIR_BLOCK]))
 
 
+@pytest.mark.dispatch_path
 @settings(max_examples=80, deadline=None)
 @given(median_cases())
 def test_median_pairwise_distance_equals_numpy_median(case):
@@ -592,6 +598,7 @@ def _pooled_4096(kind):
     return np.concatenate([gen, ref])
 
 
+@pytest.mark.dispatch_path
 @pytest.mark.parametrize("kind", ["near", "repeated"])
 def test_median_pairwise_distance_at_4096_points_equals_numpy_median(kind):
     pts = _pooled_4096(kind)
@@ -659,7 +666,7 @@ def test_eval_computes_the_energy_pair_sums_once(monkeypatch, shape):
     for bit."""
     gen = Stream.from_seed(3, "g").normal(shape)
     ref = Stream.from_seed(3, "r").normal(shape) + 0.5
-    expect = [energy_statistic(gen, ref, cfg) for cfg in (U_CFG, V_CFG)]
+    expect = [energy_statistic(gen, ref, mode) for mode in ("u", "v")]
     walks, pair_distances = [], metrics._pair_distances
 
     def counted(a, b=None):
@@ -705,13 +712,14 @@ def unequal_pairs(draw):
     return x, y, draw(st.sampled_from([1, 7, 64, metrics._PAIR_BLOCK]))
 
 
+@pytest.mark.dispatch_path
 @settings(max_examples=30, deadline=None)
 @given(unequal_pairs())
 def test_blockwise_metrics_match_brute_force_at_every_block_size(case):
     x, y, block = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_PAIR_BLOCK", block)
-        energy = [energy_statistic(x, y, cfg) for cfg in (U_CFG, V_CFG)]
+        energy = [energy_statistic(x, y, mode) for mode in ("u", "v")]
         mmd2, sigma = metrics.mmd_gaussian(x, y)
         swapped = metrics.mmd_gaussian(y, x)
     assert energy == pytest.approx([brute_energy(x, y, "u"), brute_energy(x, y, "v")],

@@ -242,7 +242,7 @@ def test_adam_non_finite_gradient_aborts_with_name():
     params.add("good", np.ones(2))
     params.add("bad", np.ones(2))
     before = params["bad"].value.copy()
-    with pytest.raises(nn.NonFiniteGradientError, match="bad"):
+    with pytest.raises(G.NonFiniteError, match="gradient of 'bad' is non-finite"):
         nn.adam_step(params, {"good": np.ones(2), "bad": np.array([1.0, np.inf])},
                      lr=0.1, t=1)
     assert np.array_equal(params["bad"].value, before)
@@ -268,6 +268,16 @@ def test_weight_writers_reject_non_finite_values_naming_the_parameter(bad):
     with pytest.raises(G.NonFiniteError, match="ck: parameter 'v'"):
         params.assign({"v": np.array([0.0, bad])}, "ck")
     assert np.array_equal(params["v"].value, np.ones(2))
+
+
+def test_weight_writers_reject_another_shape_naming_the_parameter():
+    params = nn.ParameterSet()
+    params.add("v", np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"parameter 'v' has shape \(3, 2\), expected \(2, 3\)"):
+        params["v"].value = np.ones((3, 2))
+    with pytest.raises(ValueError, match=r"ck: parameter 'v' has shape \(6,\)"):
+        params.assign({"v": np.ones(6)}, "ck")
+    assert np.array_equal(params["v"].value, np.ones((2, 3)))
 
 
 def test_loading_a_checkpoint_with_a_nan_weight_fails_naming_it(tmp_path):

@@ -130,8 +130,7 @@ def run_train_head(cfg: dict, out_dir) -> Path:
 def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv,
                svg_path=None, noise_sigma: float = 0.03) -> np.ndarray:
     model = ToyHeadModel.load(ckpt_path)
-    if model.cfg.kind == "energy" and steps != 1:
-        raise ConfigError("energy heads sample in exactly one step; use --steps 1")
+    model.head.check_steps(steps)
     samples = model.sample(n, steps, seed)
     data.write_points_csv(out_csv, samples)
     if svg_path:

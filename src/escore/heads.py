@@ -3,8 +3,10 @@
 Each head is a stack of AdaLN residual blocks mapping an input vector to a
 latent, conditioned on a context row. The energy-scoring head draws the
 latent in one forward pass; diffusion, flow-matching, shortcut, and
-mean-flow are the multi/few-step baselines, with their losses and samplers
-fixed here.
+mean-flow are the multi/few-step baselines. Their losses are fixed here,
+and so is one sampling loop for all four, which differ only in their time
+grid and per-step update, and one rule for the step counts a head takes
+(:meth:`Head.check_steps`).
 """
 from __future__ import annotations
 
@@ -332,72 +334,70 @@ class Head:
                 "t0": time_features(r, f), "t1": time_features(t, f), "roww": roww}
 
     # -- sampling -------------------------------------------------------------
-    def sample(self, context: np.ndarray, steps: int, rng: Stream) -> np.ndarray:
-        """Draw len(context) latents with the kind's sampling procedure."""
-        cfg = self.cfg
-        rows = len(context)
-        d, f = cfg.latent_dim, cfg.time_feat_dim
+    def check_steps(self, steps: int) -> None:
+        """Rejects a step count this head cannot sample with, before any work."""
         if steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ValueError(f"head steps must be >= 1, got {steps}")
+        if self.cfg.kind == "energy" and steps != 1:
+            raise ValueError("energy heads sample in exactly one step")
+        if self.cfg.kind == "diffusion" and steps > self.cfg.t_diff:
+            raise ValueError(f"a diffusion head takes at most its chain length "
+                             f"t_diff = {self.cfg.t_diff} steps, got {steps}")
+
+    def sample(self, context: np.ndarray, steps: int, rng: Stream) -> np.ndarray:
+        """Draw len(context) latents: the energy head in one pass, the others
+        from ``z0`` noise in one pass per step. Flow and shortcut take Euler
+        steps from t=0 to t=1, mean-flow average-velocity jumps from t=1 to
+        t=0, and diffusion clipped ancestral steps down the respaced chain."""
+        cfg = self.cfg
+        self.check_steps(steps)
+        rows, c, f = len(context), cfg.context_dim, cfg.time_feat_dim
         if cfg.kind == "energy":
-            if steps != 1:
-                raise ValueError("energy heads sample in exactly one step")
             return self.energy_sample(context, rng.child("noise").normal((rows, cfg.noise_dim)))
+        z = rng.child("z0").normal((rows, cfg.latent_dim))
         if cfg.kind == "diffusion":
-            return self._sample_diffusion(context, steps, rng)
-        if cfg.kind == "flow":
-            z = rng.child("z0").normal((rows, d))
+            taus = self.schedule.respaced(steps)
+            feats = time_features(taus / cfg.t_diff, f)
+            # step k's noise comes from its own step{k} stream; the last step adds
+            # none. Rewrapping the key also takes the tests' one-key reference streams.
+            noise = Stream(rng.key).child([f"step{k}" for k in range(steps - 1)]) \
+                .normal((rows, cfg.latent_dim))
+        elif cfg.kind == "meanflow":
+            grid = np.linspace(1.0, 0.0, steps + 1)
+            at = time_features(grid, f)
+            feats = np.concatenate([at[1:], at[:-1]], axis=1)   # (lo, hi) per step
+            jumps = np.diff(grid)   # lo - hi, exactly -(hi - lo)
+        else:
             dt = 1.0 / steps
-            for k in range(steps):
-                feats = time_features(np.full(rows, k * dt), f)
-                z = z + dt * self.forward_values(z, np.concatenate([context, feats], axis=1))
-            return z
-        if cfg.kind == "shortcut":
-            z = rng.child("z0").normal((rows, d))
-            dt = 1.0 / steps
-            dfeat = time_features(np.full(rows, dt), f)
-            for k in range(steps):
-                tfeat = time_features(np.full(rows, k * dt), f)
-                z = z + dt * self.forward_values(
-                    z, np.concatenate([context, tfeat, dfeat], axis=1))
-            return z
-        # mean-flow: average-velocity jumps from t=1 (noise) down to t=0 (data)
-        z = rng.child("z0").normal((rows, d))
-        grid = np.linspace(1.0, 0.0, steps + 1)
-        for hi, lo in zip(grid[:-1], grid[1:]):
-            cond = np.concatenate([context, time_features(np.full(rows, lo), f),
-                                   time_features(np.full(rows, hi), f)], axis=1)
-            z = z - (hi - lo) * self.forward_values(z, cond)
+            feats = time_features(np.arange(steps) * dt, f)
+            if cfg.kind == "shortcut":   # each step is also conditioned on its size
+                feats = np.concatenate(
+                    [feats, np.repeat(time_features(dt, f), steps, axis=0)], axis=1)
+            jumps = np.full(steps, dt)
+        cond = np.empty((rows, cfg.cond_dim))
+        cond[:, :c] = context
+        for k in range(steps):
+            cond[:, c:] = feats[k]   # every row has the same step time
+            out = self.forward_values(z, cond)
+            if cfg.kind == "diffusion":
+                z = self._ancestral_step(z, out, taus, k, noise)
+            else:
+                z = z + jumps[k] * out
         return z
 
-    def _sample_diffusion(self, context, steps, rng):
-        cfg = self.cfg
-        sched = self.schedule
-        rows, d, f = len(context), cfg.latent_dim, cfg.time_feat_dim
-        taus = sched.respaced(steps)
-        z = rng.child("z0").normal((rows, d))
-        # step k's noise comes from its own step{k} stream; the last step adds
-        # none. Rewrapping the key also takes the tests' one-key reference streams.
-        noise = Stream(rng.key).child([f"step{k}" for k in range(len(taus) - 1)]) \
-            .normal((rows, d))
-        # [context | time features]: every row has the same step time
-        cond = np.empty((rows, cfg.cond_dim))
-        cond[:, :-f] = context
-        feats = time_features(taus / cfg.t_diff, f)   # one row per step
-        for k, tau in enumerate(taus):
-            lo = taus[k + 1] if k + 1 < len(taus) else 0
-            ab_hi = sched.alphabar[tau]
-            ab_lo = sched.alphabar[lo]
-            cond[:, -f:] = feats[k]
-            eps_hat = self.forward_values(z, cond)
-            x0 = (z - np.sqrt(1.0 - ab_hi) * eps_hat) / np.sqrt(ab_hi)
-            x0 = np.clip(x0, -cfg.x0_clip, cfg.x0_clip)
-            alpha_eff = ab_hi / ab_lo
-            beta_eff = 1.0 - alpha_eff
-            mean = (np.sqrt(ab_lo) * beta_eff / (1.0 - ab_hi)) * x0 \
-                + (np.sqrt(alpha_eff) * (1.0 - ab_lo) / (1.0 - ab_hi)) * z
-            var = (1.0 - ab_lo) / (1.0 - ab_hi) * beta_eff
-            z = mean
-            if lo > 0 and var > 0:
-                z = z + np.sqrt(var) * noise[k]
-        return z
+    def _ancestral_step(self, z, eps_hat, taus, k, noise):
+        """One clipped ancestral step from chain time taus[k] to the next."""
+        cfg, sched = self.cfg, self.schedule
+        lo = taus[k + 1] if k + 1 < len(taus) else 0
+        ab_hi = sched.alphabar[taus[k]]
+        ab_lo = sched.alphabar[lo]
+        x0 = (z - np.sqrt(1.0 - ab_hi) * eps_hat) / np.sqrt(ab_hi)
+        x0 = np.clip(x0, -cfg.x0_clip, cfg.x0_clip)
+        alpha_eff = ab_hi / ab_lo
+        beta_eff = 1.0 - alpha_eff
+        mean = (np.sqrt(ab_lo) * beta_eff / (1.0 - ab_hi)) * x0 \
+            + (np.sqrt(alpha_eff) * (1.0 - ab_lo) / (1.0 - ab_hi)) * z
+        var = (1.0 - ab_lo) / (1.0 - ab_hi) * beta_eff
+        if lo > 0 and var > 0:
+            return mean + np.sqrt(var) * noise[k]
+        return mean

@@ -11,10 +11,10 @@ token is a key and a value, so each pass runs every token up to the last
 block's attention mix; the last block's output half (its output projection,
 LN2 and MLP) then runs on the sampled rows only, one to three of each
 sequence's 18 tokens at the default sizes. Each of those rows is bit for bit
-the row a pass over every token gives, because a product of two or more rows
-rounds each row as the per-sequence product does. A one-row product takes
-BLAS's matrix-vector path and rounds differently, so a single row runs beside
-a copy of itself.
+the row a pass over every token gives, because a product of an even number of
+rows rounds each row as the per-sequence product does. A one-row product takes
+BLAS's matrix-vector path, and OpenBLAS's Haswell kernels round the last row
+of any odd count on its own, so an odd count runs with a copy of its last row.
 """
 from __future__ import annotations
 
@@ -72,8 +72,6 @@ class DecodeConfig:
     def __post_init__(self):
         if self.schedule not in ("cosine", "uniform"):
             raise ValueError(f"unknown unmask schedule {self.schedule!r}")
-        if self.head_steps < 1:
-            raise ValueError("head_steps must be >= 1")
 
 
 def cfg_combine(cond: np.ndarray, uncond: np.ndarray, scale: float) -> np.ndarray:
@@ -215,10 +213,10 @@ class MarModel:
             "onehot": one_hot_classes(class_ids, self.cfg.n_classes)}).output
         rows = front.reshape(-1, front.shape[-1]) if positions is None else front[positions]
         n = len(rows)
-        if n == 1:
-            # a one-row product takes BLAS's matrix-vector path, which rounds
-            # differently from the rows of a larger product: run a copy beside it
-            rows = np.repeat(rows, 2, axis=0)
+        if n % 2:
+            # see the module docstring: an odd count runs with a copy of its
+            # last row, so that each row rounds as in a larger product
+            rows = np.concatenate([rows, rows[-1:]])
         out = G.evaluate(self._finish_graph(len(rows)), {"front": rows}).output[:n]
         self.backbone_forwards += 1
         return out.reshape(bsz, self.cfg.seq_len, -1) if positions is None else out
@@ -334,8 +332,7 @@ class MarModel:
         if not 1 <= dcfg.iterations <= cfg.seq_len:
             raise ValueError(f"iterations must be in [1, {cfg.seq_len}], "
                              f"got {dcfg.iterations}")
-        if cfg.head_kind == "energy" and dcfg.head_steps != 1:
-            raise ValueError("energy heads sample in exactly one step")
+        self.head.check_steps(dcfg.head_steps)
 
     def _unmask_counts(self, dcfg: DecodeConfig) -> list[int]:
         """Positions generated per iteration; covers all L exactly once."""

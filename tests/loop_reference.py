@@ -6,6 +6,10 @@ step k's noise from its own ``step{k}`` stream, the energy loss draws sample
 i's noise from ``noise{i}``, and both training drivers walk ``step/{t}`` ->
 ``batch`` one step at a time, all from the one-key reference streams. The
 batched code must give the same bits.
+
+The flow, shortcut and mean-flow samplers are the per-kind loops that
+``Head.sample``'s one step loop replaced, each building its condition rows
+anew at every step. The one loop must give their bits too.
 """
 from __future__ import annotations
 
@@ -41,6 +45,43 @@ def sample_diffusion(head, context: np.ndarray, steps: int, stream: Stream) -> n
         z = mean
         if lo > 0 and var > 0:
             z = z + np.sqrt(var) * stream.child(f"step{k}").normal((rows, d))
+    return z
+
+
+def sample_flow(head, context: np.ndarray, steps: int, stream: Stream) -> np.ndarray:
+    """``Head.sample`` for a flow head."""
+    rows, d, f = len(context), head.cfg.latent_dim, head.cfg.time_feat_dim
+    z = stream.child("z0").normal((rows, d))
+    dt = 1.0 / steps
+    for k in range(steps):
+        feats = time_features(np.full(rows, k * dt), f)
+        z = z + dt * head.forward_values(z, np.concatenate([context, feats], axis=1))
+    return z
+
+
+def sample_shortcut(head, context: np.ndarray, steps: int, stream: Stream) -> np.ndarray:
+    """``Head.sample`` for a shortcut head."""
+    rows, d, f = len(context), head.cfg.latent_dim, head.cfg.time_feat_dim
+    z = stream.child("z0").normal((rows, d))
+    dt = 1.0 / steps
+    dfeat = time_features(np.full(rows, dt), f)
+    for k in range(steps):
+        tfeat = time_features(np.full(rows, k * dt), f)
+        z = z + dt * head.forward_values(
+            z, np.concatenate([context, tfeat, dfeat], axis=1))
+    return z
+
+
+def sample_meanflow(head, context: np.ndarray, steps: int, stream: Stream) -> np.ndarray:
+    """``Head.sample`` for a mean-flow head: average-velocity jumps from t=1
+    (noise) down to t=0 (data)."""
+    rows, d, f = len(context), head.cfg.latent_dim, head.cfg.time_feat_dim
+    z = stream.child("z0").normal((rows, d))
+    grid = np.linspace(1.0, 0.0, steps + 1)
+    for hi, lo in zip(grid[:-1], grid[1:]):
+        cond = np.concatenate([context, time_features(np.full(rows, lo), f),
+                               time_features(np.full(rows, hi), f)], axis=1)
+        z = z - (hi - lo) * head.forward_values(z, cond)
     return z
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,21 @@ def test_energy_sampler_rejects_multistep():
         head.sample(np.zeros((3, 16)), steps=4, rng=Stream.from_seed(0, "s"))
 
 
+@pytest.mark.parametrize("kind,steps,cause", [
+    ("flow", 0, "head steps must be >= 1, got 0"),
+    ("energy", 2, "energy heads sample in exactly one step"),
+    ("diffusion", 8, "at most its chain length t_diff = 7 steps, got 8"),
+])
+def test_step_rule_rejects_before_any_head_pass(kind, steps, cause):
+    head = Head(HeadConfig(kind=kind, width=8, depth=1, context_dim=3, t_diff=7), seed=0)
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        head.sample(np.zeros((3, 3)), steps, Stream.from_seed(0, "s"))
+    assert head.forward_rows == 0
+    head.check_steps(1)
+    if kind == "diffusion":
+        head.check_steps(7)
+
+
 def test_constant_velocity_field_integrates_exactly():
     head = _identity_head("flow")
     head.params["head.out.w"].value = np.zeros((2, 2))
@@ -243,6 +260,20 @@ def test_diffusion_sample_matches_per_step_reference(steps):
                                        context_dim=3), 18)
     ctx = Stream.from_seed(19, "ctx").normal((5, 3))
     want = loop_reference.sample_diffusion(head, ctx, steps, R.Stream.from_seed(6, "s"))
+    got = head.sample(ctx, steps, Stream.from_seed(6, "s"))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.dispatch_path
+@pytest.mark.parametrize("steps", [1, 2, 5, 33])
+@pytest.mark.parametrize("kind", ["flow", "shortcut", "meanflow"])
+def test_ode_sample_matches_per_step_reference(kind, steps):
+    """The one step loop, its condition rows filled in place and its time
+    features computed once per call, gives each kind's own loop's bits."""
+    head = _randomized_head(HeadConfig(kind=kind, width=16, depth=2, context_dim=3), 18)
+    ctx = Stream.from_seed(19, "ctx").normal((5, 3))
+    want = getattr(loop_reference, f"sample_{kind}")(head, ctx, steps,
+                                                     R.Stream.from_seed(6, "s"))
     got = head.sample(ctx, steps, Stream.from_seed(6, "s"))
     assert got.tobytes() == want.tobytes()
 

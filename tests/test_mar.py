@@ -341,13 +341,15 @@ def test_represent_one_row_equals_every_row_of_a_batch_when_all_masked(cfg, n, c
 @pytest.mark.dispatch_path
 @pytest.mark.parametrize("cfg,n,per_seq,class_id", [
     (MarConfig(), 40, 1, 0), (MarConfig(), 40, 2, 1), (MarConfig(), 40, 3, 2),
-    (TINY, 1, 1, 0), (MarConfig(), 40, 2, mar.NULL_CLASS)],
-    ids=["default-1", "default-2", "default-3", "tiny-one-row", "default-null"])
+    (TINY, 1, 1, 0), (TINY, 3, 1, 1), (MarConfig(), 40, 2, mar.NULL_CLASS)],
+    ids=["default-1", "default-2", "default-3", "tiny-one-row", "tiny-odd-rows",
+         "default-null"])
 def test_represent_at_positions_equals_rows_of_every_position(cfg, n, per_seq, class_id):
     """A decode iteration finishes the backbone at the positions it samples
     only; each row must carry the bits of the same row of a pass at every
     position, also when one row is asked for (a one-row product would take
-    BLAS's matrix-vector path and round differently)."""
+    BLAS's matrix-vector path and round differently) and when an odd count is
+    (OpenBLAS's Haswell kernels would round the last row differently)."""
     model = MarModel(cfg, seed=6)
     for name, p in model.params.items():
         p.value = p.value + 0.1 * Stream.from_seed(6, name).normal(p.value.shape)
@@ -391,6 +393,15 @@ def test_energy_decode_with_head_steps_fails_before_any_backbone_pass(monkeypatc
     with pytest.raises(ValueError, match="exactly one step"):
         model.decode(0, 2, DecodeConfig(iterations=2, head_steps=2))
     assert calls == []
+
+
+def test_diffusion_decode_past_the_chain_length_fails_before_any_backbone_pass():
+    model = MarModel(dataclasses.replace(TINY, head_kind="diffusion"), seed=11)
+    t_diff = model.head.cfg.t_diff
+    with pytest.raises(ValueError) as err:
+        model.decode(0, 2, DecodeConfig(iterations=2, cfg_scale=4.0, head_steps=t_diff + 1))
+    assert model.backbone_forwards == 0
+    assert f"chain length t_diff = {t_diff}" in str(err.value)
 
 
 def test_train_mar_smoke_and_log_schema():

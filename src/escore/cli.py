@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import json
 import math
 import os
 import sys
@@ -181,14 +182,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolved(args, **extra) -> dict:
-    cfg = resolve_config(args.overrides, args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    for key, value in extra.items():
-        section, name = key.split(".")
-        cfg[section][name] = value
-    return cfg
+def _resolved(args, **flags) -> dict:
+    """The config of ``--config`` and ``--set``, then of ``--seed`` and the given
+    ``flags`` (config key -> flag value, None when not given) as overrides."""
+    flags["seed"] = getattr(args, "seed", None)
+    given = [f"{key}={json.dumps(value)}" for key, value in flags.items() if value is not None]
+    return resolve_config(args.overrides + given, args.config)
 
 
 def _parse_values(param: str, text: str) -> list:
@@ -240,9 +239,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "decode":
-        flags = {"decode.iterations": args.iterations, "decode.cfg_scale": args.cfg_scale,
-                 "decode.schedule": args.schedule, "decode.n_seq": args.n}
-        cfg = _resolved(args, **{k: v for k, v in flags.items() if v is not None})
+        cfg = _resolved(args, **{"decode.iterations": args.iterations,
+                                 "decode.cfg_scale": args.cfg_scale,
+                                 "decode.schedule": args.schedule, "decode.n_seq": args.n})
         path = experiments.run_decode(cfg, args.ckpt, args.class_id, args.out,
                                       head_steps=args.head_steps)
         print(f"sequences written: {path}")

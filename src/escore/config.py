@@ -7,6 +7,8 @@ import json
 import math
 from pathlib import Path
 
+from .heads import HeadConfig
+from .mar import DecodeConfig, MarConfig
 from .metrics import kernel_factor
 
 
@@ -126,17 +128,11 @@ _FLOAT_RANGES = {
     "data.jitter": (lambda v: v >= 0, ">= 0"),
     "train.lr": (lambda v: v > 0, "> 0"),
     "train.weight_decay": (lambda v: v >= 0, ">= 0"),
-    "mar.mask_lo": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "mar.mask_hi": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "mar.p_drop": (lambda v: 0 <= v < 1, "in [0, 1)"),
     "mar_train.lr": (lambda v: v > 0, "> 0"),
     "mar_train.weight_decay": (lambda v: v >= 0, ">= 0"),
     "mar_train.lambda": (lambda v: v >= 0, ">= 0"),
     "decode.cfg_scale": (lambda v: True, ""),
 }
-# shortcut and mean-flow targets evaluate the head on numpy context rows,
-# which a MAR step has only inside its graph
-MAR_HEAD_KINDS = ("energy", "diffusion", "flow")
 
 
 def _has_type_of(value, default) -> bool:
@@ -186,10 +182,36 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
                                   f"got {value!r}")
 
 
-def check_ranges(cfg: dict) -> None:
-    """Every float value of :data:`_FLOAT_RANGES` is finite and in its range,
-    a numeric ``metrics.bandwidth`` has a finite kernel factor,
-    ``mar.mask_lo <= mar.mask_hi``, and MAR can train ``mar.head_kind``."""
+def head_config_from(cfg: dict, kind: str | None = None) -> HeadConfig:
+    """The toy head of ``cfg["head"]``, of ``kind`` or else ``head.method``."""
+    h = dict(cfg["head"])
+    method = h.pop("method")
+    return HeadConfig(kind=kind or method, m_samples=h.pop("m"), **h)
+
+
+def mar_config_from(cfg: dict, head_kind: str | None = None) -> MarConfig:
+    """The MAR model of ``cfg["mar"]``, its head of ``head_kind`` or else ``mar.head_kind``."""
+    m_ = {**cfg["mar"], "head_kind": head_kind or cfg["mar"]["head_kind"]}
+    return MarConfig(m_samples=m_.pop("m"), **m_)
+
+
+def decode_config_from(cfg: dict, seed: int, head: HeadConfig,
+                       head_steps: int | None = None) -> DecodeConfig:
+    """The decode ``cfg["decode"]`` asks of a model with ``head`` from ``seed``:
+    unless given, one head step for an energy head, the chain length for others."""
+    if head_steps is None:
+        head_steps = 1 if head.kind == "energy" else head.t_diff
+    d = cfg["decode"]
+    return DecodeConfig(iterations=d["iterations"], cfg_scale=d["cfg_scale"],
+                        schedule=d["schedule"], seed=seed, head_steps=head_steps)
+
+
+def check_config(cfg: dict) -> None:
+    """Every value of ``cfg`` has the type of its default, every float of
+    :data:`_FLOAT_RANGES` is finite and in range, a numeric ``metrics.bandwidth``
+    has a finite kernel factor, and the head, MAR and decode configs of ``cfg``
+    pass their dataclasses' rules (which raise their own ValueError)."""
+    _check_types(cfg, DEFAULTS)
     for key, (in_range, words) in _FLOAT_RANGES.items():
         section, name = key.split(".")
         value = cfg[section][name]
@@ -207,13 +229,8 @@ def check_ranges(cfg: dict) -> None:
             kernel_factor(bandwidth)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"metrics.bandwidth: {exc}") from None
-    m = cfg["mar"]
-    if m["mask_lo"] > m["mask_hi"]:
-        raise ConfigError(f"mar.mask_lo must be <= mar.mask_hi, got {m['mask_lo']!r} > "
-                          f"{m['mask_hi']!r}")
-    if m["head_kind"] not in MAR_HEAD_KINDS:
-        raise ConfigError(f"mar.head_kind must be one of {MAR_HEAD_KINDS}, the head kinds "
-                          f"MAR can train, got {m['head_kind']!r}")
+    head_config_from(cfg)
+    decode_config_from(cfg, cfg["seed"], mar_config_from(cfg).head_config())
 
 
 def parse_override(text: str) -> tuple[str, object]:
@@ -230,8 +247,8 @@ def parse_override(text: str) -> tuple[str, object]:
 
 def resolve_config(overrides: list[str] | None = None,
                    config_file: str | None = None) -> dict:
-    """Defaults <- file <- --set overrides; unknown keys, values of another
-    type than their default's and values out of range are rejected."""
+    """Defaults <- file <- overrides, checked by :func:`check_config`;
+    unknown keys are rejected."""
     cfg = copy.deepcopy(DEFAULTS)
     if config_file:
         try:
@@ -244,8 +261,7 @@ def resolve_config(overrides: list[str] | None = None,
     for text in overrides or []:
         key, value = parse_override(text)
         _walk_assign(cfg, DEFAULTS, key, value)
-    _check_types(cfg, DEFAULTS)
-    check_ranges(cfg)
+    check_config(cfg)
     return cfg
 
 

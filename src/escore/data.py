@@ -17,6 +17,7 @@ SWISS_ROLL_T_MAX = 4.5 * np.pi
 SWISS_ROLL_SCALE = 4.5 * np.pi   # clean curve fits in [-1, 1]^2
 
 N_CLASSES = 3
+LATENT_DIM = 2      # width of every toy point and latent token
 CLASS_NAMES = ("spiral", "circle", "moons")
 CIRCLE_RADIUS = 0.8
 

@@ -10,14 +10,16 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import data, mar, metrics, svg
-from .config import ConfigError, check_ranges, config_digest, write_run_config
-from .heads import HEAD_KINDS, HeadConfig
-from .mar import DecodeConfig, MarConfig, MarModel, train_mar
+from .config import (ConfigError, check_config, config_digest, decode_config_from,
+                     head_config_from, mar_config_from, write_run_config)
+from .heads import HEAD_KINDS
+from .mar import MarConfig, MarModel, train_mar
 from .metrics import MetricsReport
 from .swiss import ToyHeadModel
 
@@ -30,6 +32,7 @@ SWEEP_PARAMS = {   # --param -> (config key each grid value sets, student checkp
     "wiring": ("mar.wiring", "student_{}"),
 }
 SCORES = ("mmd", "wsd", "energy_u", "energy_v")
+MULTI_STEP_KINDS = ("diffusion", "flow")   # compared at compare.multi_steps as well as 1
 
 
 def worker_count() -> int:
@@ -86,21 +89,14 @@ def append_metrics_rows(path, reports: list[MetricsReport]) -> None:
     path = Path(path)
     new = not path.exists()
     with open(path, "a", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         if new:
-            fh.write(MetricsReport.CSV_HEADER + "\n")
-        fh.writelines(report.csv_row() + "\n" for report in reports)
+            writer.writerow(MetricsReport.CSV_HEADER)
+        writer.writerows(report.csv_row() for report in reports)
 
 
 # ---------------------------------------------------------------------------
 # toy heads
-
-def _toy_model(cfg: dict, method: str, seed: int) -> ToyHeadModel:
-    h = cfg["head"]
-    return ToyHeadModel(HeadConfig(kind=method, latent_dim=2, noise_dim=h["noise_dim"],
-                                   width=h["width"], depth=h["depth"],
-                                   context_dim=h["context_dim"], wiring=h["wiring"],
-                                   m_samples=h["m"], t_diff=h["t_diff"]), seed)
-
 
 def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path,
                     steps: int | None = None) -> ToyHeadModel:
@@ -117,10 +113,7 @@ def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path,
 
 
 def run_train_head(cfg: dict, out_dir) -> Path:
-    method = cfg["head"]["method"]
-    if method not in HEAD_KINDS:
-        raise ConfigError(f"head.method must be one of {HEAD_KINDS}, got {method!r}")
-    model = _toy_model(cfg, method, cfg["seed"])   # checks the head config first
+    model = ToyHeadModel(head_config_from(cfg), cfg["seed"])
     out = _refuse_nonempty(out_dir)
     _train_toy_head(model, cfg, out)
     write_run_config(out, cfg)
@@ -130,8 +123,7 @@ def run_train_head(cfg: dict, out_dir) -> Path:
 def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv,
                svg_path=None, noise_sigma: float = 0.03) -> np.ndarray:
     model = ToyHeadModel.load(ckpt_path)
-    model.head.check_steps(steps)
-    samples = model.sample(n, steps, seed)
+    samples = model.sample(n, steps, seed)   # checks the step count before any pass
     data.write_points_csv(out_csv, samples)
     if svg_path:
         ref = data.swiss_roll(n, noise_sigma, seed=PLOT_REFERENCE_SEED).points
@@ -165,16 +157,13 @@ def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
 def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[MetricsReport]:
     """Train one head on one seed; sample and score it at each step count."""
     out = Path(cell_dir)
-    model = _train_toy_head(_toy_model(cfg, method, seed), cfg, out,
+    model = _train_toy_head(ToyHeadModel(head_config_from(cfg, method), seed), cfg, out,
                             steps=cfg["compare"]["steps_by_method"][method])
 
     n = cfg["compare"]["sample_n"]
     reference = data.swiss_roll(n, cfg["data"]["noise_sigma"], seed=10_000 + seed).points
-    step_grid = [1]
-    if method in ("diffusion", "flow"):
-        step_grid += list(cfg["compare"]["multi_steps"])
     reports = []
-    for steps in step_grid:
+    for steps in [1] + (cfg["compare"]["multi_steps"] if method in MULTI_STEP_KINDS else []):
         samples = model.sample(n, steps, seed=20_000 + seed)
         data.write_points_csv(out / f"samples_step{steps}.csv", samples)
         reports.append(metrics.evaluate_samples(samples, reference, method, steps, seed,
@@ -183,6 +172,9 @@ def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[Metr
 
 
 def run_compare(cfg: dict, out_dir) -> Path:
+    for method in MULTI_STEP_KINDS:   # a step count a head cannot take fails before any output
+        for steps in cfg["compare"]["multi_steps"]:
+            head_config_from(cfg, method).check_steps(steps)
     out = fresh_dir(out_dir, cfg)
     seeds = cfg["compare"]["seeds"]
     jobs = [(cfg, method, seed, str(out / "cells" / f"{method}_seed{seed}"))
@@ -206,17 +198,6 @@ def run_compare(cfg: dict, out_dir) -> Path:
 
 # ---------------------------------------------------------------------------
 # MAR training / decoding
-
-def mar_config_from(cfg: dict, head_kind: str | None = None) -> MarConfig:
-    m_ = cfg["mar"]
-    return MarConfig(seq_len=m_["seq_len"], latent_dim=2, hidden_dim=m_["hidden_dim"],
-                     n_blocks=m_["n_blocks"], n_heads=m_["n_heads"],
-                     head_kind=head_kind or m_["head_kind"],
-                     head_width=m_["head_width"], head_depth=m_["head_depth"],
-                     m_samples=m_["m"], wiring=m_["wiring"],
-                     mask_lo=m_["mask_lo"], mask_hi=m_["mask_hi"],
-                     p_drop=m_["p_drop"])
-
 
 def build_mar_model(cfg: dict, role: str, seed: int,
                     teacher: MarModel | None = None) -> MarModel:
@@ -270,39 +251,24 @@ def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None) -> Path:
     return out / "mar.ckpt"
 
 
-def decode_config(cfg: dict, model: MarModel, seed: int,
-                  head_steps: int | None = None) -> DecodeConfig:
-    """The decode ``cfg["decode"]`` asks of ``model``, at its ``cfg_scale``
-    (1 runs the conditional pass alone). Unless ``head_steps`` is given, an
-    energy head takes one head step and any other the chain length."""
-    d = cfg["decode"]
-    if head_steps is None:
-        head_steps = 1 if model.cfg.head_kind == "energy" else model.head.cfg.t_diff
-    return DecodeConfig(iterations=d["iterations"], cfg_scale=d["cfg_scale"],
-                        schedule=d["schedule"], seed=seed, head_steps=head_steps)
-
-
 def run_decode(cfg: dict, ckpt_path, class_id: int | None, out_dir,
                head_steps: int | None = None) -> Path:
     """Decodes ``decode.n_seq`` sequences of ``class_id`` with the seed
-    ``cfg["seed"]`` as :func:`decode_config` reads ``cfg``; writes
+    ``cfg["seed"]`` as :func:`config.decode_config_from` reads ``cfg``; writes
     sequences.csv and decode_stats.json, which records the settings and the
     backbone and head work of the decode."""
     model = MarModel.load(ckpt_path)
     n_seq = cfg["decode"]["n_seq"]
-    dcfg = decode_config(cfg, model, cfg["seed"], head_steps)
-    model.check_decode(class_id, dcfg)
+    dcfg = decode_config_from(cfg, cfg["seed"], model.head.cfg, head_steps)
     _refuse_nonempty(out_dir)   # a decode that fails leaves no run directory
     latents, stats = model.decode(class_id, n_seq, dcfg)
     out = fresh_dir(out_dir)
     seq_csv = out / "sequences.csv"
     length = model.cfg.seq_len
-    flat = latents.reshape(n_seq * length, model.cfg.latent_dim)
+    flat = latents.reshape(n_seq * length, data.LATENT_DIM)
     positions = np.tile(np.arange(length), n_seq)
     data.write_points_csv(seq_csv, flat, extra={"position": positions})
-    stats_out = {"class_id": class_id, "n_seq": n_seq, "iterations": dcfg.iterations,
-                 "cfg_scale": dcfg.cfg_scale, "schedule": dcfg.schedule, "seed": dcfg.seed,
-                 "head_steps": dcfg.head_steps, **stats}
+    stats_out = {"class_id": class_id, "n_seq": n_seq, **asdict(dcfg), **stats}
     (out / "decode_stats.json").write_text(json.dumps(stats_out, sort_keys=True,
                                                       indent=2) + "\n")
     return seq_csv
@@ -316,23 +282,22 @@ def heldout_pools(mcfg: MarConfig, eval_per_class: int, jitter: float) -> dict[i
     latents, _ = mar.class_pools(mcfg, seed=531, per_class=eval_per_class,
                                  jitter=jitter, tag="heldout")
     return {c: latents[c * eval_per_class:(c + 1) * eval_per_class]
-            .reshape(-1, mcfg.latent_dim) for c in range(mcfg.n_classes)}
+            .reshape(-1, data.LATENT_DIM) for c in range(data.N_CLASSES)}
 
 
 def decode_and_score(model: MarModel, cfg: dict, seed: int) -> dict[str, float]:
-    """Decode every class as :func:`decode_config` reads ``cfg``, each from
+    """Decode every class as :func:`config.decode_config_from` reads ``cfg``, each from
     its own seed; mean scores against held-out pools."""
     eval_per_class = cfg["sweep"]["eval_per_class"]
     pools = heldout_pools(model.cfg, eval_per_class, cfg["data"]["jitter"])
     reports = []
-    for c in range(model.cfg.n_classes):
-        dcfg = decode_config(cfg, model, 40_000 + 97 * seed + c)
+    for c in range(data.N_CLASSES):
+        dcfg = decode_config_from(cfg, 40_000 + 97 * seed + c, model.head.cfg)
         latents, _ = model.decode(c, eval_per_class, dcfg)
         reports.append(metrics.evaluate_samples(
-            latents.reshape(-1, model.cfg.latent_dim), pools[c], model.cfg.head_kind,
+            latents.reshape(-1, data.LATENT_DIM), pools[c], model.cfg.head_kind,
             1, seed, cfg["metrics"]["bandwidth"]))
-    out = {k: sum(getattr(r, k) for r in reports) / model.cfg.n_classes
-           for k in SCORES}
+    out = {k: sum(getattr(r, k) for r in reports) / data.N_CLASSES for k in SCORES}
     out["n"] = sum(r.n for r in reports)
     return out
 
@@ -343,8 +308,7 @@ def _grid_config(cfg: dict, param: str, value) -> dict:
     section, name = SWEEP_PARAMS[param][0].split(".")
     sub[section][name] = value
     try:
-        check_ranges(sub)
-        mar_config_from(sub).head_config()
+        check_config(sub)
     except ValueError as exc:
         raise ConfigError(f"--values {value!r}: {exc}") from None
     return sub

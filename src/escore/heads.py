@@ -6,7 +6,7 @@ latent in one forward pass; diffusion, flow-matching, shortcut, and
 mean-flow are the multi/few-step baselines. Their losses are fixed here,
 and so is one sampling loop for all four, which differ only in their time
 grid and per-step update, and one rule for the step counts a head takes
-(:meth:`Head.check_steps`).
+(:meth:`HeadConfig.check_steps`).
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from . import graph as G
 from . import nn
+from .data import LATENT_DIM
 from .rng import Stream
 
 HEAD_KINDS = ("energy", "diffusion", "flow", "shortcut", "meanflow")
@@ -23,6 +24,7 @@ WIRING_NOISE_AS_INPUT = "noise_as_input"
 WIRING_NOISE_AS_CONDITION = "noise_as_condition"
 HEAD_PREFIX = "head"   # the head's parameter names start "head."
 BETA_MAX = 0.999             # clip of the diffusion schedule's per-step betas
+X0_CLIP = 4.0                # denoised-estimate clamp during diffusion sampling
 SHORTCUT_LEVELS = 7          # dyadic step grid {1, 1/2, ..., 1/2^(levels-1)}
 CONSISTENCY_FRAC = 0.25      # share of shortcut rows trained for self-consistency
 R_EQ_T_PROB = 0.75           # share of mean-flow rows drawn with r = t
@@ -30,19 +32,17 @@ R_EQ_T_PROB = 0.75           # share of mean-flow rows drawn with r = t
 
 @dataclass(frozen=True)
 class HeadConfig:
-    """One head's shape and sampler settings, saved whole in its checkpoint.
-    The training mixes of the shortcut and mean-flow losses and the diffusion
-    schedule's beta clip are module constants, not fields."""
+    """One head's shape and sampler settings, saved whole in its checkpoint. The
+    latent width, the shortcut and mean-flow training mixes and the diffusion
+    sampler's clips are module constants, not fields."""
     kind: str
-    latent_dim: int = 2
-    noise_dim: int = 2           # defaults to the latent dim's one-to-one mapping
+    noise_dim: int = LATENT_DIM  # defaults to the latent dim's one-to-one mapping
     width: int = 256
     depth: int = 3
     context_dim: int = 16
     wiring: str = WIRING_NOISE_AS_INPUT   # energy only; Figure-style (a)/(b) choice
     m_samples: int = 2           # model samples per target in the energy loss
     t_diff: int = 100            # diffusion chain length
-    x0_clip: float = 4.0         # denoised-estimate clamp during sampling
     time_feat_dim: int = 16
 
     def __post_init__(self):
@@ -55,6 +55,16 @@ class HeadConfig:
         if self.time_feat_dim % 2:
             raise ValueError("time_feat_dim must be even")
 
+    def check_steps(self, steps: int) -> None:
+        """Rejects a step count this head cannot sample with, before any work."""
+        if steps < 1:
+            raise ValueError(f"head steps must be >= 1, got {steps}")
+        if self.kind == "energy" and steps != 1:
+            raise ValueError("energy heads sample in exactly one step")
+        if self.kind == "diffusion" and steps > self.t_diff:
+            raise ValueError(f"a diffusion head takes at most its chain length "
+                             f"t_diff = {self.t_diff} steps, got {steps}")
+
     @property
     def n_time_inputs(self) -> int:
         return {"energy": 0, "diffusion": 1, "flow": 1,
@@ -64,7 +74,7 @@ class HeadConfig:
     def input_dim(self) -> int:
         if self.kind == "energy":
             return energy_inputs(self, self.context_dim, self.noise_dim)[0]
-        return self.latent_dim
+        return LATENT_DIM
 
     @property
     def cond_dim(self) -> int:
@@ -149,7 +159,7 @@ def register_head(params: nn.ParameterSet, cfg: HeadConfig, seed: int) -> None:
     for k in range(cfg.depth):
         nn.AdaLnResBlock(f"{HEAD_PREFIX}.block{k}", cfg.width,
                          cfg.cond_dim).register(params, seed)
-    nn.add_linear(params, seed, f"{HEAD_PREFIX}.out", cfg.width, cfg.latent_dim, zero=True)
+    nn.add_linear(params, seed, f"{HEAD_PREFIX}.out", cfg.width, LATENT_DIM, zero=True)
 
 
 def build_head(cfg: HeadConfig, leaves: dict[str, G.Node], inp: G.Node,
@@ -190,9 +200,9 @@ def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], context: G.Node,
               "shortcut": "target", "meanflow": "target"}[cfg.kind]
     diff = pred - aux[target]
     # mean squared error per row: (1/d) sum_d (pred - target)^2
-    ones = context.graph.constant(np.ones((cfg.latent_dim, 1)))
+    ones = context.graph.constant(np.ones((LATENT_DIM, 1)))
     sq_rows = G.reshape(G.matmul(diff * diff, ones), (diff.shape[0],))
-    rows = G.scale(sq_rows, 1.0 / cfg.latent_dim)
+    rows = G.scale(sq_rows, 1.0 / LATENT_DIM)
     if "roww" in aux:
         rows = rows * aux["roww"]   # adaptive weights, constant to the gradient
     return rows
@@ -334,34 +344,24 @@ class Head:
                 "t0": time_features(r, f), "t1": time_features(t, f), "roww": roww}
 
     # -- sampling -------------------------------------------------------------
-    def check_steps(self, steps: int) -> None:
-        """Rejects a step count this head cannot sample with, before any work."""
-        if steps < 1:
-            raise ValueError(f"head steps must be >= 1, got {steps}")
-        if self.cfg.kind == "energy" and steps != 1:
-            raise ValueError("energy heads sample in exactly one step")
-        if self.cfg.kind == "diffusion" and steps > self.cfg.t_diff:
-            raise ValueError(f"a diffusion head takes at most its chain length "
-                             f"t_diff = {self.cfg.t_diff} steps, got {steps}")
-
     def sample(self, context: np.ndarray, steps: int, rng: Stream) -> np.ndarray:
         """Draw len(context) latents: the energy head in one pass, the others
         from ``z0`` noise in one pass per step. Flow and shortcut take Euler
         steps from t=0 to t=1, mean-flow average-velocity jumps from t=1 to
         t=0, and diffusion clipped ancestral steps down the respaced chain."""
         cfg = self.cfg
-        self.check_steps(steps)
+        cfg.check_steps(steps)
         rows, c, f = len(context), cfg.context_dim, cfg.time_feat_dim
         if cfg.kind == "energy":
             return self.energy_sample(context, rng.child("noise").normal((rows, cfg.noise_dim)))
-        z = rng.child("z0").normal((rows, cfg.latent_dim))
+        z = rng.child("z0").normal((rows, LATENT_DIM))
         if cfg.kind == "diffusion":
             taus = self.schedule.respaced(steps)
             feats = time_features(taus / cfg.t_diff, f)
             # step k's noise comes from its own step{k} stream; the last step adds
             # none. Rewrapping the key also takes the tests' one-key reference streams.
             noise = Stream(rng.key).child([f"step{k}" for k in range(steps - 1)]) \
-                .normal((rows, cfg.latent_dim))
+                .normal((rows, LATENT_DIM))
         elif cfg.kind == "meanflow":
             grid = np.linspace(1.0, 0.0, steps + 1)
             at = time_features(grid, f)
@@ -387,12 +387,12 @@ class Head:
 
     def _ancestral_step(self, z, eps_hat, taus, k, noise):
         """One clipped ancestral step from chain time taus[k] to the next."""
-        cfg, sched = self.cfg, self.schedule
+        sched = self.schedule
         lo = taus[k + 1] if k + 1 < len(taus) else 0
         ab_hi = sched.alphabar[taus[k]]
         ab_lo = sched.alphabar[lo]
         x0 = (z - np.sqrt(1.0 - ab_hi) * eps_hat) / np.sqrt(ab_hi)
-        x0 = np.clip(x0, -cfg.x0_clip, cfg.x0_clip)
+        x0 = np.clip(x0, -X0_CLIP, X0_CLIP)
         alpha_eff = ab_hi / ab_lo
         beta_eff = 1.0 - alpha_eff
         mean = (np.sqrt(ab_lo) * beta_eff / (1.0 - ab_hi)) * x0 \

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import graph as G
 from . import nn
-from .data import N_CLASSES, conditional_sequences
+from .data import LATENT_DIM, N_CLASSES, conditional_sequences
 from .heads import Head, HeadConfig, build_loss_rows
 from .rng import Stream
 
@@ -37,7 +37,6 @@ BACKBONE_PREFIX = "backbone"   # the backbone's parameter names start "backbone.
 @dataclass(frozen=True)
 class MarConfig:
     seq_len: int = 16
-    latent_dim: int = 2
     hidden_dim: int = 64
     n_blocks: int = 4
     n_heads: int = 4
@@ -49,11 +48,27 @@ class MarConfig:
     mask_lo: float = 0.70
     mask_hi: float = 1.00
     p_drop: float = 0.10
-    n_classes: int = N_CLASSES
+
+    def __post_init__(self):
+        for name, in_range, words in (("mask_lo", 0 < self.mask_lo <= 1, "in (0, 1]"),
+                                      ("mask_hi", 0 < self.mask_hi <= 1, "in (0, 1]"),
+                                      ("p_drop", 0 <= self.p_drop < 1, "in [0, 1)")):
+            if not in_range:
+                raise ValueError(f"mar.{name} must be a number {words}, "
+                                 f"got {getattr(self, name)!r}")
+        if self.mask_lo > self.mask_hi:
+            raise ValueError(f"mar.mask_lo must be <= mar.mask_hi, got {self.mask_lo!r} > "
+                             f"{self.mask_hi!r}")
+        # shortcut and mean-flow targets evaluate the head on numpy context
+        # rows, which a MAR step has only inside its graph
+        kinds = ("energy", "diffusion", "flow")
+        if self.head_kind not in kinds:
+            raise ValueError(f"mar.head_kind must be one of {kinds}, the head kinds "
+                             f"MAR can train, got {self.head_kind!r}")
+        self.head_config()   # the head's own rules
 
     def head_config(self) -> HeadConfig:
-        return HeadConfig(kind=self.head_kind, latent_dim=self.latent_dim,
-                          noise_dim=self.latent_dim, width=self.head_width,
+        return HeadConfig(kind=self.head_kind, width=self.head_width,
                           depth=self.head_depth, context_dim=self.hidden_dim,
                           wiring=self.wiring, m_samples=self.m_samples)
 
@@ -92,14 +107,14 @@ class Backbone:
 
     def register(self, params: nn.ParameterSet, seed: int) -> None:
         cfg, pre = self.cfg, BACKBONE_PREFIX
-        nn.add_linear(params, seed, f"{pre}.latent_in", cfg.latent_dim, cfg.hidden_dim)
+        nn.add_linear(params, seed, f"{pre}.latent_in", LATENT_DIM, cfg.hidden_dim)
         params.add(f"{pre}.mask_token",
                    nn.kaiming_uniform(seed, f"{pre}.mask_token", (cfg.hidden_dim,),
                                       cfg.hidden_dim))
         # one embedding row per class plus the trailing null row
         params.add(f"{pre}.class_embed",
                    nn.kaiming_uniform(seed, f"{pre}.class_embed",
-                                      (cfg.n_classes + 1, cfg.hidden_dim),
+                                      (N_CLASSES + 1, cfg.hidden_dim),
                                       cfg.hidden_dim))
         params.add(f"{pre}.pos_embed",
                    0.02 * Stream.from_seed(seed, f"init/{pre}.pos_embed").normal(
@@ -137,13 +152,13 @@ class Backbone:
         return x, self.blocks[-1].attend(leaves, x)
 
 
-def one_hot_classes(ids: np.ndarray, n_classes: int) -> np.ndarray:
+def one_hot_classes(ids: np.ndarray) -> np.ndarray:
     """Class ids (with NULL_CLASS mapped to the extra row) -> one-hot rows."""
     ids = np.asarray(ids)
-    if np.any((ids < NULL_CLASS) | (ids >= n_classes)):
+    if np.any((ids < NULL_CLASS) | (ids >= N_CLASSES)):
         raise ValueError(f"class ids out of range: {ids}")
-    out = np.zeros((len(ids), n_classes + 1))
-    out[np.arange(len(ids)), np.where(ids == NULL_CLASS, n_classes, ids)] = 1.0
+    out = np.zeros((len(ids), N_CLASSES + 1))
+    out[np.arange(len(ids)), np.where(ids == NULL_CLASS, N_CLASSES, ids)] = 1.0
     return out
 
 
@@ -177,9 +192,9 @@ class MarModel:
             cfg = self.cfg
             g = G.Graph()
             leaves = G.declare(g, self._backbone_params)
-            latents = g.leaf("latents", (bsz, cfg.seq_len, cfg.latent_dim))
+            latents = g.leaf("latents", (bsz, cfg.seq_len, LATENT_DIM))
             mask = g.leaf("mask", (bsz, cfg.seq_len, 1))
-            onehot = g.leaf("onehot", (bsz, cfg.n_classes + 1))
+            onehot = g.leaf("onehot", (bsz, N_CLASSES + 1))
             both = self.backbone.attend(leaves, latents, mask, onehot)
             g.set_output(G.concat([G.narrow(n, 1, PREFIX_TOKENS, cfg.seq_len) for n in both],
                                   axis=-1))
@@ -210,7 +225,7 @@ class MarModel:
         mask = masked.astype(np.float64)[..., None]
         front = G.evaluate(self._front_graph(bsz), {
             "latents": latents * (1.0 - mask), "mask": mask,
-            "onehot": one_hot_classes(class_ids, self.cfg.n_classes)}).output
+            "onehot": one_hot_classes(class_ids)}).output
         rows = front.reshape(-1, front.shape[-1]) if positions is None else front[positions]
         n = len(rows)
         if n % 2:
@@ -262,8 +277,6 @@ class MarModel:
         stream: (B, L) bools with ceil(rate * L) positions set, the rate
         drawn from its ``rate`` child ~ U[mask_lo, mask_hi)."""
         lo, hi = self.cfg.mask_lo, self.cfg.mask_hi
-        if not 0.0 < lo <= hi <= 1.0:
-            raise ValueError(f"bad masking rate range [{lo}, {hi})")
         length = latents.shape[1]
         seqs = rng.child([f"seq/{j}" for j in range(len(latents))])
         rate = np.full(seqs.key.shape, lo) if hi == lo \
@@ -293,11 +306,11 @@ class MarModel:
         bindings = {
             "latents": latents * (1.0 - mask_f[..., None]),
             "mask": mask_f[..., None],
-            "onehot": one_hot_classes(ids, cfg.n_classes),
+            "onehot": one_hot_classes(ids),
             "weight": weight,
             "weight_inv": np.asarray(1.0 / weight.sum()),
         }
-        y_rows = latents.reshape(rows, cfg.latent_dim)
+        y_rows = latents.reshape(rows, LATENT_DIM)
         bindings.update(self.head.loss_bindings(y_rows, rng.child("head")))
         if teacher is not None:
             bindings["h_teacher"] = teacher.represent(latents, masked, ids)
@@ -326,13 +339,13 @@ class MarModel:
         """Rejects a class, iteration count or head step count this model
         cannot decode with, before any work is done."""
         cfg = self.cfg
-        if class_id is not None and not 0 <= class_id < cfg.n_classes:
-            raise ValueError(f"class id must be in [0, {cfg.n_classes}) or null, "
+        if class_id is not None and not 0 <= class_id < N_CLASSES:
+            raise ValueError(f"class id must be in [0, {N_CLASSES}) or null, "
                              f"got {class_id}")
         if not 1 <= dcfg.iterations <= cfg.seq_len:
             raise ValueError(f"iterations must be in [1, {cfg.seq_len}], "
                              f"got {dcfg.iterations}")
-        self.head.check_steps(dcfg.head_steps)
+        self.head.cfg.check_steps(dcfg.head_steps)
 
     def _unmask_counts(self, dcfg: DecodeConfig) -> list[int]:
         """Positions generated per iteration; covers all L exactly once."""
@@ -371,8 +384,8 @@ class MarModel:
         if energy:
             # each position is generated exactly once, so each draw is used once
             noise = Stream(seqs.key[:, None]).child(
-                [f"pos/{i}/noise" for i in range(cfg.seq_len)]).normal((cfg.latent_dim,))
-        latents = np.zeros((n_seq, cfg.seq_len, cfg.latent_dim))
+                [f"pos/{i}/noise" for i in range(cfg.seq_len)]).normal((LATENT_DIM,))
+        latents = np.zeros((n_seq, cfg.seq_len, LATENT_DIM))
         generated = np.zeros((n_seq, cfg.seq_len), dtype=bool)
         null = class_id is None or dcfg.cfg_scale == 0.0
         ids = np.full(n_seq, NULL_CLASS if null else class_id)
@@ -438,12 +451,12 @@ def class_pools(cfg: MarConfig, seed: int, per_class: int,
                 jitter: float = 0.02, tag: str = "train") -> tuple[np.ndarray, np.ndarray]:
     """Stacked dataset of all classes: (n, L, d) latents + class ids, each
     class's ``per_class`` sequences in a row."""
-    latents = np.empty((cfg.n_classes * per_class, cfg.seq_len, cfg.latent_dim))
-    for c in range(cfg.n_classes):
+    latents = np.empty((N_CLASSES * per_class, cfg.seq_len, LATENT_DIM))
+    for c in range(N_CLASSES):
         sub_seed = int(Stream.from_seed(seed, f"pool/{tag}/class{c}").key % (1 << 62))
         latents[c * per_class:(c + 1) * per_class] = conditional_sequences(
             c, per_class, cfg.seq_len, seed=sub_seed, jitter=jitter)
-    return latents, np.repeat(np.arange(cfg.n_classes), per_class)
+    return latents, np.repeat(np.arange(N_CLASSES), per_class)
 
 
 def train_mar(model: MarModel, *, steps: int, batch: int, lr: float = 1e-3,

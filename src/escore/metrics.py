@@ -423,8 +423,8 @@ class MetricsReport:
     energy_v: float | None
     bandwidth: float | None
 
-    CSV_HEADER = "method,steps,seed,n,mmd,wsd,energy_u,energy_v,bandwidth"
     VALUES = ("mmd", "wsd", "energy_u", "energy_v", "bandwidth")
+    CSV_HEADER = ("method", "steps", "seed", "n") + VALUES
 
     def __post_init__(self):
         for name in self.VALUES:
@@ -434,10 +434,10 @@ class MetricsReport:
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
 
-    def csv_row(self) -> str:
+    def csv_row(self) -> list[str]:
         values = [getattr(self, name) for name in self.VALUES]
-        return ",".join([self.method, str(self.steps), str(self.seed), str(self.n)]
-                        + ["" if v is None else repr(v) for v in values])
+        return ([self.method, str(self.steps), str(self.seed), str(self.n)]
+                + ["" if v is None else repr(v) for v in values])
 
 
 def evaluate_samples(generated, reference, method: str, steps: int, seed: int,

@@ -384,7 +384,10 @@ def config_from_manifest(cls, manifest: dict, key: str, source):
         if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
             raise ValueError(f"{source}: {key} field {name!r} must be {kind.__name__}, "
                              f"got {value!r}")
-    return cls(**saved)
+    try:
+        return cls(**saved)   # the dataclass's own rules
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_model(cls, config_cls, key: str, path):

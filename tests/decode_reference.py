@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from escore.data import LATENT_DIM
 from escore.mar import NULL_CLASS, DecodeConfig, MarModel, cfg_combine
 
 from rng_reference import Stream
@@ -23,7 +24,7 @@ def decode(model: MarModel, class_id: int | None, n_seq: int,
     cfg = model.cfg
     counts = model._unmask_counts(dcfg)
     root = Stream.from_seed(dcfg.seed, "decode")
-    latents = np.zeros((n_seq, cfg.seq_len, cfg.latent_dim))
+    latents = np.zeros((n_seq, cfg.seq_len, LATENT_DIM))
     generated = np.zeros((n_seq, cfg.seq_len), dtype=bool)
     ids = np.full(n_seq, NULL_CLASS if class_id is None else class_id)
     backbone_before = model.backbone_forwards
@@ -51,7 +52,7 @@ def decode(model: MarModel, class_id: int | None, n_seq: int,
                 raise ValueError("energy heads sample in exactly one step")
             noise = np.stack([
                 root.child(f"seq/{j}").child(f"pos/{i}/noise")
-                .normal((cfg.latent_dim,)) for j, i in chosen])
+                .normal((LATENT_DIM,)) for j, i in chosen])
             out = model.head.energy_sample(ctx, noise)
         else:
             out = model.head.sample(ctx, dcfg.head_steps, root.child(f"iter/{k}/head"))

@@ -17,7 +17,7 @@ import numpy as np
 
 from escore import data, nn, rng
 from escore import graph as G
-from escore.heads import time_features
+from escore.heads import X0_CLIP, time_features
 from escore.mar import class_pools
 
 from rng_reference import Stream
@@ -26,7 +26,7 @@ from rng_reference import Stream
 def sample_diffusion(head, context: np.ndarray, steps: int, stream: Stream) -> np.ndarray:
     """``Head.sample`` for a diffusion head."""
     cfg, sched = head.cfg, head.schedule
-    rows, d, f = len(context), cfg.latent_dim, cfg.time_feat_dim
+    rows, d, f = len(context), data.LATENT_DIM, cfg.time_feat_dim
     taus = sched.respaced(steps)
     z = stream.child("z0").normal((rows, d))
     for k, tau in enumerate(taus):
@@ -36,7 +36,7 @@ def sample_diffusion(head, context: np.ndarray, steps: int, stream: Stream) -> n
         feats = time_features(np.full(rows, tau / cfg.t_diff), f)
         eps_hat = head.forward_values(z, np.concatenate([context, feats], axis=1))
         x0 = (z - np.sqrt(1.0 - ab_hi) * eps_hat) / np.sqrt(ab_hi)
-        x0 = np.clip(x0, -cfg.x0_clip, cfg.x0_clip)
+        x0 = np.clip(x0, -X0_CLIP, X0_CLIP)
         alpha_eff = ab_hi / ab_lo
         beta_eff = 1.0 - alpha_eff
         mean = (np.sqrt(ab_lo) * beta_eff / (1.0 - ab_hi)) * x0 \
@@ -50,7 +50,7 @@ def sample_diffusion(head, context: np.ndarray, steps: int, stream: Stream) -> n
 
 def sample_flow(head, context: np.ndarray, steps: int, stream: Stream) -> np.ndarray:
     """``Head.sample`` for a flow head."""
-    rows, d, f = len(context), head.cfg.latent_dim, head.cfg.time_feat_dim
+    rows, d, f = len(context), data.LATENT_DIM, head.cfg.time_feat_dim
     z = stream.child("z0").normal((rows, d))
     dt = 1.0 / steps
     for k in range(steps):
@@ -61,7 +61,7 @@ def sample_flow(head, context: np.ndarray, steps: int, stream: Stream) -> np.nda
 
 def sample_shortcut(head, context: np.ndarray, steps: int, stream: Stream) -> np.ndarray:
     """``Head.sample`` for a shortcut head."""
-    rows, d, f = len(context), head.cfg.latent_dim, head.cfg.time_feat_dim
+    rows, d, f = len(context), data.LATENT_DIM, head.cfg.time_feat_dim
     z = stream.child("z0").normal((rows, d))
     dt = 1.0 / steps
     dfeat = time_features(np.full(rows, dt), f)
@@ -75,7 +75,7 @@ def sample_shortcut(head, context: np.ndarray, steps: int, stream: Stream) -> np
 def sample_meanflow(head, context: np.ndarray, steps: int, stream: Stream) -> np.ndarray:
     """``Head.sample`` for a mean-flow head: average-velocity jumps from t=1
     (noise) down to t=0 (data)."""
-    rows, d, f = len(context), head.cfg.latent_dim, head.cfg.time_feat_dim
+    rows, d, f = len(context), data.LATENT_DIM, head.cfg.time_feat_dim
     z = stream.child("z0").normal((rows, d))
     grid = np.linspace(1.0, 0.0, steps + 1)
     for hi, lo in zip(grid[:-1], grid[1:]):

@@ -3,7 +3,7 @@
 These are the four per-parameter cells that ``experiments._sweep_cell``
 replaced, with the ``decode_and_score`` they scored through and the table
 writer of ``run_sweep``, run serially. Their decodes read ``cfg["decode"]``
-as ``experiments.decode_config`` does, with the chain length as head steps
+as ``config.decode_config_from`` does, with the chain length as head steps
 for a non-energy student. On the grids they could run (the m
 and wiring cells trained no teacher, so only at lambda = 0), the single
 cell must write the same ``sweep.csv`` and ``sweep_cells.csv`` bytes and
@@ -19,6 +19,7 @@ import numpy as np
 
 from escore import metrics
 from escore.config import config_digest
+from escore.data import LATENT_DIM, N_CLASSES
 from escore.experiments import build_mar_model, heldout_pools, write_loss_csv
 from escore.mar import DecodeConfig, MarModel, train_mar
 from escore.metrics import energy_statistic
@@ -44,12 +45,12 @@ def decode_and_score(model: MarModel, cfg: dict, cfg_scale: float, seed: int,
     pools = heldout_pools(model.cfg, eval_per_class, cfg["data"]["jitter"])
     agg = {"mmd": 0.0, "wsd": 0.0, "energy_u": 0.0, "energy_v": 0.0}
     n_total = 0
-    for c in range(model.cfg.n_classes):
+    for c in range(N_CLASSES):
         dcfg = DecodeConfig(iterations=d["iterations"], cfg_scale=cfg_scale,
                             schedule=d["schedule"], seed=40_000 + 97 * seed + c,
                             head_steps=head_steps)
         latents, _ = model.decode(c, eval_per_class, dcfg)
-        gen = latents.reshape(-1, model.cfg.latent_dim)
+        gen = latents.reshape(-1, LATENT_DIM)
         ref = pools[c]
         mmd2, _ = metrics.mmd_gaussian(gen, ref, cfg["metrics"]["bandwidth"])
         agg["mmd"] += mmd2
@@ -57,7 +58,7 @@ def decode_and_score(model: MarModel, cfg: dict, cfg_scale: float, seed: int,
         agg["energy_u"] += energy_statistic(gen, ref, mode="u")
         agg["energy_v"] += energy_statistic(gen, ref, mode="v")
         n_total += len(gen)
-    out = {k: v / model.cfg.n_classes for k, v in agg.items()}
+    out = {k: v / N_CLASSES for k, v in agg.items()}
     out["n"] = n_total
     return out
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import resource
@@ -204,6 +205,18 @@ def test_eval_computes_only_the_named_metrics(tmp_path, capsys):
                  "--out", str(out), "--metrics", ","]) == 1
 
 
+def test_eval_quotes_a_method_with_a_comma_and_a_quote(tmp_path):
+    points = tmp_path / "p.csv"
+    data.write_points_csv(points, gaussian_source(8, 2, seed=1).points)
+    out = tmp_path / "m.csv"
+    method = 'a,"b'
+    assert main(["eval", "--generated", str(points), "--reference", str(points),
+                 "--out", str(out), "--method", method, "--steps", "3"]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["method"], row["steps"], row["wsd"]) for row in rows] == [(method, "3", "0.0")]
+
+
 def test_train_mar_and_decode_roundtrip(tmp_path):
     run = tmp_path / "teacher"
     rc = main(["train-mar", "--role", "teacher", "--seed", "2",
@@ -298,18 +311,15 @@ def test_checkpoint_extra_records_each_fact_once(tmp_path, argv, ckpt, keys):
 
 
 @pytest.mark.parametrize("field", ["beta_max", "shortcut_levels", "consistency_frac",
-                                   "r_eq_t_prob"])
+                                   "r_eq_t_prob", "x0_clip", "latent_dim"])
 def test_checkpoint_with_a_retired_head_field_is_a_usage_error(tmp_path, capsys, field):
-    """The four head settings that became module constants are unknown
-    fields of a saved head config."""
+    """The head settings that became module constants are unknown fields of
+    a saved head config."""
     from escore.heads import HeadConfig
     from escore.swiss import ToyHeadModel
     ckpt = tmp_path / "head.ckpt"
     ToyHeadModel(HeadConfig(kind="diffusion", width=8, depth=1), seed=0).save(ckpt)
-    header, payload = ckpt.read_bytes().split(b"\n", 1)
-    manifest = json.loads(header)
-    manifest["extra"]["head_config"][field] = 1
-    ckpt.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    _rewrite_manifest(ckpt, _config_edit(lambda cfg: cfg.update({field: 1})))
     rc = main(["sample", "--ckpt", str(ckpt), "--steps", "1", "--n", "4",
                "--out", str(tmp_path / "s.csv")])
     err = capsys.readouterr().err
@@ -548,7 +558,6 @@ SWEEP_GRIDS = {   # id -> (--param, grid values, extra overrides)
 }
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("grid", sorted(SWEEP_GRIDS))
 def test_sweep_matches_per_parameter_reference(tmp_path, grid):
     """The one sweep cell writes the tables and trains the models that the
@@ -591,7 +600,7 @@ def test_sweep_cell_decodes_with_the_head_steps_decode_uses(tmp_path, monkeypatc
     def spy(model, class_id, n_seq, dcfg):
         seen.append(dcfg)
         s = Stream.from_seed(class_id, "fake")
-        return s.normal((n_seq, model.cfg.seq_len, model.cfg.latent_dim)), {}
+        return s.normal((n_seq, model.cfg.seq_len, data.LATENT_DIM)), {}
 
     monkeypatch.setattr(MarModel, "decode", spy)
     cfg = resolve_config(TINY_MAR[1::2] + [f"mar.head_kind={kind}",
@@ -669,6 +678,25 @@ TINY_COMPARE = ["--set", "compare.seeds=[1]",
                 "--set", "compare.multi_steps=[4,100]",
                 "--set", "head.width=16", "--set", "head.depth=1",
                 "--set", "train.batch=16", "--set", "data.pool=256"]
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["compare-swissroll", "--set", "head.m=1"] + TINY_COMPARE, "m_samples must be >= 2"),
+    (["compare-swissroll", "--set", "head.wiring=bogus"] + TINY_COMPARE,
+     "unknown wiring 'bogus'"),
+    (["compare-swissroll", "--set", "head.t_diff=1"] + TINY_COMPARE,
+     "a diffusion head takes at most its chain length t_diff = 1 steps, got 4"),
+    (["sweep", "--param", "cfg", "--values", "2", "--set", "decode.schedule=bogus",
+      "--set", "sweep.seeds=[1]"] + TINY_MAR, "unknown unmask schedule 'bogus'"),
+], ids=["compare-m", "compare-wiring", "compare-t-diff", "sweep-schedule"])
+def test_bad_model_setting_fails_before_the_verb_writes(tmp_path, capsys, argv, cause):
+    from escore.config import DEFAULTS
+    assert {4, 100} <= set(DEFAULTS["compare"]["multi_steps"])   # the grid t_diff checks
+    out = tmp_path / "run"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_compare_swissroll_tiny(tmp_path):
@@ -758,15 +786,22 @@ BAD_CHECKPOINTS = {   # defect -> (part edited, its edit, cause printed)
                  "{path}: checkpoint header is not a JSON manifest"),
     "config-unknown": ("manifest", _config_edit(lambda cfg: cfg.update(stray=1)),
                        "has unknown field 'stray'"),
-    "config-missing": ("manifest", _config_edit(lambda cfg: cfg.pop("latent_dim")),
-                       "is missing field 'latent_dim'"),
-    "config-type": ("manifest", _config_edit(lambda cfg: cfg.update(latent_dim="2")),
-                    "field 'latent_dim' must be int"),
+    "config-missing": ("manifest", _config_edit(lambda cfg: cfg.pop("m_samples")),
+                       "is missing field 'm_samples'"),
+    "config-type": ("manifest", _config_edit(lambda cfg: cfg.update(m_samples="2")),
+                    "field 'm_samples' must be int"),
     "no-params": ("manifest", lambda manifest: manifest.pop("params"), "no 'params' list"),
     "no-seed": ("manifest", lambda manifest: manifest.pop("seed"), "no integer 'seed'"),
     "params-entry": ("manifest", lambda manifest: manifest["params"][1].pop("shape"),
                      "params entry 1"),
 }
+
+
+def _rewrite_manifest(path, edit) -> None:
+    header, payload = Path(path).read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    edit(manifest)
+    Path(path).write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
 
 
 def _spoil(path, defect, name):
@@ -776,10 +811,7 @@ def _spoil(path, defect, name):
     if part == "bytes":
         Path(path).write_bytes(edit(Path(path).read_bytes()))
     elif part == "manifest":
-        header, payload = Path(path).read_bytes().split(b"\n", 1)
-        manifest = json.loads(header)
-        edit(manifest)
-        Path(path).write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        _rewrite_manifest(path, edit)
     else:
         manifest, values = nn.load_checkpoint(path)
         params = nn.ParameterSet()
@@ -816,6 +848,24 @@ def test_decode_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defe
                "--out", str(tmp_path / "dec")])
     err = capsys.readouterr().err
     assert rc == 1 and cause in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change,cause", [
+    ({"head_kind": "shortcut"}, "mar.head_kind must be one of ('energy', 'diffusion', 'flow')"),
+    ({"mask_lo": 0.9, "mask_hi": 0.8}, "mar.mask_lo must be <= mar.mask_hi, got 0.9 > 0.8"),
+], ids=["head-kind", "mask-order"])
+def test_decode_rejects_a_mar_config_its_rules_forbid(tmp_path, capsys, change, cause):
+    from escore.mar import MarConfig, MarModel
+    ckpt = tmp_path / "mar.ckpt"
+    MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                       head_width=16, head_depth=1), 0).save(ckpt)
+    _rewrite_manifest(ckpt, _config_edit(lambda cfg: cfg.update(change)))
+    out = tmp_path / "dec"
+    rc = main(["decode", "--ckpt", str(ckpt), "--n", "2", "--iterations", "2",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and f"{ckpt}: {cause}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -35,8 +35,16 @@ column now holds the step's warmed-up rate, as the MAR logs do, so the
 warm-up rows changed), both ``mar.ckpt`` (the config digest, and ``extra``
 lost ``m`` and ``wiring``, which repeat ``mar_config``) and both
 ``decode_stats.json`` (the ``guided`` entry is gone). The Haswell table was
-recorded after that, once. Running this file as a script prints the current
-pair's table.
+recorded after that, once.
+
+All three tables were recorded again, once, when the head, MAR and decode
+dataclasses became the only home of their settings' rules. Exactly seven
+artifacts moved in each: the five toy ``head.ckpt`` and both ``mar.ckpt``,
+because their manifests lost the retired fields (``head_config`` lost
+``latent_dim`` and ``x0_clip``, ``mar_config`` lost ``latent_dim`` and
+``n_classes``, all now module constants). Their parameter bytes and the
+other thirteen artifacts did not change on any of the three pairs. Running
+this file as a script prints the current pair's table.
 """
 import ctypes
 import glob
@@ -48,8 +56,6 @@ import numpy as np
 import pytest
 
 from escore.cli import main
-
-pytestmark = pytest.mark.dispatch_path   # the CI reruns every test here on the AVX2 path
 
 
 def _dispatch_path() -> str:
@@ -96,22 +102,22 @@ GOLDEN = {
         "decode_diffusion/sequences.csv": "de243d6a3a61c20075d32ef92b49534c6a8fac1af7bcc48f19500e738337232e",
         "decode_energy/decode_stats.json": "34d82d2f6b85919dee6785f81657a871fe8380312682856c7233c8d5b8733de8",
         "decode_energy/sequences.csv": "71d5d112b9c191730daf04e1d950624711c98f929d5f81f8a7e150c080ed4da4",
-        "diffusion/head.ckpt": "64c98c03271b95b2846ba12f5bf05ed304c49aa0c292bdcd46b46ed7f892da54",
+        "diffusion/head.ckpt": "024ed409d779bee3e55b10803a47f02493838b4db7fb60cbbbb12b25a9509384",
         "diffusion/loss.csv": "9895388f3bb74646b7818b09f95cb8ec3603bd81522adcebf3d80f9786dded7a",
-        "energy/head.ckpt": "10505758c8c86ad511167307a562548e904a8f61ca3de968d1f4081eb362a647",
+        "energy/head.ckpt": "9fb6444835bfd666e7a6ea2306e25fe06d31d915d77b2869136f3b354b50d6c6",
         "energy/loss.csv": "cdbb2e4c4895e8d065b2b37231b9ffc0b3dd31a86445bab822e52448660b5c4a",
         "eval.csv": "657907e360a42b1fd29dee8489b04fb0e08362f08a42b6b478421f343cf99563",
-        "flow/head.ckpt": "859bf55162c8deef7f519204841a2d3ec03a051e795b3ae5c881f9c9e63e17e1",
+        "flow/head.ckpt": "d5bd9e8051276dde92b784140a080823e7b135db1be16d20c942133bd978fbfd",
         "flow/loss.csv": "079aadb69a040a891aa93ef356f61a1e923a9097ba8428143d0f51e5d4528498",
-        "meanflow/head.ckpt": "34d6be7669c3ef0aacb458627f1aac5259a9af6d2b04c8b6ff93bec37617d3dd",
+        "meanflow/head.ckpt": "4502059265f5f3eddd039a7cd43b8d38d0c74917e53634ec9ee17725ee6c11c4",
         "meanflow/loss.csv": "0ac0f0467fd4bbc0a1f3dade73da9e89d14a16591a87c93c44b8ce5261481f36",
         "samples.csv": "965c26e44f07a87dad22a0aec6cf5136ad479e70a90e337a83517a23f9cbcb7a",
-        "shortcut/head.ckpt": "4129e47042740c9ae3b5e38d57a6f37923588cfc8ec689ca0b0cf17f93cce712",
+        "shortcut/head.ckpt": "22b418f57fe309861ffc2e2e665662003143eb829895c670ae738801db886e1b",
         "shortcut/loss.csv": "31fa1224459641d88d6f2cbfb9b3bdfbedcabcffe629c600b3c23040da8ee4f8",
         "student/loss.csv": "e66e5bc44b8ad9ebfb8a84f2dc40302c1390a2e20a5ca0051254988423e3de3b",
-        "student/mar.ckpt": "95b1320938c0cfaafc3693297c6c2beace060dc8f5fc5c4b560783413e7e6e6d",
+        "student/mar.ckpt": "3944b42bab44acc379d52499d69c586e2aea5522f27105e8296bd29f5c4aa718",
         "teacher/loss.csv": "404a4e7b4e976583941b18d0ed6d64d4f20ea6108ef993956b57199cbdba13b4",
-        "teacher/mar.ckpt": "170f4f088244eeff2211027d438cb98173c03dc22db4109cb7b3813f3d51b617",
+        "teacher/mar.ckpt": "2472f53432b779a781753c6e8140b7ffd780ced647bba9deecf0e31a42287b12",
     },
     ("AVX2", "SkylakeX"): {
         "compare/metrics.csv": "78f00db5e50ab9fddf2ad082ebe1ab11d0c7fb62f925e30173fd569ff6d174a7",
@@ -119,22 +125,22 @@ GOLDEN = {
         "decode_diffusion/sequences.csv": "de243d6a3a61c20075d32ef92b49534c6a8fac1af7bcc48f19500e738337232e",
         "decode_energy/decode_stats.json": "34d82d2f6b85919dee6785f81657a871fe8380312682856c7233c8d5b8733de8",
         "decode_energy/sequences.csv": "606e36466d1848e06b7bec1012d18876d001b57b7f7e24653e35abd72a7220cf",
-        "diffusion/head.ckpt": "64c98c03271b95b2846ba12f5bf05ed304c49aa0c292bdcd46b46ed7f892da54",
+        "diffusion/head.ckpt": "024ed409d779bee3e55b10803a47f02493838b4db7fb60cbbbb12b25a9509384",
         "diffusion/loss.csv": "9895388f3bb74646b7818b09f95cb8ec3603bd81522adcebf3d80f9786dded7a",
-        "energy/head.ckpt": "10505758c8c86ad511167307a562548e904a8f61ca3de968d1f4081eb362a647",
+        "energy/head.ckpt": "9fb6444835bfd666e7a6ea2306e25fe06d31d915d77b2869136f3b354b50d6c6",
         "energy/loss.csv": "cdbb2e4c4895e8d065b2b37231b9ffc0b3dd31a86445bab822e52448660b5c4a",
         "eval.csv": "2a4b1694c84a933c2dc4498fb3a85044ed12a08dd91e8d499b0c56ea56cc942d",
-        "flow/head.ckpt": "859bf55162c8deef7f519204841a2d3ec03a051e795b3ae5c881f9c9e63e17e1",
+        "flow/head.ckpt": "d5bd9e8051276dde92b784140a080823e7b135db1be16d20c942133bd978fbfd",
         "flow/loss.csv": "079aadb69a040a891aa93ef356f61a1e923a9097ba8428143d0f51e5d4528498",
-        "meanflow/head.ckpt": "c99828a9245978214db21068ab668b316e702a7f8784f44f7cb96a343bfc9d27",
+        "meanflow/head.ckpt": "25b89b54f452bb2ea26ed469a3ebf3cccf49e551f513a66d7ebfc752595c8425",
         "meanflow/loss.csv": "0ac0f0467fd4bbc0a1f3dade73da9e89d14a16591a87c93c44b8ce5261481f36",
         "samples.csv": "965c26e44f07a87dad22a0aec6cf5136ad479e70a90e337a83517a23f9cbcb7a",
-        "shortcut/head.ckpt": "4129e47042740c9ae3b5e38d57a6f37923588cfc8ec689ca0b0cf17f93cce712",
+        "shortcut/head.ckpt": "22b418f57fe309861ffc2e2e665662003143eb829895c670ae738801db886e1b",
         "shortcut/loss.csv": "31fa1224459641d88d6f2cbfb9b3bdfbedcabcffe629c600b3c23040da8ee4f8",
         "student/loss.csv": "ba8a182d8c14f2a1beb0474149ddff4185b2f0e84e6d12a12071687f79c200d8",
-        "student/mar.ckpt": "f809b119bd2db9dd4d47e2c3dfc249c8d345edc031669d9a8f74f113d509e6f3",
+        "student/mar.ckpt": "6a1c805bf1be8b8eb48201631755601235fd9a3dbefa038c7ce65e5971c10e96",
         "teacher/loss.csv": "404a4e7b4e976583941b18d0ed6d64d4f20ea6108ef993956b57199cbdba13b4",
-        "teacher/mar.ckpt": "6dc6fe05fc4022f3790180d03c7ed8c44fdb6e0d94780daaa6e3bbf99ce26b10",
+        "teacher/mar.ckpt": "9e1cce3d76ad943533a3a76539281a537d94cab71a146f80dff396c313b5a4c8",
     },
     ("AVX2", "Haswell"): {
         "compare/metrics.csv": "78f00db5e50ab9fddf2ad082ebe1ab11d0c7fb62f925e30173fd569ff6d174a7",
@@ -142,22 +148,22 @@ GOLDEN = {
         "decode_diffusion/sequences.csv": "52c291c5c693cd2805866f9bbadb5783d63dbcc7434cae619cf8903e76983dcd",
         "decode_energy/decode_stats.json": "34d82d2f6b85919dee6785f81657a871fe8380312682856c7233c8d5b8733de8",
         "decode_energy/sequences.csv": "50b4b11b549d4c9a3993ad36dca0bcc175e5e1fa9429fd22927e8ac2986d5bc6",
-        "diffusion/head.ckpt": "bbc13c0c29f95980195dfc65c19e3feb7781fed1d75eb620d4cb96a586f2de4d",
+        "diffusion/head.ckpt": "29109b3347bbdb1a7a1d7842dd6723cd5cd832a53c6c2dd7d81e5305ba318ccd",
         "diffusion/loss.csv": "9895388f3bb74646b7818b09f95cb8ec3603bd81522adcebf3d80f9786dded7a",
-        "energy/head.ckpt": "3c02ad8440425396007bb59c5731f27bdd1ba66dfdf68df0f3e61d6298fd50a3",
+        "energy/head.ckpt": "bc256d6a2791d36f5682614afca1ff1245521de96f5b278940b7b49d686fbc44",
         "energy/loss.csv": "fd38cbff6da7385ff9ffe173bc1d335077c1d951f10f6b77d5c84907de01fe93",
         "eval.csv": "657907e360a42b1fd29dee8489b04fb0e08362f08a42b6b478421f343cf99563",
-        "flow/head.ckpt": "5d5389e5718fc4c863144a44409559fd8d3e4bba93bba4ed6b588b4e0577c8c4",
+        "flow/head.ckpt": "5d446059e86077d4e8507062b7be1f476d31585c0c130d89bdb4903ea6909ea4",
         "flow/loss.csv": "079aadb69a040a891aa93ef356f61a1e923a9097ba8428143d0f51e5d4528498",
-        "meanflow/head.ckpt": "621dc9438bafa28e3645fa33f5679a22159c4ea5504f25a616bbc05b9c207577",
+        "meanflow/head.ckpt": "f5ea929086d0aabb958240b495cf2a0d16300044c73a7feb0a257c621742790d",
         "meanflow/loss.csv": "0ac0f0467fd4bbc0a1f3dade73da9e89d14a16591a87c93c44b8ce5261481f36",
         "samples.csv": "56468baceef253ce8e5e4e8f46debbd4d076f277252494b4273d364573076081",
-        "shortcut/head.ckpt": "e77ae6aed932064120358ffa021ffc015d7b85def6e2238549ff85a6bd9aae15",
+        "shortcut/head.ckpt": "db52bb85c31cdf2a78d9bd04309da7fdfff9dbb828d3f8da7a17f19533af7518",
         "shortcut/loss.csv": "31fa1224459641d88d6f2cbfb9b3bdfbedcabcffe629c600b3c23040da8ee4f8",
         "student/loss.csv": "3dcefca44cecbc49b7a058975b3caaf304fb984959020e740463b532a3034754",
-        "student/mar.ckpt": "ce8ade790c6a31ea26bc2a35bf708292cfd8756466353a89aac55f1d41bf2fd8",
+        "student/mar.ckpt": "f66039c73ac2cddd5627f17b8c59b4c6bddb18aee1e8413fdf5ff6f220f8d824",
         "teacher/loss.csv": "404a4e7b4e976583941b18d0ed6d64d4f20ea6108ef993956b57199cbdba13b4",
-        "teacher/mar.ckpt": "36bb5f716ad718c92bd21b07b925d33018f9098990df9413ad5c52aef3b36704",
+        "teacher/mar.ckpt": "47ce049d453486865d5415fead3bc0d7153f41fb00ab2e471a15094e5dc0d412",
     },
 }
 

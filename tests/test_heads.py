@@ -225,9 +225,9 @@ def test_step_rule_rejects_before_any_head_pass(kind, steps, cause):
     with pytest.raises(ValueError, match=re.escape(cause)):
         head.sample(np.zeros((3, 3)), steps, Stream.from_seed(0, "s"))
     assert head.forward_rows == 0
-    head.check_steps(1)
+    head.cfg.check_steps(1)
     if kind == "diffusion":
-        head.check_steps(7)
+        head.cfg.check_steps(7)
 
 
 def test_constant_velocity_field_integrates_exactly():
@@ -252,7 +252,6 @@ def test_diffusion_sampler_deterministic_and_shaped():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("steps", [1, 3, 7, 100])
 def test_diffusion_sample_matches_per_step_reference(steps):
     """One batched draw of every step's noise gives the per-step chain's bits."""
@@ -264,7 +263,6 @@ def test_diffusion_sample_matches_per_step_reference(steps):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("steps", [1, 2, 5, 33])
 @pytest.mark.parametrize("kind", ["flow", "shortcut", "meanflow"])
 def test_ode_sample_matches_per_step_reference(kind, steps):
@@ -278,7 +276,6 @@ def test_ode_sample_matches_per_step_reference(kind, steps):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("kind", ["energy", "diffusion"])
 def test_toy_train_matches_per_step_reference(kind):
     """Step chains drawn up front, and the energy loss's batched noise, give

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import loop_reference
 import rng_reference as R
 from escore import graph as G
 from escore import mar
+from escore.data import LATENT_DIM
 from escore.mar import DecodeConfig, MarConfig, MarModel, cfg_combine, one_hot_classes
 from escore.rng import Stream
 from oracles import distillation_loss
@@ -42,9 +44,9 @@ def test_apply_mask_deterministic_and_zeroes_masked():
 
 
 def test_apply_mask_bad_range():
-    model = MarModel(dataclasses.replace(TINY, mask_lo=0.0, mask_hi=0.5), seed=0)
-    with pytest.raises(ValueError, match="masking rate range"):
-        model.mask_batch(np.zeros((4, TINY.seq_len, 2)), Stream.from_seed(0, "m"))
+    with pytest.raises(ValueError, match=re.escape("mar.mask_lo must be a number in (0, 1], "
+                                                   "got 0.0")):
+        dataclasses.replace(TINY, mask_lo=0.0, mask_hi=0.5)
 
 
 def test_cfg_combine_identities_and_arithmetic():
@@ -73,13 +75,13 @@ def test_distillation_loss_values():
 
 
 def test_one_hot_classes_with_null():
-    oh = one_hot_classes(np.array([0, 2, mar.NULL_CLASS]), 3)
+    oh = one_hot_classes(np.array([0, 2, mar.NULL_CLASS]))
     assert oh.shape == (3, 4)
     assert oh[0].tolist() == [1, 0, 0, 0]
     assert oh[1].tolist() == [0, 0, 1, 0]
     assert oh[2].tolist() == [0, 0, 0, 1]
     with pytest.raises(ValueError):
-        one_hot_classes(np.array([3]), 3)
+        one_hot_classes(np.array([3]))
 
 
 def _batch(model, n, seed=0):
@@ -305,7 +307,6 @@ def _reference_model(kind: str) -> MarModel:
     return model
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("kind,class_id,guided,schedule,iters,n_seq", list(itertools.product(
     ("energy", "diffusion", "flow"), (None, 1), (True, False), ("cosine", "uniform"),
     (1, 3, 8), (1, 3))))
@@ -322,14 +323,13 @@ def test_decode_matches_reference(kind, class_id, guided, schedule, iters, n_seq
     assert got_stats == want_stats
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("class_id", [0, 2, mar.NULL_CLASS])
 @pytest.mark.parametrize("cfg,n", [(TINY, 7), (MarConfig(), 40)], ids=["tiny", "default"])
 def test_represent_one_row_equals_every_row_of_a_batch_when_all_masked(cfg, n, class_id):
     """The shared first decode iteration rests on this: on an all-masked input
     with one class, a batch-1 backbone pass gives each row of a batch-n pass."""
     model = MarModel(cfg, seed=5)
-    latents = np.zeros((n, cfg.seq_len, cfg.latent_dim))
+    latents = np.zeros((n, cfg.seq_len, LATENT_DIM))
     masked = np.ones((n, cfg.seq_len), dtype=bool)
     ids = np.full(n, class_id)
     one = model.represent(latents[:1], masked[:1], ids[:1])
@@ -338,7 +338,6 @@ def test_represent_one_row_equals_every_row_of_a_batch_when_all_masked(cfg, n, c
         assert row.tobytes() == one[0].tobytes()
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("cfg,n,per_seq,class_id", [
     (MarConfig(), 40, 1, 0), (MarConfig(), 40, 2, 1), (MarConfig(), 40, 3, 2),
     (TINY, 1, 1, 0), (TINY, 3, 1, 1), (MarConfig(), 40, 2, mar.NULL_CLASS)],
@@ -354,7 +353,7 @@ def test_represent_at_positions_equals_rows_of_every_position(cfg, n, per_seq, c
     for name, p in model.params.items():
         p.value = p.value + 0.1 * Stream.from_seed(6, name).normal(p.value.shape)
     s = Stream.from_seed(per_seq, "positions")
-    latents = s.child("latents").normal((n, cfg.seq_len, cfg.latent_dim))
+    latents = s.child("latents").normal((n, cfg.seq_len, LATENT_DIM))
     masked = s.child("mask").uniform((n, cfg.seq_len)) < 0.6
     ids = np.full(n, class_id)
     picks = s.child([f"seq/{j}" for j in range(n)]).sample_without_replacement(
@@ -413,7 +412,6 @@ def test_train_mar_smoke_and_log_schema():
     assert log[0]["step"] == 1 and log[-1]["step"] == 5
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("kind", ["energy", "diffusion"])
 def test_train_mar_matches_per_step_reference(kind):
     """Step chains drawn up front give the per-step loop's log and weights."""

@@ -350,7 +350,6 @@ def _plain_solve(x, y):
     return cost[linear_sum_assignment(cost)]
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("k", [1, 2, 4, 40])
 @pytest.mark.parametrize("first", ["repeated", "distinct"])
 def test_priced_solve_equals_plain_solve_bit_for_bit(monkeypatch, k, first):
@@ -383,7 +382,6 @@ def test_priced_solve_equals_plain_solve_bit_for_bit(monkeypatch, k, first):
     assert value == float(plain.mean())
 
 
-@pytest.mark.dispatch_path
 def test_priced_solve_with_both_sets_repeated_matches_plain_solve():
     for seed, k in enumerate((4, 40)):
         cols = _repeats(k, 512, seed)
@@ -450,7 +448,6 @@ def _spy_solves(monkeypatch):
     return seen
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("pair", ["near", "far"])
 @pytest.mark.parametrize("swap", [False, True])
 def test_sampled_prices_solve_equals_plain_solve_bit_for_bit(monkeypatch, pair, swap):
@@ -575,7 +572,6 @@ def median_cases(draw):
     return pts, draw(st.sampled_from([1, 7, 64, metrics._PAIR_BLOCK]))
 
 
-@pytest.mark.dispatch_path
 @settings(max_examples=80, deadline=None)
 @given(median_cases())
 def test_median_pairwise_distance_equals_numpy_median(case):
@@ -598,7 +594,6 @@ def _pooled_4096(kind):
     return np.concatenate([gen, ref])
 
 
-@pytest.mark.dispatch_path
 @pytest.mark.parametrize("kind", ["near", "repeated"])
 def test_median_pairwise_distance_at_4096_points_equals_numpy_median(kind):
     pts = _pooled_4096(kind)
@@ -650,9 +645,8 @@ def test_metrics_report_csv_row():
         Stream.from_seed(1, "g").normal((32, 2)),
         Stream.from_seed(1, "r").normal((32, 2)),
         method="energy", steps=1, seed=7)
-    row = rep.csv_row()
-    fields = row.split(",")
-    assert len(fields) == len(metrics.MetricsReport.CSV_HEADER.split(","))
+    fields = rep.csv_row()
+    assert len(fields) == len(metrics.MetricsReport.CSV_HEADER)
     assert fields[0] == "energy" and fields[1] == "1" and fields[2] == "7"
     assert float(fields[4]) == rep.mmd   # shortest round-trip decimals
 
@@ -712,7 +706,6 @@ def unequal_pairs(draw):
     return x, y, draw(st.sampled_from([1, 7, 64, metrics._PAIR_BLOCK]))
 
 
-@pytest.mark.dispatch_path
 @settings(max_examples=30, deadline=None)
 @given(unequal_pairs())
 def test_blockwise_metrics_match_brute_force_at_every_block_size(case):

@@ -66,7 +66,6 @@ def test_sample_without_replacement():
     assert idx.min() >= 0 and idx.max() < 16
 
 
-@pytest.mark.dispatch_path
 @settings(max_examples=10, deadline=None)
 @given(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=12), st.integers(1, 700),
        st.integers(1, 33), st.data())
@@ -100,7 +99,6 @@ def test_one_key_and_batched_draws_match_reference(seed, label, n_keys, n, data)
     assert row.counter == grid.counter == refs[0].counter == ones[0].counter
 
 
-@pytest.mark.dispatch_path
 def test_one_key_scalar_draws_are_python_numbers():
     s = Stream.from_seed(8, "scalar")
     ref = R.Stream.from_seed(8, "scalar")

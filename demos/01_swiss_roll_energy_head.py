@@ -12,6 +12,7 @@ import pathlib
 import time
 
 from escore import data, metrics, svg
+from escore.config import resolve_config
 from escore.heads import HeadConfig
 from escore.swiss import ToyHeadModel
 
@@ -21,7 +22,11 @@ OUT.mkdir(parents=True, exist_ok=True)
 print("Training a small energy-scoring head (width 128, 600 steps)...")
 t0 = time.perf_counter()
 model = ToyHeadModel(HeadConfig(kind="energy", width=128), seed=7)
-log = model.train(steps=600, batch=128)
+cfg = resolve_config()   # the default learning rate, warm-up and data
+train, toy = cfg["train"], cfg["data"]
+log = model.train(steps=600, batch=128, lr=train["lr"], warmup=train["warmup"],
+                  weight_decay=train["weight_decay"], pool=toy["pool"],
+                  noise_sigma=toy["noise_sigma"])
 print(f"  done in {time.perf_counter() - t0:.1f}s; "
       f"loss {log[0]['total']:.3f} -> {log[-1]['total']:.3f}")
 

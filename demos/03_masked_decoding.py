@@ -12,6 +12,7 @@ import pathlib
 import time
 
 from escore import svg
+from escore.config import resolve_config
 from escore.data import CLASS_NAMES
 from escore.mar import DecodeConfig, MarConfig, MarModel, class_pools, train_mar
 
@@ -22,11 +23,15 @@ cfg = MarConfig(hidden_dim=32, n_blocks=2, n_heads=2, head_width=64, head_depth=
 model = MarModel(cfg, seed=11)
 print("Training a small masked autoregressive student (300 steps)...")
 t0 = time.perf_counter()
-log = train_mar(model, steps=300, batch=24, per_class=256)
+defaults = resolve_config()   # the default learning rate, warm-up and data
+train, jitter = defaults["mar_train"], defaults["data"]["jitter"]
+log = train_mar(model, steps=300, batch=24, lr=train["lr"], warmup=train["warmup"],
+                lam=train["lambda"], per_class=256, weight_decay=train["weight_decay"],
+                frozen_backbone=train["frozen_backbone"], jitter=jitter)
 print(f"  done in {time.perf_counter() - t0:.1f}s; "
       f"loss {log[0]['total']:.3f} -> {log[-1]['total']:.3f}")
 
-heldout, _ = class_pools(cfg, seed=77, per_class=24, tag="demo")
+heldout, _ = class_pools(cfg, seed=77, per_class=24, jitter=jitter, tag="demo")
 panels = []
 for class_id, name in enumerate(CLASS_NAMES):
     dcfg = DecodeConfig(iterations=8, cfg_scale=2.0, seed=40 + class_id)

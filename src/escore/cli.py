@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import experiments, metrics, verify
-from .config import ConfigError, resolve_config
+from .config import DEFAULTS, ConfigError, resolve_config
 from .heads import HEAD_KINDS
 
 USAGE_EXIT = 1
@@ -214,7 +214,7 @@ def _dispatch(args) -> int:
             raise ConfigError("sample needs --run or --ckpt")
         ckpt = args.ckpt or f"{args.run}/head.ckpt"
         experiments.run_sample(ckpt, args.steps, args.n, args.seed, args.out,
-                               svg_path=args.svg)
+                               DEFAULTS["data"]["noise_sigma"], svg_path=args.svg)
         print(f"samples written: {args.out}")
         return 0
 

@@ -5,15 +5,40 @@ import copy
 import hashlib
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 from .heads import HeadConfig
 from .mar import DecodeConfig, MarConfig
-from .metrics import kernel_factor
+from .metrics import MEDIAN, kernel_factor
 
 
 class ConfigError(ValueError):
     """Unknown key or malformed override; message names the offender."""
+
+
+def _key_map(cls, left_out: tuple[str, ...] = (), **renamed: str) -> dict[str, str]:
+    """Config key -> field of the dataclass ``cls``, for every field not
+    ``left_out``: each key is its field's name unless ``renamed`` gives it as
+    ``key=field``."""
+    keys = {field: key for key, field in renamed.items()}
+    return {keys.get(f.name, f.name): f.name for f in fields(cls) if f.name not in left_out}
+
+
+# the head, mar and decode sections, one key map each; their defaults are
+# the dataclasses' field defaults
+HEAD_KEYS = _key_map(HeadConfig, ("time_feat_dim",), method="kind", m="m_samples")
+MAR_KEYS = _key_map(MarConfig, m="m_samples")
+DECODE_KEYS = _key_map(DecodeConfig, ("seed", "head_steps"))
+
+
+def _defaults_of(cls, keys: dict[str, str]) -> dict:
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {key: defaults[name] for key, name in keys.items()}
+
+
+def _fields_of(section: dict, keys: dict[str, str]) -> dict:
+    return {name: section[key] for key, name in keys.items()}
 
 
 DEFAULTS: dict = {
@@ -24,16 +49,7 @@ DEFAULTS: dict = {
         "per_class": 384,
         "jitter": 0.02,
     },
-    "head": {
-        "method": "energy",
-        "width": 256,
-        "depth": 3,
-        "context_dim": 16,
-        "noise_dim": 2,
-        "wiring": "noise_as_input",
-        "m": 2,
-        "t_diff": 100,
-    },
+    "head": _defaults_of(HeadConfig, HEAD_KEYS),
     "train": {
         "steps": 1400,
         "batch": 128,
@@ -41,20 +57,7 @@ DEFAULTS: dict = {
         "warmup": 200,
         "weight_decay": 0.0,
     },
-    "mar": {
-        "seq_len": 16,
-        "hidden_dim": 64,
-        "n_blocks": 4,
-        "n_heads": 4,
-        "head_kind": "energy",
-        "head_width": 128,
-        "head_depth": 3,
-        "m": 2,
-        "wiring": "noise_as_input",
-        "mask_lo": 0.70,
-        "mask_hi": 1.00,
-        "p_drop": 0.10,
-    },
+    "mar": _defaults_of(MarConfig, MAR_KEYS),
     "mar_train": {
         "steps": 700,
         "batch": 32,
@@ -65,14 +68,9 @@ DEFAULTS: dict = {
         "frozen_backbone": False,
         "init_from_teacher": False,
     },
-    "decode": {
-        "iterations": 8,
-        "cfg_scale": 4.0,
-        "schedule": "cosine",
-        "n_seq": 48,
-    },
+    "decode": {**_defaults_of(DecodeConfig, DECODE_KEYS), "n_seq": 48},
     "metrics": {
-        "bandwidth": "median",
+        "bandwidth": MEDIAN,
     },
     "compare": {
         "seeds": [1, 2, 3, 4, 5],
@@ -168,7 +166,7 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
                                   f"{sorted(default)}, got {value!r}")
             _check_types(value, default, dotted + ".")
         elif dotted == "metrics.bandwidth":
-            if value != "median" and not _has_type_of(value, 1.0):
+            if value != MEDIAN and not _has_type_of(value, 1.0):
                 raise ConfigError(f"config key {dotted!r} must be 'median' or a number, "
                                   f"got {value!r}")
         elif not _has_type_of(value, default):
@@ -184,15 +182,14 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
 
 def head_config_from(cfg: dict, kind: str | None = None) -> HeadConfig:
     """The toy head of ``cfg["head"]``, of ``kind`` or else ``head.method``."""
-    h = dict(cfg["head"])
-    method = h.pop("method")
-    return HeadConfig(kind=kind or method, m_samples=h.pop("m"), **h)
+    h = _fields_of(cfg["head"], HEAD_KEYS)
+    return HeadConfig(**{**h, "kind": kind or h["kind"]})
 
 
 def mar_config_from(cfg: dict, head_kind: str | None = None) -> MarConfig:
     """The MAR model of ``cfg["mar"]``, its head of ``head_kind`` or else ``mar.head_kind``."""
-    m_ = {**cfg["mar"], "head_kind": head_kind or cfg["mar"]["head_kind"]}
-    return MarConfig(m_samples=m_.pop("m"), **m_)
+    m_ = _fields_of(cfg["mar"], MAR_KEYS)
+    return MarConfig(**{**m_, "head_kind": head_kind or m_["head_kind"]})
 
 
 def decode_config_from(cfg: dict, seed: int, head: HeadConfig,
@@ -201,9 +198,8 @@ def decode_config_from(cfg: dict, seed: int, head: HeadConfig,
     unless given, one head step for an energy head, the chain length for others."""
     if head_steps is None:
         head_steps = 1 if head.kind == "energy" else head.t_diff
-    d = cfg["decode"]
-    return DecodeConfig(iterations=d["iterations"], cfg_scale=d["cfg_scale"],
-                        schedule=d["schedule"], seed=seed, head_steps=head_steps)
+    return DecodeConfig(**_fields_of(cfg["decode"], DECODE_KEYS), seed=seed,
+                        head_steps=head_steps)
 
 
 def check_config(cfg: dict) -> None:
@@ -224,7 +220,7 @@ def check_config(cfg: dict) -> None:
         if not in_range(value):
             raise ConfigError(f"{key} must be a number {words}, got {value!r}")
     bandwidth = cfg["metrics"]["bandwidth"]
-    if bandwidth != "median":
+    if bandwidth != MEDIAN:
         try:
             kernel_factor(bandwidth)
         except (ValueError, OverflowError) as exc:

@@ -37,7 +37,7 @@ class SampleBatch:
             raise ValueError("points contain non-finite values")
 
 
-def swiss_roll(n: int, noise_sigma: float = 0.03, seed: int = 0) -> SampleBatch:
+def swiss_roll(n: int, noise_sigma: float, seed: int = 0) -> SampleBatch:
     """2-turn spiral t -> (t cos t, t sin t)/s, t ~ U[1.5pi, 4.5pi], plus noise."""
     if n < 1 or noise_sigma < 0:
         raise ValueError("need n >= 1 and noise_sigma >= 0")
@@ -70,8 +70,8 @@ def _class_trace(class_id: int, length: int) -> np.ndarray:
     raise ValueError(f"unknown class_id {class_id}; have {N_CLASSES} classes")
 
 
-def conditional_sequences(class_id: int, count: int, length: int, seed: int = 0,
-                          jitter: float = 0.02) -> np.ndarray:
+def conditional_sequences(class_id: int, count: int, length: int, jitter: float,
+                          seed: int = 0) -> np.ndarray:
     """(count, length, 2) rotated + jittered traces of one class; rotation
     makes context informative."""
     if not 0 <= class_id < N_CLASSES:

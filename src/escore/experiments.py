@@ -120,8 +120,8 @@ def run_train_head(cfg: dict, out_dir) -> Path:
     return out / "head.ckpt"
 
 
-def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv,
-               svg_path=None, noise_sigma: float = 0.03) -> np.ndarray:
+def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv, noise_sigma: float,
+               svg_path=None) -> np.ndarray:
     model = ToyHeadModel.load(ckpt_path)
     samples = model.sample(n, steps, seed)   # checks the step count before any pass
     data.write_points_csv(out_csv, samples)
@@ -133,7 +133,7 @@ def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv,
 
 
 def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
-             seed: int, bandwidth="median",
+             seed: int, bandwidth: float | str,
              metric_names: tuple[str, ...] = metrics.METRIC_NAMES) -> MetricsReport:
     known = sorted(metrics.METRIC_NAMES)
     bad = set(metric_names) - set(known)

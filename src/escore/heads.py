@@ -34,12 +34,13 @@ R_EQ_T_PROB = 0.75           # share of mean-flow rows drawn with r = t
 class HeadConfig:
     """One head's shape and sampler settings, saved whole in its checkpoint. The
     latent width, the shortcut and mean-flow training mixes and the diffusion
-    sampler's clips are module constants, not fields."""
-    kind: str
-    noise_dim: int = LATENT_DIM  # defaults to the latent dim's one-to-one mapping
+    sampler's clips are module constants, not fields. The field defaults are
+    the ``head`` config section's (``time_feat_dim`` is not in the config)."""
+    kind: str = "energy"
     width: int = 256
     depth: int = 3
     context_dim: int = 16
+    noise_dim: int = LATENT_DIM  # defaults to the latent dim's one-to-one mapping
     wiring: str = WIRING_NOISE_AS_INPUT   # energy only; Figure-style (a)/(b) choice
     m_samples: int = 2           # model samples per target in the energy loss
     t_diff: int = 100            # diffusion chain length
@@ -131,7 +132,7 @@ def build_energy_rows_m(samples: list[G.Node], y: G.Node) -> G.Node:
 class DiffusionSchedule:
     """Cosine alpha-bar schedule with clipped per-step betas."""
 
-    def __init__(self, t_diff: int = 100, shift: float = 0.008):
+    def __init__(self, t_diff: int, shift: float = 0.008):
         t = np.arange(t_diff + 1, dtype=np.float64)
         f = np.cos(((t / t_diff + shift) / (1.0 + shift)) * np.pi / 2.0) ** 2
         raw = f / f[0]
@@ -141,9 +142,8 @@ class DiffusionSchedule:
         self.alphabar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
 
     def respaced(self, steps: int) -> np.ndarray:
-        """Descending sub-chain of `steps` timesteps ending near t=1."""
-        if not 1 <= steps <= self.t_diff:
-            raise ValueError(f"steps must be in [1, {self.t_diff}], got {steps}")
+        """Descending sub-chain of `steps` timesteps ending near t=1; the step
+        count passed :meth:`HeadConfig.check_steps`."""
         return np.round(np.linspace(self.t_diff, 1, steps)).astype(int)
 
     def noisy_sample(self, y: np.ndarray, t: np.ndarray, eps: np.ndarray) -> np.ndarray:

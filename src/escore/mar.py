@@ -36,6 +36,8 @@ BACKBONE_PREFIX = "backbone"   # the backbone's parameter names start "backbone.
 
 @dataclass(frozen=True)
 class MarConfig:
+    """One MAR model's shape and training mask; the field defaults are the
+    ``mar`` config section's."""
     seq_len: int = 16
     hidden_dim: int = 64
     n_blocks: int = 4
@@ -75,11 +77,13 @@ class MarConfig:
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """One decode's settings. The CFG scale alone picks the backbone passes:
-    the null pass alone at 0, the conditional pass alone at 1, both combined
-    at any other scale."""
+    """One decode's settings; the field defaults are the ``decode`` config
+    section's (``seed`` and ``head_steps`` are not in the config). The CFG
+    scale picks a class decode's backbone passes: the null pass alone at 0,
+    the conditional pass alone at 1, both combined at any other scale. A
+    null-class decode runs the null pass alone at every scale."""
     iterations: int = 8
-    cfg_scale: float = 1.0
+    cfg_scale: float = 4.0
     schedule: str = "cosine"   # cosine | uniform
     seed: int = 0
     head_steps: int = 1        # per-position sampling steps (non-energy heads)
@@ -317,11 +321,9 @@ class MarModel:
         return bindings
 
     def masked_training_step(self, latents: np.ndarray, class_ids: np.ndarray,
-                             rng: Stream, *, lam: float = 0.0,
-                             teacher: "MarModel | None" = None,
-                             lr: float = 1e-3, step_index: int = 1,
-                             weight_decay: float = 0.0,
-                             frozen_backbone: bool = False) -> tuple[float, float]:
+                             rng: Stream, *, lam: float, lr: float, weight_decay: float,
+                             frozen_backbone: bool, teacher: "MarModel | None" = None,
+                             step_index: int = 1) -> tuple[float, float]:
         """One optimization step over a batch of conditional sequences;
         returns its (energy, distill) loss terms, distill 0.0 without a teacher."""
         if teacher is None and lam != 0.0:
@@ -368,7 +370,8 @@ class MarModel:
         At scale 1 each iteration runs the conditional backbone pass alone
         and at scale 0 the null pass alone; at any other scale it runs both
         and combines them with :func:`cfg_combine`, a non-finite result being
-        a :class:`graph.NonFiniteError`.
+        a :class:`graph.NonFiniteError`. A null class (``class_id`` None)
+        runs the null pass alone at every scale: both passes would be null.
 
         Sequence j draws from its own stream chain: ``seq/{j}`` ->
         ``iter/{k}/select`` picks its positions at iteration k, and
@@ -389,7 +392,7 @@ class MarModel:
         generated = np.zeros((n_seq, cfg.seq_len), dtype=bool)
         null = class_id is None or dcfg.cfg_scale == 0.0
         ids = np.full(n_seq, NULL_CLASS if null else class_id)
-        two_passes = dcfg.cfg_scale not in (0.0, 1.0)
+        two_passes = not null and dcfg.cfg_scale != 1.0
         backbone_before = self.backbone_forwards
         head_rows = 0
         times_generated = np.zeros((n_seq, cfg.seq_len), dtype=int)
@@ -447,8 +450,8 @@ class MarModel:
         return nn.load_model(cls, MarConfig, "mar_config", path)
 
 
-def class_pools(cfg: MarConfig, seed: int, per_class: int,
-                jitter: float = 0.02, tag: str = "train") -> tuple[np.ndarray, np.ndarray]:
+def class_pools(cfg: MarConfig, seed: int, per_class: int, jitter: float,
+                tag: str = "train") -> tuple[np.ndarray, np.ndarray]:
     """Stacked dataset of all classes: (n, L, d) latents + class ids, each
     class's ``per_class`` sequences in a row."""
     latents = np.empty((N_CLASSES * per_class, cfg.seq_len, LATENT_DIM))
@@ -459,11 +462,9 @@ def class_pools(cfg: MarConfig, seed: int, per_class: int,
     return latents, np.repeat(np.arange(N_CLASSES), per_class)
 
 
-def train_mar(model: MarModel, *, steps: int, batch: int, lr: float = 1e-3,
-              warmup: int = 100, lam: float = 0.0,
-              teacher: MarModel | None = None, per_class: int = 512,
-              weight_decay: float = 0.0, frozen_backbone: bool = False,
-              jitter: float = 0.02) -> list[dict]:
+def train_mar(model: MarModel, *, steps: int, batch: int, lr: float, warmup: int,
+              lam: float, per_class: int, weight_decay: float, frozen_backbone: bool,
+              jitter: float, teacher: MarModel | None = None) -> list[dict]:
     """Training driver; returns one log record per step."""
     latents, ids = class_pools(model.cfg, model.seed, per_class, jitter)
 

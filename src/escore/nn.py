@@ -240,9 +240,9 @@ class TransformerBlock:
         return x + mlp
 
 
-def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], lr: float,
-              beta1: float = 0.9, beta2: float = 0.95, eps: float = 1e-8,
-              weight_decay: float = 0.01, t: int = 1) -> None:
+def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], lr: float, *,
+              weight_decay: float, beta1: float = 0.9, beta2: float = 0.95,
+              eps: float = 1e-8, t: int = 1) -> None:
     """Bias-corrected Adam with decoupled weight decay, in place.
 
     Raises :class:`graph.NonFiniteError` naming the first parameter whose

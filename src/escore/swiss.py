@@ -50,16 +50,15 @@ class ToyHeadModel:
         return g
 
     def train_step(self, y: np.ndarray, rng: Stream, lr: float, step_index: int,
-                   weight_decay: float = 0.0) -> float:
+                   weight_decay: float) -> float:
         with nn.step_guard(self.cfg.kind, step_index):   # targets run the head too
             aux = self.head.loss_bindings(y, rng, context=self.context_rows(len(y)))
         run = nn.descend(self._loss_graph(aux), aux, self.params, self.cfg.kind,
                          lr=lr, weight_decay=weight_decay, t=step_index)
         return float(run.output)
 
-    def train(self, *, steps: int, batch: int, lr: float = 1e-3, warmup: int = 200,
-              weight_decay: float = 0.0, pool: int = 16384,
-              noise_sigma: float = 0.03) -> list[dict]:
+    def train(self, *, steps: int, batch: int, lr: float, warmup: int,
+              weight_decay: float, pool: int, noise_sigma: float) -> list[dict]:
         """Full run over minibatches of a ``pool``-point Swiss roll; returns
         one log record per step, as ``mar.train_mar`` does: the kind's loss is
         the energy and total column, ``lr`` the step's warmed-up rate."""

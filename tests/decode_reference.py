@@ -6,7 +6,8 @@ its own ``seq/{j}`` -> ``iter/{k}/select`` chain, and every generated
 position draws its energy-head noise through ``seq/{j}`` ->
 ``pos/{i}/noise``, all from the one-key reference streams. At CFG scale 1
 it runs the conditional pass alone, at 0 the null pass alone, and at any
-other scale both, combined. The batched decode must return the same latents
+other scale both, combined; a null class runs its null pass alone at every
+scale. The batched decode must return the same latents
 and stats, bit for bit.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ def decode(model: MarModel, class_id: int | None, n_seq: int,
 
     for k, n_k in enumerate(counts):
         null_ids = np.full(n_seq, NULL_CLASS)
-        if dcfg.cfg_scale == 1.0:
+        if dcfg.cfg_scale == 1.0 or class_id is None:
             h = model.represent(latents, ~generated, ids)
         elif dcfg.cfg_scale == 0.0:
             h = model.represent(latents, ~generated, null_ids)

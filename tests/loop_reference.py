@@ -91,9 +91,8 @@ def energy_noise(head, rows: int, stream: Stream) -> dict[str, np.ndarray]:
             for i in range(head.cfg.m_samples)}
 
 
-def toy_train(model, *, steps: int, batch: int, lr: float = 1e-3, warmup: int = 200,
-              weight_decay: float = 0.0, pool: int = 16384,
-              noise_sigma: float = 0.03) -> list[dict]:
+def toy_train(model, *, steps: int, batch: int, lr: float, warmup: int,
+              weight_decay: float, pool: int, noise_sigma: float) -> list[dict]:
     """``ToyHeadModel.train``."""
     points = data.swiss_roll(pool, noise_sigma, seed=model.seed).points
     root = Stream.from_seed(model.seed, f"train/{model.cfg.kind}")

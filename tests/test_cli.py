@@ -273,6 +273,14 @@ def test_decode_at_scale_one_runs_the_conditional_pass_alone(tmp_path, tiny_stud
     assert stats["backbone_forwards"] == stats["iterations"] == 4
 
 
+def test_null_class_decode_runs_the_null_pass_alone(tmp_path, tiny_student):
+    """Both passes of a null-class decode would be null, so at the default
+    scale 4 it runs one backbone pass per iteration."""
+    stats = _decode_stats(tiny_student, tmp_path / "dec", "--class", "null")
+    assert stats["class_id"] is None and stats["cfg_scale"] == 4.0
+    assert stats["backbone_forwards"] == stats["iterations"] == 4
+
+
 @pytest.mark.parametrize("argv,named", [
     (["decode", "--ckpt", "absent.ckpt", "--set", "decode.guided=false"],
      "unknown config key 'decode.guided'"),
@@ -440,6 +448,35 @@ def test_config_counts_are_at_least_one_but_seeds_and_warmups():
                           "decode.cfg_scale=0"])
     assert (cfg["seed"], cfg["sweep"]["seeds"], cfg["compare"]["seeds"]) == (-3, [0, -1], [-5])
     assert cfg["train"]["warmup"] == cfg["mar_train"]["warmup"] == 0
+
+
+def test_config_head_mar_and_decode_sections_are_the_dataclass_defaults():
+    """Each of the three sections is its dataclass's field defaults under the
+    section's key map, and the default config builds the default dataclasses."""
+    from dataclasses import asdict
+
+    from escore.config import (DECODE_KEYS, HEAD_KEYS, MAR_KEYS, head_config_from,
+                               mar_config_from, resolve_config)
+    from escore.heads import HeadConfig
+    from escore.mar import DecodeConfig, MarConfig
+    cfg = resolve_config()
+    for section, default, keys in (("head", HeadConfig(), HEAD_KEYS),
+                                   ("mar", MarConfig(), MAR_KEYS),
+                                   ("decode", DecodeConfig(), DECODE_KEYS)):
+        values = asdict(default)
+        assert {key: values[name] for key, name in keys.items()} == \
+            {key: v for key, v in cfg[section].items() if key != "n_seq"}, section
+    assert head_config_from(cfg) == HeadConfig() and mar_config_from(cfg) == MarConfig()
+
+
+def test_library_decode_defaults_are_the_default_config_decode():
+    """A library caller's default DecodeConfig decodes as ``escore decode``
+    does by default: guided at the config's scale."""
+    from escore.config import decode_config_from, mar_config_from, resolve_config
+    from escore.mar import DecodeConfig
+    cfg = resolve_config()
+    head = mar_config_from(cfg).head_config()
+    assert DecodeConfig(seed=3) == decode_config_from(cfg, 3, head)
 
 
 def test_config_values_take_the_type_of_their_default(tmp_path):

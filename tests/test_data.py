@@ -58,15 +58,15 @@ def test_conditional_sequences_circle_radius():
 
 
 def test_conditional_sequences_shape_and_determinism():
-    a = data.conditional_sequences(0, count=3, length=16, seed=7)
-    b = data.conditional_sequences(0, count=3, length=16, seed=7)
+    a = data.conditional_sequences(0, count=3, length=16, jitter=0.02, seed=7)
+    b = data.conditional_sequences(0, count=3, length=16, jitter=0.02, seed=7)
     assert a.shape == (3, 16, 2)
     assert np.array_equal(a, b)
 
 
 def test_conditional_sequences_unknown_class():
     with pytest.raises(ValueError):
-        data.conditional_sequences(data.N_CLASSES, count=1, length=8, seed=0)
+        data.conditional_sequences(data.N_CLASSES, count=1, length=8, jitter=0.02, seed=0)
 
 
 def test_csv_roundtrip_17_digits(tmp_path):

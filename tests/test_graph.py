@@ -918,7 +918,7 @@ def test_toy_loss_graph_declares_the_bindings_it_runs_with(monkeypatch, kind):
     model = ToyHeadModel(heads.HeadConfig(kind=kind, width=16, depth=2), seed=1)
     runs, updated = _record_training(monkeypatch)
     model.train_step(Stream.from_seed(1, "y").normal((12, 2)), Stream.from_seed(1, "step"),
-                     lr=1e-3, step_index=1)
+                     lr=1e-3, step_index=1, weight_decay=0.0)
     [trained] = updated
     assert trained == model.params.names()
     _assert_declared_from_bindings(model._train_graph[1], runs, model.params, trained)
@@ -939,7 +939,8 @@ def test_mar_train_graphs_declare_the_bindings_they_run_with(monkeypatch, head_k
             runs, updated = _record_training(monkeypatch)
             student.masked_training_step(
                 latents, ids, Stream.from_seed(4, "step"), lam=0.5 if with_teacher else 0.0,
-                teacher=teacher if with_teacher else None, frozen_backbone=frozen)
+                teacher=teacher if with_teacher else None, frozen_backbone=frozen,
+                lr=1e-3, weight_decay=0.0)
             [trained] = updated
             assert trained == (head_only if frozen else student.params.names())
             g, _ = student._train_graphs[(3, with_teacher, 0.5 if with_teacher else 0.0,

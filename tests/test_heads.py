@@ -205,8 +205,6 @@ def test_schedule_monotone_and_respacing():
     assert sched.respaced(1).tolist() == [100]
     taus = sched.respaced(4)
     assert len(taus) == 4 and np.all(np.diff(taus) < 0) and taus[0] == 100
-    with pytest.raises(ValueError):
-        sched.respaced(101)
 
 
 def test_energy_sampler_rejects_multistep():
@@ -281,7 +279,8 @@ def test_toy_train_matches_per_step_reference(kind):
     """Step chains drawn up front, and the energy loss's batched noise, give
     the per-step loop's losses and weights."""
     cfg = HeadConfig(kind=kind, width=16, depth=2, m_samples=3)
-    run = dict(steps=4, batch=16, warmup=2, pool=256)
+    run = dict(steps=4, batch=16, lr=1e-3, warmup=2, weight_decay=0.0, pool=256,
+               noise_sigma=0.03)
     models = []
     for _ in range(2):
         model = ToyHeadModel(cfg, seed=8)

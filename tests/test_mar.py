@@ -85,7 +85,7 @@ def test_one_hot_classes_with_null():
 
 
 def _batch(model, n, seed=0):
-    latents, ids = mar.class_pools(model.cfg, seed, per_class=max(2, n))
+    latents, ids = mar.class_pools(model.cfg, seed, per_class=max(2, n), jitter=0.02)
     return latents[:n], ids[:n]
 
 
@@ -153,8 +153,9 @@ def test_training_step_returns_its_energy_and_distill_terms():
     teacher = MarModel(MarConfig(**{**TINY.__dict__, "head_kind": "diffusion"}), seed=4)
     latents, ids = _batch(student, 4)
     want = _step_terms(student, latents, ids, Stream.from_seed(5, "step"), 0.5, teacher)[:2]
-    got = student.masked_training_step(latents, ids, Stream.from_seed(5, "step"),
-                                       lam=0.5, teacher=teacher)
+    got = student.masked_training_step(latents, ids, Stream.from_seed(5, "step"), lam=0.5,
+                                       teacher=teacher, lr=1e-3, weight_decay=0.0,
+                                       frozen_backbone=False)
     assert got == want
 
 
@@ -162,7 +163,8 @@ def test_lambda_without_teacher_rejected():
     model = MarModel(TINY, seed=0)
     latents, ids = _batch(model, 2)
     with pytest.raises(ValueError):
-        model.masked_training_step(latents, ids, Stream.from_seed(0, "s"), lam=1.0)
+        model.masked_training_step(latents, ids, Stream.from_seed(0, "s"), lam=1.0,
+                                   lr=1e-3, weight_decay=0.0, frozen_backbone=False)
 
 
 def test_energy_term_ignores_head_outputs_at_unmasked_positions():
@@ -187,7 +189,8 @@ def test_teacher_parameters_frozen_during_student_training():
     latents, ids = _batch(student, 4)
     for t in range(1, 4):
         student.masked_training_step(latents, ids, Stream.from_seed(t, "s"),
-                                     lam=0.3, teacher=teacher, lr=1e-3, step_index=t)
+                                     lam=0.3, teacher=teacher, lr=1e-3, step_index=t,
+                                     weight_decay=0.0, frozen_backbone=False)
     for k, p in teacher.params.items():
         assert np.array_equal(before[k], p.value)
 
@@ -196,8 +199,8 @@ def test_frozen_backbone_only_updates_head():
     model = MarModel(TINY, seed=10)
     latents, ids = _batch(model, 4)
     before = {k: p.value.copy() for k, p in model.params.items()}
-    model.masked_training_step(latents, ids, Stream.from_seed(0, "s"),
-                               lr=1e-2, frozen_backbone=True)
+    model.masked_training_step(latents, ids, Stream.from_seed(0, "s"), lam=0.0,
+                               lr=1e-2, weight_decay=0.0, frozen_backbone=True)
     for k, p in model.params.items():
         if k.startswith("backbone."):
             assert np.array_equal(before[k], p.value), k
@@ -278,6 +281,21 @@ def test_guided_decode_at_scale_one_or_zero_runs_the_kept_pass_alone(kind, scale
     assert guided.tobytes() == plain.tobytes()
     assert stats == plain_stats
     assert 2 * stats["backbone_forwards"] == mixed_stats["backbone_forwards"] == 8
+
+
+@pytest.mark.parametrize("kind", ["energy", "diffusion"])
+def test_null_class_decode_runs_the_null_pass_alone_at_any_scale(kind):
+    """Both passes of a null-class decode would be null, so at scale 2.5 it
+    runs one backbone pass per iteration and gives the scale-1 null decode,
+    bit for bit."""
+    model = _reference_model(kind)
+    steps = 1 if kind == "energy" else 3
+    guided, stats = model.decode(None, 3, DecodeConfig(iterations=4, cfg_scale=2.5, seed=2,
+                                                       head_steps=steps))
+    plain, plain_stats = model.decode(None, 3, DecodeConfig(iterations=4, cfg_scale=1.0,
+                                                            seed=2, head_steps=steps))
+    assert stats["backbone_forwards"] == 4
+    assert guided.tobytes() == plain.tobytes() and stats == plain_stats
 
 
 @pytest.mark.parametrize("rate_range", [(0.7, 1.0), (0.5, 0.5), (0.01, 0.2)])
@@ -405,7 +423,8 @@ def test_diffusion_decode_past_the_chain_length_fails_before_any_backbone_pass()
 
 def test_train_mar_smoke_and_log_schema():
     model = MarModel(TINY, seed=14)
-    log = mar.train_mar(model, steps=5, batch=4, per_class=8)
+    log = mar.train_mar(model, steps=5, batch=4, lr=1e-3, warmup=100, lam=0.0, per_class=8,
+                        weight_decay=0.0, frozen_backbone=False, jitter=0.02)
     assert len(log) == 5
     assert list(log[0]) == ["step", "energy", "distill", "total", "lambda", "lr", "seed"]
     assert all(np.isfinite(row["total"]) for row in log)
@@ -419,7 +438,8 @@ def test_train_mar_matches_per_step_reference(kind):
     # fresh copies: training must not touch the cached decode models
     ref, model = (_reference_model.__wrapped__(kind) for _ in range(2))
     want = loop_reference.train_mar(ref, **budget)
-    assert mar.train_mar(model, **budget) == want
+    assert mar.train_mar(model, **budget, lam=0.0, weight_decay=0.0,
+                         frozen_backbone=False, jitter=0.02) == want
     for name, p in model.params.items():
         assert p.value.tobytes() == ref.params[name].value.tobytes(), name
 
@@ -427,7 +447,8 @@ def test_train_mar_matches_per_step_reference(kind):
 def test_mar_checkpoint_roundtrip(tmp_path):
     model = MarModel(TINY, seed=15)
     latents, ids = _batch(model, 4)
-    model.masked_training_step(latents, ids, Stream.from_seed(0, "s"), lr=1e-3)
+    model.masked_training_step(latents, ids, Stream.from_seed(0, "s"), lam=0.0, lr=1e-3,
+                               weight_decay=0.0, frozen_backbone=False)
     path = tmp_path / "mar.ckpt"
     model.save(path, config_digest="d1", step=1, extra={"lambda": 2.0})
     back = MarModel.load(path)
@@ -453,8 +474,9 @@ import hashlib
 from escore.mar import DecodeConfig, MarConfig, MarModel, class_pools
 from escore.rng import Stream
 model = MarModel(MarConfig(), seed=1)
-latents, ids = class_pools(model.cfg, 1, per_class=8)
-model.masked_training_step(latents[:32], ids[:32], Stream.from_seed(1, "step"), lr=1e-3)
+latents, ids = class_pools(model.cfg, 1, per_class=8, jitter=0.02)
+model.masked_training_step(latents[:32], ids[:32], Stream.from_seed(1, "step"), lam=0.0,
+                           lr=1e-3, weight_decay=0.0, frozen_backbone=False)
 out, _ = model.decode(0, 48, DecodeConfig(iterations=8, cfg_scale=4.0, seed=3))
 digest = hashlib.sha256(out.tobytes())
 for _, p in model.params.items():

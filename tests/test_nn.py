@@ -244,7 +244,7 @@ def test_adam_non_finite_gradient_aborts_with_name():
     before = params["bad"].value.copy()
     with pytest.raises(G.NonFiniteError, match="gradient of 'bad' is non-finite"):
         nn.adam_step(params, {"good": np.ones(2), "bad": np.array([1.0, np.inf])},
-                     lr=0.1, t=1)
+                     lr=0.1, weight_decay=0.0, t=1)
     assert np.array_equal(params["bad"].value, before)
 
 

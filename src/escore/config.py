@@ -264,13 +264,3 @@ def resolve_config(overrides: list[str] | None = None,
 def config_digest(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def write_run_config(out_dir, cfg: dict) -> str:
-    """Persists the resolved config + digest into a run directory."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    digest = config_digest(cfg)
-    (out / "config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
-    (out / "config.digest").write_text(digest + "\n")
-    return digest

@@ -1,15 +1,21 @@
 """Experiment runners behind the CLI verbs: training runs, the five-way
 Swiss-roll comparison, MAR training/decoding, and hyperparameter sweeps.
 
-Sweep cells are pure functions of (config, seed), so results are identical
-whether they run serially or on the ESCORE_THREADS worker pool.
+A verb builds its run directory beside ``--out`` and renames it into place,
+so the directory appears whole or not at all. Sweep cells are pure functions
+of (config, seed), so results are identical whether they run serially or on
+the ESCORE_THREADS worker pool, whose workers run OpenBLAS on one thread each.
 """
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+import shutil
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,7 +23,7 @@ import numpy as np
 
 from . import data, mar, metrics, svg
 from .config import (ConfigError, check_config, config_digest, decode_config_from,
-                     head_config_from, mar_config_from, write_run_config)
+                     head_config_from, mar_config_from)
 from .heads import HEAD_KINDS
 from .mar import MarConfig, MarModel, train_mar
 from .metrics import MetricsReport
@@ -47,31 +53,55 @@ def worker_count() -> int:
     return count
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: numpy's bundled OpenBLAS runs on one thread unless the
+    environment sets its thread count. A forked worker keeps the parent's
+    count, a thread per core, so the workers together would oversubscribe."""
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    try:
+        ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_(1)
+    except (IndexError, OSError, AttributeError):
+        pass
+
+
 def run_jobs(fn, arg_tuples: list[tuple]):
-    """Run jobs serially or on a process pool; results in submission order."""
+    """Run jobs serially or on a process pool; results in submission order.
+    After the first failure the jobs not yet started are cancelled, and the
+    failure is raised once the running ones have finished."""
     workers = min(worker_count(), len(arg_tuples))
     if workers <= 1:
         return [fn(*args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         futures = [pool.submit(fn, *args) for args in arg_tuples]
-        return [f.result() for f in futures]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)
+        return [f.result() for f in futures]   # started in order: a failure precedes a cancel
 
 
-def _refuse_nonempty(out_dir) -> Path:
-    """``out_dir`` as a path, unless it is a directory with something in it."""
+@contextmanager
+def _run_dir(out_dir, cfg: dict | None = None):
+    """Yields a hidden sibling of ``out_dir`` to build a run in, holding the
+    resolved config and its digest when ``cfg`` is given, and renames it onto
+    ``out_dir`` when the block returns; removes it when the block raises."""
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()):
         raise ConfigError(f"output directory {out} is not empty; completed runs "
                           "are immutable")
-    return out
-
-
-def fresh_dir(out_dir, cfg: dict | None = None) -> Path:
-    out = _refuse_nonempty(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if cfg is not None:
-        write_run_config(out, cfg)
-    return out
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = out.parent / f".{out.name}.{os.getpid()}.partial"
+    stage.mkdir()
+    try:
+        if cfg is not None:
+            (stage / "config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
+            (stage / "config.digest").write_text(config_digest(cfg) + "\n")
+        yield stage
+        os.replace(stage, out)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
 
 
 def write_loss_csv(path, rows: list[dict]) -> None:
@@ -100,13 +130,11 @@ def append_metrics_rows(path, reports: list[MetricsReport]) -> None:
 
 def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path,
                     steps: int | None = None) -> ToyHeadModel:
-    """Trains one toy head, then creates ``out`` and writes its loss.csv and
-    head.ckpt there: a run that fails leaves no directory."""
+    """Trains one toy head, then writes its loss.csv and head.ckpt in ``out``."""
     t = cfg["train"]
     log = model.train(steps=steps or t["steps"], batch=t["batch"], lr=t["lr"],
                       warmup=t["warmup"], weight_decay=t["weight_decay"],
                       pool=cfg["data"]["pool"], noise_sigma=cfg["data"]["noise_sigma"])
-    out.mkdir(parents=True, exist_ok=True)
     write_loss_csv(out / "loss.csv", log)
     model.save(out / "head.ckpt", config_digest=config_digest(cfg), step=len(log))
     return model
@@ -114,10 +142,9 @@ def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path,
 
 def run_train_head(cfg: dict, out_dir) -> Path:
     model = ToyHeadModel(head_config_from(cfg), cfg["seed"])
-    out = _refuse_nonempty(out_dir)
-    _train_toy_head(model, cfg, out)
-    write_run_config(out, cfg)
-    return out / "head.ckpt"
+    with _run_dir(out_dir, cfg) as run:
+        _train_toy_head(model, cfg, run)
+    return Path(out_dir) / "head.ckpt"
 
 
 def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv, noise_sigma: float,
@@ -157,6 +184,7 @@ def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
 def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[MetricsReport]:
     """Train one head on one seed; sample and score it at each step count."""
     out = Path(cell_dir)
+    out.mkdir(parents=True)
     model = _train_toy_head(ToyHeadModel(head_config_from(cfg, method), seed), cfg, out,
                             steps=cfg["compare"]["steps_by_method"][method])
 
@@ -175,25 +203,23 @@ def run_compare(cfg: dict, out_dir) -> Path:
     for method in MULTI_STEP_KINDS:   # a step count a head cannot take fails before any output
         for steps in cfg["compare"]["multi_steps"]:
             head_config_from(cfg, method).check_steps(steps)
-    out = fresh_dir(out_dir, cfg)
     seeds = cfg["compare"]["seeds"]
-    jobs = [(cfg, method, seed, str(out / "cells" / f"{method}_seed{seed}"))
-            for seed in seeds for method in HEAD_KINDS]
-    reports = [rep for cell in run_jobs(_compare_cell, jobs) for rep in cell]
-    reports.sort(key=lambda r: (r.seed, r.method, r.steps))
-    metrics_path = out / "metrics.csv"
-    append_metrics_rows(metrics_path, reports)
-
     n = cfg["compare"]["sample_n"]
-    for seed in seeds:
-        reference = data.swiss_roll(n, cfg["data"]["noise_sigma"], seed=10_000 + seed).points
-        panels = []
-        for method in HEAD_KINDS:
-            pts, _ = data.read_points_csv(out / "cells" / f"{method}_seed{seed}"
-                                          / "samples_step1.csv")
-            panels.append((f"{method} (1 step)", reference, pts))
-        svg.panel_grid_svg(out / f"swissroll_seed{seed}.svg", panels)
-    return metrics_path
+    with _run_dir(out_dir, cfg) as run:
+        jobs = [(cfg, method, seed, str(run / "cells" / f"{method}_seed{seed}"))
+                for seed in seeds for method in HEAD_KINDS]
+        reports = [rep for cell in run_jobs(_compare_cell, jobs) for rep in cell]
+        reports.sort(key=lambda r: (r.seed, r.method, r.steps))
+        append_metrics_rows(run / "metrics.csv", reports)
+        for seed in seeds:
+            reference = data.swiss_roll(n, cfg["data"]["noise_sigma"], seed=10_000 + seed).points
+            panels = []
+            for method in HEAD_KINDS:
+                pts, _ = data.read_points_csv(run / "cells" / f"{method}_seed{seed}"
+                                              / "samples_step1.csv")
+                panels.append((f"{method} (1 step)", reference, pts))
+            svg.panel_grid_svg(run / f"swissroll_seed{seed}.svg", panels)
+    return Path(out_dir) / "metrics.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +250,7 @@ def build_mar_model(cfg: dict, role: str, seed: int,
 def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
                ckpt: Path, loss_csv: Path) -> MarModel:
     """Trains a model from :func:`build_mar_model`, then writes its loss log
-    and checkpoint, creating their directory: a run that fails leaves none."""
+    and checkpoint."""
     t = cfg["mar_train"]
     log = train_mar(model, steps=t["steps"], batch=t["batch"], lr=t["lr"],
                     warmup=t["warmup"],
@@ -233,7 +259,6 @@ def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
                     weight_decay=t["weight_decay"],
                     frozen_backbone=t["frozen_backbone"],
                     jitter=cfg["data"]["jitter"])
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
     write_loss_csv(loss_csv, log)
     model.save(ckpt, config_digest=config_digest(cfg), step=len(log),
                extra={"role": role, "lambda": cfg["mar_train"]["lambda"]})
@@ -245,10 +270,9 @@ def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None) -> Path:
         raise ConfigError(f"--role must be teacher or student, got {role!r}")
     teacher = MarModel.load(teacher_ckpt) if teacher_ckpt else None
     model = build_mar_model(cfg, role, cfg["seed"], teacher)
-    out = _refuse_nonempty(out_dir)
-    _train_mar(cfg, role, model, teacher, out / "mar.ckpt", out / "loss.csv")
-    write_run_config(out, cfg)
-    return out / "mar.ckpt"
+    with _run_dir(out_dir, cfg) as run:
+        _train_mar(cfg, role, model, teacher, run / "mar.ckpt", run / "loss.csv")
+    return Path(out_dir) / "mar.ckpt"
 
 
 def run_decode(cfg: dict, ckpt_path, class_id: int | None, out_dir,
@@ -260,18 +284,16 @@ def run_decode(cfg: dict, ckpt_path, class_id: int | None, out_dir,
     model = MarModel.load(ckpt_path)
     n_seq = cfg["decode"]["n_seq"]
     dcfg = decode_config_from(cfg, cfg["seed"], model.head.cfg, head_steps)
-    _refuse_nonempty(out_dir)   # a decode that fails leaves no run directory
-    latents, stats = model.decode(class_id, n_seq, dcfg)
-    out = fresh_dir(out_dir)
-    seq_csv = out / "sequences.csv"
     length = model.cfg.seq_len
-    flat = latents.reshape(n_seq * length, data.LATENT_DIM)
-    positions = np.tile(np.arange(length), n_seq)
-    data.write_points_csv(seq_csv, flat, extra={"position": positions})
-    stats_out = {"class_id": class_id, "n_seq": n_seq, **asdict(dcfg), **stats}
-    (out / "decode_stats.json").write_text(json.dumps(stats_out, sort_keys=True,
-                                                      indent=2) + "\n")
-    return seq_csv
+    with _run_dir(out_dir) as run:
+        latents, stats = model.decode(class_id, n_seq, dcfg)
+        flat = latents.reshape(n_seq * length, data.LATENT_DIM)
+        positions = np.tile(np.arange(length), n_seq)
+        data.write_points_csv(run / "sequences.csv", flat, extra={"position": positions})
+        stats_out = {"class_id": class_id, "n_seq": n_seq, **asdict(dcfg), **stats}
+        (run / "decode_stats.json").write_text(json.dumps(stats_out, sort_keys=True,
+                                                          indent=2) + "\n")
+    return Path(out_dir) / "sequences.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +342,7 @@ def _sweep_cell(cfg: dict, param: str, seed: int, values: list,
     student it names (the decode-only ``cfg`` values share one) and scores
     it. Students with lambda > 0 distil from one teacher trained on ``cfg``."""
     out = Path(cell_dir)
+    out.mkdir(parents=True)
     teacher = student = trained = None
     rows = []
     for value in values:
@@ -347,27 +370,25 @@ def run_sweep(cfg: dict, out_dir, param: str, values: list) -> Path:
         raise ConfigError("--values must list at least one grid point")
     for value in values:   # a value that cannot train fails before any output
         _grid_config(cfg, param, value)
-    out = fresh_dir(out_dir, cfg)
     seeds = cfg["sweep"]["seeds"]
-    jobs = [(cfg, param, seed, values, str(out / "cells" / f"seed{seed}"))
-            for seed in seeds]
-    per_seed = run_jobs(_sweep_cell, jobs)
+    with _run_dir(out_dir, cfg) as run:
+        jobs = [(cfg, param, seed, values, str(run / "cells" / f"seed{seed}"))
+                for seed in seeds]
+        cell_rows = [row for rows in run_jobs(_sweep_cell, jobs) for row in rows]
+        cell_rows.sort(key=lambda r: (str(r["value"]), r["seed"]))
+        with open(run / "sweep_cells.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["param", "value", "seed", "n", *SCORES])
+            for r in cell_rows:
+                writer.writerow([r["param"], r["value"], r["seed"], r["n"]]
+                                + [repr(r[k]) for k in SCORES])
 
-    cell_rows = [row for rows in per_seed for row in rows]
-    cell_rows.sort(key=lambda r: (str(r["value"]), r["seed"]))
-    with open(out / "sweep_cells.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "value", "seed", "n", *SCORES])
-        for r in cell_rows:
-            writer.writerow([r["param"], r["value"], r["seed"], r["n"]]
-                            + [repr(r[k]) for k in SCORES])
-
-    seed_tag = "|".join(str(s) for s in seeds)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "value", "seeds", "n", *SCORES])
-        for value in values:
-            rows = [r for r in cell_rows if r["value"] == value]
-            writer.writerow([param, value, seed_tag, rows[0]["n"]] + [
-                repr(float(np.mean([r[k] for r in rows]))) for k in SCORES])
-    return out / "sweep.csv"
+        seed_tag = "|".join(str(s) for s in seeds)
+        with open(run / "sweep.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["param", "value", "seeds", "n", *SCORES])
+            for value in values:
+                rows = [r for r in cell_rows if r["value"] == value]
+                writer.writerow([param, value, seed_tag, rows[0]["n"]] + [
+                    repr(float(np.mean([r[k] for r in rows]))) for k in SCORES])
+    return Path(out_dir) / "sweep.csv"

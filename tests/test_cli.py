@@ -1,14 +1,17 @@
 import csv
+import ctypes
+import glob
 import json
 import os
 import resource
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from escore import data
+from escore import data, experiments
 from escore.cli import main, retain_freed_memory
 from oracles import gaussian_source
 
@@ -23,11 +26,16 @@ TINY_MAR = ["--set", "mar.hidden_dim=16", "--set", "mar.n_blocks=2",
             "--set", "decode.iterations=4", "--set", "decode.n_seq=3"]
 
 
-def test_train_head_run_dir(tmp_path):
+def test_train_head_run_dir(tmp_path, capsys):
     out = tmp_path / "run"
+    out.mkdir(mode=0o700)   # an empty --out is taken, and replaced by the finished run
+    (tmp_path / "plain").mkdir()
     rc = main(["train-head", "--method", "energy", "--seed", "7",
                "--out", str(out)] + TINY_HEAD)
     assert rc == 0
+    assert capsys.readouterr().out == f"checkpoint written: {out / 'head.ckpt'}\n"
+    assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "run"]
     assert (out / "head.ckpt").exists()
     assert (out / "config.json").exists()
     assert (out / "config.digest").exists()
@@ -52,6 +60,26 @@ def test_train_head_refuses_nonempty_out(tmp_path):
     (out / "junk.txt").write_text("x")
     rc = main(["train-head", "--method", "energy", "--out", str(out)] + TINY_HEAD)
     assert rc == 1
+
+
+def test_a_run_whose_out_fills_while_it_runs_fails_without_mixing_files(tmp_path, capsys,
+                                                                        monkeypatch):
+    from escore.swiss import ToyHeadModel
+    out = tmp_path / "run"
+    save = ToyHeadModel.save
+
+    def save_while_another_run_finishes(model, path, **kwargs):
+        save(model, path, **kwargs)
+        out.mkdir()
+        (out / "head.ckpt").write_text("the other run's checkpoint\n")
+
+    monkeypatch.setattr(ToyHeadModel, "save", save_while_another_run_finishes)
+    rc = main(["train-head", "--method", "energy", "--out", str(out)] + TINY_HEAD)
+    err = capsys.readouterr().err
+    assert rc == 1 and "Directory not empty" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert [p.name for p in out.iterdir()] == ["head.ckpt"]
+    assert (out / "head.ckpt").read_text() == "the other run's checkpoint\n"
 
 
 def test_unknown_method_is_usage_error(tmp_path, capsys):
@@ -217,19 +245,21 @@ def test_eval_quotes_a_method_with_a_comma_and_a_quote(tmp_path):
     assert [(row["method"], row["steps"], row["wsd"]) for row in rows] == [(method, "3", "0.0")]
 
 
-def test_train_mar_and_decode_roundtrip(tmp_path):
+def test_train_mar_and_decode_roundtrip(tmp_path, capsys):
     run = tmp_path / "teacher"
     rc = main(["train-mar", "--role", "teacher", "--seed", "2",
                "--out", str(run)] + TINY_MAR)
     assert rc == 0
     ckpt = run / "mar.ckpt"
     assert ckpt.exists()
+    assert capsys.readouterr().out == f"checkpoint written: {ckpt}\n"
 
     dec = tmp_path / "dec"
     rc = main(["decode", "--ckpt", str(ckpt), "--class", "1", "--iterations", "4",
                "--cfg", "2.0", "--n", "3", "--seed", "9", "--out", str(dec)]
               + TINY_MAR)
     assert rc == 0
+    assert capsys.readouterr().out == f"sequences written: {dec / 'sequences.csv'}\n"
     seq, header = data.read_points_csv(dec / "sequences.csv")
     assert header == ["x0", "x1", "position"]
     assert seq.shape == (3 * 16, 2)
@@ -567,9 +597,10 @@ def test_sweep_lambda_grid_contract(tmp_path):
     assert (cell / "teacher.ckpt").exists()
 
 
-def test_sweep_cfg_grid_trains_one_student(tmp_path):
+def test_sweep_cfg_grid_trains_one_student(tmp_path, capsys):
     cell = _check_sweep_grid(tmp_path, "cfg", ["1.0", "3.0"], "student.ckpt")
     assert sorted(p.name for p in cell.glob("*.ckpt")) == ["student.ckpt"]
+    assert capsys.readouterr().out == f"sweep written: {tmp_path / 'sweep' / 'sweep.csv'}\n"
 
 
 @pytest.mark.parametrize("param,values,ckpt", [
@@ -736,10 +767,11 @@ def test_bad_model_setting_fails_before_the_verb_writes(tmp_path, capsys, argv, 
     assert not out.exists()
 
 
-def test_compare_swissroll_tiny(tmp_path):
+def test_compare_swissroll_tiny(tmp_path, capsys):
     out = tmp_path / "cmp"
     rc = main(["compare-swissroll", "--out", str(out)] + TINY_COMPARE)
     assert rc == 0
+    assert capsys.readouterr().out == f"metrics written: {out / 'metrics.csv'}\n"
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) - 1 == 9   # 5 one-step + diffusion/flow at 4 and 100 steps
     assert (out / "swissroll_seed1.svg").exists()
@@ -761,23 +793,19 @@ def test_decode_rejects_non_finite_weight_naming_the_leaf(tmp_path, capsys, para
     assert param in capsys.readouterr().err
 
 
-def test_decode_cfg_overflow_is_a_runtime_failure_naming_the_scale(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def noisy_mar_ckpt(tmp_path_factory):
+    """A tiny MAR checkpoint whose weights are pushed off their initial scale,
+    so a huge CFG scale overflows its guided representation."""
     from escore.mar import MarConfig, MarModel
     from escore.rng import Stream
     model = MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
                                head_width=16, head_depth=1), 0)
     for name, p in model.params.items():
         p.value = p.value + Stream.from_seed(0, name).normal(p.value.shape)
-    ckpt = tmp_path / "mar.ckpt"
+    ckpt = tmp_path_factory.mktemp("noisy") / "mar.ckpt"
     model.save(ckpt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")   # numpy's overflow warnings are not printed
-        rc = main(["decode", "--ckpt", str(ckpt), "--n", "2", "--iterations", "2",
-                   "--cfg", "1e308", "--out", str(tmp_path / "dec")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "runtime failure: CFG scale 1e+308 gives a non-finite guided representation" in err
-    assert not (tmp_path / "dec").exists()
+    return ckpt
 
 
 @pytest.mark.parametrize("argv,diverge,cause", [
@@ -787,17 +815,32 @@ def test_decode_cfg_overflow_is_a_runtime_failure_naming_the_scale(tmp_path, cap
 ] + [
     (["train-mar", "--role", "teacher"] + TINY_MAR, ["--set", "mar_train.lr=1e300"],
      "runtime failure: diffusion: non-finite loss or gradient at step 2: "),
-], ids=["train-head", "train-head-shortcut", "train-head-meanflow", "train-mar"])
+    (["compare-swissroll"] + TINY_COMPARE, ["--set", "train.lr=1e300"],
+     "runtime failure: energy: non-finite loss or gradient at step 2: "),
+    (["sweep", "--param", "cfg", "--values", "2", "--set", "sweep.seeds=[1]",
+      "--set", "sweep.eval_per_class=4"] + TINY_MAR, ["--set", "mar_train.lr=1e300"],
+     "runtime failure: energy: non-finite loss or gradient at step 2: "),
+    (["decode", "--ckpt", "{noisy}", "--n", "2", "--iterations", "2"], ["--cfg", "1e308"],
+     "runtime failure: CFG scale 1e+308 gives a non-finite guided representation"),
+], ids=["train-head", "train-head-shortcut", "train-head-meanflow", "train-mar",
+        "compare-swissroll", "sweep", "decode-cfg-overflow"])
 def test_diverging_training_run_exits_2_naming_the_kind_and_the_step(tmp_path, capsys, argv,
-                                                                     diverge, cause):
-    out = ["--out", str(tmp_path / "run")]
+                                                                     diverge, cause,
+                                                                     noisy_mar_ckpt):
+    """A failed run leaves neither ``--out`` nor the hidden sibling it was
+    built in, so a sane rerun can use the same ``--out``."""
+    argv = [a.replace("{noisy}", str(noisy_mar_ckpt)) for a in argv]
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = ["--out", str(runs / "run")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # numpy's overflow warnings are not printed
         rc = main(argv + diverge + out)
     err = capsys.readouterr().err
     assert rc == 2 and cause in err and "Traceback" not in err and "Warning" not in err
-    assert not (tmp_path / "run").exists()   # so a sane rerun can use the same --out
+    assert list(runs.iterdir()) == []
     assert main(argv + out) == 0
+    assert [p.name for p in runs.iterdir()] == ["run"]
 
 
 def _config_edit(change):
@@ -991,6 +1034,48 @@ def test_valid_escore_threads_is_accepted(monkeypatch, tmp_path):
 def _tree(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _job_after_a_failed_first(index: int, marks: str) -> None:
+    if index == 0:
+        raise RuntimeError("the first job fails")
+    time.sleep(0.1)
+    (Path(marks) / f"job{index}").touch()
+
+
+def test_a_failed_pool_job_stops_the_jobs_not_yet_started(monkeypatch, tmp_path):
+    monkeypatch.setenv("ESCORE_THREADS", "2")
+    jobs = [(index, str(tmp_path)) for index in range(9)]
+    with pytest.raises(RuntimeError, match="the first job fails"):
+        experiments.run_jobs(_job_after_a_failed_first, jobs)
+    assert len(list(tmp_path.iterdir())) < len(jobs) - 1
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    return ctypes.CDLL(libs[0]) if libs else None
+
+
+def _blas_threads(_) -> int:
+    return _openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.mark.skipif(_openblas() is None, reason="numpy bundles no scipy-openblas")
+def test_pool_workers_run_blas_on_one_thread_unless_the_environment_says(monkeypatch):
+    monkeypatch.setenv("ESCORE_THREADS", "2")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    lib = _openblas()
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)   # forked workers start with this count
+    try:
+        assert experiments.run_jobs(_blas_threads, [(0,), (1,)]) == [1, 1]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert experiments.run_jobs(_blas_threads, [(0,), (1,)]) == [2, 2]
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def test_compare_swissroll_output_does_not_depend_on_thread_count(monkeypatch, tmp_path):

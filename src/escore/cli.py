@@ -111,7 +111,8 @@ def _bandwidth(text: str):
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file merged over defaults")
     p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY.PATH=VALUE", help="dotted-key config override")
+                   metavar="KEY.PATH=VALUE",
+                   help="dotted-key config override; a table merges as in --config")
 
 
 def _build_parser() -> _Parser:

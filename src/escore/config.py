@@ -1,4 +1,4 @@
-"""Run configuration: nested defaults, dotted-key overrides, digests."""
+"""Run configuration: nested defaults, checked override tables, digests."""
 from __future__ import annotations
 
 import copy
@@ -88,23 +88,8 @@ DEFAULTS: dict = {
 }
 
 
-def _walk_assign(tree: dict, defaults: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node, ref = tree, defaults
-    for key in parts[:-1]:
-        if not isinstance(ref, dict) or key not in ref:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node = node.setdefault(key, {})
-        ref = ref[key]
-    leaf = parts[-1]
-    if not isinstance(ref, dict) or leaf not in ref:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    if isinstance(ref[leaf], dict) and not isinstance(value, dict):
-        raise ConfigError(f"config key {dotted!r} expects a table")
-    node[leaf] = value
-
-
 def _merge_checked(base: dict, update: dict, prefix: str = "") -> None:
+    """Merges the table ``update`` into ``base`` key by key; rejects a key ``base`` lacks."""
     for key, value in update.items():
         dotted = f"{prefix}{key}"
         if key not in base:
@@ -180,16 +165,14 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
                                   f"got {value!r}")
 
 
-def head_config_from(cfg: dict, kind: str | None = None) -> HeadConfig:
-    """The toy head of ``cfg["head"]``, of ``kind`` or else ``head.method``."""
-    h = _fields_of(cfg["head"], HEAD_KEYS)
-    return HeadConfig(**{**h, "kind": kind or h["kind"]})
+def head_config_from(cfg: dict) -> HeadConfig:
+    """The toy head of ``cfg["head"]``."""
+    return HeadConfig(**_fields_of(cfg["head"], HEAD_KEYS))
 
 
-def mar_config_from(cfg: dict, head_kind: str | None = None) -> MarConfig:
-    """The MAR model of ``cfg["mar"]``, its head of ``head_kind`` or else ``mar.head_kind``."""
-    m_ = _fields_of(cfg["mar"], MAR_KEYS)
-    return MarConfig(**{**m_, "head_kind": head_kind or m_["head_kind"]})
+def mar_config_from(cfg: dict) -> MarConfig:
+    """The MAR model of ``cfg["mar"]``."""
+    return MarConfig(**_fields_of(cfg["mar"], MAR_KEYS))
 
 
 def decode_config_from(cfg: dict, seed: int, head: HeadConfig,
@@ -229,8 +212,15 @@ def check_config(cfg: dict) -> None:
     decode_config_from(cfg, cfg["seed"], mar_config_from(cfg).head_config())
 
 
-def parse_override(text: str) -> tuple[str, object]:
-    """'a.b=value' with the value parsed as JSON, falling back to a string."""
+def nested(dotted: str, value) -> dict:
+    """The table that sets the key ``dotted`` ('a.b') to ``value``: {'a': {'b': value}}."""
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
+
+
+def parse_override(text: str) -> dict:
+    """The table of 'a.b=value', the value parsed as JSON, falling back to a string."""
     if "=" not in text:
         raise ConfigError(f"override {text!r} must look like key.path=value")
     key, raw = text.split("=", 1)
@@ -238,14 +228,23 @@ def parse_override(text: str) -> tuple[str, object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key.strip(), value
+    return nested(key.strip(), value)
+
+
+def overridden(cfg: dict, *tables: dict) -> dict:
+    """A copy of ``cfg`` with ``tables`` merged over it in turn, then checked."""
+    out = copy.deepcopy(cfg)
+    for table in tables:
+        _merge_checked(out, table)
+    check_config(out)
+    return out
 
 
 def resolve_config(overrides: list[str] | None = None,
                    config_file: str | None = None) -> dict:
-    """Defaults <- file <- overrides, checked by :func:`check_config`;
-    unknown keys are rejected."""
-    cfg = copy.deepcopy(DEFAULTS)
+    """Defaults <- file <- overrides, each a table merged in turn; unknown
+    keys are rejected."""
+    tables = []
     if config_file:
         try:
             loaded = json.loads(Path(config_file).read_bytes().decode("utf-8"))
@@ -253,12 +252,8 @@ def resolve_config(overrides: list[str] | None = None,
             raise ConfigError(f"{config_file}: not a JSON config file: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_file}: top level must be an object")
-        _merge_checked(cfg, loaded)
-    for text in overrides or []:
-        key, value = parse_override(text)
-        _walk_assign(cfg, DEFAULTS, key, value)
-    check_config(cfg)
-    return cfg
+        tables.append(loaded)
+    return overridden(DEFAULTS, *tables, *map(parse_override, overrides or []))
 
 
 def config_digest(cfg: dict) -> str:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data, mar, metrics, svg
-from .config import (ConfigError, check_config, config_digest, decode_config_from,
-                     head_config_from, mar_config_from)
+from .config import (ConfigError, config_digest, decode_config_from, head_config_from,
+                     mar_config_from, nested, overridden)
 from .heads import HEAD_KINDS
 from .mar import MarConfig, MarModel, train_mar
 from .metrics import MetricsReport
@@ -37,6 +37,9 @@ SWEEP_PARAMS = {   # --param -> (config key each grid value sets, student checkp
     "m": ("mar.m", "student_m{}"),
     "wiring": ("mar.wiring", "student_{}"),
 }
+# a teacher run: a diffusion head training its whole model from scratch
+TEACHER = {"mar": {"head_kind": "diffusion"},
+           "mar_train": {"lambda": 0.0, "frozen_backbone": False, "init_from_teacher": False}}
 SCORES = ("mmd", "wsd", "energy_u", "energy_v")
 MULTI_STEP_KINDS = ("diffusion", "flow")   # compared at compare.multi_steps as well as 1
 
@@ -81,15 +84,19 @@ def run_jobs(fn, arg_tuples: list[tuple]):
         return [f.result() for f in futures]   # started in order: a failure precedes a cancel
 
 
+def _refuse_filled(out: Path) -> None:
+    if out.exists() and any(out.iterdir()):
+        raise ConfigError(f"output directory {out} is not empty; completed runs "
+                          "are immutable")
+
+
 @contextmanager
 def _run_dir(out_dir, cfg: dict | None = None):
     """Yields a hidden sibling of ``out_dir`` to build a run in, holding the
     resolved config and its digest when ``cfg`` is given, and renames it onto
     ``out_dir`` when the block returns; removes it when the block raises."""
     out = Path(out_dir)
-    if out.exists() and any(out.iterdir()):
-        raise ConfigError(f"output directory {out} is not empty; completed runs "
-                          "are immutable")
+    _refuse_filled(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = out.parent / f".{out.name}.{os.getpid()}.partial"
     stage.mkdir()
@@ -98,7 +105,11 @@ def _run_dir(out_dir, cfg: dict | None = None):
             (stage / "config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
             (stage / "config.digest").write_text(config_digest(cfg) + "\n")
         yield stage
-        os.replace(stage, out)
+        try:
+            os.replace(stage, out)
+        except OSError:   # another run filled --out meanwhile
+            _refuse_filled(out)
+            raise
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
         raise
@@ -114,10 +125,23 @@ def write_loss_csv(path, rows: list[dict]) -> None:
                              repr(row["lr"]), row["seed"]])
 
 
+def _metrics_csv_is_new(path) -> bool:
+    """Whether ``path`` is absent or empty; a usage error naming it when it
+    holds anything but a metrics CSV, whose first line is the header."""
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline()
+    except FileNotFoundError:
+        return True
+    if first and first.rstrip(b"\r\n") != ",".join(MetricsReport.CSV_HEADER).encode():
+        raise ConfigError(f"{path}: not a metrics CSV (its first line is not the header "
+                          f"{','.join(MetricsReport.CSV_HEADER)}); no row appended")
+    return not first
+
+
 def append_metrics_rows(path, reports: list[MetricsReport]) -> None:
-    """One CSV row per report, after the header when ``path`` is new."""
-    path = Path(path)
-    new = not path.exists()
+    """One CSV row per report, after the header when ``path`` is new or empty."""
+    new = _metrics_csv_is_new(path)
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if new:
@@ -128,11 +152,10 @@ def append_metrics_rows(path, reports: list[MetricsReport]) -> None:
 # ---------------------------------------------------------------------------
 # toy heads
 
-def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path,
-                    steps: int | None = None) -> ToyHeadModel:
+def _train_toy_head(model: ToyHeadModel, cfg: dict, out: Path) -> ToyHeadModel:
     """Trains one toy head, then writes its loss.csv and head.ckpt in ``out``."""
     t = cfg["train"]
-    log = model.train(steps=steps or t["steps"], batch=t["batch"], lr=t["lr"],
+    log = model.train(steps=t["steps"], batch=t["batch"], lr=t["lr"],
                       warmup=t["warmup"], weight_decay=t["weight_decay"],
                       pool=cfg["data"]["pool"], noise_sigma=cfg["data"]["noise_sigma"])
     write_loss_csv(out / "loss.csv", log)
@@ -168,6 +191,7 @@ def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
         raise ConfigError(f"unknown metric name(s): {sorted(bad)}; known: {known}")
     if not metric_names:
         raise ConfigError(f"no metric named; known: {known}")
+    _metrics_csv_is_new(out_csv)   # appends only to a metrics CSV, checked before any metric
     gen, _ = data.read_points_csv(generated_csv)
     ref, _ = data.read_points_csv(reference_csv)
     if gen.shape[1] != ref.shape[1]:
@@ -181,12 +205,12 @@ def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
 # ---------------------------------------------------------------------------
 # compare-swissroll (the five-way one-step comparison)
 
-def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[MetricsReport]:
-    """Train one head on one seed; sample and score it at each step count."""
+def _compare_cell(cfg: dict, seed: int, cell_dir: str) -> list[MetricsReport]:
+    """Train the head of ``cfg`` on one seed; sample and score it at each step count."""
     out = Path(cell_dir)
     out.mkdir(parents=True)
-    model = _train_toy_head(ToyHeadModel(head_config_from(cfg, method), seed), cfg, out,
-                            steps=cfg["compare"]["steps_by_method"][method])
+    method = cfg["head"]["method"]
+    model = _train_toy_head(ToyHeadModel(head_config_from(cfg), seed), cfg, out)
 
     n = cfg["compare"]["sample_n"]
     reference = data.swiss_roll(n, cfg["data"]["noise_sigma"], seed=10_000 + seed).points
@@ -200,13 +224,16 @@ def _compare_cell(cfg: dict, method: str, seed: int, cell_dir: str) -> list[Metr
 
 
 def run_compare(cfg: dict, out_dir) -> Path:
+    steps_by_method = cfg["compare"]["steps_by_method"]
+    cells = {m: overridden(cfg, {"head": {"method": m}, "train": {"steps": steps_by_method[m]}})
+             for m in HEAD_KINDS}
     for method in MULTI_STEP_KINDS:   # a step count a head cannot take fails before any output
         for steps in cfg["compare"]["multi_steps"]:
-            head_config_from(cfg, method).check_steps(steps)
+            head_config_from(cells[method]).check_steps(steps)
     seeds = cfg["compare"]["seeds"]
     n = cfg["compare"]["sample_n"]
     with _run_dir(out_dir, cfg) as run:
-        jobs = [(cfg, method, seed, str(run / "cells" / f"{method}_seed{seed}"))
+        jobs = [(cells[method], seed, str(run / "cells" / f"{method}_seed{seed}"))
                 for seed in seeds for method in HEAD_KINDS]
         reports = [rep for cell in run_jobs(_compare_cell, jobs) for rep in cell]
         reports.sort(key=lambda r: (r.seed, r.method, r.steps))
@@ -225,22 +252,31 @@ def run_compare(cfg: dict, out_dir) -> Path:
 # ---------------------------------------------------------------------------
 # MAR training / decoding
 
-def build_mar_model(cfg: dict, role: str, seed: int,
-                    teacher: MarModel | None = None) -> MarModel:
-    """The untrained MAR teacher or student of ``cfg``; a student takes the
-    teacher's backbone under ``mar_train.init_from_teacher``. A given teacher
-    must share the sequence length and width whose representations the
-    student is trained against."""
-    if role == "student" and cfg["mar_train"]["lambda"] > 0 and teacher is None:
-        raise ConfigError("mar_train.lambda > 0 requires --teacher")
-    kind = "diffusion" if role == "teacher" else None
-    mcfg = mar_config_from(cfg, head_kind=kind)
+def _takes_teacher(cfg: dict) -> bool:
+    """Whether the MAR run of ``cfg`` uses a teacher: to distil from (lambda > 0)
+    or to start from (``mar_train.init_from_teacher``)."""
+    return cfg["mar_train"]["lambda"] > 0 or cfg["mar_train"]["init_from_teacher"]
+
+
+def build_mar_model(cfg: dict, seed: int, teacher: MarModel | None = None) -> MarModel:
+    """The untrained MAR model of ``cfg``, given a teacher exactly when it takes
+    one; it starts from the teacher's backbone under
+    ``mar_train.init_from_teacher``. A teacher must share the sequence length
+    and width whose representations the student is trained against."""
+    t = cfg["mar_train"]
+    if teacher is None and _takes_teacher(cfg):
+        setting = "lambda > 0" if t["lambda"] > 0 else "init_from_teacher"
+        raise ConfigError(f"mar_train.{setting} requires --teacher")
+    if teacher is not None and not _takes_teacher(cfg):
+        raise ConfigError("--teacher is used only under mar_train.lambda > 0 or "
+                          "mar_train.init_from_teacher, and this run has neither")
+    mcfg = mar_config_from(cfg)
     for key in ("seq_len", "hidden_dim") if teacher is not None else ():
         mine, theirs = getattr(mcfg, key), getattr(teacher.cfg, key)
         if mine != theirs:
             raise ConfigError(f"mar.{key}={mine} differs from the teacher's {theirs}")
     model = MarModel(mcfg, seed)
-    if role == "student" and teacher is not None and cfg["mar_train"]["init_from_teacher"]:
+    if t["init_from_teacher"]:
         for name, p in model.params.items():
             if name.startswith("backbone.") and name in teacher.params:
                 p.value = teacher.params[name].value.copy()
@@ -249,27 +285,32 @@ def build_mar_model(cfg: dict, role: str, seed: int,
 
 def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
                ckpt: Path, loss_csv: Path) -> MarModel:
-    """Trains a model from :func:`build_mar_model`, then writes its loss log
-    and checkpoint."""
+    """Trains a model from :func:`build_mar_model`, distilling from ``teacher``
+    under lambda > 0, then writes its loss log and checkpoint, which records
+    ``role``."""
     t = cfg["mar_train"]
     log = train_mar(model, steps=t["steps"], batch=t["batch"], lr=t["lr"],
-                    warmup=t["warmup"],
-                    lam=cfg["mar_train"]["lambda"] if role == "student" else 0.0,
-                    teacher=teacher, per_class=cfg["data"]["per_class"],
-                    weight_decay=t["weight_decay"],
-                    frozen_backbone=t["frozen_backbone"],
-                    jitter=cfg["data"]["jitter"])
+                    warmup=t["warmup"], lam=t["lambda"],
+                    teacher=teacher if t["lambda"] > 0 else None,
+                    per_class=cfg["data"]["per_class"], weight_decay=t["weight_decay"],
+                    frozen_backbone=t["frozen_backbone"], jitter=cfg["data"]["jitter"])
     write_loss_csv(loss_csv, log)
     model.save(ckpt, config_digest=config_digest(cfg), step=len(log),
-               extra={"role": role, "lambda": cfg["mar_train"]["lambda"]})
+               extra={"role": role, "lambda": t["lambda"]})
     return model
 
 
 def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None) -> Path:
     if role not in ("teacher", "student"):
         raise ConfigError(f"--role must be teacher or student, got {role!r}")
+    if role == "teacher":   # TEACHER would override a student setting without a word
+        for key, value in TEACHER["mar_train"].items():
+            if cfg["mar_train"][key] != value:
+                raise ConfigError(f"mar_train.{key}={json.dumps(cfg['mar_train'][key])} is a "
+                                  f"student setting; a teacher trains at {json.dumps(value)}")
+        cfg = overridden(cfg, TEACHER)
     teacher = MarModel.load(teacher_ckpt) if teacher_ckpt else None
-    model = build_mar_model(cfg, role, cfg["seed"], teacher)
+    model = build_mar_model(cfg, cfg["seed"], teacher)
     with _run_dir(out_dir, cfg) as run:
         _train_mar(cfg, role, model, teacher, run / "mar.ckpt", run / "loss.csv")
     return Path(out_dir) / "mar.ckpt"
@@ -326,21 +367,18 @@ def decode_and_score(model: MarModel, cfg: dict, seed: int) -> dict[str, float]:
 
 def _grid_config(cfg: dict, param: str, value) -> dict:
     """``cfg`` with ``param``'s key set to a value the student can train with."""
-    sub = json.loads(json.dumps(cfg))
-    section, name = SWEEP_PARAMS[param][0].split(".")
-    sub[section][name] = value
     try:
-        check_config(sub)
+        return overridden(cfg, nested(SWEEP_PARAMS[param][0], value))
     except ValueError as exc:
         raise ConfigError(f"--values {value!r}: {exc}") from None
-    return sub
 
 
 def _sweep_cell(cfg: dict, param: str, seed: int, values: list,
                 cell_dir: str) -> list[dict]:
     """One seed of a sweep: each grid value sets ``param``'s key, trains the
     student it names (the decode-only ``cfg`` values share one) and scores
-    it. Students with lambda > 0 distil from one teacher trained on ``cfg``."""
+    it. The students that take a teacher share one, trained on ``cfg`` with
+    :data:`TEACHER` over it."""
     out = Path(cell_dir)
     out.mkdir(parents=True)
     teacher = student = trained = None
@@ -349,14 +387,13 @@ def _sweep_cell(cfg: dict, param: str, seed: int, values: list,
         sub = _grid_config(cfg, param, value)
         tag = SWEEP_PARAMS[param][1].format(value)
         if tag != trained:
-            lam = sub["mar_train"]["lambda"]
-            if lam > 0 and teacher is None:
-                teacher = _train_mar(cfg, "teacher", build_mar_model(cfg, "teacher", seed),
-                                     None, out / "teacher.ckpt", out / "teacher.loss.csv")
-            distil_from = teacher if lam > 0 else None
-            student = _train_mar(sub, "student",
-                                 build_mar_model(sub, "student", seed, distil_from),
-                                 distil_from, out / f"{tag}.ckpt", out / f"{tag}.loss.csv")
+            if _takes_teacher(sub) and teacher is None:
+                tcfg = overridden(cfg, TEACHER)
+                teacher = _train_mar(tcfg, "teacher", build_mar_model(tcfg, seed), None,
+                                     out / "teacher.ckpt", out / "teacher.loss.csv")
+            taken = teacher if _takes_teacher(sub) else None
+            student = _train_mar(sub, "student", build_mar_model(sub, seed, taken), taken,
+                                 out / f"{tag}.ckpt", out / f"{tag}.loss.csv")
             trained = tag
         scores = decode_and_score(student, sub, seed)
         rows.append({"param": param, "value": value, "seed": seed, **scores})

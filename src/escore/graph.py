@@ -673,12 +673,18 @@ def jvp(graph: Graph, bindings: dict[str, np.ndarray],
             np.zeros(out.shape) if tans[out.nid] is None else tans[out.nid])
 
 
-def grad_check(graph: Graph, point: dict[str, np.ndarray], step: float = 1e-6) -> float:
-    """Max relative error of reverse-mode grads vs central finite differences.
+def relative_error(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|, 1e-8), or inf when that is not finite, so that
+    a NaN fails a check's ``max`` instead of dropping out of it."""
+    err = abs(a - b) / max(abs(a), abs(b), 1e-8)
+    return err if math.isfinite(err) else math.inf
 
-    Relative error uses denominator max(|analytic|, |numeric|, 1e-8),
-    checked component-wise over every grad-enabled leaf, each a data leaf
-    that ``point`` binds (a graph declared from dicts, as ``verify`` builds).
+
+def grad_check(graph: Graph, point: dict[str, np.ndarray], step: float = 1e-6) -> float:
+    """Max :func:`relative_error` of reverse-mode grads vs central finite
+    differences, checked component-wise over every grad-enabled leaf, each a
+    data leaf that ``point`` binds (a graph declared from dicts, as ``verify``
+    builds); inf when a gradient or a difference is not finite.
     """
     if step <= 0:
         raise GraphError("grad_check: step must be positive")
@@ -698,6 +704,5 @@ def grad_check(graph: Graph, point: dict[str, np.ndarray], step: float = 1e-6) -
             dn = float(evaluate(graph, base).output)
             flat[i] = keep
             numeric = (up - dn) / (2.0 * step)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
+            worst = max(worst, relative_error(gflat[i], numeric))
     return worst

@@ -328,6 +328,8 @@ class MarModel:
         returns its (energy, distill) loss terms, distill 0.0 without a teacher."""
         if teacher is None and lam != 0.0:
             raise ValueError("distillation weight requires a teacher")
+        if teacher is not None and lam == 0.0:
+            raise ValueError("a teacher requires a distillation weight above 0")
         bindings = self.step_bindings(latents, class_ids, rng, teacher)
         g, nodes = self._train_graph(bindings, lam, frozen_backbone)
         run = nn.descend(g, bindings, self.head._own_params if frozen_backbone else self.params,

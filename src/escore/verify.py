@@ -7,6 +7,7 @@ forward-mode jvp along random tangents.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.worst <= self.tol
+        return math.isfinite(self.worst) and self.worst <= self.tol
 
 
 def _mix_reduce(g: G.Graph, node: G.Node, s: Stream) -> G.Node:
@@ -134,8 +135,7 @@ def _check_case_directional(name, build, point, n_points, tol,
             numeric = (float(G.evaluate(g, up).output)
                        - float(G.evaluate(g, dn).output)) / (2.0 * FD_STEP)
             dot = sum(float((grads[nm] * dirs[nm]).sum()) for nm in dirs)
-            denom = max(abs(numeric), abs(dot), 1e-8)
-            worst = max(worst, abs(numeric - dot) / denom)
+            worst = max(worst, G.relative_error(numeric, dot))
     return CheckResult(name, worst, tol, n_points)
 
 
@@ -256,7 +256,7 @@ def check_jvp_consistency(n_graphs: int = 100) -> CheckResult:
         tangents = {k: s.child("tan/" + k).normal(v.shape) for k, v in pt.items()}
         dot = sum(float((grads[k] * tangents[k]).sum()) for k in pt)
         fwd = float(G.jvp(g, pt, tangents)[1])
-        worst = max(worst, abs(dot - fwd) / max(abs(dot), abs(fwd), 1e-8))
+        worst = max(worst, G.relative_error(dot, fwd))
     return CheckResult("jvp-backward-consistency", worst, JVP_TOL, n_graphs)
 
 

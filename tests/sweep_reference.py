@@ -18,17 +18,20 @@ from pathlib import Path
 import numpy as np
 
 from escore import metrics
-from escore.config import config_digest
+from escore.config import config_digest, overridden
 from escore.data import LATENT_DIM, N_CLASSES
-from escore.experiments import build_mar_model, heldout_pools, write_loss_csv
+from escore.experiments import TEACHER, build_mar_model, heldout_pools, write_loss_csv
 from escore.mar import DecodeConfig, MarModel, train_mar
 from escore.metrics import energy_statistic
 
 
 def train_mar_model(cfg: dict, *, role: str, seed: int,
                     teacher: MarModel | None = None) -> tuple[MarModel, list[dict]]:
-    """The trained MAR teacher or student of ``cfg`` and its loss log."""
-    model = build_mar_model(cfg, role, seed, teacher)
+    """The trained MAR teacher (``cfg`` with ``TEACHER`` over it) or student
+    of ``cfg`` and its loss log."""
+    if role == "teacher":
+        cfg = overridden(cfg, TEACHER)
+    model = build_mar_model(cfg, seed, teacher)
     t = cfg["mar_train"]
     log = train_mar(model, steps=t["steps"], batch=t["batch"], lr=t["lr"],
                     warmup=t["warmup"], lam=t["lambda"] if role == "student" else 0.0,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from escore import data, experiments
+from escore import data, experiments, metrics
 from escore.cli import main, retain_freed_memory
 from oracles import gaussian_source
 
@@ -76,7 +76,9 @@ def test_a_run_whose_out_fills_while_it_runs_fails_without_mixing_files(tmp_path
     monkeypatch.setattr(ToyHeadModel, "save", save_while_another_run_finishes)
     rc = main(["train-head", "--method", "energy", "--out", str(out)] + TINY_HEAD)
     err = capsys.readouterr().err
-    assert rc == 1 and "Directory not empty" in err and "Traceback" not in err
+    assert rc == 1 and "Traceback" not in err
+    assert err == (f"escore: error: output directory {out} is not empty; completed runs "
+                   "are immutable\n")
     assert [p.name for p in tmp_path.iterdir()] == ["run"]
     assert [p.name for p in out.iterdir()] == ["head.ckpt"]
     assert (out / "head.ckpt").read_text() == "the other run's checkpoint\n"
@@ -94,6 +96,31 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
                "--set", "train.nope=3"])
     assert rc == 1
     assert "train.nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", [
+    {"compare": {"steps_by_method": {"energy": 6}}},
+    {"train": {"steps": 8}, "mar": {"m": 3}},
+], ids=["steps-by-method", "two-sections"])
+def test_a_partial_set_table_merges_like_the_same_table_in_a_config_file(tmp_path, table):
+    from escore.config import DEFAULTS, overridden, resolve_config
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(table))
+    sets = [f"{section}={json.dumps(value)}" for section, value in table.items()]
+    assert resolve_config(sets) == resolve_config(config_file=str(config))
+    assert resolve_config(sets) == overridden(DEFAULTS, table)
+    steps = resolve_config(sets)["compare"]["steps_by_method"]
+    assert steps == {**DEFAULTS["compare"]["steps_by_method"],
+                     **table.get("compare", {}).get("steps_by_method", {})}
+
+
+def test_an_unknown_key_in_a_set_table_is_usage_error_naming_it(tmp_path, capsys):
+    out = tmp_path / "r"
+    rc = main(["train-head", "--method", "energy", "--out", str(out),
+               "--set", 'train={"steps": 8, "nope": 3}'])
+    err = capsys.readouterr().err
+    assert rc == 1 and "unknown config key 'train.nope'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sample_counts_determinism_and_energy_steps_guard(tmp_path):
@@ -137,6 +164,31 @@ def test_eval_identity_and_schema(tmp_path):
                "--seed", "4"])
     assert rc == 0
     assert len(metrics_csv.read_text().splitlines()) == 3
+
+
+def test_eval_writes_the_header_into_an_empty_out(tmp_path):
+    gen = tmp_path / "gen.csv"
+    data.write_points_csv(gen, gaussian_source(16, 2, seed=3).points)
+    out = tmp_path / "metrics.csv"
+    out.write_text("")
+    assert main(["eval", "--generated", str(gen), "--reference", str(gen),
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(metrics.MetricsReport.CSV_HEADER) and len(lines) == 2
+
+
+def test_eval_refuses_an_out_that_is_not_a_metrics_csv(tmp_path, capsys, monkeypatch):
+    """An --out naming the reference points is left as it was, and no metric
+    is computed."""
+    ref = tmp_path / "ref.csv"
+    data.write_points_csv(ref, gaussian_source(16, 2, seed=3).points)
+    before = ref.read_bytes()
+    monkeypatch.setattr(metrics, "evaluate_samples",
+                        lambda *args: pytest.fail("a metric was computed"))
+    rc = main(["eval", "--generated", str(ref), "--reference", str(ref), "--out", str(ref)])
+    err = capsys.readouterr().err
+    assert rc == 1 and f"{ref}: not a metrics CSV" in err and "Traceback" not in err
+    assert ref.read_bytes() == before
 
 
 def test_eval_malformed_csv_names_problem(tmp_path, capsys):
@@ -268,6 +320,20 @@ def test_train_mar_and_decode_roundtrip(tmp_path, capsys):
     assert stats["head_rows"] == 3 * 16
 
 
+def test_a_teacher_run_records_the_config_it_trained_with(tmp_path):
+    from escore.config import config_digest
+    from escore.nn import load_checkpoint
+    run = tmp_path / "teacher"
+    assert main(["train-mar", "--role", "teacher", "--seed", "2", "--out", str(run)]
+                + TINY_MAR) == 0
+    cfg = json.loads((run / "config.json").read_text())
+    assert cfg["mar"]["head_kind"] == "diffusion" and cfg["mar_train"]["lambda"] == 0.0
+    manifest, _ = load_checkpoint(run / "mar.ckpt")
+    assert manifest["extra"]["mar_config"]["head_kind"] == "diffusion"
+    assert (manifest["config_digest"] == config_digest(cfg)
+            == (run / "config.digest").read_text().strip())
+
+
 @pytest.fixture(scope="module")
 def tiny_student(tmp_path_factory):
     """A checkpoint of a tiny energy student, trained once for the module."""
@@ -372,11 +438,36 @@ def test_student_lambda_requires_teacher(tmp_path, capsys):
     assert "teacher" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (["--role", "student", "--set", "mar_train.init_from_teacher=true"],
+     "mar_train.init_from_teacher requires --teacher"),
+    (["--role", "student", "--teacher", "{teacher}"],
+     "--teacher is used only under mar_train.lambda > 0 or mar_train.init_from_teacher"),
+    (["--role", "teacher", "--teacher", "{teacher}"],
+     "--teacher is used only under mar_train.lambda > 0 or mar_train.init_from_teacher"),
+    (["--role", "teacher", "--set", "mar_train.lambda=0.5"],
+     "mar_train.lambda=0.5 is a student setting; a teacher trains at 0.0"),
+    (["--role", "teacher", "--set", "mar_train.frozen_backbone=true"],
+     "mar_train.frozen_backbone=true is a student setting; a teacher trains at false"),
+    (["--role", "teacher", "--set", "mar_train.init_from_teacher=true"],
+     "mar_train.init_from_teacher=true is a student setting; a teacher trains at false"),
+], ids=["init-without-teacher", "unused-by-student", "unused-by-teacher", "teacher-lambda",
+        "teacher-frozen", "teacher-init"])
+def test_a_run_takes_a_teacher_exactly_when_it_uses_one(tmp_path, capsys, tiny_student,
+                                                        argv, cause):
+    out = tmp_path / "run"
+    argv = [a.format(teacher=tiny_student) for a in argv]
+    rc = main(["train-mar", "--out", str(out)] + argv + TINY_MAR)
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override,cause", [
     (["mar.hidden_dim=8", "mar_train.init_from_teacher=true"],
      "mar.hidden_dim=8 differs from the teacher's 16"),
     (["mar.hidden_dim=8", "mar_train.lambda=0.1"], "mar.hidden_dim=8 differs from the teacher's 16"),
-    (["mar.seq_len=8"], "mar.seq_len=8 differs from the teacher's 16"),
+    (["mar.seq_len=8", "mar_train.lambda=0.1"], "mar.seq_len=8 differs from the teacher's 16"),
 ], ids=["init-from-teacher", "distill", "seq-len"])
 def test_student_rejects_a_teacher_of_another_shape_naming_the_key(tmp_path, capsys, tiny_student,
                                                                     override, cause):
@@ -615,6 +706,32 @@ def test_sweep_distills_every_student_under_a_positive_lambda(tmp_path, param, v
     for value in values:
         manifest, _ = load_checkpoint(cell / ckpt.format(value))
         assert manifest["extra"]["lambda"] == 0.1
+
+
+@pytest.mark.parametrize("param,values,ckpt,extra", [
+    ("lambda", ["0", "0.5"], "student_lambda{}.ckpt", []),
+    ("lambda", ["0", "0.5"], "student_lambda{}.ckpt", ["mar_train.init_from_teacher=true"]),
+    ("m", ["2"], "student_m{}.ckpt", ["mar_train.init_from_teacher=true"]),
+], ids=["lambda", "lambda-init", "m-init"])
+def test_a_frozen_sweep_trains_its_whole_teacher_and_starts_students_from_it(
+        tmp_path, param, values, ckpt, extra):
+    """Under a frozen backbone the teacher still trains its backbone, and each
+    student keeps the backbone it was built with: the teacher's when it
+    starts from it, at any lambda, else its own."""
+    from escore.mar import MarModel
+    extra = ["mar_train.frozen_backbone=true"] + extra
+    cell = _check_sweep_grid(tmp_path, param, values, ckpt,
+                             extra=[a for kv in extra for a in ("--set", kv)])
+    teacher = MarModel.load(cell / "teacher.ckpt")
+    backbone = [n for n in teacher.params.names() if n.startswith("backbone.")]
+    fresh = MarModel(teacher.cfg, 1)
+    assert any(not np.array_equal(teacher.params[n].value, fresh.params[n].value)
+               for n in backbone)
+    for value in values:
+        student = MarModel.load(cell / ckpt.format(value))
+        start = teacher if "init" in extra[-1] else MarModel(student.cfg, 1)
+        for name in backbone:
+            assert np.array_equal(student.params[name].value, start.params[name].value), name
 
 
 SWEEP_GRIDS = {   # id -> (--param, grid values, extra overrides)

@@ -43,8 +43,16 @@ artifacts moved in each: the five toy ``head.ckpt`` and both ``mar.ckpt``,
 because their manifests lost the retired fields (``head_config`` lost
 ``latent_dim`` and ``x0_clip``, ``mar_config`` lost ``latent_dim`` and
 ``n_classes``, all now module constants). Their parameter bytes and the
-other thirteen artifacts did not change on any of the three pairs. Running
-this file as a script prints the current pair's table.
+other thirteen artifacts did not change on any of the three pairs.
+
+All three tables were recorded again, once, when a teacher run began to
+train from the config it records: its config is the given one with
+``experiments.TEACHER`` over it, so its ``config.json`` says
+``mar.head_kind`` "diffusion", the head it trains. Exactly one artifact
+moved in each table, ``teacher/mar.ckpt``, and only through its manifest's
+``config_digest``; its parameter bytes and ``teacher/loss.csv`` did not
+change on any of the three pairs. Running this file as a script prints the
+current pair's table.
 """
 import ctypes
 import glob
@@ -117,7 +125,7 @@ GOLDEN = {
         "student/loss.csv": "e66e5bc44b8ad9ebfb8a84f2dc40302c1390a2e20a5ca0051254988423e3de3b",
         "student/mar.ckpt": "3944b42bab44acc379d52499d69c586e2aea5522f27105e8296bd29f5c4aa718",
         "teacher/loss.csv": "404a4e7b4e976583941b18d0ed6d64d4f20ea6108ef993956b57199cbdba13b4",
-        "teacher/mar.ckpt": "2472f53432b779a781753c6e8140b7ffd780ced647bba9deecf0e31a42287b12",
+        "teacher/mar.ckpt": "f675aa0c98585bd64a46cd88e34b54fa98eb00bee845a2ff8805ea6818aadbd9",
     },
     ("AVX2", "SkylakeX"): {
         "compare/metrics.csv": "78f00db5e50ab9fddf2ad082ebe1ab11d0c7fb62f925e30173fd569ff6d174a7",
@@ -140,7 +148,7 @@ GOLDEN = {
         "student/loss.csv": "ba8a182d8c14f2a1beb0474149ddff4185b2f0e84e6d12a12071687f79c200d8",
         "student/mar.ckpt": "6a1c805bf1be8b8eb48201631755601235fd9a3dbefa038c7ce65e5971c10e96",
         "teacher/loss.csv": "404a4e7b4e976583941b18d0ed6d64d4f20ea6108ef993956b57199cbdba13b4",
-        "teacher/mar.ckpt": "9e1cce3d76ad943533a3a76539281a537d94cab71a146f80dff396c313b5a4c8",
+        "teacher/mar.ckpt": "113d7ed9d3edd0a6c5bd922d88d94c9e7a43698a88a83d320f8901156f347ee7",
     },
     ("AVX2", "Haswell"): {
         "compare/metrics.csv": "78f00db5e50ab9fddf2ad082ebe1ab11d0c7fb62f925e30173fd569ff6d174a7",
@@ -163,7 +171,7 @@ GOLDEN = {
         "student/loss.csv": "3dcefca44cecbc49b7a058975b3caaf304fb984959020e740463b532a3034754",
         "student/mar.ckpt": "f66039c73ac2cddd5627f17b8c59b4c6bddb18aee1e8413fdf5ff6f220f8d824",
         "teacher/loss.csv": "404a4e7b4e976583941b18d0ed6d64d4f20ea6108ef993956b57199cbdba13b4",
-        "teacher/mar.ckpt": "47ce049d453486865d5415fead3bc0d7153f41fb00ab2e471a15094e5dc0d412",
+        "teacher/mar.ckpt": "c81e8e0c6629e25b306b5ba8a6ca08bfc64952079dfcbf03eb2eedf0a4f6a38c",
     },
 }
 

@@ -146,6 +146,23 @@ def test_grad_check_row_norm_near_zero():
     assert err <= 1e-4
 
 
+def test_grad_check_fails_a_nan_gradient():
+    """The norm's gradient at zero without eps is 0/0: a NaN is no error of 0."""
+    def build(g, pt):
+        return G.row_norm(g.leaf("x", (3,), grad=True), eps=0.0)
+
+    def point(s):
+        return {"x": np.zeros(3)}
+
+    g = G.Graph()
+    g.set_output(G.total(build(g, None)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert G.grad_check(g, point(None), step=1e-6) == np.inf
+        result = verify._check_case("row_norm-at-zero", build, point, 1, verify.FD_TOL)
+    assert result.worst == np.inf and not result.passed
+    assert not verify.CheckResult("nan", np.nan, verify.FD_TOL, 1).passed
+
+
 @pytest.mark.parametrize("kind", ["layer_norm", "softmax", "silu"])
 def test_grad_check_rowwise_primitives(kind):
     op = {"layer_norm": G.layer_norm, "softmax": G.softmax, "silu": G.silu}[kind]

@@ -167,6 +167,17 @@ def test_lambda_without_teacher_rejected():
                                    lr=1e-3, weight_decay=0.0, frozen_backbone=False)
 
 
+def test_teacher_without_a_distillation_weight_rejected():
+    """A teacher at lambda 0 would run its forward every step for nothing."""
+    model = MarModel(TINY, seed=0)
+    teacher = MarModel(MarConfig(**{**TINY.__dict__, "head_kind": "diffusion"}), seed=1)
+    latents, ids = _batch(model, 2)
+    with pytest.raises(ValueError, match="teacher requires a distillation weight"):
+        model.masked_training_step(latents, ids, Stream.from_seed(0, "s"), lam=0.0,
+                                   teacher=teacher, lr=1e-3, weight_decay=0.0,
+                                   frozen_backbone=False)
+
+
 def test_energy_term_ignores_head_outputs_at_unmasked_positions():
     model = MarModel(TINY, seed=6)
     latents, ids = _batch(model, 3)

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import experiments, metrics, verify
-from .config import DEFAULTS, ConfigError, resolve_config
+from .config import DEFAULTS, ConfigError, override_tables, resolve_config
 from .heads import HEAD_KINDS
 
 USAGE_EXIT = 1
@@ -234,8 +234,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "train-mar":
-        cfg = _resolved(args)
-        ckpt = experiments.run_train_mar(cfg, args.out, args.role, args.teacher)
+        ckpt = experiments.run_train_mar(_resolved(args), args.out, args.role, args.teacher,
+                                         override_tables(args.overrides, args.config))
         print(f"checkpoint written: {ckpt}")
         return 0
 

@@ -240,10 +240,10 @@ def overridden(cfg: dict, *tables: dict) -> dict:
     return out
 
 
-def resolve_config(overrides: list[str] | None = None,
-                   config_file: str | None = None) -> dict:
-    """Defaults <- file <- overrides, each a table merged in turn; unknown
-    keys are rejected."""
+def override_tables(overrides: list[str] | None = None,
+                    config_file: str | None = None) -> list[dict]:
+    """The tables that :func:`resolve_config` merges over the defaults, in
+    turn: the ``config_file``'s, then each override's."""
     tables = []
     if config_file:
         try:
@@ -253,7 +253,14 @@ def resolve_config(overrides: list[str] | None = None,
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_file}: top level must be an object")
         tables.append(loaded)
-    return overridden(DEFAULTS, *tables, *map(parse_override, overrides or []))
+    return tables + [parse_override(text) for text in overrides or []]
+
+
+def resolve_config(overrides: list[str] | None = None,
+                   config_file: str | None = None) -> dict:
+    """Defaults <- file <- overrides, each a table merged in turn; unknown
+    keys are rejected."""
+    return overridden(DEFAULTS, *override_tables(overrides, config_file))
 
 
 def config_digest(cfg: dict) -> str:

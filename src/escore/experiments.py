@@ -2,14 +2,18 @@
 Swiss-roll comparison, MAR training/decoding, and hyperparameter sweeps.
 
 A verb builds its run directory beside ``--out`` and renames it into place,
-so the directory appears whole or not at all. Sweep cells are pure functions
-of (config, seed), so results are identical whether they run serially or on
-the ESCORE_THREADS worker pool, whose workers run OpenBLAS on one thread each.
+so the directory appears whole or not at all; a file written outside a run
+directory (a ``sample`` CSV or plot, an ``eval`` metrics CSV) is built and
+renamed the same way. Compare and sweep cells are pure functions of their
+config, which holds the cell's seed, so results are identical whether they
+run serially or on the ESCORE_THREADS worker pool, whose workers run
+OpenBLAS on one thread each.
 """
 from __future__ import annotations
 
 import csv
 import ctypes
+import errno
 import glob
 import json
 import os
@@ -115,6 +119,23 @@ def _run_dir(out_dir, cfg: dict | None = None):
         raise
 
 
+@contextmanager
+def _replaced(path):
+    """Yields a hidden sibling of the file ``path`` to write in, and renames
+    it onto ``path`` when the block returns; removes it when the block
+    raises, so ``path`` holds its old bytes or its new ones, never a part."""
+    path = Path(path)
+    if not path.parent.is_dir():   # named here, not through the hidden sibling
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(path.parent))
+    stage = path.parent / f".{path.name}.{os.getpid()}.partial"
+    try:
+        yield stage
+        os.replace(stage, path)
+    except BaseException:
+        stage.unlink(missing_ok=True)
+        raise
+
+
 def write_loss_csv(path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -140,13 +161,18 @@ def _metrics_csv_is_new(path) -> bool:
 
 
 def append_metrics_rows(path, reports: list[MetricsReport]) -> None:
-    """One CSV row per report, after the header when ``path`` is new or empty."""
+    """One CSV row per report, after the header when ``path`` is new or
+    empty; the rows and the old bytes are written to a new file, which
+    replaces ``path``."""
     new = _metrics_csv_is_new(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if new:
-            writer.writerow(MetricsReport.CSV_HEADER)
-        writer.writerows(report.csv_row() for report in reports)
+    with _replaced(path) as stage:
+        if not new:
+            shutil.copy(path, stage)
+        with open(stage, "a", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            if new:
+                writer.writerow(MetricsReport.CSV_HEADER)
+            writer.writerows(report.csv_row() for report in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +200,13 @@ def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv, noise_sigma: f
                svg_path=None) -> np.ndarray:
     model = ToyHeadModel.load(ckpt_path)
     samples = model.sample(n, steps, seed)   # checks the step count before any pass
-    data.write_points_csv(out_csv, samples)
+    with _replaced(out_csv) as stage:
+        data.write_points_csv(stage, samples)
     if svg_path:
         ref = data.swiss_roll(n, noise_sigma, seed=PLOT_REFERENCE_SEED).points
         title = f"{model.cfg.kind} ({steps} step{'s' if steps > 1 else ''})"
-        svg.panel_grid_svg(svg_path, [(title, ref, samples)], cols=1)
+        with _replaced(svg_path) as stage:
+            svg.panel_grid_svg(stage, [(title, ref, samples)], cols=1)
     return samples
 
 
@@ -205,11 +233,11 @@ def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
 # ---------------------------------------------------------------------------
 # compare-swissroll (the five-way one-step comparison)
 
-def _compare_cell(cfg: dict, seed: int, cell_dir: str) -> list[MetricsReport]:
-    """Train the head of ``cfg`` on one seed; sample and score it at each step count."""
+def _compare_cell(cfg: dict, cell_dir: str) -> list[MetricsReport]:
+    """Train the head of ``cfg`` on its seed; sample and score it at each step count."""
     out = Path(cell_dir)
     out.mkdir(parents=True)
-    method = cfg["head"]["method"]
+    method, seed = cfg["head"]["method"], cfg["seed"]
     model = _train_toy_head(ToyHeadModel(head_config_from(cfg), seed), cfg, out)
 
     n = cfg["compare"]["sample_n"]
@@ -233,7 +261,8 @@ def run_compare(cfg: dict, out_dir) -> Path:
     seeds = cfg["compare"]["seeds"]
     n = cfg["compare"]["sample_n"]
     with _run_dir(out_dir, cfg) as run:
-        jobs = [(cells[method], seed, str(run / "cells" / f"{method}_seed{seed}"))
+        jobs = [(overridden(cells[method], {"seed": seed}),
+                 str(run / "cells" / f"{method}_seed{seed}"))
                 for seed in seeds for method in HEAD_KINDS]
         reports = [rep for cell in run_jobs(_compare_cell, jobs) for rep in cell]
         reports.sort(key=lambda r: (r.seed, r.method, r.steps))
@@ -300,14 +329,25 @@ def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
     return model
 
 
-def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None) -> Path:
+def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None,
+                  tables: list[dict] | tuple = ()) -> Path:
+    """Trains a MAR model of ``role`` from ``cfg``. A teacher refuses the
+    settings that :data:`TEACHER` would override without a word: a student
+    value in ``cfg["mar_train"]``, or another head kind that one of
+    ``tables``, the override tables ``cfg`` was resolved from, sets (the
+    default kind already differs from the teacher's)."""
     if role not in ("teacher", "student"):
         raise ConfigError(f"--role must be teacher or student, got {role!r}")
-    if role == "teacher":   # TEACHER would override a student setting without a word
+    if role == "teacher":
         for key, value in TEACHER["mar_train"].items():
             if cfg["mar_train"][key] != value:
                 raise ConfigError(f"mar_train.{key}={json.dumps(cfg['mar_train'][key])} is a "
                                   f"student setting; a teacher trains at {json.dumps(value)}")
+        kinds = [table["mar"]["head_kind"] for table in tables
+                 if "head_kind" in table.get("mar", {})]
+        if kinds and kinds[-1] != TEACHER["mar"]["head_kind"]:
+            raise ConfigError(f"mar.head_kind={json.dumps(kinds[-1])} is a student setting; "
+                              f"a teacher trains a {TEACHER['mar']['head_kind']} head")
         cfg = overridden(cfg, TEACHER)
     teacher = MarModel.load(teacher_ckpt) if teacher_ckpt else None
     model = build_mar_model(cfg, cfg["seed"], teacher)
@@ -373,14 +413,14 @@ def _grid_config(cfg: dict, param: str, value) -> dict:
         raise ConfigError(f"--values {value!r}: {exc}") from None
 
 
-def _sweep_cell(cfg: dict, param: str, seed: int, values: list,
-                cell_dir: str) -> list[dict]:
-    """One seed of a sweep: each grid value sets ``param``'s key, trains the
-    student it names (the decode-only ``cfg`` values share one) and scores
-    it. The students that take a teacher share one, trained on ``cfg`` with
-    :data:`TEACHER` over it."""
+def _sweep_cell(cfg: dict, param: str, values: list, cell_dir: str) -> list[dict]:
+    """The sweep of ``cfg``'s seed: each grid value sets ``param``'s key,
+    trains the student it names (the decode-only ``cfg`` values share one)
+    and scores it. The students that take a teacher share one, trained on
+    ``cfg`` with :data:`TEACHER` over it."""
     out = Path(cell_dir)
     out.mkdir(parents=True)
+    seed = cfg["seed"]
     teacher = student = trained = None
     rows = []
     for value in values:
@@ -409,8 +449,8 @@ def run_sweep(cfg: dict, out_dir, param: str, values: list) -> Path:
         _grid_config(cfg, param, value)
     seeds = cfg["sweep"]["seeds"]
     with _run_dir(out_dir, cfg) as run:
-        jobs = [(cfg, param, seed, values, str(run / "cells" / f"seed{seed}"))
-                for seed in seeds]
+        jobs = [(overridden(cfg, {"seed": seed}), param, values,
+                 str(run / "cells" / f"seed{seed}")) for seed in seeds]
         cell_rows = [row for rows in run_jobs(_sweep_cell, jobs) for row in rows]
         cell_rows.sort(key=lambda r: (str(r["value"]), r["seed"]))
         with open(run / "sweep_cells.csv", "w", newline="") as fh:

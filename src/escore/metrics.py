@@ -5,8 +5,11 @@ norms (no smoothing), which the energy sums, the MMD kernel sums and the
 median bandwidth read block by block from :func:`_pair_distances` (1-column
 energy sums use sorted prefix sums; the Wasserstein solve has its own cost
 matrix, whose columns it first lowers by prices that leave its optimum and
-value exact). Pairwise sums run in a fixed order, so every value is
-deterministic.
+value exact, the exact duals when the columns repeat a few points). The
+median reads the walks that the energy sums take (:func:`_sums_and_median`),
+so an eval walks the pooled pairs twice: once for the energy sums and the
+median, once for the kernel sums. Pairwise sums run in a fixed order, so
+every value is deterministic.
 """
 from __future__ import annotations
 
@@ -23,11 +26,19 @@ MEDIAN = "median"
 METRIC_NAMES = ("mmd", "wsd", "energy")   # energy gives energy_u and energy_v
 
 _PAIR_BLOCK = 1 << 18     # about the max pairwise distances the metrics hold at once
+# the median's bracket: the ranks 1/2 -/+ this share of a sample of this many
+# pairs, narrowed so that it holds half of _BRACKET_KEPT pairs on average,
+# the most values the walk keeps inside it
+_BRACKET_PAIRS = 1 << 17
+_BRACKET_WIDTH = 0.01
+_BRACKET_KEPT = _PAIR_BLOCK
 _INF_KEY = 0x7FF0         # top 16 bits of +inf's bit pattern
 _MATCH_BLOCK = 64         # rows per block of the matched-distance read-out
-# coordinate-ascent sweeps of the solve's point prices: at the size cap, one-step
-# diffusion samples on about 40 points solve as fast after 12 to 24 sweeps
-_PRICE_SWEEPS = 16
+# coordinate-ascent sweeps of the solve's point prices, then at most this many
+# shortest-path pushes to make them exact: at the size cap, one-step diffusion
+# samples on about 40 points price fastest after 8 sweeps (and 21 to 32 pushes)
+_PRICE_SWEEPS = 8
+_PRICE_PUSHES = 256
 # the all-distinct solve's prices come from an exact solve of every 4th row
 # and column, from this many points on
 _SAMPLE_STRIDE = 4
@@ -94,17 +105,22 @@ def _pair_sum(a: np.ndarray, b: np.ndarray | None = None, inv: float | None = No
     return total
 
 
-def _energy_values(xp: np.ndarray, yp: np.ndarray, modes: tuple[str, ...]) -> list[float]:
-    """The energy statistic in each of ``modes``, from one computation of its
-    three pair sums."""
-    m, n = len(xp), len(yp)
-    if "u" in modes and (m < 2 or n < 2):
-        raise ValueError("U-mode estimator needs at least 2 points per set")
+def _energy_sums(xp: np.ndarray, yp: np.ndarray) -> tuple[float, float, float]:
+    """The energy statistic's three pair sums: over all (x, y) pairs, and over
+    the ordered pairs i != j within each set."""
     if xp.shape[1] == 1:   # O(n log n): what makes 10^5-point sets feasible
         x, y = xp[:, 0], yp[:, 0]
-        cross, within_x, within_y = _pair_sum_1d(x, y), _within_sum_1d(x), _within_sum_1d(y)
-    else:
-        cross, within_x, within_y = _pair_sum(xp, yp), 2.0 * _pair_sum(xp), 2.0 * _pair_sum(yp)
+        return _pair_sum_1d(x, y), _within_sum_1d(x), _within_sum_1d(y)
+    return _pair_sum(xp, yp), 2.0 * _pair_sum(xp), 2.0 * _pair_sum(yp)
+
+
+def _energy_values(m: int, n: int, sums: tuple[float, float, float],
+                   modes: tuple[str, ...]) -> list[float]:
+    """The energy statistic of sets of ``m`` and ``n`` points in each of
+    ``modes``, from the three pair sums of :func:`_energy_sums`."""
+    if "u" in modes and (m < 2 or n < 2):
+        raise ValueError("U-mode estimator needs at least 2 points per set")
+    cross, within_x, within_y = sums
     values = []
     for mode in modes:
         value = 2.0 * cross / (m * n)
@@ -120,7 +136,8 @@ def energy_statistic(x, y, mode: str = "v") -> float:
     needs both sets >= 2), "v" 1/m^2 with the zero diagonal (nonnegative)."""
     if mode not in ("u", "v"):
         raise ValueError(f"mode must be 'u' or 'v', got {mode!r}")
-    [value] = _energy_values(*_as_points(x, y), (mode,))
+    xp, yp = _as_points(x, y)
+    [value] = _energy_values(len(xp), len(yp), _energy_sums(xp, yp), (mode,))
     return value
 
 
@@ -140,32 +157,50 @@ def gaussian_energy_oracle(mu: float) -> float:
     return 2.0 * folded_mean(abs(mu)) - 2.0 * folded_mean(0.0)
 
 
-def median_pairwise_distance(points: np.ndarray) -> float:
-    """Median of the pairwise distances, bit for bit
-    ``float(np.median(pdist(points)))``, holding one block of distances at a
-    time instead of all n(n-1)/2 of them.
+def _median_bracket(points: np.ndarray) -> tuple[float, float]:
+    """Two distances that hold the median of ``pdist(points)`` between them,
+    surely when the set has at most _BRACKET_PAIRS pairs and likely when it
+    has more: the values at the ranks 1/2 -/+ w of a sample of the pairs, w
+    being _BRACKET_WIDTH or less. A small set's sample is ``pdist`` itself.
+    A larger set's pairs each point with the points at _BRACKET_PAIRS // n
+    offsets after it, cyclically, the offsets spread over 1..n-1. Every point
+    takes part equally, so the sample's median falls near the true one in
+    rank (within 0.2 % on pooled Swiss-roll sets of 4,096 points, where the
+    pairs of a strided subsample of 512 to 1,024 points missed by up to 2 %),
+    and two concatenated sets are sampled within and across in their pooled
+    shares."""
+    from scipy.spatial.distance import pdist
+    n = len(points)
+    total = n * (n - 1) // 2
+    if total <= _BRACKET_PAIRS:
+        sample = pdist(points)
+    else:
+        spread = max(1, _BRACKET_PAIRS // n)
+        sample = np.empty((spread, n))
+        for row, offset in zip(sample, 1 + np.arange(spread) * (n - 1) // spread):
+            diff = points - np.roll(points, -offset, axis=0)
+            np.einsum("ij,ij->i", diff, diff, out=row)
+        np.sqrt(sample, out=sample)
+        sample = sample.ravel()
+    width = min(_BRACKET_WIDTH, _BRACKET_KEPT / (4 * total))
+    low = int((len(sample) - 1) * (0.5 - width))
+    high = len(sample) - 1 - low
+    sample.partition((low, high))
+    return float(sample[low]), float(sample[high])
 
-    For non-negative doubles, the order of the bit patterns is the order of
-    the values. Pass 1 counts the distances of every block by the top 16 bits
-    of their patterns; the cumulative counts name the bins that hold the two
-    middle ranks. Pass 2 recomputes the blocks and keeps only the distances in
-    those bins. Partitioning the kept values at the two ranks, shifted by the
-    count below them, gives the exact middle values, averaged as np.median
-    averages them (one value when the count is odd). Fewer than two points
-    give 0.0, and a NaN distance gives NaN, as np.median does.
-    """
-    p = np.asarray(points, dtype=np.float64)
-    total = len(p) * (len(p) - 1) // 2
-    if total == 0:
-        return 0.0
+
+def _histogram_median(walks, total: int) -> float:
+    """The median of the distances of ``walks``, all finite or +inf, by the
+    top 16 bits of their patterns: for non-negative doubles, the order of the
+    bit patterns is the order of the values. One walk counts every distance
+    by its bin; the cumulative counts name the bins that hold the two middle
+    ranks, and a second walk keeps only the distances in those bins."""
     counts = np.zeros(1 << 16, dtype=np.int64)
-    for d in _pair_distances(p):
-        key = d.view(np.uint64)
-        key >>= 48   # in place: pass 1 needs only the keys
-        counts += np.bincount(key.view(np.int64), minlength=1 << 16)
-    # distances come out of arithmetic, so a NaN is quiet: its key is above +inf's
-    if counts[_INF_KEY + 1:].any():
-        return math.nan
+    for a, b in walks:
+        for d in _pair_distances(a, b):
+            key = d.view(np.uint64)
+            key >>= 48   # in place: this walk needs only the keys
+            counts += np.bincount(key.view(np.int64), minlength=1 << 16)
     cum = np.cumsum(counts)
     ranks = ((total - 1) // 2, total // 2)
     first, last = (int(b) for b in np.searchsorted(cum, ranks, side="right"))
@@ -173,17 +208,75 @@ def median_pairwise_distance(points: np.ndarray) -> float:
     # the values of bins first..last; the +inf bin holds +inf alone
     lo, hi = np.array([first << 48, min(((last + 1) << 48) - 1, _INF_KEY << 48)],
                       dtype=np.uint64).view(np.float64)
-    kept = np.empty(int(cum[last]) - below)
-    filled = 0
-    for d in _pair_distances(p):
-        inside = d >= lo
-        inside &= d <= hi
-        values = d[inside]
-        kept[filled:filled + len(values)] = values
-        filled += len(values)
-    i, j = ranks[0] - below, ranks[1] - below
+    kept, filled = np.empty(int(cum[last]) - below), 0
+    for a, b in walks:
+        for d in _pair_distances(a, b):
+            inside = d >= lo
+            inside &= d <= hi
+            values = d[inside]
+            kept[filled:filled + len(values)] = values
+            filled += len(values)
+    return _middle(kept, ranks[0] - below, ranks[1] - below)
+
+
+def _middle(kept: np.ndarray, i: int, j: int) -> float:
+    """The mean of the i-th and j-th smallest of ``kept`` (i == j or i + 1),
+    as np.median averages its middle values; reorders ``kept``."""
     kept.partition((i, j))
     return float(np.mean(kept[i:j + 1]))
+
+
+def _sums_and_median(points: np.ndarray, walks) -> tuple[list[float], float]:
+    """For ``walks``, (a, b) pairs whose distances ``_pair_distances(a, b)``
+    together are the multiset of ``pdist(points)``: the sum of each walk's
+    distances, and their median, bit for bit ``float(np.median(pdist(points)))``.
+
+    Each block of distances adds to its walk's sum, then counts its
+    distances below the bracket of :func:`_median_bracket` and keeps those
+    inside it, at most _BRACKET_KEPT of them. When the two middle ranks fall
+    inside, the kept values hold the median's, at those ranks less the count
+    below. Otherwise, or when more would have been kept, two more walks find
+    the median by :func:`_histogram_median`. Fewer than two points give a
+    median of 0.0, and a NaN distance (so a NaN sum) gives NaN, as np.median
+    does."""
+    total = len(points) * (len(points) - 1) // 2
+    lo, hi = _median_bracket(points) if total else (0.0, 0.0)
+    kept, below, filled = np.empty(min(total, _BRACKET_KEPT)), 0, 0
+    sums = []
+    for a, b in walks:
+        sums.append(0.0)
+        for d in _pair_distances(a, b):
+            sums[-1] += float(d.sum())
+            if kept is None:
+                continue
+            inside = d >= lo
+            below += len(d) - int(np.count_nonzero(inside))   # a NaN counts here too
+            inside &= d <= hi
+            values = d[inside]
+            if filled + len(values) > len(kept):
+                kept = None   # the kept values would outgrow their block
+                continue
+            kept[filled:filled + len(values)] = values
+            filled += len(values)
+    if total == 0:
+        return sums, 0.0
+    if any(math.isnan(s) for s in sums):   # distances are >= 0, so only a NaN makes one
+        return sums, math.nan
+    ranks = ((total - 1) // 2, total // 2)
+    if kept is not None and below <= ranks[0] and ranks[1] < below + filled:
+        return sums, _middle(kept[:filled], ranks[0] - below, ranks[1] - below)
+    del kept   # freed before the fallback's own buffer
+    return sums, _histogram_median(walks, total)
+
+
+def median_pairwise_distance(points: np.ndarray) -> float:
+    """Median of the pairwise distances, bit for bit
+    ``float(np.median(pdist(points)))``, by :func:`_sums_and_median` over the
+    pairs of ``points``: one walk over them when the bracket holds, holding
+    one block of distances at a time instead of all n(n-1)/2 of them. Fewer
+    than two points give 0.0, and a NaN distance gives NaN."""
+    p = np.asarray(points, dtype=np.float64)
+    return _sums_and_median(p, [(p, None)])[1]
 
 
 def kernel_factor(sigma: float) -> float:
@@ -195,6 +288,18 @@ def kernel_factor(sigma: float) -> float:
         raise ValueError(f"kernel bandwidth {sigma!r} is not a finite number > 0 "
                          "with a finite -0.5 / bandwidth**2")
     return -0.5 / (sigma * sigma)
+
+
+def _median_kernel_factor(sigma: float) -> float:
+    """:func:`kernel_factor` of a median pooled distance, whose failure names
+    its likely cause."""
+    try:
+        return kernel_factor(sigma)
+    except ValueError:
+        cause = ("at least half of the pooled pairs are (nearly) identical points"
+                 if math.isfinite(sigma) else "a pooled point is not finite or too large")
+        raise ValueError(f"degenerate kernel bandwidth {sigma!r} from the median pooled "
+                         f"distance: {cause}; pass an explicit bandwidth") from None
 
 
 def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:
@@ -214,13 +319,7 @@ def mmd_gaussian(x, y, bandwidth: float | str = MEDIAN) -> tuple[float, float]:
         inv = kernel_factor(sigma)
     else:
         sigma = median_pairwise_distance(np.concatenate([xp, yp], axis=0))
-        try:
-            inv = kernel_factor(sigma)
-        except ValueError:
-            cause = ("at least half of the pooled pairs are (nearly) identical points"
-                     if math.isfinite(sigma) else "a pooled point is not finite or too large")
-            raise ValueError(f"degenerate kernel bandwidth {sigma!r} from the median pooled "
-                             f"distance: {cause}; pass an explicit bandwidth") from None
+        inv = _median_kernel_factor(sigma)
     m, n = len(xp), len(yp)
     within_x = (2.0 * _pair_sum(xp, inv=inv) + m) / (m * m)
     within_y = (2.0 * _pair_sum(yp, inv=inv) + n) / (n * n)
@@ -238,8 +337,9 @@ def _check_assignable(xp: np.ndarray, yp: np.ndarray) -> None:
 
 
 def _point_prices(rows: np.ndarray, points: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Approximate transportation duals: one price per distinct column point,
-    such that about ``counts[j]`` rows prefer point j at distance less price.
+    """Exact transportation duals: one price per distinct column point,
+    such that each point j is the least ``d[j, i] - price[j]`` of exactly
+    ``counts[j]`` rows i (ties aside), found in two steps.
 
     Each of _PRICE_SWEEPS coordinate-ascent sweeps visits the points in turn
     and sets point j's price midway between the ``counts[j]``-th and the next
@@ -248,8 +348,10 @@ def _point_prices(rows: np.ndarray, points: np.ndarray, counts: np.ndarray) -> n
     ``counts[j]`` rows prefer j given the other prices. The minimum over the
     other points is that over the points before j, at their new prices, and
     over those after j, at the prices the sweep began with, so a sweep costs
-    a few passes over the k x n distances. Non-finite distances give zero
-    prices, which leave the solve's input as it was.
+    a few passes over the k x n distances. The sweeps leave a few rows
+    preferring a full point; :func:`_pushed_prices` then moves them.
+    Non-finite distances give zero prices, which leave the solve's input as
+    it was.
     """
     from scipy.spatial.distance import cdist
     d = cdist(points, rows)
@@ -265,6 +367,55 @@ def _point_prices(rows: np.ndarray, points: np.ndarray, counts: np.ndarray) -> n
             thresholds = np.partition(d[j] - other, (m - 1, m))
             prices[j] = 0.5 * (thresholds[m - 1] + thresholds[m])
             np.minimum(before, d[j] - prices[j], out=before)
+    return _pushed_prices(d, prices, counts)
+
+
+def _pushed_prices(d: np.ndarray, prices: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``prices`` raised until each point j is the preferred point of exactly
+    ``counts[j]`` rows, by successive shortest paths on the k-point exchange
+    graph (Ahuja, Magnanti & Orlin 1993, ch. 9): exact transportation duals.
+
+    Each row is held by a point it prefers, at first its least reduced
+    distance ``d[j, i] - prices[j]``. An edge j -> l costs the least extra
+    reduced distance at which a row held by j would move to l. Dijkstra runs
+    from the over-full points until it reaches an under-full one, at D. Every
+    price rises by min(dist, D), which leaves every row at a least reduced
+    distance and makes each edge of the path a tie, so one row moves along
+    each edge: the path's over-full end loses a row, its under-full end
+    gains one. At most _PRICE_PUSHES paths are pushed; each costs a few
+    passes over the k x n distances."""
+    k, n = d.shape
+    by_row = d.T.copy()   # each row's distances to the k points, contiguous
+    rows = np.arange(n)
+    at = (by_row - prices).argmin(axis=1)
+    load = np.bincount(at, minlength=k)
+    for _ in range(_PRICE_PUSHES):
+        excess = load - counts
+        if not excess.any():
+            break
+        extra = by_row - prices
+        extra -= extra[rows, at][:, None]   # each row's extra reduced distance at each point
+        held = np.flatnonzero(load)
+        edge = np.full((k, k), np.inf)
+        edge[held] = np.minimum.reduceat(extra[np.argsort(at, kind="stable")],
+                                         (np.cumsum(load) - load)[held])
+        np.maximum(edge, 0.0, out=edge)   # a row's own point is its least but for rounding
+        dist, pred, open_ = np.where(excess > 0, 0.0, np.inf), np.full(k, -1), np.ones(k, bool)
+        while True:
+            j = int(np.argmin(np.where(open_, dist, np.inf)))
+            if excess[j] < 0:
+                break
+            open_[j] = False
+            via = dist[j] + edge[j]
+            closer = open_ & (via < dist)
+            dist[closer], pred[closer] = via[closer], j
+        prices += np.minimum(dist, dist[j])
+        load[j] += 1
+        while pred[j] >= 0:   # back along the path, one row per edge
+            held_rows = np.flatnonzero(at == pred[j])
+            at[held_rows[np.argmin(extra[held_rows, j])]] = j
+            j = pred[j]
+        load[j] -= 1
     return prices
 
 
@@ -367,9 +518,11 @@ def wasserstein_assignment(x, y) -> float:
     Volgenant, 1987). The prices depend on the columns:
 
     - few distinct points (more than one, and at most an eighth of the set):
-      one price per point by coordinate ascent (:func:`_point_prices`); a
-      one-step diffusion sample on about 40 points solves several times
-      faster at the size cap;
+      the exact duals of the k-point transportation problem, one per point,
+      by coordinate ascent and then shortest-path pushes
+      (:func:`_point_prices`), so that every row prefers a point with a
+      column to spare; a one-step diffusion sample on about 40 points solves
+      several times faster at the size cap;
     - more distinct points, from _SAMPLED_PRICES_MIN points on: the duals of
       an exact solve of every 4th row and column, extended to every column
       (:func:`_sampled_prices`), or none when they would leave more rows
@@ -448,11 +601,17 @@ def evaluate_samples(generated, reference, method: str, steps: int, seed: int,
     gen, ref = _as_points(generated, reference, ("generated", "reference"))
     if "wsd" in names:
         _check_assignable(gen, ref)   # a pair the solve rejects fails before any work
-    mmd2 = sigma = wsd = e_u = e_v = None
+    mmd2 = sigma = wsd = e_u = e_v = sums = None
+    if "energy" in names and "mmd" in names and bandwidth == MEDIAN and gen.shape[1] > 1:
+        # one walk over the pooled pairs gives the energy sums and the median
+        walked, sigma = _sums_and_median(np.concatenate([gen, ref], axis=0),
+                                         [(gen, ref), (gen, None), (ref, None)])
+        sums = (walked[0], 2.0 * walked[1], 2.0 * walked[2])
+        _median_kernel_factor(sigma)
     if "mmd" in names:
-        mmd2, sigma = mmd_gaussian(gen, ref, bandwidth)
+        mmd2, sigma = mmd_gaussian(gen, ref, bandwidth if sigma is None else sigma)
     if "wsd" in names:
         wsd = wasserstein_assignment(gen, ref)
     if "energy" in names:
-        e_u, e_v = _energy_values(gen, ref, ("u", "v"))
+        e_u, e_v = _energy_values(len(gen), len(ref), sums or _energy_sums(gen, ref), ("u", "v"))
     return MetricsReport(method, steps, seed, len(gen), mmd2, wsd, e_u, e_v, sigma)

@@ -143,6 +143,77 @@ def test_sample_counts_determinism_and_energy_steps_guard(tmp_path):
     assert rc == 1
 
 
+def _hidden(directory) -> list[str]:
+    return sorted(p.name for p in Path(directory).iterdir() if p.name.startswith("."))
+
+
+@pytest.mark.parametrize("old", [False, True])
+def test_a_sample_that_fails_halfway_leaves_the_old_file_or_none(tmp_path, monkeypatch, old):
+    """The samples CSV and the plot are written beside their paths and renamed
+    into place, so a writer that raises midway leaves no partial file."""
+    from escore import svg
+    run = tmp_path / "run"
+    assert main(["train-head", "--method", "energy", "--out", str(run)] + TINY_HEAD) == 0
+    out, plot = tmp_path / "s.csv", tmp_path / "p.svg"
+    argv = ["sample", "--run", str(run), "--n", "50", "--out", str(out)]
+    if old:
+        out.write_text("old samples\n")
+        plot.write_text("old plot\n")
+    cells, format_cell = [], data._format_cell
+
+    def failing_cell(v):   # raises in the middle of the 50 rows
+        cells.append(v)
+        if len(cells) == 41:
+            raise RuntimeError("disk gone")
+        return format_cell(v)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(data, "_format_cell", failing_cell)
+        assert main(argv) == 2
+    assert cells and (out.read_text() == "old samples\n" if old else not out.exists())
+
+    def failing_plot(path, panels, cols):
+        Path(path).write_text("<svg")
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(svg, "panel_grid_svg", failing_plot)
+    assert main(argv + ["--svg", str(plot)]) == 2
+    assert plot.read_text() == "old plot\n" if old else not plot.exists()
+    assert _hidden(tmp_path) == []
+    assert len(data.read_points_csv(out)[0]) == 50   # the samples, written whole
+
+
+def test_an_out_in_a_missing_directory_is_usage_error_naming_it(tmp_path, capsys):
+    gen = tmp_path / "gen.csv"
+    data.write_points_csv(gen, gaussian_source(16, 2, seed=3).points)
+    missing = tmp_path / "missing"
+    rc = main(["eval", "--generated", str(gen), "--reference", str(gen),
+               "--out", str(missing / "m.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and f"no such directory: '{missing}'" in err and ".partial" not in err
+
+
+def test_an_eval_that_fails_halfway_leaves_the_old_metrics_csv(tmp_path, monkeypatch):
+    """The metrics CSV is copied, appended to and renamed into place, so a
+    row writer that raises leaves the old bytes and no torn row."""
+    gen = tmp_path / "gen.csv"
+    data.write_points_csv(gen, gaussian_source(16, 2, seed=3).points)
+    out = tmp_path / "metrics.csv"
+    argv = ["eval", "--generated", str(gen), "--reference", str(gen), "--out", str(out)]
+    assert main(argv) == 0
+    before = out.read_bytes()
+
+    def failing_row(self):
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(metrics.MetricsReport, "csv_row", failing_row)
+    assert main(argv) == 2
+    assert out.read_bytes() == before and _hidden(tmp_path) == []
+    out.unlink()
+    assert main(argv) == 2
+    assert not out.exists() and _hidden(tmp_path) == []
+
+
 def test_eval_identity_and_schema(tmp_path):
     pts = gaussian_source(64, 2, seed=3).points
     gen = tmp_path / "gen.csv"
@@ -332,6 +403,24 @@ def test_a_teacher_run_records_the_config_it_trained_with(tmp_path):
     assert manifest["extra"]["mar_config"]["head_kind"] == "diffusion"
     assert (manifest["config_digest"] == config_digest(cfg)
             == (run / "config.digest").read_text().strip())
+
+
+@pytest.mark.parametrize("given", ["set", "config"])
+def test_a_teacher_run_refuses_a_head_kind_the_user_set(tmp_path, capsys, given):
+    """A teacher trains a diffusion head, so a head kind set to another kind,
+    by --set or by --config, is refused, not dropped."""
+    if given == "set":
+        argv = ["--set", "mar.head_kind=flow"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mar": {"head_kind": "flow"}}))
+        argv = ["--config", str(path)]
+    out = tmp_path / "run"
+    rc = main(["train-mar", "--role", "teacher", "--out", str(out)] + argv + TINY_MAR)
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert 'mar.head_kind="flow" is a student setting; a teacher trains a diffusion head' in err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -790,7 +879,7 @@ def test_sweep_cell_decodes_with_the_head_steps_decode_uses(tmp_path, monkeypatc
     monkeypatch.setattr(MarModel, "decode", spy)
     cfg = resolve_config(TINY_MAR[1::2] + [f"mar.head_kind={kind}",
                                            "sweep.eval_per_class=4"])
-    experiments._sweep_cell(cfg, "cfg", 1, [2.0], str(tmp_path / "cell"))
+    experiments._sweep_cell(cfg, "cfg", [2.0], str(tmp_path / "cell"))   # at seed 1
     assert len(seen) == 3   # one decode per class
     assert {(d.head_steps, d.cfg_scale, d.iterations) for d in seen} == {(steps, 2.0, 4)}
 
@@ -1193,6 +1282,39 @@ def test_pool_workers_run_blas_on_one_thread_unless_the_environment_says(monkeyp
         assert experiments.run_jobs(_blas_threads, [(0,), (1,)]) == [2, 2]
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
+
+
+def test_every_cell_checkpoint_records_the_config_of_its_own_seed(tmp_path):
+    """A compare or sweep cell trains from the run's config with its seed
+    merged over it, and its checkpoints hash that config."""
+    from escore.config import config_digest, nested, overridden
+    from escore.nn import load_checkpoint
+    cmp, swp = tmp_path / "cmp", tmp_path / "swp"
+    assert main(["compare-swissroll", "--out", str(cmp), "--set", "compare.seeds=[1,2]",
+                 "--set", "compare.multi_steps=[4]"] + TINY_COMPARE[2:]) == 0
+    assert main(["sweep", "--param", "lambda", "--values", "0,0.1", "--out", str(swp),
+                 "--set", "sweep.seeds=[1,2]", "--set", "sweep.eval_per_class=4"]
+                + TINY_MAR) == 0
+    expected = {}
+    cfg = json.loads((cmp / "config.json").read_text())
+    for method, steps in cfg["compare"]["steps_by_method"].items():
+        for seed in (1, 2):
+            cell = overridden(cfg, {"head": {"method": method}, "train": {"steps": steps}},
+                              {"seed": seed})
+            expected[f"cells/{method}_seed{seed}/head.ckpt"] = config_digest(cell)
+    cfg = json.loads((swp / "config.json").read_text())
+    for seed in (1, 2):
+        cell = overridden(cfg, {"seed": seed})
+        expected[f"cells/seed{seed}/teacher.ckpt"] = config_digest(
+            overridden(cell, experiments.TEACHER))
+        for value in (0.0, 0.1):
+            expected[f"cells/seed{seed}/student_lambda{value:g}.ckpt"] = config_digest(
+                overridden(cell, nested("mar_train.lambda", value)))
+    found = {str(p.relative_to(root)): load_checkpoint(p)[0]["config_digest"]
+             for root in (cmp, swp) for p in root.rglob("*.ckpt")}
+    assert found == expected
+    seed1 = {name: digest for name, digest in expected.items() if "seed1" in name}
+    assert all(expected[name.replace("seed1", "seed2")] != d for name, d in seed1.items())
 
 
 def test_compare_swissroll_output_does_not_depend_on_thread_count(monkeypatch, tmp_path):

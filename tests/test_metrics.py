@@ -382,6 +382,35 @@ def test_priced_solve_equals_plain_solve_bit_for_bit(monkeypatch, k, first):
     assert value == float(plain.mean())
 
 
+@pytest.mark.parametrize("case", ["k2", "k4", "k40", "far2048"])
+def test_point_prices_are_exact_duals(monkeypatch, case):
+    """Distinct rows against k repeated points (a 2,048-point far set: 29
+    points, almost all on four corners): the row the solve matches to each
+    column attains its least reduced cost, so the prices are the
+    transportation problem's exact duals, and the value is the plain
+    solve's."""
+    import scipy.optimize
+    if case == "far2048":
+        pooled = _pooled_4096("repeated")
+        rep, pts = pooled[:2048], pooled[2048:]
+    else:
+        k = int(case[1:])
+        rep = _repeats(k, 512, seed=k)
+        pts = 2.0 * Stream.from_seed(k, "pts").normal((512, 2))
+    seen, solve = [], scipy.optimize.linear_sum_assignment
+
+    def spy(cost):
+        seen.append((cost.copy(), solve(cost)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    value = metrics.wasserstein_assignment(pts, rep)
+    [(cost, (rows, cols))] = seen
+    assert np.all(cost[rows, cols] <= cost.min(axis=1) + 1e-12)
+    monkeypatch.undo()
+    assert value == float(_plain_solve(pts, rep).mean())
+
+
 def test_priced_solve_with_both_sets_repeated_matches_plain_solve():
     for seed, k in enumerate((4, 40)):
         cols = _repeats(k, 512, seed)
@@ -572,15 +601,49 @@ def median_cases(draw):
     return pts, draw(st.sampled_from([1, 7, 64, metrics._PAIR_BLOCK]))
 
 
+MISSES = {"all-below": (np.inf, np.inf), "all-above": (-1.0, -1.0)}
+
+
+def _median_by(pts, miss=None):
+    """``median_pairwise_distance(pts)``, with the walk's bracket made to miss
+    (every distance falls below or above the bracket of ``MISSES[miss]``),
+    and whether the histogram walks found it."""
+    fallbacks, fallback = [], metrics._histogram_median
+
+    def spy(walks, total):
+        fallbacks.append(total)
+        return fallback(walks, total)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_histogram_median", spy)
+        if miss:
+            mp.setattr(metrics, "_median_bracket", lambda points: MISSES[miss])
+        value = metrics.median_pairwise_distance(pts)
+    return value, bool(fallbacks)
+
+
+def _check_median(pts, block, miss):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_PAIR_BLOCK", block)
+        value, fell_back = _median_by(pts, miss)
+    assert fell_back == (miss is not None and len(pts) > 1)
+    expect = numpy_median_distance(pts) if len(pts) > 1 else 0.0
+    assert value == expect and type(value) is float
+
+
 @settings(max_examples=80, deadline=None)
 @given(median_cases())
 def test_median_pairwise_distance_equals_numpy_median(case):
-    pts, block = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_PAIR_BLOCK", block)
-        value = metrics.median_pairwise_distance(pts)
-    expect = numpy_median_distance(pts) if len(pts) > 1 else 0.0
-    assert value == expect and type(value) is float
+    """On up to 300 points the bracket comes from every pair, so the walk
+    always finds the median inside it."""
+    _check_median(*case, miss=None)
+
+
+@pytest.mark.parametrize("miss", sorted(MISSES))
+@settings(max_examples=40, deadline=None)
+@given(case=median_cases())
+def test_median_by_the_histogram_walks_equals_numpy_median(miss, case):
+    _check_median(*case, miss=miss)
 
 
 def _pooled_4096(kind):
@@ -596,8 +659,22 @@ def _pooled_4096(kind):
 
 @pytest.mark.parametrize("kind", ["near", "repeated"])
 def test_median_pairwise_distance_at_4096_points_equals_numpy_median(kind):
+    """The sampled bracket holds the median of both pooled sets, and the
+    histogram walks find it too."""
     pts = _pooled_4096(kind)
-    assert metrics.median_pairwise_distance(pts) == numpy_median_distance(pts)
+    expect = numpy_median_distance(pts)
+    assert _median_by(pts) == (expect, False)
+    assert _median_by(pts, miss="all-below") == (expect, True)
+
+
+def test_median_on_one_repeated_distance_takes_the_histogram_walks():
+    """Most pairs at distance 0: the bracket holds the median, but it would
+    keep more values than one block, so the histogram walks find it."""
+    pts = Stream.from_seed(13, "pts").normal((1024, 2))
+    pts[:800] = 0.0   # 319,600 of 523,776 pairs at 0
+    assert 319_600 > metrics._BRACKET_KEPT
+    assert _median_by(pts) == (numpy_median_distance(pts), True)
+    assert numpy_median_distance(pts) == 0.0
 
 
 def test_median_pairwise_distance_of_non_finite_points_is_numpy_median():
@@ -655,9 +732,10 @@ def test_metrics_report_csv_row():
 def test_eval_computes_the_energy_pair_sums_once(monkeypatch, shape):
     """Energy alone walks each pair once (three walks in 2-D, none for a
     1-column set, which takes the sorted sums) and computes no median. All
-    three metrics add the median's two walks over the pooled pairs and the
-    kernel sums' three walks. Both energy modes stay energy_statistic's bit
-    for bit."""
+    three metrics in 2-D read the median off those three walks and add the
+    kernel sums' three: six walks covering the pooled pairs twice. A 1-column
+    set walks the pooled pairs once for the median, then for the kernel sums.
+    Both energy modes stay energy_statistic's bit for bit."""
     gen = Stream.from_seed(3, "g").normal(shape)
     ref = Stream.from_seed(3, "r").normal(shape) + 0.5
     expect = [energy_statistic(gen, ref, mode) for mode in ("u", "v")]
@@ -669,12 +747,12 @@ def test_eval_computes_the_energy_pair_sums_once(monkeypatch, shape):
             walks[-1] += len(d)
             yield d
 
-    def unreachable(points):
+    def unreachable(points, walks):
         raise AssertionError("energy alone computed a median")
 
     monkeypatch.setattr(metrics, "_pair_distances", counted)
     with monkeypatch.context() as mp:
-        mp.setattr(metrics, "median_pairwise_distance", unreachable)
+        mp.setattr(metrics, "_sums_and_median", unreachable)
         rep = metrics.evaluate_samples(gen, ref, "energy", 1, 0, names=("energy",))
     assert [repr(rep.energy_u), repr(rep.energy_v)] == list(map(repr, expect))   # bit for bit
     energy_walks = [40 * 40, 40 * 39 // 2, 40 * 39 // 2] if shape[1] == 2 else []
@@ -682,7 +760,9 @@ def test_eval_computes_the_energy_pair_sums_once(monkeypatch, shape):
     walks.clear()
     full = metrics.evaluate_samples(gen, ref, "energy", 1, 0)
     assert [repr(full.energy_u), repr(full.energy_v)] == list(map(repr, expect))
-    assert walks == [80 * 79 // 2] * 2 + [40 * 39 // 2] * 2 + [40 * 40] + energy_walks
+    kernel_walks = [40 * 39 // 2] * 2 + [40 * 40]
+    assert walks == (energy_walks if shape[1] == 2 else [80 * 79 // 2]) + kernel_walks
+    assert sum(walks) == 2 * (80 * 79 // 2)
 
 
 def brute_sigma(x, y):

@@ -105,6 +105,7 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a number",
 # an integer value is a count (>= 1) but for these
 _ANY_INT = {"seed", "compare.seeds", "sweep.seeds"}
 _NON_NEGATIVE = {"train.warmup", "mar_train.warmup"}
+_DISTINCT = ("compare.seeds", "compare.multi_steps", "sweep.seeds")   # lists without repeats
 # float key -> (whether a finite value is in range, the range in words)
 _FLOAT_RANGES = {
     "data.noise_sigma": (lambda v: v >= 0, ">= 0"),
@@ -165,6 +166,24 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
                                   f"got {value!r}")
 
 
+def first_repeat(items: list):
+    """The first item of ``items`` that an earlier one equals, or None."""
+    return next((v for i, v in enumerate(items) if v in items[:i]), None)
+
+
+def _check_lists(cfg: dict) -> None:
+    """Seeds and step counts each name an item once, and the multi-step grid
+    holds counts above the one step every head samples at."""
+    for key in _DISTINCT:
+        section, name = key.split(".")
+        repeat = first_repeat(cfg[section][name])
+        if repeat is not None:
+            raise ConfigError(f"{key} lists {repeat!r} twice; each item must appear once")
+    if 1 in cfg["compare"]["multi_steps"]:
+        raise ConfigError("compare.multi_steps must hold step counts above 1 (every head "
+                          f"samples at 1 step anyway), got {cfg['compare']['multi_steps']!r}")
+
+
 def head_config_from(cfg: dict) -> HeadConfig:
     """The toy head of ``cfg["head"]``."""
     return HeadConfig(**_fields_of(cfg["head"], HEAD_KEYS))
@@ -187,10 +206,12 @@ def decode_config_from(cfg: dict, seed: int, head: HeadConfig,
 
 def check_config(cfg: dict) -> None:
     """Every value of ``cfg`` has the type of its default, every float of
-    :data:`_FLOAT_RANGES` is finite and in range, a numeric ``metrics.bandwidth``
-    has a finite kernel factor, and the head, MAR and decode configs of ``cfg``
-    pass their dataclasses' rules (which raise their own ValueError)."""
+    :data:`_FLOAT_RANGES` is finite and in range, no list of :data:`_DISTINCT`
+    repeats an item, a numeric ``metrics.bandwidth`` has a finite kernel
+    factor, and the head, MAR and decode configs of ``cfg`` pass their
+    dataclasses' rules (which raise their own ValueError)."""
     _check_types(cfg, DEFAULTS)
+    _check_lists(cfg)
     for key, (in_range, words) in _FLOAT_RANGES.items():
         section, name = key.split(".")
         value = cfg[section][name]
@@ -228,6 +249,8 @@ def parse_override(text: str) -> dict:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ConfigError(f"override {key.strip()!r}: value nested too deep to parse") from None
     return nested(key.strip(), value)
 
 
@@ -248,7 +271,7 @@ def override_tables(overrides: list[str] | None = None,
     if config_file:
         try:
             loaded = json.loads(Path(config_file).read_bytes().decode("utf-8"))
-        except ValueError as exc:   # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, nested too deep
             raise ConfigError(f"{config_file}: not a JSON config file: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_file}: top level must be an object")
@@ -259,8 +282,16 @@ def override_tables(overrides: list[str] | None = None,
 def resolve_config(overrides: list[str] | None = None,
                    config_file: str | None = None) -> dict:
     """Defaults <- file <- overrides, each a table merged in turn; unknown
-    keys are rejected."""
-    return overridden(DEFAULTS, *override_tables(overrides, config_file))
+    keys are rejected. The file over the defaults must be a config by
+    itself, and an error in it names the file."""
+    tables = override_tables(overrides, config_file)
+    base = DEFAULTS
+    if config_file:
+        try:
+            base = overridden(DEFAULTS, tables.pop(0))
+        except (ValueError, RecursionError) as exc:   # a value too deep to print
+            raise ConfigError(f"{config_file}: {exc}") from None
+    return overridden(base, *tables)
 
 
 def config_digest(cfg: dict) -> str:

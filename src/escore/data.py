@@ -119,16 +119,22 @@ def read_points_csv(path) -> tuple[np.ndarray, list[str]]:
     """Returns the columns x0..x{d-1}, in that order wherever the header puts
     them, as an (n, d) array plus the full header.
 
-    A header whose x columns repeat or skip an index, a file without data
-    rows, a row with more or fewer cells than the header (a blank line has
-    none), or a cell that is not a finite number is a ValueError naming the
-    file (and the row and line), so no caller has to guess at the cause.
+    A file that is not UTF-8 text csv can parse, a header whose x columns
+    repeat or skip an index, a file without data rows, a row with more or
+    fewer cells than the header (a blank line has none), or a cell that is
+    not a finite number is a ValueError naming the file (and the row and
+    line), so no caller has to guess at the cause.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = list(reader)
-    dims = sorted((int(name[1:]), i) for i, name in enumerate(header)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:   # not UTF-8; a field past csv's limit
+        raise ValueError(f"{path}: not a points CSV: {exc}") from None
+    # an index of 20 digits or more is past every column (and may be past int()'s limit)
+    dims = sorted((int(name[1:]) if len(name) <= 20 else len(header), i)
+                  for i, name in enumerate(header)
                   if name.startswith("x") and name[1:].isdecimal())
     if not dims:
         raise ValueError(f"{path}: no x0,x1,... columns in header {header}")

@@ -2,18 +2,20 @@
 Swiss-roll comparison, MAR training/decoding, and hyperparameter sweeps.
 
 A verb builds its run directory beside ``--out`` and renames it into place,
-so the directory appears whole or not at all; a file written outside a run
-directory (a ``sample`` CSV or plot, an ``eval`` metrics CSV) is built and
-renamed the same way. Compare and sweep cells are pure functions of their
-config, which holds the cell's seed, so results are identical whether they
-run serially or on the ESCORE_THREADS worker pool, whose workers run
-OpenBLAS on one thread each.
+so the directory appears whole or not at all; every model a compare or sweep
+cell trains is such a run too, holding the config it trained with. A file
+written outside a run directory (a ``sample`` CSV or plot, an ``eval``
+metrics CSV) is built and renamed the same way. Compare and sweep cells are
+pure functions of their config, which holds the cell's seed, so results are
+identical whether they run serially or on the ESCORE_THREADS worker pool,
+whose workers run OpenBLAS on one thread each.
 """
 from __future__ import annotations
 
 import csv
 import ctypes
 import errno
+import functools
 import glob
 import json
 import os
@@ -26,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data, mar, metrics, svg
-from .config import (ConfigError, config_digest, decode_config_from, head_config_from,
-                     mar_config_from, nested, overridden)
+from .config import (ConfigError, config_digest, decode_config_from, first_repeat,
+                     head_config_from, mar_config_from, nested, overridden)
 from .heads import HEAD_KINDS
 from .mar import MarConfig, MarModel, train_mar
 from .metrics import MetricsReport
@@ -60,17 +62,26 @@ def worker_count() -> int:
     return count
 
 
+@functools.cache
+def bundled_openblas() -> ctypes.CDLL | None:
+    """The scipy-openblas library that numpy's wheel bundles, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    try:
+        return ctypes.CDLL(libs[0])
+    except (IndexError, OSError):
+        return None
+
+
 def _one_blas_thread() -> None:
     """Pool initializer: numpy's bundled OpenBLAS runs on one thread unless the
     environment sets its thread count. A forked worker keeps the parent's
     count, a thread per core, so the workers together would oversubscribe."""
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
         return
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas*"))
     try:
-        ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_(1)
-    except (IndexError, OSError, AttributeError):
+        bundled_openblas().scipy_openblas_set_num_threads64_(1)
+    except AttributeError:   # no bundled library, or one without the call
         pass
 
 
@@ -136,6 +147,15 @@ def _replaced(path):
         raise
 
 
+@contextmanager
+def _naming(ckpt_path, doing: str):
+    """A numeric failure in the block names the checkpoint it was ``doing``."""
+    try:
+        yield
+    except FloatingPointError as exc:   # graph.NonFiniteError among them
+        raise type(exc)(f"{exc} ({doing} {ckpt_path})") from None
+
+
 def write_loss_csv(path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -199,7 +219,8 @@ def run_train_head(cfg: dict, out_dir) -> Path:
 def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv, noise_sigma: float,
                svg_path=None) -> np.ndarray:
     model = ToyHeadModel.load(ckpt_path)
-    samples = model.sample(n, steps, seed)   # checks the step count before any pass
+    with _naming(ckpt_path, "sampling"):
+        samples = model.sample(n, steps, seed)   # checks the step count before any pass
     with _replaced(out_csv) as stage:
         data.write_points_csv(stage, samples)
     if svg_path:
@@ -223,9 +244,13 @@ def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
     gen, _ = data.read_points_csv(generated_csv)
     ref, _ = data.read_points_csv(reference_csv)
     if gen.shape[1] != ref.shape[1]:
-        raise ConfigError(f"dimension mismatch: generated has {gen.shape[1]} "
-                          f"columns, reference has {ref.shape[1]}")
-    report = metrics.evaluate_samples(gen, ref, method, steps, seed, bandwidth, metric_names)
+        raise ConfigError(f"dimension mismatch: generated {generated_csv} has {gen.shape[1]} "
+                          f"columns, reference {reference_csv} has {ref.shape[1]}")
+    try:
+        report = metrics.evaluate_samples(gen, ref, method, steps, seed, bandwidth,
+                                          metric_names)
+    except ValueError as exc:   # point sets the metrics cannot score
+        raise ValueError(f"{generated_csv} against {reference_csv}: {exc}") from None
     append_metrics_rows(out_csv, [report])
     return report
 
@@ -234,20 +259,19 @@ def run_eval(generated_csv, reference_csv, out_csv, method: str, steps: int,
 # compare-swissroll (the five-way one-step comparison)
 
 def _compare_cell(cfg: dict, cell_dir: str) -> list[MetricsReport]:
-    """Train the head of ``cfg`` on its seed; sample and score it at each step count."""
-    out = Path(cell_dir)
-    out.mkdir(parents=True)
+    """Train the head of ``cfg`` on its seed in the run ``cell_dir``; sample
+    and score it at each step count."""
     method, seed = cfg["head"]["method"], cfg["seed"]
-    model = _train_toy_head(ToyHeadModel(head_config_from(cfg), seed), cfg, out)
-
     n = cfg["compare"]["sample_n"]
     reference = data.swiss_roll(n, cfg["data"]["noise_sigma"], seed=10_000 + seed).points
     reports = []
-    for steps in [1] + (cfg["compare"]["multi_steps"] if method in MULTI_STEP_KINDS else []):
-        samples = model.sample(n, steps, seed=20_000 + seed)
-        data.write_points_csv(out / f"samples_step{steps}.csv", samples)
-        reports.append(metrics.evaluate_samples(samples, reference, method, steps, seed,
-                                                cfg["metrics"]["bandwidth"]))
+    with _run_dir(cell_dir, cfg) as out:
+        model = _train_toy_head(ToyHeadModel(head_config_from(cfg), seed), cfg, out)
+        for steps in [1] + (cfg["compare"]["multi_steps"] if method in MULTI_STEP_KINDS else []):
+            samples = model.sample(n, steps, seed=20_000 + seed)
+            data.write_points_csv(out / f"samples_step{steps}.csv", samples)
+            reports.append(metrics.evaluate_samples(samples, reference, method, steps, seed,
+                                                    cfg["metrics"]["bandwidth"]))
     return reports
 
 
@@ -313,18 +337,18 @@ def build_mar_model(cfg: dict, seed: int, teacher: MarModel | None = None) -> Ma
 
 
 def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
-               ckpt: Path, loss_csv: Path) -> MarModel:
+               out: Path) -> MarModel:
     """Trains a model from :func:`build_mar_model`, distilling from ``teacher``
-    under lambda > 0, then writes its loss log and checkpoint, which records
-    ``role``."""
+    under lambda > 0, then writes its loss.csv and mar.ckpt, which records
+    ``role``, in ``out``."""
     t = cfg["mar_train"]
     log = train_mar(model, steps=t["steps"], batch=t["batch"], lr=t["lr"],
                     warmup=t["warmup"], lam=t["lambda"],
                     teacher=teacher if t["lambda"] > 0 else None,
                     per_class=cfg["data"]["per_class"], weight_decay=t["weight_decay"],
                     frozen_backbone=t["frozen_backbone"], jitter=cfg["data"]["jitter"])
-    write_loss_csv(loss_csv, log)
-    model.save(ckpt, config_digest=config_digest(cfg), step=len(log),
+    write_loss_csv(out / "loss.csv", log)
+    model.save(out / "mar.ckpt", config_digest=config_digest(cfg), step=len(log),
                extra={"role": role, "lambda": t["lambda"]})
     return model
 
@@ -352,7 +376,7 @@ def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None,
     teacher = MarModel.load(teacher_ckpt) if teacher_ckpt else None
     model = build_mar_model(cfg, cfg["seed"], teacher)
     with _run_dir(out_dir, cfg) as run:
-        _train_mar(cfg, role, model, teacher, run / "mar.ckpt", run / "loss.csv")
+        _train_mar(cfg, role, model, teacher, run)
     return Path(out_dir) / "mar.ckpt"
 
 
@@ -366,7 +390,7 @@ def run_decode(cfg: dict, ckpt_path, class_id: int | None, out_dir,
     n_seq = cfg["decode"]["n_seq"]
     dcfg = decode_config_from(cfg, cfg["seed"], model.head.cfg, head_steps)
     length = model.cfg.seq_len
-    with _run_dir(out_dir) as run:
+    with _run_dir(out_dir) as run, _naming(ckpt_path, "decoding"):
         latents, stats = model.decode(class_id, n_seq, dcfg)
         flat = latents.reshape(n_seq * length, data.LATENT_DIM)
         positions = np.tile(np.arange(length), n_seq)
@@ -416,11 +440,10 @@ def _grid_config(cfg: dict, param: str, value) -> dict:
 def _sweep_cell(cfg: dict, param: str, values: list, cell_dir: str) -> list[dict]:
     """The sweep of ``cfg``'s seed: each grid value sets ``param``'s key,
     trains the student it names (the decode-only ``cfg`` values share one)
-    and scores it. The students that take a teacher share one, trained on
-    ``cfg`` with :data:`TEACHER` over it."""
-    out = Path(cell_dir)
-    out.mkdir(parents=True)
-    seed = cfg["seed"]
+    in the run ``cell_dir/<name>`` and scores it. The students that take a
+    teacher share one, trained in ``cell_dir/teacher`` on ``cfg`` with
+    :data:`TEACHER` over it."""
+    cell, seed = Path(cell_dir), cfg["seed"]
     teacher = student = trained = None
     rows = []
     for value in values:
@@ -429,11 +452,12 @@ def _sweep_cell(cfg: dict, param: str, values: list, cell_dir: str) -> list[dict
         if tag != trained:
             if _takes_teacher(sub) and teacher is None:
                 tcfg = overridden(cfg, TEACHER)
-                teacher = _train_mar(tcfg, "teacher", build_mar_model(tcfg, seed), None,
-                                     out / "teacher.ckpt", out / "teacher.loss.csv")
+                with _run_dir(cell / "teacher", tcfg) as run:
+                    teacher = _train_mar(tcfg, "teacher", build_mar_model(tcfg, seed), None, run)
             taken = teacher if _takes_teacher(sub) else None
-            student = _train_mar(sub, "student", build_mar_model(sub, seed, taken), taken,
-                                 out / f"{tag}.ckpt", out / f"{tag}.loss.csv")
+            with _run_dir(cell / tag, sub) as run:
+                student = _train_mar(sub, "student", build_mar_model(sub, seed, taken),
+                                     taken, run)
             trained = tag
         scores = decode_and_score(student, sub, seed)
         rows.append({"param": param, "value": value, "seed": seed, **scores})
@@ -445,8 +469,16 @@ def run_sweep(cfg: dict, out_dir, param: str, values: list) -> Path:
         raise ConfigError(f"--param must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
     if not values:
         raise ConfigError("--values must list at least one grid point")
-    for value in values:   # a value that cannot train fails before any output
+    for value in values:   # a value that cannot train, or a repeat, fails before any output
         _grid_config(cfg, param, value)
+    repeat = first_repeat(values)
+    if repeat is not None:
+        raise ConfigError(f"--values lists {repeat!r} twice; each grid value must appear once")
+    names = [SWEEP_PARAMS[param][1].format(value) for value in values]
+    clash = first_repeat(names) if param != "cfg" else None   # the cfg values share one student
+    if clash is not None:
+        both = [repr(value) for value, name in zip(values, names) if name == clash]
+        raise ConfigError(f"--values {' and '.join(both[:2])} both name the student {clash!r}")
     seeds = cfg["sweep"]["seeds"]
     with _run_dir(out_dir, cfg) as run:
         jobs = [(overridden(cfg, {"seed": seed}), param, values,

@@ -61,6 +61,9 @@ class MarConfig:
         if self.mask_lo > self.mask_hi:
             raise ValueError(f"mar.mask_lo must be <= mar.mask_hi, got {self.mask_lo!r} > "
                              f"{self.mask_hi!r}")
+        if self.hidden_dim % self.n_heads:
+            raise ValueError(f"mar.hidden_dim must be a multiple of mar.n_heads, got "
+                             f"{self.hidden_dim} and {self.n_heads}")
         # shortcut and mean-flow targets evaluate the head on numpy context
         # rows, which a MAR step has only inside its graph
         kinds = ("energy", "diffusion", "flow")

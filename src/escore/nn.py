@@ -12,6 +12,8 @@ that reads it. Initialization is a pure function of (seed, parameter name).
 from __future__ import annotations
 
 import json
+import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -330,7 +332,8 @@ def save_checkpoint(path, params: ParameterSet, *, config_digest: str = "",
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """(manifest, parameter values). Raises ValueError naming ``path`` when
-    the manifest, one of its ``params`` entries or the payload is malformed."""
+    the manifest, one of its ``params`` entries or the payload is malformed;
+    it never reads more than the file holds."""
     with open(path, "rb") as fh:
         try:
             manifest = json.loads(fh.readline().decode("utf-8"))
@@ -343,17 +346,19 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if not isinstance(manifest.get("seed"), int):
             raise ValueError(f"{path}: checkpoint manifest has no integer 'seed'")
         values = {}
+        left = os.fstat(fh.fileno()).st_size - fh.tell()   # payload bytes
         for i, entry in enumerate(manifest["params"]):
             if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                     and entry["name"] not in values and isinstance(entry.get("shape"), list)
-                    and all(isinstance(s, int) and s >= 0 for s in entry["shape"])):
+                    and all(type(s) is int and s >= 0 for s in entry["shape"])):
                 raise ValueError(f"{path}: params entry {i} is not a new name with a "
                                  f"list of sizes: {entry!r}")
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
+            size = 8 * math.prod(shape)
+            buf = fh.read(size) if size <= left else b""
+            if len(buf) != size:
                 raise ValueError(f"{path}: truncated payload for {entry['name']!r}")
+            left -= size
             values[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last parameter")

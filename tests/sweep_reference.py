@@ -7,7 +7,9 @@ as ``config.decode_config_from`` does, with the chain length as head steps
 for a non-energy student. On the grids they could run (the m
 and wiring cells trained no teacher, so only at lambda = 0), the single
 cell must write the same ``sweep.csv`` and ``sweep_cells.csv`` bytes and
-checkpoints with the same parameter values.
+checkpoints with the same parameter values. Each model is written where the
+sweep writes it: ``mar.ckpt`` (and the λ cell's ``loss.csv``) in a
+directory named for the model.
 """
 from __future__ import annotations
 
@@ -66,12 +68,18 @@ def decode_and_score(model: MarModel, cfg: dict, cfg_scale: float, seed: int,
     return out
 
 
+def _model_path(cell: Path, name: str) -> Path:
+    """The checkpoint path of the model ``name`` in its run directory under ``cell``."""
+    (cell / name).mkdir(parents=True)
+    return cell / name / "mar.ckpt"
+
+
 def _sweep_cell_lambda(cfg: dict, seed: int, values: list[float],
                        cell_dir: str) -> list[dict]:
     out = Path(cell_dir)
     out.mkdir(parents=True, exist_ok=True)
     teacher, tlog = train_mar_model(cfg, role="teacher", seed=seed)
-    teacher.save(out / "teacher.ckpt", config_digest=config_digest(cfg),
+    teacher.save(_model_path(out, "teacher"), config_digest=config_digest(cfg),
                  step=len(tlog), extra={"role": "teacher"})
     eval_n = cfg["sweep"]["eval_per_class"]
     rows = []
@@ -81,8 +89,9 @@ def _sweep_cell_lambda(cfg: dict, seed: int, values: list[float],
         student, slog = train_mar_model(sub, role="student", seed=seed,
                                         teacher=teacher if lam > 0 else None)
         tag = f"student_lambda{lam:g}"
-        write_loss_csv(out / f"{tag}.loss.csv", slog)
-        student.save(out / f"{tag}.ckpt", config_digest=config_digest(sub),
+        path = _model_path(out, tag)
+        write_loss_csv(path.with_name("loss.csv"), slog)
+        student.save(path, config_digest=config_digest(sub),
                      step=len(slog), extra={"role": "student", "lambda": lam,
                                             "m": student.cfg.m_samples})
         scores = decode_and_score(student, cfg, cfg["decode"]["cfg_scale"],
@@ -100,7 +109,7 @@ def _sweep_cell_cfg(cfg: dict, seed: int, values: list[float],
     if lam > 0:
         teacher, _ = train_mar_model(cfg, role="teacher", seed=seed)
     student, slog = train_mar_model(cfg, role="student", seed=seed, teacher=teacher)
-    student.save(out / "student.ckpt", config_digest=config_digest(cfg),
+    student.save(_model_path(out, "student"), config_digest=config_digest(cfg),
                  step=len(slog), extra={"role": "student", "lambda": lam})
     eval_n = cfg["sweep"]["eval_per_class"]
     rows = []
@@ -119,7 +128,7 @@ def _sweep_cell_m(cfg: dict, seed: int, values: list[int], cell_dir: str) -> lis
         sub = json.loads(json.dumps(cfg))
         sub["mar"]["m"] = int(m)
         student, slog = train_mar_model(sub, role="student", seed=seed)
-        student.save(out / f"student_m{m}.ckpt", config_digest=config_digest(sub),
+        student.save(_model_path(out, f"student_m{m}"), config_digest=config_digest(sub),
                      step=len(slog), extra={"role": "student", "m": int(m),
                                             "lambda": 0.0})
         scores = decode_and_score(student, sub, sub["decode"]["cfg_scale"],
@@ -138,7 +147,7 @@ def _sweep_cell_wiring(cfg: dict, seed: int, values: list[str],
         sub = json.loads(json.dumps(cfg))
         sub["mar"]["wiring"] = wiring
         student, slog = train_mar_model(sub, role="student", seed=seed)
-        student.save(out / f"student_{wiring}.ckpt", config_digest=config_digest(sub),
+        student.save(_model_path(out, f"student_{wiring}"), config_digest=config_digest(sub),
                      step=len(slog), extra={"role": "student", "wiring": wiring})
         scores = decode_and_score(student, sub, sub["decode"]["cfg_scale"],
                                   seed, eval_n)

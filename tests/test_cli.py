@@ -1,6 +1,4 @@
 import csv
-import ctypes
-import glob
 import json
 import os
 import resource
@@ -614,11 +612,12 @@ def test_mistyped_config_value_fails_before_any_output(tmp_path, capsys, overrid
     ("metrics.bandwidth=1e-160", "metrics.bandwidth: kernel bandwidth 1e-160 is not a finite"),
     ("train.lr=1" + "0" * 400, "train.lr must be a finite number, got 1000"),
     ("metrics.bandwidth=1" + "0" * 400, "metrics.bandwidth: int too large to convert to float"),
+    ("mar.n_heads=3", "mar.hidden_dim must be a multiple of mar.n_heads, got 64 and 3"),
 ], ids=["width", "batch", "warmup", "list-item", "nested-table", "lr", "mar-lr", "lr-nan",
         "weight-decay", "mar-weight-decay", "p-drop", "p-drop-one", "mask-lo", "mask-hi",
         "mask-lo-above-hi", "lambda", "cfg-scale-inf", "noise-sigma", "jitter",
         "bandwidth-negative", "bandwidth-tiny", "lr-int-past-float",
-        "bandwidth-int-past-float"])
+        "bandwidth-int-past-float", "mar-heads"])
 def test_out_of_range_config_value_fails_before_any_output(tmp_path, capsys, override, cause):
     out = tmp_path / "run"
     rc = main(["train-head", "--method", "energy", "--out", str(out)] + TINY_HEAD
@@ -763,44 +762,45 @@ def _check_sweep_grid(tmp_path, param, values, ckpt, field=(), extra=()):
 
 
 def test_sweep_m_grid_contract(tmp_path):
-    _check_sweep_grid(tmp_path, "m", ["2", "3"], "student_m{}.ckpt", ("mar_config", "m_samples"))
+    _check_sweep_grid(tmp_path, "m", ["2", "3"], "student_m{}/mar.ckpt",
+                      ("mar_config", "m_samples"))
 
 
 def test_sweep_wiring_grid_contract(tmp_path):
     _check_sweep_grid(tmp_path, "wiring", ["noise_as_input", "noise_as_condition"],
-                      "student_{}.ckpt", ("mar_config", "wiring"))
+                      "student_{}/mar.ckpt", ("mar_config", "wiring"))
 
 
 def test_sweep_lambda_grid_contract(tmp_path):
-    cell = _check_sweep_grid(tmp_path, "lambda", ["0.25", "0.5"], "student_lambda{}.ckpt",
+    cell = _check_sweep_grid(tmp_path, "lambda", ["0.25", "0.5"], "student_lambda{}/mar.ckpt",
                              ("lambda",))
-    assert (cell / "teacher.ckpt").exists()
+    assert (cell / "teacher" / "mar.ckpt").exists()
 
 
 def test_sweep_cfg_grid_trains_one_student(tmp_path, capsys):
-    cell = _check_sweep_grid(tmp_path, "cfg", ["1.0", "3.0"], "student.ckpt")
-    assert sorted(p.name for p in cell.glob("*.ckpt")) == ["student.ckpt"]
+    cell = _check_sweep_grid(tmp_path, "cfg", ["1.0", "3.0"], "student/mar.ckpt")
+    assert [str(p.relative_to(cell)) for p in cell.rglob("*.ckpt")] == ["student/mar.ckpt"]
     assert capsys.readouterr().out == f"sweep written: {tmp_path / 'sweep' / 'sweep.csv'}\n"
 
 
 @pytest.mark.parametrize("param,values,ckpt", [
-    ("m", ["2", "3"], "student_m{}.ckpt"),
-    ("wiring", ["noise_as_input", "noise_as_condition"], "student_{}.ckpt"),
+    ("m", ["2", "3"], "student_m{}/mar.ckpt"),
+    ("wiring", ["noise_as_input", "noise_as_condition"], "student_{}/mar.ckpt"),
 ], ids=["m", "wiring"])
 def test_sweep_distills_every_student_under_a_positive_lambda(tmp_path, param, values, ckpt):
     from escore.nn import load_checkpoint
     cell = _check_sweep_grid(tmp_path, param, values, ckpt,
                              extra=["--set", "mar_train.lambda=0.1"])
-    assert (cell / "teacher.ckpt").exists()
+    assert (cell / "teacher" / "mar.ckpt").exists()
     for value in values:
         manifest, _ = load_checkpoint(cell / ckpt.format(value))
         assert manifest["extra"]["lambda"] == 0.1
 
 
 @pytest.mark.parametrize("param,values,ckpt,extra", [
-    ("lambda", ["0", "0.5"], "student_lambda{}.ckpt", []),
-    ("lambda", ["0", "0.5"], "student_lambda{}.ckpt", ["mar_train.init_from_teacher=true"]),
-    ("m", ["2"], "student_m{}.ckpt", ["mar_train.init_from_teacher=true"]),
+    ("lambda", ["0", "0.5"], "student_lambda{}/mar.ckpt", []),
+    ("lambda", ["0", "0.5"], "student_lambda{}/mar.ckpt", ["mar_train.init_from_teacher=true"]),
+    ("m", ["2"], "student_m{}/mar.ckpt", ["mar_train.init_from_teacher=true"]),
 ], ids=["lambda", "lambda-init", "m-init"])
 def test_a_frozen_sweep_trains_its_whole_teacher_and_starts_students_from_it(
         tmp_path, param, values, ckpt, extra):
@@ -811,7 +811,7 @@ def test_a_frozen_sweep_trains_its_whole_teacher_and_starts_students_from_it(
     extra = ["mar_train.frozen_backbone=true"] + extra
     cell = _check_sweep_grid(tmp_path, param, values, ckpt,
                              extra=[a for kv in extra for a in ("--set", kv)])
-    teacher = MarModel.load(cell / "teacher.ckpt")
+    teacher = MarModel.load(cell / "teacher" / "mar.ckpt")
     backbone = [n for n in teacher.params.names() if n.startswith("backbone.")]
     fresh = MarModel(teacher.cfg, 1)
     assert any(not np.array_equal(teacher.params[n].value, fresh.params[n].value)
@@ -854,10 +854,10 @@ def test_sweep_matches_per_parameter_reference(tmp_path, grid):
         _, got = load_checkpoint(new / path.relative_to(ref))
         assert list(got) == list(want)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want), path.name
-    for path in ref.rglob("*.loss.csv"):
+    for path in ref.rglob("loss.csv"):
         assert (new / path.relative_to(ref)).read_bytes() == path.read_bytes()
     distilled = grid in ("lambda", "cfg-distilled")
-    assert (new / "cells" / "seed1" / "teacher.ckpt").exists() == distilled
+    assert (new / "cells" / "seed1" / "teacher" / "mar.ckpt").exists() == distilled
 
 
 @pytest.mark.parametrize("kind,steps", [("energy", 1), ("diffusion", 100)])
@@ -985,6 +985,36 @@ def test_compare_swissroll_tiny(tmp_path, capsys):
     assert methods == {"energy", "diffusion", "flow", "shortcut", "meanflow"}
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (["compare-swissroll"] + TINY_COMPARE + ["--set", "compare.seeds=[1,1]"],
+     "compare.seeds lists 1 twice"),
+    (["compare-swissroll"] + TINY_COMPARE + ["--set", "compare.multi_steps=[4,2,4]"],
+     "compare.multi_steps lists 4 twice"),
+    (["compare-swissroll"] + TINY_COMPARE + ["--set", "compare.multi_steps=[1,4]"],
+     "compare.multi_steps must hold step counts above 1"),
+    (["sweep", "--param", "cfg", "--values", "2"] + TINY_MAR + ["--set", "sweep.seeds=[2,2]"],
+     "sweep.seeds lists 2 twice"),
+    (["sweep", "--param", "lambda", "--values", "0.5,1,0.5"] + TINY_MAR,
+     "--values lists 0.5 twice"),
+    (["sweep", "--param", "lambda", "--values", "0.5,0.50"] + TINY_MAR,
+     "--values lists 0.5 twice"),
+    (["sweep", "--param", "cfg", "--values", "1,1.0"] + TINY_MAR, "--values lists 1.0 twice"),
+    (["sweep", "--param", "wiring", "--values", "noise_as_input,noise_as_input"] + TINY_MAR,
+     "--values lists 'noise_as_input' twice"),
+    (["sweep", "--param", "lambda", "--values", "0.1234561,0.3,0.1234562"] + TINY_MAR,
+     "--values 0.1234561 and 0.1234562 both name the student 'student_lambda0.123456'"),
+], ids=["compare-seeds", "compare-steps", "compare-step-one", "sweep-seeds", "lambda",
+        "lambda-spelt-twice", "cfg", "wiring", "lambda-one-student"])
+def test_a_repeated_list_item_fails_before_any_output(tmp_path, capsys, argv, cause):
+    """Seeds, step counts and grid values each name an item once: a repeat
+    would train a cell twice or write its rows twice."""
+    out = tmp_path / "run"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and cause in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("param", ["backbone.block0.mlp1.w", "head.block0.fc1.w"])
 def test_decode_rejects_non_finite_weight_naming_the_leaf(tmp_path, capsys, param):
     from escore.mar import MarConfig, MarModel
@@ -1049,6 +1079,29 @@ def test_diverging_training_run_exits_2_naming_the_kind_and_the_step(tmp_path, c
     assert [p.name for p in runs.iterdir()] == ["run"]
 
 
+@pytest.mark.parametrize("verb", ["sample", "decode"])
+def test_a_numeric_failure_names_the_checkpoint(tmp_path, capsys, noisy_mar_ckpt, verb):
+    """A forward pass that overflows fails the verb (exit 2), naming the
+    checkpoint: a toy head whose output weights are near the float range,
+    and a guidance scale that overflows."""
+    from escore.heads import HeadConfig
+    from escore.swiss import ToyHeadModel
+    if verb == "sample":
+        ckpt = tmp_path / "head.ckpt"
+        model = ToyHeadModel(HeadConfig(kind="energy", width=8, depth=1), seed=0)
+        model.params["head.out.w"].value = np.full(model.params["head.out.w"].shape, 1e308)
+        model.save(ckpt)
+        argv = ["sample", "--ckpt", str(ckpt), "--n", "4", "--out", str(tmp_path / "s.csv")]
+    else:
+        ckpt = noisy_mar_ckpt
+        argv = ["decode", "--ckpt", str(ckpt), "--n", "2", "--iterations", "2", "--cfg",
+                "1e308", "--out", str(tmp_path / "dec")]
+    with np.errstate(over="ignore"):   # sample's forward passes warn, unlike training's
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and str(ckpt) in err and "Traceback" not in err, err
+
+
 def _config_edit(change):
     """A manifest edit applying ``change`` to the saved head or MAR config."""
     def edit(manifest):
@@ -1080,6 +1133,13 @@ BAD_CHECKPOINTS = {   # defect -> (part edited, its edit, cause printed)
     "no-seed": ("manifest", lambda manifest: manifest.pop("seed"), "no integer 'seed'"),
     "params-entry": ("manifest", lambda manifest: manifest["params"][1].pop("shape"),
                      "params entry 1"),
+    "params-bool-size": ("manifest", lambda manifest: manifest["params"][1]["shape"].insert(
+        0, True), "params entry 1"),
+    # sizes the file cannot hold: 128 GiB, and 2**64 values (0 in int64)
+    "count-past-file": ("manifest", lambda manifest: manifest["params"][1].update(
+        shape=[2 ** 34]), "{path}: truncated payload for"),
+    "count-past-int64": ("manifest", lambda manifest: manifest["params"][1].update(
+        shape=[2 ** 32, 2 ** 32]), "{path}: truncated payload for"),
 }
 
 
@@ -1139,7 +1199,8 @@ def test_decode_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defe
 @pytest.mark.parametrize("change,cause", [
     ({"head_kind": "shortcut"}, "mar.head_kind must be one of ('energy', 'diffusion', 'flow')"),
     ({"mask_lo": 0.9, "mask_hi": 0.8}, "mar.mask_lo must be <= mar.mask_hi, got 0.9 > 0.8"),
-], ids=["head-kind", "mask-order"])
+    ({"n_heads": 3}, "mar.hidden_dim must be a multiple of mar.n_heads, got 16 and 3"),
+], ids=["head-kind", "mask-order", "heads"])
 def test_decode_rejects_a_mar_config_its_rules_forbid(tmp_path, capsys, change, cause):
     from escore.mar import MarConfig, MarModel
     ckpt = tmp_path / "mar.ckpt"
@@ -1175,6 +1236,51 @@ def test_unreadable_input_file_is_usage_error_naming_it(tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert f"{tmp_path}/{named}" in err and "Traceback" not in err
     assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+READER_DEFECTS = {   # id -> (the flag that reads the file, its bytes, cause after the path)
+    "csv-not-utf8": ("--generated", b"x0,x1\n\xff,1\n", ": not a points CSV: 'utf-8' codec"),
+    "csv-long-field": ("--generated", b"x0,x1\n" + b"1" * 131_073 + b",1\n",
+                       ": not a points CSV: field larger than field limit"),
+    "csv-long-index": ("--generated", b"x0,x" + b"1" * 5_000 + b"\n1,1\n", ": header ["),
+    "config-deep": ("--config", b"[" * 100_000, ": not a JSON config file: maximum recursion"),
+    "config-unknown-key": ("--config", b'{"data": {"pools": 1}}',
+                           ": unknown config key 'data.pools'"),
+    "config-bad-value": ("--config", b'{"sweep": {"seeds": [3, 3]}}',
+                         ": sweep.seeds lists 3 twice"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(READER_DEFECTS))
+def test_a_reader_names_the_file_on_any_bad_input(tmp_path, capsys, defect):
+    flag, blob, cause = READER_DEFECTS[defect]
+    bad, good = tmp_path / "bad", tmp_path / "good.csv"
+    bad.write_bytes(blob)
+    data.write_points_csv(good, np.zeros((3, 2)))
+    argv = {"--generated": ["eval", "--generated", str(bad), "--reference", str(good)],
+            "--config": ["train-head", "--method", "energy", "--config", str(bad)]}[flag]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}{cause}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_names_both_files_when_the_metrics_cannot_score_them(tmp_path, capsys):
+    gen, ref = tmp_path / "gen.csv", tmp_path / "ref.csv"
+    data.write_points_csv(gen, np.zeros((2, 2)))
+    data.write_points_csv(ref, np.ones((3, 2)))
+    assert main(["eval", "--generated", str(gen), "--reference", str(ref),
+                 "--out", str(tmp_path / "m.csv"), "--metrics", "wsd"]) == 1
+    assert f"{gen} against {ref}: set sizes differ: 2 vs 3" in capsys.readouterr().err
+
+
+def test_a_set_value_nested_too_deep_is_usage_error_naming_the_key(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train-head", "--method", "energy", "--out", str(out),
+                 "--set", "seed=" + "[" * 100_000]) == 1
+    err = capsys.readouterr().err
+    assert "override 'seed': value nested too deep to parse" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--iterations", "--n", "--head-steps"])
@@ -1257,23 +1363,17 @@ def test_a_failed_pool_job_stops_the_jobs_not_yet_started(monkeypatch, tmp_path)
     assert len(list(tmp_path.iterdir())) < len(jobs) - 1
 
 
-def _openblas():
-    """numpy's bundled OpenBLAS, or None."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas*"))
-    return ctypes.CDLL(libs[0]) if libs else None
-
-
 def _blas_threads(_) -> int:
-    return _openblas().scipy_openblas_get_num_threads64_()
+    return experiments.bundled_openblas().scipy_openblas_get_num_threads64_()
 
 
-@pytest.mark.skipif(_openblas() is None, reason="numpy bundles no scipy-openblas")
+@pytest.mark.skipif(experiments.bundled_openblas() is None,
+                    reason="numpy bundles no scipy-openblas")
 def test_pool_workers_run_blas_on_one_thread_unless_the_environment_says(monkeypatch):
     monkeypatch.setenv("ESCORE_THREADS", "2")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    lib = _openblas()
+    lib = experiments.bundled_openblas()
     before = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(2)   # forked workers start with this count
     try:
@@ -1286,15 +1386,18 @@ def test_pool_workers_run_blas_on_one_thread_unless_the_environment_says(monkeyp
 
 def test_every_cell_checkpoint_records_the_config_of_its_own_seed(tmp_path):
     """A compare or sweep cell trains from the run's config with its seed
-    merged over it, and its checkpoints hash that config."""
+    merged over it, and its checkpoints hash that config. Every checkpoint
+    sits in a run directory whose config.json and config.digest record it."""
     from escore.config import config_digest, nested, overridden
     from escore.nn import load_checkpoint
-    cmp, swp = tmp_path / "cmp", tmp_path / "swp"
+    cmp, swp, cfg_swp = tmp_path / "cmp", tmp_path / "swp", tmp_path / "cfg_swp"
     assert main(["compare-swissroll", "--out", str(cmp), "--set", "compare.seeds=[1,2]",
                  "--set", "compare.multi_steps=[4]"] + TINY_COMPARE[2:]) == 0
-    assert main(["sweep", "--param", "lambda", "--values", "0,0.1", "--out", str(swp),
-                 "--set", "sweep.seeds=[1,2]", "--set", "sweep.eval_per_class=4"]
-                + TINY_MAR) == 0
+    sweep = ["--set", "sweep.seeds=[1,2]", "--set", "sweep.eval_per_class=4"] + TINY_MAR
+    assert main(["sweep", "--param", "lambda", "--values", "0,0.1", "--out", str(swp)]
+                + sweep) == 0
+    assert main(["sweep", "--param", "cfg", "--values", "1,3", "--out", str(cfg_swp),
+                 "--set", "mar_train.lambda=0.1"] + sweep) == 0
     expected = {}
     cfg = json.loads((cmp / "config.json").read_text())
     for method, steps in cfg["compare"]["steps_by_method"].items():
@@ -1305,16 +1408,22 @@ def test_every_cell_checkpoint_records_the_config_of_its_own_seed(tmp_path):
     cfg = json.loads((swp / "config.json").read_text())
     for seed in (1, 2):
         cell = overridden(cfg, {"seed": seed})
-        expected[f"cells/seed{seed}/teacher.ckpt"] = config_digest(
+        expected[f"cells/seed{seed}/teacher/mar.ckpt"] = config_digest(
             overridden(cell, experiments.TEACHER))
         for value in (0.0, 0.1):
-            expected[f"cells/seed{seed}/student_lambda{value:g}.ckpt"] = config_digest(
+            expected[f"cells/seed{seed}/student_lambda{value:g}/mar.ckpt"] = config_digest(
                 overridden(cell, nested("mar_train.lambda", value)))
     found = {str(p.relative_to(root)): load_checkpoint(p)[0]["config_digest"]
              for root in (cmp, swp) for p in root.rglob("*.ckpt")}
     assert found == expected
     seed1 = {name: digest for name, digest in expected.items() if "seed1" in name}
     assert all(expected[name.replace("seed1", "seed2")] != d for name, d in seed1.items())
+    ckpts = [path for root in (cmp, swp, cfg_swp) for path in root.rglob("*.ckpt")]
+    assert len(ckpts) == len(expected) + 4   # a teacher and a student per seed
+    for path in ckpts:
+        digest = load_checkpoint(path)[0]["config_digest"]
+        assert (path.parent / "config.digest").read_text() == digest + "\n", path
+        assert config_digest(json.loads((path.parent / "config.json").read_text())) == digest
 
 
 def test_compare_swissroll_output_does_not_depend_on_thread_count(monkeypatch, tmp_path):

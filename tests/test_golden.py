@@ -55,15 +55,14 @@ change on any of the three pairs. Running this file as a script prints the
 current pair's table.
 """
 import ctypes
-import glob
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
 
 from escore.cli import main
+from escore.experiments import bundled_openblas
 
 
 def _dispatch_path() -> str:
@@ -79,11 +78,9 @@ def _dispatch_path() -> str:
 
 def _blas_core() -> str:
     """The kernel set that numpy's bundled OpenBLAS chose for this CPU."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas*"))
     try:
-        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
+        corename = bundled_openblas().scipy_openblas_get_corename64_
+    except AttributeError:   # no bundled library, or one without the call
         return "unknown (no bundled scipy-openblas reports its core)"
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()

@@ -2,11 +2,11 @@
 
 Verbs: train-head, sample, eval, compare-swissroll, train-mar, decode,
 sweep, gradcheck. Exit codes: 0 success, 1 usage/config error, 2
-runtime/numeric failure. ESCORE_THREADS caps the sweep worker pool;
-results are independent of it, and a value that is not an integer >= 1 is
-a usage error. Under glibc, ``main`` keeps freed buffers in the heap (see
-``retain_freed_memory``) unless the allocator is tuned through the
-environment.
+runtime/numeric failure or a model too large for memory. ESCORE_THREADS
+caps the sweep worker pool; results are independent of it, and a value
+that is not an integer >= 1 is a usage error. Under glibc, ``main`` keeps
+freed buffers in the heap (see ``retain_freed_memory``) unless the
+allocator is tuned through the environment.
 """
 from __future__ import annotations
 
@@ -283,7 +283,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:   # OSError: a file that cannot be read
         print(f"escore: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (FloatingPointError, RuntimeError) as exc:   # graph.NonFiniteError among them
+    # graph.NonFiniteError is a FloatingPointError; a model too large to build, a MemoryError
+    except (FloatingPointError, RuntimeError, MemoryError) as exc:
         print(f"escore: runtime failure: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

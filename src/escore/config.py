@@ -11,6 +11,7 @@ from pathlib import Path
 from .heads import HeadConfig
 from .mar import DecodeConfig, MarConfig
 from .metrics import MEDIAN, kernel_factor
+from .nn import check_table, has_type_of
 
 
 class ConfigError(ValueError):
@@ -100,11 +101,9 @@ def _merge_checked(base: dict, update: dict, prefix: str = "") -> None:
             base[key] = value
 
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a number",
-          str: "a string", list: "a list"}
-# an integer value is a count (>= 1) but for these
-_ANY_INT = {"seed", "compare.seeds", "sweep.seeds"}
-_NON_NEGATIVE = {"train.warmup", "mar_train.warmup"}
+# an integer value is a count (>= 1) but for these: key -> its least value, None for any
+_LOWS = {"seed": None, "compare.seeds": None, "sweep.seeds": None,
+         "train.warmup": 0, "mar_train.warmup": 0}
 _DISTINCT = ("compare.seeds", "compare.multi_steps", "sweep.seeds")   # lists without repeats
 # float key -> (whether a finite value is in range, the range in words)
 _FLOAT_RANGES = {
@@ -117,53 +116,6 @@ _FLOAT_RANGES = {
     "mar_train.lambda": (lambda v: v >= 0, ">= 0"),
     "decode.cfg_scale": (lambda v: True, ""),
 }
-
-
-def _has_type_of(value, default) -> bool:
-    """Whether ``value`` may stand where ``default`` does: the same type, an
-    int for a float too, never a bool for a number, and for a list the type of
-    its first item in every item."""
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_has_type_of(v, default[0]) for v in value)
-    if isinstance(default, bool) or isinstance(value, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
-def _below(value, default, low: int) -> bool:
-    """Whether an integer ``value`` (or an item of an integer list) is below
-    ``low``; the value has the type of its default."""
-    if isinstance(default, list):
-        return any(_below(v, default[0], low) for v in value)
-    return type(default) is int and value < low
-
-
-def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
-    """Every value of ``cfg`` has the type of its default (``metrics.bandwidth``
-    takes ``"median"`` or a number); a table has exactly its default's keys.
-    An integer is >= 1, any integer for a seed, >= 0 for a warmup."""
-    for key, default in defaults.items():
-        dotted, value = prefix + key, cfg[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict) or set(value) != set(default):
-                raise ConfigError(f"config key {dotted!r} expects a table with the keys "
-                                  f"{sorted(default)}, got {value!r}")
-            _check_types(value, default, dotted + ".")
-        elif dotted == "metrics.bandwidth":
-            if value != MEDIAN and not _has_type_of(value, 1.0):
-                raise ConfigError(f"config key {dotted!r} must be 'median' or a number, "
-                                  f"got {value!r}")
-        elif not _has_type_of(value, default):
-            raise ConfigError(f"config key {dotted!r} must be {_KINDS[type(default)]} "
-                              f"like its default {default!r}, got {value!r}")
-        elif dotted not in _ANY_INT:
-            low = 0 if dotted in _NON_NEGATIVE else 1
-            if _below(value, default, low):
-                what = "integers" if isinstance(value, list) else "an integer"
-                raise ConfigError(f"config key {dotted!r} must be {what} >= {low}, "
-                                  f"got {value!r}")
 
 
 def first_repeat(items: list):
@@ -205,12 +157,25 @@ def decode_config_from(cfg: dict, seed: int, head: HeadConfig,
 
 
 def check_config(cfg: dict) -> None:
-    """Every value of ``cfg`` has the type of its default, every float of
+    """``cfg`` passes :func:`nn.check_table` against :data:`DEFAULTS` (the
+    least integers of :data:`_LOWS` aside), every float of
     :data:`_FLOAT_RANGES` is finite and in range, no list of :data:`_DISTINCT`
-    repeats an item, a numeric ``metrics.bandwidth`` has a finite kernel
-    factor, and the head, MAR and decode configs of ``cfg`` pass their
-    dataclasses' rules (which raise their own ValueError)."""
-    _check_types(cfg, DEFAULTS)
+    repeats an item, ``metrics.bandwidth`` is ``"median"`` or a number with a
+    finite kernel factor, and the head, MAR and decode configs of ``cfg`` pass
+    their dataclasses' rules (which raise their own ValueError)."""
+    try:
+        check_table(cfg, DEFAULTS, lows=_LOWS, skip=("metrics.bandwidth",))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    bandwidth = cfg["metrics"]["bandwidth"]
+    if bandwidth != MEDIAN:
+        if not has_type_of(bandwidth, 1.0):
+            raise ConfigError("config key 'metrics.bandwidth' must be 'median' or a number, "
+                              f"got {bandwidth!r}")
+        try:
+            kernel_factor(bandwidth)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"metrics.bandwidth: {exc}") from None
     _check_lists(cfg)
     for key, (in_range, words) in _FLOAT_RANGES.items():
         section, name = key.split(".")
@@ -223,12 +188,6 @@ def check_config(cfg: dict) -> None:
             raise ConfigError(f"{key} must be a finite number, got {value!r}")
         if not in_range(value):
             raise ConfigError(f"{key} must be a number {words}, got {value!r}")
-    bandwidth = cfg["metrics"]["bandwidth"]
-    if bandwidth != MEDIAN:
-        try:
-            kernel_factor(bandwidth)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"metrics.bandwidth: {exc}") from None
     head_config_from(cfg)
     decode_config_from(cfg, cfg["seed"], mar_config_from(cfg).head_config())
 
@@ -249,6 +208,8 @@ def parse_override(text: str) -> dict:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except ValueError as exc:   # an integer past int()'s digit limit
+        raise ConfigError(f"override {key.strip()!r}: {exc}") from None
     except RecursionError:
         raise ConfigError(f"override {key.strip()!r}: value nested too deep to parse") from None
     return nested(key.strip(), value)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, mar, metrics, svg
-from .config import (ConfigError, config_digest, decode_config_from, first_repeat,
+from .config import (DEFAULTS, ConfigError, config_digest, decode_config_from, first_repeat,
                      head_config_from, mar_config_from, nested, overridden)
 from .heads import HEAD_KINDS
 from .mar import MarConfig, MarModel, train_mar
@@ -149,9 +149,11 @@ def _replaced(path):
 
 @contextmanager
 def _naming(ckpt_path, doing: str):
-    """A numeric failure in the block names the checkpoint it was ``doing``."""
+    """Runs the block without numpy's overflow warnings; a numeric failure in
+    it names the checkpoint it was ``doing``."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except FloatingPointError as exc:   # graph.NonFiniteError among them
         raise type(exc)(f"{exc} ({doing} {ckpt_path})") from None
 
@@ -356,22 +358,19 @@ def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,
 def run_train_mar(cfg: dict, out_dir, role: str, teacher_ckpt=None,
                   tables: list[dict] | tuple = ()) -> Path:
     """Trains a MAR model of ``role`` from ``cfg``. A teacher refuses the
-    settings that :data:`TEACHER` would override without a word: a student
-    value in ``cfg["mar_train"]``, or another head kind that one of
-    ``tables``, the override tables ``cfg`` was resolved from, sets (the
-    default kind already differs from the teacher's)."""
+    settings that :data:`TEACHER` would override without a word: merged over
+    the defaults with :data:`TEACHER` over them, ``tables``, the override
+    tables ``cfg`` was resolved from, must leave every :data:`TEACHER` key at
+    the teacher's value (the default head kind differs from it)."""
     if role not in ("teacher", "student"):
         raise ConfigError(f"--role must be teacher or student, got {role!r}")
     if role == "teacher":
-        for key, value in TEACHER["mar_train"].items():
-            if cfg["mar_train"][key] != value:
-                raise ConfigError(f"mar_train.{key}={json.dumps(cfg['mar_train'][key])} is a "
-                                  f"student setting; a teacher trains at {json.dumps(value)}")
-        kinds = [table["mar"]["head_kind"] for table in tables
-                 if "head_kind" in table.get("mar", {})]
-        if kinds and kinds[-1] != TEACHER["mar"]["head_kind"]:
-            raise ConfigError(f"mar.head_kind={json.dumps(kinds[-1])} is a student setting; "
-                              f"a teacher trains a {TEACHER['mar']['head_kind']} head")
+        asked = overridden(DEFAULTS, TEACHER, *tables)
+        for section, settings in TEACHER.items():
+            for key, value in settings.items():
+                if asked[section][key] != value:
+                    raise ConfigError(f"{section}.{key}={json.dumps(asked[section][key])} is a "
+                                      f"student setting; a teacher trains at {json.dumps(value)}")
         cfg = overridden(cfg, TEACHER)
     teacher = MarModel.load(teacher_ckpt) if teacher_ckpt else None
     model = build_mar_model(cfg, cfg["seed"], teacher)

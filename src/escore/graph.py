@@ -23,10 +23,10 @@ only, and binding a weight leaf is a :class:`GraphError`. It refers to the
 parameter weakly: a graph is a reference cycle, which would otherwise keep a
 dropped model's weights until the cyclic collector runs. A weight's shape and
 finiteness are checked where it is written; a run checks a data leaf's shape
-and finiteness, and its output. In :func:`jvp` a weight leaf or a const
-without a tangent has a structural zero one (None): a node whose input
-tangents are all zero has one too, and the rules skip the terms of a zero
-input tangent.
+and finiteness, that no layer norm's row variance overflows, and its output.
+In :func:`jvp` a weight leaf or a const without a tangent has a structural
+zero one (None): a node whose input tangents are all zero has one too, and
+the rules skip the terms of a zero input tangent.
 
 Each graph compiles once, up to its output, into a cached plan (a new
 :meth:`Graph.set_output` compiles it afresh), which
@@ -74,7 +74,8 @@ class GraphError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """A leaf binding or graph output contained NaN/Inf."""
+    """A leaf binding or graph output contained NaN/Inf, or a layer norm's
+    row variance overflowed."""
 
 
 @dataclass(frozen=True)
@@ -376,6 +377,8 @@ def _layer_norm(vals, attrs, aux):
     x, n = vals[0], vals[0].shape[-1]   # the means as ndarray.mean takes them
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + attrs["eps"])
+    if not inv.all():   # an infinite variance would zero its row
+        raise NonFiniteError("layer_norm: the variance of a row overflowed")
     if aux is not None:
         aux["inv"] = inv
     xc *= inv

@@ -16,7 +16,6 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import get_type_hints
 
 import numpy as np
 
@@ -180,11 +179,6 @@ class TransformerBlock:
     dim: int
     n_heads: int
     mlp_ratio: int = 4
-
-    def __post_init__(self):
-        if self.dim % self.n_heads != 0:
-            raise ValueError(f"{self.name}: dim {self.dim} not divisible by "
-                             f"{self.n_heads} heads")
 
     @property
     def head_dim(self) -> int:
@@ -365,40 +359,90 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     return manifest, values
 
 
-_CONFIG_TYPES = {int: int, float: (int, float), str: str}   # field type -> saved JSON types
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", list: "a list"}
+
+
+def has_type_of(value, default) -> bool:
+    """Whether ``value`` may stand where ``default`` does: the same type, an
+    int for a float too, never a bool for a number, and for a list the type of
+    its first item in every item."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(has_type_of(v, default[0]) for v in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _below(value, default, low: int) -> bool:
+    """Whether an integer ``value`` (or an item of an integer list) is below
+    ``low``; the value has the type of its default."""
+    if isinstance(default, list):
+        return any(_below(v, default[0], low) for v in value)
+    return type(default) is int and value < low
+
+
+def check_table(table, defaults: dict, name: str = "", *, lows: dict | None = None,
+                skip: tuple[str, ...] = ()) -> None:
+    """Checks the settings table ``table``, whose dotted key is ``name``,
+    against ``defaults``: every table has exactly its default's keys, every
+    other value has its default's type (see :func:`has_type_of`), and an
+    integer is a count, >= 1, unless ``lows`` gives its dotted key another
+    least value (None for any integer). The keys of ``skip`` are left to the
+    caller. Raises ValueError naming the first offending dotted key."""
+    if not isinstance(table, dict):
+        raise ValueError(f"config key {name!r} expects a table with the keys "
+                         f"{sorted(defaults)}, got {table!r}")
+    prefix = name + "." if name else ""
+    unknown = [key for key in table if key not in defaults]
+    if unknown:
+        raise ValueError(f"unknown config key {prefix + unknown[0]!r}")
+    for key, default in defaults.items():
+        dotted = prefix + key
+        if key not in table:
+            raise ValueError(f"config key {dotted!r} is missing")
+        value = table[key]
+        if isinstance(default, dict):
+            check_table(value, default, dotted, lows=lows, skip=skip)
+        elif dotted in skip:
+            continue
+        elif not has_type_of(value, default):
+            raise ValueError(f"config key {dotted!r} must be {_KINDS[type(default)]} "
+                             f"like its default {default!r}, got {value!r}")
+        else:
+            low = (lows or {}).get(dotted, 1)
+            if low is not None and _below(value, default, low):
+                what = "integers" if isinstance(value, list) else "an integer"
+                raise ValueError(f"config key {dotted!r} must be {what} >= {low}, "
+                                 f"got {value!r}")
 
 
 def config_from_manifest(cls, manifest: dict, key: str, source):
-    """The config dataclass ``cls`` saved as ``manifest["extra"][key]``. It
-    must give every field of ``cls`` and no other, each of its declared type
-    (an int for a float too, never a bool); raises ValueError naming
-    ``source`` and the first unknown, missing or mistyped field."""
+    """The config dataclass ``cls`` saved as ``manifest["extra"][key]``, a
+    table that passes :func:`check_table` against the field defaults of
+    ``cls`` and then the dataclass's own rules; raises ValueError naming
+    ``source`` and the first offending field as the config key ``key.field``."""
     extra = manifest.get("extra")
     saved = extra.get(key) if isinstance(extra, dict) else None
-    if not isinstance(saved, dict):
-        raise ValueError(f"{source}: checkpoint manifest has no {key!r} object")
-    names = [f.name for f in fields(cls)]
-    unknown = [k for k in saved if k not in names]
-    if unknown:
-        raise ValueError(f"{source}: {key} has unknown field {unknown[0]!r}")
-    missing = [k for k in names if k not in saved]
-    if missing:
-        raise ValueError(f"{source}: {key} is missing field {missing[0]!r}")
-    for name, kind in get_type_hints(cls).items():
-        value = saved[name]
-        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
-            raise ValueError(f"{source}: {key} field {name!r} must be {kind.__name__}, "
-                             f"got {value!r}")
     try:
-        return cls(**saved)   # the dataclass's own rules
+        check_table(saved, {f.name: f.default for f in fields(cls)}, key)
+        return cls(**saved)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
 
 
 def load_model(cls, config_cls, key: str, path):
     """``cls(config, seed=...)`` with the weights of the checkpoint at
-    ``path``, its config the ``config_cls`` saved as ``extra[key]``."""
+    ``path``, its config the ``config_cls`` saved as ``extra[key]``. A model
+    too large to build raises ValueError or MemoryError naming ``path``."""
     manifest, values = load_checkpoint(path)
-    model = cls(config_from_manifest(config_cls, manifest, key, path), seed=manifest["seed"])
+    config = config_from_manifest(config_cls, manifest, key, path)
+    try:
+        model = cls(config, seed=manifest["seed"])
+    except (ValueError, MemoryError) as exc:
+        kind = MemoryError if isinstance(exc, MemoryError) else ValueError
+        raise kind(f"{path}: cannot build the model of its {key}: {exc}") from None
     model.params.assign(values, path)
     return model

@@ -4,6 +4,7 @@ import os
 import resource
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 
 from escore import data, experiments, metrics
 from escore.cli import main, retain_freed_memory
+from escore.heads import HeadConfig
+from escore.mar import MarConfig
 from oracles import gaussian_source
 
 TINY_HEAD = ["--set", "train.steps=8", "--set", "train.batch=16",
@@ -403,12 +406,17 @@ def test_a_teacher_run_records_the_config_it_trained_with(tmp_path):
             == (run / "config.digest").read_text().strip())
 
 
-@pytest.mark.parametrize("given", ["set", "config"])
+@pytest.mark.parametrize("given", ["set", "config", "scalar-then-table"])
 def test_a_teacher_run_refuses_a_head_kind_the_user_set(tmp_path, capsys, given):
     """A teacher trains a diffusion head, so a head kind set to another kind,
-    by --set or by --config, is refused, not dropped."""
+    by --set or by --config, is refused, not dropped; so is one in a table
+    that replaces a ``mar`` set to a scalar."""
+    from escore.config import DEFAULTS
     if given == "set":
         argv = ["--set", "mar.head_kind=flow"]
+    elif given == "scalar-then-table":
+        table = {**DEFAULTS["mar"], "head_kind": "flow"}
+        argv = ["--set", "mar=5", "--set", f"mar={json.dumps(table)}"]
     else:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mar": {"head_kind": "flow"}}))
@@ -417,7 +425,7 @@ def test_a_teacher_run_refuses_a_head_kind_the_user_set(tmp_path, capsys, given)
     rc = main(["train-mar", "--role", "teacher", "--out", str(out)] + argv + TINY_MAR)
     err = capsys.readouterr().err
     assert rc == 1 and "Traceback" not in err
-    assert 'mar.head_kind="flow" is a student setting; a teacher trains a diffusion head' in err
+    assert 'mar.head_kind="flow" is a student setting; a teacher trains at "diffusion"' in err
     assert not out.exists()
 
 
@@ -506,7 +514,6 @@ def test_checkpoint_extra_records_each_fact_once(tmp_path, argv, ckpt, keys):
 def test_checkpoint_with_a_retired_head_field_is_a_usage_error(tmp_path, capsys, field):
     """The head settings that became module constants are unknown fields of
     a saved head config."""
-    from escore.heads import HeadConfig
     from escore.swiss import ToyHeadModel
     ckpt = tmp_path / "head.ckpt"
     ToyHeadModel(HeadConfig(kind="diffusion", width=8, depth=1), seed=0).save(ckpt)
@@ -514,7 +521,7 @@ def test_checkpoint_with_a_retired_head_field_is_a_usage_error(tmp_path, capsys,
     rc = main(["sample", "--ckpt", str(ckpt), "--steps", "1", "--n", "4",
                "--out", str(tmp_path / "s.csv")])
     err = capsys.readouterr().err
-    assert rc == 1 and f"head_config has unknown field {field!r}" in err
+    assert rc == 1 and f"{ckpt}: unknown config key 'head_config.{field}'" in err
     assert "Traceback" not in err and not (tmp_path / "s.csv").exists()
 
 
@@ -666,7 +673,6 @@ def test_config_head_mar_and_decode_sections_are_the_dataclass_defaults():
 
     from escore.config import (DECODE_KEYS, HEAD_KEYS, MAR_KEYS, head_config_from,
                                mar_config_from, resolve_config)
-    from escore.heads import HeadConfig
     from escore.mar import DecodeConfig, MarConfig
     cfg = resolve_config()
     for section, default, keys in (("head", HeadConfig(), HEAD_KEYS),
@@ -1017,7 +1023,7 @@ def test_a_repeated_list_item_fails_before_any_output(tmp_path, capsys, argv, ca
 
 @pytest.mark.parametrize("param", ["backbone.block0.mlp1.w", "head.block0.fc1.w"])
 def test_decode_rejects_non_finite_weight_naming_the_leaf(tmp_path, capsys, param):
-    from escore.mar import MarConfig, MarModel
+    from escore.mar import MarModel
     model = MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
                                head_kind="diffusion", head_width=16, head_depth=1), 0)
     model.params[param].value[0, 0] = np.nan
@@ -1033,7 +1039,7 @@ def test_decode_rejects_non_finite_weight_naming_the_leaf(tmp_path, capsys, para
 def noisy_mar_ckpt(tmp_path_factory):
     """A tiny MAR checkpoint whose weights are pushed off their initial scale,
     so a huge CFG scale overflows its guided representation."""
-    from escore.mar import MarConfig, MarModel
+    from escore.mar import MarModel
     from escore.rng import Stream
     model = MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
                                head_width=16, head_depth=1), 0)
@@ -1079,34 +1085,55 @@ def test_diverging_training_run_exits_2_naming_the_kind_and_the_step(tmp_path, c
     assert [p.name for p in runs.iterdir()] == ["run"]
 
 
-@pytest.mark.parametrize("verb", ["sample", "decode"])
-def test_a_numeric_failure_names_the_checkpoint(tmp_path, capsys, noisy_mar_ckpt, verb):
-    """A forward pass that overflows fails the verb (exit 2), naming the
-    checkpoint: a toy head whose output weights are near the float range,
-    and a guidance scale that overflows."""
-    from escore.heads import HeadConfig
+@pytest.mark.parametrize("case", ["sample", "decode", "decode-layer-norm"])
+def test_a_numeric_failure_names_the_checkpoint(tmp_path, capsys, noisy_mar_ckpt, case):
+    """A forward pass that overflows fails the verb (exit 2) without a numpy
+    warning, naming the checkpoint: a toy head whose output weights are near
+    the float range, a guidance scale that overflows, and a value projection
+    weight with its top exponent bit flipped, which overflows the variance of
+    a layer norm's row."""
+    from escore import nn
+    from escore.mar import MarModel
     from escore.swiss import ToyHeadModel
-    if verb == "sample":
+    decode = ["decode", "--n", "2", "--iterations", "2", "--out", str(tmp_path / "dec")]
+    if case == "sample":
         ckpt = tmp_path / "head.ckpt"
         model = ToyHeadModel(HeadConfig(kind="energy", width=8, depth=1), seed=0)
         model.params["head.out.w"].value = np.full(model.params["head.out.w"].shape, 1e308)
         model.save(ckpt)
         argv = ["sample", "--ckpt", str(ckpt), "--n", "4", "--out", str(tmp_path / "s.csv")]
-    else:
+    elif case == "decode":
         ckpt = noisy_mar_ckpt
-        argv = ["decode", "--ckpt", str(ckpt), "--n", "2", "--iterations", "2", "--cfg",
-                "1e308", "--out", str(tmp_path / "dec")]
-    with np.errstate(over="ignore"):   # sample's forward passes warn, unlike training's
+        argv = decode + ["--ckpt", str(ckpt), "--cfg", "1e308"]
+    else:
+        ckpt = tmp_path / "mar.ckpt"
+        MarModel(MarConfig(seq_len=4, hidden_dim=8, n_blocks=1, n_heads=2, head_kind="diffusion",
+                           head_width=8, head_depth=1), 0).save(ckpt)
+        _, values = nn.load_checkpoint(ckpt)   # in payload order
+        names = list(values)
+        at = sum(values[n].size for n in names[:names.index("backbone.block0.wv.w")]) + 1
+        blob = bytearray(ckpt.read_bytes())
+        blob[blob.index(b"\n") + 1 + 8 * at + 7] ^= 0x40   # the value's top exponent bit
+        ckpt.write_bytes(bytes(blob))
+        argv = decode + ["--ckpt", str(ckpt), "--cfg", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(argv)
     err = capsys.readouterr().err
-    assert rc == 2 and str(ckpt) in err and "Traceback" not in err, err
+    assert rc == 2 and str(ckpt) in err and "Traceback" not in err and "Warning" not in err, err
+    assert case != "decode-layer-norm" or "layer_norm: the variance of a row overflowed" in err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "dec").exists()
+
+
+def _config_key(manifest) -> str:
+    """The key of the head or MAR config that ``manifest`` saves."""
+    return "mar_config" if "mar_config" in manifest["extra"] else "head_config"
 
 
 def _config_edit(change):
     """A manifest edit applying ``change`` to the saved head or MAR config."""
     def edit(manifest):
-        extra = manifest["extra"]
-        change(extra["mar_config" if "mar_config" in extra else "head_config"])
+        change(manifest["extra"][_config_key(manifest)])
     return edit
 
 
@@ -1124,11 +1151,12 @@ BAD_CHECKPOINTS = {   # defect -> (part edited, its edit, cause printed)
     "not-utf8": ("bytes", lambda data: b"\xff" + data,
                  "{path}: checkpoint header is not a JSON manifest"),
     "config-unknown": ("manifest", _config_edit(lambda cfg: cfg.update(stray=1)),
-                       "has unknown field 'stray'"),
+                       "{path}: unknown config key '{config}.stray'"),
     "config-missing": ("manifest", _config_edit(lambda cfg: cfg.pop("m_samples")),
-                       "is missing field 'm_samples'"),
+                       "{path}: config key '{config}.m_samples' is missing"),
     "config-type": ("manifest", _config_edit(lambda cfg: cfg.update(m_samples="2")),
-                    "field 'm_samples' must be int"),
+                    "{path}: config key '{config}.m_samples' must be an integer like its "
+                    "default 2, got '2'"),
     "no-params": ("manifest", lambda manifest: manifest.pop("params"), "no 'params' list"),
     "no-seed": ("manifest", lambda manifest: manifest.pop("seed"), "no integer 'seed'"),
     "params-entry": ("manifest", lambda manifest: manifest["params"][1].pop("shape"),
@@ -1141,6 +1169,13 @@ BAD_CHECKPOINTS = {   # defect -> (part edited, its edit, cause printed)
     "count-past-int64": ("manifest", lambda manifest: manifest["params"][1].update(
         shape=[2 ** 32, 2 ** 32]), "{path}: truncated payload for"),
 }
+# a count of 0 or -1 in each integer field of the model configs, one verb each
+for _key, _cls in (("head_config", HeadConfig), ("mar_config", MarConfig)):
+    for _field in [f.name for f in fields(_cls) if type(f.default) is int]:
+        for _value in (0, -1):
+            BAD_CHECKPOINTS[f"{_key}.{_field}={_value}"] = (
+                "manifest", _config_edit(lambda cfg, f=_field, v=_value: cfg.update({f: v})),
+                f"{{path}}: config key '{_key}.{_field}' must be an integer >= 1, got {_value}")
 
 
 def _rewrite_manifest(path, edit) -> None:
@@ -1154,6 +1189,7 @@ def _spoil(path, defect, name):
     """Saves the checkpoint again with one defect; returns the expected cause."""
     from escore import nn
     part, edit, cause = BAD_CHECKPOINTS[defect]
+    config = _config_key(nn.load_checkpoint(path)[0])
     if part == "bytes":
         Path(path).write_bytes(edit(Path(path).read_bytes()))
     elif part == "manifest":
@@ -1166,12 +1202,12 @@ def _spoil(path, defect, name):
         nn.save_checkpoint(path, params, config_digest=manifest["config_digest"],
                            seed=manifest["seed"], step=manifest["step"],
                            extra=manifest["extra"])
-    return cause.format(name=name, path=path)
+    return cause.format(name=name, path=path, config=config)
 
 
-@pytest.mark.parametrize("defect", sorted(BAD_CHECKPOINTS))
+@pytest.mark.parametrize("defect", [d for d in sorted(BAD_CHECKPOINTS)
+                                    if not d.startswith("mar_config.")])
 def test_sample_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defect):
-    from escore.heads import HeadConfig
     from escore.swiss import ToyHeadModel
     ckpt = tmp_path / "head.ckpt"
     ToyHeadModel(HeadConfig(kind="energy", width=8, depth=1), seed=0).save(ckpt)
@@ -1183,9 +1219,10 @@ def test_sample_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defe
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("defect", sorted(BAD_CHECKPOINTS))
+@pytest.mark.parametrize("defect", [d for d in sorted(BAD_CHECKPOINTS)
+                                    if not d.startswith("head_config.")])
 def test_decode_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defect):
-    from escore.mar import MarConfig, MarModel
+    from escore.mar import MarModel
     ckpt = tmp_path / "mar.ckpt"
     MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
                        head_width=16, head_depth=1), 0).save(ckpt)
@@ -1196,13 +1233,45 @@ def test_decode_rejects_a_bad_checkpoint_naming_the_cause(tmp_path, capsys, defe
     assert rc == 1 and cause in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["sample", "decode"])
+@pytest.mark.parametrize("error,code", [(MemoryError, 2), (ValueError, 1)],
+                         ids=["memory", "value"])
+def test_a_model_too_large_to_build_fails_naming_the_checkpoint(tmp_path, capsys, monkeypatch,
+                                                                verb, error, code):
+    """A saved config whose model cannot be allocated (a head width of 2**40
+    asks numpy for 16 TiB) fails naming the file. The constructor raises here
+    as numpy would: allocating such a model on a host that overcommits memory
+    may fill pages instead of failing."""
+    from escore.mar import MarModel
+    from escore.swiss import ToyHeadModel
+    if verb == "sample":
+        ckpt, cls = tmp_path / "head.ckpt", ToyHeadModel
+        ToyHeadModel(HeadConfig(kind="energy", width=8, depth=1), seed=0).save(ckpt)
+        argv = ["sample", "--ckpt", str(ckpt), "--n", "4", "--out", str(tmp_path / "out")]
+    else:
+        ckpt, cls = tmp_path / "mar.ckpt", MarModel
+        MarModel(MarConfig(seq_len=4, hidden_dim=8, n_blocks=1, n_heads=2, head_width=8,
+                           head_depth=1), 0).save(ckpt)
+        argv = ["decode", "--ckpt", str(ckpt), "--n", "1", "--out", str(tmp_path / "out")]
+
+    def refuse(self, *args, **kwargs):
+        raise error("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(cls, "__init__", refuse)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == code and f"{ckpt}: cannot build the model of its " in err
+    assert "Unable to allocate 16.0 TiB" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("change,cause", [
     ({"head_kind": "shortcut"}, "mar.head_kind must be one of ('energy', 'diffusion', 'flow')"),
     ({"mask_lo": 0.9, "mask_hi": 0.8}, "mar.mask_lo must be <= mar.mask_hi, got 0.9 > 0.8"),
     ({"n_heads": 3}, "mar.hidden_dim must be a multiple of mar.n_heads, got 16 and 3"),
 ], ids=["head-kind", "mask-order", "heads"])
 def test_decode_rejects_a_mar_config_its_rules_forbid(tmp_path, capsys, change, cause):
-    from escore.mar import MarConfig, MarModel
+    from escore.mar import MarModel
     ckpt = tmp_path / "mar.ckpt"
     MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
                        head_width=16, head_depth=1), 0).save(ckpt)
@@ -1286,7 +1355,7 @@ def test_a_set_value_nested_too_deep_is_usage_error_naming_the_key(tmp_path, cap
 @pytest.mark.parametrize("flag", ["--iterations", "--n", "--head-steps"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_decode_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
-    from escore.mar import MarConfig, MarModel
+    from escore.mar import MarModel
     ckpt = tmp_path / "mar.ckpt"
     MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
                        head_width=16, head_depth=1), 0).save(ckpt)
@@ -1303,7 +1372,7 @@ def test_decode_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
 ], ids=["class", "iterations", "head-steps"])
 def test_decode_rejects_inputs_before_creating_the_run_directory(tmp_path, capsys, argv,
                                                                  cause):
-    from escore.mar import MarConfig, MarModel
+    from escore.mar import MarModel
     ckpt = tmp_path / "mar.ckpt"
     MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
                        head_width=16, head_depth=1), 0).save(ckpt)
@@ -1317,7 +1386,6 @@ def test_decode_rejects_inputs_before_creating_the_run_directory(tmp_path, capsy
 @pytest.mark.parametrize("flag", ["--n", "--steps"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_sample_count_below_one_is_usage_error(tmp_path, capsys, flag, value):
-    from escore.heads import HeadConfig
     from escore.swiss import ToyHeadModel
     ckpt = tmp_path / "head.ckpt"
     ToyHeadModel(HeadConfig(kind="diffusion", width=8, depth=1), seed=0).save(ckpt)

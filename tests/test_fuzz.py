@@ -1,11 +1,14 @@
-"""Fuzzers for the file readers, run through ``cli.main``: checkpoints
-(``sample --ckpt`` and ``decode --ckpt``), points CSVs (``eval
---generated``) and config files (``--config``).
+"""Fuzzers for the file readers and the ``--set`` reader, run through
+``cli.main``: checkpoints (``sample --ckpt`` and ``decode --ckpt``), points
+CSVs (``eval --generated``), config files (``--config``) and overrides
+(``train-head --set``).
 
 Whatever the bytes, a verb exits 0, 1 or 2, never raises, prints no
 traceback, and a failing verb names the file it was given. The inputs are
 truncations, byte flips and splices of a small valid file, and random bytes
-or text.
+or text. An override of any text fails the config check (exit 1) naming its
+key; its inputs are mutations of valid ``key.path=value`` texts, and random
+text.
 
 The tests set no example count: they take the loaded hypothesis profile's
 (``conftest.py``). Tier-1 runs a few examples each; the ``fuzz`` profile
@@ -67,7 +70,7 @@ def _inputs(files, name: str, random):
     return st.one_of(_mutated((files / name).read_bytes()), random)
 
 
-def _check(argv: list[str], named) -> None:
+def _check(argv: list[str], named) -> str:
     """Runs the CLI on ``argv``: exit 0, 1 or 2 without a traceback, and a
     non-zero exit names ``named``."""
     out, err = io.StringIO(), io.StringIO()
@@ -77,6 +80,7 @@ def _check(argv: list[str], named) -> None:
     assert rc in (0, 1, 2), message
     assert "Traceback" not in message
     assert rc == 0 or str(named) in message, message
+    return message
 
 
 @given(pick=st.data())
@@ -112,3 +116,61 @@ def test_a_verb_reads_any_config_file(files, pick):
     shutil.rmtree(out, ignore_errors=True)
     _check(["decode", "--ckpt", str(files / "mar.ckpt"), "--n", "1", "--iterations", "2",
             "--config", str(config), "--out", str(out)], config)
+
+
+def _leaves(table: dict, prefix: str = "") -> dict:
+    """Dotted key -> value of every setting of ``table`` that is no table."""
+    out = {}
+    for key, value in table.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+SETTINGS = _leaves(DEFAULTS)
+SECTIONS = sorted({key.rsplit(".", 1)[0] for key in SETTINGS if "." in key})
+ODD_NUMBERS = ["1e999", "-1e999", "NaN", "Infinity", "-Infinity", "1e-400", "-0", "1" * 5000,
+               str(2 ** 64), "1.5", "-1"]
+SCALARS = ["5", "true", "null", '"x"', "[1, 2]", "1e999", ""]
+
+
+@st.composite
+def _override(draw) -> str:
+    """A valid ``key.path=value`` text, mutated: its value nested deep, a huge
+    or odd number, its key empty, unicode or with an empty part, or a section
+    set to a scalar; or random text."""
+    key = draw(st.sampled_from(sorted(SETTINGS)))
+    value = json.dumps(SETTINGS[key])
+    how = draw(st.sampled_from(["random", "nest", "number", "key", "section"]))
+    if how == "random":
+        return draw(st.text())
+    if how == "nest":
+        depth = draw(st.integers(1, 3000))
+        opener, closer = draw(st.sampled_from([("[", "]"), ('{"k": ', "}")]))
+        value = opener * depth + value + closer * depth
+    elif how == "number":
+        value = draw(st.sampled_from(ODD_NUMBERS))
+    elif how == "key":
+        key = draw(st.one_of(st.just(""), st.text(max_size=8), st.just(f".{key}"),
+                             st.just(f"{key}."), st.just(key.replace(".", "..", 1))))
+    else:
+        key, value = draw(st.sampled_from(SECTIONS)), draw(st.sampled_from(SCALARS))
+    return f"{key}={value}"
+
+
+@given(text=_override())
+def test_an_override_of_any_text_fails_naming_its_key(tmp_path_factory, text):
+    """The trailing ``train.steps=0`` fails every run at the config check,
+    so nothing trains; a failure the text causes comes first. The text is
+    given as ``--set=TEXT``, which argparse reads whole even when it starts
+    with a dash."""
+    out = tmp_path_factory.getbasetemp() / "set-run"
+    message = _check(["train-head", "--method", "energy", f"--set={text}",
+                      "--set", "train.steps=0", "--out", str(out)], "")
+    key = text.split("=", 1)[0].strip() if "=" in text else text
+    first = key.split(".")[0] if "=" in text else key
+    assert message.startswith("escore: error: ") and not out.exists(), message
+    assert "'train.steps'" in message or first in message or repr(first)[1:-1] in message, \
+        message

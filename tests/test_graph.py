@@ -83,6 +83,16 @@ def test_non_finite_binding_rejected():
         G.evaluate(g, {"x": np.array([1.0, np.nan])})
 
 
+def test_layer_norm_refuses_a_row_whose_variance_overflows():
+    """A row of +-1e200s is finite, but its variance is not: its inverse
+    deviation would be 0, and the row would come out as zeros."""
+    g = G.Graph()
+    x = g.leaf("x", (2, 4))
+    g.set_output(G.layer_norm(x))
+    with np.errstate(over="ignore"), pytest.raises(G.NonFiniteError, match="layer_norm"):
+        G.evaluate(g, {"x": np.array([[1e200, -1e200, 1e200, -1e200], [1.0, 2.0, 3.0, 4.0]])})
+
+
 def test_jvp_square():
     g = G.Graph()
     x = g.leaf("x", (1,), grad=True)

@@ -49,6 +49,13 @@ def test_apply_mask_bad_range():
         dataclasses.replace(TINY, mask_lo=0.0, mask_hi=0.5)
 
 
+def test_mar_config_width_head_mismatch_is_config_error():
+    """The transformer blocks split the width evenly among the heads."""
+    with pytest.raises(ValueError, match="mar.hidden_dim must be a multiple of mar.n_heads, "
+                                         "got 10 and 4"):
+        dataclasses.replace(TINY, hidden_dim=10, n_heads=4)
+
+
 def test_cfg_combine_identities_and_arithmetic():
     a = Stream.from_seed(0, "a").normal((4, 3))
     b = Stream.from_seed(0, "b").normal((4, 3))

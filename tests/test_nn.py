@@ -106,11 +106,6 @@ def _tiny_transformer(seed=0, dim=8, heads=2, seq=4, batch=2):
     return params, g, attn
 
 
-def test_transformer_dim_head_mismatch_is_config_error():
-    with pytest.raises(ValueError):
-        nn.TransformerBlock("tb", dim=10, n_heads=4)
-
-
 def test_transformer_single_token_attends_itself():
     params, g, attn_node = _tiny_transformer(seq=1, batch=1)
     x = Stream.from_seed(5, "x").normal((1, 1, 8))
@@ -334,5 +329,20 @@ def test_config_from_manifest_checks_value_types(field, value, ok):
         assert getattr(nn.config_from_manifest(MarConfig, manifest, "mar_config", "ck"),
                        field) == value
     else:
-        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+        with pytest.raises(ValueError, match=f"ck: config key 'mar_config.{field}' must be"):
             nn.config_from_manifest(MarConfig, manifest, "mar_config", "ck")
+
+
+def test_a_layer_norm_overflow_in_a_step_is_a_training_error():
+    """A weight that is huge but finite overflows a layer norm's row variance;
+    the step fails naming the run and the step, and leaves the weight."""
+    params = nn.ParameterSet()
+    params.add("w", np.array([[1e200, -1e200, 1e200, -1e200]]))
+    g = G.Graph()
+    leaves = G.declare(g, params, grad=True)
+    x = g.leaf("x", (2, 1))
+    g.set_output(G.mean(G.layer_norm(G.matmul(x, leaves["w"]))))
+    with pytest.raises(nn.TrainingError, match="toy: non-finite loss or gradient at step 3: "
+                                               "layer_norm: the variance of a row overflowed"):
+        nn.descend(g, {"x": np.ones((2, 1))}, params, "toy", lr=1e-3, weight_decay=0.0, t=3)
+    assert params["w"].value[0, 0] == 1e200

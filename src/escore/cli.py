@@ -172,7 +172,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     _add_config_flags(p)
 
-    p = sub.add_parser("sweep", help="grid sweep over lambda | cfg | m | wiring")
+    p = sub.add_parser("sweep", help="grid sweep over " + " | ".join(experiments.SWEEP_PARAMS))
     p.add_argument("--param", required=True, choices=list(experiments.SWEEP_PARAMS))
     p.add_argument("--values", required=True, help="comma-separated grid values")
     p.add_argument("--out", required=True)
@@ -192,15 +192,16 @@ def _resolved(args, **flags) -> dict:
 
 
 def _parse_values(param: str, text: str) -> list:
+    """The ``--values`` items, each parsed as the type of the default of the
+    config key that ``param`` sets."""
     items = [v.strip() for v in text.split(",") if v.strip()]
-    number = {"lambda": float, "cfg": float, "m": int}.get(param)
-    if number is not None:
-        try:
-            return [number(v) for v in items]
-        except ValueError:
-            raise ConfigError(f"--values for --param {param} must be "
-                              f"{number.__name__}s, got {text!r}") from None
-    return items
+    section, name = experiments.SWEEP_PARAMS[param][0].split(".")
+    kind = type(DEFAULTS[section][name])
+    try:
+        return [kind(v) for v in items]
+    except ValueError:
+        raise ConfigError(f"--values for --param {param} must be "
+                          f"{kind.__name__}s, got {text!r}") from None
 
 
 def _dispatch(args) -> int:

@@ -90,15 +90,20 @@ DEFAULTS: dict = {
 
 
 def _merge_checked(base: dict, update: dict, prefix: str = "") -> None:
-    """Merges the table ``update`` into ``base`` key by key; rejects a key ``base`` lacks."""
+    """Merges the table ``update`` into ``base`` key by key, storing copies, so
+    ``base`` shares no table or list with ``update``; rejects a key ``base``
+    lacks and a value nested too deep to copy."""
     for key, value in update.items():
         dotted = f"{prefix}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key {dotted!r}")
         if isinstance(base[key], dict) and isinstance(value, dict):
             _merge_checked(base[key], value, dotted + ".")
-        else:
-            base[key] = value
+            continue
+        try:
+            base[key] = copy.deepcopy(value)
+        except RecursionError:
+            raise ConfigError(f"config key {dotted!r}: value nested too deep to copy") from None
 
 
 # an integer value is a count (>= 1) but for these: key -> its least value, None for any

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, mar, metrics, svg
+from . import data, mar, metrics, nn, svg
 from .config import (DEFAULTS, ConfigError, config_digest, decode_config_from, first_repeat,
                      head_config_from, mar_config_from, nested, overridden)
 from .heads import HEAD_KINDS
@@ -42,6 +42,7 @@ SWEEP_PARAMS = {   # --param -> (config key each grid value sets, student checkp
     "cfg": ("decode.cfg_scale", "student"),
     "m": ("mar.m", "student_m{}"),
     "wiring": ("mar.wiring", "student_{}"),
+    "blocks": ("mar.n_blocks", "student_blocks{}"),
 }
 # a teacher run: a diffusion head training its whole model from scratch
 TEACHER = {"mar": {"head_kind": "diffusion"},
@@ -147,17 +148,6 @@ def _replaced(path):
         raise
 
 
-@contextmanager
-def _naming(ckpt_path, doing: str):
-    """Runs the block without numpy's overflow warnings; a numeric failure in
-    it names the checkpoint it was ``doing``."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
-    except FloatingPointError as exc:   # graph.NonFiniteError among them
-        raise type(exc)(f"{exc} ({doing} {ckpt_path})") from None
-
-
 def write_loss_csv(path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -221,7 +211,7 @@ def run_train_head(cfg: dict, out_dir) -> Path:
 def run_sample(ckpt_path, steps: int, n: int, seed: int, out_csv, noise_sigma: float,
                svg_path=None) -> np.ndarray:
     model = ToyHeadModel.load(ckpt_path)
-    with _naming(ckpt_path, "sampling"):
+    with nn.guard(f"sampling {ckpt_path}"):
         samples = model.sample(n, steps, seed)   # checks the step count before any pass
     with _replaced(out_csv) as stage:
         data.write_points_csv(stage, samples)
@@ -272,8 +262,12 @@ def _compare_cell(cfg: dict, cell_dir: str) -> list[MetricsReport]:
         for steps in [1] + (cfg["compare"]["multi_steps"] if method in MULTI_STEP_KINDS else []):
             samples = model.sample(n, steps, seed=20_000 + seed)
             data.write_points_csv(out / f"samples_step{steps}.csv", samples)
-            reports.append(metrics.evaluate_samples(samples, reference, method, steps, seed,
-                                                    cfg["metrics"]["bandwidth"]))
+            try:
+                reports.append(metrics.evaluate_samples(samples, reference, method, steps, seed,
+                                                        cfg["metrics"]["bandwidth"]))
+            except ValueError as exc:   # the run's own samples, not a usage error
+                raise RuntimeError(f"compare cell {Path(cell_dir).name}: its {steps}-step "
+                                   f"samples cannot be scored: {exc}") from None
     return reports
 
 
@@ -389,7 +383,7 @@ def run_decode(cfg: dict, ckpt_path, class_id: int | None, out_dir,
     n_seq = cfg["decode"]["n_seq"]
     dcfg = decode_config_from(cfg, cfg["seed"], model.head.cfg, head_steps)
     length = model.cfg.seq_len
-    with _run_dir(out_dir) as run, _naming(ckpt_path, "decoding"):
+    with _run_dir(out_dir) as run, nn.guard(f"decoding {ckpt_path}"):
         latents, stats = model.decode(class_id, n_seq, dcfg)
         flat = latents.reshape(n_seq * length, data.LATENT_DIM)
         positions = np.tile(np.arange(length), n_seq)
@@ -438,7 +432,7 @@ def _grid_config(cfg: dict, param: str, value) -> dict:
 
 def _sweep_cell(cfg: dict, param: str, values: list, cell_dir: str) -> list[dict]:
     """The sweep of ``cfg``'s seed: each grid value sets ``param``'s key,
-    trains the student it names (the decode-only ``cfg`` values share one)
+    trains the student it names (the values of a ``decode.`` key share one)
     in the run ``cell_dir/<name>`` and scores it. The students that take a
     teacher share one, trained in ``cell_dir/teacher`` on ``cfg`` with
     :data:`TEACHER` over it."""
@@ -474,7 +468,8 @@ def run_sweep(cfg: dict, out_dir, param: str, values: list) -> Path:
     if repeat is not None:
         raise ConfigError(f"--values lists {repeat!r} twice; each grid value must appear once")
     names = [SWEEP_PARAMS[param][1].format(value) for value in values]
-    clash = first_repeat(names) if param != "cfg" else None   # the cfg values share one student
+    # the values of a decode key share one student
+    clash = None if SWEEP_PARAMS[param][0].startswith("decode.") else first_repeat(names)
     if clash is not None:
         both = [repr(value) for value, name in zip(values, names) if name == clash]
         raise ConfigError(f"--values {' and '.join(both[:2])} both name the student {clash!r}")

@@ -320,7 +320,8 @@ class MarModel:
         y_rows = latents.reshape(rows, LATENT_DIM)
         bindings.update(self.head.loss_bindings(y_rows, rng.child("head")))
         if teacher is not None:
-            bindings["h_teacher"] = teacher.represent(latents, masked, ids)
+            with nn.guard("the teacher's pass"):
+                bindings["h_teacher"] = teacher.represent(latents, masked, ids)
         return bindings
 
     def masked_training_step(self, latents: np.ndarray, class_ids: np.ndarray,
@@ -336,7 +337,7 @@ class MarModel:
         bindings = self.step_bindings(latents, class_ids, rng, teacher)
         g, nodes = self._train_graph(bindings, lam, frozen_backbone)
         run = nn.descend(g, bindings, self.head._own_params if frozen_backbone else self.params,
-                         self.cfg.head_kind, lr=lr, weight_decay=weight_decay, t=step_index)
+                         lr=lr, weight_decay=weight_decay, t=step_index)
         # both terms are 0-d nodes, which a retained run keeps
         distill = float(run.value(nodes["distill"])) if teacher is not None else 0.0
         return float(run.value(nodes["energy"])), distill
@@ -470,16 +471,13 @@ def class_pools(cfg: MarConfig, seed: int, per_class: int, jitter: float,
 def train_mar(model: MarModel, *, steps: int, batch: int, lr: float, warmup: int,
               lam: float, per_class: int, weight_decay: float, frozen_backbone: bool,
               jitter: float, teacher: MarModel | None = None) -> list[dict]:
-    """Training driver; returns one log record per step."""
+    """Training driver; returns :func:`nn.train_loop`'s log."""
     latents, ids = class_pools(model.cfg, model.seed, per_class, jitter)
 
     def step(idx, rng, cur_lr, t):
-        energy, distill = model.masked_training_step(
+        return model.masked_training_step(
             latents[idx], ids[idx], rng, lam=lam, teacher=teacher, lr=cur_lr, step_index=t,
             weight_decay=weight_decay, frozen_backbone=frozen_backbone)
-        return {"step": t, "energy": energy, "distill": distill,
-                "total": energy + lam * distill, "lambda": lam, "lr": cur_lr,
-                "seed": model.seed}
 
-    return nn.train_loop(model.seed, f"train_mar/{model.cfg.head_kind}", len(latents),
-                         steps=steps, batch=batch, lr=lr, warmup=warmup, step=step)
+    return nn.train_loop(model.seed, "train_mar", model.cfg.head_kind, len(latents),
+                         steps=steps, batch=batch, lr=lr, warmup=warmup, step=step, lam=lam)

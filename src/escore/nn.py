@@ -1,6 +1,8 @@
 """Neural building blocks on top of the graph engine, and the model
 lifecycle both model families share: the step loop, the descent step and
-the checkpoint loader.
+the checkpoint loader; and :func:`guard`, the one place a model pass (a
+training step, the teacher's pass within it, a sample or a decode) runs
+without numpy's overflow warnings and a numeric failure names its context.
 
 Parameters live in a :class:`ParameterSet` (values + Adam moments); a graph
 declares them as named weight leaves (:func:`graph.declare`), each reading
@@ -23,11 +25,6 @@ from . import graph as G
 from .rng import Stream
 
 CHECKPOINT_FORMAT = "escore-ckpt-v1"
-
-
-class TrainingError(RuntimeError):
-    """Non-finite loss or gradient in a training step; the message names the
-    head kind and the step."""
 
 
 class Parameter:
@@ -272,38 +269,45 @@ def adam_step(params: ParameterSet, grads: dict[str, np.ndarray], lr: float, *,
 
 
 @contextmanager
-def step_guard(what: str, t: int):
-    """Runs part of training step ``t`` without numpy's overflow warnings; a
-    NaN or Inf in a graph run or a gradient raises :class:`TrainingError`
-    naming ``what`` and the step."""
+def guard(context: str):
+    """Runs the block without numpy's overflow warnings; a numeric failure in
+    it (a FloatingPointError, :class:`graph.NonFiniteError` among them) is
+    raised again as its own type with `` (context)`` after its message."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
-    except G.NonFiniteError as exc:
-        raise TrainingError(f"{what}: non-finite loss or gradient at step {t}: {exc}") from exc
+    except FloatingPointError as exc:
+        raise type(exc)(f"{exc} ({context})") from None
 
 
-def descend(graph: G.Graph, bindings: dict[str, np.ndarray], params: ParameterSet,
-            what: str, *, lr: float, weight_decay: float, t: int) -> G.Evaluation:
+def descend(graph: G.Graph, bindings: dict[str, np.ndarray], params: ParameterSet, *,
+            lr: float, weight_decay: float, t: int) -> G.Evaluation:
     """Forward and backward pass of ``graph``'s scalar loss, then an Adam step
-    on ``params``, under :func:`step_guard` ``what`` ``t``; returns the
-    forward run."""
-    with step_guard(what, t):
-        run = G.evaluate(graph, bindings)
-        adam_step(params, G.backward(run), lr=lr, weight_decay=weight_decay, t=t)
+    on ``params``; returns the forward run."""
+    run = G.evaluate(graph, bindings)
+    adam_step(params, G.backward(run), lr=lr, weight_decay=weight_decay, t=t)
     return run
 
 
-def train_loop(seed: int, label: str, pool_size: int, *, steps: int, batch: int,
-               lr: float, warmup: int, step) -> list:
-    """``[step(idx, rng, lr_t, t) for t in 1..steps]``: ``rng`` is the
-    ``label`` -> ``step/{t}`` stream of ``seed``, ``idx`` the ``batch`` pool
-    indices its ``batch`` child draws (for every step in one call), and
-    ``lr_t`` warms up linearly to ``lr`` over ``warmup`` steps."""
-    step_rngs = Stream.from_seed(seed, label).child([f"step/{t}" for t in range(1, steps + 1)])
+def train_loop(seed: int, family: str, kind: str, pool_size: int, *, steps: int, batch: int,
+               lr: float, warmup: int, step, lam: float = 0.0) -> list[dict]:
+    """One loss-log row per step ``t`` in 1..steps of ``(energy, distill) =
+    step(idx, rng, lr_t, t)``, run under :func:`guard` ``training <kind> at
+    step <t>``: ``rng`` is the ``family/kind`` -> ``step/{t}`` stream of
+    ``seed``, ``idx`` the ``batch`` pool indices its ``batch`` child draws
+    (for every step in one call), and ``lr_t`` warms up linearly to ``lr``
+    over ``warmup`` steps. A row's total is ``energy + lam * distill``."""
+    step_rngs = Stream.from_seed(seed, f"{family}/{kind}").child(
+        [f"step/{t}" for t in range(1, steps + 1)])
     batches = step_rngs.child("batch").integers(pool_size, (batch,))
-    return [step(batches[t - 1], Stream(step_rngs.key[t - 1]),
-                 lr * min(1.0, t / max(warmup, 1)), t) for t in range(1, steps + 1)]
+    rows = []
+    for t in range(1, steps + 1):
+        lr_t = lr * min(1.0, t / max(warmup, 1))
+        with guard(f"training {kind} at step {t}"):
+            energy, distill = step(batches[t - 1], Stream(step_rngs.key[t - 1]), lr_t, t)
+        rows.append({"step": t, "energy": energy, "distill": distill,
+                     "total": energy + lam * distill, "lambda": lam, "lr": lr_t, "seed": seed})
+    return rows
 
 
 def save_checkpoint(path, params: ParameterSet, *, config_digest: str = "",

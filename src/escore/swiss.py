@@ -51,25 +51,21 @@ class ToyHeadModel:
 
     def train_step(self, y: np.ndarray, rng: Stream, lr: float, step_index: int,
                    weight_decay: float) -> float:
-        with nn.step_guard(self.cfg.kind, step_index):   # targets run the head too
-            aux = self.head.loss_bindings(y, rng, context=self.context_rows(len(y)))
-        run = nn.descend(self._loss_graph(aux), aux, self.params, self.cfg.kind,
+        aux = self.head.loss_bindings(y, rng, context=self.context_rows(len(y)))
+        run = nn.descend(self._loss_graph(aux), aux, self.params,
                          lr=lr, weight_decay=weight_decay, t=step_index)
         return float(run.output)
 
     def train(self, *, steps: int, batch: int, lr: float, warmup: int,
               weight_decay: float, pool: int, noise_sigma: float) -> list[dict]:
         """Full run over minibatches of a ``pool``-point Swiss roll; returns
-        one log record per step, as ``mar.train_mar`` does: the kind's loss is
-        the energy and total column, ``lr`` the step's warmed-up rate."""
+        :func:`nn.train_loop`'s log, the kind's loss its energy column."""
         points = data.swiss_roll(pool, noise_sigma, seed=self.seed).points
 
         def step(idx, rng, lr_t, t):
-            loss = self.train_step(points[idx], rng, lr_t, t, weight_decay)
-            return {"step": t, "energy": loss, "distill": 0.0, "total": loss,
-                    "lambda": 0.0, "lr": lr_t, "seed": self.seed}
+            return self.train_step(points[idx], rng, lr_t, t, weight_decay), 0.0
 
-        return nn.train_loop(self.seed, f"train/{self.cfg.kind}", len(points),
+        return nn.train_loop(self.seed, "train", self.cfg.kind, len(points),
                              steps=steps, batch=batch, lr=lr, warmup=warmup, step=step)
 
     def sample(self, n: int, steps: int, seed: int) -> np.ndarray:

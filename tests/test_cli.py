@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import resource
 import time
 import warnings
@@ -113,6 +114,38 @@ def test_a_partial_set_table_merges_like_the_same_table_in_a_config_file(tmp_pat
     steps = resolve_config(sets)["compare"]["steps_by_method"]
     assert steps == {**DEFAULTS["compare"]["steps_by_method"],
                      **table.get("compare", {}).get("steps_by_method", {})}
+
+
+def test_overridden_changes_no_table_it_merges_and_shares_none_with_them():
+    """A table that replaces a scalar is stored as a copy, so the table after
+    it merges into the copy, not into the caller's table."""
+    import copy
+    from escore.config import DEFAULTS, overridden
+
+    def containers(value) -> set[int]:
+        found = {id(value)} if isinstance(value, (dict, list)) else set()
+        for item in value.values() if isinstance(value, dict) else \
+                value if isinstance(value, list) else ():
+            found |= containers(item)
+        return found
+
+    t2 = {"mar": copy.deepcopy(DEFAULTS["mar"]), "compare": {"seeds": [3]}}
+    tables = [{"mar": 5}, t2, {"mar": {"seq_len": 4}}]
+    given = copy.deepcopy([DEFAULTS, tables])
+    out = overridden(DEFAULTS, *tables)
+    assert out["mar"]["seq_len"] == 4 and out["compare"]["seeds"] == [3]
+    assert [DEFAULTS, tables] == given and t2["mar"]["seq_len"] == 16
+    assert not containers(out) & containers([DEFAULTS, tables])
+
+
+def test_a_set_value_nested_too_deep_to_copy_is_usage_error_naming_the_key(tmp_path, capsys):
+    """600 levels parse as JSON, but copying them takes two calls a level."""
+    out = tmp_path / "run"
+    assert main(["train-head", "--method", "energy", "--out", str(out),
+                 "--set", "seed=" + "[" * 600 + "]" * 600]) == 1
+    err = capsys.readouterr().err
+    assert "config key 'seed': value nested too deep to copy" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_an_unknown_key_in_a_set_table_is_usage_error_naming_it(tmp_path, capsys):
@@ -777,6 +810,11 @@ def test_sweep_wiring_grid_contract(tmp_path):
                       "student_{}/mar.ckpt", ("mar_config", "wiring"))
 
 
+def test_sweep_blocks_grid_trains_students_of_those_depths(tmp_path):
+    _check_sweep_grid(tmp_path, "blocks", ["1", "2"], "student_blocks{}/mar.ckpt",
+                      ("mar_config", "n_blocks"))
+
+
 def test_sweep_lambda_grid_contract(tmp_path):
     cell = _check_sweep_grid(tmp_path, "lambda", ["0.25", "0.5"], "student_lambda{}/mar.ckpt",
                              ("lambda",))
@@ -991,6 +1029,25 @@ def test_compare_swissroll_tiny(tmp_path, capsys):
     assert methods == {"energy", "diffusion", "flow", "shortcut", "meanflow"}
 
 
+def test_a_compare_cell_whose_samples_cannot_be_scored_is_a_runtime_failure(tmp_path, capsys):
+    """One Adam step at lr 1e150 leaves finite samples whose pooled distances
+    overflow, so the median bandwidth is degenerate: the run's own output,
+    not a usage error, and the message names the cell."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    rc = main(["compare-swissroll", "--out", str(runs / "cmp"), "--set", "compare.seeds=[1]",
+               "--set", 'compare.steps_by_method={"energy":1,"diffusion":1,"flow":1,'
+                        '"shortcut":1,"meanflow":1}',
+               "--set", "compare.sample_n=64", "--set", "compare.multi_steps=[2]",
+               "--set", "head.width=8", "--set", "head.depth=1", "--set", "train.batch=8",
+               "--set", "train.warmup=1", "--set", "train.lr=1e150"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err and "Warning" not in err
+    assert re.search(r"runtime failure: compare cell [a-z]+_seed1: its \d+-step samples "
+                     r"cannot be scored: degenerate kernel bandwidth inf", err)
+    assert list(runs.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,cause", [
     (["compare-swissroll"] + TINY_COMPARE + ["--set", "compare.seeds=[1,1]"],
      "compare.seeds lists 1 twice"),
@@ -1050,28 +1107,55 @@ def noisy_mar_ckpt(tmp_path_factory):
     return ckpt
 
 
+@pytest.fixture(scope="module")
+def mar_teachers(tmp_path_factory):
+    """Two tiny diffusion teachers of 8 tokens: one as initialised, and one
+    whose input projection and first query weights are scaled by 1e200, so
+    its pass overflows a layer norm's row variance."""
+    from escore.mar import MarModel
+    model = MarModel(MarConfig(seq_len=8, hidden_dim=16, n_blocks=2, n_heads=2,
+                               head_kind="diffusion", head_width=16, head_depth=1), 0)
+    root = tmp_path_factory.mktemp("teachers")
+    model.save(root / "teacher.ckpt")
+    for name in ("backbone.latent_in.w", "backbone.block0.wq.w"):
+        model.params[name].value = model.params[name].value * 1e200
+    model.save(root / "overflowing.ckpt")
+    return root
+
+
 @pytest.mark.parametrize("argv,diverge,cause", [
     (["train-head", "--method", kind] + TINY_HEAD, ["--set", "train.lr=1e300"],
-     f"runtime failure: {kind}: non-finite loss or gradient at step 2: ")
+     f" (training {kind} at step 2)\n")
     for kind in ("energy", "shortcut", "meanflow")
 ] + [
     (["train-mar", "--role", "teacher"] + TINY_MAR, ["--set", "mar_train.lr=1e300"],
-     "runtime failure: diffusion: non-finite loss or gradient at step 2: "),
+     " (training diffusion at step 2)\n"),
+    # the later --teacher wins, so the rerun without it takes the sane teacher
+    (["train-mar", "--role", "student", "--teacher", "{teachers}/teacher.ckpt"] + TINY_MAR
+     + ["--set", "mar.seq_len=8", "--set", "mar_train.lambda=0.5", "--set", "mar_train.steps=3"],
+     ["--teacher", "{teachers}/overflowing.ckpt"],
+     "runtime failure: layer_norm: the variance of a row overflowed (the teacher's pass) "
+     "(training energy at step 1)\n"),
     (["compare-swissroll"] + TINY_COMPARE, ["--set", "train.lr=1e300"],
-     "runtime failure: energy: non-finite loss or gradient at step 2: "),
+     " (training energy at step 2)\n"),
     (["sweep", "--param", "cfg", "--values", "2", "--set", "sweep.seeds=[1]",
       "--set", "sweep.eval_per_class=4"] + TINY_MAR, ["--set", "mar_train.lr=1e300"],
-     "runtime failure: energy: non-finite loss or gradient at step 2: "),
+     " (training energy at step 2)\n"),
     (["decode", "--ckpt", "{noisy}", "--n", "2", "--iterations", "2"], ["--cfg", "1e308"],
      "runtime failure: CFG scale 1e+308 gives a non-finite guided representation"),
 ], ids=["train-head", "train-head-shortcut", "train-head-meanflow", "train-mar",
-        "compare-swissroll", "sweep", "decode-cfg-overflow"])
+        "train-mar-teacher-overflow", "compare-swissroll", "sweep", "decode-cfg-overflow"])
 def test_diverging_training_run_exits_2_naming_the_kind_and_the_step(tmp_path, capsys, argv,
                                                                      diverge, cause,
-                                                                     noisy_mar_ckpt):
+                                                                     noisy_mar_ckpt,
+                                                                     mar_teachers):
     """A failed run leaves neither ``--out`` nor the hidden sibling it was
-    built in, so a sane rerun can use the same ``--out``."""
-    argv = [a.replace("{noisy}", str(noisy_mar_ckpt)) for a in argv]
+    built in, so a sane rerun can use the same ``--out``. A numeric failure
+    ends its message with the step it failed in."""
+    def placed(args):
+        return [a.replace("{noisy}", str(noisy_mar_ckpt)).replace("{teachers}", str(mar_teachers))
+                for a in args]
+    argv, diverge = placed(argv), placed(diverge)
     runs = tmp_path / "runs"
     runs.mkdir()
     out = ["--out", str(runs / "run")]
@@ -1350,6 +1434,25 @@ def test_a_set_value_nested_too_deep_is_usage_error_naming_the_key(tmp_path, cap
     err = capsys.readouterr().err
     assert "override 'seed': value nested too deep to parse" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["decode", "--ckpt", "{tmp}/mar.ckpt", "--out", "{tmp}/dec", "--iterations", "0"],
+     "--iterations"),
+    (["decode", "--ckpt", "{tmp}/mar.ckpt", "--out", "{tmp}/dec", "--head-steps", "0"],
+     "--head-steps"),
+    (["decode", "--ckpt", "{tmp}/mar.ckpt", "--out", "{tmp}/dec", "--cfg", "nan"], "--cfg"),
+    (["sample", "--ckpt", "{tmp}/head.ckpt", "--out", "{tmp}/s.csv", "--n", "0"], "--n"),
+    (["gradcheck", "--points", "0"], "--points"),
+], ids=["decode-iterations", "decode-head-steps", "decode-cfg-nan", "sample-n",
+        "gradcheck-points"])
+def test_a_flag_the_cli_checks_is_usage_error_naming_it(tmp_path, capsys, argv, flag):
+    """The flag is checked as the command line is parsed, before any file is
+    read or written."""
+    rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1 and f"argument {flag}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--iterations", "--n", "--head-steps"])

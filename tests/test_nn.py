@@ -333,16 +333,17 @@ def test_config_from_manifest_checks_value_types(field, value, ok):
             nn.config_from_manifest(MarConfig, manifest, "mar_config", "ck")
 
 
-def test_a_layer_norm_overflow_in_a_step_is_a_training_error():
+def test_a_layer_norm_overflow_in_a_guarded_step_names_the_step():
     """A weight that is huge but finite overflows a layer norm's row variance;
-    the step fails naming the run and the step, and leaves the weight."""
+    the step fails naming the guard's context, and leaves the weight."""
     params = nn.ParameterSet()
     params.add("w", np.array([[1e200, -1e200, 1e200, -1e200]]))
     g = G.Graph()
     leaves = G.declare(g, params, grad=True)
     x = g.leaf("x", (2, 1))
     g.set_output(G.mean(G.layer_norm(G.matmul(x, leaves["w"]))))
-    with pytest.raises(nn.TrainingError, match="toy: non-finite loss or gradient at step 3: "
-                                               "layer_norm: the variance of a row overflowed"):
-        nn.descend(g, {"x": np.ones((2, 1))}, params, "toy", lr=1e-3, weight_decay=0.0, t=3)
+    with pytest.raises(G.NonFiniteError, match=r"^layer_norm: the variance of a row overflowed "
+                                               r"\(training toy at step 3\)$"):
+        with nn.guard("training toy at step 3"):
+            nn.descend(g, {"x": np.ones((2, 1))}, params, lr=1e-3, weight_decay=0.0, t=3)
     assert params["w"].value[0, 0] == 1e200

@@ -324,12 +324,9 @@ def build_mar_model(cfg: dict, seed: int, teacher: MarModel | None = None) -> Ma
         mine, theirs = getattr(mcfg, key), getattr(teacher.cfg, key)
         if mine != theirs:
             raise ConfigError(f"mar.{key}={mine} differs from the teacher's {theirs}")
-    model = MarModel(mcfg, seed)
-    if t["init_from_teacher"]:
-        for name, p in model.params.items():
-            if name.startswith("backbone.") and name in teacher.params:
-                p.value = teacher.params[name].value.copy()
-    return model
+    start = {name: p.value.copy() for name, p in teacher.params.items()
+             if name.startswith("backbone.")} if t["init_from_teacher"] else None
+    return MarModel(mcfg, seed, start)
 
 
 def _train_mar(cfg: dict, role: str, model: MarModel, teacher: MarModel | None,

@@ -1,11 +1,12 @@
 """The five interchangeable continuous sampling heads.
 
 Each head is a stack of AdaLN residual blocks mapping an input vector to a
-latent, conditioned on a context row. The energy-scoring head draws the
-latent in one forward pass; diffusion, flow-matching, shortcut, and
-mean-flow are the multi/few-step baselines. Their losses are fixed here,
-and so is one sampling loop for all four, which differ only in their time
-grid and per-step update, and one rule for the step counts a head takes
+latent, conditioned on a context row; :func:`head_layout` lays out its
+parameters, which the model owning the head fills. The energy-scoring head
+draws the latent in one forward pass; diffusion, flow-matching, shortcut, and
+mean-flow are the multi/few-step baselines. Their losses are fixed here, and
+so is one sampling loop for all four, which differ only in their time grid
+and per-step update, and one rule for the step counts a head takes
 (:meth:`HeadConfig.check_steps`).
 """
 from __future__ import annotations
@@ -154,12 +155,11 @@ class DiffusionSchedule:
 # ---------------------------------------------------------------------------
 # head network
 
-def register_head(params: nn.ParameterSet, cfg: HeadConfig, seed: int) -> None:
-    nn.add_linear(params, seed, f"{HEAD_PREFIX}.inp", cfg.input_dim, cfg.width)
+def head_layout(cfg: HeadConfig):
+    yield from nn.linear_layout(f"{HEAD_PREFIX}.inp", cfg.input_dim, cfg.width)
     for k in range(cfg.depth):
-        nn.AdaLnResBlock(f"{HEAD_PREFIX}.block{k}", cfg.width,
-                         cfg.cond_dim).register(params, seed)
-    nn.add_linear(params, seed, f"{HEAD_PREFIX}.out", cfg.width, LATENT_DIM, zero=True)
+        yield from nn.AdaLnResBlock(f"{HEAD_PREFIX}.block{k}", cfg.width, cfg.cond_dim).layout()
+    yield from nn.linear_layout(f"{HEAD_PREFIX}.out", cfg.width, LATENT_DIM, zero=True)
 
 
 def build_head(cfg: HeadConfig, leaves: dict[str, G.Node], inp: G.Node,
@@ -209,15 +209,14 @@ def build_loss_rows(cfg: HeadConfig, leaves: dict[str, G.Node], context: G.Node,
 
 
 class Head:
-    """Owns one head's parameters plus cached evaluation graphs."""
+    """One head's evaluation graphs over the parameters of :func:`head_layout`
+    in the set ``params`` its model filled."""
 
-    def __init__(self, cfg: HeadConfig, seed: int, params: nn.ParameterSet | None = None):
+    def __init__(self, cfg: HeadConfig, params: nn.ParameterSet):
         self.cfg = cfg
-        self.params = nn.ParameterSet() if params is None else params
-        register_head(self.params, cfg, seed)
+        self.params = params
         # inference graphs declare only this head's weights
-        self._own_params = self.params.subset(
-            lambda name: name.startswith(HEAD_PREFIX + "."))
+        self._own_params = params.subset(lambda name: name.startswith(HEAD_PREFIX + "."))
         self.schedule = DiffusionSchedule(cfg.t_diff) if cfg.kind == "diffusion" else None
         self._eval_graphs: dict[int, G.Graph] = {}
         self.forward_rows = 0   # instrumented row count through the head

@@ -4,7 +4,8 @@ Training masks a random subset of positions and scores the head's samples
 at exactly those positions; decoding fills a fully-masked sequence over
 several parallel iterations. Classifier-free guidance happens at the
 representation level: conditional and null backbone outputs are combined
-linearly before the head ever runs.
+linearly before the head ever runs. A model's parameter layout is its
+backbone's, block by block, then its head's (:meth:`MarModel.layout`).
 
 A decode iteration reads the backbone only at the positions it samples. Every
 token is a key and a value, so each pass runs every token up to the last
@@ -26,7 +27,7 @@ import numpy as np
 from . import graph as G
 from . import nn
 from .data import LATENT_DIM, N_CLASSES, conditional_sequences
-from .heads import Head, HeadConfig, build_loss_rows
+from .heads import Head, HeadConfig, build_loss_rows, head_layout
 from .rng import Stream
 
 NULL_CLASS = -1          # sentinel for the CFG unconditional pass
@@ -109,25 +110,23 @@ class Backbone:
 
     def __init__(self, cfg: MarConfig):
         self.cfg = cfg
-        self.blocks = [nn.TransformerBlock(f"{BACKBONE_PREFIX}.block{k}", cfg.hidden_dim,
-                                           cfg.n_heads) for k in range(cfg.n_blocks)]
+        self.blocks = [self.block(cfg, k) for k in range(cfg.n_blocks)]
 
-    def register(self, params: nn.ParameterSet, seed: int) -> None:
-        cfg, pre = self.cfg, BACKBONE_PREFIX
-        nn.add_linear(params, seed, f"{pre}.latent_in", LATENT_DIM, cfg.hidden_dim)
-        params.add(f"{pre}.mask_token",
-                   nn.kaiming_uniform(seed, f"{pre}.mask_token", (cfg.hidden_dim,),
-                                      cfg.hidden_dim))
+    @staticmethod
+    def block(cfg: MarConfig, k: int) -> nn.TransformerBlock:
+        return nn.TransformerBlock(f"{BACKBONE_PREFIX}.block{k}", cfg.hidden_dim, cfg.n_heads)
+
+    @staticmethod
+    def layout(cfg: MarConfig):
+        """The backbone's parameter layout (see :mod:`nn`), block by block."""
+        pre, dim = BACKBONE_PREFIX, cfg.hidden_dim
+        yield from nn.linear_layout(f"{pre}.latent_in", LATENT_DIM, dim)
+        yield f"{pre}.mask_token", (dim,), ("uniform", dim)
         # one embedding row per class plus the trailing null row
-        params.add(f"{pre}.class_embed",
-                   nn.kaiming_uniform(seed, f"{pre}.class_embed",
-                                      (N_CLASSES + 1, cfg.hidden_dim),
-                                      cfg.hidden_dim))
-        params.add(f"{pre}.pos_embed",
-                   0.02 * Stream.from_seed(seed, f"init/{pre}.pos_embed").normal(
-                       (cfg.seq_len + PREFIX_TOKENS, cfg.hidden_dim)))
-        for block in self.blocks:
-            block.register(params, seed)
+        yield f"{pre}.class_embed", (N_CLASSES + 1, dim), ("uniform", dim)
+        yield f"{pre}.pos_embed", (cfg.seq_len + PREFIX_TOKENS, dim), ("normal", 0.02)
+        for k in range(cfg.n_blocks):
+            yield from Backbone.block(cfg, k).layout()
 
     def build(self, leaves: dict[str, G.Node], latents: G.Node, mask: G.Node,
               onehot: G.Node) -> G.Node:
@@ -172,23 +171,26 @@ def one_hot_classes(ids: np.ndarray) -> np.ndarray:
 class MarModel:
     """Backbone + sampling head with masked training and parallel decoding."""
 
-    def __init__(self, cfg: MarConfig, seed: int):
+    def __init__(self, cfg: MarConfig, seed: int, values: dict[str, np.ndarray] | None = None):
         self.cfg = cfg
         self.seed = seed
-        self.params = nn.ParameterSet()
+        self.params = nn.fill(self.layout(cfg), seed, values)
         self.backbone = Backbone(cfg)
-        self.backbone.register(self.params, seed)
-        self.head = Head(cfg.head_config(), seed, params=self.params)
+        self.head = Head(cfg.head_config(), self.params)
         # backbone passes declare only the backbone's weights, and
         # the last block's output half only that block's
-        self._backbone_params = self.params.subset(
-            lambda name: name.startswith(BACKBONE_PREFIX + "."))
+        self._backbone_params = self.params.subset(lambda n: n.startswith(BACKBONE_PREFIX + "."))
         last = self.backbone.blocks[-1].name + "."
         self._finish_params = self.params.subset(lambda name: name.startswith(last))
         self._front_graphs: dict[int, G.Graph] = {}
         self._finish_graphs: dict[int, G.Graph] = {}
         self._train_graphs: dict = {}
         self.backbone_forwards = 0
+
+    @staticmethod
+    def layout(cfg: MarConfig):
+        yield from Backbone.layout(cfg)
+        yield from head_layout(cfg.head_config())
 
     # -- backbone evaluation (no grad) ---------------------------------------
     def _front_graph(self, bsz: int) -> G.Graph:

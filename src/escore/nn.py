@@ -4,12 +4,12 @@ the checkpoint loader; and :func:`guard`, the one place a model pass (a
 training step, the teacher's pass within it, a sample or a decode) runs
 without numpy's overflow warnings and a numeric failure names its context.
 
-Parameters live in a :class:`ParameterSet` (values + Adam moments); a graph
-declares them as named weight leaves (:func:`graph.declare`), each reading
-its parameter's current value at every run, so one set of weights can drive
-any number of differently-shaped graphs and no run binds a weight. A weight's
-shape and finiteness are checked where it is written, not by every graph run
-that reads it. Initialization is a pure function of (seed, parameter name).
+A model's parameters are laid out from its config alone, as an ordered stream
+of ``(name, shape, init rule)`` entries that draws nothing; :func:`fill` makes
+a layout's :class:`ParameterSet` (values + Adam moments), each value given or
+drawn by :func:`initial_value` from (seed, name). Graphs declare parameters as
+weight leaves (:func:`graph.declare`) reading their values at every run, so no
+run binds a weight; a weight's shape and finiteness are checked where written.
 """
 from __future__ import annotations
 
@@ -74,9 +74,6 @@ class ParameterSet:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -85,25 +82,6 @@ class ParameterSet:
 
     def bindings(self) -> dict[str, np.ndarray]:
         return {name: p.value for name, p in self._params.items()}
-
-    def assign(self, values: dict[str, np.ndarray], source) -> None:
-        """Sets every parameter from a loaded checkpoint, strictly: the names
-        must match exactly, and each value passes its parameter's checks.
-        Raises ValueError naming ``source`` and the offending parameter, or
-        graph.NonFiniteError naming a parameter whose value is non-finite."""
-        missing = [name for name in self._params if name not in values]
-        if missing:
-            raise ValueError(f"{source}: checkpoint has no value for parameter {missing[0]!r}"
-                             f" ({len(missing)} missing)")
-        unknown = [name for name in values if name not in self._params]
-        if unknown:
-            raise ValueError(f"{source}: checkpoint has unknown parameter {unknown[0]!r}"
-                             f" ({len(unknown)} unknown)")
-        for name, arr in values.items():
-            try:
-                self._params[name].value = arr
-            except (ValueError, G.NonFiniteError) as exc:
-                raise type(exc)(f"{source}: {exc}") from None
 
     def subset(self, keep) -> "ParameterSet":
         """View over selected parameters (shared Parameter objects)."""
@@ -114,20 +92,36 @@ class ParameterSet:
         return sub
 
 
-def kaiming_uniform(seed: int, name: str, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    u = Stream.from_seed(seed, "init/" + name).uniform(shape)
-    return (2.0 * u - 1.0) * bound
+ZEROS, ONES = ("const", 0.0), ("const", 1.0)
 
 
-def add_linear(params: ParameterSet, seed: int, name: str, fan_in: int, fan_out: int,
-               zero: bool = False) -> None:
-    """Registers weight (fan_in x fan_out) and bias; zero-init on request."""
-    if zero:
-        params.add(name + ".w", np.zeros((fan_in, fan_out)))
-    else:
-        params.add(name + ".w", kaiming_uniform(seed, name + ".w", (fan_in, fan_out), fan_in))
-    params.add(name + ".b", np.zeros(fan_out))
+def initial_value(seed: int, name: str, shape: tuple[int, ...], rule) -> np.ndarray:
+    """The value the init ``rule`` gives the parameter ``name``: ("const", c)
+    fills with c and draws nothing; ("uniform", fan_in) is Kaiming-uniform,
+    (2u - 1)·sqrt(6/fan_in), and ("normal", scale) scale times a standard
+    normal, each drawn from the ``init/<name>`` stream of ``seed``."""
+    kind, arg = rule
+    if kind == "const":
+        return np.full(shape, arg)
+    stream = Stream.from_seed(seed, "init/" + name)
+    if kind == "uniform":
+        return (2.0 * stream.uniform(shape) - 1.0) * np.sqrt(6.0 / arg)
+    return arg * stream.normal(shape)
+
+
+def fill(layout, seed: int, given: dict[str, np.ndarray] | None = None) -> ParameterSet:
+    """The parameters of ``layout`` in its order, each valued from ``given``
+    when that names it and otherwise by :func:`initial_value`."""
+    params, given = ParameterSet(), given or {}
+    for name, shape, rule in layout:
+        params.add(name, given[name] if name in given else initial_value(seed, name, shape, rule))
+    return params
+
+
+def linear_layout(name: str, fan_in: int, fan_out: int, zero: bool = False):
+    """Weight (fan_in x fan_out) and bias; zero-init on request."""
+    yield name + ".w", (fan_in, fan_out), ZEROS if zero else ("uniform", fan_in)
+    yield name + ".b", (fan_out,), ZEROS
 
 
 def build_linear(leaves: dict[str, G.Node], name: str, x: G.Node) -> G.Node:
@@ -148,10 +142,10 @@ class AdaLnResBlock:
     width: int
     cond_dim: int
 
-    def register(self, params: ParameterSet, seed: int) -> None:
-        add_linear(params, seed, f"{self.name}.fc1", self.width, self.width)
-        add_linear(params, seed, f"{self.name}.fc2", self.width, self.width, zero=True)
-        add_linear(params, seed, f"{self.name}.cond", self.cond_dim, 2 * self.width, zero=True)
+    def layout(self):
+        yield from linear_layout(f"{self.name}.fc1", self.width, self.width)
+        yield from linear_layout(f"{self.name}.fc2", self.width, self.width, zero=True)
+        yield from linear_layout(f"{self.name}.cond", self.cond_dim, 2 * self.width, zero=True)
 
     def build(self, leaves: dict[str, G.Node], x: G.Node, cond: G.Node) -> G.Node:
         if x.shape[-1] != self.width or cond.shape[-1] != self.cond_dim:
@@ -181,18 +175,17 @@ class TransformerBlock:
     def head_dim(self) -> int:
         return self.dim // self.n_heads
 
-    def register(self, params: ParameterSet, seed: int) -> None:
+    def layout(self):
         for proj in ("wq", "wv", "wo"):
-            add_linear(params, seed, f"{self.name}.{proj}", self.dim, self.dim)
+            yield from linear_layout(f"{self.name}.{proj}", self.dim, self.dim)
         # no key bias: a constant shift of every key cancels inside softmax
-        params.add(f"{self.name}.wk.w",
-                   kaiming_uniform(seed, f"{self.name}.wk.w", (self.dim, self.dim), self.dim))
+        yield f"{self.name}.wk.w", (self.dim, self.dim), ("uniform", self.dim)
         hidden = self.mlp_ratio * self.dim
-        add_linear(params, seed, f"{self.name}.mlp1", self.dim, hidden)
-        add_linear(params, seed, f"{self.name}.mlp2", hidden, self.dim)
+        yield from linear_layout(f"{self.name}.mlp1", self.dim, hidden)
+        yield from linear_layout(f"{self.name}.mlp2", hidden, self.dim)
         for ln in ("ln1", "ln2"):
-            params.add(f"{self.name}.{ln}.g", np.ones(self.dim))
-            params.add(f"{self.name}.{ln}.b", np.zeros(self.dim))
+            yield f"{self.name}.{ln}.g", (self.dim,), ONES
+            yield f"{self.name}.{ln}.b", (self.dim,), ZEROS
 
     def _affine_ln(self, leaves, tag: str, x: G.Node) -> G.Node:
         ln = G.layer_norm(x)
@@ -438,15 +431,30 @@ def config_from_manifest(cls, manifest: dict, key: str, source):
 
 
 def load_model(cls, config_cls, key: str, path):
-    """``cls(config, seed=...)`` with the weights of the checkpoint at
-    ``path``, its config the ``config_cls`` saved as ``extra[key]``. A model
-    too large to build raises ValueError or MemoryError naming ``path``."""
+    """``cls(config, seed=..., values=...)`` with the weights of the checkpoint
+    at ``path``, its config the ``config_cls`` saved as ``extra[key]``. The
+    layout ``cls.layout(config)`` is walked beside the file's values before any
+    parameter exists, up to the first name missing or of another shape. Each
+    failure names ``path``: a bad entry is a ValueError, a non-finite value a
+    NonFiniteError, a model too large to build a ValueError or MemoryError."""
     manifest, values = load_checkpoint(path)
     config = config_from_manifest(config_cls, manifest, key, path)
+    walked = set()
+    for name, shape, _ in cls.layout(config):
+        if name not in values:
+            raise ValueError(f"{path}: checkpoint has no value for parameter {name!r}")
+        if values[name].shape != shape:
+            raise ValueError(f"{path}: parameter {name!r} has shape {values[name].shape}, "
+                             f"expected {shape}")
+        walked.add(name)
+    unknown = [name for name in values if name not in walked]
+    if unknown:
+        raise ValueError(f"{path}: checkpoint has unknown parameter {unknown[0]!r}"
+                         f" ({len(unknown)} unknown)")
     try:
-        model = cls(config, seed=manifest["seed"])
+        return cls(config, seed=manifest["seed"], values=values)
+    except G.NonFiniteError as exc:
+        raise G.NonFiniteError(f"{path}: {exc}") from None
     except (ValueError, MemoryError) as exc:
         kind = MemoryError if isinstance(exc, MemoryError) else ValueError
         raise kind(f"{path}: cannot build the model of its {key}: {exc}") from None
-    model.params.assign(values, path)
-    return model

@@ -12,20 +12,23 @@ import numpy as np
 from . import data
 from . import graph as G
 from . import nn
-from .heads import Head, HeadConfig, build_loss_rows
+from .heads import Head, HeadConfig, build_loss_rows, head_layout
 from .rng import Stream
 
 
 class ToyHeadModel:
     """Head plus a learned constant context vector, trained on the Swiss roll."""
 
-    def __init__(self, cfg: HeadConfig, seed: int):
-        self.head = Head(cfg, seed)
-        self.params = self.head.params
-        ctx0 = 0.1 * Stream.from_seed(seed, "init/context").normal((1, cfg.context_dim))
-        self.params.add("context", ctx0)
+    def __init__(self, cfg: HeadConfig, seed: int, values: dict[str, np.ndarray] | None = None):
+        self.params = nn.fill(self.layout(cfg), seed, values)
+        self.head = Head(cfg, self.params)
         self.seed = seed
         self._train_graph: tuple[int, G.Graph] | None = None
+
+    @staticmethod
+    def layout(cfg: HeadConfig):
+        yield from head_layout(cfg)
+        yield "context", (1, cfg.context_dim), ("normal", 0.1)
 
     @property
     def cfg(self) -> HeadConfig:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import graph as G
 from . import nn
-from .heads import HEAD_KINDS, Head, HeadConfig, build_energy_rows_m, build_loss_rows
+from .heads import HEAD_KINDS, Head, HeadConfig, build_energy_rows_m, build_loss_rows, head_layout
 from .rng import Stream
 
 FD_TOL = 1e-5
@@ -171,34 +171,28 @@ def _composite_cases():
     cases["energy-loss(m=2)"] = energy_loss(("x1", "x2"))
     cases["energy-loss(m=3)"] = energy_loss(("x0", "x1", "x2"))
 
-    adaln_params = nn.ParameterSet()
     adaln = nn.AdaLnResBlock("blk", width=4, cond_dim=3)
-    adaln.register(adaln_params, seed=0)
 
     def adaln_build(g, pt):
         leaves = _declare(g, pt)
         return adaln.build(leaves, leaves["x"], leaves["cond"])
 
     def adaln_point(s):
-        pt = {name: 0.4 * s.child(name).normal(p.value.shape)
-              for name, p in adaln_params.items()}
+        pt = {name: 0.4 * s.child(name).normal(shape) for name, shape, _ in adaln.layout()}
         pt["x"] = s.child("x").normal((2, 4))
         pt["cond"] = s.child("cond").normal((2, 3))
         return pt
 
     cases["adaln-resblock"] = (adaln_build, adaln_point)
 
-    tf_params = nn.ParameterSet()
     tf = nn.TransformerBlock("tb", dim=4, n_heads=2, mlp_ratio=2)
-    tf.register(tf_params, seed=0)
 
     def tf_build(g, pt):
         leaves = _declare(g, pt)
         return tf.build(leaves, leaves["x"])
 
     def tf_point(s):
-        pt = {name: 0.4 * s.child(name).normal(p.value.shape)
-              for name, p in tf_params.items()}
+        pt = {name: 0.4 * s.child(name).normal(shape) for name, shape, _ in tf.layout()}
         pt["tb.ln1.g"] = 1.0 + 0.1 * s.child("g1").normal((4,))
         pt["tb.ln2.g"] = 1.0 + 0.1 * s.child("g2").normal((4,))
         pt["x"] = s.child("x").normal((1, 3, 4))
@@ -213,10 +207,9 @@ def _composite_cases():
 
 def _head_loss_case(kind: str):
     cfg = HeadConfig(kind=kind, width=4, depth=1, context_dim=3, time_feat_dim=4)
-    head = Head(cfg, seed=0)
     s0 = Stream.from_seed(1, f"gradcheck/{kind}/params")
-    for name, p in head.params.items():
-        p.value = 0.4 * s0.child(name).normal(p.value.shape)
+    head = Head(cfg, nn.fill(head_layout(cfg), 0, {
+        name: 0.4 * s0.child(name).normal(shape) for name, shape, _ in head_layout(cfg)}))
 
     def build(g, pt):
         leaves = _declare(g, pt, data=[k for k in pt if k not in head.params and k != "ctx"])

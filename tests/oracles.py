@@ -1,7 +1,8 @@
 """Plain numpy oracles for the tests.
 
 Scalar forms of the energy-distance loss and of the representation
-distillation term, and an i.i.d. Gaussian point source. The package computes
+distillation term, an i.i.d. Gaussian point source, and a head built without
+a model (:func:`fresh_head`). The package computes
 the losses as graphs (``heads.build_energy_rows_m`` and the distill term of
 ``MarModel._train_graph``); the tests check those graphs against these.
 """
@@ -10,8 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from escore import graph as G
+from escore import nn
 from escore.data import SampleBatch
+from escore.heads import Head, head_layout
 from escore.rng import Stream
+
+
+def fresh_head(cfg, seed: int = 0, values: dict | None = None) -> Head:
+    """A head without a model: the parameters of ``cfg``'s layout, valued from
+    ``values`` or drawn as a fresh model draws them."""
+    return Head(cfg, nn.fill(head_layout(cfg), seed, values))
 
 
 def smooth_norm(v: np.ndarray) -> np.ndarray:

@@ -1349,6 +1349,79 @@ def test_a_model_too_large_to_build_fails_naming_the_checkpoint(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+# runs the CLI on its arguments with the address space capped, so a load that
+# allocates what a saved config asks for fails here instead of filling the host
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from escore.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("kind,field,value,code,cause", [
+    ("energy", "depth", 2 ** 40, 1, "no value for parameter 'head.block1.fc1.w'"),
+    ("energy", "width", 2 ** 40, 1, "parameter 'head.inp.w' has shape (2, 8), "
+                                    "expected (2, 1099511627776)"),
+    ("diffusion", "t_diff", 2 ** 40, 2, "cannot build the model of its head_config"),
+    ("mar", "n_blocks", 10 ** 30, 1, "no value for parameter 'backbone.block1.wq.w'"),
+    ("mar", "seq_len", 2 ** 40, 1, "parameter 'backbone.pos_embed' has shape (6, 8), "
+                                   "expected (1099511627778, 8)"),
+], ids=["depth", "width", "t_diff", "n_blocks", "seq_len"])
+def test_a_saved_config_too_large_to_build_fails_without_building_it(tmp_path, kind, field,
+                                                                     value, code, cause):
+    """A saved config whose layout outgrows the file fails at the first
+    parameter it lacks or sizes otherwise, before a parameter is made; only the
+    diffusion schedule, which ``t_diff`` sizes, is allocated, and fails. The
+    child runs under a 400 MiB address-space limit."""
+    import subprocess
+    import sys
+    from escore.mar import MarModel
+    from escore.swiss import ToyHeadModel
+    ckpt, out = tmp_path / "model.ckpt", tmp_path / "out"
+    if kind == "mar":
+        MarModel(MarConfig(seq_len=4, hidden_dim=8, n_blocks=1, n_heads=2, head_width=8,
+                           head_depth=1), 0).save(ckpt)
+        argv = ["decode", "--ckpt", str(ckpt), "--n", "1", "--iterations", "2"]
+    else:
+        ToyHeadModel(HeadConfig(kind=kind, width=8, depth=1), seed=0).save(ckpt)
+        argv = ["sample", "--ckpt", str(ckpt), "--n", "4"]
+    _rewrite_manifest(ckpt, _config_edit(lambda cfg: cfg.update({field: value})))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code and f"{ckpt}: " in done.stderr and cause in done.stderr
+    assert "Traceback" not in done.stderr and not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["energy", "diffusion", "flow", "shortcut", "meanflow",
+                                  "mar-energy", "mar-diffusion", "mar-flow"])
+def test_a_load_draws_no_initial_value(tmp_path, monkeypatch, kind):
+    """Loading a checkpoint opens no ``init/`` stream: every value is the file's."""
+    from escore.mar import MarModel
+    from escore.rng import Stream
+    from escore.swiss import ToyHeadModel
+    ckpt = tmp_path / "model.ckpt"
+    if kind.startswith("mar-"):
+        cls, model = MarModel, MarModel(MarConfig(seq_len=4, hidden_dim=8, n_blocks=2,
+                                                  n_heads=2, head_kind=kind[4:], head_width=8,
+                                                  head_depth=1), 0)
+    else:
+        cls, model = ToyHeadModel, ToyHeadModel(HeadConfig(kind=kind, width=8, depth=1), 0)
+    model.save(ckpt)
+    from_seed = Stream.from_seed.__func__
+
+    def no_init(stream_cls, seed, label="root"):
+        assert not label.startswith("init/"), f"a load drew {label}"
+        return from_seed(stream_cls, seed, label)
+
+    monkeypatch.setattr(Stream, "from_seed", classmethod(no_init))
+    loaded = cls.load(ckpt)
+    for name, p in model.params.items():
+        assert loaded.params[name].value.tobytes() == p.value.tobytes(), name
+
+
 @pytest.mark.parametrize("change,cause", [
     ({"head_kind": "shortcut"}, "mar.head_kind must be one of ('energy', 'diffusion', 'flow')"),
     ({"mask_lo": 0.9, "mask_hi": 0.8}, "mar.mask_lo must be <= mar.mask_hi, got 0.9 > 0.8"),

@@ -5,8 +5,9 @@ CSVs (``eval --generated``), config files (``--config``) and overrides
 
 Whatever the bytes, a verb exits 0, 1 or 2, never raises, prints no
 traceback, and a failing verb names the file it was given. The inputs are
-truncations, byte flips and splices of a small valid file, and random bytes
-or text. An override of any text fails the config check (exit 1) naming its
+truncations, byte flips and splices of a small valid file, random bytes or
+text, and for a checkpoint also any count up to 2**64 in one integer field of
+its saved model config. An override of any text fails the config check (exit 1) naming its
 key; its inputs are mutations of valid ``key.path=value`` texts, and random
 text.
 
@@ -20,6 +21,7 @@ import contextlib
 import io
 import json
 import shutil
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -98,6 +100,30 @@ def test_decode_reads_any_checkpoint_bytes(files, pick):
     shutil.rmtree(out, ignore_errors=True)
     _check(["decode", "--ckpt", str(ckpt), "--n", "1", "--iterations", "2",
             "--out", str(out)], ckpt)
+
+
+_SAVED_COUNTS = {name: (key, [f.name for f in fields(cls) if type(f.default) is int])
+                 for name, key, cls in (("head.ckpt", "head_config", HeadConfig),
+                                        ("mar.ckpt", "mar_config", MarConfig))}
+
+
+@given(pick=st.data())
+def test_a_load_reads_any_count_in_a_saved_config(files, pick):
+    """One integer field of the saved head or MAR config set to any count up to
+    2**64: a size the layout has fails at the first parameter the file lacks or
+    sizes otherwise, before any parameter is made."""
+    name = pick.draw(st.sampled_from(sorted(_SAVED_COUNTS)))
+    key, counts = _SAVED_COUNTS[name]
+    header, payload = (files / name).read_bytes().split(b"\n", 1)
+    manifest = json.loads(header)
+    manifest["extra"][key][pick.draw(st.sampled_from(counts))] = pick.draw(
+        st.integers(1, 2 ** 64))
+    ckpt, out = files / "counted.ckpt", files / "decoded"
+    ckpt.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    shutil.rmtree(out, ignore_errors=True)
+    verb = ["sample", "--steps", "1", "--n", "4", "--out", str(files / "samples.csv")] \
+        if key == "head_config" else ["decode", "--n", "1", "--iterations", "2", "--out", str(out)]
+    _check(verb + ["--ckpt", str(ckpt)], ckpt)
 
 
 @given(pick=st.data())

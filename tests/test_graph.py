@@ -14,6 +14,7 @@ from escore.rng import Stream
 from escore.swiss import ToyHeadModel
 
 import graph_reference as R
+from oracles import fresh_head
 
 
 def scalar_graph(build):
@@ -397,7 +398,7 @@ def _randomize(params, seed: int) -> None:
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(heads.HEAD_KINDS), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
 def test_output_only_equals_retained_on_head_eval_graph(kind, rows, seed):
-    head = heads.Head(heads.HeadConfig(kind=kind, width=16, depth=2), seed=0)
+    head = fresh_head(heads.HeadConfig(kind=kind, width=16, depth=2))
     _randomize(head.params, seed)
     s = Stream.from_seed(seed, "inputs")
     inp = s.child("inp").normal((rows, head.cfg.input_dim))
@@ -684,7 +685,7 @@ def test_lean_sweeps_equal_reference_on_mar_train_graph(head_kind):
 
 def _head_point(kind, rows, seed):
     """A head with random weights, its eval graph and a binding of each data leaf."""
-    head = heads.Head(heads.HeadConfig(kind=kind, width=16, depth=2), seed=0)
+    head = fresh_head(heads.HeadConfig(kind=kind, width=16, depth=2))
     _randomize(head.params, seed)
     s = Stream.from_seed(seed, f"point/{kind}")
     pt = {"inp": s.child("inp").normal((rows, head.cfg.input_dim)),
@@ -699,9 +700,7 @@ def test_a_cached_graph_reads_each_weight_write():
     p.value = p.value + 0.25   # a new array, which no run binds
     second = G.evaluate(g, pt).output
     assert not _same_bits(first, second)
-    fresh = heads.Head(head.cfg, seed=0)
-    for name, q in fresh.params.items():
-        q.value = head.params[name].value.copy()
+    fresh = fresh_head(head.cfg, 0, {name: p.value.copy() for name, p in head.params.items()})
     assert _same_bits(second, fresh.forward_values(pt["inp"], pt["cond"]))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import loop_reference
 import rng_reference as R
-from oracles import energy_loss_m, energy_loss_pair
+from oracles import energy_loss_m, energy_loss_pair, fresh_head
 from escore import graph as G
 from escore import heads
 from escore.heads import Head, HeadConfig
@@ -82,7 +82,7 @@ def test_energy_pair_gradient_matches_fd():
 
 
 def test_zero_init_energy_head_outputs_zero():
-    head = Head(HeadConfig(kind="energy", width=16, depth=2), seed=0)
+    head = fresh_head(HeadConfig(kind="energy", width=16, depth=2))
     ctx = Stream.from_seed(4, "ctx").normal((5, 16))
     noise = Stream.from_seed(4, "n").normal((5, 2))
     out = head.energy_sample(ctx, noise)
@@ -97,11 +97,9 @@ def test_energy_sample_deterministic():
 
 
 def _randomized_head(cfg: HeadConfig, seed: int) -> Head:
-    head = Head(cfg, seed)
     s = Stream.from_seed(seed, "randomize")
-    for name, p in head.params.items():
-        p.value = 0.3 * s.child(name).normal(p.value.shape)
-    return head
+    return fresh_head(cfg, seed, {name: 0.3 * s.child(name).normal(shape)
+                                  for name, shape, _ in heads.head_layout(cfg)})
 
 
 def test_wirings_are_distinct_functions():
@@ -109,9 +107,7 @@ def test_wirings_are_distinct_functions():
     cfg_a = HeadConfig(kind="energy", width=16, depth=2, context_dim=2, noise_dim=2,
                        wiring=heads.WIRING_NOISE_AS_CONDITION)
     hb = _randomized_head(cfg_b, 7)
-    ha = Head(cfg_a, 7)
-    for name, p in ha.params.items():
-        p.value = hb.params[name].value.copy()
+    ha = fresh_head(cfg_a, 7, {name: p.value.copy() for name, p in hb.params.items()})
     ctx = Stream.from_seed(8, "ctx").normal((6, 2))
     noise = Stream.from_seed(8, "n").normal((6, 2))
     assert not np.allclose(hb.energy_sample(ctx, noise), ha.energy_sample(ctx, noise))
@@ -131,7 +127,7 @@ def _mean_loss_graph(head: Head, aux: dict, ctx_grad: bool = False) -> G.Graph:
 def _identity_head(kind: str) -> Head:
     """depth-0 head computing pred == zt exactly (identity projections)."""
     cfg = HeadConfig(kind=kind, width=2, depth=0, context_dim=3)
-    head = Head(cfg, seed=0)
+    head = fresh_head(cfg)
     head.params["head.inp.w"].value = np.eye(2)
     head.params["head.out.w"].value = np.eye(2)
     return head
@@ -208,7 +204,7 @@ def test_schedule_monotone_and_respacing():
 
 
 def test_energy_sampler_rejects_multistep():
-    head = Head(HeadConfig(kind="energy", width=8, depth=1), seed=0)
+    head = fresh_head(HeadConfig(kind="energy", width=8, depth=1))
     with pytest.raises(ValueError):
         head.sample(np.zeros((3, 16)), steps=4, rng=Stream.from_seed(0, "s"))
 
@@ -219,7 +215,7 @@ def test_energy_sampler_rejects_multistep():
     ("diffusion", 8, "at most its chain length t_diff = 7 steps, got 8"),
 ])
 def test_step_rule_rejects_before_any_head_pass(kind, steps, cause):
-    head = Head(HeadConfig(kind=kind, width=8, depth=1, context_dim=3, t_diff=7), seed=0)
+    head = fresh_head(HeadConfig(kind=kind, width=8, depth=1, context_dim=3, t_diff=7))
     with pytest.raises(ValueError, match=re.escape(cause)):
         head.sample(np.zeros((3, 3)), steps, Stream.from_seed(0, "s"))
     assert head.forward_rows == 0

@@ -213,6 +213,34 @@ def test_teacher_parameters_frozen_during_student_training():
         assert np.array_equal(before[k], p.value)
 
 
+@pytest.mark.parametrize("student_blocks", [1, 3], ids=["fewer", "more"])
+def test_a_student_starts_from_its_teachers_backbone_bit_for_bit(student_blocks):
+    """Under mar_train.init_from_teacher a student holds, byte for byte, what
+    drawing the whole student and then copying the teacher's backbone values
+    over it gives, with fewer blocks than its two-block teacher or more; it
+    shares no array with the teacher."""
+    from escore.config import DEFAULTS, overridden
+    from escore.experiments import build_mar_model
+    teacher = MarModel(TINY, seed=3)
+    cfg = overridden(DEFAULTS, {"mar": {"seq_len": 8, "hidden_dim": 16, "n_heads": 2,
+                                        "n_blocks": student_blocks, "head_width": 16,
+                                        "head_depth": 1},
+                                "mar_train": {"init_from_teacher": True}})
+    student = build_mar_model(cfg, 5, teacher)
+    reference = MarModel(student.cfg, 5)   # draw, then copy the teacher's backbone
+    for name, p in reference.params.items():
+        if name.startswith("backbone.") and name in teacher.params:
+            p.value = teacher.params[name].value.copy()
+    assert student.params.names() == reference.params.names()
+    for name, p in reference.params.items():
+        assert student.params[name].value.tobytes() == p.value.tobytes(), name
+        if name in teacher.params:
+            assert not np.shares_memory(student.params[name].value,
+                                        teacher.params[name].value), name
+    assert np.array_equal(student.params["backbone.block0.wq.w"].value,
+                          teacher.params["backbone.block0.wq.w"].value)
+
+
 def test_frozen_backbone_only_updates_head():
     model = MarModel(TINY, seed=10)
     latents, ids = _batch(model, 4)

@@ -36,9 +36,8 @@ def test_linear_hand_value():
 
 
 def test_adaln_zero_init_is_bitwise_identity():
-    params = nn.ParameterSet()
     block = nn.AdaLnResBlock("blk", width=8, cond_dim=3)
-    block.register(params, seed=0)
+    params = nn.fill(block.layout(), 0)
     g = G.Graph()
     leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (5, 8))
@@ -51,11 +50,10 @@ def test_adaln_zero_init_is_bitwise_identity():
 
 
 def test_adaln_nonzero_cond_changes_output():
-    params = nn.ParameterSet()
     block = nn.AdaLnResBlock("blk", width=8, cond_dim=3)
-    block.register(params, seed=0)
-    params["blk.fc2.w"].value = nn.kaiming_uniform(9, "w2", (8, 8), 8)
-    params["blk.cond.w"].value = nn.kaiming_uniform(9, "wc", (3, 16), 3)
+    params = nn.fill(block.layout(), 0)
+    params["blk.fc2.w"].value = nn.initial_value(9, "w2", (8, 8), ("uniform", 8))
+    params["blk.cond.w"].value = nn.initial_value(9, "wc", (3, 16), ("uniform", 3))
     g = G.Graph()
     leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (5, 8))
@@ -70,9 +68,8 @@ def test_adaln_nonzero_cond_changes_output():
 def test_adaln_scalar_hand_evaluation():
     # width 1: LN(x) is identically 0, so out = x + w2*silu(b1) + b2 with
     # beta = cond * wc_beta + bc_beta entering through the hidden layer.
-    params = nn.ParameterSet()
     block = nn.AdaLnResBlock("blk", width=1, cond_dim=1)
-    block.register(params, seed=0)
+    params = nn.fill(block.layout(), 0)
     params["blk.fc1.w"].value = np.array([[2.0]])
     params["blk.fc1.b"].value = np.array([0.5])
     params["blk.fc2.w"].value = np.array([[1.5]])
@@ -95,9 +92,8 @@ def test_adaln_scalar_hand_evaluation():
 
 
 def _tiny_transformer(seed=0, dim=8, heads=2, seq=4, batch=2):
-    params = nn.ParameterSet()
     block = nn.TransformerBlock("tb", dim=dim, n_heads=heads)
-    block.register(params, seed=seed)
+    params = nn.fill(block.layout(), seed)
     g = G.Graph()
     leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (batch, seq, dim))
@@ -125,9 +121,8 @@ def test_transformer_attention_rows_sum_to_one():
 
 
 def test_transformer_zero_out_proj_leaves_mlp_residual_only():
-    params = nn.ParameterSet()
     block = nn.TransformerBlock("tb", dim=8, n_heads=2)
-    block.register(params, seed=0)
+    params = nn.fill(block.layout(), 0)
     params["tb.wo.w"].value = np.zeros((8, 8))
     g = G.Graph()
     leaves = G.declare(g, params.bindings(), grad=True)
@@ -158,12 +153,11 @@ def test_transformer_permutation_equivariance_on_identical_tokens():
 
 
 def test_adaln_and_transformer_pass_grad_check():
-    params = nn.ParameterSet()
     block = nn.AdaLnResBlock("blk", width=4, cond_dim=2)
-    block.register(params, seed=1)
+    params = nn.fill(block.layout(), 1)
     # non-degenerate weights so the check exercises every path
-    params["blk.fc2.w"].value = nn.kaiming_uniform(11, "a", (4, 4), 4)
-    params["blk.cond.w"].value = nn.kaiming_uniform(12, "b", (2, 8), 2)
+    params["blk.fc2.w"].value = nn.initial_value(11, "a", (4, 4), ("uniform", 4))
+    params["blk.cond.w"].value = nn.initial_value(12, "b", (2, 8), ("uniform", 2))
     g = G.Graph()
     leaves = G.declare(g, params.bindings(), grad=True)
     x = g.leaf("x", (3, 4), grad=True)
@@ -186,10 +180,10 @@ def test_adaln_and_transformer_pass_grad_check():
 
 
 def test_init_is_pure_function_of_seed_and_name():
-    a = nn.kaiming_uniform(3, "layer.w", (4, 4), 4)
-    b = nn.kaiming_uniform(3, "layer.w", (4, 4), 4)
-    c = nn.kaiming_uniform(4, "layer.w", (4, 4), 4)
-    d = nn.kaiming_uniform(3, "other.w", (4, 4), 4)
+    a = nn.initial_value(3, "layer.w", (4, 4), ("uniform", 4))
+    b = nn.initial_value(3, "layer.w", (4, 4), ("uniform", 4))
+    c = nn.initial_value(4, "layer.w", (4, 4), ("uniform", 4))
+    d = nn.initial_value(3, "other.w", (4, 4), ("uniform", 4))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -260,19 +254,28 @@ def test_weight_writers_reject_non_finite_values_naming_the_parameter(bad):
     params.add("v", np.ones(2))
     with pytest.raises(G.NonFiniteError, match="parameter 'v'"):
         params["v"].value = np.array([bad, 0.0])
-    with pytest.raises(G.NonFiniteError, match="ck: parameter 'v'"):
-        params.assign({"v": np.array([0.0, bad])}, "ck")
+    with pytest.raises(G.NonFiniteError, match="parameter 'u'"):
+        nn.fill([("u", (2,), nn.ZEROS)], 0, {"u": np.array([0.0, bad])})
     assert np.array_equal(params["v"].value, np.ones(2))
 
 
-def test_weight_writers_reject_another_shape_naming_the_parameter():
+def test_weight_writers_reject_another_shape_naming_the_parameter(tmp_path):
+    from escore.heads import HeadConfig
+    from escore.swiss import ToyHeadModel
     params = nn.ParameterSet()
     params.add("v", np.ones((2, 3)))
     with pytest.raises(ValueError, match=r"parameter 'v' has shape \(3, 2\), expected \(2, 3\)"):
         params["v"].value = np.ones((3, 2))
-    with pytest.raises(ValueError, match=r"ck: parameter 'v' has shape \(6,\)"):
-        params.assign({"v": np.ones(6)}, "ck")
     assert np.array_equal(params["v"].value, np.ones((2, 3)))
+    path = tmp_path / "head.ckpt"
+    ToyHeadModel(HeadConfig(kind="flow", width=8, depth=1), seed=0).save(path)
+    manifest, values = nn.load_checkpoint(path)
+    values["head.out.b"] = np.ones(6)
+    nn.save_checkpoint(path, nn.fill([(n, v.shape, nn.ZEROS) for n, v in values.items()], 0,
+                                     values), seed=0, extra=manifest["extra"])
+    with pytest.raises(ValueError, match=rf"{path}: parameter 'head.out.b' has shape \(6,\), "
+                                         r"expected \(2,\)"):
+        ToyHeadModel.load(path)
 
 
 def test_loading_a_checkpoint_with_a_nan_weight_fails_naming_it(tmp_path):
@@ -304,7 +307,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_bytes_deterministic(tmp_path):
     def write(path):
         params = nn.ParameterSet()
-        params.add("w", nn.kaiming_uniform(1, "w", (4, 4), 4))
+        params.add("w", nn.initial_value(1, "w", (4, 4), ("uniform", 4)))
         nn.save_checkpoint(path, params, config_digest="x", seed=1, step=1)
         return path.read_bytes()
 
